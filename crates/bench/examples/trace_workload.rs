@@ -17,7 +17,7 @@ use std::process::ExitCode;
 
 use tpal_ir::lower::{lower, Mode};
 use tpal_sim::{Sim, SimConfig};
-use tpal_trace::{chrome, MetricsReport, WorkSpanProfile};
+use tpal_trace::{chrome, EventKind, MetricsReport, WorkSpanProfile};
 use tpal_workloads::{all_workloads, workload, Scale};
 
 fn main() -> ExitCode {
@@ -79,10 +79,18 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
+    let idle_spans = trace
+        .tracks
+        .iter()
+        .flat_map(|t| &t.events)
+        .filter(|e| matches!(e.kind, EventKind::Idle { .. }))
+        .count();
     println!(
-        "{name} on {cores} cores: {} cycles, {} events -> {out_path}",
+        "{name} on {cores} cores: {} cycles, {} events ({idle_spans} idle spans for {} failed \
+         steals) -> {out_path}",
         out.time,
-        trace.len()
+        trace.len(),
+        out.stats.failed_steals
     );
     let p = WorkSpanProfile::from_trace(trace);
     println!(

@@ -48,6 +48,11 @@ fn run_stress(producers: usize, consumers: usize, per_producer: usize, seed: u64
         consumers_h.push(std::thread::spawn(move || {
             let mut rng = seed ^ (c as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB) ^ 1;
             loop {
+                // Read before the probe: if the producers had finished
+                // by then and the probe still finds nothing, the queue
+                // is drained. (Probing again *after* seeing the flag
+                // would throw away whatever that probe popped.)
+                let finished = done.load(Ordering::Acquire);
                 match q.pop() {
                     Some(v) => {
                         let (word, bit) = ((v / 64) as usize, v % 64);
@@ -58,14 +63,8 @@ fn run_stress(producers: usize, consumers: usize, per_producer: usize, seed: u64
                             std::thread::yield_now();
                         }
                     }
-                    None => {
-                        if done.load(Ordering::Acquire) && q.pop().is_none() && q.is_empty() {
-                            // Producers finished and the queue stayed
-                            // empty across a re-probe: drained.
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
+                    None if finished && q.is_empty() => break,
+                    None => std::thread::yield_now(),
                 }
             }
         }));

@@ -97,6 +97,13 @@ fn main() {
         Some(2.0),
         "two distinct programs, two decodes: {stats:?}"
     );
+    assert_eq!(
+        field(&stats, "cache")
+            .get("evictions")
+            .and_then(Json::as_num),
+        Some(0.0),
+        "two programs are far below the cache's capacity: {stats:?}"
+    );
 
     let (status, body) = client.request("POST", "/shutdown", "").expect("shutdown");
     assert_eq!(status, 200, "{body}");

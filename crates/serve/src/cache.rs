@@ -10,9 +10,21 @@
 //! `OnceLock`s — a program served only on the threaded tier never pays
 //! the decoded tier's compile. Failed compilations are cached too:
 //! resubmitting a broken program costs a hash lookup, not a re-parse.
+//!
+//! The cache holds at most [`CAPACITY`] programs. Beyond that each new
+//! program evicts one by second chance (CLOCK): a hand sweeps the
+//! resident set, an entry hit since the hand last passed it is spared
+//! once, the first one not hit goes. A program in steady use therefore
+//! outlives any amount of one-shot traffic, as long as it is hit at
+//! least once per sweep — [`CAPACITY`] evictions. Only completed
+//! compilations are evicted (submitters racing on one program always
+//! share one slot), and the evicted entry is dropped after the map lock
+//! is released. Replaying a token of an evicted program is the same
+//! "unknown program, resubmit the source" miss as on a server that never
+//! saw it.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use tpal_core::asm::parse_program;
@@ -73,29 +85,95 @@ impl CachedProgram {
     }
 }
 
+/// Programs the cache keeps resident: about 25 KB each for a
+/// request-sized program, so tens of megabytes at most, and orders of
+/// magnitude above any one tenant's working set.
+pub const CAPACITY: usize = 1024;
+
 /// One cache slot: the once-only compilation result for a content hash.
 #[derive(Default)]
 struct Slot {
     cell: OnceLock<Result<Arc<CachedProgram>, String>>,
+    /// Hit since the eviction hand last passed (the second chance).
+    used: AtomicBool,
 }
 
-/// The decode cache. See the module docs for the locking discipline.
+/// The resident set: slots in a ring the eviction hand sweeps, and
+/// where in the ring each hash sits.
+#[derive(Default)]
+struct Resident {
+    index: HashMap<u64, usize>,
+    ring: Vec<(u64, Arc<Slot>)>,
+    hand: usize,
+}
+
+impl Resident {
+    /// The slot for `hash`, inserting an empty one — in place of the
+    /// evicted entry, returned for the caller to drop, once the ring is
+    /// full.
+    fn slot(&mut self, hash: u64) -> (Arc<Slot>, Option<Arc<Slot>>) {
+        if let Some(&at) = self.index.get(&hash) {
+            return (Arc::clone(&self.ring[at].1), None);
+        }
+        let slot = Arc::new(Slot::default());
+        let entry = (hash, Arc::clone(&slot));
+        let victim = if self.ring.len() < CAPACITY {
+            None
+        } else {
+            // Two sweeps reach every entry with its second chance spent.
+            (0..2 * self.ring.len()).find_map(|_| {
+                let at = self.hand;
+                self.hand = (self.hand + 1) % self.ring.len();
+                let candidate = &self.ring[at].1;
+                let spare =
+                    candidate.cell.get().is_none() || candidate.used.swap(false, Ordering::Relaxed);
+                (!spare).then_some(at)
+            })
+        };
+        match victim {
+            Some(at) => {
+                self.index.insert(hash, at);
+                let (old, evicted) = std::mem::replace(&mut self.ring[at], entry);
+                self.index.remove(&old);
+                (slot, Some(evicted))
+            }
+            // Room left — or every resident entry is mid-compile, which
+            // takes as many concurrent submitters: grow by their number
+            // at most.
+            None => {
+                self.index.insert(hash, self.ring.len());
+                self.ring.push(entry);
+                (slot, None)
+            }
+        }
+    }
+}
+
+/// The decode cache. See the module docs for the locking and eviction
+/// discipline.
 pub struct ProgramCache {
-    map: Mutex<HashMap<u64, Arc<Slot>>>,
+    resident: Mutex<Resident>,
     decodes: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
+    evictions: AtomicU64,
 }
 
 impl ProgramCache {
     /// An empty cache.
     pub fn new() -> ProgramCache {
         ProgramCache {
-            map: Mutex::new(HashMap::new()),
+            resident: Mutex::new(Resident::default()),
             decodes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Resident> {
+        // Every update leaves the ring and its index consistent.
+        self.resident.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Looks `src` up by content hash, compiling it exactly once if
@@ -104,12 +182,15 @@ impl ProgramCache {
     /// completed when the call arrived).
     pub fn get_or_compile(&self, src: &ProgramSrc) -> (Result<Arc<CachedProgram>, String>, bool) {
         let hash = src.content_hash();
-        let slot = {
-            let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-            Arc::clone(map.entry(hash).or_default())
-        };
+        let (slot, evicted) = self.lock().slot(hash);
+        if evicted.is_some() {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            // Freed here, outside the lock.
+            drop(evicted);
+        }
         let hit = slot.cell.get().is_some();
         if hit {
+            slot.used.store(true, Ordering::Relaxed);
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -129,12 +210,14 @@ impl ProgramCache {
 
     /// Fetches a previously compiled program by content hash (the
     /// replay path: the token names the program, the cache supplies
-    /// it). `None` if the hash is unknown or its compilation failed.
+    /// it). `None` if the hash is unknown (never submitted here, or
+    /// evicted since) or its compilation failed.
     pub fn lookup(&self, hash: u64) -> Option<Arc<CachedProgram>> {
         let slot = {
-            let map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-            Arc::clone(map.get(&hash)?)
+            let resident = self.lock();
+            Arc::clone(&resident.ring[*resident.index.get(&hash)?].1)
         };
+        slot.used.store(true, Ordering::Relaxed);
         match slot.cell.get() {
             Some(Ok(entry)) => Some(Arc::clone(entry)),
             _ => None,
@@ -157,9 +240,14 @@ impl ProgramCache {
         self.misses.load(Ordering::Relaxed)
     }
 
+    /// Programs evicted to keep the cache within [`CAPACITY`].
+    pub fn eviction_count(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
+    }
+
     /// Distinct content hashes resident.
     pub fn len(&self) -> usize {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.lock().ring.len()
     }
 
     /// Whether the cache is empty.
@@ -235,6 +323,37 @@ mod tests {
             entry.backend(ExecTier::Reference).tier(),
             ExecTier::Reference
         );
+    }
+
+    /// A distinct, trivially small program per `k`.
+    fn numbered(k: usize) -> ProgramSrc {
+        ProgramSrc::tpl(format!("fn main(n) {{ return n + {k}; }}\n"), "serial")
+    }
+
+    #[test]
+    fn one_shot_traffic_is_evicted_and_a_program_in_use_is_not() {
+        let cache = ProgramCache::new();
+        let hot = ProgramSrc::tpl(SUM_TPL, "heartbeat");
+        let (entry, _) = cache.get_or_compile(&hot);
+        let entry = entry.unwrap();
+        for k in 0..3 * CAPACITY {
+            assert!(cache.get_or_compile(&numbered(k)).0.is_ok());
+            let (again, hit) = cache.get_or_compile(&hot);
+            assert!(hit, "still resident after {k} one-shot programs");
+            assert!(Arc::ptr_eq(&entry, &again.unwrap()));
+        }
+        assert_eq!(cache.len(), CAPACITY);
+        assert_eq!(cache.eviction_count(), (2 * CAPACITY + 1) as u64);
+        assert_eq!(cache.decode_count(), (3 * CAPACITY + 1) as u64);
+        // The oldest one-shot program is gone, so a token naming it
+        // finds nothing; the newest is still there.
+        assert!(cache.lookup(numbered(0).content_hash()).is_none());
+        assert!(cache
+            .lookup(numbered(3 * CAPACITY - 1).content_hash())
+            .is_some());
+        // Resubmitting an evicted program compiles it again.
+        let (_, hit) = cache.get_or_compile(&numbered(0));
+        assert!(!hit);
     }
 
     #[test]

@@ -478,6 +478,26 @@ mod tests {
     }
 
     #[test]
+    fn replay_of_an_evicted_program_is_a_miss() {
+        let engine = Engine::new();
+        let numbered =
+            |k: usize| ProgramSrc::tpl(format!("fn main(n) {{ return n + {k}; }}\n"), "serial");
+        let (first, _) = engine.cache().get_or_compile(&numbered(0));
+        let hash = first.unwrap().hash();
+        let token = RunSpec::sim(1).set("n", 1).token(hash);
+        assert!(engine.replay(&token).is_ok(), "resident: replays");
+        // One hit earns one second chance; two sweeps of one-shot
+        // programs spend it.
+        for k in 1..=2 * crate::cache::CAPACITY {
+            engine.cache().get_or_compile(&numbered(k)).0.unwrap();
+        }
+        assert!(matches!(
+            engine.replay(&token),
+            Err(EngineError::UnknownProgram(h)) if h == hash
+        ));
+    }
+
+    #[test]
     fn replay_of_unknown_program_is_a_miss() {
         let engine = Engine::new();
         let token = RunSpec::sim(1).token(0x1234);

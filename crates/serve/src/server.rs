@@ -384,10 +384,11 @@ fn stats_body(shared: &Shared) -> String {
     let cache = &shared.engine.cache();
     let depth = shared.queue.lock().unwrap_or_else(|e| e.into_inner()).len();
     format!(
-        "{{\"cache\":{{\"decodes\":{},\"hits\":{},\"misses\":{},\"programs\":{}}},\
+        "{{\"cache\":{{\"decodes\":{},\"evictions\":{},\"hits\":{},\"misses\":{},\"programs\":{}}},\
          \"completed\":{},\"draining\":{},\"ok\":true,\"queue_depth\":{depth},\
          \"shed\":{},\"submitted\":{}}}",
         cache.decode_count(),
+        cache.eviction_count(),
         cache.hit_count(),
         cache.miss_count(),
         cache.len(),

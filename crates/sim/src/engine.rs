@@ -67,7 +67,9 @@ pub struct SimConfig {
     /// Record a full structured [`Trace`] (task lifecycle events and
     /// per-core activity spans) in the outcome. Off by default: when
     /// off, every record site is one `Option`/`None` branch and nothing
-    /// is allocated; when on, memory is O(events).
+    /// is allocated; when on, time and memory are O(scheduling
+    /// decisions) — spans are maximal runs, so neither how long a core
+    /// sat idle nor how a task's work was sliced into quanta adds events.
     pub record_trace: bool,
     /// Which promotion-ready mark `prmsplit` pops: the paper's
     /// outermost-first policy (§2.3) or its innermost-first ablation.
@@ -462,10 +464,12 @@ impl<'p> Sim<'p> {
 
         // Settles core `$p`'s pending retries at virtual times strictly
         // before `$bound`. Each settled retry charges the same counters
-        // and timeline record as a live failed steal and advances the RNG
+        // and timeline bucket as a live failed steal and advances the RNG
         // stream by one draw — the drawn victim is unobservable (every
         // deque is empty while any core is parked), but the stream
-        // position is, hence the O(1) `skip`.
+        // position is, hence the O(1) `skip`. The whole chain is one
+        // trace span and one pass over the buckets it covers: recording
+        // costs O(1) per settled chain however long the core sat parked.
         macro_rules! flush_one {
             ($p:expr, $bound:expr) => {
                 let next = cores[$p].busy_until;
@@ -477,18 +481,12 @@ impl<'p> Sim<'p> {
                     stats.failed_steals += k;
                     stats.idle_cycles += k * retry;
                     if let Some(tl) = &mut timeline {
-                        for i in 0..k {
-                            tl.record($p, next + i * retry, Activity::Idle, retry);
-                        }
+                        tl.record_chain($p, next, Activity::Idle, retry, k);
                     }
-                    if let Some(tb) = &mut tracer {
-                        // Settled retroactively: these idle spans carry
-                        // later sequence numbers than events at greater
-                        // timestamps, which is why renderers sort by ts.
-                        for i in 0..k {
-                            tb.record($p, next + i * retry, retry, EventKind::Idle);
-                        }
-                    }
+                    // Settled retroactively: the span carries a later
+                    // sequence number than events at greater timestamps
+                    // on other cores' tracks (never on its own).
+                    tev!($p, next, k * retry, EventKind::Idle { retries: k });
                     cores[$p].busy_until = next + k * retry;
                 }
             };
@@ -823,7 +821,7 @@ impl<'p> Sim<'p> {
                             stats.failed_steals += 1;
                             stats.idle_cycles += cfg.steal_retry_cost;
                             trace!(c, now, Activity::Idle, cfg.steal_retry_cost);
-                            tev!(c, now, cfg.steal_retry_cost, EventKind::Idle);
+                            tev!(c, now, cfg.steal_retry_cost, EventKind::Idle { retries: 1 });
                             // With a zero retry cost the reference's
                             // end-of-cycle starvation check can fire (all
                             // cores free, empty, and idle this cycle);
@@ -1352,7 +1350,7 @@ impl<'p> Sim<'p> {
                             stats.chan_blocks += 1;
                             stats.idle_cycles += 1;
                             trace!(c, now, Activity::Idle, 1);
-                            tev!(c, now, 1, EventKind::Idle);
+                            tev!(c, now, 1, EventKind::Idle { retries: 0 });
                             tev!(
                                 c,
                                 now,

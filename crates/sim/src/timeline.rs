@@ -72,12 +72,43 @@ impl Timeline {
         }
     }
 
+    /// Records `count` back-to-back charges of `cycles` cycles each,
+    /// the first at `start`, each whole to the bucket containing its own
+    /// start — exactly as `count` [`Timeline::record`] calls would, but
+    /// one bucket at a time, so a settled retry chain costs O(buckets it
+    /// spans), not O(retries).
+    pub(crate) fn record_chain(
+        &mut self,
+        core: usize,
+        start: u64,
+        kind: Activity,
+        cycles: u64,
+        count: u64,
+    ) {
+        let mut t = start;
+        let mut left = count;
+        while left > 0 {
+            let bucket_end = (t / self.bucket_cycles + 1) * self.bucket_cycles;
+            // The charges that start in [t, bucket_end): at cost 0, all.
+            let n = if cycles == 0 {
+                left
+            } else {
+                (bucket_end - t).div_ceil(cycles).min(left)
+            };
+            self.record(core, t, kind, n * cycles);
+            t += n * cycles;
+            left -= n;
+        }
+    }
+
     /// Rebuilds a timeline from a recorded structured trace, bucketing
     /// the activity spans exactly as the engine does live: work spans
     /// split across bucket boundaries ([`Timeline::record_span`]),
     /// overhead and idle charged whole to the bucket containing their
-    /// start. A trace-recording run therefore yields the same timeline
-    /// whether built live (`record_timeline`) or from its trace.
+    /// start — for an idle span of several steal retries, each retry to
+    /// the bucket containing *its* start ([`Timeline::record_chain`]). A
+    /// trace-recording run therefore yields the same timeline whether
+    /// built live (`record_timeline`) or from its trace.
     pub fn from_trace(trace: &tpal_trace::Trace, bucket_cycles: u64) -> Timeline {
         let mut tl = Timeline::new(trace.tracks.len(), bucket_cycles);
         for (core, track) in trace.tracks.iter().enumerate() {
@@ -89,8 +120,11 @@ impl Timeline {
                     tpal_trace::EventKind::Overhead { .. } => {
                         tl.record(core, e.ts, Activity::Overhead, e.dur);
                     }
-                    tpal_trace::EventKind::Idle => {
+                    tpal_trace::EventKind::Idle { retries: 0 } => {
                         tl.record(core, e.ts, Activity::Idle, e.dur);
+                    }
+                    tpal_trace::EventKind::Idle { retries } => {
+                        tl.record_chain(core, e.ts, Activity::Idle, e.dur / retries, retries);
                     }
                     _ => {}
                 }
@@ -269,6 +303,29 @@ mod tests {
                 reference.record(0, start + i, Activity::Work, 1);
             }
             proptest::prop_assert_eq!(batched.core(0), reference.core(0));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// One `record_chain` call equals `count` `record` calls, one
+        /// per retry — what lets the engine settle a parked core's
+        /// retries, and `from_trace` replay an idle span, arithmetically.
+        #[test]
+        fn record_chain_equals_per_retry_record(
+            start in 0u64..10_000,
+            cycles in 0u64..200,
+            count in 0u64..500,
+            bucket in 1u64..512,
+        ) {
+            let mut chained = Timeline::new(1, bucket);
+            let mut reference = Timeline::new(1, bucket);
+            chained.record_chain(0, start, Activity::Idle, cycles, count);
+            for i in 0..count {
+                reference.record(0, start + i * cycles, Activity::Idle, cycles);
+            }
+            proptest::prop_assert_eq!(chained.core(0), reference.core(0));
         }
     }
 

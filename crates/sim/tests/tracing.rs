@@ -18,6 +18,18 @@ const WORKLOADS: [&str; 4] = [
     "mandelbrot",
 ];
 
+/// The seven programs the repository's benchmark simulates (`sim_loops`,
+/// `sim_branchy`, `sim_stream`).
+const BENCHMARK_PROGRAMS: [&str; 7] = [
+    "plus-reduce-array",
+    "floyd-warshall-small",
+    "mandelbrot",
+    "mergesort-uniform",
+    "knapsack",
+    "pipeline-tokens",
+    "spmv-stream",
+];
+
 fn run_workload(name: &str, config: SimConfig) -> SimOutcome {
     let spec = workload(name)
         .expect("known workload")
@@ -56,6 +68,9 @@ fn mergesort_chrome_trace_has_per_core_tracks() {
     for (i, track) in trace.tracks.iter().enumerate() {
         assert_eq!(track.name, format!("core {i}"));
         assert!(!track.events.is_empty(), "core {i} recorded nothing");
+        // Settled idle chains are retroactive only against *other*
+        // tracks, so the Chrome backend never has to sort a sim track.
+        assert!(track.events.is_sorted_by_key(|e| e.ts), "core {i}");
     }
     let json = chrome::chrome_json(&trace);
     let n = chrome::validate(&json).expect("schema-valid Chrome trace");
@@ -63,10 +78,11 @@ fn mergesort_chrome_trace_has_per_core_tracks() {
 }
 
 /// Every figure quantity computed from the trace must agree with the
-/// engine's own counters — same stream, no drift.
+/// engine's own counters — same stream, no drift — on every benchmark
+/// program, streaming ones included.
 #[test]
 fn trace_metrics_agree_with_sim_stats() {
-    for name in ["plus-reduce-array", "mergesort-uniform"] {
+    for name in BENCHMARK_PROGRAMS {
         let out = run_workload(name, traced(4));
         let trace = out.trace.as_ref().expect("trace recorded");
         let r = MetricsReport::from_trace(trace);
@@ -78,6 +94,7 @@ fn trace_metrics_agree_with_sim_stats() {
         assert_eq!(r.promotions, out.stats.promotions, "{name}");
         assert_eq!(r.heartbeats_serviced, out.stats.promotions, "{name}");
         assert_eq!(r.steals, out.stats.steals, "{name}");
+        assert_eq!(r.failed_steals, out.stats.failed_steals, "{name}");
         assert_eq!(r.join_merges, out.stats.merges, "{name}");
         assert_eq!(
             r.join_stashes + r.join_merges + r.join_continues,
@@ -88,9 +105,48 @@ fn trace_metrics_agree_with_sim_stats() {
         assert_eq!(t.work, out.stats.work_cycles, "{name}");
         assert_eq!(t.overhead, out.stats.overhead_cycles, "{name}");
         assert_eq!(t.idle, out.stats.idle_cycles, "{name}");
+        assert_eq!(r.detaches, out.stats.detaches, "{name}");
+        assert_eq!(r.chan_pushes, out.stats.chan_pushes, "{name}");
+        assert_eq!(r.chan_pops, out.stats.chan_pops, "{name}");
+        assert_eq!(r.chan_blocks, out.stats.chan_blocks, "{name}");
+        assert_eq!(r.chan_wakes, out.stats.chan_wakes, "{name}");
         // Charged spans can run up to (or past) the halt cycle, so the
         // trace horizon is at least the makespan.
         assert!(r.makespan >= out.time, "{name}");
+    }
+}
+
+/// Trace size follows scheduling decisions, not simulated idle time: at
+/// 15 cores most cores sit parked most of the run, and an idle span ends
+/// only where something happens on its track — an interrupt arrives, a
+/// steal lands, or the run ends — or where it is the cycle a channel
+/// block costs. Per-retry recording (one `Idle` per failed steal) breaks
+/// both bounds by an order of magnitude.
+#[test]
+fn idle_events_are_bounded_by_scheduling_decisions() {
+    for name in ["floyd-warshall-small", "spmv-stream"] {
+        let out = run_workload(name, traced(15));
+        let trace = out.trace.as_ref().expect("trace recorded");
+        let idle_events = trace
+            .tracks
+            .iter()
+            .flat_map(|t| &t.events)
+            .filter(|e| matches!(e.kind, tpal_trace::EventKind::Idle { .. }))
+            .count() as u64;
+        let s = &out.stats;
+        let decisions = s.heartbeats_delivered + s.steals + s.chan_blocks + out.cores as u64;
+        assert!(
+            idle_events <= decisions,
+            "{name}: {idle_events} idle events for {decisions} interrupts, steals, channel \
+             blocks and track ends ({} failed steals)",
+            s.failed_steals
+        );
+        assert!(
+            (trace.len() as u64) < s.failed_steals,
+            "{name}: {} events, {} failed steals",
+            trace.len(),
+            s.failed_steals
+        );
     }
 }
 

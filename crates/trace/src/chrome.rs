@@ -41,7 +41,9 @@ fn instant_name(kind: &EventKind) -> Option<&'static str> {
         EventKind::ChanClose { .. } => "chan-close",
         EventKind::ChanBlock { .. } => "chan-block",
         EventKind::ChanWake { .. } => "chan-wake",
-        EventKind::Work { .. } | EventKind::Overhead { .. } | EventKind::Idle => return None,
+        EventKind::Work { .. } | EventKind::Overhead { .. } | EventKind::Idle { .. } => {
+            return None
+        }
     })
 }
 
@@ -83,8 +85,10 @@ fn push_args(out: &mut String, kind: &EventKind) {
         EventKind::ChanBlock { ch, task, push } => {
             let _ = write!(out, r#","args":{{"ch":{ch},"task":{task},"push":{push}}}"#);
         }
+        EventKind::Idle { retries } => {
+            let _ = write!(out, r#","args":{{"retries":{retries}}}"#);
+        }
         EventKind::Overhead { .. }
-        | EventKind::Idle
         | EventKind::HeartbeatDelivered
         | EventKind::HeartbeatServiced => {}
     }
@@ -108,7 +112,7 @@ fn push_event(out: &mut String, tid: u64, e: &TraceEvent) {
                 e.dur
             );
         }
-        EventKind::Idle => {
+        EventKind::Idle { .. } => {
             let _ = write!(
                 out,
                 r#"{{"name":"idle","ph":"X","pid":{PID},"tid":{tid},"ts":{},"dur":{}"#,
@@ -130,11 +134,12 @@ fn push_event(out: &mut String, tid: u64, e: &TraceEvent) {
 
 /// Renders `trace` as a Chrome `trace_event` JSON document.
 ///
-/// Events within each track are emitted sorted by timestamp (stably, so
-/// same-cycle events keep their causal sequence order): recording order
-/// is not time order, because lazily settled idle chains land in the
-/// buffers retroactively, but the viewer expects monotone `ts` per
-/// thread track.
+/// The viewer expects monotone `ts` per thread track. Record order
+/// already is, on every track the simulator records and on a runtime
+/// track with one producer, so those are written straight through; a
+/// track that is not (concurrent producers stamping one runtime track)
+/// is sorted by timestamp first, stably, so same-tick events keep their
+/// causal sequence order.
 pub fn chrome_json(trace: &Trace) -> String {
     let mut out = String::with_capacity(64 + trace.len() * 96);
     out.push_str("{\"traceEvents\":[");
@@ -154,11 +159,17 @@ pub fn chrome_json(trace: &Trace) -> String {
             r#"{{"name":"thread_name","ph":"M","pid":{PID},"tid":{tid},"args":{{"name":"{}"}}}}"#,
             json::escape(&track.name)
         );
-        let mut events: Vec<&TraceEvent> = track.events.iter().collect();
-        events.sort_by_key(|e| (e.ts, e.seq));
-        for e in events {
-            sep(&mut out);
+        // After its track's metadata record, so never the first.
+        let mut emit = |e: &TraceEvent| {
+            out.push_str(",\n");
             push_event(&mut out, tid, e);
+        };
+        if track.events.is_sorted_by_key(|e| e.ts) {
+            track.events.iter().for_each(&mut emit);
+        } else {
+            let mut events: Vec<&TraceEvent> = track.events.iter().collect();
+            events.sort_by_key(|e| (e.ts, e.seq));
+            events.into_iter().for_each(&mut emit);
         }
     }
     let _ = write!(
@@ -271,9 +282,9 @@ mod tests {
             },
         );
         b.record(1, 12, 0, EventKind::Steal { victim: 0 });
-        // Retroactively settled idle: recorded after later events, starts
-        // earlier — the renderer must sort it into place.
-        b.record(1, 0, 12, EventKind::Idle);
+        // Recorded after a later event on its own track (as racing
+        // runtime producers can): the renderer must sort it into place.
+        b.record(1, 0, 12, EventKind::Idle { retries: 3 });
         b.record(1, 12, 5, EventKind::Work { task: 1 });
         b.record(0, 20, 0, EventKind::TaskEnd { task: 0 });
         b.finish()
@@ -285,6 +296,12 @@ mod tests {
         let n = validate(&text).expect("should validate");
         // 7 events + 2 thread_name metadata records.
         assert_eq!(n, 9);
+        assert!(
+            text.contains(
+                r#""name":"idle","ph":"X","pid":1,"tid":1,"ts":0,"dur":12,"args":{"retries":3}"#
+            ),
+            "idle spans carry their retry count: {text}"
+        );
     }
 
     #[test]

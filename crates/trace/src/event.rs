@@ -2,6 +2,7 @@
 //! for the simulator, shared multi-producer tracer for the runtime).
 
 use std::cell::UnsafeCell;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
@@ -38,7 +39,9 @@ impl OverheadKind {
 }
 
 /// One recorded event. Spans carry their duration in `dur`; instants
-/// have `dur == 0`.
+/// have `dur == 0`. A [`TraceBuilder`] span is a *maximal contiguous
+/// run*: back-to-back `Work` quanta of one task, and back-to-back
+/// same-cost failed-steal retries, are one event each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// The core executed instructions of `task` for `dur` cycles.
@@ -51,9 +54,14 @@ pub enum EventKind {
         /// What the cycles were spent on.
         what: OverheadKind,
     },
-    /// The core had nothing to run for `dur` cycles (failed steal
-    /// attempts included).
-    Idle,
+    /// The core had nothing to run for `dur` cycles.
+    Idle {
+        /// Failed steal attempts the span covers, back to back from
+        /// `ts`, each `dur / retries` cycles long; 0 for idle time that
+        /// is not a steal retry (the cycle a core spends discovering a
+        /// channel block).
+        retries: u64,
+    },
     /// `parent` forked `child` (a task was created — Fig. 15a).
     TaskSpawn {
         /// The forking task.
@@ -179,10 +187,13 @@ pub struct TraceEvent {
 pub struct Track {
     /// Display name (`core 3`, `worker 1`).
     pub name: String,
-    /// Events in record order. Note that record order is *not* sorted
-    /// by `ts` — lazily settled idle chains are recorded retroactively —
-    /// so renderers sort by `ts` per track and analyses sort by `seq`
-    /// globally.
+    /// Events in record order, i.e. ascending `seq` (what
+    /// [`Trace::causal_order`] merges on). Both recorders also produce
+    /// ascending `ts` per track in the steady state, but only `seq` is
+    /// guaranteed: a lazily settled idle chain is recorded when it is
+    /// settled, so it carries a later `seq` than events at greater
+    /// timestamps on *other* tracks, and concurrent producers of one
+    /// runtime track may publish out of clock order.
     pub events: Vec<TraceEvent>,
 }
 
@@ -207,15 +218,19 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// All events of all tracks in global causal (sequence) order.
-    pub fn causal_order(&self) -> Vec<TraceEvent> {
-        let mut all: Vec<TraceEvent> = self
-            .tracks
-            .iter()
-            .flat_map(|t| t.events.iter().copied())
-            .collect();
-        all.sort_unstable_by_key(|e| e.seq);
-        all
+    /// The events `keep` selects, across all tracks, in global causal
+    /// (sequence) order: a lazy k-way merge of the tracks, each already
+    /// in `seq` order, so nothing is copied or sorted and a consumer
+    /// pays the merge only for the events it folds.
+    pub fn causal_order<F: Fn(&EventKind) -> bool>(&self, keep: F) -> CausalOrder<'_, F> {
+        let mut heads = BinaryHeap::with_capacity(self.tracks.len());
+        for track in &self.tracks {
+            let mut rest = track.events.iter();
+            if let Some(next) = rest.find(|e| keep(&e.kind)) {
+                heads.push(Head { next, rest });
+            }
+        }
+        CausalOrder { keep, heads }
     }
 
     /// The end of the last event — the makespan the trace covers.
@@ -236,6 +251,57 @@ impl Trace {
     /// Whether no events were recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// One track's position in a [`CausalOrder`] merge; ordered so that
+/// the smallest `seq` is the max-heap's top.
+struct Head<'a> {
+    next: &'a TraceEvent,
+    rest: std::slice::Iter<'a, TraceEvent>,
+}
+
+impl PartialEq for Head<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.next.seq == other.next.seq
+    }
+}
+
+impl Eq for Head<'_> {}
+
+impl PartialOrd for Head<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Head<'_> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.next.seq.cmp(&self.next.seq)
+    }
+}
+
+/// The iterator behind [`Trace::causal_order`].
+pub struct CausalOrder<'a, F> {
+    keep: F,
+    heads: BinaryHeap<Head<'a>>,
+}
+
+impl<'a, F: Fn(&EventKind) -> bool> Iterator for CausalOrder<'a, F> {
+    type Item = &'a TraceEvent;
+
+    fn next(&mut self) -> Option<&'a TraceEvent> {
+        let mut top = self.heads.peek_mut()?;
+        let event = top.next;
+        // Replacing the top in place costs one sift, and none when the
+        // same track stays earliest (a core's events come in runs).
+        match top.rest.find(|e| (self.keep)(&e.kind)) {
+            Some(next) => top.next = next,
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+        Some(event)
     }
 }
 
@@ -276,12 +342,41 @@ impl TraceBuilder {
         self
     }
 
-    /// Records one event on `track`.
+    /// Records one event on `track`. A span that continues the track's
+    /// last event — the same task's `Work`, or failed-steal retries of
+    /// the same cost, starting exactly where it ended — extends that
+    /// event in place, so trace size follows scheduling decisions, not
+    /// how finely the recorder happened to slice time. The extended
+    /// event keeps its `seq`: any instant by that task (spawn, join,
+    /// channel operation) lands on this track and would have ended the
+    /// run, so no per-task fold can tell the pieces from the whole.
     #[inline]
     pub fn record(&mut self, track: usize, ts: u64, dur: u64, kind: EventKind) {
+        let events = &mut self.tracks[track];
+        if let Some(last) = events.last_mut() {
+            if last.ts + last.dur == ts {
+                match (&mut last.kind, kind) {
+                    (EventKind::Work { task: a }, EventKind::Work { task: b }) if *a == b => {
+                        last.dur += dur;
+                        return;
+                    }
+                    (EventKind::Idle { retries: a }, EventKind::Idle { retries: b })
+                        if *a > 0
+                            && b > 0
+                            && u128::from(last.dur) * u128::from(b)
+                                == u128::from(dur) * u128::from(*a) =>
+                    {
+                        *a += b;
+                        last.dur += dur;
+                        return;
+                    }
+                    _ => {}
+                }
+            }
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.tracks[track].push(TraceEvent { seq, ts, dur, kind });
+        events.push(TraceEvent { seq, ts, dur, kind });
     }
 
     /// Finishes the trace, naming tracks `core 0`, `core 1`, …
@@ -449,10 +544,12 @@ impl SharedTracer {
     }
 
     /// Drains every published event into a [`Trace`], naming tracks
-    /// `worker 0`, `worker 1`, … and sorting each track by the global
-    /// sequence number (concurrent producers may publish out of claim
-    /// order). Events recorded after collection begins may land in
-    /// either this trace or the next; drained slots are never reused.
+    /// `worker 0`, `worker 1`, … with each track in global sequence
+    /// order. Concurrent producers of one track may claim slots out of
+    /// `seq` order, so a track is sorted when — and only when — that
+    /// happened; a single producer (the steady state) never pays it.
+    /// Events recorded after collection begins may land in either this
+    /// trace or the next; drained slots are never reused.
     pub fn collect(&self) -> Trace {
         Trace {
             time_unit: self.time_unit,
@@ -464,8 +561,9 @@ impl SharedTracer {
                 .iter()
                 .enumerate()
                 .map(|(i, row)| {
-                    // Walk newest→oldest, then drain oldest-first so the
-                    // common case needs no post-sort reshuffling.
+                    // Walk newest→oldest, then drain oldest-first: slot
+                    // order is claim order, which is `seq` order unless
+                    // producers raced.
                     let mut chain = Vec::new();
                     let mut p = row.head.load(Ordering::Acquire);
                     while !p.is_null() {
@@ -495,7 +593,9 @@ impl SharedTracer {
                             }
                         }
                     }
-                    events.sort_unstable_by_key(|e| e.seq);
+                    if !events.is_sorted_by_key(|e| e.seq) {
+                        events.sort_unstable_by_key(|e| e.seq);
+                    }
                     Track {
                         name: format!("worker {i}"),
                         events,
@@ -529,15 +629,82 @@ mod tests {
     fn builder_assigns_global_seq() {
         let mut b = TraceBuilder::new(2, "cycles", 100);
         b.record(1, 5, 0, EventKind::HeartbeatDelivered);
-        b.record(0, 5, 3, EventKind::Idle);
+        b.record(0, 5, 3, EventKind::Idle { retries: 1 });
         b.record(1, 6, 0, EventKind::TaskEnd { task: 0 });
         let t = b.finish();
         assert_eq!(t.len(), 3);
-        let order = t.causal_order();
+        let order: Vec<_> = t.causal_order(|_| true).collect();
         assert_eq!(order[0].kind, EventKind::HeartbeatDelivered);
-        assert_eq!(order[1].kind, EventKind::Idle);
+        assert_eq!(order[1].kind, EventKind::Idle { retries: 1 });
+        assert_eq!(order[2].kind, EventKind::TaskEnd { task: 0 });
         assert_eq!(t.makespan(), 8);
         assert_eq!(t.tracks[0].name, "core 0");
+    }
+
+    #[test]
+    fn builder_extends_contiguous_spans_in_place() {
+        let work = |task| EventKind::Work { task };
+        let idle = |retries| EventKind::Idle { retries };
+        let mut b = TraceBuilder::new(1, "cycles", 0);
+        b.record(0, 0, 5, work(1));
+        b.record(0, 5, 3, work(1)); // continues the run
+        b.record(0, 8, 2, work(2)); // another task
+        b.record(0, 11, 2, work(2)); // a gap
+        b.record(0, 13, 100, idle(2));
+        b.record(0, 113, 50, idle(1)); // same 50-cycle retries
+        b.record(0, 163, 30, idle(1)); // another cost
+        b.record(0, 193, 1, idle(0)); // not a retry
+        b.record(0, 194, 1, idle(0));
+        b.record(0, 195, 4, work(3));
+        b.record(0, 199, 0, EventKind::TaskEnd { task: 3 });
+        b.record(0, 199, 4, work(3)); // an instant ended the run
+        let got: Vec<(u64, u64, u64, EventKind)> = b.finish().tracks[0]
+            .events
+            .iter()
+            .map(|e| (e.seq, e.ts, e.dur, e.kind))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0, 0, 8, work(1)),
+                (1, 8, 2, work(2)),
+                (2, 11, 2, work(2)),
+                (3, 13, 150, idle(3)),
+                (4, 163, 30, idle(1)),
+                (5, 193, 1, idle(0)),
+                (6, 194, 1, idle(0)),
+                (7, 195, 4, work(3)),
+                (8, 199, 0, EventKind::TaskEnd { task: 3 }),
+                (9, 199, 4, work(3)),
+            ]
+        );
+    }
+
+    #[test]
+    fn causal_order_merges_only_kept_events() {
+        let mut b = TraceBuilder::new(3, "cycles", 0);
+        for i in 0..30u64 {
+            // Track 2 records only spans, so it never enters the merge.
+            let track = if i % 5 == 0 { 2 } else { (i % 2) as usize };
+            let kind = if track == 2 || i % 3 == 0 {
+                EventKind::Overhead {
+                    what: OverheadKind::Join,
+                }
+            } else {
+                EventKind::TaskEnd { task: i }
+            };
+            b.record(track, i, 0, kind);
+        }
+        let t = b.finish();
+        let all: Vec<u64> = t.causal_order(|_| true).map(|e| e.seq).collect();
+        assert_eq!(all, (0..30).collect::<Vec<u64>>());
+        let ends: Vec<u64> = t
+            .causal_order(|k| matches!(k, EventKind::TaskEnd { .. }))
+            .map(|e| e.seq)
+            .collect();
+        let expect: Vec<u64> = (0..30).filter(|i| i % 5 != 0 && i % 3 != 0).collect();
+        assert_eq!(ends, expect);
+        assert_eq!(t.causal_order(|_| false).count(), 0);
     }
 
     #[test]

@@ -45,6 +45,31 @@ pub struct WorkSpanProfile {
     pub complete: bool,
 }
 
+/// Whether the fold reads events of `kind`: only those enter the causal
+/// merge. Exhaustive, so a new kind has to choose a side.
+fn folded(kind: &EventKind) -> bool {
+    match kind {
+        EventKind::Work { .. }
+        | EventKind::TaskSpawn { .. }
+        | EventKind::JoinStash { .. }
+        | EventKind::JoinMerge { .. }
+        | EventKind::JoinContinue { .. }
+        | EventKind::TaskEnd { .. }
+        | EventKind::TaskDetach { .. }
+        | EventKind::ChanPush { .. }
+        | EventKind::ChanPop { .. } => true,
+        EventKind::Overhead { .. }
+        | EventKind::Idle { .. }
+        | EventKind::TaskPromote { .. }
+        | EventKind::HeartbeatDelivered
+        | EventKind::HeartbeatServiced
+        | EventKind::ChanClose { .. }
+        | EventKind::ChanBlock { .. }
+        | EventKind::ChanWake { .. }
+        | EventKind::Steal { .. } => false,
+    }
+}
+
 impl WorkSpanProfile {
     /// Available parallelism T₁/T∞ (0 when the span is 0).
     pub fn parallelism(&self) -> f64 {
@@ -76,7 +101,7 @@ impl WorkSpanProfile {
             complete: false,
         };
         let mut max_span = 0u64;
-        for e in trace.causal_order() {
+        for e in trace.causal_order(folded) {
             match e.kind {
                 EventKind::Work { task } => {
                     p.work += e.dur;
@@ -126,15 +151,8 @@ impl WorkSpanProfile {
                     *s = (*s).max(produced);
                     max_span = max_span.max(*s);
                 }
-                EventKind::Overhead { .. }
-                | EventKind::Idle
-                | EventKind::TaskPromote { .. }
-                | EventKind::HeartbeatDelivered
-                | EventKind::HeartbeatServiced
-                | EventKind::ChanClose { .. }
-                | EventKind::ChanBlock { .. }
-                | EventKind::ChanWake { .. }
-                | EventKind::Steal { .. } => {}
+                // Everything `folded` keeps out of the merge.
+                _ => {}
             }
         }
         if !p.complete {

@@ -78,6 +78,8 @@ pub struct MetricsReport {
     pub heartbeats_serviced: u64,
     /// Successful steals.
     pub steals: u64,
+    /// Failed steal attempts (the sum of `Idle.retries`).
+    pub failed_steals: u64,
     /// Join stashes (first arrivals).
     pub join_stashes: u64,
     /// Join merges (second arrivals).
@@ -119,6 +121,7 @@ impl MetricsReport {
             heartbeats_delivered: 0,
             heartbeats_serviced: 0,
             steals: 0,
+            failed_steals: 0,
             join_stashes: 0,
             join_merges: 0,
             join_continues: 0,
@@ -137,7 +140,10 @@ impl MetricsReport {
                         r.per_core[core].overhead += e.dur;
                         r.overhead_by_kind[what as usize] += e.dur;
                     }
-                    EventKind::Idle => r.per_core[core].idle += e.dur,
+                    EventKind::Idle { retries } => {
+                        r.per_core[core].idle += e.dur;
+                        r.failed_steals += retries;
+                    }
                     EventKind::TaskSpawn { .. } => r.tasks_created += 1,
                     EventKind::TaskPromote { .. } => {
                         r.promotions += 1;
@@ -163,9 +169,12 @@ impl MetricsReport {
         }
         if r.chan_pushes + r.chan_pops > 0 {
             // Occupancy needs the global causal order (pushes and pops
-            // of one channel interleave across cores).
+            // of one channel interleave across cores) — of the pushes
+            // and pops only, so only those are merged.
             let mut occ: std::collections::BTreeMap<u32, (u64, u64)> = Default::default();
-            for e in trace.causal_order() {
+            let push_or_pop =
+                |k: &EventKind| matches!(k, EventKind::ChanPush { .. } | EventKind::ChanPop { .. });
+            for e in trace.causal_order(push_or_pop) {
                 match e.kind {
                     EventKind::ChanPush { ch, .. } => {
                         let slot = occ.entry(ch).or_insert((0, 0));
@@ -283,10 +292,11 @@ impl MetricsReport {
         );
         let _ = writeln!(
             s,
-            "  tasks: created {} / promotions {} / steals {} / join stash {} merge {} continue {}",
+            "  tasks: created {} / promotions {} / steals {} (failed {}) / join stash {} merge {} continue {}",
             self.tasks_created,
             self.promotions,
             self.steals,
+            self.failed_steals,
             self.join_stashes,
             self.join_merges,
             self.join_continues
@@ -345,7 +355,7 @@ mod tests {
                 what: OverheadKind::Fork,
             },
         );
-        b.record(1, 0, 34, EventKind::Idle);
+        b.record(1, 0, 34, EventKind::Idle { retries: 2 });
         b.record(1, 34, 0, EventKind::Steal { victim: 0 });
         b.record(
             1,
@@ -388,6 +398,7 @@ mod tests {
         assert_eq!(r.heartbeats_delivered, 2);
         assert_eq!(r.heartbeats_serviced, 1);
         assert_eq!(r.steals, 1);
+        assert_eq!(r.failed_steals, 2);
         assert_eq!(r.per_core_steals, vec![0, 1]);
         assert_eq!(r.per_core_promotions, vec![1, 0]);
         assert_eq!(r.per_core_steals.iter().sum::<u64>(), r.steals);
@@ -414,6 +425,7 @@ mod tests {
         let text = MetricsReport::from_trace(&sample()).render();
         assert!(text.contains("utilization 50.0%"));
         assert!(text.contains("serviced 1"));
+        assert!(text.contains("steals 1 (failed 2)"), "{text}");
         assert!(text.contains("core 1:"));
         assert!(!text.contains("policy"), "untagged traces omit the field");
         assert!(!text.contains("source"), "untagged traces omit the field");
