@@ -49,6 +49,5 @@ mod lexer;
 mod parser;
 mod printer;
 
-pub use lexer::{LexError, Token, TokenKind};
 pub use parser::{parse_program, ParseError};
 pub use printer::print_program;

@@ -1,16 +1,18 @@
 //! The TPAL assembly parser.
 //!
-//! Parsing proceeds in two passes: the grammar pass builds blocks whose
-//! operands are unresolved names, then the resolution pass classifies each
-//! name as a block label (if a block of that name exists) or a register,
-//! and hands everything to the validating [`ProgramBuilder`].
+//! One pass over the source: each statement becomes an [`Instr`] the
+//! moment it is parsed. A name is a block label if a block of that name
+//! exists *anywhere* in the source and a register otherwise, which is
+//! not known until the last block header has been read — so the pass
+//! emits every name as a symbol of one table, and a fix-up at the end
+//! turns each symbol into the [`Reg`] or [`Label`] it denotes and hands
+//! the blocks to the validating [`ProgramBuilder`].
 
-use std::collections::HashSet;
 use std::fmt;
 
-use crate::asm::lexer::{lex, LexError, Token, TokenKind};
-use crate::isa::{Annotation, BinOp, Instr, JoinPolicy, MemAddr, Operand, RegMap};
-use crate::program::{Program, ProgramBuilder, ValidationError};
+use crate::asm::lexer::{Lexer, Token, OUT_OF_RANGE};
+use crate::isa::{Annotation, BinOp, Instr, JoinPolicy, Label, MemAddr, Operand, Reg, RegMap};
+use crate::program::{Interner, Program, ProgramBuilder, ValidationError};
 
 /// A parse error with its source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,15 +35,6 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError {
-            line: e.line,
-            msg: format!("unexpected character `{}`", e.ch),
-        }
-    }
-}
-
 impl From<ValidationError> for ParseError {
     fn from(e: ValidationError) -> Self {
         ParseError {
@@ -51,206 +44,220 @@ impl From<ValidationError> for ParseError {
     }
 }
 
-/// An operand whose name is not yet classified as register or label.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum POperand {
-    Name(String),
-    Int(i64),
+/// What a symbol denotes. Blocks are known as their headers are read;
+/// every other symbol becomes a register, numbered in the fix-up.
+#[derive(Clone, Copy)]
+enum Sym {
+    Unresolved,
+    Block(Label),
+    Reg(Reg),
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PMem {
-    base: String,
-    offset: u32,
-}
-
-/// Unresolved instructions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum PInstr {
-    Move(String, POperand),
-    Op(String, BinOp, String, POperand),
-    IfJump(String, POperand),
-    JrAlloc(String, POperand),
-    Fork(String, POperand),
-    Jump(POperand),
-    Halt,
-    Join(String),
-    SNew(String),
-    SAlloc(String, u32),
-    SFree(String, u32),
-    Load(String, PMem),
-    Store(PMem, POperand),
-    PrmPush(PMem),
-    PrmPop(PMem),
-    PrmEmpty(String, String),
-    PrmSplit(String, String),
-    HAlloc(String, POperand),
-    HLoad(String, String, POperand),
-    HStore(String, POperand, POperand),
-    ChMake(String, POperand),
-    ChPush(String, POperand),
-    ChPop(String, String),
-    ChClose(String),
-    Detach(POperand),
-}
-
-#[derive(Debug, Clone)]
-enum PAnnotation {
-    None,
-    Prppt(String),
-    Jtppt(JoinPolicy, Vec<(String, String)>, String),
-}
-
-#[derive(Debug)]
-struct PBlock {
-    name: String,
+/// A block as parsed: its annotation and its instructions
+/// (`Parser::code[start..end]`, `end` set when the block ends) carry
+/// symbols where the finished program carries registers and labels.
+struct Pending {
+    label: Label,
     line: u32,
-    annotation: PAnnotation,
-    instrs: Vec<PInstr>,
+    annotation: Annotation,
+    start: usize,
+    end: usize,
 }
 
-struct Parser {
-    toks: Vec<Token>,
-    pos: usize,
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The token about to be read, and its line.
+    tok: Token<'a>,
+    line: u32,
+    /// Every name of the source. Until the fix-up, a `Reg` or `Label`
+    /// in `code` and in `blocks[..].annotation` holds a symbol's id,
+    /// and a name in operand position is an `Operand::Reg` of it.
+    syms: Interner,
+    /// Indexed by symbol id.
+    meaning: Vec<Sym>,
+    /// Every instruction of the program and its line, in source order.
+    code: Vec<(Instr, u32)>,
+    blocks: Vec<Pending>,
+    builder: ProgramBuilder,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&TokenKind> {
-        self.toks.get(self.pos).map(|t| &t.kind)
+impl<'a> Parser<'a> {
+    /// Reads the token `self.tok`.
+    fn next(&mut self) -> (Token<'a>, u32) {
+        let read = (self.tok, self.line);
+        (self.tok, self.line) = self.lexer.next();
+        read
     }
 
-    fn peek2(&self) -> Option<&TokenKind> {
-        self.toks.get(self.pos + 1).map(|t| &t.kind)
-    }
-
-    fn line(&self) -> u32 {
-        self.toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map(|t| t.line)
-            .unwrap_or(0)
-    }
-
-    fn next(&mut self) -> Option<TokenKind> {
-        let t = self.toks.get(self.pos).map(|t| t.kind.clone());
-        self.pos += 1;
-        t
-    }
-
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError {
-            line: self.line(),
+    /// An error on `line` — unless the lexer has already met a
+    /// character that starts no token, which is then the error.
+    fn error(&mut self, line: u32, msg: impl Into<String>) -> ParseError {
+        self.lexer.failed.take().unwrap_or_else(|| ParseError {
+            line,
             msg: msg.into(),
+        })
+    }
+
+    /// An error at the token about to be read (at the last token, once
+    /// the input has ended).
+    fn err(&mut self, msg: impl Into<String>) -> ParseError {
+        self.error(self.line, msg)
+    }
+
+    /// The error of having read `found` where `wanted` should be.
+    fn unexpected(&mut self, wanted: impl fmt::Display, found: (Token<'a>, u32)) -> ParseError {
+        self.error(found.1, format!("expected {wanted}, found {}", found.0))
+    }
+
+    fn expect(&mut self, kind: Token<'a>) -> Result<(), ParseError> {
+        match self.next() {
+            (k, _) if k == kind => Ok(()),
+            found => Err(self.unexpected(kind, found)),
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<(), ParseError> {
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
         match self.next() {
-            Some(ref k) if k == kind => Ok(()),
-            Some(k) => Err(ParseError {
-                line: self.toks[self.pos - 1].line,
-                msg: format!("expected {kind}, found {k}"),
-            }),
-            None => Err(self.err(format!("expected {kind}, found end of input"))),
+            (Token::Ident(s), _) => Ok(s),
+            found => Err(self.unexpected("identifier", found)),
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.next() {
-            Some(TokenKind::Ident(s)) => Ok(s),
-            Some(k) => Err(ParseError {
-                line: self.toks[self.pos - 1].line,
-                msg: format!("expected identifier, found {k}"),
-            }),
-            None => Err(self.err("expected identifier, found end of input")),
-        }
-    }
-
-    fn integer(&mut self) -> Result<i64, ParseError> {
-        match self.next() {
-            Some(TokenKind::Int(n)) => Ok(n),
-            Some(TokenKind::Op(BinOp::Sub)) => match self.next() {
-                Some(TokenKind::Int(n)) => Ok(-n),
-                _ => Err(self.err("expected integer after `-`")),
+    /// An integer literal, and the line it is on.
+    fn integer(&mut self) -> Result<(i64, u32), ParseError> {
+        let (magnitude, negative, line) = match self.next() {
+            (Token::Int(n), line) => (n, false, line),
+            (Token::Op(BinOp::Sub), _) => match self.next() {
+                (Token::Int(n), line) => (n, true, line),
+                _ => return Err(self.err("expected integer after `-`")),
             },
-            Some(k) => Err(ParseError {
-                line: self.toks[self.pos - 1].line,
-                msg: format!("expected integer, found {k}"),
-            }),
-            None => Err(self.err("expected integer, found end of input")),
+            found => return Err(self.unexpected("integer", found)),
+        };
+        let value = if negative {
+            0i64.checked_sub_unsigned(magnitude)
+        } else {
+            i64::try_from(magnitude).ok()
+        };
+        match value {
+            Some(value) => Ok((value, line)),
+            None => Err(self.error(line, OUT_OF_RANGE)),
         }
+    }
+
+    /// A cell count or offset: a non-negative integer that fits the
+    /// instruction's 32-bit field.
+    fn cells(&mut self, negative: &str) -> Result<u32, ParseError> {
+        let (n, line) = self.integer()?;
+        if n < 0 {
+            return Err(self.err(negative));
+        }
+        u32::try_from(n).map_err(|_| self.error(line, OUT_OF_RANGE))
     }
 
     fn skip_separators(&mut self) {
-        while matches!(
-            self.peek(),
-            Some(TokenKind::Newline) | Some(TokenKind::Semi)
-        ) {
-            self.pos += 1;
+        while matches!(self.tok, Token::Newline | Token::Semi) {
+            self.next();
         }
     }
 
-    fn operand(&mut self) -> Result<POperand, ParseError> {
-        match self.peek() {
-            Some(TokenKind::Ident(_)) => Ok(POperand::Name(self.ident()?)),
-            Some(TokenKind::Int(_)) | Some(TokenKind::Op(BinOp::Sub)) => {
-                Ok(POperand::Int(self.integer()?))
-            }
-            Some(k) => Err(self.err(format!("expected operand, found {k}"))),
-            None => Err(self.err("expected operand, found end of input")),
+    /// The id of `name` in the symbol table.
+    fn sym(&mut self, name: &str) -> u32 {
+        let id = self.syms.intern(name);
+        if id as usize == self.meaning.len() {
+            self.meaning.push(Sym::Unresolved);
+        }
+        id
+    }
+
+    /// A name in a register-only position.
+    fn reg(&mut self) -> Result<Reg, ParseError> {
+        let name = self.ident()?;
+        Ok(Reg(self.sym(name)))
+    }
+
+    /// A name in a label-only position.
+    fn label(&mut self) -> Result<Label, ParseError> {
+        let name = self.ident()?;
+        Ok(Label(self.sym(name)))
+    }
+
+    fn operand(&mut self) -> Result<Operand, ParseError> {
+        match self.tok {
+            Token::Ident(_) => Ok(Operand::Reg(self.reg()?)),
+            Token::Int(_) | Token::Op(BinOp::Sub) => Ok(Operand::Int(self.integer()?.0)),
+            k => Err(self.err(format!("expected operand, found {k}"))),
         }
     }
 
     /// `heap [ base + offset ]` with a register-or-literal offset (the
     /// `heap` keyword is already consumed).
-    fn heap_addr(&mut self) -> Result<(String, POperand), ParseError> {
-        self.expect(&TokenKind::LBracket)?;
-        let base = self.ident()?;
-        self.expect(&TokenKind::Op(BinOp::Add))?;
+    fn heap_addr(&mut self) -> Result<(Reg, Operand), ParseError> {
+        self.expect(Token::LBracket)?;
+        let base = self.reg()?;
+        self.expect(Token::Op(BinOp::Add))?;
         let offset = self.operand()?;
-        self.expect(&TokenKind::RBracket)?;
+        self.expect(Token::RBracket)?;
         Ok((base, offset))
     }
 
     /// `mem [ base + offset ]` (the `mem` keyword is already consumed).
-    fn mem_addr(&mut self) -> Result<PMem, ParseError> {
-        self.expect(&TokenKind::LBracket)?;
-        let base = self.ident()?;
-        self.expect(&TokenKind::Op(BinOp::Add))?;
-        let offset = self.integer()?;
-        if offset < 0 {
-            return Err(self.err("memory offsets must be non-negative"));
+    fn mem_addr(&mut self) -> Result<MemAddr, ParseError> {
+        self.expect(Token::LBracket)?;
+        let base = self.reg()?;
+        self.expect(Token::Op(BinOp::Add))?;
+        let offset = self.cells("memory offsets must be non-negative")?;
+        self.expect(Token::RBracket)?;
+        Ok(MemAddr { base, offset })
+    }
+
+    /// The `mem` keyword and its address.
+    fn mem_operand(&mut self) -> Result<MemAddr, ParseError> {
+        let m = self.ident()?;
+        if m != "mem" {
+            return Err(self.err(format!("expected `mem`, found `{m}`")));
         }
-        self.expect(&TokenKind::RBracket)?;
-        Ok(PMem {
-            base,
-            offset: offset as u32,
-        })
+        self.mem_addr()
+    }
+
+    /// `, n` after a stack pointer.
+    fn cell_count(&mut self) -> Result<u32, ParseError> {
+        self.expect(Token::Comma)?;
+        self.cells("cell counts must be non-negative")
+    }
+
+    /// `, operand` after a register.
+    fn second_operand(&mut self) -> Result<Operand, ParseError> {
+        self.expect(Token::Comma)?;
+        self.operand()
     }
 
     /// An operator token, or the `min`/`max` keywords.
     fn peek_binop(&self) -> Option<BinOp> {
-        match self.peek() {
-            Some(TokenKind::Op(op)) => Some(*op),
-            Some(TokenKind::Ident(s)) if s == "min" => Some(BinOp::Min),
-            Some(TokenKind::Ident(s)) if s == "max" => Some(BinOp::Max),
+        match self.tok {
+            Token::Op(op) => Some(op),
+            Token::Ident("min") => Some(BinOp::Min),
+            Token::Ident("max") => Some(BinOp::Max),
             _ => None,
         }
     }
 
-    fn annotation(&mut self) -> Result<PAnnotation, ParseError> {
-        self.expect(&TokenKind::LBracket)?;
-        let ann = match self.peek() {
-            Some(TokenKind::Dot) => {
-                self.pos += 1;
-                PAnnotation::None
+    /// `[ . ]`, `[ prppt l ]` or `[ jtppt policy ; { r -> r, … } ; l ]`.
+    fn annotation(&mut self) -> Result<Annotation, ParseError> {
+        self.expect(Token::LBracket)?;
+        let ann = match self.tok {
+            Token::Dot => {
+                self.next();
+                Annotation::None
             }
-            Some(TokenKind::Ident(s)) if s == "prppt" => {
-                self.pos += 1;
-                PAnnotation::Prppt(self.ident()?)
+            Token::Ident("prppt") => {
+                self.next();
+                Annotation::PromotionReady {
+                    handler: self.label()?,
+                }
             }
-            Some(TokenKind::Ident(s)) if s == "jtppt" => {
-                self.pos += 1;
-                let policy = match self.ident()?.as_str() {
+            Token::Ident("jtppt") => {
+                self.next();
+                let policy = match self.ident()? {
                     "assoc" => JoinPolicy::Assoc,
                     "assoc-comm" | "assoc_comm" => JoinPolicy::AssocComm,
                     other => {
@@ -259,241 +266,339 @@ impl Parser {
                         )
                     }
                 };
-                self.expect(&TokenKind::Semi)?;
-                self.expect(&TokenKind::LBrace)?;
-                let mut pairs = Vec::new();
-                if self.peek() != Some(&TokenKind::RBrace) {
+                self.expect(Token::Semi)?;
+                self.expect(Token::LBrace)?;
+                let mut merge = RegMap::new();
+                if self.tok != Token::RBrace {
                     loop {
-                        let src = self.ident()?;
-                        self.expect(&TokenKind::Arrow)?;
-                        let dst = self.ident()?;
-                        pairs.push((src, dst));
-                        if self.peek() == Some(&TokenKind::Comma) {
-                            self.pos += 1;
-                        } else {
+                        let src = self.reg()?;
+                        self.expect(Token::Arrow)?;
+                        merge = merge.with(src, self.reg()?);
+                        if self.tok != Token::Comma {
                             break;
                         }
+                        self.next();
                     }
                 }
-                self.expect(&TokenKind::RBrace)?;
-                self.expect(&TokenKind::Semi)?;
-                PAnnotation::Jtppt(policy, pairs, self.ident()?)
+                self.expect(Token::RBrace)?;
+                self.expect(Token::Semi)?;
+                Annotation::JoinTarget {
+                    policy,
+                    merge,
+                    comb: self.label()?,
+                }
             }
             _ => return Err(self.err("expected `.`, `prppt`, or `jtppt` in annotation")),
         };
-        self.expect(&TokenKind::RBracket)?;
+        self.expect(Token::RBracket)?;
         Ok(ann)
     }
 
-    /// One statement; the caller has already established it is not a block
-    /// header.
-    fn statement(&mut self) -> Result<Vec<PInstr>, ParseError> {
-        let kw = match self.peek() {
-            Some(TokenKind::Ident(s)) => s.clone(),
-            _ => return Err(self.err("expected a statement")),
-        };
-        match kw.as_str() {
-            "jump" => {
-                self.pos += 1;
-                Ok(vec![PInstr::Jump(self.operand()?)])
-            }
-            "halt" => {
-                self.pos += 1;
-                Ok(vec![PInstr::Halt])
-            }
-            "join" => {
-                self.pos += 1;
-                Ok(vec![PInstr::Join(self.ident()?)])
-            }
-            "fork" => {
-                self.pos += 1;
-                let jr = self.ident()?;
-                self.expect(&TokenKind::Comma)?;
-                Ok(vec![PInstr::Fork(jr, self.operand()?)])
-            }
-            "if-jump" | "if_jump" => {
-                self.pos += 1;
-                let cond = self.ident()?;
-                self.expect(&TokenKind::Comma)?;
-                Ok(vec![PInstr::IfJump(cond, self.operand()?)])
-            }
-            "salloc" | "sfree" => {
-                self.pos += 1;
-                let sp = self.ident()?;
-                self.expect(&TokenKind::Comma)?;
-                let n = self.integer()?;
-                if n < 0 {
-                    return Err(self.err("cell counts must be non-negative"));
-                }
-                Ok(vec![if kw == "salloc" {
-                    PInstr::SAlloc(sp, n as u32)
-                } else {
-                    PInstr::SFree(sp, n as u32)
-                }])
-            }
-            "prmpush" | "prmpop" => {
-                self.pos += 1;
-                let m = self.ident()?; // `mem`
-                if m != "mem" {
-                    return Err(self.err(format!("expected `mem`, found `{m}`")));
-                }
-                let addr = self.mem_addr()?;
-                Ok(vec![if kw == "prmpush" {
-                    PInstr::PrmPush(addr)
-                } else {
-                    PInstr::PrmPop(addr)
-                }])
-            }
+    fn emit(&mut self, line: u32, instr: Instr) {
+        self.code.push((instr, line));
+    }
+
+    /// One statement whose first token, the identifier `kw` on `line`,
+    /// is already consumed (the caller established it is not a block
+    /// header).
+    fn statement(&mut self, kw: &'a str, line: u32) -> Result<(), ParseError> {
+        let instr = match kw {
+            "jump" => Instr::Jump {
+                target: self.operand()?,
+            },
+            "halt" => Instr::Halt,
+            "join" => Instr::Join { jr: self.reg()? },
+            "fork" => Instr::Fork {
+                jr: self.reg()?,
+                target: self.second_operand()?,
+            },
+            "if-jump" | "if_jump" => Instr::IfJump {
+                cond: self.reg()?,
+                target: self.second_operand()?,
+            },
+            "salloc" => Instr::SAlloc {
+                sp: self.reg()?,
+                n: self.cell_count()?,
+            },
+            "sfree" => Instr::SFree {
+                sp: self.reg()?,
+                n: self.cell_count()?,
+            },
+            "prmpush" => Instr::PrmPush {
+                addr: self.mem_operand()?,
+            },
+            "prmpop" => Instr::PrmPop {
+                addr: self.mem_operand()?,
+            },
             "prmsplit" => {
-                self.pos += 1;
-                let sp = self.ident()?;
-                self.expect(&TokenKind::Comma)?;
-                Ok(vec![PInstr::PrmSplit(sp, self.ident()?)])
+                let sp = self.reg()?;
+                self.expect(Token::Comma)?;
+                Instr::PrmSplit {
+                    sp,
+                    dst: self.reg()?,
+                }
             }
-            "chpush" => {
-                self.pos += 1;
-                let ch = self.ident()?;
-                self.expect(&TokenKind::Comma)?;
-                Ok(vec![PInstr::ChPush(ch, self.operand()?)])
-            }
-            "chclose" => {
-                self.pos += 1;
-                Ok(vec![PInstr::ChClose(self.ident()?)])
-            }
-            "detach" => {
-                self.pos += 1;
-                Ok(vec![PInstr::Detach(self.operand()?)])
-            }
+            "chpush" => Instr::ChPush {
+                ch: self.reg()?,
+                src: self.second_operand()?,
+            },
+            "chclose" => Instr::ChClose { ch: self.reg()? },
+            "detach" => Instr::Detach {
+                target: self.operand()?,
+            },
             "mem" => {
                 // Store: mem[sp + n] := v
-                self.pos += 1;
                 let addr = self.mem_addr()?;
-                self.expect(&TokenKind::Assign)?;
-                Ok(vec![PInstr::Store(addr, self.operand()?)])
+                self.expect(Token::Assign)?;
+                Instr::Store {
+                    addr,
+                    src: self.operand()?,
+                }
             }
             "heap" => {
                 // Heap store: heap[base + off] := v
-                self.pos += 1;
-                let (base, off) = self.heap_addr()?;
-                self.expect(&TokenKind::Assign)?;
-                Ok(vec![PInstr::HStore(base, off, self.operand()?)])
+                let (base, offset) = self.heap_addr()?;
+                self.expect(Token::Assign)?;
+                Instr::HStore {
+                    base,
+                    offset,
+                    src: self.operand()?,
+                }
             }
             _ => {
                 // Assignment forms: dst := ...
-                let dst = self.ident()?;
-                self.expect(&TokenKind::Assign)?;
-                match self.peek() {
-                    Some(TokenKind::Ident(s)) if s == "snew" => {
-                        self.pos += 1;
-                        Ok(vec![PInstr::SNew(dst)])
+                let dst = Reg(self.sym(kw));
+                self.expect(Token::Assign)?;
+                let form = match self.tok {
+                    Token::Ident(
+                        form @ ("snew" | "jralloc" | "prmempty" | "mem" | "halloc" | "chmake"
+                        | "chpop" | "heap"),
+                    ) => form,
+                    _ => return self.assignment_chain(dst, line),
+                };
+                self.next();
+                match form {
+                    "snew" => Instr::SNew { dst },
+                    "jralloc" => Instr::JrAlloc {
+                        dst,
+                        cont: self.operand()?,
+                    },
+                    "prmempty" => Instr::PrmEmpty {
+                        dst,
+                        sp: self.reg()?,
+                    },
+                    "mem" => Instr::Load {
+                        dst,
+                        addr: self.mem_addr()?,
+                    },
+                    "halloc" => Instr::HAlloc {
+                        dst,
+                        size: self.operand()?,
+                    },
+                    "chmake" => Instr::ChMake {
+                        dst,
+                        cap: self.operand()?,
+                    },
+                    "chpop" => Instr::ChPop {
+                        dst,
+                        ch: self.reg()?,
+                    },
+                    _ => {
+                        let (base, offset) = self.heap_addr()?;
+                        Instr::HLoad { dst, base, offset }
                     }
-                    Some(TokenKind::Ident(s)) if s == "jralloc" => {
-                        self.pos += 1;
-                        Ok(vec![PInstr::JrAlloc(dst, self.operand()?)])
-                    }
-                    Some(TokenKind::Ident(s)) if s == "prmempty" => {
-                        self.pos += 1;
-                        Ok(vec![PInstr::PrmEmpty(dst, self.ident()?)])
-                    }
-                    Some(TokenKind::Ident(s)) if s == "mem" => {
-                        self.pos += 1;
-                        Ok(vec![PInstr::Load(dst, self.mem_addr()?)])
-                    }
-                    Some(TokenKind::Ident(s)) if s == "halloc" => {
-                        self.pos += 1;
-                        Ok(vec![PInstr::HAlloc(dst, self.operand()?)])
-                    }
-                    Some(TokenKind::Ident(s)) if s == "chmake" => {
-                        self.pos += 1;
-                        Ok(vec![PInstr::ChMake(dst, self.operand()?)])
-                    }
-                    Some(TokenKind::Ident(s)) if s == "chpop" => {
-                        self.pos += 1;
-                        Ok(vec![PInstr::ChPop(dst, self.ident()?)])
-                    }
-                    Some(TokenKind::Ident(s)) if s == "heap" => {
-                        self.pos += 1;
-                        let (base, off) = self.heap_addr()?;
-                        Ok(vec![PInstr::HLoad(dst, base, off)])
-                    }
-                    _ => self.assignment_chain(dst),
                 }
             }
-        }
+        };
+        self.emit(line, instr);
+        Ok(())
     }
 
     /// `dst := operand (op operand)*`, expanded left-associatively with
     /// `dst` as the accumulator.
-    fn assignment_chain(&mut self, dst: String) -> Result<Vec<PInstr>, ParseError> {
+    fn assignment_chain(&mut self, dst: Reg, line: u32) -> Result<(), ParseError> {
         let first = self.operand()?;
         if self.peek_binop().is_none() {
-            return Ok(vec![PInstr::Move(dst, first)]);
+            self.emit(line, Instr::Move { dst, src: first });
+            return Ok(());
         }
-        let lhs = match &first {
-            POperand::Name(s) => s.clone(),
-            POperand::Int(_) => {
-                return Err(self.err("the left operand of an operator must be a register"))
-            }
+        let Operand::Reg(mut lhs) = first else {
+            return Err(self.err("the left operand of an operator must be a register"));
         };
-        let mut instrs = Vec::new();
         let mut acc_is_dst = false;
         while let Some(op) = self.peek_binop() {
-            self.pos += 1;
+            self.next();
             let rhs = self.operand()?;
-            if acc_is_dst {
-                if matches!(&rhs, POperand::Name(n) if *n == dst) {
-                    return Err(self.err(format!(
-                        "chained expression reads `{dst}` after it was already assigned; \
-                         split the statement"
-                    )));
-                }
-                instrs.push(PInstr::Op(dst.clone(), op, dst.clone(), rhs));
-            } else {
-                instrs.push(PInstr::Op(dst.clone(), op, lhs.clone(), rhs));
-                acc_is_dst = true;
+            if acc_is_dst && rhs == Operand::Reg(dst) {
+                let dst = self.syms.name(dst.0).to_owned();
+                return Err(self.err(format!(
+                    "chained expression reads `{dst}` after it was already assigned; \
+                     split the statement"
+                )));
             }
+            self.emit(line, Instr::Op { dst, op, lhs, rhs });
+            lhs = dst;
+            acc_is_dst = true;
         }
-        Ok(instrs)
+        Ok(())
     }
 
-    fn program(&mut self) -> Result<Vec<PBlock>, ParseError> {
-        let mut blocks = Vec::new();
-        self.skip_separators();
-        while self.peek().is_some() {
-            // Block header: IDENT ':' [annotation]
-            let line = self.line();
-            let name = self.ident()?;
-            self.expect(&TokenKind::Colon)?;
-            let annotation = if self.peek() == Some(&TokenKind::LBracket) {
-                self.annotation()?
-            } else {
-                PAnnotation::None
-            };
-            let mut instrs = Vec::new();
+    /// Block header: IDENT ':' [annotation], the identifier and the
+    /// colon already consumed.
+    fn header(&mut self, name: &str, line: u32) -> Result<(), ParseError> {
+        self.end_block();
+        let label = self.builder.label(name);
+        let sym = self.sym(name);
+        self.meaning[sym as usize] = Sym::Block(label);
+        let annotation = if self.tok == Token::LBracket {
+            self.annotation()?
+        } else {
+            Annotation::None
+        };
+        self.blocks.push(Pending {
+            label,
+            line,
+            annotation,
+            start: self.code.len(),
+            end: 0,
+        });
+        Ok(())
+    }
+
+    /// The open block, if any, ends with the last instruction emitted.
+    fn end_block(&mut self) {
+        if let Some(open) = self.blocks.last_mut() {
+            open.end = self.code.len();
+        }
+    }
+
+    /// The whole source: block headers, each followed by its statements.
+    fn program(&mut self) -> Result<(), ParseError> {
+        loop {
             self.skip_separators();
-            // Statements until the next block header or end of input.
-            while let Some(TokenKind::Ident(_)) = self.peek() {
-                if self.peek2() == Some(&TokenKind::Colon) {
-                    break; // next block header
+            let (name, line) = match self.next() {
+                (Token::End, _) => return Ok(()),
+                (Token::Ident(name), line) => (name, line),
+                found => return Err(self.unexpected("identifier", found)),
+            };
+            if self.blocks.is_empty() || self.tok == Token::Colon {
+                self.expect(Token::Colon)?;
+                self.header(name, line)?;
+                continue;
+            }
+            self.statement(name, line)?;
+            if !matches!(self.tok, Token::End | Token::Newline | Token::Semi) {
+                let k = self.tok;
+                return Err(self.err(format!("expected end of statement, found {k}")));
+            }
+        }
+    }
+
+    /// The register a symbol in a register-only position denotes.
+    fn resolve_reg(&mut self, r: &mut Reg, line: u32) -> Result<(), ParseError> {
+        *r = match self.meaning[r.0 as usize] {
+            Sym::Reg(reg) => reg,
+            Sym::Block(_) => {
+                let s = self.syms.name(r.0);
+                return Err(ParseError {
+                    line,
+                    msg: format!("`{s}` is a block label but is used as a register"),
+                });
+            }
+            Sym::Unresolved => {
+                let reg = self.builder.reg(self.syms.name(r.0));
+                self.meaning[r.0 as usize] = Sym::Reg(reg);
+                reg
+            }
+        };
+        Ok(())
+    }
+
+    /// The block a symbol in a label-only position denotes; `what`
+    /// names the position.
+    fn resolve_label(&self, l: &mut Label, what: &str, line: u32) -> Result<(), ParseError> {
+        match self.meaning[l.0 as usize] {
+            Sym::Block(label) => *l = label,
+            _ => {
+                let name = self.syms.name(l.0);
+                return Err(ParseError {
+                    line,
+                    msg: format!("{what} `{name}` is not a block"),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The fix-up: every block header is known, so every symbol is a
+    /// label or a register. Registers are numbered as they are met,
+    /// block by block: a block's instructions, then its annotation.
+    fn finish(mut self) -> Result<Program, ParseError> {
+        self.end_block();
+        let mut code = std::mem::take(&mut self.code);
+        for mut block in std::mem::take(&mut self.blocks) {
+            let body = &mut code[block.start..block.end];
+            for (instr, line) in body.iter_mut() {
+                let line = *line;
+                let (regs, operands) = names(instr);
+                for r in regs.into_iter().flatten() {
+                    self.resolve_reg(r, line)?;
                 }
-                instrs.extend(self.statement()?);
-                match self.peek() {
-                    None => break,
-                    Some(TokenKind::Newline) | Some(TokenKind::Semi) => self.skip_separators(),
-                    Some(k) => {
-                        return Err(self.err(format!("expected end of statement, found {k}")))
+                for o in operands.into_iter().flatten() {
+                    let Operand::Reg(r) = o else { continue };
+                    match self.meaning[r.0 as usize] {
+                        Sym::Block(label) => *o = Operand::Label(label),
+                        _ => self.resolve_reg(r, line)?,
                     }
                 }
             }
-            blocks.push(PBlock {
-                name,
-                line,
-                annotation,
-                instrs,
-            });
-            self.skip_separators();
+            match &mut block.annotation {
+                Annotation::None => {}
+                Annotation::PromotionReady { handler } => {
+                    self.resolve_label(handler, "prppt handler", block.line)?;
+                }
+                Annotation::JoinTarget { merge, comb, .. } => {
+                    self.resolve_label(comb, "jtppt combining block", block.line)?;
+                    for (src, dst) in &mut merge.pairs {
+                        self.resolve_reg(src, block.line)?;
+                        self.resolve_reg(dst, block.line)?;
+                    }
+                }
+            }
+            let body = body.iter().map(|&(instr, _)| instr).collect();
+            self.builder.define(block.label, block.annotation, body);
         }
-        Ok(blocks)
+        Ok(self.builder.build()?)
+    }
+}
+
+/// The name-bearing fields of an instruction: registers, then operands,
+/// each in the order the concrete syntax writes them.
+fn names(i: &mut Instr) -> ([Option<&mut Reg>; 2], [Option<&mut Operand>; 2]) {
+    use Instr::*;
+    match i {
+        Halt => ([None, None], [None, None]),
+        Jump { target: a } | Detach { target: a } => ([None, None], [Some(a), None]),
+        Join { jr: r } | SNew { dst: r } | SAlloc { sp: r, .. } | SFree { sp: r, .. } => {
+            ([Some(r), None], [None, None])
+        }
+        ChClose { ch: r } => ([Some(r), None], [None, None]),
+        PrmPush { addr } | PrmPop { addr } => ([Some(&mut addr.base), None], [None, None]),
+        Load { dst, addr } => ([Some(dst), Some(&mut addr.base)], [None, None]),
+        PrmEmpty { dst: r, sp: s } | PrmSplit { sp: r, dst: s } | ChPop { dst: r, ch: s } => {
+            ([Some(r), Some(s)], [None, None])
+        }
+        Move { dst: r, src: a } | IfJump { cond: r, target: a } | JrAlloc { dst: r, cont: a } => {
+            ([Some(r), None], [Some(a), None])
+        }
+        Fork { jr: r, target: a } | HAlloc { dst: r, size: a } | ChMake { dst: r, cap: a } => {
+            ([Some(r), None], [Some(a), None])
+        }
+        ChPush { ch: r, src: a } => ([Some(r), None], [Some(a), None]),
+        Store { addr, src } => ([Some(&mut addr.base), None], [Some(src), None]),
+        Op { dst, lhs, rhs, .. } => ([Some(dst), Some(lhs)], [Some(rhs), None]),
+        HLoad { dst, base, offset } => ([Some(dst), Some(base)], [Some(offset), None]),
+        HStore { base, offset, src } => ([Some(base), None], [Some(offset), Some(src)]),
     }
 }
 
@@ -507,195 +612,28 @@ impl Parser {
 /// [`ValidationError`] from the program builder (undefined labels, missing
 /// terminators, and so on).
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let toks = lex(src)?;
-    let mut parser = Parser { toks, pos: 0 };
-    let pblocks = parser.program()?;
-    if pblocks.is_empty() {
-        return Err(ParseError {
-            line: 0,
-            msg: "program has no blocks".into(),
-        });
-    }
-
-    let block_names: HashSet<&str> = pblocks.iter().map(|b| b.name.as_str()).collect();
-    let mut b = ProgramBuilder::new();
-
-    // Intern block labels first so name resolution sees all of them.
-    for pb in &pblocks {
-        b.label(&pb.name);
-    }
-
-    let resolve = |b: &mut ProgramBuilder, op: &POperand| -> Operand {
-        match op {
-            POperand::Int(n) => Operand::Int(*n),
-            POperand::Name(s) => {
-                if block_names.contains(s.as_str()) {
-                    Operand::Label(b.label(s))
-                } else {
-                    Operand::Reg(b.reg(s))
-                }
-            }
-        }
+    // A statement is seldom shorter than sixteen bytes.
+    let statements = src.len() / 16;
+    let mut lexer = Lexer::new(src);
+    let (tok, line) = lexer.next();
+    let mut parser = Parser {
+        lexer,
+        tok,
+        line,
+        syms: Interner::default(),
+        meaning: Vec::new(),
+        code: Vec::with_capacity(statements),
+        blocks: Vec::new(),
+        builder: ProgramBuilder::new(),
     };
-    let reg_of =
-        |b: &mut ProgramBuilder, s: &str, line: u32| -> Result<crate::isa::Reg, ParseError> {
-            if block_names.contains(s) {
-                return Err(ParseError {
-                    line,
-                    msg: format!("`{s}` is a block label but is used as a register"),
-                });
-            }
-            Ok(b.reg(s))
-        };
-    let mem_of = |b: &mut ProgramBuilder, m: &PMem, line: u32| -> Result<MemAddr, ParseError> {
-        Ok(MemAddr {
-            base: reg_of(b, &m.base, line)?,
-            offset: m.offset,
-        })
-    };
-
-    for pb in &pblocks {
-        let line = pb.line;
-        let mut instrs = Vec::with_capacity(pb.instrs.len());
-        for pi in &pb.instrs {
-            let i = match pi {
-                PInstr::Move(dst, src) => Instr::Move {
-                    dst: reg_of(&mut b, dst, line)?,
-                    src: resolve(&mut b, src),
-                },
-                PInstr::Op(dst, op, lhs, rhs) => Instr::Op {
-                    dst: reg_of(&mut b, dst, line)?,
-                    op: *op,
-                    lhs: reg_of(&mut b, lhs, line)?,
-                    rhs: resolve(&mut b, rhs),
-                },
-                PInstr::IfJump(cond, target) => Instr::IfJump {
-                    cond: reg_of(&mut b, cond, line)?,
-                    target: resolve(&mut b, target),
-                },
-                PInstr::JrAlloc(dst, cont) => Instr::JrAlloc {
-                    dst: reg_of(&mut b, dst, line)?,
-                    cont: resolve(&mut b, cont),
-                },
-                PInstr::Fork(jr, target) => Instr::Fork {
-                    jr: reg_of(&mut b, jr, line)?,
-                    target: resolve(&mut b, target),
-                },
-                PInstr::Jump(t) => Instr::Jump {
-                    target: resolve(&mut b, t),
-                },
-                PInstr::Halt => Instr::Halt,
-                PInstr::Join(jr) => Instr::Join {
-                    jr: reg_of(&mut b, jr, line)?,
-                },
-                PInstr::SNew(dst) => Instr::SNew {
-                    dst: reg_of(&mut b, dst, line)?,
-                },
-                PInstr::SAlloc(sp, n) => Instr::SAlloc {
-                    sp: reg_of(&mut b, sp, line)?,
-                    n: *n,
-                },
-                PInstr::SFree(sp, n) => Instr::SFree {
-                    sp: reg_of(&mut b, sp, line)?,
-                    n: *n,
-                },
-                PInstr::Load(dst, m) => Instr::Load {
-                    dst: reg_of(&mut b, dst, line)?,
-                    addr: mem_of(&mut b, m, line)?,
-                },
-                PInstr::Store(m, src) => Instr::Store {
-                    addr: mem_of(&mut b, m, line)?,
-                    src: resolve(&mut b, src),
-                },
-                PInstr::PrmPush(m) => Instr::PrmPush {
-                    addr: mem_of(&mut b, m, line)?,
-                },
-                PInstr::PrmPop(m) => Instr::PrmPop {
-                    addr: mem_of(&mut b, m, line)?,
-                },
-                PInstr::PrmEmpty(dst, sp) => Instr::PrmEmpty {
-                    dst: reg_of(&mut b, dst, line)?,
-                    sp: reg_of(&mut b, sp, line)?,
-                },
-                PInstr::PrmSplit(sp, dst) => Instr::PrmSplit {
-                    sp: reg_of(&mut b, sp, line)?,
-                    dst: reg_of(&mut b, dst, line)?,
-                },
-                PInstr::HAlloc(dst, size) => Instr::HAlloc {
-                    dst: reg_of(&mut b, dst, line)?,
-                    size: resolve(&mut b, size),
-                },
-                PInstr::HLoad(dst, base, off) => Instr::HLoad {
-                    dst: reg_of(&mut b, dst, line)?,
-                    base: reg_of(&mut b, base, line)?,
-                    offset: resolve(&mut b, off),
-                },
-                PInstr::HStore(base, off, src) => Instr::HStore {
-                    base: reg_of(&mut b, base, line)?,
-                    offset: resolve(&mut b, off),
-                    src: resolve(&mut b, src),
-                },
-                PInstr::ChMake(dst, cap) => Instr::ChMake {
-                    dst: reg_of(&mut b, dst, line)?,
-                    cap: resolve(&mut b, cap),
-                },
-                PInstr::ChPush(ch, src) => Instr::ChPush {
-                    ch: reg_of(&mut b, ch, line)?,
-                    src: resolve(&mut b, src),
-                },
-                PInstr::ChPop(dst, ch) => Instr::ChPop {
-                    dst: reg_of(&mut b, dst, line)?,
-                    ch: reg_of(&mut b, ch, line)?,
-                },
-                PInstr::ChClose(ch) => Instr::ChClose {
-                    ch: reg_of(&mut b, ch, line)?,
-                },
-                PInstr::Detach(target) => Instr::Detach {
-                    target: resolve(&mut b, target),
-                },
-            };
-            instrs.push(i);
-        }
-        let annotation = match &pb.annotation {
-            PAnnotation::None => Annotation::None,
-            PAnnotation::Prppt(h) => {
-                if !block_names.contains(h.as_str()) {
-                    return Err(ParseError {
-                        line,
-                        msg: format!("prppt handler `{h}` is not a block"),
-                    });
-                }
-                Annotation::PromotionReady {
-                    handler: b.label(h),
-                }
-            }
-            PAnnotation::Jtppt(policy, pairs, comb) => {
-                if !block_names.contains(comb.as_str()) {
-                    return Err(ParseError {
-                        line,
-                        msg: format!("jtppt combining block `{comb}` is not a block"),
-                    });
-                }
-                let mut merge = RegMap::new();
-                for (src, dst) in pairs {
-                    merge = merge.with(reg_of(&mut b, src, line)?, reg_of(&mut b, dst, line)?);
-                }
-                Annotation::JoinTarget {
-                    policy: *policy,
-                    merge,
-                    comb: b.label(comb),
-                }
-            }
-        };
-        b.annotated_block(&pb.name, annotation, instrs);
-    }
-
-    Ok(b.build()?)
+    parser.program()?;
+    parser.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asm::print_program;
     use crate::machine::{Machine, MachineConfig};
 
     #[test]
@@ -733,6 +671,50 @@ mod tests {
     }
 
     #[test]
+    fn literals_span_exactly_the_i64_range() {
+        let src = "main: lo := -9223372036854775808; hi := 9223372036854775807; halt";
+        let p = parse_program(src).unwrap();
+        let out = Machine::new(&p, MachineConfig::default()).run().unwrap();
+        assert_eq!(out.read_reg("lo"), Some(i64::MIN));
+        assert_eq!(out.read_reg("hi"), Some(i64::MAX));
+        // The printer writes `Int(i64::MIN)` as the text above: it must
+        // come back as the same instruction.
+        assert_eq!(
+            print_program(&parse_program(&print_program(&p)).unwrap()),
+            print_program(&p)
+        );
+        assert!(print_program(&p).contains("lo := -9223372036854775808\n"));
+    }
+
+    #[test]
+    fn out_of_range_literals_are_errors_with_their_line() {
+        for literal in [
+            "9223372036854775808",
+            "-9223372036854775809",
+            "99999999999999999999",
+            "-99999999999999999999",
+        ] {
+            let err =
+                parse_program(&format!("main:\n  y := 1\n  x := {literal}\n  halt")).unwrap_err();
+            assert_eq!(
+                (err.line, err.msg.as_str()),
+                (3, "integer literal out of range"),
+                "{literal}"
+            );
+        }
+        // Cell counts and offsets are 32-bit fields.
+        for stmt in ["salloc sp, 4294967296", "x := mem[sp + 4294967296]"] {
+            let err = parse_program(&format!("main:\n  {stmt}\n  halt")).unwrap_err();
+            assert_eq!(
+                (err.line, err.msg.as_str()),
+                (2, "integer literal out of range"),
+                "{stmt}"
+            );
+        }
+        assert!(parse_program("main: salloc sp, 4294967295; halt").is_ok());
+    }
+
+    #[test]
     fn labels_resolve_in_operands() {
         let src = "main: [.]\n  jump next\nnext: [.]\n  halt\n";
         let p = parse_program(src).unwrap();
@@ -744,6 +726,51 @@ mod tests {
     fn label_used_as_register_rejected() {
         let err = parse_program("main: main := 1; halt").unwrap_err();
         assert!(err.msg.contains("used as a register"), "{err}");
+    }
+
+    #[test]
+    fn resolution_errors_report_the_statements_own_line() {
+        // `main` is a fine operand on line 2 and a misused one on line 3.
+        let err = parse_program("main: x := 5\n  y := main\n  main := 3\n  halt").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 3: `main` is a block label but is used as a register"
+        );
+        // The label is defined after its misuse, in a later block.
+        let err =
+            parse_program("main:\n  x := 1\n  later := x\n  halt\nlater:\n  halt").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 3: `later` is a block label but is used as a register"
+        );
+        // Annotations sit on their header's line.
+        let err = parse_program("main:\n  halt\n\nloop: [prppt nowhere]\n  halt").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 4: prppt handler `nowhere` is not a block"
+        );
+        let err = parse_program("main:\n  halt\nk: [jtppt assoc; {r -> r2}; nowhere]\n  halt")
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 3: jtppt combining block `nowhere` is not a block"
+        );
+        let err =
+            parse_program("main:\n  halt\nk: [jtppt assoc; {r -> main}; k]\n  halt").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 3: `main` is a block label but is used as a register"
+        );
+    }
+
+    #[test]
+    fn the_first_fault_in_source_order_is_reported() {
+        // Tokens are read as they are needed: a stray character further
+        // on does not mask the syntax error before it.
+        let err = parse_program("main: x := := $").unwrap_err();
+        assert_eq!(err.to_string(), "line 1: expected operand, found `:=`");
+        let err = parse_program("main: x := $").unwrap_err();
+        assert_eq!(err.to_string(), "line 1: unexpected character `$`");
     }
 
     #[test]

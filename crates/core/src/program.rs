@@ -6,8 +6,10 @@
 //! and validated before execution; validation enforces the structural
 //! invariants the machine's transition rules assume.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
+use std::sync::OnceLock;
 
 use crate::isa::{Annotation, Block, Instr, Label, Operand, Reg};
 
@@ -100,6 +102,135 @@ impl fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
+/// The names of one namespace (labels or registers), each stored once.
+///
+/// An id is the name's position in interning order — exactly the index
+/// a [`Label`] or [`Reg`] carries. The names sit end to end in one
+/// buffer; the by-name index is an open-addressing table of ids, so a
+/// lookup allocates nothing, an insertion copies the name once, and a
+/// clone is three buffer copies however many names there are.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Interner {
+    /// Every name, concatenated in id order.
+    text: String,
+    /// `ends[id]`: where name `id` ends in `text` (it starts where its
+    /// predecessor ends).
+    ends: Vec<u32>,
+    /// Per slot, `id + 1` in the low half (0: empty) under the high half
+    /// of the name's hash, which spares a probe the comparison with
+    /// almost every name that is not the one sought. A power of two, at
+    /// least twice the number of names.
+    slots: Vec<u64>,
+}
+
+/// The per-process key of [`Interner`]'s hash: names come from
+/// untrusted program text, so which of them share a slot must not be
+/// computable ahead of time.
+fn hash_key() -> u64 {
+    static KEY: OnceLock<u64> = OnceLock::new();
+    *KEY.get_or_init(|| RandomState::new().hash_one(0u8))
+}
+
+/// A keyed multiply-rotate hash, eight bytes at a time: names are short
+/// and one is hashed per operand of a parsed program, where SipHash was
+/// most of the assembler's time.
+fn hash(name: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = hash_key() ^ (name.len() as u64).wrapping_mul(K);
+    let mut rest = name;
+    while let Some((word, tail)) = rest.split_first_chunk::<8>() {
+        h = (h ^ u64::from_le_bytes(*word))
+            .wrapping_mul(K)
+            .rotate_left(29);
+        rest = tail;
+    }
+    // Up to seven bytes remain.
+    let last = rest
+        .iter()
+        .rev()
+        .fold(0, |word, &b| word << 8 | u64::from(b));
+    (h ^ last).wrapping_mul(K)
+}
+
+impl Interner {
+    /// Slots of a table's first allocation (room for 32 names).
+    const MIN_SLOTS: usize = 64;
+
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn range(&self, id: u32) -> std::ops::Range<usize> {
+        let start = match id {
+            0 => 0,
+            _ => self.ends[id as usize - 1] as usize,
+        };
+        start..self.ends[id as usize] as usize
+    }
+
+    pub(crate) fn name(&self, id: u32) -> &str {
+        &self.text[self.range(id)]
+    }
+
+    /// The slot holding `name`, or the empty slot where it belongs, and
+    /// what an occupied slot holds above the id. The index is the
+    /// hash's top bits, which every byte of the key and of the name
+    /// reaches.
+    fn slot(&self, name: &str) -> (usize, u64) {
+        let h = hash(name.as_bytes());
+        let tag = h & !u64::from(u32::MAX);
+        let mask = self.slots.len() - 1;
+        let mut at = (h >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            let slot = self.slots[at];
+            let id = slot as u32;
+            if id == 0
+                || (slot ^ tag) >> 32 == 0
+                    && self.text.as_bytes()[self.range(id - 1)] == *name.as_bytes()
+            {
+                return (at, tag);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    pub(crate) fn get(&self, name: &str) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        (self.slots[self.slot(name).0] as u32).checked_sub(1)
+    }
+
+    /// The id of `name`, assigning the next one on first sight.
+    pub(crate) fn intern(&mut self, name: &str) -> u32 {
+        if (self.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let (at, tag) = self.slot(name);
+        if let Some(id) = (self.slots[at] as u32).checked_sub(1) {
+            return id;
+        }
+        self.text.push_str(name);
+        let end = u32::try_from(self.text.len()).expect("names total less than 4 GiB");
+        self.ends.push(end);
+        self.slots[at] = tag | self.ends.len() as u64;
+        self.ends.len() as u32 - 1
+    }
+
+    fn grow(&mut self) {
+        let slots = (self.slots.len() * 2).max(Self::MIN_SLOTS);
+        self.slots = vec![0; slots];
+        if self.ends.is_empty() {
+            self.ends.reserve(Self::MIN_SLOTS / 2);
+            self.text.reserve(Self::MIN_SLOTS * 4);
+        }
+        for id in 0..self.ends.len() as u32 {
+            let (at, tag) = self.slot(self.name(id));
+            self.slots[at] = tag | u64::from(id + 1);
+        }
+    }
+}
+
 /// A validated TPAL program.
 ///
 /// Blocks, labels, and registers are interned; [`Label::index`] and
@@ -107,10 +238,8 @@ impl std::error::Error for ValidationError {}
 #[derive(Debug, Clone)]
 pub struct Program {
     blocks: Vec<Block>,
-    label_names: Vec<String>,
-    reg_names: Vec<String>,
-    label_by_name: HashMap<String, Label>,
-    reg_by_name: HashMap<String, Reg>,
+    labels: Interner,
+    regs: Interner,
     entry: Label,
 }
 
@@ -133,7 +262,7 @@ impl Program {
 
     /// The number of distinct registers named by the program.
     pub fn reg_count(&self) -> usize {
-        self.reg_names.len()
+        self.regs.len()
     }
 
     /// The number of blocks.
@@ -143,22 +272,22 @@ impl Program {
 
     /// Resolves a label by name.
     pub fn label(&self, name: &str) -> Option<Label> {
-        self.label_by_name.get(name).copied()
+        self.labels.get(name).map(Label)
     }
 
     /// Resolves a register by name.
     pub fn reg(&self, name: &str) -> Option<Reg> {
-        self.reg_by_name.get(name).copied()
+        self.regs.get(name).map(Reg)
     }
 
     /// The name of a label.
     pub fn label_name(&self, label: Label) -> &str {
-        &self.label_names[label.index()]
+        self.labels.name(label.0)
     }
 
     /// The name of a register.
     pub fn reg_name(&self, reg: Reg) -> &str {
-        &self.reg_names[reg.index()]
+        self.regs.name(reg.0)
     }
 
     /// Iterates over `(label, block)` pairs in definition order.
@@ -192,13 +321,15 @@ impl Program {
 /// ```
 #[derive(Debug, Default)]
 pub struct ProgramBuilder {
+    /// Indexed by [`Label::index`]; `None` until the block is defined.
     blocks: Vec<Option<Block>>,
-    label_names: Vec<String>,
-    reg_names: Vec<String>,
-    label_by_name: HashMap<String, Label>,
-    reg_by_name: HashMap<String, Reg>,
+    labels: Interner,
+    regs: Interner,
     entry: Option<Label>,
-    definition_order: Vec<Label>,
+    /// The first block defined: the default entry.
+    first: Option<Label>,
+    /// The first label defined a second time, reported by `build`.
+    duplicate: Option<Label>,
 }
 
 impl ProgramBuilder {
@@ -210,25 +341,16 @@ impl ProgramBuilder {
     /// Interns (or retrieves) a label by name. Labels may be referenced
     /// before their blocks are defined.
     pub fn label(&mut self, name: &str) -> Label {
-        if let Some(&l) = self.label_by_name.get(name) {
-            return l;
+        let l = Label(self.labels.intern(name));
+        if l.index() == self.blocks.len() {
+            self.blocks.push(None);
         }
-        let l = Label(self.label_names.len() as u32);
-        self.label_names.push(name.to_owned());
-        self.label_by_name.insert(name.to_owned(), l);
-        self.blocks.push(None);
         l
     }
 
     /// Interns (or retrieves) a register by name.
     pub fn reg(&mut self, name: &str) -> Reg {
-        if let Some(&r) = self.reg_by_name.get(name) {
-            return r;
-        }
-        let r = Reg(self.reg_names.len() as u32);
-        self.reg_names.push(name.to_owned());
-        self.reg_by_name.insert(name.to_owned(), r);
-        r
+        Reg(self.regs.intern(name))
     }
 
     /// Defines a block with no annotation.
@@ -247,24 +369,31 @@ impl ProgramBuilder {
         instrs: Vec<Instr>,
     ) -> Label {
         let l = self.label(name);
-        if self.blocks[l.index()].is_some() {
-            // Record the duplicate; reported at build time.
-            self.definition_order.push(l);
-            return l;
-        }
-        self.blocks[l.index()] = Some(Block { annotation, instrs });
-        self.definition_order.push(l);
+        self.define(l, annotation, instrs);
         l
+    }
+
+    /// Defines the block of a label this builder interned (what
+    /// [`annotated_block`](Self::annotated_block) does once it has
+    /// looked the name up).
+    ///
+    /// # Panics
+    ///
+    /// If `l` is not one of this builder's labels.
+    pub fn define(&mut self, l: Label, annotation: Annotation, instrs: Vec<Instr>) {
+        self.first.get_or_insert(l);
+        match &mut self.blocks[l.index()] {
+            Some(_) => {
+                self.duplicate.get_or_insert(l);
+            }
+            slot => *slot = Some(Block { annotation, instrs }),
+        }
     }
 
     /// Overrides the entry block (defaults to the first block defined).
     pub fn entry(&mut self, label: Label) -> &mut Self {
         self.entry = Some(label);
         self
-    }
-
-    fn name(&self, l: Label) -> &str {
-        &self.label_names[l.index()]
     }
 
     /// Validates and produces the program.
@@ -276,28 +405,23 @@ impl ProgramBuilder {
     /// that do not exist, or `jralloc` continuations that are not `jtppt`
     /// blocks.
     pub fn build(self) -> Result<Program, ValidationError> {
-        if self.blocks.is_empty() {
-            return Err(ValidationError::NoBlocks);
-        }
-        // Duplicate definitions.
-        let mut defined = vec![0usize; self.blocks.len()];
-        for &l in &self.definition_order {
-            defined[l.index()] += 1;
-            if defined[l.index()] > 1 {
-                return Err(ValidationError::DuplicateLabel {
-                    label: self.name(l).to_owned(),
-                });
-            }
-        }
         let ProgramBuilder {
             blocks: opt_blocks,
-            label_names,
-            reg_names,
-            label_by_name,
-            reg_by_name,
+            labels,
+            regs,
             entry,
-            definition_order,
+            first,
+            duplicate,
         } = self;
+        if opt_blocks.is_empty() {
+            return Err(ValidationError::NoBlocks);
+        }
+        let block_name = |l: Label| labels.name(l.0);
+        if let Some(l) = duplicate {
+            return Err(ValidationError::DuplicateLabel {
+                label: block_name(l).to_owned(),
+            });
+        }
         // All referenced labels must be defined; take blocks by value.
         let mut blocks = Vec::with_capacity(opt_blocks.len());
         for (i, b) in opt_blocks.into_iter().enumerate() {
@@ -305,14 +429,12 @@ impl ProgramBuilder {
                 Some(b) => blocks.push(b),
                 None => {
                     return Err(ValidationError::UndefinedLabel {
-                        label: label_names[i].clone(),
+                        label: block_name(Label(i as u32)).to_owned(),
                         in_block: "<program>".to_owned(),
                     })
                 }
             }
         }
-
-        let block_name = |l: Label| label_names[l.index()].as_str();
 
         for (i, block) in blocks.iter().enumerate() {
             let here = Label(i as u32);
@@ -360,16 +482,12 @@ impl ProgramBuilder {
             }
         }
 
-        let entry = entry
-            .or_else(|| definition_order.first().copied())
-            .ok_or(ValidationError::NoBlocks)?;
+        let entry = entry.or(first).ok_or(ValidationError::NoBlocks)?;
 
         Ok(Program {
             blocks,
-            label_names,
-            reg_names,
-            label_by_name,
-            reg_by_name,
+            labels,
+            regs,
             entry,
         })
     }
@@ -483,6 +601,31 @@ mod tests {
             b.build(),
             Err(ValidationError::ContinuationNotJoinTarget { .. })
         ));
+    }
+
+    #[test]
+    fn interner_numbers_names_in_order_and_finds_them_again() {
+        let mut names = Interner::default();
+        assert_eq!(names.get("x"), None, "an empty table finds nothing");
+        // Past several growths of the table; adjacent names share a
+        // buffer, so neither prefixes nor concatenations may be confused.
+        let spelled: Vec<String> = (0..500).map(|i| format!("main.%t{i}")).collect();
+        for (i, name) in spelled.iter().enumerate() {
+            assert_eq!(names.intern(name), i as u32);
+        }
+        for extra in ["", "main", "main.%t", "main.%t1main.%t2", "%t12"] {
+            assert_eq!(names.get(extra), None, "{extra:?} was never interned");
+        }
+        assert_eq!(names.intern(""), 500);
+        assert_eq!(names.len(), 501);
+        for (i, name) in spelled.iter().enumerate() {
+            assert_eq!(names.get(name), Some(i as u32));
+            assert_eq!(names.intern(name), i as u32, "interning again is a lookup");
+            assert_eq!(names.name(i as u32), name);
+        }
+        assert_eq!(names.name(500), "");
+        let copy = names.clone();
+        assert_eq!(copy.get("main.%t499"), Some(499));
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! The lowering context: block emission, register naming, expression
 //! code generation, and the shared runtime blocks.
 
-use tpal_core::isa::{Annotation, BinOp, Instr, JoinPolicy, MemAddr, Operand, Reg, RegMap};
+use std::fmt::{self, Write as _};
+use std::rc::Rc;
+
+use tpal_core::isa::{Annotation, BinOp, Instr, JoinPolicy, Label, MemAddr, Operand, Reg, RegMap};
 use tpal_core::program::{Program, ProgramBuilder};
 
 use crate::ast::{Expr, Function, IrProgram, Reducer, Stmt};
@@ -24,15 +27,45 @@ pub(crate) const F_RCONT: u32 = 3;
 pub(crate) const F_LRES: u32 = 4;
 pub(crate) const F_RARGS: u32 = 5;
 
+/// A block of the program being lowered. It is named when created and
+/// receives its [`Label`] at its first reference or definition —
+/// whichever the lowering reaches first — which is the order labels
+/// have always been numbered in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Blk(usize);
+
+/// Every [`Blk`] created: their names end to end, where each one's name
+/// is, and its label once it has one.
+#[derive(Default)]
+struct Blocks {
+    names: String,
+    slots: Vec<(std::ops::Range<usize>, Option<Label>)>,
+}
+
+impl Blocks {
+    /// A block of the given name.
+    fn named(&mut self, name: fmt::Arguments<'_>) -> Blk {
+        let start = self.names.len();
+        let _ = self.names.write_fmt(name);
+        self.slots.push((start..self.names.len(), None));
+        Blk(self.slots.len() - 1)
+    }
+
+    fn name(&self, blk: Blk) -> &str {
+        &self.names[self.slots[blk.0].0.clone()]
+    }
+}
+
 pub(crate) struct Cx<'a> {
     pub ir: &'a IrProgram,
     pub mode: Mode,
     pub b: ProgramBuilder,
-    /// Current function name.
-    pub f: String,
+    /// Current function name (empty while emitting the shared runtime
+    /// blocks, whose names are global).
+    pub f: &'a str,
     /// All saved-at-call registers of the current function, in frame
-    /// order.
-    pub fvars: Vec<String>,
+    /// order (shared: every call site walks them while it emits).
+    pub fvars: Rc<[String]>,
     /// Per-function site counter (parallel constructs).
     pub site: u32,
     /// Per-function serial-for counter (loop-bound scratch slots).
@@ -41,8 +74,20 @@ pub(crate) struct Cx<'a> {
     fresh: u32,
     /// Expression temp depth.
     tdepth: u32,
-    /// Current open block: (name, annotation, instructions).
-    cur: Option<(String, Annotation, Vec<Instr>)>,
+    /// The open block, its annotation, and (in `code`) its instructions
+    /// so far.
+    cur: Option<(Blk, Annotation)>,
+    code: Vec<Instr>,
+    blocks: Blocks,
+    /// Where register names are spelled out before they are interned.
+    scratch: String,
+    /// `{name}__entry` of each function, indexed like `ir.functions`.
+    entries: Vec<Blk>,
+    /// The shared runtime blocks.
+    pub fret: Blk,
+    pub dexit: Blk,
+    pub joink: Blk,
+    pub do_promote: Blk,
     /// Whether any Par2 exists anywhere (decides entry annotations and
     /// the promotion runtime blocks).
     pub has_par2: bool,
@@ -72,17 +117,33 @@ fn stmts_contain_par2(stmts: &[Stmt]) -> bool {
 impl<'a> Cx<'a> {
     pub fn new(ir: &'a IrProgram, mode: Mode) -> Self {
         let has_par2 = ir.functions.iter().any(|f| stmts_contain_par2(&f.body));
+        let mut blocks = Blocks::default();
+        let [fret, dexit, joink, do_promote] = ["__fret", "__dexit", "__joink", "__do_promote"]
+            .map(|name| blocks.named(format_args!("{name}")));
+        let entries = ir
+            .functions
+            .iter()
+            .map(|f| blocks.named(format_args!("{}__entry", f.name)))
+            .collect();
         Cx {
             ir,
             mode,
             b: ProgramBuilder::new(),
-            f: String::new(),
-            fvars: Vec::new(),
+            f: "",
+            fvars: Rc::from([]),
             site: 0,
             forc: 0,
             fresh: 0,
             tdepth: 0,
             cur: None,
+            code: Vec::new(),
+            blocks,
+            scratch: String::new(),
+            entries,
+            fret,
+            dexit,
+            joink,
+            do_promote,
             has_par2,
             need_promote_rt: false,
             need_fret: false,
@@ -92,16 +153,25 @@ impl<'a> Cx<'a> {
 
     // ----- names -----
 
+    /// Interns the register whose name `spell` writes.
+    fn reg(&mut self, spell: impl FnOnce(&mut String)) -> Reg {
+        self.scratch.clear();
+        spell(&mut self.scratch);
+        self.b.reg(&self.scratch)
+    }
+
     /// The register for variable `v` of the current function.
     pub fn vreg(&mut self, v: &str) -> Reg {
-        let name = format!("{}.{v}", self.f);
-        self.b.reg(&name)
+        self.vreg_of(self.f, v)
     }
 
     /// The register for variable `v` of function `f`.
     pub fn vreg_of(&mut self, f: &str, v: &str) -> Reg {
-        let name = format!("{f}.{v}");
-        self.b.reg(&name)
+        self.reg(|name| {
+            name.push_str(f);
+            name.push('.');
+            name.push_str(v);
+        })
     }
 
     /// A global (function-independent) register.
@@ -112,57 +182,100 @@ impl<'a> Cx<'a> {
     /// A per-site scratch register, registered as a saved variable of the
     /// enclosing function by the collection pass.
     pub fn sreg(&mut self, site: u32, which: &str) -> Reg {
-        let name = format!("{}.%s{site}_{which}", self.f);
-        self.b.reg(&name)
+        let f = self.f;
+        self.reg(|name| {
+            let _ = write!(name, "{f}.%s{site}_{which}");
+        })
     }
 
     /// A transient handler/template register (never live across a call).
     pub fn treg(&mut self, name: &str) -> Reg {
-        let name = format!("%{name}");
-        self.b.reg(&name)
+        self.reg(|spelled| {
+            spelled.push('%');
+            spelled.push_str(name);
+        })
     }
 
-    /// A fresh block name.
-    pub fn fresh_label(&mut self, prefix: &str) -> String {
+    /// The block `{f}__{stem}{n}` of the current function: `n` is a
+    /// parallel site for the templates' fixed stems, a fresh count for
+    /// everything else.
+    pub fn local(&mut self, stem: &str, n: u32) -> Blk {
+        self.blocks.named(format_args!("{}__{stem}{n}", self.f))
+    }
+
+    /// A fresh block of the current function.
+    pub fn fresh_label(&mut self, prefix: &str) -> Blk {
         self.fresh += 1;
-        format!("{}__{prefix}{}", self.f, self.fresh)
+        self.local(prefix, self.fresh)
+    }
+
+    /// The entry block and the declaration of the function named `func`.
+    pub fn function(&self, func: &str) -> Option<(Blk, &'a Function)> {
+        let ir = self.ir;
+        let at = ir.functions.iter().position(|f| f.name == func)?;
+        Some((self.entries[at], &ir.functions[at]))
+    }
+
+    /// [`Cx::function`] for a call passing `args` arguments.
+    pub fn callee(&self, func: &str, args: usize) -> Result<(Blk, &'a Function), LowerError> {
+        let (entry, callee) = self
+            .function(func)
+            .ok_or_else(|| LowerError::UnknownFunction {
+                name: func.to_owned(),
+            })?;
+        if callee.params.len() != args {
+            return Err(LowerError::ArityMismatch {
+                name: func.to_owned(),
+                expected: callee.params.len(),
+                got: args,
+            });
+        }
+        Ok((entry, callee))
+    }
+
+    /// The label of `blk`, interned at the first call.
+    pub fn label_of(&mut self, blk: Blk) -> Label {
+        let (name, label) = &mut self.blocks.slots[blk.0];
+        *label.get_or_insert_with(|| self.b.label(&self.blocks.names[name.clone()]))
     }
 
     // ----- block emission -----
 
     /// Begins a new block (the previous one must have been finished).
-    pub fn start(&mut self, name: &str) {
-        self.start_annotated(name, Annotation::None);
+    pub fn start(&mut self, blk: Blk) {
+        self.start_annotated(blk, Annotation::None);
     }
 
     /// Begins a new annotated block.
-    pub fn start_annotated(&mut self, name: &str, ann: Annotation) {
+    pub fn start_annotated(&mut self, blk: Blk, ann: Annotation) {
         assert!(
             self.cur.is_none(),
-            "block `{name}` started inside an open block"
+            "block `{}` started inside an open block",
+            self.blocks.name(blk)
         );
-        self.cur = Some((name.to_owned(), ann, Vec::new()));
+        self.cur = Some((blk, ann));
     }
 
     /// Appends an instruction to the open block.
     pub fn emit(&mut self, i: Instr) {
-        self.cur.as_mut().expect("emit outside any block").2.push(i);
+        assert!(self.cur.is_some(), "emit outside any block");
+        self.code.push(i);
     }
 
     /// Ends the open block with an explicit terminator.
     pub fn finish(&mut self, terminator: Instr) {
         debug_assert!(terminator.is_terminator());
-        let (name, ann, mut instrs) = self.cur.take().expect("finish outside any block");
-        instrs.push(terminator);
-        self.b.annotated_block(&name, ann, instrs);
+        let (blk, ann) = self.cur.take().expect("finish outside any block");
+        self.code.push(terminator);
+        let label = self.label_of(blk);
+        self.b.define(label, ann, self.code.clone());
+        self.code.clear();
     }
 
     /// Ends the open block by jumping to `target`.
-    pub fn finish_jump(&mut self, target: &str) {
-        let l = self.b.label(target);
-        self.finish(Instr::Jump {
-            target: Operand::Label(l),
-        });
+    pub fn finish_jump(&mut self, target: Blk) {
+        let target = self.label_operand(target);
+        self.finish(Instr::Jump { target });
     }
 
     /// True when a block is open.
@@ -188,12 +301,9 @@ impl<'a> Cx<'a> {
         });
     }
 
-    pub fn if_jump(&mut self, cond: Reg, target: &str) {
-        let l = self.b.label(target);
-        self.emit(Instr::IfJump {
-            cond,
-            target: Operand::Label(l),
-        });
+    pub fn if_jump(&mut self, cond: Reg, target: Blk) {
+        let target = self.label_operand(target);
+        self.emit(Instr::IfJump { cond, target });
     }
 
     pub fn sstore(&mut self, base: Reg, offset: u32, src: impl Into<Operand>) {
@@ -210,16 +320,18 @@ impl<'a> Cx<'a> {
         });
     }
 
-    pub fn label_operand(&mut self, name: &str) -> Operand {
-        Operand::Label(self.b.label(name))
+    pub fn label_operand(&mut self, blk: Blk) -> Operand {
+        Operand::Label(self.label_of(blk))
     }
 
     // ----- expressions -----
 
     fn new_temp(&mut self) -> Reg {
-        let name = format!("{}.%t{}", self.f, self.tdepth);
+        let (f, depth) = (self.f, self.tdepth);
         self.tdepth += 1;
-        self.b.reg(&name)
+        self.reg(|name| {
+            let _ = write!(name, "{f}.%t{depth}");
+        })
     }
 
     /// Evaluates `e` to an operand, emitting code for compound
@@ -308,8 +420,10 @@ impl<'a> Cx<'a> {
 
     /// The shadow register of a reducer (`ΔR` target at joins).
     pub fn shadow(&mut self, r: &Reducer) -> Reg {
-        let name = format!("{}.{}__2", self.f, r.var);
-        self.b.reg(&name)
+        let f = self.f;
+        self.reg(|name| {
+            let _ = write!(name, "{f}.{}__2", r.var);
+        })
     }
 
     /// Builds the `ΔR` of a join continuation from reducer declarations.
@@ -325,9 +439,9 @@ impl<'a> Cx<'a> {
 
     /// Emits the combining block body for reducers: `v := v op v__2`.
     pub fn emit_reducer_combine(&mut self, rs: &[Reducer]) {
-        for r in rs.iter().cloned() {
+        for r in rs {
             let v = self.vreg(&r.var);
-            let s = self.shadow(&r);
+            let s = self.shadow(r);
             self.op(v, r.op, v, s);
         }
     }
@@ -336,7 +450,7 @@ impl<'a> Cx<'a> {
     /// given pinned temps, and returns the temps for restoration.
     pub fn park_reducers(&mut self, rs: &[Reducer]) -> Vec<Reg> {
         let mut temps = Vec::with_capacity(rs.len());
-        for r in rs.iter().cloned() {
+        for r in rs {
             let v = self.vreg(&r.var);
             let t = self.new_temp();
             self.mov(t, v);
@@ -348,7 +462,7 @@ impl<'a> Cx<'a> {
 
     /// Restores parked reducers after a fork.
     pub fn unpark_reducers(&mut self, rs: &[Reducer], temps: &[Reg]) {
-        for (r, t) in rs.to_vec().iter().zip(temps) {
+        for (r, t) in rs.iter().zip(temps) {
             let v = self.vreg(&r.var);
             self.mov(v, *t);
         }
@@ -361,14 +475,14 @@ impl<'a> Cx<'a> {
     /// `jr`).
     pub fn emit_join_cont(
         &mut self,
-        cont: &str,
-        comb: &str,
+        cont: Blk,
+        comb: Blk,
         delta: RegMap,
         reducers: &[Reducer],
         jr: Reg,
-        post: &str,
+        post: Blk,
     ) {
-        let comb_l = self.b.label(comb);
+        let comb_l = self.label_of(comb);
         self.start_annotated(
             cont,
             Annotation::JoinTarget {
@@ -388,20 +502,22 @@ impl<'a> Cx<'a> {
 
     /// Emits the program entry wrapper: gives the initial task a stack
     /// and a root frame whose continuation stores the result and halts.
-    pub fn emit_main_wrapper(&mut self, entry_fn: &str) {
+    pub fn emit_main_wrapper(&mut self, entry: Blk) {
         self.need_fret = true;
         let sp = self.greg(SP);
         let rv = self.greg(RV);
         let result = self.greg("result");
-        self.start("__main");
+        let [main, done] =
+            ["__main", "__done"].map(|name| self.blocks.named(format_args!("{name}")));
+        self.start(main);
         self.emit(Instr::SNew { dst: sp });
         self.mov(rv, 0);
         self.emit(Instr::SAlloc { sp, n: 1 });
-        let done = self.label_operand("__done");
-        self.sstore(sp, 0, done);
-        self.finish_jump(&format!("{entry_fn}__entry"));
+        let done_op = self.label_operand(done);
+        self.sstore(sp, 0, done_op);
+        self.finish_jump(entry);
 
-        self.start("__done");
+        self.start(done);
         self.mov(result, rv);
         self.emit(Instr::SFree { sp, n: 1 });
         self.finish(Instr::Halt);
@@ -427,7 +543,7 @@ impl<'a> Cx<'a> {
         if self.need_fret {
             let t = self.treg("fret_t");
             let sp = self.greg(SP);
-            self.start("__fret");
+            self.start(self.fret);
             self.sload(t, sp, F_CONT);
             self.finish(Instr::Jump {
                 target: Operand::Reg(t),
@@ -438,7 +554,7 @@ impl<'a> Cx<'a> {
             // task's private stack. The callee's `__fret` lands here; the
             // `halt` retires only the detached task (executors keep
             // running until the root halts).
-            self.start("__dexit");
+            self.start(self.dexit);
             self.finish(Instr::Halt);
         }
         if self.need_promote_rt {
@@ -447,7 +563,7 @@ impl<'a> Cx<'a> {
             // __joink: reached through a promoted frame's continuation
             // cell, or at the base of a child's fresh stack; reload the
             // record from the dead mark cell and join.
-            self.start("__joink");
+            self.start(self.joink);
             self.sload(jr, sp, F_MARK);
             self.finish(Instr::Join { jr });
 
@@ -459,8 +575,8 @@ impl<'a> Cx<'a> {
             let tce = self.treg("tce");
             let tsp = self.treg("tsp");
             let abort = self.greg(ABORT);
-            let joink = self.label_operand("__joink");
-            self.start("__do_promote");
+            let joink = self.label_operand(self.joink);
+            self.start(self.do_promote);
             self.emit(Instr::PrmSplit { sp, dst: top });
             self.op(sp_top, BinOp::Add, sp, top);
             self.op(sp_top, BinOp::Sub, sp_top, 1);
@@ -497,30 +613,34 @@ impl<'a> Cx<'a> {
 
     // ----- function lowering -----
 
-    pub fn lower_function(&mut self, f: &Function) -> Result<(), LowerError> {
-        self.f = f.name.clone();
-        self.fvars = collect_saved_vars(f, &mut SiteCounter::default());
+    pub fn lower_function(&mut self, at: usize) -> Result<(), LowerError> {
+        let f = &self.ir.functions[at];
+        self.f = &f.name;
+        self.fvars = collect_saved_vars(f, &mut SiteCounter::default()).into();
         self.site = 0;
         self.forc = 0;
         self.fresh = 0;
         self.reset_temps();
 
-        let entry_name = format!("{}__entry", f.name);
-        let ann = if self.mode.is_heartbeat() && self.has_par2 {
+        let entry = self.entries[at];
+        // The entry heartbeat handler, where the function has one.
+        let hentry = (self.mode.is_heartbeat() && self.has_par2).then(|| {
             self.require_promotion_runtime();
-            let h = format!("{}__hentry", f.name);
-            let handler = self.b.label(&h);
-            Annotation::PromotionReady { handler }
-        } else {
-            Annotation::None
+            self.blocks.named(format_args!("{}__hentry", f.name))
+        });
+        let ann = match hentry {
+            Some(h) => Annotation::PromotionReady {
+                handler: self.label_of(h),
+            },
+            None => Annotation::None,
         };
-        self.start_annotated(&entry_name, ann.clone());
+        self.start_annotated(entry, ann);
 
         // Zero-initialise every local (non-parameter) variable so that
         // save-all call frames never read an uninitialised register.
-        for v in self.fvars.clone() {
-            if !f.params.contains(&v) {
-                let r = self.vreg(&v);
+        for v in self.fvars.clone().iter() {
+            if !f.params.contains(v) {
+                let r = self.vreg(v);
                 self.mov(r, 0);
             }
         }
@@ -532,22 +652,21 @@ impl<'a> Cx<'a> {
             let rv = self.greg(RV);
             self.mov(rv, 0);
             self.require_fret();
-            self.finish_jump("__fret");
+            self.finish_jump(self.fret);
         }
 
-        // The entry heartbeat handler: promote the oldest latent call if
-        // one exists, then resume the function entry.
-        if let Annotation::PromotionReady { .. } = ann {
+        // The handler promotes the oldest latent call if one exists,
+        // then resumes the function entry.
+        if let Some(h) = hentry {
             let sp = self.greg(SP);
             let e = self.treg("e");
             let abort = self.greg(ABORT);
-            let h = format!("{}__hentry", f.name);
-            self.start(&h);
+            self.start(h);
             self.emit(Instr::PrmEmpty { dst: e, sp });
-            self.if_jump(e, &entry_name); // empty (0 = true) → resume
-            let entry_op = self.label_operand(&entry_name);
+            self.if_jump(e, entry); // empty (0 = true) → resume
+            let entry_op = self.label_operand(entry);
             self.mov(abort, entry_op);
-            self.finish_jump("__do_promote");
+            self.finish_jump(self.do_promote);
         }
         Ok(())
     }

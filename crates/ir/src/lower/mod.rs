@@ -162,14 +162,15 @@ impl Lowered {
 /// only serial statements are allowed, or (indicating a bug in this
 /// crate) a generated program that fails validation.
 pub fn lower(ir: &IrProgram, mode: Mode) -> Result<Lowered, LowerError> {
-    let entry = ir.get(&ir.entry).ok_or_else(|| LowerError::MissingEntry {
-        name: ir.entry.clone(),
-    })?;
-
     let mut cx = Cx::new(ir, mode);
-    cx.emit_main_wrapper(&entry.name);
-    for f in &ir.functions {
-        cx.lower_function(f)?;
+    let (entry, _) = cx
+        .function(&ir.entry)
+        .ok_or_else(|| LowerError::MissingEntry {
+            name: ir.entry.clone(),
+        })?;
+    cx.emit_main_wrapper(entry);
+    for at in 0..ir.functions.len() {
+        cx.lower_function(at)?;
     }
     cx.emit_runtime_blocks();
 

@@ -36,13 +36,13 @@ impl Cx<'_> {
         let ohead = self.fresh_label("nsout");
         let obody = self.fresh_label("nsoutb");
         let oend = self.fresh_label("nsoutend");
-        self.finish_jump(&ohead);
-        self.start(&ohead);
+        self.finish_jump(ohead);
+        self.start(ohead);
         let t = self.treg("t");
         self.op(t, BinOp::Lt, ov, ohi);
-        self.if_jump(t, &obody);
-        self.finish_jump(&oend);
-        self.start(&obody);
+        self.if_jump(t, obody);
+        self.finish_jump(oend);
+        self.start(obody);
         self.lower_stmts(&n.pre)?;
         self.lower_serial_for(
             &n.inner_var,
@@ -55,9 +55,9 @@ impl Cx<'_> {
         if self.in_block() {
             let ov = self.vreg(&n.outer_var);
             self.op(ov, BinOp::Add, ov, 1);
-            self.finish_jump(&ohead);
+            self.finish_jump(ohead);
         }
-        self.start(&oend);
+        self.start(oend);
         Ok(())
     }
 
@@ -104,35 +104,34 @@ impl Cx<'_> {
         site: u32,
         n: &ParForNested,
     ) -> Result<(), LowerError> {
-        let f = self.f.clone();
         let isite = site + 1;
 
-        let oloop = format!("{f}__no{site}");
-        let obody = format!("{f}__nob{site}");
-        let iloop = format!("{f}__ni{site}");
-        let ibody = format!("{f}__nib{site}");
-        let iexit = format!("{f}__nix{site}");
-        let ijoin = format!("{f}__nij{site}");
-        let icont = format!("{f}__nic{site}");
-        let icomb = format!("{f}__nicb{site}");
-        let ipost = format!("{f}__nip{site}");
-        let oexit = format!("{f}__nox{site}");
-        let ojoin = format!("{f}__noj{site}");
-        let ocont = format!("{f}__noc{site}");
-        let ocomb = format!("{f}__nocb{site}");
-        let opost = format!("{f}__nop{site}");
-        let h_outer = format!("{f}__nho{site}");
-        let h_inner = format!("{f}__nhi{site}");
-        let try_outer = format!("{f}__nto{site}");
-        let try_outer2 = format!("{f}__nto2{site}");
-        let oalloc = format!("{f}__noa{site}");
-        let opromote = format!("{f}__nopr{site}");
-        let ochild = format!("{f}__nocd{site}");
-        let try_inner = format!("{f}__nti{site}");
-        let habort = format!("{f}__nha{site}");
-        let ialloc = format!("{f}__nia{site}");
-        let ipromote = format!("{f}__nipr{site}");
-        let ichild = format!("{f}__nicd{site}");
+        let oloop = self.local("no", site);
+        let obody = self.local("nob", site);
+        let iloop = self.local("ni", site);
+        let ibody = self.local("nib", site);
+        let iexit = self.local("nix", site);
+        let ijoin = self.local("nij", site);
+        let icont = self.local("nic", site);
+        let icomb = self.local("nicb", site);
+        let ipost = self.local("nip", site);
+        let oexit = self.local("nox", site);
+        let ojoin = self.local("noj", site);
+        let ocont = self.local("noc", site);
+        let ocomb = self.local("nocb", site);
+        let opost = self.local("nop", site);
+        let h_outer = self.local("nho", site);
+        let h_inner = self.local("nhi", site);
+        let try_outer = self.local("nto", site);
+        let try_outer2 = self.local("nto2", site);
+        let oalloc = self.local("noa", site);
+        let opromote = self.local("nopr", site);
+        let ochild = self.local("nocd", site);
+        let try_inner = self.local("nti", site);
+        let habort = self.local("nha", site);
+        let ialloc = self.local("nia", site);
+        let ipromote = self.local("nipr", site);
+        let ichild = self.local("nicd", site);
 
         let ov = self.vreg(&n.outer_var);
         let ohi = self.sreg(site, "hi");
@@ -151,50 +150,50 @@ impl Cx<'_> {
         self.mov(own, 0); // this task owns the outer range
         self.mov(iv, 0);
         self.mov(ihi, 0); // handlers see the inner loop as idle
-        self.finish_jump(&oloop);
+        self.finish_jump(oloop);
 
         // Outer loop header.
-        let ho = self.b.label(&h_outer);
-        self.start_annotated(&oloop, Annotation::PromotionReady { handler: ho });
+        let ho = self.label_of(h_outer);
+        self.start_annotated(oloop, Annotation::PromotionReady { handler: ho });
         let t = self.treg("t");
         self.op(t, BinOp::Lt, ov, ohi);
-        self.if_jump(t, &obody);
-        self.finish_jump(&oexit);
+        self.if_jump(t, obody);
+        self.finish_jump(oexit);
 
-        self.start(&obody);
+        self.start(obody);
         self.lower_stmts(&n.pre)?;
         self.mov(ijr, 0);
         self.eval_into(&n.inner_from, iv);
         self.eval_into(&n.inner_to, ihi);
-        self.finish_jump(&iloop);
+        self.finish_jump(iloop);
 
         // Inner loop header.
-        let hi_l = self.b.label(&h_inner);
-        self.start_annotated(&iloop, Annotation::PromotionReady { handler: hi_l });
+        let hi_l = self.label_of(h_inner);
+        self.start_annotated(iloop, Annotation::PromotionReady { handler: hi_l });
         let t = self.treg("t");
         self.op(t, BinOp::Lt, iv, ihi);
-        self.if_jump(t, &ibody);
-        self.finish_jump(&iexit);
+        self.if_jump(t, ibody);
+        self.finish_jump(iexit);
 
-        self.start(&ibody);
+        self.start(ibody);
         self.lower_stmts(&n.inner_body)?;
         if self.in_block() {
             let iv = self.vreg(&n.inner_var);
             self.op(iv, BinOp::Add, iv, 1);
-            self.finish_jump(&iloop);
+            self.finish_jump(iloop);
         }
 
         // Inner exit: join only if the inner loop was ever promoted.
-        self.start(&iexit);
-        self.if_jump(ijr, &ipost);
-        self.finish_jump(&ijoin);
-        self.start(&ijoin);
+        self.start(iexit);
+        self.if_jump(ijr, ipost);
+        self.finish_jump(ijoin);
+        self.start(ijoin);
         self.finish(Instr::Join { jr: ijr });
         let idelta = self.reducer_delta(&n.inner_reducers);
-        self.emit_join_cont(&icont, &icomb, idelta, &n.inner_reducers, ijr, &ipost);
+        self.emit_join_cont(icont, icomb, idelta, &n.inner_reducers, ijr, ipost);
 
         // Per-iteration epilogue; mark the inner loop idle again.
-        self.start(&ipost);
+        self.start(ipost);
         self.lower_stmts(&n.post)?;
         if self.in_block() {
             let iv = self.vreg(&n.inner_var);
@@ -202,65 +201,65 @@ impl Cx<'_> {
             self.mov(ihi, 0);
             let ov = self.vreg(&n.outer_var);
             self.op(ov, BinOp::Add, ov, 1);
-            self.finish_jump(&oloop);
+            self.finish_jump(oloop);
         }
 
         // Outer exit.
-        self.start(&oexit);
-        self.if_jump(ojr, &opost);
-        self.finish_jump(&ojoin);
-        self.start(&ojoin);
+        self.start(oexit);
+        self.if_jump(ojr, opost);
+        self.finish_jump(ojoin);
+        self.start(ojoin);
         self.finish(Instr::Join { jr: ojr });
         let odelta = self.reducer_delta(&n.outer_reducers);
-        self.emit_join_cont(&ocont, &ocomb, odelta, &n.outer_reducers, ojr, &opost);
+        self.emit_join_cont(ocont, ocomb, odelta, &n.outer_reducers, ojr, opost);
 
         // ----- heartbeat handlers -----
         let abort = self.greg(ABORT);
 
         // From the outer header.
-        self.start(&h_outer);
+        self.start(h_outer);
         let e = self.treg("e");
         self.emit(Instr::PrmEmpty { dst: e, sp });
-        let oloop_op = self.label_operand(&oloop);
+        let oloop_op = self.label_operand(oloop);
         self.mov(abort, oloop_op);
-        self.if_jump(e, &try_outer); // no marks → loop-level promotion
-        self.finish_jump("__do_promote");
+        self.if_jump(e, try_outer); // no marks → loop-level promotion
+        self.finish_jump(self.do_promote);
 
         // From the inner header.
-        self.start(&h_inner);
+        self.start(h_inner);
         let e = self.treg("e");
         self.emit(Instr::PrmEmpty { dst: e, sp });
-        let iloop_op = self.label_operand(&iloop);
+        let iloop_op = self.label_operand(iloop);
         self.mov(abort, iloop_op);
-        self.if_jump(e, &try_outer);
-        self.finish_jump("__do_promote");
+        self.if_jump(e, try_outer);
+        self.finish_jump(self.do_promote);
 
         // try_outer: only the owner may split the outer range.
-        self.start(&try_outer);
-        self.if_jump(own, &try_outer2); // own == 0 (true) → owner
-        self.finish_jump(&try_inner);
+        self.start(try_outer);
+        self.if_jump(own, try_outer2); // own == 0 (true) → owner
+        self.finish_jump(try_inner);
 
-        self.start(&try_outer2);
+        self.start(try_outer2);
         let rem = self.treg("rem");
         self.op(rem, BinOp::Sub, ohi, ov);
         let t = self.treg("t");
         self.op(t, BinOp::Lt, rem, 2);
-        self.if_jump(t, &try_inner);
-        self.if_jump(ojr, &oalloc);
-        self.finish_jump(&opromote);
+        self.if_jump(t, try_inner);
+        self.if_jump(ojr, oalloc);
+        self.finish_jump(opromote);
 
-        self.start(&oalloc);
-        let ocont_op = self.label_operand(&ocont);
+        self.start(oalloc);
+        let ocont_op = self.label_operand(ocont);
         self.emit(Instr::JrAlloc {
             dst: ojr,
             cont: ocont_op,
         });
-        self.finish_jump(&opromote);
+        self.finish_jump(opromote);
 
         // opromote: child takes outer [mid, ohi) with identity outer
         // reducers, an idle inner loop, a fresh stack, and ownership of
         // its half.
-        self.start(&opromote);
+        self.start(opromote);
         let rem = self.treg("rem");
         let half = self.treg("half");
         let mid = self.treg("mid");
@@ -280,7 +279,7 @@ impl Cx<'_> {
         let tsp = self.treg("tsp");
         self.mov(tsp, sp);
         self.emit(Instr::SNew { dst: sp });
-        let ochild_op = self.label_operand(&ochild);
+        let ochild_op = self.label_operand(ochild);
         self.emit(Instr::Fork {
             jr: ojr,
             target: ochild_op,
@@ -296,35 +295,35 @@ impl Cx<'_> {
             target: tpal_core::isa::Operand::Reg(abort),
         });
 
-        self.start(&ochild);
-        self.finish_jump(&oloop);
+        self.start(ochild);
+        self.finish_jump(oloop);
 
         // try_inner: split the inner range.
-        self.start(&try_inner);
+        self.start(try_inner);
         let rem = self.treg("rem");
         self.op(rem, BinOp::Sub, ihi, iv);
         let t = self.treg("t");
         self.op(t, BinOp::Lt, rem, 2);
-        self.if_jump(t, &habort);
-        self.if_jump(ijr, &ialloc);
-        self.finish_jump(&ipromote);
+        self.if_jump(t, habort);
+        self.if_jump(ijr, ialloc);
+        self.finish_jump(ipromote);
 
-        self.start(&habort);
+        self.start(habort);
         self.finish(Instr::Jump {
             target: tpal_core::isa::Operand::Reg(abort),
         });
 
-        self.start(&ialloc);
-        let icont_op = self.label_operand(&icont);
+        self.start(ialloc);
+        let icont_op = self.label_operand(icont);
         self.emit(Instr::JrAlloc {
             dst: ijr,
             cont: icont_op,
         });
-        self.finish_jump(&ipromote);
+        self.finish_jump(ipromote);
 
         // ipromote: child takes inner [mid, ihi); ownership of the outer
         // range stays with the promoting task.
-        self.start(&ipromote);
+        self.start(ipromote);
         let rem = self.treg("rem");
         let half = self.treg("half");
         let mid = self.treg("mid");
@@ -341,7 +340,7 @@ impl Cx<'_> {
         let tsp = self.treg("tsp");
         self.mov(tsp, sp);
         self.emit(Instr::SNew { dst: sp });
-        let ichild_op = self.label_operand(&ichild);
+        let ichild_op = self.label_operand(ichild);
         self.emit(Instr::Fork {
             jr: ijr,
             target: ichild_op,
@@ -356,10 +355,10 @@ impl Cx<'_> {
             target: tpal_core::isa::Operand::Reg(abort),
         });
 
-        self.start(&ichild);
-        self.finish_jump(&iloop);
+        self.start(ichild);
+        self.finish_jump(iloop);
 
-        self.start(&opost);
+        self.start(opost);
         Ok(())
     }
 
@@ -373,19 +372,18 @@ impl Cx<'_> {
         workers: u32,
         body: impl FnOnce(&mut Self) -> Result<(), LowerError>,
     ) -> Result<(), LowerError> {
-        let f = self.f.clone();
-        let split = format!("{f}__ef{site}");
-        let alloc = format!("{f}__efalloc{site}");
-        let fork_l = format!("{f}__effork{site}");
-        let child = format!("{f}__efchild{site}");
-        let leaf = format!("{f}__efleaf{site}");
-        let lhead = format!("{f}__eflh{site}");
-        let lbody = format!("{f}__eflb{site}");
-        let exit = format!("{f}__efexit{site}");
-        let join_l = format!("{f}__efjoin{site}");
-        let cont = format!("{f}__efcont{site}");
-        let comb = format!("{f}__efcomb{site}");
-        let post = format!("{f}__efpost{site}");
+        let split = self.local("ef", site);
+        let alloc = self.local("efalloc", site);
+        let fork_l = self.local("effork", site);
+        let child = self.local("efchild", site);
+        let leaf = self.local("efleaf", site);
+        let lhead = self.local("eflh", site);
+        let lbody = self.local("eflb", site);
+        let exit = self.local("efexit", site);
+        let join_l = self.local("efjoin", site);
+        let cont = self.local("efcont", site);
+        let comb = self.local("efcomb", site);
+        let post = self.local("efpost", site);
 
         let v = self.vreg(&pf.var);
         let hi = self.sreg(site, "hi");
@@ -400,26 +398,26 @@ impl Cx<'_> {
         self.op(rem, BinOp::Sub, hi, v);
         self.op(grain, BinOp::Div, rem, (8 * workers.max(1)) as i64);
         self.op(grain, BinOp::Max, grain, 1);
-        self.finish_jump(&split);
+        self.finish_jump(split);
 
-        self.start(&split);
+        self.start(split);
         let rem = self.treg("rem");
         let t = self.treg("t");
         self.op(rem, BinOp::Sub, hi, v);
         self.op(t, BinOp::Le, rem, grain);
-        self.if_jump(t, &leaf);
-        self.if_jump(jr, &alloc);
-        self.finish_jump(&fork_l);
+        self.if_jump(t, leaf);
+        self.if_jump(jr, alloc);
+        self.finish_jump(fork_l);
 
-        self.start(&alloc);
-        let cont_op = self.label_operand(&cont);
+        self.start(alloc);
+        let cont_op = self.label_operand(cont);
         self.emit(Instr::JrAlloc {
             dst: jr,
             cont: cont_op,
         });
-        self.finish_jump(&fork_l);
+        self.finish_jump(fork_l);
 
-        self.start(&fork_l);
+        self.start(fork_l);
         let mid = self.treg("mid");
         self.op(mid, BinOp::Add, v, hi);
         self.op(mid, BinOp::Div, mid, 2);
@@ -430,7 +428,7 @@ impl Cx<'_> {
         let tsp = self.treg("tsp");
         self.mov(tsp, sp);
         self.emit(Instr::SNew { dst: sp });
-        let child_op = self.label_operand(&child);
+        let child_op = self.label_operand(child);
         self.emit(Instr::Fork {
             jr,
             target: child_op,
@@ -440,36 +438,36 @@ impl Cx<'_> {
         self.mov(hi, mid);
         self.unpark_reducers(&pf.reducers, &parked);
         self.reset_temps();
-        self.finish_jump(&split);
+        self.finish_jump(split);
 
-        self.start(&child);
-        self.finish_jump(&split);
+        self.start(child);
+        self.finish_jump(split);
 
-        self.start(&leaf);
-        self.finish_jump(&lhead);
-        self.start(&lhead);
+        self.start(leaf);
+        self.finish_jump(lhead);
+        self.start(lhead);
         let t = self.treg("t");
         self.op(t, BinOp::Lt, v, hi);
-        self.if_jump(t, &lbody);
-        self.finish_jump(&exit);
-        self.start(&lbody);
+        self.if_jump(t, lbody);
+        self.finish_jump(exit);
+        self.start(lbody);
         body(self)?;
         if self.in_block() {
             let v = self.vreg(&pf.var);
             self.op(v, BinOp::Add, v, 1);
-            self.finish_jump(&lhead);
+            self.finish_jump(lhead);
         }
 
-        self.start(&exit);
-        self.if_jump(jr, &post);
-        self.finish_jump(&join_l);
-        self.start(&join_l);
+        self.start(exit);
+        self.if_jump(jr, post);
+        self.finish_jump(join_l);
+        self.start(join_l);
         self.finish(Instr::Join { jr });
 
         let delta = self.reducer_delta(&pf.reducers);
-        self.emit_join_cont(&cont, &comb, delta, &pf.reducers, jr, &post);
+        self.emit_join_cont(cont, comb, delta, &pf.reducers, jr, post);
 
-        self.start(&post);
+        self.start(post);
         Ok(())
     }
 }

@@ -23,23 +23,6 @@ use crate::lower::context::{
 use crate::lower::LowerError;
 
 impl Cx<'_> {
-    fn check_call(&self, c: &CallSpec) -> Result<(), LowerError> {
-        let callee = self
-            .ir
-            .get(&c.func)
-            .ok_or_else(|| LowerError::UnknownFunction {
-                name: c.func.clone(),
-            })?;
-        if callee.params.len() != c.args.len() {
-            return Err(LowerError::ArityMismatch {
-                name: c.func.clone(),
-                expected: callee.params.len(),
-                got: c.args.len(),
-            });
-        }
-        Ok(())
-    }
-
     /// Heartbeat-mode `Par2`: serial-by-default with a latent right call.
     pub(crate) fn lower_par2_heartbeat(
         &mut self,
@@ -47,24 +30,23 @@ impl Cx<'_> {
         left: &CallSpec,
         right: &CallSpec,
     ) -> Result<(), LowerError> {
-        self.check_call(left)?;
-        self.check_call(right)?;
+        let (lentry, lfn) = self.callee(&left.func, left.args.len())?;
+        let (rentry, rfn) = self.callee(&right.func, right.args.len())?;
         self.require_fret();
         self.require_promotion_runtime();
 
         let sp = self.greg(SP);
         let rv = self.greg(RV);
-        let f = self.f.clone();
         let fvars = self.fvars.clone();
         let nra = right.args.len() as u32;
         let k = F_RARGS + nra + fvars.len() as u32;
 
-        let after_left = format!("{f}__p2al{site}");
-        let after_right = format!("{f}__p2ar{site}");
-        let centry = format!("{f}__p2ce{site}");
-        let rcont = format!("{f}__p2rc{site}");
-        let comb = format!("{f}__p2cb{site}");
-        let post = format!("{f}__p2post{site}");
+        let after_left = self.local("p2al", site);
+        let after_right = self.local("p2ar", site);
+        let centry = self.local("p2ce", site);
+        let rcont = self.local("p2rc", site);
+        let comb = self.local("p2cb", site);
+        let post = self.local("p2post", site);
 
         // Evaluate the right call's arguments (stored latent in the
         // frame) and then the left call's (passed in registers).
@@ -72,7 +54,7 @@ impl Cx<'_> {
         let ltemps = self.eval_all_pinned(&left.args);
 
         self.emit(Instr::SAlloc { sp, n: k });
-        let al_op = self.label_operand(&after_left);
+        let al_op = self.label_operand(after_left);
         self.sstore(sp, F_CONT, al_op);
         self.emit(Instr::PrmPush {
             addr: tpal_core::isa::MemAddr {
@@ -80,9 +62,9 @@ impl Cx<'_> {
                 offset: F_MARK,
             },
         });
-        let ce_op = self.label_operand(&centry);
+        let ce_op = self.label_operand(centry);
         self.sstore(sp, F_CENTRY, ce_op);
-        let rc_op = self.label_operand(&rcont);
+        let rc_op = self.label_operand(rcont);
         self.sstore(sp, F_RCONT, rc_op);
         for (i, t) in rtemps.iter().enumerate() {
             self.sstore(sp, F_RARGS + i as u32, *t);
@@ -91,36 +73,32 @@ impl Cx<'_> {
             let r = self.vreg(v);
             self.sstore(sp, F_RARGS + nra + j as u32, r);
         }
-        let left_params = self.ir.get(&left.func).expect("checked").params.clone();
-        let lfn = left.func.clone();
-        for (t, p) in ltemps.iter().zip(&left_params) {
-            let pr = self.vreg_of(&lfn, p);
+        for (t, p) in ltemps.iter().zip(&lfn.params) {
+            let pr = self.vreg_of(&lfn.name, p);
             self.mov(pr, *t);
         }
         self.reset_temps();
-        self.finish_jump(&format!("{lfn}__entry"));
+        self.finish_jump(lentry);
 
         // after_left: the right call was not promoted; run it here.
-        let right_params = self.ir.get(&right.func).expect("checked").params.clone();
-        let rfn = right.func.clone();
-        self.start(&after_left);
+        self.start(after_left);
         self.emit(Instr::PrmPop {
             addr: tpal_core::isa::MemAddr {
                 base: sp,
                 offset: F_MARK,
             },
         });
-        let ar_op = self.label_operand(&after_right);
+        let ar_op = self.label_operand(after_right);
         self.sstore(sp, F_CONT, ar_op);
         self.sstore(sp, F_LRES, rv);
-        for (i, p) in right_params.iter().enumerate() {
-            let pr = self.vreg_of(&rfn, p);
+        for (i, p) in rfn.params.iter().enumerate() {
+            let pr = self.vreg_of(&rfn.name, p);
             self.sload(pr, sp, F_RARGS + i as u32);
         }
-        self.finish_jump(&format!("{rfn}__entry"));
+        self.finish_jump(rentry);
 
         // after_right: both calls done serially.
-        self.start(&after_right);
+        self.start(after_right);
         for (j, v) in fvars.iter().enumerate() {
             let r = self.vreg(v);
             self.sload(r, sp, F_RARGS + nra + j as u32);
@@ -132,31 +110,31 @@ impl Cx<'_> {
         let rret = self.vreg(&right.ret);
         self.mov(rret, rv);
         self.emit(Instr::SFree { sp, n: k });
-        self.finish_jump(&post);
+        self.finish_jump(post);
 
         // centry: a promoted child starts here with a fresh stack whose
         // base is [__joink, record]; `%sp_top` points at the frame.
-        self.start(&centry);
+        self.start(centry);
         let sp_top = self.greg(SP_TOP);
-        for (i, p) in right_params.iter().enumerate() {
-            let pr = self.vreg_of(&rfn, p);
+        for (i, p) in rfn.params.iter().enumerate() {
+            let pr = self.vreg_of(&rfn.name, p);
             self.sload(pr, sp_top, F_RARGS + i as u32);
         }
-        self.finish_jump(&format!("{rfn}__entry"));
+        self.finish_jump(rentry);
 
         // rcont: the record's continuation (join target).
         let rv_r = self.greg(RV);
         let rv2_r = self.greg(RV2);
-        let comb_l = self.b.label(&comb);
+        let comb_l = self.label_of(comb);
         self.start_annotated(
-            &rcont,
+            rcont,
             tpal_core::isa::Annotation::JoinTarget {
                 policy: JoinPolicy::AssocComm,
                 merge: RegMap::new().with(rv_r, rv2_r),
                 comb: comb_l,
             },
         );
-        self.finish_jump(&post);
+        self.finish_jump(post);
 
         // comb: merged pair; parent-side sp still points at the frame
         // (the generic __joink does not move it), so the saved state is
@@ -164,7 +142,7 @@ impl Cx<'_> {
         // path, the left result never went through the frame: it is in
         // the parent side's `rv` (the left call returned straight into
         // __joink), and the child's right result arrives as `rv2`.
-        self.start(&comb);
+        self.start(comb);
         for (j, v) in fvars.iter().enumerate() {
             let r = self.vreg(v);
             self.sload(r, sp, F_RARGS + nra + j as u32);
@@ -177,7 +155,7 @@ impl Cx<'_> {
         let jrreg = self.treg("jr");
         self.finish(Instr::Join { jr: jrreg });
 
-        self.start(&post);
+        self.start(post);
         Ok(())
     }
 
@@ -188,26 +166,25 @@ impl Cx<'_> {
         left: &CallSpec,
         right: &CallSpec,
     ) -> Result<(), LowerError> {
-        self.check_call(left)?;
-        self.check_call(right)?;
+        let (lentry, lfn) = self.callee(&left.func, left.args.len())?;
+        let (rentry, rfn) = self.callee(&right.func, right.args.len())?;
         self.require_fret();
         // Eager spawns return through the generic __joink block.
         self.require_promotion_runtime();
 
         let sp = self.greg(SP);
-        let f = self.f.clone();
         let jr = self.sreg(site, "jr");
 
-        let rcont = format!("{f}__e2rc{site}");
-        let comb = format!("{f}__e2cb{site}");
-        let post = format!("{f}__e2post{site}");
-        let joined = format!("{f}__e2j{site}");
+        let rcont = self.local("e2rc", site);
+        let comb = self.local("e2cb", site);
+        let post = self.local("e2post", site);
+        let joined = self.local("e2j", site);
 
         // Evaluate both calls' arguments up front.
         let ltemps = self.eval_all_pinned(&left.args);
         let rtemps = self.eval_all_pinned(&right.args);
 
-        let rc_op = self.label_operand(&rcont);
+        let rc_op = self.label_operand(rcont);
         self.emit(Instr::JrAlloc {
             dst: jr,
             cont: rc_op,
@@ -221,7 +198,7 @@ impl Cx<'_> {
         let k = 1 + fvars.len() as u32;
         let cont = self.fresh_label("e2ret");
         self.emit(Instr::SAlloc { sp, n: k });
-        let cont_op = self.label_operand(&cont);
+        let cont_op = self.label_operand(cont);
         self.sstore(sp, 0, cont_op);
         for (i, v) in fvars.iter().enumerate() {
             let r = self.vreg(v);
@@ -230,34 +207,30 @@ impl Cx<'_> {
 
         // Child: runs the left call on a fresh stack whose base returns
         // through __joink.
-        let left_params = self.ir.get(&left.func).expect("checked").params.clone();
-        let lfn = left.func.clone();
-        for (t, p) in ltemps.iter().zip(&left_params) {
-            let pr = self.vreg_of(&lfn, p);
+        for (t, p) in ltemps.iter().zip(&lfn.params) {
+            let pr = self.vreg_of(&lfn.name, p);
             self.mov(pr, *t);
         }
         let tsp = self.treg("tsp");
         self.mov(tsp, sp);
         self.emit(Instr::SNew { dst: sp });
         self.emit(Instr::SAlloc { sp, n: 2 });
-        let joink = self.label_operand("__joink");
+        let joink = self.label_operand(self.joink);
         self.sstore(sp, F_CONT, joink);
         self.sstore(sp, F_MARK, jr);
-        let lentry = self.label_operand(&format!("{lfn}__entry"));
+        let lentry = self.label_operand(lentry);
         self.emit(Instr::Fork { jr, target: lentry });
         self.mov(sp, tsp);
 
         // Parent: run the right call serially, then join.
-        let right_params = self.ir.get(&right.func).expect("checked").params.clone();
-        let rfn = right.func.clone();
-        for (t, p) in rtemps.iter().zip(&right_params) {
-            let pr = self.vreg_of(&rfn, p);
+        for (t, p) in rtemps.iter().zip(&rfn.params) {
+            let pr = self.vreg_of(&rfn.name, p);
             self.mov(pr, *t);
         }
         self.reset_temps();
-        self.finish_jump(&format!("{rfn}__entry"));
+        self.finish_jump(rentry);
 
-        self.start(&cont);
+        self.start(cont);
         for (i, v) in fvars.iter().enumerate() {
             let r = self.vreg(v);
             self.sload(r, sp, 1 + i as u32);
@@ -266,31 +239,31 @@ impl Cx<'_> {
         let rret = self.vreg(&right.ret);
         let rv = self.greg(RV);
         self.mov(rret, rv);
-        self.finish_jump(&joined);
+        self.finish_jump(joined);
 
-        self.start(&joined);
+        self.start(joined);
         self.finish(Instr::Join { jr });
 
         // Join continuation: child's rv (left result) arrives as rv2.
         let rv_r = self.greg(RV);
         let rv2_r = self.greg(RV2);
-        let comb_l = self.b.label(&comb);
+        let comb_l = self.label_of(comb);
         self.start_annotated(
-            &rcont,
+            rcont,
             tpal_core::isa::Annotation::JoinTarget {
                 policy: JoinPolicy::AssocComm,
                 merge: RegMap::new().with(rv_r, rv2_r),
                 comb: comb_l,
             },
         );
-        self.finish_jump(&post);
+        self.finish_jump(post);
 
-        self.start(&comb);
+        self.start(comb);
         let lret = self.vreg(&left.ret);
         self.mov(lret, rv2_r);
         self.finish(Instr::Join { jr });
 
-        self.start(&post);
+        self.start(post);
         Ok(())
     }
 }

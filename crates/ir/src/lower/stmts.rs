@@ -45,38 +45,38 @@ impl Cx<'_> {
                 let then_l = self.fresh_label("then");
                 let else_l = self.fresh_label("else");
                 let end_l = self.fresh_label("endif");
-                self.if_jump(t, &then_l); // zero (true) takes the branch
-                self.finish_jump(&else_l);
+                self.if_jump(t, then_l); // zero (true) takes the branch
+                self.finish_jump(else_l);
 
-                self.start(&then_l);
+                self.start(then_l);
                 self.lower_stmts(then_)?;
                 if self.in_block() {
-                    self.finish_jump(&end_l);
+                    self.finish_jump(end_l);
                 }
-                self.start(&else_l);
+                self.start(else_l);
                 self.lower_stmts(else_)?;
                 if self.in_block() {
-                    self.finish_jump(&end_l);
+                    self.finish_jump(end_l);
                 }
-                self.start(&end_l);
+                self.start(end_l);
             }
             Stmt::While { cond, body } => {
                 let head = self.fresh_label("while");
                 let body_l = self.fresh_label("do");
                 let end = self.fresh_label("endwhile");
-                self.finish_jump(&head);
+                self.finish_jump(head);
 
-                self.start(&head);
+                self.start(head);
                 let t = self.eval_reg(cond);
-                self.if_jump(t, &body_l);
-                self.finish_jump(&end);
+                self.if_jump(t, body_l);
+                self.finish_jump(end);
 
-                self.start(&body_l);
+                self.start(body_l);
                 self.lower_stmts(body)?;
                 if self.in_block() {
-                    self.finish_jump(&head);
+                    self.finish_jump(head);
                 }
-                self.start(&end);
+                self.start(end);
             }
             Stmt::For {
                 var,
@@ -95,11 +95,11 @@ impl Cx<'_> {
                 let rv = self.greg(RV);
                 self.eval_into(e, rv);
                 self.require_fret();
-                self.finish_jump("__fret");
+                self.finish_jump(self.fret);
                 // Anything after a return is dead; keep emitting into an
                 // unreachable block so the rest of the list stays valid.
                 let dead = self.fresh_label("dead");
-                self.start(&dead);
+                self.start(dead);
             }
             Stmt::Par2 { left, right } => {
                 let site = self.site;
@@ -189,22 +189,22 @@ impl Cx<'_> {
         let hi = self.vreg(hi_var);
         self.eval_into(from, v);
         self.eval_into(to, hi);
-        self.finish_jump(&head);
+        self.finish_jump(head);
 
-        self.start(&head);
+        self.start(head);
         let t = self.treg("t");
         self.op(t, BinOp::Lt, v, hi);
-        self.if_jump(t, &body_l);
-        self.finish_jump(&end);
+        self.if_jump(t, body_l);
+        self.finish_jump(end);
 
-        self.start(&body_l);
+        self.start(body_l);
         self.lower_stmts(body)?;
         if self.in_block() {
             let v = self.vreg(var);
             self.op(v, BinOp::Add, v, 1);
-            self.finish_jump(&head);
+            self.finish_jump(head);
         }
-        self.start(&end);
+        self.start(end);
         Ok(())
     }
 
@@ -222,21 +222,7 @@ impl Cx<'_> {
         func: &str,
         args: &[crate::ast::Expr],
     ) -> Result<(), LowerError> {
-        let callee = self
-            .ir
-            .get(func)
-            .ok_or_else(|| LowerError::UnknownFunction {
-                name: func.to_owned(),
-            })?;
-        if callee.params.len() != args.len() {
-            return Err(LowerError::ArityMismatch {
-                name: func.to_owned(),
-                expected: callee.params.len(),
-                got: args.len(),
-            });
-        }
-        let callee_name = callee.name.clone();
-        let callee_params = callee.params.clone();
+        let (entry, callee) = self.callee(func, args.len())?;
         self.require_fret();
         self.require_dexit();
 
@@ -250,7 +236,7 @@ impl Cx<'_> {
         self.mov(tsp, sp);
         self.emit(Instr::SNew { dst: sp });
         self.emit(Instr::SAlloc { sp, n: 1 + n });
-        let dexit = self.label_operand("__dexit");
+        let dexit = self.label_operand(self.dexit);
         self.sstore(sp, 0, dexit);
         for (i, t) in temps.iter().enumerate() {
             self.sstore(sp, 1 + i as u32, *t);
@@ -258,22 +244,22 @@ impl Cx<'_> {
         // The child copies the registers as they stand here: `sp` still
         // names its private stack. The parent restores its own right
         // after.
-        let stub_op = self.label_operand(&stub);
+        let stub_op = self.label_operand(stub);
         self.emit(Instr::Detach { target: stub_op });
         self.mov(sp, tsp);
         self.reset_temps();
-        self.finish_jump(&post);
+        self.finish_jump(post);
 
         // stub: the detached child's entry — move the arguments from its
         // base frame into the callee's parameter registers.
-        self.start(&stub);
-        for (i, p) in callee_params.iter().enumerate() {
-            let pr = self.vreg_of(&callee_name, p);
+        self.start(stub);
+        for (i, p) in callee.params.iter().enumerate() {
+            let pr = self.vreg_of(&callee.name, p);
             self.sload(pr, sp, 1 + i as u32);
         }
-        self.finish_jump(&format!("{callee_name}__entry"));
+        self.finish_jump(entry);
 
-        self.start(&post);
+        self.start(post);
         Ok(())
     }
 
@@ -286,21 +272,7 @@ impl Cx<'_> {
         args: &[crate::ast::Expr],
         ret: Option<&str>,
     ) -> Result<(), LowerError> {
-        let callee = self
-            .ir
-            .get(func)
-            .ok_or_else(|| LowerError::UnknownFunction {
-                name: func.to_owned(),
-            })?;
-        if callee.params.len() != args.len() {
-            return Err(LowerError::ArityMismatch {
-                name: func.to_owned(),
-                expected: callee.params.len(),
-                got: args.len(),
-            });
-        }
-        let callee_name = callee.name.clone();
-        let callee_params = callee.params.clone();
+        let (entry, callee) = self.callee(func, args.len())?;
         self.require_fret();
 
         let sp = self.greg(SP);
@@ -312,20 +284,20 @@ impl Cx<'_> {
         let temps = self.eval_all_pinned(args);
 
         self.emit(Instr::SAlloc { sp, n: k });
-        let cont_op = self.label_operand(&cont);
+        let cont_op = self.label_operand(cont);
         self.sstore(sp, 0, cont_op);
         for (i, v) in fvars.iter().enumerate() {
             let r = self.vreg(v);
             self.sstore(sp, 1 + i as u32, r);
         }
-        for (t, p) in temps.iter().zip(&callee_params) {
-            let pr = self.vreg_of(&callee_name, p);
+        for (t, p) in temps.iter().zip(&callee.params) {
+            let pr = self.vreg_of(&callee.name, p);
             self.mov(pr, *t);
         }
         self.reset_temps();
-        self.finish_jump(&format!("{callee_name}__entry"));
+        self.finish_jump(entry);
 
-        self.start(&cont);
+        self.start(cont);
         for (i, v) in fvars.iter().enumerate() {
             let r = self.vreg(v);
             self.sload(r, sp, 1 + i as u32);

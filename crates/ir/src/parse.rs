@@ -67,7 +67,9 @@ impl std::error::Error for FrontendError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Tok {
     Ident(String),
-    Int(i64),
+    /// The magnitude of an integer literal, at most 2⁶³ (the parser
+    /// applies a preceding `-`).
+    Int(u64),
     // punctuation
     LParen,
     RParen,
@@ -149,10 +151,10 @@ fn lex(src: &str) -> Result<Vec<(Tok, u32)>, FrontendError> {
                 out.push((Tok::Ident(s), line));
             }
             c if c.is_ascii_digit() => {
-                let mut n = 0i64;
+                let mut n = Some(0u64);
                 while let Some(&c) = it.peek() {
                     if let Some(d) = c.to_digit(10) {
-                        n = n.wrapping_mul(10).wrapping_add(d as i64);
+                        n = n.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(d)));
                         it.next();
                     } else if c == '_' {
                         it.next();
@@ -160,7 +162,10 @@ fn lex(src: &str) -> Result<Vec<(Tok, u32)>, FrontendError> {
                         break;
                     }
                 }
-                out.push((Tok::Int(n), line));
+                match n {
+                    Some(n) if n <= 1 << 63 => out.push((Tok::Int(n), line)),
+                    _ => return Err(out_of_range(line)),
+                }
             }
             _ => {
                 it.next();
@@ -257,6 +262,14 @@ fn lex(src: &str) -> Result<Vec<(Tok, u32)>, FrontendError> {
     Ok(out)
 }
 
+/// The error of an integer literal no `i64` holds.
+fn out_of_range(line: u32) -> FrontendError {
+    FrontendError {
+        line,
+        msg: "integer literal out of range".into(),
+    }
+}
+
 // ----- parser -----
 
 struct P {
@@ -271,6 +284,18 @@ impl P {
             .or_else(|| self.toks.last())
             .map(|t| t.1)
             .unwrap_or(0)
+    }
+
+    /// The value of the literal `magnitude` just read (`negative`: after
+    /// a `-`).
+    fn literal(&self, magnitude: u64, negative: bool) -> Result<i64, FrontendError> {
+        let value = if negative {
+            0i64.checked_sub_unsigned(magnitude)
+        } else {
+            i64::try_from(magnitude).ok()
+        };
+        // The literal is the token before the cursor.
+        value.ok_or_else(|| out_of_range(self.toks[self.pos - 1].1))
     }
 
     fn err(&self, msg: impl Into<String>) -> FrontendError {
@@ -379,14 +404,14 @@ impl P {
             if let Some(Tok::Int(n)) = self.peek() {
                 let n = *n;
                 self.pos += 1;
-                return self.postfix(Expr::int(n.wrapping_neg()));
+                return self.postfix(Expr::int(self.literal(n, true)?));
             }
             let e = self.unary()?;
             return Ok(Expr::bin(BinOp::Sub, Expr::int(0), e));
         }
         let line = self.line();
         let base = match self.next() {
-            Some(Tok::Int(n)) => Expr::int(n),
+            Some(Tok::Int(n)) => Expr::int(self.literal(n, false)?),
             Some(Tok::Ident(name)) => match name.as_str() {
                 "min" | "max" => {
                     let op = if name == "min" {
@@ -502,9 +527,9 @@ impl P {
                 };
                 self.expect(&Tok::Comma)?;
                 let identity = match self.next() {
-                    Some(Tok::Int(n)) => n,
+                    Some(Tok::Int(n)) => self.literal(n, false)?,
                     Some(Tok::Op(BinOp::Sub)) => match self.next() {
-                        Some(Tok::Int(n)) => n.wrapping_neg(),
+                        Some(Tok::Int(n)) => self.literal(n, true)?,
                         _ => return Err(self.err("expected integer identity")),
                     },
                     _ => return Err(self.err("expected integer identity")),
@@ -813,6 +838,38 @@ mod tests {
             .unwrap_or_else(|e| panic!("run: {e}"))
             .read_reg(&lowered.result_reg)
             .expect("result")
+    }
+
+    #[test]
+    fn literals_span_exactly_the_i64_range() {
+        let src = "fn main(x) { if x < 1 { return -9223372036854775808; } return 9_223_372_036_854_775_807; }";
+        assert_eq!(run(src, &[("x", 0)], Mode::Serial, u64::MAX), i64::MIN);
+        assert_eq!(run(src, &[("x", 1)], Mode::Serial, u64::MAX), i64::MAX);
+        let src = "fn main(n) { s = 0; parfor i in 0..n reduce(s: max, -9223372036854775808) { s = max(s, i); } return s; }";
+        assert!(parse_ir(src).is_ok(), "a reducer identity may be i64::MIN");
+    }
+
+    #[test]
+    fn out_of_range_literals_are_errors_with_their_line() {
+        for literal in [
+            "9223372036854775808",
+            "-9223372036854775809",
+            "99999999999999999999",
+        ] {
+            let err =
+                parse_ir(&format!("fn main(x) {{\n  y = 1;\n  return {literal};\n}}")).unwrap_err();
+            assert_eq!(
+                (err.line, err.msg.as_str()),
+                (3, "integer literal out of range"),
+                "{literal}"
+            );
+        }
+        let src = "fn main(n) {\n s = 0;\n parfor i in 0..n reduce(s: +, 9223372036854775808) { s = s + i; }\n return s; }";
+        let err = parse_ir(src).unwrap_err();
+        assert_eq!(
+            (err.line, err.msg.as_str()),
+            (3, "integer literal out of range")
+        );
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! needs no server-side registry beyond the program cache: the token
 //! alone names a bit-reproducible run.
 
+use std::fmt;
+
 use tpal_core::tier::ExecTier;
 use tpal_sched::{HeartbeatSource, Policy};
-use tpal_trace::json::{escape, parse, Json};
+use tpal_trace::json::{parse, write_escaped, Json};
 
 /// Incremental FNV-1a (64-bit) hasher — the dependency-free content
 /// hash behind the decode cache and replay tokens.
@@ -191,42 +193,47 @@ impl RunSpec {
     /// of every outcome-determining knob. Identical (program, spec)
     /// pairs always yield identical tokens.
     pub fn token(&self, prog_hash: u64) -> String {
-        let mut sets = self.sets.clone();
-        sets.sort();
+        // One buffer: the payload is armoured as it is rendered.
+        let mut token = String::with_capacity(512);
+        token.push_str("r1-");
+        self.render(&mut HexWriter(&mut token), prog_hash)
+            .expect("writing to a String cannot fail");
+        token
+    }
+
+    /// The token's payload: canonical JSON, fields in fixed
+    /// (alphabetical) order; integers that may exceed f64's exact range
+    /// travel as hex/decimal strings.
+    fn render(&self, out: &mut impl fmt::Write, prog_hash: u64) -> fmt::Result {
         let (sub, cores, linux, workers) = match self.substrate {
             Substrate::Sim { cores, linux } => ("sim", cores, linux, 0),
             Substrate::Rt { workers } => ("rt", 0, false, workers),
         };
-        // Fields in fixed (alphabetical) order; integers that may
-        // exceed f64's exact range travel as hex/decimal strings.
-        let mut body = String::from("{");
-        body.push_str(&format!("\"cores\":{cores},"));
+        write!(out, "{{\"cores\":{cores},")?;
         match self.heartbeat {
-            Some(hb) => body.push_str(&format!("\"hb\":{hb},")),
-            None => body.push_str("\"hb\":null,"),
+            Some(hb) => write!(out, "\"hb\":{hb},")?,
+            None => out.write_str("\"hb\":null,")?,
         }
-        body.push_str(&format!("\"hbsrc\":\"{}\",", self.source.label()));
-        body.push_str(&format!("\"linux\":{linux},"));
-        body.push_str(&format!("\"policy\":\"{}\",", escape(&self.policy.label())));
-        body.push_str(&format!("\"prog\":\"{prog_hash:016x}\","));
-        body.push_str(&format!("\"seed\":\"{:x}\",", self.seed));
-        body.push_str("\"sets\":{");
-        for (i, (name, v)) in sets.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!("\"{}\":\"{v}\"", escape(name)));
+        write!(out, "\"hbsrc\":\"{}\",", self.source.label())?;
+        write!(out, "\"linux\":{linux},\"policy\":\"")?;
+        write_escaped(out, &self.policy.label())?;
+        write!(out, "\",\"prog\":\"{prog_hash:016x}\",")?;
+        write!(out, "\"seed\":\"{:x}\",\"sets\":{{", self.seed)?;
+        // A canonical spec is already sorted; any other takes the detour.
+        if self.sets.is_sorted() {
+            write_sets(out, self.sets.iter())?;
+        } else {
+            let mut sorted: Vec<_> = self.sets.iter().collect();
+            sorted.sort();
+            write_sets(out, sorted.into_iter())?;
         }
-        body.push_str("},");
+        out.write_str("},")?;
         match self.step_limit {
-            Some(sl) => body.push_str(&format!("\"sl\":\"{sl}\",")),
-            None => body.push_str("\"sl\":null,"),
+            Some(sl) => write!(out, "\"sl\":\"{sl}\",")?,
+            None => out.write_str("\"sl\":null,")?,
         }
-        body.push_str(&format!("\"sub\":\"{sub}\","));
-        body.push_str(&format!("\"tier\":\"{}\",", self.tier.label()));
-        body.push_str(&format!("\"workers\":{workers}"));
-        body.push('}');
-        format!("r1-{}", hex_encode(body.as_bytes()))
+        write!(out, "\"sub\":\"{sub}\",\"tier\":\"{}\",", self.tier.label())?;
+        write!(out, "\"workers\":{workers}}}")
     }
 
     /// Decodes a replay token back into `(program hash, spec)`.
@@ -319,12 +326,47 @@ impl RunSpec {
     }
 }
 
+/// The members of a token's `sets` object, in the order given.
+fn write_sets<'a>(
+    out: &mut impl fmt::Write,
+    sets: impl Iterator<Item = &'a (String, i64)>,
+) -> fmt::Result {
+    for (i, (name, v)) in sets.enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        out.write_char('"')?;
+        write_escaped(out, name)?;
+        write!(out, "\":\"{v}\"")?;
+    }
+    Ok(())
+}
+
+/// Hex-armours what is written through it, appending to the string it
+/// wraps.
+struct HexWriter<'a>(&'a mut String);
+
+impl fmt::Write for HexWriter<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        push_hex(self.0, s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Two table-driven lowercase digits per byte.
+fn push_hex(out: &mut String, bytes: &[u8]) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(2 * bytes.len());
+    for b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 0xf)] as char);
+    }
+}
+
 /// Lowercase hex armour for token payloads.
 pub fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
+    let mut s = String::new();
+    push_hex(&mut s, bytes);
     s
 }
 

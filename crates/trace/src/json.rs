@@ -3,6 +3,7 @@
 //! validate the Chrome `trace_event` files this crate renders.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::str::Chars;
 
 /// A parsed JSON value.
@@ -243,18 +244,31 @@ pub fn parse(s: &str) -> Result<Json, String> {
 /// Escapes a string for embedding in JSON output (quotes not included).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    write_escaped(&mut out, s).expect("writing to a String cannot fail");
     out
+}
+
+/// [`escape`], appended to a writer instead of returned.
+///
+/// # Errors
+///
+/// Whatever the writer returns.
+pub fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    // Runs that need no escaping are written whole.
+    let mut rest = s;
+    while let Some(at) = rest.find(|c: char| c == '"' || c == '\\' || (c as u32) < 0x20) {
+        out.write_str(&rest[..at])?;
+        match rest.as_bytes()[at] {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            c => write!(out, "\\u{c:04x}")?,
+        }
+        rest = &rest[at + 1..];
+    }
+    out.write_str(rest)
 }
 
 #[cfg(test)]
