@@ -1,6 +1,7 @@
 //! Simulated instructions per second of the event-driven engine
 //! ([`Sim`]) at each **execution tier** (reference interpreter, decoded
-//! micro-ops, threaded code) versus the cycle-tick reference
+//! micro-ops, decoded micro-ops + loop templates) versus the cycle-tick
+//! reference
 //! ([`SimRef`]), at the paper's 15 cores, over four workload shapes:
 //! flat reduction (`plus-reduce-array`), nested loops
 //! (`floyd-warshall-small`), irregular fork-join recursion
@@ -23,13 +24,11 @@
 //!
 //! With `TPAL_BENCH_SMOKE=1` the bench runs each workload once per
 //! engine *per tier* and asserts they all agree — a CI-sized canary for
-//! decode/threaded-compile regressions (panics, equivalence drift under
+//! decode/template-install regressions (panics, equivalence drift under
 //! `debug_assertions`) — including one streaming workload, so channel
 //! parks, wakes, and detached-task retirement stay schedule-identical
-//! across tiers in CI too — then times `plus-reduce-array` on the
-//! decoded and threaded tiers and fails if threaded is more than 10%
-//! slower than decoded, without criterion sampling and without touching
-//! the JSON record.
+//! across tiers in CI too, without criterion sampling and without
+//! touching the JSON record.
 
 use criterion::{criterion_group, Criterion, Throughput};
 
@@ -61,18 +60,13 @@ const SWEEP_POLICIES: [&str; 3] = ["heartbeat", "eager", "never"];
 /// on this machine, before the trace subsystem landed. The decoded
 /// column of the JSON record reports the relative change against these —
 /// the "tracing off costs nothing" regression check, now also guarding
-/// the decoded hot loop against slowdowns from the threaded-tier work.
+/// the dispatch loop both compiled tiers share.
 const BASELINE_INSTR_PER_SEC: [(&str, f64); 4] = [
     ("plus-reduce-array", 186_024_958.0),
     ("floyd-warshall-small", 212_638_181.0),
     ("mergesort-uniform", 207_766_463.0),
     ("mandelbrot", 180_049_343.0),
 ];
-
-/// Smoke-mode regression gate: threaded may be at most this much slower
-/// than decoded on `plus-reduce-array` (it should be *faster*; the
-/// slack absorbs shared-runner noise).
-const SMOKE_MAX_THREADED_SLOWDOWN: f64 = 1.10;
 
 fn config() -> SimConfig {
     SimConfig::nautilus(15, 3_000)
@@ -101,9 +95,7 @@ macro_rules! run_engine {
 
 /// One engine-agreement pass over every case and every tier: each
 /// tier's stats must equal the cycle-tick reference's under the bench
-/// configuration. Then the smoke-sized perf gate: threaded must not be
-/// more than [`SMOKE_MAX_THREADED_SLOWDOWN`] slower than decoded on the
-/// flat reduction.
+/// configuration.
 fn check_equivalence() {
     for name in CASES {
         let spec = workload(name)
@@ -144,46 +136,6 @@ fn check_equivalence() {
         "sim_throughput smoke {name}: {} instrs, {} chan pushes, \
          {} blocked attempts, all tiers agree",
         ref_out.stats.instructions, ref_out.stats.chan_pushes, ref_out.stats.chan_blocks
-    );
-
-    // Perf gate, min-of-7 interleaved (same estimator as the JSON
-    // record): a threaded-tier dispatch regression should not hide
-    // behind the equivalence checks.
-    let name = "plus-reduce-array";
-    let spec = workload(name)
-        .expect("known workload")
-        .sim_spec(Scale::Quick);
-    let lowered = lower(&spec.ir, Mode::Heartbeat).unwrap();
-    let mut decoded_ns = u128::MAX;
-    let mut threaded_ns = u128::MAX;
-    for _ in 0..7 {
-        let start = std::time::Instant::now();
-        std::hint::black_box(
-            run_engine!(Sim, lowered, spec, tier_config(ExecTier::Decoded))
-                .stats
-                .instructions,
-        );
-        decoded_ns = decoded_ns.min(start.elapsed().as_nanos());
-        let start = std::time::Instant::now();
-        std::hint::black_box(
-            run_engine!(Sim, lowered, spec, tier_config(ExecTier::Threaded))
-                .stats
-                .instructions,
-        );
-        threaded_ns = threaded_ns.min(start.elapsed().as_nanos());
-    }
-    let ratio = threaded_ns as f64 / decoded_ns.max(1) as f64;
-    println!(
-        "sim_throughput smoke {name}: decoded {decoded_ns} ns, \
-         threaded {threaded_ns} ns ({:.2}x decoded-over-threaded)",
-        1.0 / ratio
-    );
-    assert!(
-        ratio <= SMOKE_MAX_THREADED_SLOWDOWN,
-        "{name}: threaded tier is {:.0}% slower than decoded \
-         (gate: {:.0}%)",
-        (ratio - 1.0) * 100.0,
-        (SMOKE_MAX_THREADED_SLOWDOWN - 1.0) * 100.0
     );
 }
 

@@ -33,6 +33,13 @@
 //! reference semantics; the differential suites in `tpal-sim` and the
 //! `decoded_prop` property test hold the two bit-identical.
 //!
+//! On top of the decoded stream, `decoded::templates` installs two loop-level
+//! superinstructions — whole reduce and guarded-update loops run from one
+//! dispatch — which is what [`crate::ThreadedProgram::compile`] adds to
+//! [`DecodedProgram::decode`]. `decode` itself never emits them: its
+//! template-free stream is the oracle the templates are differenced
+//! against.
+//!
 //! Decoding happens strictly *after* validation and is invisible to the
 //! assembler: `asm` prints from [`Instr`], so a parse → print round
 //! trip never observes fusion.
@@ -49,13 +56,17 @@ use crate::machine::step::{eval_binop, exec_plain, RunPause, Stores, TaskState};
 use crate::machine::{MachineError, Value};
 use crate::program::Program;
 
+mod templates;
+
+use templates::{GuardedLoop, ReduceLoop};
+
 /// Funnels a fault off the hot dispatch path: the optimizer moves every
 /// `return Err(cold_fault(..))` out of line, keeping the fall-through
 /// dispatch code dense (faults are exceptional by construction — a
 /// faulting program terminates).
 #[cold]
 #[inline(never)]
-pub(crate) fn cold_fault(e: MachineError) -> MachineError {
+fn cold_fault(e: MachineError) -> MachineError {
     e
 }
 
@@ -63,7 +74,7 @@ pub(crate) fn cold_fault(e: MachineError) -> MachineError {
 /// borrows the file once, keeping its pointer and length in machine
 /// registers across stack and heap stores).
 #[inline(always)]
-pub(crate) fn rread(regs: &[Value], r: Reg) -> Result<Value, MachineError> {
+fn rread(regs: &[Value], r: Reg) -> Result<Value, MachineError> {
     match regs[r.index()] {
         Value::Uninit => Err(MachineError::UninitRegister { reg: r }),
         v => Ok(v),
@@ -72,13 +83,13 @@ pub(crate) fn rread(regs: &[Value], r: Reg) -> Result<Value, MachineError> {
 
 /// Reads a stack pointer from the borrowed register slice.
 #[inline(always)]
-pub(crate) fn rstack(regs: &[Value], r: Reg) -> Result<StackRef, MachineError> {
+fn rstack(regs: &[Value], r: Reg) -> Result<StackRef, MachineError> {
     rread(regs, r)?.as_stack()
 }
 
 /// Sentinel in the `pc_of` table: this source instruction is in the
 /// interior of a fused micro-op (not a dispatch point).
-pub(crate) const MID: u32 = u32::MAX;
+const MID: u32 = u32::MAX;
 
 /// An operand with its immediate pre-resolved (kept as the raw payload
 /// rather than a [`Value`] so the enum stays 16 bytes; the `Value` is
@@ -95,7 +106,7 @@ pub(crate) enum Src {
 
 impl Src {
     #[inline(always)]
-    pub(crate) fn eval(self, regs: &[Value]) -> Result<Value, MachineError> {
+    fn eval(self, regs: &[Value]) -> Result<Value, MachineError> {
         match self {
             Src::Reg(r) => rread(regs, r),
             Src::Int(n) => Ok(Value::Int(n)),
@@ -126,7 +137,7 @@ pub(crate) enum IntSrc {
 
 impl IntSrc {
     #[inline(always)]
-    pub(crate) fn eval(self, regs: &[Value]) -> Result<i64, MachineError> {
+    fn eval(self, regs: &[Value]) -> Result<i64, MachineError> {
         match self {
             IntSrc::Reg(r) => rread(regs, r)?.as_int(),
             IntSrc::Imm(n) => Ok(n),
@@ -152,7 +163,7 @@ impl IntSrc {
 /// path. Falls back to [`eval_binop`] for everything else — semantics
 /// (including faults) are unchanged.
 #[inline(always)]
-pub(crate) fn eval_binop_fast(op: BinOp, l: Value, r: Value) -> Result<Value, MachineError> {
+fn eval_binop_fast(op: BinOp, l: Value, r: Value) -> Result<Value, MachineError> {
     if let (Value::Int(a), Value::Int(b)) = (l, r) {
         match op {
             BinOp::Lt => return Ok(Value::Int(if a < b { 0 } else { 1 })),
@@ -277,11 +288,24 @@ pub(crate) enum UOp {
         rhs: Src,
         taken: u32,
     },
+    /// A whole reduce loop installed over its loop-head
+    /// [`UOp::CmpBranchBranch`] (see [`templates`]): commits whole
+    /// iterations, then executes the head compare. Carries only the
+    /// index of its roster in [`DecodedProgram::reduce`], so the
+    /// micro-op stride does not grow.
+    ReduceLoop { t: u32 },
+    /// A whole guarded-update loop, likewise; roster in
+    /// [`DecodedProgram::guarded`].
+    GuardedLoop { t: u32 },
     /// `halt`, `fork`, `join`, `jralloc`, `snew`, or `halloc`: a
     /// scheduling or allocation boundary, never executed here — the
     /// caller runs it with [`crate::machine::step_task`].
     Boundary,
 }
+
+// The fetch side of dispatch is one indexed load of this stride; the
+// template variants exist as table indices so it stays there.
+const _: () = assert!(std::mem::size_of::<UOp>() <= 56);
 
 /// The source provenance of one micro-op: the block and the contiguous
 /// instruction range `[instr, instr + len)` it covers.
@@ -313,14 +337,14 @@ pub struct DecodedProgram {
     /// `prppt` entry flag per micro-op: true iff this micro-op starts a
     /// promotion-ready block (parallel to `uops`; decode-time input to
     /// `watch_uops`, kept for introspection and tests).
-    pub(crate) prppt_entry: Vec<bool>,
+    prppt_entry: Vec<bool>,
     /// Every instruction of the program, block-major (the stepwise
     /// fallback executes from here when a quantum splits a fused op).
-    pub(crate) flat: Vec<Instr>,
+    flat: Vec<Instr>,
     /// Per block (label index): base of its instructions in `flat`.
-    pub(crate) instr_base: Vec<u32>,
+    instr_base: Vec<u32>,
     /// Per block: micro-op index of its entry.
-    pub(crate) block_entry: Vec<u32>,
+    block_entry: Vec<u32>,
     /// Per flat instruction index: the micro-op starting there, or
     /// [`MID`] if it is interior to a fused micro-op.
     pub(crate) pc_of: Vec<u32>,
@@ -329,7 +353,13 @@ pub struct DecodedProgram {
     pub(crate) handlers: Vec<Option<Label>>,
     /// Per block: unit cost weight (its instruction count — every
     /// instruction weighs 1 in the cost semantics).
-    pub(crate) weights: Vec<u32>,
+    weights: Vec<u32>,
+    /// Rosters of the installed [`UOp::ReduceLoop`] templates (empty as
+    /// decoded).
+    pub(crate) reduce: Vec<ReduceLoop>,
+    /// Rosters of the installed [`UOp::GuardedLoop`] templates (empty as
+    /// decoded).
+    pub(crate) guarded: Vec<GuardedLoop>,
 }
 
 /// Length of the fused run starting at `i` in a block's instruction
@@ -531,6 +561,8 @@ impl DecodedProgram {
             pc_of,
             handlers,
             weights,
+            reduce: Vec::new(),
+            guarded: Vec::new(),
         }
     }
 
@@ -799,6 +831,38 @@ impl DecodedProgram {
                     break;
                 }};
             }
+            // The fused loop-head block (compare + branch + jump): 2
+            // steps taken, 3 on the fall-through exit. Shared by the
+            // plain arm and the loop templates installed over it.
+            macro_rules! loop_head {
+                ($dst:expr, $op:expr, $lhs:expr, $rhs:expr, $taken:expr, $fallthrough:expr) => {{
+                    if remaining < 3 {
+                        split!();
+                    }
+                    let l = part!(1, rread(regs, $lhs));
+                    let r = part!(1, $rhs.eval(regs));
+                    let v = part!(1, eval_binop_fast($op, l, r));
+                    regs[$dst.index()] = v;
+                    if v.is_true() {
+                        remaining -= 2;
+                        pc = $taken as usize;
+                    } else {
+                        remaining -= 3;
+                        pc = $fallthrough as usize;
+                    }
+                }};
+            }
+            macro_rules! template {
+                ($roster:expr) => {{
+                    let roster = &$roster;
+                    remaining -= roster.run(regs, hwords, remaining);
+                    if remaining == 0 {
+                        continue;
+                    }
+                    let h = roster.head;
+                    loop_head!(h.dst, h.op, h.lhs, Src::Reg(h.rhs), h.taken, h.fallthrough)
+                }};
+            }
             loop {
                 if remaining == 0 {
                     *steps = max_steps;
@@ -1020,22 +1084,16 @@ impl DecodedProgram {
                         rhs,
                         taken,
                         fallthrough,
-                    } => {
-                        if remaining < 3 {
-                            split!();
-                        }
-                        let l = part!(1, rread(regs, lhs));
-                        let r = part!(1, rhs.eval(regs));
-                        let v = part!(1, eval_binop_fast(op, l, r));
-                        regs[dst.index()] = v;
-                        if v.is_true() {
-                            remaining -= 2;
-                            pc = taken as usize;
-                        } else {
-                            remaining -= 3;
-                            pc = fallthrough as usize;
-                        }
-                    }
+                    } => loop_head!(dst, op, lhs, rhs, taken, fallthrough),
+                    // Loop templates: commit the whole iterations the
+                    // budget covers out of line, then run the head as the
+                    // plain `CmpBranchBranch` it replaced — which exits
+                    // the loop, or enters an iteration the template would
+                    // not commit (quantum, heap edge, non-int operand)
+                    // through ordinary dispatch. A budget spent exactly
+                    // pauses at the head via the check above.
+                    UOp::ReduceLoop { t } => template!(self.reduce[t as usize]),
+                    UOp::GuardedLoop { t } => template!(self.guarded[t as usize]),
                     UOp::OpJump {
                         dst,
                         op,

@@ -4,7 +4,7 @@
 //!
 //! The three tiers are bit-identical in observable behaviour — same
 //! step and cycle accounting, same pause points, same fault positions —
-//! and differ only in dispatch cost:
+//! and differ only in speed:
 //!
 //! * [`ExecTier::Reference`] — the specification interpreter
 //!   ([`crate::machine::run_task_until`]): one `match` over
@@ -14,12 +14,14 @@
 //!   ([`crate::decoded::DecodedProgram`]): operands resolved at decode
 //!   time, hot multi-instruction shapes fused into superinstructions,
 //!   dispatched by a `match` over the micro-op enum.
-//! * [`ExecTier::Threaded`] — the threaded-code tier
-//!   ([`crate::threaded::ThreadedProgram`]): each micro-op span lowered
-//!   to a pre-bound handler function pointer with a fixed-layout
-//!   operand payload, so the execute loop is an indirect call per
-//!   dispatch with no opcode decode or operand indexing. Fastest; the
-//!   default.
+//! * [`ExecTier::Threaded`] — the same micro-op stream and the same
+//!   loop with the reduce and guarded-update **loop templates**
+//!   installed ([`crate::threaded::ThreadedProgram`]): a recognised
+//!   whole loop runs from one dispatch. Level with `Decoded` where no
+//!   template applies, an order of magnitude faster where one does; the
+//!   default. (The name predates the merge of the two tiers' loops and
+//!   goes with the next benchmark change; `Decoded` stays as the
+//!   template-free oracle.)
 //!
 //! Equivalence across the tiers is enforced by three-way differential
 //! suites (`engine_equivalence`, `decoded_prop`, `threaded_quantum`).
@@ -37,7 +39,7 @@ pub enum ExecTier {
     Reference,
     /// Pre-decoded micro-ops with fused superinstructions.
     Decoded,
-    /// Direct-dispatch threaded code over pre-bound handler pointers (default).
+    /// Decoded micro-ops plus whole-loop templates (default).
     #[default]
     Threaded,
 }
@@ -64,7 +66,7 @@ impl ExecTier {
         }
     }
 
-    /// All tiers, in increasing order of dispatch sophistication.
+    /// All tiers, slowest first.
     pub const ALL: [ExecTier; 3] = [ExecTier::Reference, ExecTier::Decoded, ExecTier::Threaded];
 }
 
@@ -83,10 +85,10 @@ impl std::fmt::Display for ExecTier {
 pub enum ExecBackend {
     /// No pre-compilation; quanta run through the specification interpreter.
     Reference,
-    /// Pre-decoded micro-op stream (boxed, same as `Threaded`).
+    /// Pre-decoded micro-op stream (boxed: its tables are built once per
+    /// program and the enum stays one word wide).
     Decoded(Box<DecodedProgram>),
-    /// Threaded-code handler stream (boxed: the handler tables make
-    /// it the largest variant by far, and it is built once per program).
+    /// The same stream with loop templates installed.
     Threaded(Box<ThreadedProgram>),
 }
 

@@ -1,13 +1,13 @@
 //! Property tests of the compiled executors: on randomly generated
-//! valid programs, the decoded micro-op tier **and** the threaded-code
-//! tier must reach exactly the same final state as the reference
+//! valid programs, the decoded micro-op stream **and** the templated
+//! one must reach exactly the same final state as the reference
 //! interpreter ([`run_task_until`] / [`step_task`]) — same final
 //! registers, same heap checksum, same cycle count, and, when the
 //! program faults, the same [`MachineError`] at the same task position.
 //! The generator deliberately produces division-by-zero,
 //! uninitialised-register, heap-range, and stack-fault paths, and the
 //! compiled tiers are driven with adversarial quantum chunkings so
-//! fused micro-ops and merged threaded spans are split mid-way.
+//! fused micro-ops are split mid-way.
 
 use proptest::prelude::*;
 
@@ -271,7 +271,7 @@ proptest! {
             let whole = drive(&p, &backend, &[u64::MAX]);
             prop_assert_eq!(&reference, &whole, "{} whole", tier);
             // Adversarially chunked compiled run (splits fused
-            // micro-ops and merged spans).
+            // micro-ops).
             let sliced = drive(&p, &backend, &chunks);
             prop_assert_eq!(&reference, &sliced, "{} sliced", tier);
         }

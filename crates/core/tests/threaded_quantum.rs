@@ -1,11 +1,10 @@
-//! Quantum-split edge cases of the threaded tier.
+//! Quantum-split edge cases of the loop templates.
 //!
-//! The threaded compiler merges adjacent micro-ops into multi-step
-//! dispatches (ALU pairs, load+accumulate, op-op-heap triples) and
-//! installs a whole-loop template on reduce-shaped loops, so a quantum
-//! boundary can land *inside* a merged span far more often than on the
-//! decoded tier. This suite drives reduce-loop programs — the shape
-//! with the deepest merging — chunk by chunk under adversarial quanta
+//! The fast tier installs a whole-loop template on reduce- and
+//! guarded-update-shaped loops, which commits many iterations per
+//! dispatch, so a quantum boundary lands *inside* a template far more
+//! often than inside a fused micro-op. This suite drives such loop
+//! programs chunk by chunk under adversarial quanta
 //! (1, 2, small primes, exact-fusion-boundary multiples), asserting
 //! **per-chunk** three-way equality of `(steps, pause)`, task position,
 //! and cycle count between the reference interpreter, the decoded tier,
@@ -20,9 +19,8 @@ use tpal_core::program::{Program, ProgramBuilder};
 use tpal_core::tier::{ExecBackend, ExecTier};
 
 /// A reduce loop with a configurable accumulate operator and a
-/// `pairs`-long straight-line prologue of specialised ALU ops (which
-/// the threaded tier merges two at a time, so odd quantum remainders
-/// land mid-span).
+/// `pairs`-long straight-line prologue of specialised ALU ops (so the
+/// quantum reaches the loop head at every remainder).
 fn reduce_program(cmp: BinOp, acc_op: BinOp, pairs: usize) -> Program {
     let mut b = ProgramBuilder::new();
     let (i, n, a, w, acc, t) = (
@@ -125,7 +123,7 @@ proptest! {
 
     /// Per-chunk three-way agreement on reduce loops: steps, pause (or
     /// fault, with its position), cycles, and final registers, under
-    /// quanta that slice merged spans and the loop template at every
+    /// quanta that slice fused micro-ops and the loop template at every
     /// offset. `n > len` runs fault on a heap load mid-template.
     #[test]
     fn threaded_quantum_splits_match(
@@ -186,8 +184,8 @@ proptest! {
 }
 
 /// The guarded-update shape (Floyd–Warshall relaxation): two strided
-/// loads, a compare, and a conditional store-back, all merged into a
-/// whole-loop template by the threaded tier.
+/// loads, a compare, and a conditional store-back, which the fast tier
+/// runs as a whole-loop template.
 fn guarded_program() -> Program {
     let mut b = ProgramBuilder::new();
     let (j, n, ra, rb, stride, hb, dd) = (

@@ -9,7 +9,8 @@
 //! signal-at-prppt semantics the paper obtains with rollforward
 //! compilation. Straight-line stretches run through the configured
 //! execution tier ([`RtConfig::exec_tier`]): reference, decoded
-//! micro-ops, or threaded code, all bit-identical in outcome.
+//! micro-ops, or decoded micro-ops plus loop templates, all bit-identical
+//! in outcome.
 //!
 //! Task management is deliberately local (a FIFO of ready tasks on the
 //! interpreting worker, as in [`tpal_core::machine::Machine`]): TPAL

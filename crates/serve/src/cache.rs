@@ -1,14 +1,14 @@
-//! The content-hash-keyed decode cache: validate + decode +
-//! threaded-compile each distinct program **once**, serve every later
-//! run from the compiled artifact.
+//! The content-hash-keyed decode cache: validate and compile (decode +
+//! install loop templates) each distinct program **once**, serve every
+//! later run from the compiled artifact.
 //!
 //! Concurrency discipline: the outer map is held only long enough to
 //! clone an `Arc` slot; compilation itself runs inside the slot's
 //! `OnceLock`, so N racing submitters of the same new program perform
 //! exactly one parse/validate (the others block on the lock and share
 //! the result). Per-tier backends compile lazily under their own
-//! `OnceLock`s — a program served only on the threaded tier never pays
-//! the decoded tier's compile. Failed compilations are cached too:
+//! `OnceLock`s — a program served only on the default tier never pays
+//! for a second compiled copy. Failed compilations are cached too:
 //! resubmitting a broken program costs a hash lookup, not a re-parse.
 //!
 //! The cache holds at most [`CAPACITY`] programs. Beyond that each new
@@ -85,11 +85,11 @@ impl CachedProgram {
     }
 }
 
-/// Programs the cache keeps resident: about 29 KB each for a
-/// request-sized program on one tier (83 instructions: 6.6 KB of
-/// program, 22 KB of threaded code; 43 KB once the decoded tier is
-/// compiled too), so tens of megabytes at most, and orders of magnitude
-/// above any one tenant's working set.
+/// Programs the cache keeps resident: about 20 KB each for a
+/// request-sized program on one tier (83 instructions: 6 KB of program,
+/// 14 KB of micro-ops and their side tables; 34 KB once a second
+/// compiled tier is requested too), so tens of megabytes at most, and
+/// orders of magnitude above any one tenant's working set.
 pub const CAPACITY: usize = 1024;
 
 /// One cache slot: the once-only compilation result for a content hash.

@@ -23,14 +23,17 @@
 //!
 //! Only `source` is required: everything else defaults to a
 //! single-core simulator run of a TPAL-assembly program with the
-//! service defaults. Integer fields accept either JSON numbers or
-//! decimal strings (`"seed": "18446744073709551615"`), since u64 values
-//! beyond 2⁵³ cannot travel exactly as JSON numbers through an f64
-//! reader.
+//! service defaults; a field of the wrong JSON type is an error naming
+//! it, never a silent default. Integer fields accept either JSON numbers
+//! or decimal strings (`"seed": "18446744073709551615"`): JSON numbers
+//! are read as `f64`, which carries integers exactly only up to ±2⁵³, so
+//! a number beyond that (or with a fraction or an exponent that leaves
+//! the target type) is rejected with a pointer to the string form rather
+//! than rounded.
 
 use tpal_core::tier::ExecTier;
 use tpal_sched::{HeartbeatSource, Policy};
-use tpal_trace::json::{escape, parse, Json};
+use tpal_trace::json::{escape, parse_exact, Json};
 
 use crate::engine::RunInclude;
 use crate::spec::{ProgramSrc, RunSpec, Substrate};
@@ -50,10 +53,11 @@ pub struct RunRequest {
 ///
 /// # Errors
 ///
-/// A description of the malformation: bad JSON, missing `source`,
-/// unknown substrate/tier/policy names, or out-of-range integers.
+/// A description of the malformation: bad JSON, missing `source`, a
+/// field of the wrong type, unknown substrate/tier/policy names, or
+/// integers a JSON number cannot carry exactly.
 pub fn parse_run_request(body: &str) -> Result<RunRequest, String> {
-    let doc = parse(body).map_err(|e| format!("request body: {e}"))?;
+    let doc = parse_exact(body).map_err(|e| format!("request body: {e}"))?;
     if !matches!(doc, Json::Obj(_)) {
         return Err("request body must be a JSON object".to_owned());
     }
@@ -62,38 +66,32 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, String> {
         .and_then(Json::as_str)
         .ok_or_else(|| "request needs a string `source` field".to_owned())?
         .to_owned();
-    let ir = match doc.get("ir") {
-        None | Some(Json::Bool(false)) => false,
-        Some(Json::Bool(true)) => true,
-        Some(_) => return Err("`ir` must be a boolean".to_owned()),
+    let src = ProgramSrc {
+        source,
+        ir: opt_bool(&doc, "ir")?,
+        mode: opt_str(&doc, "mode")?.unwrap_or("heartbeat").to_owned(),
     };
-    let mode = match doc.get("mode") {
-        None => "heartbeat".to_owned(),
-        Some(Json::Str(s)) => s.clone(),
-        Some(_) => return Err("`mode` must be a string".to_owned()),
-    };
-    let src = ProgramSrc { source, ir, mode };
 
-    let substrate = match doc.get("substrate").and_then(Json::as_str) {
+    let substrate = match opt_str(&doc, "substrate")? {
         None | Some("sim") => Substrate::Sim {
             cores: opt_u64(&doc, "cores")?.unwrap_or(1) as usize,
-            linux: doc.get("linux") == Some(&Json::Bool(true)),
+            linux: opt_bool(&doc, "linux")?,
         },
         Some("rt") => Substrate::Rt {
             workers: opt_u64(&doc, "workers")?.unwrap_or(2) as usize,
         },
         Some(other) => return Err(format!("unknown substrate `{other}` (sim|rt)")),
     };
-    let policy = match doc.get("policy").and_then(Json::as_str) {
+    let policy = match opt_str(&doc, "policy")? {
         Some(label) => Policy::parse(label).map_err(|e| format!("`policy`: {e}"))?,
         None => match substrate {
             Substrate::Sim { .. } => Policy::default(),
             Substrate::Rt { .. } => Policy::parse("heartbeat/sequence").expect("static label"),
         },
     };
-    let source = match doc.get("heartbeat_source") {
+    let source = match opt_str(&doc, "heartbeat_source")? {
         None => HeartbeatSource::LocalTimer,
-        Some(Json::Str(label)) => {
+        Some(label) => {
             if matches!(substrate, Substrate::Sim { .. }) {
                 return Err(
                     "`heartbeat_source` needs the rt substrate (the simulator models \
@@ -105,9 +103,8 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, String> {
                 format!("unknown heartbeat_source `{label}` (ping|local-timer|signal)")
             })?
         }
-        Some(_) => return Err("`heartbeat_source` must be a string".to_owned()),
     };
-    let tier = match doc.get("tier").and_then(Json::as_str) {
+    let tier = match opt_str(&doc, "tier")? {
         Some(label) => ExecTier::parse(label)
             .ok_or_else(|| format!("unknown tier `{label}` (ref|decoded|threaded)"))?,
         None => ExecTier::default(),
@@ -118,7 +115,7 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, String> {
         Some(Json::Obj(m)) => {
             for (name, v) in m {
                 let v = match v {
-                    Json::Num(n) if n.fract() == 0.0 => *n as i64,
+                    Json::Num(n) => exact_int(*n).map_err(|e| format!("set `{name}`: {e}"))?,
                     Json::Str(s) => s.parse::<i64>().map_err(|e| format!("set `{name}`: {e}"))?,
                     _ => return Err(format!("set `{name}` must be an integer")),
                 };
@@ -157,17 +154,58 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, String> {
     Ok(RunRequest { src, spec, include })
 }
 
+/// Reads an optional string field; any other JSON type is an error.
+fn opt_str<'a>(doc: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
+    match doc.get(key) {
+        None => Ok(None),
+        Some(Json::Str(s)) => Ok(Some(s)),
+        Some(_) => Err(format!("`{key}` must be a string")),
+    }
+}
+
+/// Reads an optional boolean field (absent = `false`); any other JSON
+/// type is an error.
+fn opt_bool(doc: &Json, key: &str) -> Result<bool, String> {
+    match doc.get(key) {
+        None => Ok(false),
+        Some(Json::Bool(b)) => Ok(*b),
+        Some(_) => Err(format!("`{key}` must be a boolean")),
+    }
+}
+
 /// Reads an optional non-negative integer field, accepting either a
-/// JSON number (if integral) or a decimal string.
+/// JSON number (if it is an integer `f64` carries exactly) or a decimal
+/// string.
 fn opt_u64(doc: &Json, key: &str) -> Result<Option<u64>, String> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u64)),
+        Some(Json::Num(n)) => match exact_int(*n) {
+            Ok(v) => u64::try_from(v)
+                .map(Some)
+                .map_err(|_| format!("`{key}` must be a non-negative integer")),
+            Err(e) => Err(format!("`{key}`: {e}")),
+        },
         Some(Json::Str(s)) => s
             .parse::<u64>()
             .map(Some)
             .map_err(|e| format!("`{key}`: {e}")),
         Some(_) => Err(format!("`{key}` must be a non-negative integer")),
+    }
+}
+
+/// The integer a JSON number denotes, if `f64` carries it exactly:
+/// integral and within ±2⁵³. ([`parse_exact`] has already refused
+/// integer *literals* beyond that range, which the `f64` reader would
+/// have rounded into it; this catches `1e300` and `1.5`.)
+fn exact_int(n: f64) -> Result<i64, String> {
+    const LIMIT: f64 = (1u64 << 53) as f64;
+    if n.fract() == 0.0 && n.abs() <= LIMIT {
+        Ok(n as i64)
+    } else {
+        Err(format!(
+            "{n} is not an integer a JSON number carries exactly (|n| <= 2^53); \
+             send larger values as a decimal string"
+        ))
     }
 }
 
@@ -228,6 +266,92 @@ mod tests {
             vec![("m".to_owned(), -3), ("n".to_owned(), 7)],
             "sets are canonicalized (sorted)"
         );
+    }
+
+    /// A field of the wrong JSON type is an error naming it, never the
+    /// default configuration.
+    #[test]
+    fn wrong_typed_fields_name_the_field() {
+        for (field, value) in [
+            ("ir", "1"),
+            ("mode", "7"),
+            ("substrate", r#"["rt"]"#),
+            ("linux", r#""true""#),
+            ("policy", "null"),
+            ("tier", "3"),
+            ("heartbeat_source", "7"),
+            ("sets", "[]"),
+            ("include", r#""trace""#),
+            ("cores", "true"),
+            ("seed", "[1]"),
+        ] {
+            // `heartbeat_source` is read on the rt substrate only.
+            let rt = if field == "heartbeat_source" {
+                r#""substrate": "rt", "#
+            } else {
+                ""
+            };
+            let body = format!(r#"{{"source": "x", {rt}"{field}": {value}}}"#);
+            let e = parse_run_request(&body).unwrap_err();
+            assert!(e.contains(&format!("`{field}`")), "{body}: {e}");
+        }
+        assert!(parse_run_request(r#"{"source": "x", "linux": true}"#).is_ok());
+    }
+
+    /// JSON numbers are accepted exactly as far as `f64` carries them:
+    /// 2^53 in, 2^53 + 1 and exponent forms beyond the type out, and the
+    /// same value as a decimal string in.
+    #[test]
+    fn integers_arrive_exactly_or_not_at_all() {
+        const P53: u64 = 1 << 53;
+        let req = |field: &str, value: &str| {
+            let body = if field == "n" {
+                format!(r#"{{"source": "x", "sets": {{"n": {value}}}}}"#)
+            } else {
+                format!(r#"{{"source": "x", "{field}": {value}}}"#)
+            };
+            parse_run_request(&body)
+        };
+        for field in ["cores", "heartbeat", "seed", "step_limit", "n"] {
+            let get = |r: RunRequest| -> u64 {
+                match field {
+                    "cores" => match r.spec.substrate {
+                        Substrate::Sim { cores, .. } => cores as u64,
+                        Substrate::Rt { .. } => unreachable!(),
+                    },
+                    "heartbeat" => r.spec.heartbeat.unwrap(),
+                    "seed" => r.spec.seed,
+                    "step_limit" => r.spec.step_limit.unwrap(),
+                    _ => r.spec.sets[0].1 as u64,
+                }
+            };
+            assert_eq!(get(req(field, &P53.to_string()).unwrap()), P53, "{field}");
+            let e = req(field, &(P53 + 1).to_string()).unwrap_err();
+            assert!(e.contains("decimal string"), "{field}: {e}");
+            let quoted = format!("\"{}\"", P53 + 1);
+            assert_eq!(get(req(field, &quoted).unwrap()), P53 + 1, "{field}");
+            for inexact in ["1e300", "1e30", "1.5"] {
+                let e = req(field, inexact).unwrap_err();
+                assert!(e.contains("decimal string"), "{field} = {inexact}: {e}");
+            }
+        }
+        // Signed range for `sets`, unsigned for the rest.
+        assert_eq!(
+            req("n", &format!("-{P53}")).unwrap().spec.sets[0].1,
+            -(P53 as i64)
+        );
+        assert!(req("n", &format!("-{}", P53 + 1)).is_err());
+        assert_eq!(
+            req("n", "\"-9223372036854775808\"").unwrap().spec.sets[0].1,
+            i64::MIN
+        );
+        assert!(req("seed", "-1").unwrap_err().contains("non-negative"));
+        assert_eq!(
+            req("seed", "\"18446744073709551615\"").unwrap().spec.seed,
+            u64::MAX
+        );
+        let rt = r#"{"source": "x", "substrate": "rt", "workers": 1e30}"#;
+        assert!(parse_run_request(rt).unwrap_err().contains("`workers`"));
     }
 
     #[test]

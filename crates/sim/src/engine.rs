@@ -6,8 +6,8 @@
 //! by `(time, phase, core)`, and between scheduling-relevant boundaries
 //! each core executes whole *runs* of straight-line instructions in one
 //! [`ExecBackend::run_until`] call over the configured execution tier
-//! (reference, decoded micro-ops, or threaded code — compiled once per
-//! [`Sim`] and shared by every core and task, see
+//! (reference, decoded micro-ops, or those plus loop templates —
+//! compiled once per [`Sim`] and shared by every core and task, see
 //! [`SimConfig::exec_tier`]) instead of one `step_task` round-trip per
 //! cycle.
 //! Simulated time jumps from event to event, so the cost of a run is

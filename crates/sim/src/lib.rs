@@ -63,7 +63,7 @@ pub use engine_ref::SimRef;
 // RNG) live in the shared policy kernel; re-exported here so simulator
 // users need not depend on `tpal-sched` directly.
 pub use timeline::{Activity, Bucket, Timeline};
-// The execution tier (reference / decoded / threaded interpreter)
+// The execution tier (reference / decoded / decoded + loop templates)
 // selected via `SimConfig::exec_tier`; re-exported for the same reason.
 pub use tpal_core::tier::ExecTier;
 pub use tpal_sched::{InterruptModel, Policy, Promotion, SplitMix64, Victim};

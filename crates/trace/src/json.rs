@@ -71,14 +71,18 @@ struct Parser<'a> {
     peeked: Option<char>,
     /// Characters consumed (for error positions).
     pos: usize,
+    /// Refuse integer literals beyond ±2⁵³ instead of rounding them
+    /// ([`parse_exact`]).
+    exact_ints: bool,
 }
 
 impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
+    fn new(s: &'a str, exact_ints: bool) -> Parser<'a> {
         Parser {
             chars: s.chars(),
             peeked: None,
             pos: 0,
+            exact_ints,
         }
     }
 
@@ -171,9 +175,21 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(&format!("bad number `{text}`")))
+        let n = text
+            .parse::<f64>()
+            .map_err(|_| self.err(&format!("bad number `{text}`")))?;
+        if self.exact_ints && !text.contains(['.', 'e', 'E']) {
+            let exact = text
+                .parse::<i128>()
+                .is_ok_and(|i| i.unsigned_abs() <= 1 << 53);
+            if !exact {
+                return Err(self.err(&format!(
+                    "integer `{text}` is beyond +-2^53, the range a JSON number carries \
+                     exactly; send it as a decimal string (\"{text}\")"
+                )));
+            }
+        }
+        Ok(Json::Num(n))
     }
 
     fn value(&mut self) -> Result<Json, String> {
@@ -232,7 +248,20 @@ impl<'a> Parser<'a> {
 /// Parses one JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 pub fn parse(s: &str) -> Result<Json, String> {
-    let mut p = Parser::new(s);
+    parse_with(s, false)
+}
+
+/// [`parse`] for documents whose integers must arrive as written: an
+/// integer literal beyond ±2⁵³ — where the `f64` behind [`Json::Num`]
+/// starts rounding to a neighbour — is an error naming the literal, not
+/// a silently different number. Fractions and exponent forms parse as in
+/// [`parse`].
+pub fn parse_exact(s: &str) -> Result<Json, String> {
+    parse_with(s, true)
+}
+
+fn parse_with(s: &str, exact_ints: bool) -> Result<Json, String> {
+    let mut p = Parser::new(s, exact_ints);
     let v = p.value()?;
     p.skip_ws();
     match p.peek() {
@@ -292,6 +321,25 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "nul", "1 2", "\"\\x\""] {
             assert!(parse(bad).is_err(), "{bad:?} should be rejected");
         }
+    }
+
+    /// `parse_exact` differs from `parse` only on integer literals the
+    /// `f64` reader would round.
+    #[test]
+    fn exact_parse_refuses_integers_f64_would_round() {
+        for ok in ["9007199254740992", "-9007199254740992", "[1, 2.5, 1e300]"] {
+            assert_eq!(parse_exact(ok), parse(ok), "{ok}");
+        }
+        for bad in [
+            "9007199254740993",
+            "-9007199254740993",
+            "[18446744073709551615]",
+        ] {
+            assert!(parse(bad).is_ok());
+            let e = parse_exact(bad).unwrap_err();
+            assert!(e.contains("decimal string"), "{bad}: {e}");
+        }
+        assert!(parse_exact("1-2").unwrap_err().contains("bad number"));
     }
 
     #[test]

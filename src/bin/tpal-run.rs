@@ -45,9 +45,9 @@
 //!
 //! `--exec-tier` selects the interpreter tier for straight-line
 //! execution on every substrate: `ref` (the specification interpreter),
-//! `decoded` (pre-decoded micro-ops), or `threaded` (direct-dispatch
-//! threaded code, the default). All tiers are bit-identical in results
-//! and statistics; they differ only in host execution speed.
+//! `decoded` (pre-decoded micro-ops), or `threaded` (the same micro-ops
+//! plus whole-loop templates, the default). All tiers are bit-identical
+//! in results and statistics; they differ only in host execution speed.
 //!
 //! Observability (simulator and native-runtime runs): `--trace
 //! OUT.json` records a structured scheduling trace and writes it as
