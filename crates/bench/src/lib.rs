@@ -13,7 +13,7 @@ use tpal_ir::lower::{lower, Mode};
 use tpal_sim::{Sim, SimConfig, SimOutcome};
 use tpal_workloads::{Scale, SimSpec};
 
-pub use tpal_workloads::{all_workloads, Prepared, Workload};
+pub use tpal_workloads::all_workloads;
 
 /// The scale selected by `TPAL_BENCH_MODE`.
 pub fn scale() -> Scale {
@@ -69,16 +69,6 @@ pub fn run_sim(spec: &SimSpec, mode: Mode, config: SimConfig) -> SimOutcome {
 /// lowering, no interrupts).
 pub fn sim_serial_time(spec: &SimSpec) -> u64 {
     run_sim(spec, Mode::Serial, SimConfig::serial()).time
-}
-
-/// Writes `contents` to `path` atomically: temp file in the same
-/// directory, then rename, so a reader (or an interrupted run) never
-/// observes a half-written record. Used by every bench that persists a
-/// `BENCH_*.json` record at the repo root.
-pub fn write_atomic(path: &str, contents: &str) {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, contents).expect("write bench record temp file");
-    std::fs::rename(&tmp, path).expect("rename bench record into place");
 }
 
 /// Geometric mean of a slice of ratios.

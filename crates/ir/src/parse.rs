@@ -272,9 +272,20 @@ fn out_of_range(line: u32) -> FrontendError {
 
 // ----- parser -----
 
+/// Deepest nesting [`parse_ir`] accepts, counted two ways with one
+/// limit: blocks and sub-expressions open around the current token on
+/// the way down, and the height of each finished expression tree on the
+/// way up (`a + a + …` and `a[0][0]…` nest to the left without opening
+/// anything). The parser, [`lower`](crate::lower::lower) and the tree's
+/// own drop all recurse once per level, on the 2 MiB stacks of the
+/// threads that read untrusted source; the paper suite nests below 10.
+const MAX_NESTING: u32 = 64;
+
 struct P {
     toks: Vec<(Tok, u32)>,
     pos: usize,
+    /// Blocks and sub-expressions open around the current token.
+    depth: u32,
 }
 
 impl P {
@@ -303,6 +314,32 @@ impl P {
             line: self.line(),
             msg: msg.into(),
         }
+    }
+
+    fn too_deep(&self) -> FrontendError {
+        self.err(format!("nesting deeper than {MAX_NESTING}"))
+    }
+
+    /// Runs `f` one nesting level down.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut P) -> Result<T, FrontendError>,
+    ) -> Result<T, FrontendError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// The height of a node over children of height `h`.
+    fn grow(&self, h: u32) -> Result<u32, FrontendError> {
+        if h == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(h + 1)
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -355,15 +392,20 @@ impl P {
     // Precedence climbing. Levels, loosest first:
     // || ; && ; | ; ^ ; & ; == != ; < <= > >= ; << >> ; + - ; * / %
     fn expr(&mut self) -> Result<Expr, FrontendError> {
-        self.binary(0)
+        Ok(self.tree()?.0)
     }
 
-    fn binary(&mut self, level: usize) -> Result<Expr, FrontendError> {
+    /// An expression with the height of its tree.
+    fn tree(&mut self) -> Result<(Expr, u32), FrontendError> {
+        self.nested(|p| p.binary(0))
+    }
+
+    fn binary(&mut self, level: usize) -> Result<(Expr, u32), FrontendError> {
         const LEVELS: usize = 10;
         if level == LEVELS {
             return self.unary();
         }
-        let mut lhs = self.binary(level + 1)?;
+        let (mut lhs, mut height) = self.binary(level + 1)?;
         loop {
             let tok = self.peek().cloned();
             let op: Option<BinOp> = match (level, tok) {
@@ -387,31 +429,33 @@ impl P {
             match op {
                 Some(op) => {
                     self.pos += 1;
-                    let rhs = self.binary(level + 1)?;
+                    let (rhs, rhs_height) = self.binary(level + 1)?;
+                    height = self.grow(height.max(rhs_height))?;
                     lhs = Expr::bin(op, lhs, rhs);
                 }
-                None => return Ok(lhs),
+                None => return Ok((lhs, height)),
             }
         }
     }
 
-    fn unary(&mut self) -> Result<Expr, FrontendError> {
+    fn unary(&mut self) -> Result<(Expr, u32), FrontendError> {
         if self.eat(&Tok::Bang) {
-            return Ok(self.unary()?.not());
+            let (e, height) = self.nested(P::unary)?;
+            return Ok((e.not(), self.grow(height)?));
         }
         if self.eat(&Tok::Op(BinOp::Sub)) {
             // Constant-fold negative literals; otherwise 0 - e.
             if let Some(Tok::Int(n)) = self.peek() {
                 let n = *n;
                 self.pos += 1;
-                return self.postfix(Expr::int(self.literal(n, true)?));
+                return self.postfix(Expr::int(self.literal(n, true)?), 1);
             }
-            let e = self.unary()?;
-            return Ok(Expr::bin(BinOp::Sub, Expr::int(0), e));
+            let (e, height) = self.nested(P::unary)?;
+            return Ok((Expr::bin(BinOp::Sub, Expr::int(0), e), self.grow(height)?));
         }
         let line = self.line();
-        let base = match self.next() {
-            Some(Tok::Int(n)) => Expr::int(self.literal(n, false)?),
+        let (base, height) = match self.next() {
+            Some(Tok::Int(n)) => (Expr::int(self.literal(n, false)?), 1),
             Some(Tok::Ident(name)) => match name.as_str() {
                 "min" | "max" => {
                     let op = if name == "min" {
@@ -420,11 +464,11 @@ impl P {
                         BinOp::Max
                     };
                     self.expect(&Tok::LParen)?;
-                    let a = self.expr()?;
+                    let (a, a_height) = self.tree()?;
                     self.expect(&Tok::Comma)?;
-                    let b = self.expr()?;
+                    let (b, b_height) = self.tree()?;
                     self.expect(&Tok::RParen)?;
-                    Expr::bin(op, a, b)
+                    (Expr::bin(op, a, b), self.grow(a_height.max(b_height))?)
                 }
                 _ => {
                     if self.peek() == Some(&Tok::LParen) {
@@ -433,11 +477,11 @@ impl P {
                              instead of nesting the call in an expression"
                         )));
                     }
-                    Expr::var(name)
+                    (Expr::var(name), 1)
                 }
             },
             Some(Tok::LParen) => {
-                let e = self.expr()?;
+                let e = self.tree()?;
                 self.expect(&Tok::RParen)?;
                 e
             }
@@ -453,28 +497,32 @@ impl P {
                 })
             }
         };
-        self.postfix(base)
+        self.postfix(base, height)
     }
 
-    fn postfix(&mut self, mut e: Expr) -> Result<Expr, FrontendError> {
+    /// The index suffixes of `e`, a tree of height `height`.
+    fn postfix(&mut self, mut e: Expr, mut height: u32) -> Result<(Expr, u32), FrontendError> {
         while self.eat(&Tok::LBracket) {
-            let idx = self.expr()?;
+            let (idx, idx_height) = self.tree()?;
             self.expect(&Tok::RBracket)?;
+            height = self.grow(height.max(idx_height))?;
             e = e.load(idx);
         }
-        Ok(e)
+        Ok((e, height))
     }
 
     fn block(&mut self) -> Result<Vec<Stmt>, FrontendError> {
         self.expect(&Tok::LBrace)?;
-        let mut stmts = Vec::new();
-        while !self.eat(&Tok::RBrace) {
-            if self.peek().is_none() {
-                return Err(self.err("unclosed `{`"));
+        self.nested(|p| {
+            let mut stmts = Vec::new();
+            while !p.eat(&Tok::RBrace) {
+                if p.peek().is_none() {
+                    return Err(p.err("unclosed `{`"));
+                }
+                stmts.push(p.stmt()?);
             }
-            stmts.push(self.stmt()?);
-        }
-        Ok(stmts)
+            Ok(stmts)
+        })
     }
 
     fn call_args(&mut self) -> Result<Vec<Expr>, FrontendError> {
@@ -798,12 +846,17 @@ impl P {
 ///
 /// # Errors
 ///
-/// Returns a [`FrontendError`] on lexical or syntactic faults (semantic
-/// checks — unknown callees, arity, parallel nesting rules — are
-/// reported by [`lower`](crate::lower::lower)).
+/// Returns a [`FrontendError`] on lexical or syntactic faults, and on
+/// blocks, sub-expressions or operator chains nested deeper than 64
+/// (semantic checks — unknown callees, arity, parallel nesting rules —
+/// are reported by [`lower`](crate::lower::lower)).
 pub fn parse_ir(src: &str) -> Result<IrProgram, FrontendError> {
     let toks = lex(src)?;
-    let mut p = P { toks, pos: 0 };
+    let mut p = P {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let mut functions = Vec::new();
     while p.peek().is_some() {
         functions.push(p.function()?);
@@ -870,6 +923,71 @@ mod tests {
             (err.line, err.msg.as_str()),
             (3, "integer literal out of range")
         );
+    }
+
+    /// One `main` around `n` repetitions of each way a program can nest:
+    /// parentheses, `!`, blocks, and the two left-leaning chains that
+    /// open nothing.
+    fn nest(kind: &str, n: usize) -> String {
+        match kind {
+            "paren" => format!(
+                "fn main(x) {{ return {}x{}; }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            ),
+            "bang" => format!("fn main(x) {{ return {}x; }}", "!".repeat(n)),
+            "block" => format!(
+                "fn main(x) {{ {}return x;{} return 0; }}",
+                "if x {\n".repeat(n),
+                " }".repeat(n)
+            ),
+            "chain" => format!("fn main(x) {{ return x{}; }}", " + x".repeat(n)),
+            "index" => format!("fn main(x) {{ return x{}; }}", "[0]".repeat(n)),
+            _ => unreachable!(),
+        }
+    }
+
+    /// At the limit every shape parses and lowers on the smallest stack
+    /// a caller runs on (a spawned thread's 2 MiB); one level more is a
+    /// located error; a megabyte of any of them is that error too, not
+    /// a stack overflow in the parser, the lowering or the tree's drop.
+    #[test]
+    fn nesting_is_bounded() {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                // `main`'s body is one level and the expression itself
+                // another; a chain's height counts its leaf.
+                for (kind, limit) in [
+                    ("paren", 62),
+                    ("bang", 62),
+                    ("block", 62),
+                    ("chain", 63),
+                    ("index", 63),
+                ] {
+                    let ir = parse_ir(&nest(kind, limit)).unwrap_or_else(|e| panic!("{kind}: {e}"));
+                    for mode in [Mode::Serial, Mode::Heartbeat, Mode::Eager { workers: 2 }] {
+                        lower(&ir, mode).unwrap_or_else(|e| panic!("{kind} {mode:?}: {e}"));
+                    }
+                    let e = parse_ir(&nest(kind, limit + 1)).unwrap_err();
+                    assert_eq!(e.msg, "nesting deeper than 64", "{kind}");
+                    // Each `if` of the block shape ends a line; the level
+                    // too many is the `return`'s expression below them.
+                    let line = if kind == "block" { limit as u32 + 2 } else { 1 };
+                    assert_eq!(e.line, line, "{kind}");
+                    let e = parse_ir(&nest(kind, 1 << 20)).unwrap_err();
+                    assert_eq!(e.msg, "nesting deeper than 64", "{kind} flood");
+                }
+                // Siblings do not accumulate.
+                let wide = format!(
+                    "fn main(x) {{ {} return x; }}",
+                    "y = (x) + (x);".repeat(500)
+                );
+                assert!(parse_ir(&wide).is_ok());
+            })
+            .expect("spawn")
+            .join()
+            .expect("no panic, no overflow");
     }
 
     #[test]

@@ -155,7 +155,7 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, String> {
 }
 
 /// Reads an optional string field; any other JSON type is an error.
-fn opt_str<'a>(doc: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
+pub(crate) fn opt_str<'a>(doc: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
     match doc.get(key) {
         None => Ok(None),
         Some(Json::Str(s)) => Ok(Some(s)),
@@ -165,7 +165,7 @@ fn opt_str<'a>(doc: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
 
 /// Reads an optional boolean field (absent = `false`); any other JSON
 /// type is an error.
-fn opt_bool(doc: &Json, key: &str) -> Result<bool, String> {
+pub(crate) fn opt_bool(doc: &Json, key: &str) -> Result<bool, String> {
     match doc.get(key) {
         None => Ok(false),
         Some(Json::Bool(b)) => Ok(*b),
@@ -176,7 +176,7 @@ fn opt_bool(doc: &Json, key: &str) -> Result<bool, String> {
 /// Reads an optional non-negative integer field, accepting either a
 /// JSON number (if it is an integer `f64` carries exactly) or a decimal
 /// string.
-fn opt_u64(doc: &Json, key: &str) -> Result<Option<u64>, String> {
+pub(crate) fn opt_u64(doc: &Json, key: &str) -> Result<Option<u64>, String> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
         Some(Json::Num(n)) => match exact_int(*n) {

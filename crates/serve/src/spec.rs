@@ -14,7 +14,9 @@ use std::fmt;
 
 use tpal_core::tier::ExecTier;
 use tpal_sched::{HeartbeatSource, Policy};
-use tpal_trace::json::{parse, write_escaped, Json};
+use tpal_trace::json::{parse_exact, write_escaped, Json};
+
+use crate::proto::{opt_bool, opt_str, opt_u64};
 
 /// Incremental FNV-1a (64-bit) hasher — the dependency-free content
 /// hash behind the decode cache and replay tokens.
@@ -202,8 +204,9 @@ impl RunSpec {
     }
 
     /// The token's payload: canonical JSON, fields in fixed
-    /// (alphabetical) order; integers that may exceed f64's exact range
-    /// travel as hex/decimal strings.
+    /// (alphabetical) order; integers that exceed f64's exact range
+    /// travel as hex/decimal strings (`hb` only above 2⁵³, so every
+    /// token minted with a smaller ♥ keeps its bytes).
     fn render(&self, out: &mut impl fmt::Write, prog_hash: u64) -> fmt::Result {
         let (sub, cores, linux, workers) = match self.substrate {
             Substrate::Sim { cores, linux } => ("sim", cores, linux, 0),
@@ -211,6 +214,7 @@ impl RunSpec {
         };
         write!(out, "{{\"cores\":{cores},")?;
         match self.heartbeat {
+            Some(hb) if hb > 1 << 53 => write!(out, "\"hb\":\"{hb}\",")?,
             Some(hb) => write!(out, "\"hb\":{hb},")?,
             None => out.write_str("\"hb\":null,")?,
         }
@@ -236,89 +240,83 @@ impl RunSpec {
         write!(out, "\"workers\":{workers}}}")
     }
 
-    /// Decodes a replay token back into `(program hash, spec)`.
+    /// Decodes a replay token back into `(program hash, spec)` — the
+    /// spec it names or an error, never a neighbouring one: a field of
+    /// the wrong JSON type, a fraction, or an integer the payload's
+    /// number form cannot carry exactly is refused by name. (`cores` and
+    /// `workers` are decoded as written; [`Engine`](crate::engine::Engine)
+    /// refuses the ones it cannot run.)
     ///
     /// # Errors
     ///
     /// A description of the malformation: wrong prefix, bad hex, bad
-    /// JSON, or out-of-range fields.
+    /// JSON, or a missing, wrong-typed or out-of-range field.
     pub fn from_token(token: &str) -> Result<(u64, RunSpec), String> {
         let hex = token
             .strip_prefix("r1-")
             .ok_or_else(|| "replay token must start with `r1-`".to_owned())?;
         let bytes = hex_decode(hex)?;
         let body = String::from_utf8(bytes).map_err(|_| "token payload is not UTF-8".to_owned())?;
-        let doc = parse(&body).map_err(|e| format!("token payload: {e}"))?;
+        let doc = parse_exact(&body).map_err(|e| format!("token payload: {e}"))?;
+        let field = |e: String| format!("token field {e}");
         let str_field = |k: &str| -> Result<&str, String> {
-            doc.get(k)
-                .and_then(Json::as_str)
+            opt_str(&doc, k)
+                .map_err(field)?
                 .ok_or_else(|| format!("token missing string field `{k}`"))
         };
-        let num_field = |k: &str| -> Result<u64, String> {
-            let n = doc
-                .get(k)
-                .and_then(Json::as_num)
+        let count_field = |k: &str| -> Result<usize, String> {
+            let n = opt_u64(&doc, k)
+                .map_err(field)?
                 .ok_or_else(|| format!("token missing numeric field `{k}`"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!("token field `{k}` must be a non-negative integer"));
-            }
-            Ok(n as u64)
+            usize::try_from(n).map_err(|_| format!("token field `{k}` out of range"))
         };
         let prog_hash = u64::from_str_radix(str_field("prog")?, 16)
             .map_err(|e| format!("token `prog`: {e}"))?;
         let substrate = match str_field("sub")? {
             "sim" => Substrate::Sim {
-                cores: num_field("cores")?.clamp(1, 1 << 16) as usize,
-                linux: doc.get("linux") == Some(&Json::Bool(true)),
+                cores: count_field("cores")?,
+                linux: opt_bool(&doc, "linux").map_err(field)?,
             },
             "rt" => Substrate::Rt {
-                workers: num_field("workers")?.clamp(1, 1 << 16) as usize,
+                workers: count_field("workers")?,
             },
             other => return Err(format!("token substrate `{other}` unknown")),
-        };
-        let opt_u64 = |k: &str| -> Result<Option<u64>, String> {
-            match doc.get(k) {
-                None | Some(Json::Null) => Ok(None),
-                Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u64)),
-                Some(Json::Str(s)) => s
-                    .parse::<u64>()
-                    .map(Some)
-                    .map_err(|e| format!("token field `{k}`: {e}")),
-                Some(_) => Err(format!("token field `{k}` must be an integer or null")),
-            }
         };
         let policy = Policy::parse(str_field("policy")?)?;
         // Tokens minted before the delivery-source knob existed carry no
         // `hbsrc`; they replay under the historical default.
-        let source = match doc.get("hbsrc") {
-            None | Some(Json::Null) => HeartbeatSource::LocalTimer,
-            Some(Json::Str(s)) => HeartbeatSource::parse(s)
+        let source = match opt_str(&doc, "hbsrc").map_err(field)? {
+            None => HeartbeatSource::LocalTimer,
+            Some(s) => HeartbeatSource::parse(s)
                 .ok_or_else(|| format!("token names an unknown heartbeat source `{s}`"))?,
-            Some(_) => return Err("token field `hbsrc` must be a string".to_owned()),
         };
         let tier = ExecTier::parse(str_field("tier")?)
             .ok_or_else(|| "token names an unknown exec tier".to_owned())?;
         let seed = u64::from_str_radix(str_field("seed")?, 16)
             .map_err(|e| format!("token `seed`: {e}"))?;
         let mut sets = Vec::new();
-        if let Some(Json::Obj(m)) = doc.get("sets") {
-            for (name, v) in m {
-                let v = v
-                    .as_str()
-                    .ok_or_else(|| "token set values must be strings".to_owned())?
-                    .parse::<i64>()
-                    .map_err(|e| format!("token set `{name}`: {e}"))?;
-                sets.push((name.clone(), v));
+        match doc.get("sets") {
+            None => {}
+            Some(Json::Obj(m)) => {
+                for (name, v) in m {
+                    let v = v
+                        .as_str()
+                        .ok_or_else(|| format!("token set `{name}` must be a decimal string"))?
+                        .parse::<i64>()
+                        .map_err(|e| format!("token set `{name}`: {e}"))?;
+                    sets.push((name.clone(), v));
+                }
             }
+            Some(_) => return Err("token field `sets` must be an object".to_owned()),
         }
         let mut spec = RunSpec {
             substrate,
-            heartbeat: opt_u64("hb")?,
+            heartbeat: opt_u64(&doc, "hb").map_err(field)?,
             policy,
             source,
             tier,
             seed,
-            step_limit: opt_u64("sl")?,
+            step_limit: opt_u64(&doc, "sl").map_err(field)?,
             sets,
         };
         spec.canonicalize();
@@ -455,13 +453,135 @@ mod tests {
         // A pre-source token: the spec's own token with `hbsrc` edited
         // out, as a token minted by an older server would look.
         let spec = RunSpec::rt(2).set("n", 10);
-        let body = String::from_utf8(hex_decode(&spec.token(7)["r1-".len()..]).unwrap()).unwrap();
-        let legacy = body.replace("\"hbsrc\":\"local-timer\",", "");
-        assert_ne!(legacy, body, "the edit must remove the field");
-        let token = format!("r1-{}", hex_encode(legacy.as_bytes()));
+        let token = edited_token(&spec, "\"hbsrc\":\"local-timer\",", "");
         let (_, decoded) = RunSpec::from_token(&token).unwrap();
         assert_eq!(decoded.source, HeartbeatSource::LocalTimer);
         assert_eq!(decoded, spec);
+    }
+
+    /// The payload of `spec`'s token with one edit, re-armoured.
+    fn edited_token(spec: &RunSpec, from: &str, to: &str) -> String {
+        let body = String::from_utf8(hex_decode(&spec.token(7)["r1-".len()..]).unwrap()).unwrap();
+        let edited = body.replace(from, to);
+        assert_ne!(edited, body, "`{from}` must occur in {body}");
+        format!("r1-{}", hex_encode(edited.as_bytes()))
+    }
+
+    /// A token decodes to the spec it names or to an error naming the
+    /// field that does not fit — never to a default, a clamp or a
+    /// rounded neighbour.
+    #[test]
+    fn wrong_typed_or_inexact_token_fields_name_the_field() {
+        let mut sim = RunSpec::sim(4).set("n", 10);
+        sim.heartbeat = Some(500);
+        sim.step_limit = Some(1_000);
+        let rt = RunSpec::rt(2);
+        for (spec, from, to, names) in [
+            (&sim, "\"linux\":false", "\"linux\":\"true\"", "`linux`"),
+            (&sim, "\"linux\":false", "\"linux\":1", "`linux`"),
+            (
+                &sim,
+                "\"sets\":{\"n\":\"10\"}",
+                "\"sets\":[\"n\"]",
+                "`sets`",
+            ),
+            (&sim, "\"sets\":{\"n\":\"10\"}", "\"sets\":\"n\"", "`sets`"),
+            (&sim, "\"n\":\"10\"", "\"n\":10", "`n`"),
+            (&sim, "\"n\":\"10\"", "\"n\":\"1e3\"", "`n`"),
+            (&sim, "\"cores\":4", "\"cores\":4.5", "`cores`"),
+            (&sim, "\"cores\":4", "\"cores\":-1", "`cores`"),
+            (&sim, "\"cores\":4", "\"cores\":1e30", "`cores`"),
+            (&sim, "\"cores\":4", "\"cores\":\"four\"", "`cores`"),
+            (&sim, "\"cores\":4", "\"cores\":true", "`cores`"),
+            (&rt, "\"workers\":2", "\"workers\":2.5", "`workers`"),
+            (&rt, "\"workers\":2", "\"workers\":null", "`workers`"),
+            (&sim, "\"hb\":500", "\"hb\":500.5", "`hb`"),
+            (&sim, "\"hb\":500", "\"hb\":-500", "`hb`"),
+            (&sim, "\"hb\":500", "\"hb\":[500]", "`hb`"),
+            // 2^53 + 1 as a bare number: the payload is read exactly.
+            (
+                &sim,
+                "\"hb\":500",
+                "\"hb\":9007199254740993",
+                "decimal string",
+            ),
+            (&sim, "\"sl\":\"1000\"", "\"sl\":1e30", "`sl`"),
+            (&sim, "\"sl\":\"1000\"", "\"sl\":\"-1\"", "`sl`"),
+            (&sim, "\"sl\":\"1000\"", "\"sl\":false", "`sl`"),
+            (
+                &sim,
+                "\"policy\":\"heartbeat/uniform\"",
+                "\"policy\":7",
+                "`policy`",
+            ),
+            (&sim, "\"tier\":\"threaded\"", "\"tier\":null", "`tier`"),
+            (&sim, "\"sub\":\"sim\"", "\"sub\":[\"sim\"]", "`sub`"),
+            (&sim, "\"hbsrc\":\"local-timer\"", "\"hbsrc\":0", "`hbsrc`"),
+            (&sim, "\"seed\":\"dec0de\"", "\"seed\":14597342", "`seed`"),
+            (
+                &sim,
+                "\"prog\":\"0000000000000007\"",
+                "\"prog\":7",
+                "`prog`",
+            ),
+        ] {
+            let e = RunSpec::from_token(&edited_token(spec, from, to)).unwrap_err();
+            assert!(e.contains(names), "{to}: {e}");
+        }
+        // Counts arrive as written — the engine, not the decoder,
+        // refuses the ones it cannot run — and take the string form too.
+        for (to, cores) in [("0", 0), ("1000000000", 1_000_000_000), ("\"8\"", 8)] {
+            let token = edited_token(&sim, "\"cores\":4", &format!("\"cores\":{to}"));
+            let (_, decoded) = RunSpec::from_token(&token).unwrap();
+            assert_eq!(
+                decoded.substrate,
+                Substrate::Sim {
+                    cores,
+                    linux: false
+                }
+            );
+        }
+        let token = edited_token(&sim, "\"linux\":false", "\"linux\":true");
+        assert_eq!(
+            RunSpec::from_token(&token).unwrap().1.substrate,
+            Substrate::Sim {
+                cores: 4,
+                linux: true
+            }
+        );
+    }
+
+    /// `from_token(token(spec)) == spec` at the edges of every integer a
+    /// token carries, and ♥ at or below 2⁵³ keeps its bare-number form.
+    #[test]
+    fn token_round_trips_at_the_integer_boundaries() {
+        const EDGES: [u64; 4] = [0, 1 << 53, (1 << 53) + 1, u64::MAX];
+        for substrate in [RunSpec::sim(3), RunSpec::rt(2)] {
+            for &hb in &EDGES {
+                for &sl in &EDGES {
+                    for &seed in &EDGES {
+                        let mut spec = substrate
+                            .clone()
+                            .set("hi", i64::MAX)
+                            .set("lo", i64::MIN)
+                            .set("zero", 0);
+                        spec.heartbeat = Some(hb);
+                        spec.step_limit = Some(sl);
+                        spec.seed = seed;
+                        let token = spec.token(u64::MAX);
+                        let (hash, decoded) = RunSpec::from_token(&token).unwrap();
+                        assert_eq!((hash, &decoded), (u64::MAX, &spec), "hb {hb} sl {sl}");
+                    }
+                }
+            }
+        }
+        let payload = |hb: u64| {
+            let mut spec = RunSpec::sim(1);
+            spec.heartbeat = Some(hb);
+            String::from_utf8(hex_decode(&spec.token(0)["r1-".len()..]).unwrap()).unwrap()
+        };
+        assert!(payload(1 << 53).contains("\"hb\":9007199254740992,"));
+        assert!(payload((1 << 53) + 1).contains("\"hb\":\"9007199254740993\","));
     }
 
     #[test]

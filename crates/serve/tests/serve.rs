@@ -233,6 +233,95 @@ fn tcp_round_trip_hit_miss_replay_and_errors() {
     server.join();
 }
 
+/// Input that nests without bound — a JSON body, a `.tpl` source, the
+/// JSON inside a replay token — is that request's 400 with the ordinary
+/// error body, not the process's stack: the same server, on the same
+/// connection, answers the next request. So is a token whose fields do
+/// not say what they should.
+#[test]
+fn hostile_nesting_and_token_fields_are_client_errors_and_the_server_lives() {
+    use tpal_serve::spec::{hex_decode, hex_encode};
+
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // A token this server minted (its program is cached), edited below.
+    let body = run_body(SUM_TPL, ",\"ir\":true,\"cores\":2,\"sets\":{\"n\":100}");
+    let (status, reply) = client.request("POST", "/run", &body).unwrap();
+    assert_eq!(status, 200, "{reply}");
+    let reply = parse(&reply).unwrap();
+    let token = reply.get("replay").and_then(Json::as_str).expect("token");
+    let payload = String::from_utf8(hex_decode(&token["r1-".len()..]).unwrap()).unwrap();
+
+    let mut refused = |method: &str, path: &str, body: &str, names: &str| {
+        let (status, reply) = client.request(method, path, body).unwrap();
+        assert_eq!(status, 400, "{reply}");
+        let doc = parse(&reply).unwrap_or_else(|e| panic!("error body is JSON: {e}: {reply}"));
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+        let error = doc
+            .get("error")
+            .and_then(Json::as_str)
+            .expect("error field");
+        assert!(error.contains(names), "{error}");
+        let (status, health) = client.request("GET", "/healthz", "").unwrap();
+        assert_eq!((status, health.as_str()), (200, "{\"ok\":true}"));
+    };
+
+    refused(
+        "POST",
+        "/run",
+        &"[".repeat(1 << 20),
+        "nesting deeper than 128",
+    );
+    refused(
+        "POST",
+        "/run",
+        &"{\"a\":".repeat(200_000),
+        "nesting deeper than 128",
+    );
+    let parens = format!(
+        "fn main(n) {{ return {}n{}; }}",
+        "(".repeat(100_000),
+        ")".repeat(100_000)
+    );
+    refused(
+        "POST",
+        "/run",
+        &run_body(&parens, ",\"ir\":true"),
+        "nesting deeper than 64",
+    );
+    let chain = format!("fn main(n) {{ return n{}; }}", " + n".repeat(100_000));
+    refused(
+        "POST",
+        "/run",
+        &run_body(&chain, ",\"ir\":true"),
+        "nesting deeper than 64",
+    );
+    // 60 000 hex digits of `[`: as much token as the header limit admits.
+    refused(
+        "GET",
+        &format!("/replay/r1-{}", "5b".repeat(30_000)),
+        "",
+        "nesting deeper than 128",
+    );
+
+    for (from, to, names) in [
+        ("\"linux\":false", "\"linux\":\"true\"", "`linux`"),
+        ("\"sets\":{\"n\":\"100\"}", "\"sets\":[100]", "`sets`"),
+        ("\"hb\":null", "\"hb\":1.5", "`hb`"),
+        ("\"cores\":2", "\"cores\":2.5", "`cores`"),
+        // Decoded as written, refused by the engine: not clamped to 1.
+        ("\"cores\":2", "\"cores\":0", "cores must be in 1..="),
+    ] {
+        let edited = payload.replace(from, to);
+        assert_ne!(edited, payload, "{from}");
+        let path = format!("/replay/r1-{}", hex_encode(edited.as_bytes()));
+        refused("GET", &path, "", names);
+    }
+
+    server.shutdown();
+    server.join();
+}
+
 /// A replay token naming a program this server never compiled must get
 /// a *structured* 404 body: the program hash itself plus a hint that
 /// only re-`POST`ing the source can repopulate the cache (tokens carry

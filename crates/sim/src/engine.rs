@@ -36,7 +36,7 @@ use tpal_sched::{
 };
 use tpal_trace::{EventKind, OverheadKind, Trace, TraceBuilder};
 
-use crate::timeline::{Activity, Timeline};
+use crate::timeline::Timeline;
 
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +62,8 @@ pub struct SimConfig {
     /// Abort after this many executed instructions.
     pub step_limit: u64,
     /// Record a per-core activity [`Timeline`] (bucketed at ♥/2 cycles)
-    /// in the outcome. Costs one branch per cycle and O(time/♥) memory.
+    /// in the outcome: the run records a trace, as for `record_trace`,
+    /// and buckets it at the end ([`Timeline::from_trace`]).
     pub record_timeline: bool,
     /// Record a full structured [`Trace`] (task lifecycle events and
     /// per-core activity spans) in the outcome. Off by default: when
@@ -424,24 +425,13 @@ impl<'p> Sim<'p> {
         // like a fork making work visible).
         let mut parked_push: std::collections::VecDeque<(i64, TaskState, u64)> = Default::default();
         let mut parked_pop: std::collections::VecDeque<(i64, TaskState, u64)> = Default::default();
-        let mut timeline = if cfg.record_timeline {
-            Some(Timeline::new(cfg.cores, (cfg.heartbeat / 2).max(64)))
-        } else {
-            None
-        };
-        macro_rules! trace {
-            ($core:expr, $time:expr, $kind:expr, $cycles:expr) => {
-                if let Some(tl) = &mut timeline {
-                    tl.record($core, $time, $kind, $cycles);
-                }
-            };
-        }
-
-        // Structured event tracing. Task identity is tracked *beside* the
-        // task states (per-core current id + an id deque mirroring each
-        // work deque) and only when tracing is on, so the traced-off path
-        // is exactly the code above plus one `None` branch per site.
-        let mut tracer = if cfg.record_trace {
+        // Structured event tracing — the one recording path: a requested
+        // timeline is bucketed from the trace after the run. Task
+        // identity is tracked *beside* the task states (per-core current
+        // id + an id deque mirroring each work deque) and only when
+        // tracing is on, so the traced-off path is exactly the code above
+        // plus one `None` branch per site.
+        let mut tracer = if cfg.record_trace || cfg.record_timeline {
             Some(
                 TraceBuilder::new(cfg.cores, "cycles", cfg.heartbeat)
                     .policy(cfg.policy.label())
@@ -464,12 +454,11 @@ impl<'p> Sim<'p> {
 
         // Settles core `$p`'s pending retries at virtual times strictly
         // before `$bound`. Each settled retry charges the same counters
-        // and timeline bucket as a live failed steal and advances the RNG
-        // stream by one draw — the drawn victim is unobservable (every
-        // deque is empty while any core is parked), but the stream
-        // position is, hence the O(1) `skip`. The whole chain is one
-        // trace span and one pass over the buckets it covers: recording
-        // costs O(1) per settled chain however long the core sat parked.
+        // as a live failed steal and advances the RNG stream by one draw
+        // — the drawn victim is unobservable (every deque is empty while
+        // any core is parked), but the stream position is, hence the O(1)
+        // `skip`. The whole chain is one trace span: recording costs O(1)
+        // per settled chain however long the core sat parked.
         macro_rules! flush_one {
             ($p:expr, $bound:expr) => {
                 let next = cores[$p].busy_until;
@@ -480,9 +469,6 @@ impl<'p> Sim<'p> {
                     cores[$p].probe_k += k;
                     stats.failed_steals += k;
                     stats.idle_cycles += k * retry;
-                    if let Some(tl) = &mut timeline {
-                        tl.record_chain($p, next, Activity::Idle, retry, k);
-                    }
                     // Settled retroactively: the span carries a later
                     // sequence number than events at greater timestamps
                     // on other cores' tracks (never on its own).
@@ -649,7 +635,6 @@ impl<'p> Sim<'p> {
                         core.busy_until = core.busy_until.max(now) + service_cost;
                         stats.heartbeats_delivered += 1;
                         stats.overhead_cycles += service_cost;
-                        trace!(ci, now, Activity::Overhead, service_cost);
                         tev!(ci, now, 0, EventKind::HeartbeatDelivered);
                         tev!(
                             ci,
@@ -684,7 +669,6 @@ impl<'p> Sim<'p> {
                         core.busy_until = core.busy_until.max(now) + service_cost;
                         stats.heartbeats_delivered += 1;
                         stats.overhead_cycles += service_cost;
-                        trace!(ci, now, Activity::Overhead, service_cost);
                         tev!(ci, now, 0, EventKind::HeartbeatDelivered);
                         tev!(
                             ci,
@@ -711,7 +695,6 @@ impl<'p> Sim<'p> {
                         core.busy_until = core.busy_until.max(now) + service_cost;
                         stats.heartbeats_delivered += 1;
                         stats.overhead_cycles += service_cost;
-                        trace!(ci, now, Activity::Overhead, service_cost);
                         tev!(ci, now, 0, EventKind::HeartbeatDelivered);
                         tev!(
                             ci,
@@ -794,7 +777,6 @@ impl<'p> Sim<'p> {
                             cores[c].busy_until = now + cfg.steal_cost;
                             stats.steals += 1;
                             stats.overhead_cycles += cfg.steal_cost;
-                            trace!(c, now, Activity::Overhead, cfg.steal_cost);
                             if tracer.is_some() {
                                 current_id[c] =
                                     queued_ids[victim].pop_front().expect("id mirrors deque");
@@ -820,7 +802,6 @@ impl<'p> Sim<'p> {
                             cores[c].busy_until = now + cfg.steal_retry_cost;
                             stats.failed_steals += 1;
                             stats.idle_cycles += cfg.steal_retry_cost;
-                            trace!(c, now, Activity::Idle, cfg.steal_retry_cost);
                             tev!(c, now, cfg.steal_retry_cost, EventKind::Idle { retries: 1 });
                             // With a zero retry cost the reference's
                             // end-of-cycle starvation check can fire (all
@@ -916,9 +897,6 @@ impl<'p> Sim<'p> {
             if steps > 0 {
                 stats.instructions += steps;
                 stats.work_cycles += steps;
-                if let Some(tl) = &mut timeline {
-                    tl.record_span(c, now, Activity::Work, steps);
-                }
                 tev!(
                     c,
                     now,
@@ -960,7 +938,6 @@ impl<'p> Sim<'p> {
                             // jralloc / snew / halloc.
                             stats.instructions += 1;
                             stats.work_cycles += 1;
-                            trace!(c, now, Activity::Work, 1);
                             tev!(
                                 c,
                                 now,
@@ -976,7 +953,6 @@ impl<'p> Sim<'p> {
                         StepOutcome::Halted => {
                             stats.instructions += 1;
                             stats.work_cycles += 1;
-                            trace!(c, now, Activity::Work, 1);
                             tev!(
                                 c,
                                 now,
@@ -1022,8 +998,6 @@ impl<'p> Sim<'p> {
                         StepOutcome::Forked { child } => {
                             stats.instructions += 1;
                             stats.work_cycles += 1;
-                            trace!(c, now, Activity::Work, 1);
-                            trace!(c, now, Activity::Overhead, cfg.fork_cost);
                             if tracer.is_some() {
                                 let child_id = next_task_id;
                                 next_task_id += 1;
@@ -1087,8 +1061,6 @@ impl<'p> Sim<'p> {
                         StepOutcome::Joined { jr } => {
                             stats.instructions += 1;
                             stats.work_cycles += 1;
-                            trace!(c, now, Activity::Work, 1);
-                            trace!(c, now, Activity::Overhead, cfg.join_cost);
                             tev!(
                                 c,
                                 now,
@@ -1180,8 +1152,6 @@ impl<'p> Sim<'p> {
                             // join record.
                             stats.instructions += 1;
                             stats.work_cycles += 1;
-                            trace!(c, now, Activity::Work, 1);
-                            trace!(c, now, Activity::Overhead, cfg.fork_cost);
                             if tracer.is_some() {
                                 let child_id = next_task_id;
                                 next_task_id += 1;
@@ -1227,7 +1197,6 @@ impl<'p> Sim<'p> {
                         StepOutcome::ChanPushed { ch } => {
                             stats.instructions += 1;
                             stats.work_cycles += 1;
-                            trace!(c, now, Activity::Work, 1);
                             tev!(
                                 c,
                                 now,
@@ -1254,7 +1223,6 @@ impl<'p> Sim<'p> {
                         StepOutcome::ChanPopped { ch } => {
                             stats.instructions += 1;
                             stats.work_cycles += 1;
-                            trace!(c, now, Activity::Work, 1);
                             tev!(
                                 c,
                                 now,
@@ -1281,7 +1249,6 @@ impl<'p> Sim<'p> {
                         StepOutcome::ChanClosed { ch } => {
                             stats.instructions += 1;
                             stats.work_cycles += 1;
-                            trace!(c, now, Activity::Work, 1);
                             tev!(
                                 c,
                                 now,
@@ -1349,7 +1316,6 @@ impl<'p> Sim<'p> {
                             // the next action seeks new work.
                             stats.chan_blocks += 1;
                             stats.idle_cycles += 1;
-                            trace!(c, now, Activity::Idle, 1);
                             tev!(c, now, 1, EventKind::Idle { retries: 0 });
                             tev!(
                                 c,
@@ -1387,13 +1353,19 @@ impl<'p> Sim<'p> {
             })
             .collect();
 
+        let trace = tracer.map(TraceBuilder::finish);
+        let timeline = trace
+            .as_ref()
+            .filter(|_| cfg.record_timeline)
+            .map(|trace| Timeline::from_trace(trace, (cfg.heartbeat / 2).max(64)));
+
         Ok(SimOutcome {
             time: end_time,
             stats,
             cores: cfg.cores,
             heartbeat: cfg.heartbeat,
             timeline,
-            trace: tracer.map(TraceBuilder::finish),
+            trace: trace.filter(|_| cfg.record_trace),
             // The halting task's fork/join-threaded counters are the
             // whole computation's totals (τ = 0 in this engine).
             work: halted.rel_work,

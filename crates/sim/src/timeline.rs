@@ -1,8 +1,11 @@
 //! Per-core activity timelines.
 //!
-//! When [`SimConfig::record_timeline`](crate::SimConfig) is set, the
-//! engine buckets each core's cycles into *work* (instruction execution),
-//! *overhead* (fork, steal, join, interrupt servicing), and *idle*, and
+//! When [`SimConfig::record_timeline`](crate::SimConfig) is set, each
+//! core's cycles are bucketed into *work* (instruction execution),
+//! *overhead* (fork, steal, join, interrupt servicing), and *idle* —
+//! by [`Sim`](crate::Sim) from the trace it records
+//! ([`Timeline::from_trace`]), by the cycle-tick
+//! [`SimRef`](crate::SimRef) as it goes — and
 //! the outcome carries a [`Timeline`] that renders as a text Gantt
 //! chart — the visual counterpart of Figure 12's "steady versus
 //! unsteady" promotion picture, and the quickest way to see ramp-up,
@@ -57,10 +60,10 @@ impl Timeline {
 
     /// Records a contiguous span of `cycles` cycles of `kind` starting at
     /// `start`, splitting it across buckets exactly as `cycles` individual
-    /// [`Timeline::record`] calls of one cycle each would — this is what
-    /// lets the batching engine charge a whole instruction run with one
-    /// call instead of one per cycle.
-    pub(crate) fn record_span(&mut self, core: usize, start: u64, kind: Activity, cycles: u64) {
+    /// [`Timeline::record`] calls of one cycle each would — a trace's
+    /// work span, however many quanta it merged, lands where the
+    /// reference engine's cycle-by-cycle recording puts it.
+    fn record_span(&mut self, core: usize, start: u64, kind: Activity, cycles: u64) {
         let mut t = start;
         let mut remaining = cycles;
         while remaining > 0 {
@@ -77,14 +80,7 @@ impl Timeline {
     /// start — exactly as `count` [`Timeline::record`] calls would, but
     /// one bucket at a time, so a settled retry chain costs O(buckets it
     /// spans), not O(retries).
-    pub(crate) fn record_chain(
-        &mut self,
-        core: usize,
-        start: u64,
-        kind: Activity,
-        cycles: u64,
-        count: u64,
-    ) {
+    fn record_chain(&mut self, core: usize, start: u64, kind: Activity, cycles: u64, count: u64) {
         let mut t = start;
         let mut left = count;
         while left > 0 {
@@ -101,14 +97,14 @@ impl Timeline {
         }
     }
 
-    /// Rebuilds a timeline from a recorded structured trace, bucketing
-    /// the activity spans exactly as the engine does live: work spans
-    /// split across bucket boundaries ([`Timeline::record_span`]),
-    /// overhead and idle charged whole to the bucket containing their
-    /// start — for an idle span of several steal retries, each retry to
-    /// the bucket containing *its* start ([`Timeline::record_chain`]). A
-    /// trace-recording run therefore yields the same timeline whether
-    /// built live (`record_timeline`) or from its trace.
+    /// Builds the timeline of a recorded structured trace, bucketing the
+    /// activity spans exactly as the cycle-tick reference engine does
+    /// live: work spans split across bucket boundaries, overhead and
+    /// idle charged whole to the bucket containing their start — for an
+    /// idle span of several steal retries, each retry to the bucket
+    /// containing *its* start. This is how [`Sim`](crate::Sim) honours
+    /// `record_timeline`; `timelines_agree_bucket_for_bucket` holds the
+    /// result equal to [`SimRef`](crate::SimRef)'s.
     pub fn from_trace(trace: &tpal_trace::Trace, bucket_cycles: u64) -> Timeline {
         let mut tl = Timeline::new(trace.tracks.len(), bucket_cycles);
         for (core, track) in trace.tracks.iter().enumerate() {

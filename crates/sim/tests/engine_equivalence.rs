@@ -265,39 +265,61 @@ fn jittered_timer_engines_agree() {
     }
 }
 
-/// The timelines must agree bucket-for-bucket too: the batching engine
-/// records work as spans ([`Timeline::record_span`]) while the reference
-/// records cycle by cycle, and the split across buckets must come out
-/// the same.
+/// The timelines must agree bucket-for-bucket too: the event engine
+/// buckets the trace it recorded ([`Timeline::from_trace`] — merged work
+/// spans split per cycle, a settled retry chain charged retry by retry)
+/// while the reference records cycle by cycle as it goes, and the two
+/// must come out the same on every program the repository's benchmark
+/// simulates, under both interrupt models.
+///
+/// [`Timeline::from_trace`]: tpal_sim::Timeline::from_trace
 #[test]
 fn timelines_agree_bucket_for_bucket() {
-    let spec = workload("plus-reduce-array")
-        .expect("known workload")
-        .sim_spec(Scale::Quick);
-    let lowered = lower(&spec.ir, Mode::Heartbeat).unwrap();
-    let mut config = SimConfig::nautilus(4, 3_000);
-    config.record_timeline = true;
+    for name in [
+        "plus-reduce-array",
+        "floyd-warshall-small",
+        "mandelbrot",
+        "mergesort-uniform",
+        "knapsack",
+        "pipeline-tokens",
+        "spmv-stream",
+    ] {
+        let spec = workload(name)
+            .expect("known workload")
+            .sim_spec(Scale::Quick);
+        let lowered = lower(&spec.ir, Mode::Heartbeat).unwrap();
+        for (label, mut config) in [
+            ("nautilus-4", SimConfig::nautilus(4, 3_000)),
+            ("linux-4", SimConfig::linux(4, 3_000)),
+        ] {
+            config.record_timeline = true;
 
-    let mut new_engine = Sim::new(&lowered.program, config);
-    let mut ref_engine = SimRef::new(&lowered.program, config);
-    for (pname, data) in &spec.input.arrays {
-        let b = new_engine.alloc_array(data);
-        ref_engine.alloc_array(data);
-        new_engine.set_reg(&lowered.param_reg(pname), b).unwrap();
-        ref_engine.set_reg(&lowered.param_reg(pname), b).unwrap();
-    }
-    for (pname, v) in &spec.input.ints {
-        new_engine.set_reg(&lowered.param_reg(pname), *v).unwrap();
-        ref_engine.set_reg(&lowered.param_reg(pname), *v).unwrap();
-    }
-    let new_out = new_engine.run().unwrap();
-    let ref_out = ref_engine.run().unwrap();
+            let mut new_engine = Sim::new(&lowered.program, config);
+            let mut ref_engine = SimRef::new(&lowered.program, config);
+            for (pname, data) in &spec.input.arrays {
+                let b = new_engine.alloc_array(data);
+                ref_engine.alloc_array(data);
+                new_engine.set_reg(&lowered.param_reg(pname), b).unwrap();
+                ref_engine.set_reg(&lowered.param_reg(pname), b).unwrap();
+            }
+            for (pname, v) in &spec.input.ints {
+                new_engine.set_reg(&lowered.param_reg(pname), *v).unwrap();
+                ref_engine.set_reg(&lowered.param_reg(pname), *v).unwrap();
+            }
+            let new_out = new_engine.run().unwrap();
+            let ref_out = ref_engine.run().unwrap();
 
-    let new_tl = new_out.timeline.expect("timeline recorded");
-    let ref_tl = ref_out.timeline.expect("timeline recorded");
-    assert_eq!(new_tl.cores(), ref_tl.cores());
-    assert_eq!(new_tl.bucket_cycles(), ref_tl.bucket_cycles());
-    for c in 0..new_tl.cores() {
-        assert_eq!(new_tl.core(c), ref_tl.core(c), "core {c} buckets");
+            let new_tl = new_out.timeline.expect("timeline recorded");
+            let ref_tl = ref_out.timeline.expect("timeline recorded");
+            assert_eq!(new_tl.cores(), ref_tl.cores(), "{name} {label}");
+            assert_eq!(new_tl.bucket_cycles(), ref_tl.bucket_cycles());
+            for c in 0..new_tl.cores() {
+                assert_eq!(
+                    new_tl.core(c),
+                    ref_tl.core(c),
+                    "{name} {label}: core {c} buckets"
+                );
+            }
+        }
     }
 }

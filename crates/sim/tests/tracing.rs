@@ -186,8 +186,9 @@ fn chrome_trace_bytes_deterministic_per_seed() {
     assert!(a == b, "same seed, different trace bytes");
 }
 
-/// A timeline rebuilt from the trace must equal the one recorded live —
-/// the trace subsumes the older bucketed instrumentation.
+/// A timeline is the trace, bucketed: a run asked for both returns a
+/// timeline equal to `from_trace` of the trace it returns, and each
+/// flag alone returns its own artefact and not the other's.
 #[test]
 fn timeline_from_trace_matches_live_recording() {
     let mut config = traced(4);
@@ -199,6 +200,17 @@ fn timeline_from_trace_matches_live_recording() {
         live.bucket_cycles(),
     );
     assert_eq!(&rebuilt, live);
+
+    config.record_trace = false;
+    let timeline_only = run_workload("plus-reduce-array", config);
+    assert_eq!(timeline_only.timeline.as_ref(), Some(live));
+    assert!(timeline_only.trace.is_none(), "no trace was asked for");
+    let trace_only = run_workload("plus-reduce-array", traced(4));
+    assert!(trace_only.timeline.is_none(), "no timeline was asked for");
+    assert_eq!(
+        trace_only.trace.map(|t| t.len()),
+        out.trace.map(|t| t.len())
+    );
 }
 
 /// The streaming acceptance scenario: on a channel program, heartbeat

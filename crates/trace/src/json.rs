@@ -65,6 +65,12 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level and its callers read untrusted input on
+/// 2 MiB thread stacks; the documents this workspace renders nest fewer
+/// than 10.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     chars: Chars<'a>,
     /// One-character lookahead.
@@ -74,6 +80,8 @@ struct Parser<'a> {
     /// Refuse integer literals beyond ±2⁵³ instead of rounding them
     /// ([`parse_exact`]).
     exact_ints: bool,
+    /// Arrays and objects open around the value being parsed.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -83,6 +91,7 @@ impl<'a> Parser<'a> {
             peeked: None,
             pos: 0,
             exact_ints,
+            depth: 0,
         }
     }
 
@@ -192,6 +201,49 @@ impl<'a> Parser<'a> {
         Ok(Json::Num(n))
     }
 
+    /// The rest of an array whose `[` is consumed.
+    fn array(&mut self) -> Result<Json, String> {
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(']') {
+            self.next();
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.next() {
+                Some(',') => continue,
+                Some(']') => return Ok(Json::Arr(items)),
+                _ => return Err(self.err("expected `,` or `]`")),
+            }
+        }
+    }
+
+    /// The rest of an object whose `{` is consumed.
+    fn object(&mut self) -> Result<Json, String> {
+        let mut map = BTreeMap::new();
+        self.skip_ws();
+        if self.peek() == Some('}') {
+            self.next();
+            return Ok(Json::Obj(map));
+        }
+        loop {
+            self.skip_ws();
+            self.expect('"')?;
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(':')?;
+            map.insert(key, self.value()?);
+            self.skip_ws();
+            match self.next() {
+                Some(',') => continue,
+                Some('}') => return Ok(Json::Obj(map)),
+                _ => return Err(self.err("expected `,` or `}`")),
+            }
+        }
+    }
+
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.next() {
@@ -200,44 +252,18 @@ impl<'a> Parser<'a> {
             Some('t') => self.literal("rue", Json::Bool(true)),
             Some('f') => self.literal("alse", Json::Bool(false)),
             Some('"') => Ok(Json::Str(self.string()?)),
-            Some('[') => {
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(']') {
-                    self.next();
-                    return Ok(Json::Arr(items));
+            Some(open @ ('[' | '{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
                 }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.next() {
-                        Some(',') => continue,
-                        Some(']') => return Ok(Json::Arr(items)),
-                        _ => return Err(self.err("expected `,` or `]`")),
-                    }
-                }
-            }
-            Some('{') => {
-                let mut map = BTreeMap::new();
-                self.skip_ws();
-                if self.peek() == Some('}') {
-                    self.next();
-                    return Ok(Json::Obj(map));
-                }
-                loop {
-                    self.skip_ws();
-                    self.expect('"')?;
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(':')?;
-                    map.insert(key, self.value()?);
-                    self.skip_ws();
-                    match self.next() {
-                        Some(',') => continue,
-                        Some('}') => return Ok(Json::Obj(map)),
-                        _ => return Err(self.err("expected `,` or `}`")),
-                    }
-                }
+                self.depth += 1;
+                let v = if open == '[' {
+                    self.array()?
+                } else {
+                    self.object()?
+                };
+                self.depth -= 1;
+                Ok(v)
             }
             Some(c) if c == '-' || c.is_ascii_digit() => self.number(c),
             Some(c) => Err(self.err(&format!("unexpected `{c}`"))),
@@ -246,7 +272,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Parses one JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected, arrays and objects nested at most 128 deep).
 pub fn parse(s: &str) -> Result<Json, String> {
     parse_with(s, false)
 }
@@ -340,6 +366,39 @@ mod tests {
             assert!(e.contains("decimal string"), "{bad}: {e}");
         }
         assert!(parse_exact("1-2").unwrap_err().contains("bad number"));
+    }
+
+    /// The limit itself parses on the smallest stack a caller runs on
+    /// (a spawned thread's 2 MiB), one level more is the ordinary error,
+    /// and a megabyte of openers is that error, not a stack overflow.
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + "1" + &close.repeat(n);
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+                    for parse in [parse, parse_exact] {
+                        assert!(parse(&nested(open, close, MAX_DEPTH)).is_ok());
+                        let e = parse(&nested(open, close, MAX_DEPTH + 1)).unwrap_err();
+                        assert_eq!(
+                            e,
+                            format!(
+                                "JSON parse error at char {}: nesting deeper than 128",
+                                open.len() * MAX_DEPTH + 1
+                            )
+                        );
+                        let flood = open.repeat((1 << 20) / open.len());
+                        assert!(parse(&flood).unwrap_err().contains("nesting deeper"));
+                    }
+                }
+                // Siblings do not accumulate: depth is what is open now.
+                let wide = format!("[{}[]]", "[[]],".repeat(1000));
+                assert!(parse(&wide).is_ok());
+            })
+            .expect("spawn")
+            .join()
+            .expect("no panic, no overflow");
     }
 
     #[test]

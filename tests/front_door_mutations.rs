@@ -1,16 +1,20 @@
-//! The four doors untrusted text comes in through — the assembler, the
-//! `.tpl` frontend, the `/run` request parser and the replay-token
-//! decoder — must answer any input with `Ok` or a typed error: never a
+//! The six doors untrusted bytes come in through — the assembler, the
+//! `.tpl` frontend, the `/run` request parser, the replay-token decoder,
+//! the JSON parser under the last two and the HTTP framing in front of
+//! them — must answer any input with `Ok` or a typed error: never a
 //! panic. Seeded byte flips, truncations, deletions and splices over a
 //! corpus of real inputs; the seed is fixed, so a failure reproduces.
 //!
 //! A parsed program is also lowered (`.tpl`) or printed and reparsed
-//! (`.tpal`): what a door lets in must not break the next stage.
+//! (`.tpal`), a parsed document validated or read as a request: what a
+//! door lets in must not break the next stage.
 
 use tpal::core::asm::{parse_program, print_program};
 use tpal::ir::{lower, parse_ir, Mode};
+use tpal::serve::http::{read_request, ReadOutcome, MAX_BODY, MAX_HEADER};
 use tpal::serve::proto::parse_run_request;
 use tpal::serve::spec::RunSpec;
+use tpal::trace::{chrome, json};
 
 const TPL_SOURCES: [&str; 4] = [
     "fn main(n) {\n    s = 0;\n    parfor i in 0..n reduce(s: +, 0) { s = s + i + 987654321; }\n    return s;\n}\n",
@@ -39,7 +43,12 @@ impl Rng {
 
 /// One to three edits of `base`, kept valid UTF-8 (the doors take `&str`).
 fn mutate(rng: &mut Rng, base: &str, splices: &[&str]) -> String {
-    let mut bytes = base.as_bytes().to_vec();
+    String::from_utf8_lossy(&mutate_bytes(rng, base.as_bytes(), splices)).into_owned()
+}
+
+/// One to three edits of `base`, as raw bytes.
+fn mutate_bytes(rng: &mut Rng, base: &[u8], splices: &[&str]) -> Vec<u8> {
+    let mut bytes = base.to_vec();
     for _ in 0..1 + rng.below(3) {
         if bytes.is_empty() {
             break;
@@ -59,8 +68,27 @@ fn mutate(rng: &mut Rng, base: &str, splices: &[&str]) -> String {
             }
         }
     }
-    String::from_utf8_lossy(&bytes).into_owned()
+    bytes
 }
+
+const JSON_SPLICES: [&str; 16] = [
+    "\"",
+    "\\",
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "null",
+    "true",
+    "1e999",
+    "-0",
+    "\\u12",
+    "\"sets\":{\"n\":99999999999999999999}",
+    "\"cores\":0",
+    "\"seed\":\"x\"",
+];
 
 const ASM_SPLICES: [&str; 14] = [
     " : ",
@@ -169,28 +197,10 @@ fn the_tpl_frontend_never_panics() {
 
 #[test]
 fn the_request_parser_never_panics() {
-    let splices = [
-        "\"",
-        "\\",
-        "{",
-        "}",
-        "[",
-        "]",
-        ":",
-        ",",
-        "null",
-        "true",
-        "1e999",
-        "-0",
-        "\\u12",
-        "\"sets\":{\"n\":99999999999999999999}",
-        "\"cores\":0",
-        "\"seed\":\"x\"",
-    ];
     let mut rng = Rng(0x5EED_0003);
     let (mut accepted, mut rejected) = (0, 0);
     for i in 0..6000 {
-        let body = mutate(&mut rng, REQUESTS[i % REQUESTS.len()], &splices);
+        let body = mutate(&mut rng, REQUESTS[i % REQUESTS.len()], &JSON_SPLICES);
         match parse_run_request(&body) {
             Ok(request) => {
                 accepted += 1;
@@ -251,4 +261,166 @@ fn the_token_decoder_never_panics() {
         accepted > 20 && rejected > 1000,
         "{accepted} accepted, {rejected} rejected"
     );
+}
+
+/// The Chrome trace of a traced `fib` run on two simulated cores.
+fn fib_chrome_trace() -> String {
+    let source = std::fs::read_to_string("programs/fib.tpal").expect("readable program");
+    let program = parse_program(&source).expect("fib assembles");
+    let mut config = tpal::sim::SimConfig::nautilus(2, 300);
+    config.record_trace = true;
+    let mut sim = tpal::sim::Sim::new(&program, config);
+    sim.set_reg("n", 9).expect("fib takes n");
+    let out = sim.run().expect("fib runs");
+    chrome::chrome_json(&out.trace.expect("record_trace was set"))
+}
+
+#[test]
+fn the_json_parser_never_panics() {
+    // What the parser reads in production: a rendered trace (through
+    // `chrome::validate`), a `/stats` body (clients and tests), and
+    // request bodies (through `parse_run_request`).
+    let trace = fib_chrome_trace();
+    assert!(chrome::validate(&trace).is_ok(), "the corpus is valid");
+    let stats = "{\"cache\":{\"decodes\":3,\"evictions\":0,\"hits\":41,\"misses\":3,\"programs\":3},\
+                 \"completed\":44,\"draining\":false,\"ok\":true,\"queue_depth\":0,\"shed\":0,\"submitted\":44}";
+    let mut corpus = vec![trace.as_str(), stats];
+    corpus.extend(REQUESTS);
+    let mut rng = Rng(0x5EED_0005);
+    let (mut accepted, mut rejected) = (0, 0);
+    for i in 0..3000 {
+        let text = mutate(&mut rng, corpus[i % corpus.len()], &JSON_SPLICES);
+        let parsed = json::parse(&text);
+        // The exact reader accepts a subset, and the same values.
+        match json::parse_exact(&text) {
+            Ok(doc) => assert_eq!(Ok(&doc), parsed.as_ref()),
+            Err(e) => assert!(e.starts_with("JSON parse error at char "), "{e}"),
+        }
+        match parsed {
+            Ok(_) => {
+                accepted += 1;
+                if let Err(e) = chrome::validate(&text) {
+                    assert!(!e.is_empty(), "an error says what is wrong");
+                }
+                if let Err(e) = parse_run_request(&text) {
+                    assert!(!e.is_empty(), "an error says what is wrong");
+                }
+            }
+            Err(e) => {
+                rejected += 1;
+                assert!(e.starts_with("JSON parse error at char "), "{e}");
+            }
+        }
+    }
+    assert!(
+        accepted > 100 && rejected > 1000,
+        "{accepted} accepted, {rejected} rejected"
+    );
+}
+
+/// What `read_request` owes for the head it was given: the last
+/// `Content-Length`, as the framing reads it.
+fn declared_length(head: &[u8]) -> usize {
+    String::from_utf8_lossy(head)
+        .split("\r\n")
+        .skip(1) // the request line
+        .filter_map(|line| line.split_once(':'))
+        .filter(|(name, _)| name.eq_ignore_ascii_case("content-length"))
+        .filter_map(|(_, value)| value.trim().parse().ok())
+        .last()
+        .unwrap_or(0)
+}
+
+#[test]
+fn the_http_reader_never_panics() {
+    let frame = |method: &str, path: &str, body: &str| {
+        format!(
+            "{method} {path} HTTP/1.1\r\nHost: tpal-serve\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    let mut corpus: Vec<String> = REQUESTS
+        .iter()
+        .map(|body| frame("POST", "/run", body))
+        .collect();
+    corpus.push(frame(
+        "GET",
+        &format!("/replay/{}", RunSpec::sim(2).token(7)),
+        "",
+    ));
+    corpus.push("GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n".to_owned());
+    let splices = [
+        "\r\n",
+        "\r\n\r\n",
+        "\n",
+        ":",
+        " ",
+        "Content-Length: 7\r\n",
+        "Content-Length: 99999999999999999999\r\n",
+        "Content-Length: -1\r\n",
+        "content-length:4194305\r\n",
+        "Connection: close\r\n",
+        "HTTP/1.1",
+        "\u{00B7}",
+    ];
+    let mut rng = Rng(0x5EED_0006);
+    let (mut accepted, mut rejected) = (0, 0);
+    for i in 0..6000 {
+        let bytes = mutate_bytes(&mut rng, corpus[i % corpus.len()].as_bytes(), &splices);
+        let mut stream = std::io::Cursor::new(&bytes);
+        match read_request(&mut stream) {
+            ReadOutcome::Request(request) => {
+                accepted += 1;
+                let head = bytes
+                    .windows(4)
+                    .position(|w| w == b"\r\n\r\n")
+                    .expect("an accepted head is terminated")
+                    + 4;
+                assert_eq!(request.body.len(), declared_length(&bytes[..head]));
+                assert_eq!(
+                    stream.position() as usize,
+                    head + request.body.len(),
+                    "the reader consumes its request and no more"
+                );
+                assert!(!request.method.is_empty() && !request.path.is_empty());
+            }
+            ReadOutcome::Malformed(why) => {
+                rejected += 1;
+                assert!(!why.is_empty(), "an error says what is wrong");
+            }
+            ReadOutcome::Closed => assert!(bytes.is_empty(), "only no bytes at all is a close"),
+            ReadOutcome::Idle => unreachable!("a cursor never times out"),
+        }
+    }
+    assert!(
+        accepted > 100 && rejected > 1000,
+        "{accepted} accepted, {rejected} rejected"
+    );
+
+    // The limits are refusals, not allocations: a head that never ends
+    // stops at `MAX_HEADER`, a body is refused on its declared length
+    // before a byte of it is reserved or read.
+    let endless = vec![b'a'; 4 * MAX_HEADER];
+    let mut stream = std::io::Cursor::new(&endless);
+    assert!(
+        matches!(read_request(&mut stream), ReadOutcome::Malformed(why) if why.contains("header"))
+    );
+    assert!(stream.position() as usize <= MAX_HEADER + 1);
+    for length in [
+        (MAX_BODY + 1).to_string(),
+        "99999999999999999999".to_owned(),
+    ] {
+        let head = format!("POST /run HTTP/1.1\r\nContent-Length: {length}\r\n\r\nxyz");
+        let mut stream = std::io::Cursor::new(head.as_bytes());
+        assert!(matches!(
+            read_request(&mut stream),
+            ReadOutcome::Malformed(_)
+        ));
+        assert_eq!(stream.position() as usize, head.len() - 3, "{length}");
+    }
+    let head = format!("POST /run HTTP/1.1\r\nContent-Length: {MAX_BODY}\r\n\r\nshort");
+    assert!(matches!(
+        read_request(&mut std::io::Cursor::new(head.as_bytes())),
+        ReadOutcome::Malformed(why) if why.contains("body read")
+    ));
 }
