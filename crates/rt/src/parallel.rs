@@ -2,22 +2,27 @@
 //!
 //! Both constructs are *serial by default*: `join2` runs two closures
 //! back to back and `reduce`/`parallel_for` run an ordinary sequential
-//! loop. Each polls the worker's heartbeat at its promotion-ready points
-//! (the fork point; every loop iteration). When a beat is due, the
-//! handler promotes the **oldest** latent fork on the mark list
-//! (outermost first, Appendix B.2) or, if none exists, splits the
-//! remaining iterations of the current loop in half (Figure 2). Either
-//! way, exactly one task is created per beat, so task-creation cost is
-//! amortised against ♥ of useful work.
+//! loop. Each puts a mark on the worker's promotion-ready mark list (a
+//! fork its latent branch, a loop the iterations it has not started) and
+//! polls the heartbeat at its promotion-ready points (the fork point;
+//! every loop block). A due beat promotes the **oldest** mark that has
+//! anything left (outermost first, Appendix B.2): a latent fork becomes
+//! a task, a loop hands off the upper half of its unstarted iterations
+//! (Figure 2). So in the sparse matrix–vector nest of §2.3 a beat inside
+//! a row's reduction splits the *row loop*, and the row itself only once
+//! no two rows are left. Exactly one task is created per beat, so
+//! task-creation cost is amortised against ♥ of useful work.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 use tpal_trace::EventKind;
 
-use crate::job::{latent_state, CountLatch, Job, LatentState, PartialStack};
-use crate::pool::{LatentSlot, WorkerCtx};
+use crate::job::latent_state::{CLAIMED, DONE, LATENT, PROMOTED};
+use crate::job::{CountLatch, Job, LatentState, PartialStack};
+use crate::pool::{LatentSlot, Pacer, Shared, WorkerCtx};
+use crate::HeartbeatSource;
 
 /// Upper bound on the adaptive loop-block length: generous enough that
 /// per-block poll overhead vanishes into any real body, small enough
@@ -28,6 +33,107 @@ const MAX_ADAPTIVE_STRIDE: usize = 1 << 16;
 /// ~♥/8, bounding beat-detection latency (and eager-split granularity)
 /// to a small fraction of the heartbeat either way.
 const PACER_BLOCKS_PER_BEAT: u64 = 8;
+
+/// The frame a fork shares with the job that may run its second branch
+/// elsewhere: the branch while latent or queued, then its result.
+struct Fork<B, RB> {
+    state: LatentState,
+    b: UnsafeCell<Option<B>>,
+    result: UnsafeCell<Option<RB>>,
+}
+
+impl<B, RB> Fork<B, RB>
+where
+    B: FnOnce(&WorkerCtx<'_>) -> RB + Send,
+    RB: Send,
+{
+    fn new(b: B) -> Self {
+        Fork {
+            state: LatentState::new(),
+            b: UnsafeCell::new(Some(b)),
+            result: UnsafeCell::new(None),
+        }
+    }
+
+    /// Takes the branch, for whoever took `state` out of LATENT.
+    fn take_b(&self) -> B {
+        // SAFETY: exactly one claim wins, so access is exclusive.
+        unsafe { (*self.b.get()).take().expect("fork body taken once") }
+    }
+
+    /// The job: runs the branch and publishes its result. `data` must
+    /// be a `Fork` that `push` queued.
+    unsafe fn exec(data: *mut (), ctx: &WorkerCtx<'_>) {
+        // SAFETY: `push`'s frame outlives the job (it `join`s), and the
+        // result cell is the job's alone until DONE is published.
+        let fork = unsafe { &*(data as *const Self) };
+        let rb = fork.take_b()(ctx);
+        unsafe { *fork.result.get() = Some(rb) };
+        fork.state.set_done();
+    }
+
+    /// Queues the branch as a task on `ctx`'s deque, for a caller that
+    /// took `state` out of LATENT and will `join`.
+    fn push(&self, ctx: &WorkerCtx<'_>) {
+        // SAFETY: `join` keeps this frame alive until the job is DONE.
+        ctx.push_job(unsafe { Job::new(self as *const Self as *mut (), Self::exec) });
+    }
+
+    /// The mark's promotion: claim the latent branch and queue it.
+    /// `data` must be a `Fork` whose mark is on the list.
+    unsafe fn promote(data: *const (), ctx: &WorkerCtx<'_>) -> bool {
+        // SAFETY: a listed mark's join2 frame is live; the CAS
+        // arbitrates against the owner's inline claim.
+        let fork = unsafe { &*(data as *const Self) };
+        let won = fork.state.get() == LATENT && fork.state.claim(PROMOTED);
+        if won {
+            fork.push(ctx);
+        }
+        won
+    }
+
+    /// Helps the pool until the queued branch has run; its result.
+    fn join(&self, ctx: &WorkerCtx<'_>) -> RB {
+        ctx.help_until(|| self.state.get() == DONE);
+        // SAFETY: DONE (acquire) publishes the result.
+        unsafe { (*self.result.get()).take().expect("result published") }
+    }
+}
+
+impl Pacer {
+    /// The length of the next loop-poll block. Fixed at
+    /// [`RtConfig::poll_stride`](crate::RtConfig) unless adaptive
+    /// pacing is on; adaptive blocks grow and shrink geometrically so
+    /// each block costs ~♥/[`PACER_BLOCKS_PER_BEAT`] of *measured* wall
+    /// time — cheap vectorisable bodies run blocks of tens of thousands
+    /// of iterations, expensive bodies stay at the floor — at one
+    /// timestamp read per block boundary.
+    #[inline]
+    fn next_stride(&mut self, shared: &Shared) -> usize {
+        let floor = shared.poll_stride;
+        if !shared.poll_adaptive {
+            return floor;
+        }
+        let now = crate::heartbeat::now_ticks();
+        let elapsed = now.wrapping_sub(self.last);
+        let target = (shared.interval_ticks / PACER_BLOCKS_PER_BEAT).max(1);
+        if self.last == 0 || elapsed > target.saturating_mul(8) {
+            // First block ever, or a stale stamp (the worker was idle
+            // or off running other work since this state's last block):
+            // restart from the floor rather than shrinking through it.
+            self.stride = floor;
+        } else if elapsed < target / 2 {
+            // Well under budget: doubling can at most double block time,
+            // keeping it under `target` — growth never overshoots by
+            // more than 2x of the calibration target.
+            self.stride = (self.stride * 2).min(MAX_ADAPTIVE_STRIDE.max(floor));
+        } else if elapsed > target {
+            self.stride = (self.stride / 2).max(floor);
+        }
+        self.last = now;
+        self.stride
+    }
+}
 
 impl WorkerCtx<'_> {
     /// The raw source poll plus delivery tracing; `true` when a beat is
@@ -44,12 +150,7 @@ impl WorkerCtx<'_> {
         // signal handler must stay async-signal-safe, so it cannot
         // trace). Ping deliveries are recorded by the ping thread at
         // raise time, on the receiving worker's track.
-        if due
-            && matches!(
-                self.shared.source,
-                crate::HeartbeatSource::LocalTimer | crate::HeartbeatSource::TimerSignal
-            )
-        {
+        if due && self.shared.source != HeartbeatSource::PingThread {
             self.shared
                 .trace_event(self.id, EventKind::HeartbeatDelivered);
         }
@@ -67,7 +168,7 @@ impl WorkerCtx<'_> {
     /// `TimerSignal`) are a single relaxed load and never subsample.
     #[inline]
     pub fn heartbeat_due(&self) -> bool {
-        if matches!(self.shared.source, crate::HeartbeatSource::LocalTimer) {
+        if self.shared.source == HeartbeatSource::LocalTimer {
             let skip = self.poll_skip.get();
             if skip > 0 {
                 self.poll_skip.set(skip - 1);
@@ -78,119 +179,77 @@ impl WorkerCtx<'_> {
         self.poll_source()
     }
 
-    /// Polls at a paced loop-block boundary. Unlike fork points, paced
-    /// blocks already bound the poll rate to ~[`PACER_BLOCKS_PER_BEAT`]
-    /// per ♥, so local-timer subsampling here would stretch beat
-    /// detection past ♥ — blocks poll the source directly.
-    #[inline]
-    fn heartbeat_due_paced(&self) -> bool {
-        if self.shared.poll_adaptive {
-            self.poll_source()
-        } else {
-            // Fixed-stride mode keeps the historical poll cadence
-            // (including subsampling) exactly: benches and parity tests
-            // pin this behaviour.
-            self.heartbeat_due()
-        }
-    }
-
-    /// The length of the next loop-poll block. Fixed at
-    /// [`RtConfig::poll_stride`](crate::RtConfig) unless adaptive
-    /// pacing is on; adaptive blocks grow and shrink geometrically so
-    /// each block costs ~♥/[`PACER_BLOCKS_PER_BEAT`] of *measured* wall
-    /// time — cheap vectorisable bodies (sub-ns per iteration) run
-    /// blocks of tens of thousands of iterations, expensive bodies stay
-    /// at the floor. One timestamp read per block boundary; with blocks
-    /// paced to ~♥/8 that read is amortised to noise, unlike the
-    /// per-32-iteration read this calibration replaces.
-    #[inline]
-    fn next_stride(&self) -> usize {
-        if !self.shared.poll_adaptive {
-            return self.shared.poll_stride;
-        }
-        let mut p = self.pacer.get();
-        let now = crate::heartbeat::now_ticks();
-        let elapsed = now.wrapping_sub(p.last);
-        let target = (self.shared.interval_ticks / PACER_BLOCKS_PER_BEAT).max(1);
-        let floor = self.shared.poll_stride;
-        if p.last == 0 || elapsed > target.saturating_mul(8) {
-            // First block ever, or a stale stamp (the worker was off
-            // running other work or idle since its last loop block):
-            // restart the ramp from the floor rather than shrinking
-            // through it step by step.
-            p.stride = floor;
-        } else if elapsed < target / 2 {
-            // Well under budget: doubling can at most double block time,
-            // keeping it under `target` — growth never overshoots by
-            // more than 2x of the calibration target.
-            p.stride = (p.stride * 2).min(MAX_ADAPTIVE_STRIDE.max(floor));
-        } else if elapsed > target {
-            p.stride = (p.stride / 2).max(floor);
-        }
-        p.last = now;
-        self.pacer.set(p);
-        p.stride
-    }
-
-    /// Promotes the oldest latent fork, if any. Returns whether a task
-    /// was created.
+    /// Promotes the oldest mark that still has something to promote —
+    /// the one place a promotion is made and accounted. Returns whether
+    /// a task was created.
     fn promote_oldest_latent(&self) -> bool {
-        let slot = {
-            let list = self.latent.borrow();
-            list.iter()
-                .find(|s| {
-                    // SAFETY: slots point into live join2 frames (see the
-                    // mark-list discipline in `join2`).
-                    unsafe { (*s.state).get() == latent_state::LATENT }
-                })
-                .copied()
-        };
-        let Some(slot) = slot else { return false };
-        // SAFETY: as above; the CAS arbitrates against the owner's
-        // inline claim.
-        let won = unsafe { (*slot.state).claim(latent_state::PROMOTED) };
-        if !won {
-            return false;
+        // SAFETY: every slot points into a live frame further up this
+        // worker's stack (`pop_mark` runs before the frame dies) and was
+        // pushed with the `promote` that matches its `data`.
+        let promoted = (self.latent.borrow().iter()).any(|s| unsafe { (s.promote)(s.data, self) });
+        if promoted {
+            // Counter increments land on this worker's private shard: no
+            // shared cache line on the poll/promotion path.
+            let c = self.shared.counters.shard(self.id);
+            c.promotions.fetch_add(1, Ordering::Relaxed);
+            c.tasks_created.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .trace_event(self.id, EventKind::TaskPromote { task: 0 });
+            self.trace_spawn();
         }
-        // SAFETY: the slot's constructor guarantees make_job/data match.
-        let job = unsafe { (slot.make_job)(slot.data) };
-        self.push_job(job);
-        true
+        promoted
     }
 
-    /// Polls at a promotion-ready point that has no loop of its own to
-    /// split: services a due heartbeat and asks the promotion policy
-    /// whether to attempt a promotion. Returns whether one happened.
-    pub fn poll_promote(&self) -> bool {
-        let beat = self.heartbeat_due();
-        // Counter increments land on this worker's private shard: no
-        // shared cache line on the poll/promotion path.
+    fn trace_spawn(&self) {
+        let spawn = EventKind::TaskSpawn {
+            parent: 0,
+            child: 0,
+        };
+        self.shared.trace_event(self.id, spawn);
+    }
+
+    /// Acts on one poll's outcome: accounts a due beat as serviced, then
+    /// lets the policy arbitrate — `heartbeat` promotes once per beat,
+    /// `eager` at every poll, `never` not at all (the mechanism without
+    /// the promotions), `adaptive:τ` once per sufficiently spaced beat.
+    fn service(&self, beat: bool) -> bool {
         if beat {
             let c = self.shared.counters.shard(self.id);
             c.heartbeats_serviced.fetch_add(1, Ordering::Relaxed);
             self.shared
                 .trace_event(self.id, EventKind::HeartbeatServiced);
         }
-        if !self.attempt_promotion(beat) {
+        self.attempt_promotion(beat) && self.promote_oldest_latent()
+    }
+
+    /// Polls at a promotion-ready point with no block loop of its own (a
+    /// fork point, a one-block loop): services a due heartbeat and
+    /// promotes the oldest mark if the policy says so; whether it did.
+    ///
+    /// The no-beat path is the one countdown test: `poll_skip` is only
+    /// ever non-zero under the local timer with a policy that promotes
+    /// on beats alone (see `Shared::poll_subsample`), where a skipped
+    /// clock read means no beat and no beat means no promotion.
+    #[inline]
+    pub fn poll_promote(&self) -> bool {
+        let skip = self.poll_skip.get();
+        if skip > 0 {
+            self.poll_skip.set(skip - 1);
             return false;
         }
-        let c = self.shared.counters.shard(self.id);
-        if self.promote_oldest_latent() {
-            c.promotions.fetch_add(1, Ordering::Relaxed);
-            c.tasks_created.fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .trace_event(self.id, EventKind::TaskPromote { task: 0 });
-            self.shared.trace_event(
-                self.id,
-                EventKind::TaskSpawn {
-                    parent: 0,
-                    child: 0,
-                },
-            );
-            true
-        } else {
-            false
-        }
+        let beat = self.heartbeat_due();
+        self.service(beat)
+    }
+
+    /// Removes the newest mark, which must be `data`'s: frames push on
+    /// entry and pop before they wait or return, as the stack does.
+    fn pop_mark(&self, data: *const ()) {
+        let slot = self.latent.borrow_mut().pop();
+        let slot = slot.expect("mark list imbalance");
+        debug_assert!(
+            std::ptr::eq(slot.data, data),
+            "mark list imbalance: latent frames must nest"
+        );
     }
 
     /// Latent binary fork-join (the `fork`/`join` interface of Figure 3,
@@ -204,81 +263,28 @@ impl WorkerCtx<'_> {
         B: FnOnce(&WorkerCtx<'_>) -> RB + Send,
         RB: Send,
     {
-        struct Entry<B, RB> {
-            state: LatentState,
-            b: UnsafeCell<Option<B>>,
-            result: UnsafeCell<Option<RB>>,
-        }
-
-        unsafe fn exec_entry<B, RB>(data: *mut (), ctx: &WorkerCtx<'_>)
-        where
-            B: FnOnce(&WorkerCtx<'_>) -> RB + Send,
-            RB: Send,
-        {
-            // SAFETY: the owning join2 frame outlives this job (it helps
-            // until `state` is DONE). The state CAS guarantees exclusive
-            // access to `b`.
-            let e = unsafe { &*(data as *const Entry<B, RB>) };
-            let b = unsafe { (*e.b.get()).take().expect("latent body taken once") };
-            let rb = b(ctx);
-            // SAFETY: exclusive until DONE is published.
-            unsafe { *e.result.get() = Some(rb) };
-            e.state.set_done();
-        }
-
-        unsafe fn mk<B, RB>(data: *const ()) -> Job
-        where
-            B: FnOnce(&WorkerCtx<'_>) -> RB + Send,
-            RB: Send,
-        {
-            // SAFETY: forwarded contract.
-            unsafe { Job::new(data as *mut (), exec_entry::<B, RB>) }
-        }
-
-        let entry: Entry<B, RB> = Entry {
-            state: LatentState::new(),
-            b: UnsafeCell::new(Some(b)),
-            result: UnsafeCell::new(None),
-        };
-        self.latent.borrow_mut().push(LatentSlot {
-            state: &entry.state,
-            data: &entry as *const Entry<B, RB> as *const (),
-            make_job: mk::<B, RB>,
-        });
-
+        let fork = Fork::new(b);
+        let data = &fork as *const Fork<B, RB> as *const ();
+        let promote = Fork::<B, RB>::promote;
+        self.latent.borrow_mut().push(LatentSlot { data, promote });
         // The fork point is itself promotion-ready.
         self.poll_promote();
-
         let ra = a(self);
-
-        let slot = self
-            .latent
-            .borrow_mut()
-            .pop()
-            .expect("mark list imbalance: join2 frames must nest");
-        debug_assert!(std::ptr::eq(
-            slot.data,
-            &entry as *const Entry<B, RB> as *const ()
-        ));
-
-        if entry.state.claim(latent_state::CLAIMED) {
+        self.pop_mark(data);
+        if fork.state.claim(CLAIMED) {
             // Still latent: run b inline — the zero-cost serial path.
-            // SAFETY: the claim gives exclusive access.
-            let b = unsafe { (*entry.b.get()).take().expect("latent body present") };
-            let rb = b(self);
-            (ra, rb)
+            (ra, fork.take_b()(self))
         } else {
             // Promoted: help the pool until the task completes.
-            self.help_until(|| entry.state.get() == latent_state::DONE);
-            // SAFETY: DONE (acquire) publishes the result.
-            let rb = unsafe { (*entry.result.get()).take().expect("result published") };
-            (ra, rb)
+            (ra, fork.join(self))
         }
     }
 
     /// A latent parallel loop with a reduction: `acc = body(ctx, i, acc)`
     /// folded over `range`, partial results combined with the associative
-    /// and commutative `merge`.
+    /// and commutative `merge`. Latent like [`WorkerCtx::reduce_blocks`],
+    /// which it wraps: a beat promotes the oldest mark, this loop's
+    /// unstarted iterations only if nothing older can be promoted.
     ///
     /// The per-index body is convenient but opaque to the optimiser: an
     /// indexed access like `data[i]` keeps its bounds check (the
@@ -286,23 +292,17 @@ impl WorkerCtx<'_> {
     /// resulting side exit blocks vectorisation of the block loop. Tight
     /// vectorisable kernels should use [`WorkerCtx::reduce_blocks`] and
     /// iterate a slice of the handed block themselves.
+    #[inline]
     pub fn reduce<T, B, M>(&self, range: Range<usize>, identity: T, body: B, merge: M) -> T
     where
         T: Send + Clone,
         B: Fn(&WorkerCtx<'_>, usize, T) -> T + Sync,
         M: Fn(T, T) -> T + Sync,
     {
-        self.reduce_blocks(
-            range,
-            identity,
-            move |ctx, block, mut acc| {
-                for i in block {
-                    acc = body(ctx, i, acc);
-                }
-                acc
-            },
-            merge,
-        )
+        let fold = move |ctx: &WorkerCtx<'_>, block: Range<usize>, acc| {
+            block.fold(acc, |acc, i| body(ctx, i, acc))
+        };
+        self.reduce_blocks(range, identity, fold, merge)
     }
 
     /// A latent parallel loop over *blocks* of iterations: the paper's
@@ -314,159 +314,191 @@ impl WorkerCtx<'_> {
     /// iterator over the block vectorises just like the serial loop it
     /// replaces, which per-index [`WorkerCtx::reduce`] cannot achieve.
     ///
+    /// While it runs, the loop is a mark holding the iterations no block
+    /// has started. A promotion — at this loop's block boundaries or at
+    /// any poll below them, an inner loop's included — takes the oldest
+    /// mark first: a nest hands off outer iterations before it splits an
+    /// inner loop, a loop under a latent `join2` the fork before itself.
+    ///
     /// Block lengths are chosen by the runtime (the adaptive pacer, or
     /// the fixed `poll_stride`); the body must therefore be oblivious to
     /// block boundaries: `body(ctx, lo..hi, acc)` must equal folding
-    /// `body` over any partition of `lo..hi` in order.
+    /// `body` over any partition of `lo..hi` in order. Pacing follows
+    /// the nest: an un-nested loop calibrates the worker's pacer (shared
+    /// with the sibling loops a `join2` recursion runs one after
+    /// another); a loop in another loop's body starts from what its
+    /// previous sibling there ended on and never touches the parent's.
+    #[inline]
     pub fn reduce_blocks<T, B, M>(&self, range: Range<usize>, identity: T, body: B, merge: M) -> T
     where
         T: Send + Clone,
         B: Fn(&WorkerCtx<'_>, Range<usize>, T) -> T + Sync,
         M: Fn(T, T) -> T + Sync,
     {
-        // Tiny ranges (at most one polling block) take a serial fast
-        // path: the loop entry is still a promotion-ready point for
-        // *outer* latent parallelism, but no split of this loop could
-        // ever happen between its only two polls, so none of the
-        // splitting machinery is set up. This keeps "expose maximum
-        // parallelism" habits (e.g. a nested reduce over a 3-element
-        // sparse row) at near-zero cost.
-        if range.len() <= self.shared.poll_stride {
+        // A range of at most one block could never be split between its
+        // only two polls: it runs serially, behind one poll for *outer*
+        // latent parallelism, and sets up nothing. One block is the floor
+        // or, for a nested loop, the stride its siblings just paced (an
+        // un-nested loop's stride may be stale).
+        let pacer = self.pacer.get();
+        if range.len() <= self.shared.poll_stride || (pacer.nested && range.len() <= pacer.stride) {
             self.poll_promote();
             return body(self, range, identity);
         }
-        struct Ctl<T, B, M> {
+        struct Ctl<T, B> {
             pending: CountLatch,
-            /// Lock-free partial-result accumulation (Treiber stack):
-            /// sound because `merge` is required to be associative and
-            /// commutative, so arbitrary arrival order is fine.
+            /// Lock-free accumulation in arrival order (Treiber stack):
+            /// `merge` is required to be associative and commutative.
             partials: PartialStack<T>,
             identity: T,
-            body: B2<B>,
-            merge: B2<M>,
-        }
-        /// A Sync-asserting shared reference wrapper.
-        struct B2<X>(*const X);
-        unsafe impl<X: Sync> Send for B2<X> {}
-        unsafe impl<X: Sync> Sync for B2<X> {}
-
-        struct Chunk<T, B, M> {
-            ctl: *const Ctl<T, B, M>,
-            lo: usize,
-            hi: usize,
+            /// Shared by every chunk, on any worker: `B: Sync`.
+            body: *const B,
         }
 
-        fn run_chunk<T, B, M>(
+        /// One chunk of the loop, running or queued: `next..hi` are the
+        /// iterations no block has started. A running chunk's frame is
+        /// its mark; a split-off chunk travels boxed as its job's payload
+        /// and becomes the frame of whoever runs it.
+        //
+        // SAFETY (what `split` and `run_chunk` rely on):
+        // * `next` and `hi` are touched only by the worker running the
+        //   chunk: promotion runs at that worker's own poll points —
+        //   `run_chunk`'s block boundaries and polls deeper in the same
+        //   stack while a block's body runs, including polls by jobs the
+        //   worker executes inside a `help_until` there — so `run_chunk`
+        //   re-reads both after every poll and every block.
+        // * The mark is popped before `run_chunk` returns, hence before
+        //   a boxed frame is freed and before `reduce_blocks` waits on
+        //   `pending`: no job run while waiting sees this loop's mark.
+        // * `split` does `pending.add(1)` before it pushes the job, and
+        //   `reduce_blocks` returns only once `pending` clears, so `ctl`
+        //   outlives every chunk.
+        struct Frame<T, B> {
+            ctl: *const Ctl<T, B>,
+            next: Cell<usize>,
+            hi: Cell<usize>,
+        }
+
+        /// A split-off chunk's job; `data` must be the box `split` leaked.
+        unsafe fn exec_chunk<T, B>(data: *mut (), ctx: &WorkerCtx<'_>)
+        where
+            T: Send + Clone,
+            B: Fn(&WorkerCtx<'_>, Range<usize>, T) -> T + Sync,
+        {
+            // SAFETY: boxed for this job alone; for `ctl` see `Frame`.
+            let frame = unsafe { Box::from_raw(data as *mut Frame<T, B>) };
+            let t = run_chunk(ctx, &frame);
+            let ctl = unsafe { &*frame.ctl };
+            ctl.partials.push(t);
+            ctl.pending.done();
+        }
+
+        /// The mark's promotion: hand off the upper half of the
+        /// unstarted iterations (Figure 2), if there are two or more.
+        /// `data` must be a `Frame` whose mark is on the list.
+        unsafe fn split<T, B>(data: *const (), ctx: &WorkerCtx<'_>) -> bool
+        where
+            T: Send + Clone,
+            B: Fn(&WorkerCtx<'_>, Range<usize>, T) -> T + Sync,
+        {
+            // SAFETY: see `Frame`.
+            let frame = unsafe { &*(data as *const Frame<T, B>) };
+            let (next, hi) = (frame.next.get(), frame.hi.get());
+            if hi - next < 2 {
+                return false;
+            }
+            let mid = next + (hi - next) / 2;
+            unsafe { &*frame.ctl }.pending.add(1);
+            let chunk = Box::new(Frame {
+                ctl: frame.ctl,
+                next: Cell::new(mid),
+                hi: Cell::new(hi),
+            });
+            ctx.push_job(unsafe { Job::new(Box::into_raw(chunk) as *mut (), exec_chunk::<T, B>) });
+            frame.hi.set(mid);
+            true
+        }
+
+        fn run_chunk<T, B>(ctx: &WorkerCtx<'_>, frame: &Frame<T, B>) -> T
+        where
+            T: Send + Clone,
+            B: Fn(&WorkerCtx<'_>, Range<usize>, T) -> T + Sync,
+        {
+            // SAFETY: see `Frame`; `run_loop` borrows `body` for as long.
+            let ctl = unsafe { &*frame.ctl };
+            let body = unsafe { &*ctl.body };
+            let mut acc = ctl.identity.clone();
+            // This loop paces itself from the state it finds (the
+            // worker's, or under another loop's body its previous
+            // sibling's) and gives the loops its own body starts a fresh
+            // one: a cheap inner row never calibrates this loop's stride.
+            let mut pacer = ctx.pacer.replace(Pacer {
+                stride: ctx.shared.poll_stride,
+                last: 0,
+                nested: true,
+            });
+            let data = frame as *const Frame<T, B> as *const ();
+            let promote = split::<T, B>;
+            ctx.latent.borrow_mut().push(LatentSlot { data, promote });
+            while frame.next.get() < frame.hi.get() {
+                let lo = frame.next.get();
+                // Promotion-ready points sit between iteration blocks,
+                // not single iterations: blocks stay tight loops the
+                // compiler can vectorise, keeping the polling substitute
+                // for rollforward within the paper's §6 budget. Paced
+                // blocks bound the poll rate themselves (~8 per ♥), so
+                // they read the source unsubsampled; fixed-stride mode
+                // keeps the subsampled cadence the parity tests pin.
+                let stride = pacer.next_stride(ctx.shared);
+                let beat = if ctx.shared.poll_adaptive {
+                    ctx.poll_source()
+                } else {
+                    ctx.heartbeat_due()
+                };
+                ctx.service(beat);
+                // The promotion may have been this loop's own.
+                let stop = frame.hi.get().min(lo + stride);
+                frame.next.set(stop);
+                acc = body(ctx, lo..stop, acc);
+            }
+            ctx.pop_mark(data);
+            ctx.pacer.set(pacer);
+            acc
+        }
+
+        /// The general path, out of line so that the one-block path
+        /// above inlines into the caller's row loop.
+        #[inline(never)]
+        fn run_loop<T, B, M>(
             ctx: &WorkerCtx<'_>,
-            ctl: &Ctl<T, B, M>,
-            mut lo: usize,
-            mut hi: usize,
+            range: Range<usize>,
+            identity: T,
+            body: &B,
+            merge: &M,
         ) -> T
         where
             T: Send + Clone,
             B: Fn(&WorkerCtx<'_>, Range<usize>, T) -> T + Sync,
             M: Fn(T, T) -> T + Sync,
         {
-            unsafe fn exec_chunk<T, B, M>(data: *mut (), ctx: &WorkerCtx<'_>)
-            where
-                T: Send + Clone,
-                B: Fn(&WorkerCtx<'_>, Range<usize>, T) -> T + Sync,
-                M: Fn(T, T) -> T + Sync,
-            {
-                // SAFETY: the initiating reduce waits on `pending`, so
-                // the Ctl outlives every chunk.
-                let chunk = unsafe { Box::from_raw(data as *mut Chunk<T, B, M>) };
-                let ctl = unsafe { &*chunk.ctl };
-                let t = run_chunk(ctx, ctl, chunk.lo, chunk.hi);
-                ctl.partials.push(t);
-                ctl.pending.done();
-            }
-
-            let body = unsafe { &*ctl.body.0 };
-            let mut acc = ctl.identity.clone();
-            while lo < hi {
-                // Promotion-ready points sit between iteration blocks
-                // rather than between single iterations: the blocks stay
-                // tight loops the compiler can vectorise, keeping the
-                // polling substitution for rollforward within the
-                // paper's §6 budget. The block length is paced by the
-                // adaptive calibration in `next_stride` (wall time
-                // ~♥/8 per block), or fixed at `poll_stride` when
-                // pacing is off.
-                let stride = ctx.next_stride();
-                let beat = ctx.heartbeat_due_paced();
-                if beat {
-                    let c = ctx.shared.counters.shard(ctx.id);
-                    c.heartbeats_serviced.fetch_add(1, Ordering::Relaxed);
-                    ctx.shared.trace_event(ctx.id, EventKind::HeartbeatServiced);
-                }
-                // The policy arbitrates: `heartbeat` promotes once per
-                // beat, `eager` at every poll block, `never` not at all
-                // ("interrupts only" — measure the mechanism, not the
-                // promotions), `adaptive:τ` once per sufficiently spaced
-                // beat.
-                if ctx.attempt_promotion(beat) {
-                    let c = ctx.shared.counters.shard(ctx.id);
-                    if ctx.promote_oldest_latent() {
-                        // Outermost-first: a latent fork took the beat.
-                        c.promotions.fetch_add(1, Ordering::Relaxed);
-                        c.tasks_created.fetch_add(1, Ordering::Relaxed);
-                        ctx.shared
-                            .trace_event(ctx.id, EventKind::TaskPromote { task: 0 });
-                        ctx.shared.trace_event(
-                            ctx.id,
-                            EventKind::TaskSpawn {
-                                parent: 0,
-                                child: 0,
-                            },
-                        );
-                    } else if hi - lo >= 2 {
-                        // Split the remaining range in half (Figure 2).
-                        let mid = lo + (hi - lo) / 2;
-                        ctl.pending.add(1);
-                        let chunk = Box::new(Chunk { ctl, lo: mid, hi });
-                        // SAFETY: ctl outlives the chunk (see exec_chunk).
-                        let job = unsafe {
-                            Job::new(Box::into_raw(chunk) as *mut (), exec_chunk::<T, B, M>)
-                        };
-                        ctx.push_job(job);
-                        c.promotions.fetch_add(1, Ordering::Relaxed);
-                        c.tasks_created.fetch_add(1, Ordering::Relaxed);
-                        ctx.shared
-                            .trace_event(ctx.id, EventKind::TaskPromote { task: 0 });
-                        ctx.shared.trace_event(
-                            ctx.id,
-                            EventKind::TaskSpawn {
-                                parent: 0,
-                                child: 0,
-                            },
-                        );
-                        hi = mid;
-                    }
-                }
-                let stop = hi.min(lo + stride);
-                acc = body(ctx, lo..stop, acc);
-                lo = stop;
-            }
-            acc
+            let ctl: Ctl<T, B> = Ctl {
+                pending: CountLatch::new(),
+                partials: PartialStack::new(),
+                identity,
+                body,
+            };
+            let root = Frame {
+                ctl: &ctl,
+                next: Cell::new(range.start),
+                hi: Cell::new(range.end),
+            };
+            let acc = run_chunk(ctx, &root);
+            ctx.help_until(|| ctl.pending.is_clear());
+            let mut partials = ctl.partials;
+            partials.drain().into_iter().fold(acc, merge)
         }
 
-        let ctl: Ctl<T, B, M> = Ctl {
-            pending: CountLatch::new(),
-            partials: PartialStack::new(),
-            identity,
-            body: B2(&body),
-            merge: B2(&merge),
-        };
-        let acc = run_chunk(self, &ctl, range.start, range.end);
-        self.help_until(|| ctl.pending.is_clear());
-        let merge = unsafe { &*ctl.merge.0 };
-        let mut result = acc;
-        let mut partials = ctl.partials;
-        for p in partials.drain() {
-            result = merge(result, p);
-        }
-        result
+        run_loop(self, range, identity, &body, &merge)
     }
 
     /// A latent parallel loop without a reduction. The body may freely
@@ -492,58 +524,14 @@ impl WorkerCtx<'_> {
         B: FnOnce(&WorkerCtx<'_>) -> RB + Send,
         RB: Send,
     {
-        struct Entry<B, RB> {
-            state: LatentState,
-            b: UnsafeCell<Option<B>>,
-            result: UnsafeCell<Option<RB>>,
-        }
-
-        unsafe fn exec_entry<B, RB>(data: *mut (), ctx: &WorkerCtx<'_>)
-        where
-            B: FnOnce(&WorkerCtx<'_>) -> RB + Send,
-            RB: Send,
-        {
-            // SAFETY: the owning spawn2 frame helps until DONE; the
-            // entry was handed over wholesale at the push.
-            let e = unsafe { &*(data as *const Entry<B, RB>) };
-            let b = unsafe { (*e.b.get()).take().expect("spawned body taken once") };
-            let rb = b(ctx);
-            unsafe { *e.result.get() = Some(rb) };
-            e.state.set_done();
-        }
-
-        let entry: Entry<B, RB> = Entry {
-            state: LatentState::new(),
-            b: UnsafeCell::new(Some(b)),
-            result: UnsafeCell::new(None),
-        };
-        entry.state.claim(latent_state::PROMOTED);
-        self.shared
-            .counters
-            .shard(self.id)
-            .tasks_created
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared.trace_event(
-            self.id,
-            EventKind::TaskSpawn {
-                parent: 0,
-                child: 0,
-            },
-        );
-        // SAFETY: the entry outlives the job (help_until below).
-        let job = unsafe {
-            Job::new(
-                &entry as *const Entry<B, RB> as *mut (),
-                exec_entry::<B, RB>,
-            )
-        };
-        self.push_job(job);
-
+        let fork = Fork::new(b);
+        fork.state.claim(PROMOTED);
+        let c = self.shared.counters.shard(self.id);
+        c.tasks_created.fetch_add(1, Ordering::Relaxed);
+        self.trace_spawn();
+        fork.push(self);
         let ra = a(self);
-        self.help_until(|| entry.state.get() == latent_state::DONE);
-        // SAFETY: DONE (acquire) publishes the result.
-        let rb = unsafe { (*entry.result.get()).take().expect("result published") };
-        (ra, rb)
+        (ra, fork.join(self))
     }
 
     /// The number of workers in the pool (Cilk's `P` for its `8P` loop

@@ -45,24 +45,22 @@ pub struct RtConfig {
     /// on this is the *floor* (and ramp-up start) of the adaptive block
     /// length; with it off, the exact fixed block length.
     pub poll_stride: usize,
-    /// Adaptive poll coarsening: when `true` (the default), each worker
-    /// calibrates its loop-block length at runtime from measured wall
-    /// time per block, targeting a fixed number of polls per ♥ — so
-    /// cheap vectorisable loop bodies run long branch-free blocks while
-    /// expensive bodies keep short ones, with beat-detection latency
-    /// bounded at a small fraction of ♥ either way. When `false`, every
-    /// block is exactly [`RtConfig::poll_stride`] iterations (the
-    /// pre-calibration behaviour benchmarks and parity tests pin).
+    /// Adaptive poll coarsening: when `true` (the default), loops
+    /// calibrate their block length from measured wall time per block,
+    /// targeting a fixed number of polls per ♥ — cheap vectorisable
+    /// bodies run long branch-free blocks, expensive ones short blocks,
+    /// each level of a loop nest its own. When `false`, every block is
+    /// exactly [`RtConfig::poll_stride`] iterations (the behaviour the
+    /// parity tests pin).
     pub poll_adaptive: bool,
     /// Local-timer fork-point subsampling: at promotion-ready points
-    /// with no loop of their own (fork points, channel polls), the
-    /// timestamp counter is read only every `poll_subsample + 1`th call,
-    /// keeping the common-case cost of ultra-frequent fork points to a
-    /// counter decrement. `0` reads the clock at every such poll. Only
-    /// the `LocalTimer` source consults this: flag-based sources
-    /// (`PingThread`, `TimerSignal`) are one relaxed load regardless,
-    /// and paced loop blocks poll unsubsampled (the block length already
-    /// bounds the rate).
+    /// with no block loop of their own (fork points, one-block loops)
+    /// the timestamp counter is read only every `poll_subsample + 1`th
+    /// call, the others costing a counter decrement; `0` reads it at
+    /// every such poll. Only `LocalTimer` consults this: the flag-based
+    /// sources are one relaxed load regardless, paced loop blocks poll
+    /// unsubsampled (their length already bounds the rate), and `eager`
+    /// promotes at every poll, so has no cheap path to keep.
     pub poll_subsample: u32,
     /// Record structured scheduling events (deliveries, services,
     /// promotions, task creations, steals) into a per-worker trace,
@@ -232,7 +230,8 @@ pub(crate) struct Shared {
     pub poll_stride: usize,
     /// See [`RtConfig::poll_adaptive`].
     pub poll_adaptive: bool,
-    /// See [`RtConfig::poll_subsample`].
+    /// See [`RtConfig::poll_subsample`]; 0 under `eager`, so that a
+    /// non-zero `poll_skip` always means "no beat, no promotion".
     pub poll_subsample: u32,
     /// The interpreter tier for [`Runtime::run_program`].
     pub exec_tier: ExecTier,
@@ -328,9 +327,10 @@ thread_local! {
     static LOCAL_DEQUE: RefCell<Option<Worker<Job>>> = const { RefCell::new(None) };
 }
 
-/// Per-worker adaptive loop-pacing state: the current block length and
-/// the timestamp of the previous block boundary. Lives on the
-/// `WorkerCtx` (plain `Cell`, single-threaded by construction).
+/// Adaptive loop-pacing state: the current block length and the
+/// timestamp of the previous block boundary. `WorkerCtx::pacer` holds
+/// the state the next loop to start will adopt; a running loop keeps
+/// its own on its stack (see `reduce_blocks`).
 #[derive(Clone, Copy)]
 pub(crate) struct Pacer {
     /// Iterations per poll block, within
@@ -338,15 +338,19 @@ pub(crate) struct Pacer {
     pub stride: usize,
     /// `now_ticks()` at the previous paced poll (0 = not yet stamped).
     pub last: u64,
+    /// Whether this is the state a loop hands the loops its body
+    /// starts, rather than the worker's own.
+    pub nested: bool,
 }
 
-/// A latent-parallelism mark (the promotion-ready mark list of Appendix
-/// B.2): enough type-erased state to reify the entry as a task.
+/// A mark of the promotion-ready mark list (Appendix B.2), type-erased:
+/// a frame on this worker's stack — a `join2`'s latent branch, a loop's
+/// unstarted iterations — and how to reify it as a task on this
+/// worker's deque; `promote` returns `false` if nothing is left.
 #[derive(Clone, Copy)]
 pub(crate) struct LatentSlot {
-    pub state: *const crate::job::LatentState,
     pub data: *const (),
-    pub make_job: unsafe fn(*const ()) -> Job,
+    pub promote: unsafe fn(*const (), &WorkerCtx<'_>) -> bool,
 }
 
 /// The per-worker execution context handed to all parallel constructs.
@@ -363,7 +367,7 @@ pub struct WorkerCtx<'a> {
     /// next timestamp read (keeps the per-iteration cost to a counter
     /// decrement; granularity stays far below ♥).
     pub(crate) poll_skip: std::cell::Cell<u32>,
-    /// Adaptive loop-pacing state (see `WorkerCtx::next_stride`).
+    /// The pacing state the next loop to start adopts (see [`Pacer`]).
     pub(crate) pacer: std::cell::Cell<Pacer>,
     /// Promotion-policy state (adaptive-τ spacing; the beat flag lives
     /// on the worker's [`HeartbeatCell`]).
@@ -383,6 +387,7 @@ impl<'a> WorkerCtx<'a> {
             pacer: std::cell::Cell::new(Pacer {
                 stride: shared.poll_stride,
                 last: 0,
+                nested: false,
             }),
             promote: std::cell::Cell::new(PromoteState::default()),
             rng: RefCell::new(SplitMix64::new(0x9E3779B9 ^ id as u64)),
@@ -464,13 +469,12 @@ impl<'a> WorkerCtx<'a> {
             _ => 0,
         };
         let mut st = self.promote.get();
-        if promo.should_attempt(&st, beat, now) {
+        let attempt = promo.should_attempt(&st, beat, now);
+        if attempt {
             st.record_promotion(now);
             self.promote.set(st);
-            true
-        } else {
-            false
         }
+        attempt
     }
 
     /// Runs queued work until `done` holds (a helping join: never
@@ -545,7 +549,10 @@ impl Runtime {
             victim: effective.victim,
             poll_stride: config.poll_stride.max(1),
             poll_adaptive: config.poll_adaptive,
-            poll_subsample: config.poll_subsample,
+            poll_subsample: match effective.promotion {
+                Promotion::Eager => 0,
+                _ => config.poll_subsample,
+            },
             exec_tier: config.exec_tier,
             rng_salt: CachePadded(AtomicU64::new(0x9E3779B9)),
             tracer: config.trace.then(|| {

@@ -2,10 +2,22 @@
 //! every heartbeat source, promotion accounting, and the serial-by-default
 //! guarantee.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
-use tpal_rt::{HeartbeatSource, RtConfig, Runtime};
+use tpal_rt::{HeartbeatSource, Policy, RtConfig, Runtime, WorkerCtx};
+
+/// `Σ i` over `0..n` as a latent reduce whose accumulator the optimiser
+/// cannot see through: with a plain `a + i` body LLVM folds each block
+/// to a closed form, a multi-million-iteration loop ends before its
+/// first beat, and every "must promote" assertion below fails in
+/// release builds only.
+fn opaque_sum(ctx: &WorkerCtx<'_>, n: usize) {
+    let body = |_: &WorkerCtx<'_>, i, a| std::hint::black_box(a + i as u64);
+    let total = ctx.reduce(0..n, 0u64, body, |a, b| a + b);
+    assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
+}
 
 fn rt(workers: usize, source: HeartbeatSource, us: u64) -> Runtime {
     Runtime::new(
@@ -44,9 +56,7 @@ fn disabled_source_never_promotes() {
 #[test]
 fn local_timer_promotes_long_loops() {
     let rt = rt(2, HeartbeatSource::LocalTimer, 100);
-    let n = 4_000_000usize;
-    let total = rt.run(|ctx| ctx.reduce(0..n, 0u64, |_, i, a| a + i as u64, |a, b| a + b));
-    assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
+    rt.run(|ctx| opaque_sum(ctx, 4_000_000));
     let stats = rt.stats();
     assert!(
         stats.tasks_created > 0,
@@ -236,9 +246,7 @@ fn trace_records_scheduling_events() {
             .heartbeat(Duration::from_micros(50))
             .trace(true),
     );
-    let n = 3_000_000usize;
-    let total = rt.run(|ctx| ctx.reduce(0..n, 0u64, |_, i, a| a + i as u64, |a, b| a + b));
-    assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
+    rt.run(|ctx| opaque_sum(ctx, 3_000_000));
     let stats = rt.stats();
     let trace = rt.take_trace().expect("tracing was enabled");
     assert_eq!(trace.tracks.len(), 2);
@@ -263,9 +271,7 @@ fn per_worker_stats_sum_to_aggregate() {
     // The sharded counters must be a partition, not a resample: the
     // field-wise sum of `per_worker_stats` equals `stats` exactly.
     let rt = rt(3, HeartbeatSource::LocalTimer, 50);
-    let n = 4_000_000usize;
-    let total = rt.run(|ctx| ctx.reduce(0..n, 0u64, |_, i, a| a + i as u64, |a, b| a + b));
-    assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
+    rt.run(|ctx| opaque_sum(ctx, 4_000_000));
 
     let agg = rt.stats();
     let per = rt.per_worker_stats();
@@ -443,4 +449,268 @@ fn ping_thread_runtime_drops_quickly_with_large_heartbeat() {
         "PingThread runtime drop took {elapsed:?}; shutdown latency must \
          be bounded independent of ♥"
     );
+}
+
+// ---- Promotion order in loop nests (Appendix B.2: oldest mark first) ----
+
+/// Busy-waits `us` microseconds: work with no poll point in it, as long
+/// in a debug build as in a release one.
+fn spin_us(us: u64) {
+    let start = Instant::now();
+    while start.elapsed() < Duration::from_micros(us) {
+        std::hint::spin_loop();
+    }
+}
+
+#[test]
+fn nested_loops_promote_outermost_first() {
+    // No clock anywhere: `eager` promotes at every poll whatever the
+    // source says, the source is off, every block is one iteration and
+    // the one worker runs its own tasks in a fixed order. So the run is
+    // exact: each poll, an inner loop's included, must hand off *outer*
+    // rows while the outer chunk has two or more unstarted, and only
+    // then split the row it is in.
+    const ROWS: usize = 64;
+    const COLS: usize = 64;
+    let rt = Runtime::new(
+        RtConfig::default()
+            .workers(1)
+            .source(HeartbeatSource::Disabled)
+            .policy(Policy::parse("eager").unwrap())
+            .poll_adaptive(false)
+            .poll_stride(1),
+    );
+    // Set by a row's inner `merge`, which runs only if the row was split.
+    let row_split: Vec<AtomicBool> = (0..ROWS).map(|_| AtomicBool::new(false)).collect();
+    // The outer accumulator lists the rows of each chunk: every chunk
+    // folds from a clone of the identity (one empty list), `merge`
+    // concatenates.
+    let chunks = rt.run(|ctx| {
+        ctx.reduce(
+            0..ROWS,
+            vec![Vec::new()],
+            |ctx, r, mut chunks: Vec<Vec<usize>>| {
+                let sum = ctx.reduce(
+                    0..COLS,
+                    0usize,
+                    |_, k, s| s + k,
+                    |a, b| {
+                        row_split[r].store(true, Ordering::Relaxed);
+                        a + b
+                    },
+                );
+                assert_eq!(sum, COLS * (COLS - 1) / 2);
+                chunks.last_mut().unwrap().push(r);
+                chunks
+            },
+            |mut a, mut b| {
+                a.append(&mut b);
+                a
+            },
+        )
+    });
+    let chunks: Vec<Vec<usize>> = chunks.into_iter().filter(|c| !c.is_empty()).collect();
+    let mut rows: Vec<usize> = chunks.iter().flatten().copied().collect();
+    rows.sort_unstable();
+    assert_eq!(
+        rows,
+        (0..ROWS).collect::<Vec<_>>(),
+        "every row exactly once"
+    );
+    for chunk in &chunks {
+        assert!(chunk.windows(2).all(|w| w[1] == w[0] + 1), "{chunk:?}");
+        let last = *chunk.last().unwrap();
+        for &r in chunk {
+            // A chunk only ever shrinks, so the rows after `r` in the
+            // final chunk were all unstarted while row `r` ran.
+            assert!(
+                !row_split[r].load(Ordering::Relaxed) || last - r < 2,
+                "row {r} was split with rows up to {last} of its chunk unstarted"
+            );
+        }
+    }
+    assert!(
+        chunks.len() >= ROWS.ilog2() as usize,
+        "{} chunks",
+        chunks.len()
+    );
+    assert!(
+        row_split.iter().any(|s| s.load(Ordering::Relaxed)),
+        "no row was ever split: the order was not exercised"
+    );
+}
+
+#[test]
+fn latent_fork_is_promoted_before_the_loops_under_it() {
+    // Oldest first across kinds: a join2 whose left branch is a loop
+    // nest five beats long. The first beat must take the fork, so the
+    // right branch — the first job the idle second worker can steal —
+    // runs before any chunk of either loop has started anywhere. Were
+    // loops promoted ahead of the older fork, the second worker would
+    // be running split-off rows long before the fork's turn came.
+    //
+    // Clock-bound (a fork is only latent past its own fork point if
+    // promotions wait for beats): it fails spuriously only if the idle
+    // worker takes more than one 40 ms beat to steal and run the
+    // promoted branch.
+    const ROWS: usize = 32;
+    const COLS: usize = 64;
+    let rt = rt(2, HeartbeatSource::LocalTimer, 40_000);
+    let loop_split = AtomicBool::new(false);
+    let nest_done = AtomicBool::new(false);
+    let seen_by_fork = Mutex::new(None);
+    // Counts iterations; a chunk that starts from the identity anywhere
+    // but at index 0 is a split-off one.
+    let count = |first: usize, n: usize| {
+        if n == 0 && first != 0 {
+            loop_split.store(true, Ordering::Relaxed);
+        }
+        n + 1
+    };
+    rt.run(|ctx| {
+        ctx.join2(
+            |ctx| {
+                let rows = ctx.reduce(
+                    0..ROWS,
+                    0usize,
+                    |ctx, r, n| {
+                        let cols = ctx.reduce(
+                            0..COLS,
+                            0usize,
+                            |_, k, n| {
+                                spin_us(100);
+                                count(k, n)
+                            },
+                            |a, b| a + b,
+                        );
+                        assert_eq!(cols, COLS);
+                        count(r, n)
+                    },
+                    |a, b| a + b,
+                );
+                assert_eq!(rows, ROWS);
+                nest_done.store(true, Ordering::Relaxed);
+            },
+            |_| {
+                let seen = (
+                    loop_split.load(Ordering::Relaxed),
+                    nest_done.load(Ordering::Relaxed),
+                );
+                *seen_by_fork.lock().unwrap() = Some(seen);
+            },
+        )
+    });
+    let (split_first, nest_first) = seen_by_fork.into_inner().unwrap().unwrap();
+    assert!(
+        !nest_first,
+        "a five-beat nest never promoted the fork above it"
+    );
+    assert!(
+        !split_first,
+        "a loop was split while an older fork was latent"
+    );
+    assert!(
+        loop_split.load(Ordering::Relaxed),
+        "no loop was ever split: the order was not exercised"
+    );
+}
+
+#[test]
+fn inner_loops_do_not_pace_the_outer_loop() {
+    // Pacer isolation. The first block of rows runs long, cheap inner
+    // loops, whose sub-nanosecond iterations ramp *their* stride to tens
+    // of thousands; the other rows are 2 us of plain work each, so from
+    // there on the outer loop's block boundaries are the only poll
+    // points. With one stride shared across the nest the outer loop
+    // inherited the inner one, ran its remaining 10 000 rows as a
+    // single block and serviced no beat in them.
+    const LONG_ROWS: usize = 32;
+    const ROWS: usize = LONG_ROWS + 10_000;
+    let rt = rt(1, HeartbeatSource::LocalTimer, 100);
+    let start = Instant::now();
+    rt.run(|ctx| {
+        ctx.parallel_for(0..ROWS, |ctx, r| {
+            if r >= LONG_ROWS {
+                return spin_us(2);
+            }
+            let x = ctx.reduce_blocks(
+                0..70_000,
+                0u64,
+                |_, block, a| block.fold(a, |a, i| a ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15)),
+                |a, b| a ^ b,
+            );
+            std::hint::black_box(x);
+        })
+    });
+    let beats = start.elapsed().as_micros() as u64 / 100;
+    let serviced = rt.stats().heartbeats_serviced;
+    assert!(
+        serviced * 4 >= beats,
+        "serviced {serviced} of the ~{beats} beats of the nest"
+    );
+}
+
+/// Row `r` of the stress nests: Zipf-long, so early rows are split
+/// internally and late ones take the one-block path.
+fn zipf_len(r: usize) -> usize {
+    20_000 / (r + 1) + 1
+}
+
+/// `Σ_{k < len} (r + 1)(k + 1)`, in closed form.
+fn row_sum(r: usize, len: usize) -> u64 {
+    ((r + 1) * len * (len + 1) / 2) as u64
+}
+
+fn latent_row_sum(ctx: &WorkerCtx<'_>, r: usize, cols: std::ops::Range<usize>) -> u64 {
+    let term = |_: &WorkerCtx<'_>, k, s| s + ((r + 1) * (k + 1)) as u64;
+    ctx.reduce(cols, 0u64, term, |a, b| a + b)
+}
+
+#[test]
+fn nest_shapes_hold_checksums_under_every_source() {
+    // Loop-in-loop and loop-in-fork-in-loop, beats every 20 us so that
+    // every level is promoted in every run: a lost, doubled or misplaced
+    // iteration — an outer split racing a block in flight, a frame
+    // promoted after its pop — shows in the sum.
+    const ROWS: usize = 200;
+    let expected: u64 = (0..ROWS).map(|r| row_sum(r, zipf_len(r))).sum();
+    for source in [
+        HeartbeatSource::LocalTimer,
+        HeartbeatSource::PingThread,
+        HeartbeatSource::TimerSignal,
+    ] {
+        for workers in 1..=4 {
+            let rt = rt(workers, source, 20);
+            for rep in 0..20 {
+                let flat = rt.run(|ctx| {
+                    ctx.reduce(
+                        0..ROWS,
+                        0u64,
+                        |ctx, r, s| s + latent_row_sum(ctx, r, 0..zipf_len(r)),
+                        |a, b| a + b,
+                    )
+                });
+                assert_eq!(flat, expected, "loop-in-loop {source:?} w{workers} #{rep}");
+                let forked = rt.run(|ctx| {
+                    ctx.reduce(
+                        0..ROWS,
+                        0u64,
+                        |ctx, r, s| {
+                            let (len, mid) = (zipf_len(r), zipf_len(r) / 3);
+                            let (a, b) = ctx.join2(
+                                |ctx| latent_row_sum(ctx, r, 0..mid),
+                                |ctx| latent_row_sum(ctx, r, mid..len),
+                            );
+                            s + a + b
+                        },
+                        |a, b| a + b,
+                    )
+                });
+                assert_eq!(
+                    forked, expected,
+                    "loop-in-fork-in-loop {source:?} w{workers} #{rep}"
+                );
+            }
+        }
+    }
 }

@@ -458,7 +458,11 @@ fn shutdown_drains_every_admitted_run() {
     let submitters: Vec<_> = (0..4)
         .map(|i| {
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
+                // A submitter scheduled after the drain finds the listener
+                // gone: refused like a 503, not dropped.
+                let Ok(mut client) = Client::connect(addr) else {
+                    return (503, String::from("connection refused"));
+                };
                 let body = run_body(
                     SUM_TPL,
                     &format!(",\"ir\":true,\"cores\":2,\"sets\":{{\"n\":{}}}", 200 + i),

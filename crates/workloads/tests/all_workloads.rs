@@ -140,3 +140,39 @@ fn registry_complete() {
     let streaming = all_workloads().iter().filter(|w| w.is_streaming()).count();
     assert_eq!(streaming, 3);
 }
+
+#[test]
+fn spmv_nests_hold_checksums_under_every_source() {
+    // The row loop and the per-row reduction are two marks of one nest:
+    // a beat inside a giant row hands off *rows*, and the row itself
+    // only once no two rows are left. Beats every 50 us promote at both
+    // levels in every run; the checksum weighs each row by its index,
+    // so a row summed twice, skipped or written by the wrong chunk
+    // shows.
+    for name in ["spmv-powerlaw", "spmv-arrowhead"] {
+        let p = tpal_workloads::workload(name)
+            .expect("known workload")
+            .prepare(Scale::Quick);
+        for source in [
+            HeartbeatSource::LocalTimer,
+            HeartbeatSource::PingThread,
+            HeartbeatSource::TimerSignal,
+        ] {
+            for workers in 1..=4 {
+                let rt = Runtime::new(
+                    RtConfig::default()
+                        .workers(workers)
+                        .source(source)
+                        .heartbeat(std::time::Duration::from_micros(50)),
+                );
+                for rep in 0..20 {
+                    assert_eq!(
+                        tpal_workloads::run_heartbeat_on(&rt, p.as_ref()),
+                        p.expected(),
+                        "{name} {source:?} w{workers} #{rep}"
+                    );
+                }
+            }
+        }
+    }
+}
