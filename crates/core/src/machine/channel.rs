@@ -10,10 +10,10 @@
 //! *blocking* side — which tasks are parked on a full or empty channel
 //! and in what order they wake — belongs to the executor driving
 //! [`crate::machine::step_task`], because task identity is
-//! executor-specific (the [`crate::machine::Machine`] owns
-//! [`crate::machine::TaskState`] values, the simulator has task ids, the
-//! native runtime its own queue). Keeping the store pure is what makes
-//! the instruction-level transitions identical across executors.
+//! executor-specific (the [`crate::machine::Machine`] — whose driver the
+//! native runtime runs too — owns [`crate::machine::TaskState`] values,
+//! the simulator has task ids). Keeping the store pure is what makes the
+//! instruction-level transitions identical across executors.
 
 use std::collections::VecDeque;
 

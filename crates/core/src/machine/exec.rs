@@ -4,14 +4,18 @@
 //!
 //! This executor models a single abstract processor multiplexing the task
 //! set (the big-step evaluation of Figure 30 linearised into small steps).
-//! True multicore execution, with per-core heartbeat timers, steal costs,
-//! and delivery-latency models, lives in the `tpal-sim` crate and reuses
-//! the same single-step semantics.
+//! The evaluation relation is parameterised by where heartbeats come
+//! from ([`Beats`]): [`Machine::run`] counts cycles per task, and the
+//! native runtime (`tpal-rt`) drives the same [`Machine::run_with`] from
+//! a worker's real-time heartbeat source. True multicore execution, with
+//! per-core heartbeat timers, steal costs, and delivery-latency models,
+//! lives in the `tpal-sim` crate and reuses the same single-step
+//! semantics.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use crate::cost::CostGraph;
-use crate::isa::Label;
 use crate::machine::stack::PromotionOrder;
 use crate::machine::step::{
     resolve_join, step_task, JoinResolution, RunPause, StepOutcome, Stores, TaskCost, TaskState,
@@ -175,7 +179,7 @@ pub struct ExecStats {
 /// The result of running a machine to completion.
 #[derive(Debug, Clone)]
 pub struct Outcome {
-    final_regs: Option<RegFile>,
+    final_regs: RegFile,
     reg_names: Vec<String>,
     /// Execution counters.
     pub stats: ExecStats,
@@ -192,31 +196,85 @@ pub struct Outcome {
 }
 
 impl Outcome {
+    /// The outcome of a run whose main task `halted` retired with `stats`.
+    fn new(program: &Program, mut halted: TaskState, stats: ExecStats) -> Outcome {
+        Outcome {
+            cost_graph: halted.cost.as_mut().map(TaskCost::flush),
+            final_regs: halted.regs,
+            reg_names: (0..program.reg_count())
+                .map(|i| program.reg_name(crate::isa::Reg(i as u32)).to_owned())
+                .collect(),
+            stats,
+            work: halted.rel_work,
+            span: halted.rel_span,
+        }
+    }
+
     /// Reads an integer register from the halting task's register file.
     ///
-    /// Returns `None` if the machine did not halt through a `halt`
-    /// instruction, the name is unknown, or the register holds a
+    /// Returns `None` if the name is unknown or the register holds a
     /// non-integer.
     pub fn read_reg(&self, name: &str) -> Option<i64> {
         let idx = self.reg_names.iter().position(|n| n == name)?;
-        match self
-            .final_regs
-            .as_ref()?
-            .read_raw(crate::isa::Reg(idx as u32))
-        {
+        match self.final_regs.read_raw(crate::isa::Reg(idx as u32)) {
             Value::Int(n) => Some(n),
             _ => None,
         }
     }
 
-    /// The halting task's full register file, if the machine halted.
-    pub fn final_regs(&self) -> Option<&RegFile> {
-        self.final_regs.as_ref()
+    /// The halting task's full register file.
+    pub fn final_regs(&self) -> &RegFile {
+        &self.final_regs
     }
 
     /// Average parallelism: work divided by span.
     pub fn parallelism(&self) -> f64 {
         self.work as f64 / self.span.max(1) as f64
+    }
+}
+
+/// Where a task-set driver's heartbeats come from — the one thing on
+/// which the abstract machine ([`Machine::run`]: a per-task cycle
+/// counter) and the native runtime (`tpal-rt`: a worker's real-time
+/// heartbeat source) differ. Everything else — ready queue, fork/join
+/// resolution, channel park/wake, detach accounting, the step limit —
+/// is [`Machine::run_with`], once.
+pub trait Beats {
+    /// Asked before every straight-line stretch of `task`: how many
+    /// instructions it may run before the driver must ask again, and
+    /// whether the promotion watch is armed for the stretch (the task
+    /// then pauses at the next promotion-ready point).
+    fn stretch(&mut self, task: &TaskState) -> (u64, bool);
+
+    /// A watched stretch reached a promotion-ready point: divert the
+    /// task into its heartbeat handler? After a `false` the driver
+    /// steps the task past the point before it asks `stretch` again.
+    fn promote(&mut self) -> bool;
+
+    /// Observes the outcome of every instruction the driver steps
+    /// singly (fork, join, detach, the channel ops — blocked attempts
+    /// included —, allocations, `halt`) before the driver acts on it.
+    fn on_step(&mut self, _outcome: &StepOutcome) {}
+}
+
+/// The abstract machine's beats: a task is due once its cycle counter
+/// exceeds ♥, and a due task always promotes (`[try-promote]`, which
+/// resets the counter).
+struct CycleBeats(u64);
+
+impl Beats for CycleBeats {
+    #[inline]
+    fn stretch(&mut self, task: &TaskState) -> (u64, bool) {
+        if task.cycles > self.0 {
+            (u64::MAX, true)
+        } else {
+            ((self.0 - task.cycles).saturating_add(1), false)
+        }
+    }
+
+    #[inline]
+    fn promote(&mut self) -> bool {
+        true
     }
 }
 
@@ -246,7 +304,7 @@ impl SplitMix64 {
 #[derive(Debug)]
 pub struct Machine<'p> {
     program: &'p Program,
-    backend: ExecBackend,
+    backend: Cow<'p, ExecBackend>,
     config: MachineConfig,
     stores: Stores,
     initial: Option<TaskState>,
@@ -254,14 +312,25 @@ pub struct Machine<'p> {
 
 impl<'p> Machine<'p> {
     /// Creates a machine whose initial task starts at the program's entry
-    /// block.
+    /// block, compiling a backend for [`MachineConfig::exec_tier`].
     pub fn new(program: &'p Program, config: MachineConfig) -> Self {
-        Machine::with_entry(program, config, program.entry())
+        let backend = Cow::Owned(ExecBackend::new(program, config.exec_tier));
+        Machine::build(program, backend, config)
     }
 
-    /// Creates a machine whose initial task starts at `entry`.
-    pub fn with_entry(program: &'p Program, config: MachineConfig, entry: Label) -> Self {
-        let mut initial = TaskState::new(program, entry);
+    /// Like [`Machine::new`], but executes through a pre-compiled
+    /// `backend` (whose tier supersedes [`MachineConfig::exec_tier`]) —
+    /// the decode-once path for callers that run one program many times.
+    pub fn with_backend(
+        program: &'p Program,
+        backend: &'p ExecBackend,
+        config: MachineConfig,
+    ) -> Self {
+        Machine::build(program, Cow::Borrowed(backend), config)
+    }
+
+    fn build(program: &'p Program, backend: Cow<'p, ExecBackend>, config: MachineConfig) -> Self {
+        let mut initial = TaskState::new(program, program.entry());
         if config.build_cost_graph {
             initial.cost = Some(TaskCost::new());
         }
@@ -269,7 +338,7 @@ impl<'p> Machine<'p> {
         stores.stacks.set_promotion_order(config.promotion_order);
         Machine {
             program,
-            backend: ExecBackend::new(program, config.exec_tier),
+            backend,
             config,
             stores,
             initial: Some(initial),
@@ -282,33 +351,10 @@ impl<'p> Machine<'p> {
     ///
     /// [`MachineError::UnknownName`] if the program never names `name`.
     pub fn set_reg(&mut self, name: &str, value: i64) -> Result<(), MachineError> {
-        self.set_value(name, Value::Int(value))
-    }
-
-    /// Seeds an arbitrary value into an argument register.
-    ///
-    /// # Errors
-    ///
-    /// [`MachineError::UnknownName`] if the program never names `name`.
-    pub fn set_value(&mut self, name: &str, value: Value) -> Result<(), MachineError> {
         let reg = self.program.reg(name).ok_or(MachineError::UnknownName)?;
-        self.initial
-            .as_mut()
-            .expect("machine already run")
-            .regs
-            .write(reg, value);
+        let initial = self.initial.as_mut().expect("machine already run");
+        initial.regs.write(reg, Value::Int(value));
         Ok(())
-    }
-
-    /// Gives the initial task a fresh stack in register `name` (equivalent
-    /// to an `snew` performed by a caller).
-    ///
-    /// # Errors
-    ///
-    /// [`MachineError::UnknownName`] if the program never names `name`.
-    pub fn set_fresh_stack(&mut self, name: &str) -> Result<(), MachineError> {
-        let sp = self.stores.stacks.snew();
-        self.set_value(name, Value::Stack(sp))
     }
 
     /// Allocates and initialises a heap array before the run, returning
@@ -329,7 +375,8 @@ impl<'p> Machine<'p> {
         &self.stores.heap
     }
 
-    /// Runs the machine to completion.
+    /// Runs the machine to completion under the configured
+    /// cycle-counter heartbeat ♥.
     ///
     /// # Errors
     ///
@@ -337,59 +384,87 @@ impl<'p> Machine<'p> {
     /// if the task set drains without a `halt`;
     /// [`MachineError::StepLimitExceeded`] if the step limit is hit.
     pub fn run(&mut self) -> Result<Outcome, MachineError> {
+        self.run_with(&mut CycleBeats(self.config.heartbeat))
+    }
+
+    /// The task-set driver: [`Machine::run`] with heartbeats drawn from
+    /// `beats` instead of the cycle counter ([`MachineConfig::heartbeat`]
+    /// is not consulted). τ, the step limit, the schedule policy and the
+    /// promotion order apply whatever the source.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::run`].
+    pub fn run_with<B: Beats>(&mut self, beats: &mut B) -> Result<Outcome, MachineError> {
         let program = self.program;
         let config = self.config;
+        let backend: &ExecBackend = &self.backend;
+        let stores = &mut self.stores;
         let mut stats = ExecStats::default();
         let mut rng = match config.policy {
             SchedulePolicy::Random { seed, .. } => SplitMix64(seed ^ 0xA076_1D64_78BD_642F),
             _ => SplitMix64(0),
         };
+        let quantum = match config.policy {
+            SchedulePolicy::RoundRobin { quantum } | SchedulePolicy::Random { quantum, .. } => {
+                quantum
+            }
+            _ => u64::MAX,
+        };
 
         let mut queue: VecDeque<TaskState> = VecDeque::new();
         queue.push_back(self.initial.take().expect("machine already run"));
 
-        let mut halted: Option<TaskState> = None;
-        // Tasks parked on a channel, in park order: pushers blocked on a
-        // full channel, poppers blocked on an empty one. Wakes are FIFO
-        // per channel (a close wakes poppers first, then pushers), so
-        // the interleaving is deterministic.
-        let mut parked_push: VecDeque<(i64, TaskState)> = VecDeque::new();
-        let mut parked_pop: VecDeque<(i64, TaskState)> = VecDeque::new();
+        // Tasks parked on a channel, in park order, each with its
+        // channel and direction (`true`: a pusher blocked on a full
+        // channel; `false`: a popper blocked on an empty one). Wakes are
+        // FIFO per channel and direction, so the interleaving is
+        // deterministic.
+        let mut parked: VecDeque<(i64, bool, TaskState)> = VecDeque::new();
+        // Requeues the longest-parked `push`-direction waiter on `ch`.
+        let wake = |parked: &mut VecDeque<(i64, bool, TaskState)>,
+                    queue: &mut VecDeque<TaskState>,
+                    ch: i64,
+                    push: bool| {
+            let i = parked.iter().position(|&(c, p, _)| c == ch && p == push);
+            if let Some((_, _, t)) = i.and_then(|i| parked.remove(i)) {
+                queue.push_back(t);
+            }
+            i.is_some()
+        };
+        // Schedules a new child per policy: run it now (the parent
+        // queues) or queue it.
+        let child_first = config.policy == SchedulePolicy::ChildFirst;
+        let spawn = |queue: &mut VecDeque<TaskState>, task: &mut TaskState, child: TaskState| {
+            if child_first {
+                queue.push_front(std::mem::replace(task, child));
+            } else {
+                queue.push_back(child);
+            }
+        };
         // Live detached tasks (quiescence counter).
         let mut detached_live: usize = 0;
 
         'outer: while let Some(mut task) = {
             // Pick the next task per policy.
-            match config.policy {
-                SchedulePolicy::Random { quantum: _, .. } if queue.len() > 1 => {
-                    let i = rng.below(queue.len());
-                    queue.swap(0, i);
-                    queue.pop_front()
-                }
-                _ => queue.pop_front(),
+            if matches!(config.policy, SchedulePolicy::Random { .. }) && queue.len() > 1 {
+                let i = rng.below(queue.len());
+                queue.swap(0, i);
             }
+            queue.pop_front()
         } {
             let mut slice: u64 = 0;
-            let quantum = match config.policy {
-                SchedulePolicy::RoundRobin { quantum } | SchedulePolicy::Random { quantum, .. } => {
-                    quantum
-                }
-                _ => u64::MAX,
-            };
-            // Straight-line stretches run batched through the decoded
-            // micro-op stream; the batch budget is the least of the three
-            // events the per-step reference loop would notice — heartbeat
-            // expiry (the poll fires once `cycles` exceeds ♥), the end of
-            // the scheduling slice, and the global step limit. Boundaries
-            // and promotions are then handled exactly as the per-step
-            // loop handles them.
+            // The beat source declined the point the task is paused at.
+            let mut declined = false;
+            // Straight-line stretches run batched through the execution
+            // tier; the batch budget is the least of the three events a
+            // per-step loop would notice — the beat source's next look
+            // (cycle-counter expiry, or a real-time poll), the end of
+            // the scheduling slice, and the global step limit. The limit
+            // clamps every stretch, watched or not, so a program with no
+            // boundary and no promotion-ready point still stops.
             'inner: loop {
-                let watch = task.cycles > config.heartbeat;
-                let until_hb = if watch {
-                    u64::MAX
-                } else {
-                    (config.heartbeat - task.cycles).saturating_add(1)
-                };
+                let (until_beat, watch) = beats.stretch(&task);
                 let until_quantum = if queue.is_empty() {
                     u64::MAX
                 } else {
@@ -399,16 +474,23 @@ impl<'p> Machine<'p> {
                     .step_limit
                     .saturating_add(1)
                     .saturating_sub(stats.instructions);
-                let max_steps = until_hb.min(until_quantum).min(until_limit);
+                let max_steps = until_beat.min(until_quantum).min(until_limit);
+                // A declined point is stepped past unwatched, whatever
+                // the source answers now: a source still due would
+                // otherwise pause here again with no step taken, which
+                // the step limit cannot end.
+                let (max_steps, watch) = if std::mem::take(&mut declined) {
+                    (max_steps.min(1), false)
+                } else {
+                    (max_steps, watch)
+                };
 
-                let (steps, pause) = self.backend.run_until(
-                    self.program,
-                    &mut task,
-                    &mut self.stores,
-                    max_steps,
-                    watch,
-                )?;
+                let (steps, pause) =
+                    backend.run_until(program, &mut task, stores, max_steps, watch)?;
                 stats.instructions += steps;
+                // The one step-limit check: boundary instructions below
+                // are caught here on the next stretch, whose budget
+                // `until_limit` has by then clamped to zero.
                 if stats.instructions > config.step_limit {
                     return Err(MachineError::StepLimitExceeded {
                         limit: config.step_limit,
@@ -419,138 +501,87 @@ impl<'p> Machine<'p> {
                 match pause {
                     RunPause::Quantum => {}
                     RunPause::PromotionReady => {
-                        let handler = task
-                            .at_promotion_point(program)
-                            .expect("PromotionReady pause implies a prppt entry");
-                        task.divert_to_handler(handler);
-                        stats.promotions += 1;
-                    }
-                    RunPause::Boundary => match step_task(program, &mut task, &mut self.stores)? {
-                        StepOutcome::Ran => {
-                            stats.instructions += 1;
-                            if stats.instructions > config.step_limit {
-                                return Err(MachineError::StepLimitExceeded {
-                                    limit: config.step_limit,
-                                });
-                            }
-                            slice += 1;
+                        if beats.promote() {
+                            let handler = task
+                                .at_promotion_point(program)
+                                .expect("PromotionReady pause implies a prppt entry");
+                            task.divert_to_handler(handler);
+                            stats.promotions += 1;
+                        } else {
+                            declined = true;
                         }
-                        StepOutcome::Halted => {
-                            stats.instructions += 1;
-                            if task.detached {
-                                // A detached task's halt retires only
-                                // itself; the machine continues.
-                                detached_live -= 1;
+                    }
+                    RunPause::Boundary => {
+                        let outcome = step_task(program, &mut task, stores)?;
+                        beats.on_step(&outcome);
+                        match outcome {
+                            StepOutcome::Ran => {}
+                            StepOutcome::Halted => {
+                                stats.instructions += 1;
+                                if task.detached {
+                                    // A detached task's halt retires only
+                                    // itself; the machine continues.
+                                    detached_live -= 1;
+                                    continue 'outer;
+                                }
+                                stats.detached_live_at_halt = detached_live;
+                                return Ok(Outcome::new(program, task, stats));
+                            }
+                            StepOutcome::Forked { child } => {
+                                stats.forks += 1;
+                                spawn(&mut queue, &mut task, *child);
+                                stats.max_live_tasks = stats.max_live_tasks.max(queue.len() + 1);
+                            }
+                            StepOutcome::Joined { jr } => {
+                                stats.instructions += 1;
+                                stats.joins += 1;
+                                match resolve_join(program, task, jr, stores, config.tau)? {
+                                    JoinResolution::TaskDied => continue 'outer,
+                                    JoinResolution::Merged(resumed) => {
+                                        stats.merges += 1;
+                                        task = *resumed;
+                                    }
+                                    JoinResolution::Completed(resumed) => task = *resumed,
+                                }
+                                continue 'inner;
+                            }
+                            StepOutcome::Detached { child } => {
+                                stats.detaches += 1;
+                                detached_live += 1;
+                                spawn(&mut queue, &mut task, *child);
+                                stats.max_live_tasks =
+                                    stats.max_live_tasks.max(queue.len() + 1 + parked.len());
+                            }
+                            StepOutcome::ChanPushed { ch } => {
+                                // One item appeared: wake the oldest
+                                // parked popper of this channel, if any.
+                                stats.chan_pushes += 1;
+                                wake(&mut parked, &mut queue, ch, false);
+                            }
+                            StepOutcome::ChanPopped { ch } => {
+                                // One slot freed: wake the oldest parked
+                                // pusher of this channel, if any.
+                                stats.chan_pops += 1;
+                                wake(&mut parked, &mut queue, ch, true);
+                            }
+                            StepOutcome::ChanClosed { ch } => {
+                                // Wake everyone parked on the channel:
+                                // poppers first (they drain the buffer),
+                                // then pushers (they fault on retry).
+                                while wake(&mut parked, &mut queue, ch, false) {}
+                                while wake(&mut parked, &mut queue, ch, true) {}
+                            }
+                            StepOutcome::ChanBlocked { ch, push } => {
+                                // Not a step: park the task until a
+                                // partner wakes it.
+                                stats.chan_blocks += 1;
+                                parked.push_back((ch, push, task));
                                 continue 'outer;
                             }
-                            stats.detached_live_at_halt = detached_live;
-                            halted = Some(task);
-                            break 'outer;
                         }
-                        StepOutcome::Forked { child } => {
-                            stats.forks += 1;
-                            match config.policy {
-                                SchedulePolicy::ChildFirst => {
-                                    queue.push_front(task);
-                                    task = *child;
-                                }
-                                _ => queue.push_back(*child),
-                            }
-                            stats.max_live_tasks = stats.max_live_tasks.max(queue.len() + 1);
-                            stats.instructions += 1;
-                            if stats.instructions > config.step_limit {
-                                return Err(MachineError::StepLimitExceeded {
-                                    limit: config.step_limit,
-                                });
-                            }
-                            slice += 1;
-                        }
-                        StepOutcome::Joined { jr } => {
-                            stats.instructions += 1;
-                            stats.joins += 1;
-                            match resolve_join(program, task, jr, &mut self.stores, config.tau)? {
-                                JoinResolution::TaskDied => continue 'outer,
-                                JoinResolution::Merged(resumed) => {
-                                    stats.merges += 1;
-                                    task = *resumed;
-                                    continue 'inner;
-                                }
-                                JoinResolution::Completed(resumed) => {
-                                    task = *resumed;
-                                    continue 'inner;
-                                }
-                            }
-                        }
-                        StepOutcome::Detached { child } => {
-                            stats.detaches += 1;
-                            detached_live += 1;
-                            match config.policy {
-                                SchedulePolicy::ChildFirst => {
-                                    queue.push_front(task);
-                                    task = *child;
-                                }
-                                _ => queue.push_back(*child),
-                            }
-                            stats.max_live_tasks = stats
-                                .max_live_tasks
-                                .max(queue.len() + 1 + parked_push.len() + parked_pop.len());
-                            stats.instructions += 1;
-                            if stats.instructions > config.step_limit {
-                                return Err(MachineError::StepLimitExceeded {
-                                    limit: config.step_limit,
-                                });
-                            }
-                            slice += 1;
-                        }
-                        StepOutcome::ChanPushed { ch } => {
-                            stats.instructions += 1;
-                            stats.chan_pushes += 1;
-                            slice += 1;
-                            // One item appeared: wake the oldest parked
-                            // popper of this channel, if any.
-                            if let Some(i) = parked_pop.iter().position(|&(c, _)| c == ch) {
-                                let (_, t) = parked_pop.remove(i).expect("index in range");
-                                queue.push_back(t);
-                            }
-                        }
-                        StepOutcome::ChanPopped { ch } => {
-                            stats.instructions += 1;
-                            stats.chan_pops += 1;
-                            slice += 1;
-                            // One slot freed: wake the oldest parked
-                            // pusher of this channel, if any.
-                            if let Some(i) = parked_push.iter().position(|&(c, _)| c == ch) {
-                                let (_, t) = parked_push.remove(i).expect("index in range");
-                                queue.push_back(t);
-                            }
-                        }
-                        StepOutcome::ChanClosed { ch } => {
-                            stats.instructions += 1;
-                            slice += 1;
-                            // Wake everyone parked on the channel:
-                            // poppers first (they drain the buffer),
-                            // then pushers (they fault on retry).
-                            while let Some(i) = parked_pop.iter().position(|&(c, _)| c == ch) {
-                                let (_, t) = parked_pop.remove(i).expect("index in range");
-                                queue.push_back(t);
-                            }
-                            while let Some(i) = parked_push.iter().position(|&(c, _)| c == ch) {
-                                let (_, t) = parked_push.remove(i).expect("index in range");
-                                queue.push_back(t);
-                            }
-                        }
-                        StepOutcome::ChanBlocked { ch, push } => {
-                            // Not a step: park the task until a partner
-                            // wakes it.
-                            stats.chan_blocks += 1;
-                            if push {
-                                parked_push.push_back((ch, task));
-                            } else {
-                                parked_pop.push_back((ch, task));
-                            }
-                            continue 'outer;
-                        }
-                    },
+                        stats.instructions += 1;
+                        slice += 1;
+                    }
                 }
                 if slice >= quantum && !queue.is_empty() {
                     queue.push_back(task);
@@ -558,32 +589,8 @@ impl<'p> Machine<'p> {
                 }
             }
         }
-
-        let (work, span, final_regs, cost_graph) = match halted {
-            Some(mut t) => (
-                t.rel_work,
-                t.rel_span,
-                Some(t.regs),
-                t.cost.as_mut().map(TaskCost::flush),
-            ),
-            None => {
-                if queue.is_empty() {
-                    return Err(MachineError::Deadlock);
-                }
-                unreachable!("loop exits only on halt or empty queue")
-            }
-        };
-
-        Ok(Outcome {
-            final_regs,
-            reg_names: (0..program.reg_count())
-                .map(|i| program.reg_name(crate::isa::Reg(i as u32)).to_owned())
-                .collect(),
-            stats,
-            work,
-            span,
-            cost_graph,
-        })
+        // The ready queue drained without a `halt`.
+        Err(MachineError::Deadlock)
     }
 }
 
@@ -642,15 +649,39 @@ mod tests {
             }],
         );
         let p = b.build().unwrap();
-        let mut m = Machine::new(
-            &p,
-            MachineConfig {
-                step_limit: 1000,
-                ..MachineConfig::default()
-            },
-        );
+        let config = MachineConfig {
+            step_limit: 1000,
+            ..MachineConfig::default()
+        };
         assert!(matches!(
-            m.run(),
+            Machine::new(&p, config).run(),
+            Err(MachineError::StepLimitExceeded { limit: 1000 })
+        ));
+
+        // A beat source that has armed the watch and asks for no budget
+        // of its own (the native runtime's, once a beat is due): the
+        // limit clamps the stretch although no promotion-ready point
+        // will ever end it.
+        struct Armed;
+        impl Beats for Armed {
+            fn stretch(&mut self, _: &TaskState) -> (u64, bool) {
+                (u64::MAX, true)
+            }
+            fn promote(&mut self) -> bool {
+                false
+            }
+        }
+        assert!(matches!(
+            Machine::new(&p, config).run_with(&mut Armed),
+            Err(MachineError::StepLimitExceeded { limit: 1000 })
+        ));
+        // The same source at a promotion-ready point it keeps declining
+        // while staying armed: the driver steps the task past the point
+        // rather than pausing at it again, so the limit still ends it.
+        let src = "spin: [prppt h]\n    jump spin\nh: [.]\n    halt\n";
+        let p = crate::asm::parse_program(src).unwrap();
+        assert!(matches!(
+            Machine::new(&p, config).run_with(&mut Armed),
             Err(MachineError::StepLimitExceeded { limit: 1000 })
         ));
     }

@@ -24,7 +24,7 @@ pub(crate) mod step;
 mod value;
 
 pub use channel::{Channel, ChannelStore};
-pub use exec::{ExecStats, Machine, MachineConfig, Outcome, SchedulePolicy};
+pub use exec::{Beats, ExecStats, Machine, MachineConfig, Outcome, SchedulePolicy};
 pub use heap::Heap;
 pub use join::{Assoc, JoinId, JoinOutcome, JoinStore};
 pub use stack::{PromotionOrder, StackId, StackRef, StackStore};

@@ -62,12 +62,8 @@ mod stats;
 pub use channel::{Channel, ChannelStats};
 pub use heartbeat::HeartbeatSource;
 pub use pool::{RtConfig, Runtime, WorkerCtx};
-pub use program::{ProgramOutcome, ProgramStats};
 pub use signal::supported as timer_signal_supported;
 pub use stats::RtStats;
-// The interpreter tier for `Runtime::run_program`; re-exported so
-// runtime users need not depend on `tpal-core` directly.
-pub use tpal_core::tier::ExecTier;
 // The scheduling policies themselves live in the shared policy kernel;
 // re-exported so runtime users need not depend on `tpal-sched` directly.
 pub use tpal_sched::{Policy, Promotion, Victim};

@@ -11,7 +11,6 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use tpal_core::tier::ExecTier;
 use tpal_deque::{deque, CachePadded, Injector, Steal, Stealer, Worker};
 use tpal_sched::{
     HeartbeatCell, HeartbeatSource, Policy, PromoteState, Promotion, RngEnv, SplitMix64, Victim,
@@ -73,11 +72,6 @@ pub struct RtConfig {
     /// [`RtConfig::suppress_promotions`] overrides the promotion half
     /// to `never`.
     pub policy: Policy,
-    /// Which interpreter tier [`Runtime::run_program`] executes TPAL
-    /// straight-line stretches through. All tiers are bit-identical in
-    /// outcome (see [`tpal_core::tier`]); native closure-level jobs are
-    /// unaffected.
-    pub exec_tier: ExecTier,
 }
 
 impl Default for RtConfig {
@@ -98,7 +92,6 @@ impl Default for RtConfig {
                 victim: Victim::Sequence,
                 chan_wake: tpal_sched::ChanWake::Fifo,
             },
-            exec_tier: ExecTier::default(),
         }
     }
 }
@@ -158,13 +151,6 @@ impl RtConfig {
     /// Sets the scheduling policy (see [`RtConfig::policy`]).
     pub fn policy(mut self, p: Policy) -> Self {
         self.policy = p;
-        self
-    }
-
-    /// Sets the execution tier for TPAL program runs (default:
-    /// threaded).
-    pub fn exec_tier(mut self, tier: ExecTier) -> Self {
-        self.exec_tier = tier;
         self
     }
 }
@@ -233,8 +219,6 @@ pub(crate) struct Shared {
     /// See [`RtConfig::poll_subsample`]; 0 under `eager`, so that a
     /// non-zero `poll_skip` always means "no beat, no promotion".
     pub poll_subsample: u32,
-    /// The interpreter tier for [`Runtime::run_program`].
-    pub exec_tier: ExecTier,
     /// Sweep salt drawn by `sequence`-policy thieves; padded because
     /// concurrent thieves hammer it while stealing.
     pub rng_salt: CachePadded<AtomicU64>,
@@ -553,7 +537,6 @@ impl Runtime {
                 Promotion::Eager => 0,
                 _ => config.poll_subsample,
             },
-            exec_tier: config.exec_tier,
             rng_salt: CachePadded(AtomicU64::new(0x9E3779B9)),
             tracer: config.trace.then(|| {
                 SharedTracer::new(config.workers, "ticks", interval_ticks.max(1))
@@ -691,11 +674,6 @@ impl Runtime {
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.shared.workers.len()
-    }
-
-    /// The configured execution tier for TPAL program runs.
-    pub fn exec_tier(&self) -> ExecTier {
-        self.shared.exec_tier
     }
 }
 

@@ -1,34 +1,27 @@
 //! Running TPAL programs on the native runtime.
 //!
-//! [`Runtime::run_program`] interprets a [`Program`] on a worker thread
-//! with **real-time heartbeats**: instead of the abstract machine's
-//! cycle-counter heartbeat ([`tpal_core::machine::MachineConfig`]), the
-//! interpreter polls the worker's actual heartbeat source (local timer
-//! or ping thread) between instruction chunks, and arms the
-//! promotion-ready *watch* only once a beat is due — the same
-//! signal-at-prppt semantics the paper obtains with rollforward
-//! compilation. Straight-line stretches run through the configured
-//! execution tier ([`RtConfig::exec_tier`]): reference, decoded
-//! micro-ops, or decoded micro-ops plus loop templates, all bit-identical
-//! in outcome.
+//! [`Runtime::run_program`] interprets a TPAL program on a worker thread
+//! through the abstract machine's own task-set driver
+//! ([`Machine::run_with`]) — ready queue, fork/join resolution, channel
+//! park/wake, detach accounting, τ and the step limit are that one
+//! function's. What this file adds is the only thing that differs, the
+//! **real-time beat source**: instead of a per-task cycle counter, the
+//! driver asks the worker's actual heartbeat source (local timer, ping
+//! thread or timer signal) every `POLL_CHUNK` instructions, and the
+//! promotion-ready *watch* is armed only once a beat is due and stays
+//! armed until a `prppt` consumes it — the same signal-at-prppt
+//! semantics the paper obtains with rollforward compilation — plus the
+//! event hook that feeds the runtime's sharded counters and trace.
 //!
-//! Task management is deliberately local (a FIFO of ready tasks on the
-//! interpreting worker, as in [`tpal_core::machine::Machine`]): TPAL
-//! stores are single-threaded by construction, so promoted tasks
-//! interleave on one worker while the pool's other workers keep serving
-//! native (closure-level) jobs. Cross-worker TPAL execution is the
-//! simulator's domain (`tpal-sim`), where costs are modelled rather
-//! than measured.
+//! Promoted TPAL tasks therefore never leave the interpreting worker
+//! (TPAL stores are single-threaded by construction): a pool's other
+//! workers serve native closure-level jobs, and more workers do not make
+//! a *program* faster. Cross-worker TPAL execution is the simulator's
+//! domain (`tpal-sim`), where costs are modelled rather than measured.
 
-use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
-use tpal_core::machine::{
-    resolve_join, step_task, JoinResolution, MachineError, RunPause, StepOutcome, Stores,
-    TaskState, Value,
-};
-use tpal_core::program::Program;
-use tpal_core::tier::ExecBackend;
+use tpal_core::machine::{Beats, Machine, MachineError, Outcome, StepOutcome, TaskState};
 use tpal_trace::EventKind;
 
 use crate::pool::{Runtime, WorkerCtx};
@@ -38,351 +31,236 @@ use crate::pool::{Runtime, WorkerCtx};
 /// skip counter, so the per-chunk cost is one counter decrement.
 const POLL_CHUNK: u64 = 1_000;
 
-/// Abort threshold, matching `MachineConfig::default().step_limit`.
-const STEP_LIMIT: u64 = 500_000_000;
-
-/// The fork-join cost weight τ charged at join merges, matching
-/// `MachineConfig::default().tau`.
-const TAU: u64 = 10;
-
-/// Counters from one [`Runtime::run_program`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProgramStats {
-    /// Instructions executed, over all tasks.
-    pub instructions: u64,
-    /// Heartbeats observed by the interpreter (watch armings).
-    pub heartbeats: u64,
-    /// Promotions: diversions into a `prppt` heartbeat handler.
-    pub promotions: u64,
-    /// `fork` instructions executed.
-    pub forks: u64,
-    /// `join` instructions executed.
-    pub joins: u64,
-    /// `detach` instructions executed.
-    pub detaches: u64,
-    /// Items appended by `chpush`.
-    pub chan_pushes: u64,
-    /// Items removed by `chpop`.
-    pub chan_pops: u64,
-    /// Blocked channel attempts (full push or empty pop) that parked
-    /// the task. Blocked attempts execute no instruction.
-    pub chan_blocks: u64,
-    /// Detached tasks still running (or ready) when the root halted.
-    pub detached_live_at_halt: u64,
-}
-
-/// The result of running a TPAL program on the runtime.
-#[derive(Debug, Clone)]
-pub struct ProgramOutcome {
-    /// Execution counters.
-    pub stats: ProgramStats,
-    final_regs: Vec<(String, Value)>,
-}
-
-impl ProgramOutcome {
-    /// Reads an integer register of the halting task by name.
-    pub fn read_reg(&self, name: &str) -> Option<i64> {
-        self.final_regs.iter().find_map(|(n, v)| {
-            if n == name {
-                match v {
-                    Value::Int(i) => Some(*i),
-                    _ => None,
-                }
-            } else {
-                None
-            }
-        })
-    }
-}
-
 impl Runtime {
-    /// Runs a TPAL program to `halt` on a worker, with heartbeats from
-    /// the runtime's real heartbeat source and straight-line execution
-    /// through the configured tier ([`RtConfig::exec_tier`]).
+    /// Runs `machine` to `halt` on a worker, under the runtime's real
+    /// heartbeat source in place of the cycle-counter ♥ of its
+    /// [`MachineConfig`](tpal_core::machine::MachineConfig). Build, seed
+    /// and bound the machine exactly as for [`Machine::run`] — τ, the
+    /// step limit, the promotion order and the schedule policy are its
+    /// config's; [`Machine::with_backend`] reuses a compiled backend.
+    /// Returns the machine's [`Outcome`] and the number of heartbeats
+    /// the interpreter observed (watch armings).
     ///
-    /// `args` seeds integer argument registers of the initial task.
+    /// A pool of any size interprets the whole task set on the one
+    /// worker that picked the run up.
     ///
     /// # Errors
     ///
-    /// Any [`MachineError`] raised by a task;
-    /// [`MachineError::UnknownName`] for an unknown register name in
-    /// `args`; [`MachineError::Deadlock`] if the task set drains without
-    /// a `halt`.
-    pub fn run_program(
-        &self,
-        program: &Program,
-        args: &[(&str, i64)],
-    ) -> Result<ProgramOutcome, MachineError> {
-        let backend = ExecBackend::new(program, self.exec_tier());
-        self.run_program_with(program, &backend, args)
-    }
-
-    /// Like [`Runtime::run_program`], but executes through a
-    /// pre-compiled backend instead of compiling one per call — the
-    /// decode-once path for services that run one validated program
-    /// many times (`tpal-serve`). The backend's tier overrides the
-    /// runtime's configured [`RtConfig::exec_tier`] for this run;
-    /// outcomes are bit-identical across tiers either way.
-    pub fn run_program_with(
-        &self,
-        program: &Program,
-        backend: &ExecBackend,
-        args: &[(&str, i64)],
-    ) -> Result<ProgramOutcome, MachineError> {
-        let mut initial = TaskState::new(program, program.entry());
-        for (name, value) in args {
-            let reg = program.reg(name).ok_or(MachineError::UnknownName)?;
-            initial.regs.write(reg, Value::Int(*value));
-        }
-        self.run(move |ctx| run_program_on(ctx, program, backend, initial))
+    /// As [`Machine::run`]: any [`MachineError`] raised by a task,
+    /// [`MachineError::Deadlock`] if the task set drains without a
+    /// `halt`, [`MachineError::StepLimitExceeded`] past the step limit.
+    pub fn run_program(&self, machine: &mut Machine<'_>) -> Result<(Outcome, u64), MachineError> {
+        self.run(move |ctx| {
+            let mut beats = WorkerBeats {
+                ctx,
+                armed: false,
+                observed: 0,
+            };
+            let out = machine.run_with(&mut beats)?;
+            Ok((out, beats.observed))
+        })
     }
 }
 
-/// The interpreter driver: runs on one worker, polling its heartbeat.
-fn run_program_on(
-    ctx: &WorkerCtx<'_>,
-    program: &Program,
-    backend: &ExecBackend,
-    initial: TaskState,
-) -> Result<ProgramOutcome, MachineError> {
-    let mut stores = Stores::new();
-    let mut stats = ProgramStats::default();
-    let mut queue: VecDeque<TaskState> = VecDeque::new();
-    queue.push_back(initial);
-    // Tasks parked on a full push / empty pop, in park (FIFO) order —
-    // the native interpreter always wakes the longest-parked waiter,
-    // matching the abstract machine's deterministic single-queue wake.
-    let mut parked_push: VecDeque<(i64, TaskState)> = VecDeque::new();
-    let mut parked_pop: VecDeque<(i64, TaskState)> = VecDeque::new();
-    // Free-running `detach` tasks still live; the run ends at the root
-    // task's halt regardless, but the counter keeps accounting honest.
-    let mut detached_live: u64 = 0;
-    let mut halted: Option<TaskState> = None;
+/// The interpreting worker's real-time beats.
+struct WorkerBeats<'a, 'c> {
+    ctx: &'a WorkerCtx<'c>,
+    /// Set when a heartbeat was observed; cleared once a promotion
+    /// attempt at a `prppt` consumes it (one attempt per beat).
+    armed: bool,
+    observed: u64,
+}
 
-    /// Requeues the longest-parked waiter on `ch`, if any.
-    fn wake_one(
-        list: &mut VecDeque<(i64, TaskState)>,
-        ch: i64,
-        queue: &mut VecDeque<TaskState>,
-    ) -> bool {
-        match list.iter().position(|(c, _)| *c == ch) {
-            Some(pos) => {
-                let (_, t) = list.remove(pos).expect("position is in bounds");
-                queue.push_back(t);
-                true
-            }
-            None => false,
-        }
-    }
-    // Set when a heartbeat was observed and the watch is armed; cleared
-    // once the beat is consumed by a promotion attempt at a `prppt`.
-    let mut armed = false;
-
-    'outer: while let Some(mut task) = queue.pop_front() {
-        'inner: loop {
-            if !armed && ctx.heartbeat_due() {
-                armed = true;
-                stats.heartbeats += 1;
-                ctx.shared
-                    .counters
-                    .shard(ctx.id)
-                    .heartbeats_serviced
-                    .fetch_add(1, Ordering::Relaxed);
-                ctx.shared.trace_event(ctx.id, EventKind::HeartbeatServiced);
-            }
-            let max_steps = if armed { u64::MAX } else { POLL_CHUNK };
-            let (steps, pause) =
-                backend.run_until(program, &mut task, &mut stores, max_steps, armed)?;
-            stats.instructions += steps;
-            if stats.instructions > STEP_LIMIT {
-                return Err(MachineError::StepLimitExceeded { limit: STEP_LIMIT });
-            }
-            match pause {
-                RunPause::Quantum => {}
-                RunPause::PromotionReady => {
-                    // Only an armed watch pauses here; the beat is
-                    // consumed either way (one attempt per beat).
-                    armed = false;
-                    if ctx.attempt_promotion(true) {
-                        let handler = task
-                            .at_promotion_point(program)
-                            .expect("PromotionReady pause implies a prppt entry");
-                        task.divert_to_handler(handler);
-                        stats.promotions += 1;
-                        ctx.shared
-                            .counters
-                            .shard(ctx.id)
-                            .promotions
-                            .fetch_add(1, Ordering::Relaxed);
-                        ctx.shared
-                            .trace_event(ctx.id, EventKind::TaskPromote { task: 0 });
-                    }
-                    // Declined: fall through; the next run_until is
-                    // unwatched, so the task moves past the point.
-                }
-                RunPause::Boundary => match step_task(program, &mut task, &mut stores)? {
-                    StepOutcome::Ran => stats.instructions += 1,
-                    StepOutcome::Halted => {
-                        stats.instructions += 1;
-                        if task.detached {
-                            // A detached task retiring does not end the
-                            // run; the root task's halt does.
-                            detached_live -= 1;
-                            continue 'outer;
-                        }
-                        halted = Some(task);
-                        break 'outer;
-                    }
-                    StepOutcome::Forked { child } => {
-                        stats.instructions += 1;
-                        stats.forks += 1;
-                        ctx.shared
-                            .counters
-                            .shard(ctx.id)
-                            .tasks_created
-                            .fetch_add(1, Ordering::Relaxed);
-                        queue.push_back(*child);
-                    }
-                    StepOutcome::Detached { child } => {
-                        stats.instructions += 1;
-                        stats.detaches += 1;
-                        detached_live += 1;
-                        ctx.shared
-                            .counters
-                            .shard(ctx.id)
-                            .tasks_created
-                            .fetch_add(1, Ordering::Relaxed);
-                        ctx.shared.trace_event(
-                            ctx.id,
-                            EventKind::TaskDetach {
-                                parent: 0,
-                                child: 0,
-                            },
-                        );
-                        queue.push_back(*child);
-                    }
-                    StepOutcome::ChanPushed { ch } => {
-                        stats.instructions += 1;
-                        stats.chan_pushes += 1;
-                        ctx.shared.trace_event(
-                            ctx.id,
-                            EventKind::ChanPush {
-                                ch: ch as u32,
-                                task: 0,
-                            },
-                        );
-                        wake_one(&mut parked_pop, ch, &mut queue);
-                    }
-                    StepOutcome::ChanPopped { ch } => {
-                        stats.instructions += 1;
-                        stats.chan_pops += 1;
-                        ctx.shared.trace_event(
-                            ctx.id,
-                            EventKind::ChanPop {
-                                ch: ch as u32,
-                                task: 0,
-                            },
-                        );
-                        wake_one(&mut parked_push, ch, &mut queue);
-                    }
-                    StepOutcome::ChanClosed { ch } => {
-                        stats.instructions += 1;
-                        ctx.shared.trace_event(
-                            ctx.id,
-                            EventKind::ChanClose {
-                                ch: ch as u32,
-                                task: 0,
-                            },
-                        );
-                        // Close wakes every waiter: poppers first (they
-                        // drain the buffer, then fault), then pushers
-                        // (they fault on retry).
-                        while wake_one(&mut parked_pop, ch, &mut queue) {}
-                        while wake_one(&mut parked_push, ch, &mut queue) {}
-                    }
-                    StepOutcome::ChanBlocked { ch, push } => {
-                        // The op did not step (no instruction charged);
-                        // park the task at the same position for retry.
-                        stats.chan_blocks += 1;
-                        ctx.shared.trace_event(
-                            ctx.id,
-                            EventKind::ChanBlock {
-                                ch: ch as u32,
-                                task: 0,
-                                push,
-                            },
-                        );
-                        if push {
-                            parked_push.push_back((ch, task));
-                        } else {
-                            parked_pop.push_back((ch, task));
-                        }
-                        continue 'outer;
-                    }
-                    StepOutcome::Joined { jr } => {
-                        stats.instructions += 1;
-                        stats.joins += 1;
-                        match resolve_join(program, task, jr, &mut stores, TAU)? {
-                            JoinResolution::TaskDied => continue 'outer,
-                            JoinResolution::Merged(resumed)
-                            | JoinResolution::Completed(resumed) => {
-                                task = *resumed;
-                                continue 'inner;
-                            }
-                        }
-                    }
-                },
-            }
-        }
+impl WorkerBeats<'_, '_> {
+    fn trace(&self, kind: EventKind) {
+        self.ctx.shared.trace_event(self.ctx.id, kind);
     }
 
-    let task = match halted {
-        Some(t) => t,
-        None => return Err(MachineError::Deadlock),
-    };
-    stats.detached_live_at_halt = detached_live;
-    let final_regs = (0..program.reg_count())
-        .map(|i| {
-            let r = tpal_core::isa::Reg::from_index(i);
-            (
-                program.reg_name(r).to_owned(),
-                task.regs.read(r).unwrap_or(Value::Uninit),
-            )
-        })
-        .collect();
-    Ok(ProgramOutcome { stats, final_regs })
+    fn count_task(&self) {
+        let shard = self.ctx.shared.counters.shard(self.ctx.id);
+        shard.tasks_created.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl Beats for WorkerBeats<'_, '_> {
+    #[inline]
+    fn stretch(&mut self, _task: &TaskState) -> (u64, bool) {
+        if !self.armed && self.ctx.heartbeat_due() {
+            self.armed = true;
+            self.observed += 1;
+            let shard = self.ctx.shared.counters.shard(self.ctx.id);
+            shard.heartbeats_serviced.fetch_add(1, Ordering::Relaxed);
+            self.trace(EventKind::HeartbeatServiced);
+        }
+        (if self.armed { u64::MAX } else { POLL_CHUNK }, self.armed)
+    }
+
+    fn promote(&mut self) -> bool {
+        self.armed = false;
+        let promoted = self.ctx.attempt_promotion(true);
+        if promoted {
+            let shard = self.ctx.shared.counters.shard(self.ctx.id);
+            shard.promotions.fetch_add(1, Ordering::Relaxed);
+            self.trace(EventKind::TaskPromote { task: 0 });
+        }
+        promoted
+    }
+
+    fn on_step(&mut self, outcome: &StepOutcome) {
+        let task = 0;
+        match *outcome {
+            StepOutcome::Forked { .. } => self.count_task(),
+            StepOutcome::Detached { .. } => {
+                self.count_task();
+                self.trace(EventKind::TaskDetach {
+                    parent: 0,
+                    child: 0,
+                });
+            }
+            StepOutcome::ChanPushed { ch } => self.trace(EventKind::ChanPush {
+                ch: ch as u32,
+                task,
+            }),
+            StepOutcome::ChanPopped { ch } => self.trace(EventKind::ChanPop {
+                ch: ch as u32,
+                task,
+            }),
+            StepOutcome::ChanClosed { ch } => self.trace(EventKind::ChanClose {
+                ch: ch as u32,
+                task,
+            }),
+            StepOutcome::ChanBlocked { ch, push } => self.trace(EventKind::ChanBlock {
+                ch: ch as u32,
+                task,
+                push,
+            }),
+            StepOutcome::Ran | StepOutcome::Halted | StepOutcome::Joined { .. } => {}
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc;
     use std::time::Duration;
 
-    use tpal_core::machine::{Machine, MachineConfig};
+    use tpal_core::asm::parse_program;
+    use tpal_core::machine::{Machine, MachineConfig, MachineError, Outcome};
+    use tpal_core::program::Program;
     use tpal_core::programs::{fib, prod};
-    use tpal_core::tier::ExecTier;
+    use tpal_core::tier::{ExecBackend, ExecTier};
 
     use crate::{HeartbeatSource, RtConfig, Runtime};
 
-    /// Every tier computes the same results as the abstract machine,
-    /// under real heartbeats.
+    fn one_worker(source: HeartbeatSource, hb_us: u64) -> Runtime {
+        Runtime::new(
+            RtConfig::default()
+                .workers(1)
+                .source(source)
+                .heartbeat(Duration::from_micros(hb_us)),
+        )
+    }
+
+    /// One row of the differential table: a program, its inputs, and the
+    /// register holding its result.
+    struct Case {
+        name: String,
+        program: Program,
+        ints: &'static [(&'static str, i64)],
+        result: &'static str,
+    }
+
+    impl Case {
+        /// The machine both substrates run: heartbeats off on the
+        /// abstract machine, replaced by real time on the runtime.
+        fn machine<'p>(&'p self, backend: &'p ExecBackend) -> Machine<'p> {
+            let mut m = Machine::with_backend(&self.program, backend, MachineConfig::serial());
+            for (name, v) in self.ints {
+                m.set_reg(name, *v).unwrap();
+            }
+            m
+        }
+    }
+
+    /// Every `programs/*.tpal` (a file this table does not know fails
+    /// the test). The three streaming workloads' lowered specs go
+    /// through the same comparison in `tpal-workloads`' `all_workloads`
+    /// test, where both crates are ordinary dependencies.
+    fn cases() -> Vec<Case> {
+        // (file, its integer inputs, its result register)
+        type Known = (&'static str, &'static [(&'static str, i64)], &'static str);
+        let known: [Known; 5] = [
+            ("fib.tpal", &[("n", 15)], "f"),
+            ("pipeline.tpal", &[("n", 300)], "s"),
+            ("pow.tpal", &[("d", 40), ("e", 3)], "f"),
+            ("prod.tpal", &[("a", 20_000), ("b", 3)], "c"),
+            ("sum.tpal", &[("main.n", 5_000)], "result"),
+        ];
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../programs");
+        let mut cases = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let file = path.file_name().unwrap().to_str().unwrap().to_owned();
+            let (_, ints, result) = known
+                .iter()
+                .find(|(name, ..)| *name == file)
+                .unwrap_or_else(|| panic!("programs/{file} is missing from the table"));
+            cases.push(Case {
+                program: parse_program(&std::fs::read_to_string(&path).unwrap()).unwrap(),
+                name: file,
+                ints,
+                result,
+            });
+        }
+        assert_eq!(cases.len(), known.len());
+        cases
+    }
+
+    /// The runtime runs the abstract machine's own driver, so with no
+    /// beats the two are *equal* — every counter, every register, on
+    /// every tier — and under real beats everything a schedule cannot
+    /// change still is: the result, what went through the channels,
+    /// what was detached and whether the pipeline quiesced.
     #[test]
     fn run_program_matches_machine_across_tiers() {
-        let p = prod();
-        let mut m = Machine::new(&p, MachineConfig::default());
-        m.set_reg("a", 200).unwrap();
-        m.set_reg("b", 3).unwrap();
-        let want = m.run().unwrap().read_reg("c").unwrap();
-
-        for tier in ExecTier::ALL {
-            let rt = Runtime::new(
-                RtConfig::default()
-                    .workers(1)
-                    .heartbeat(Duration::from_micros(50))
-                    .exec_tier(tier),
-            );
-            let out = rt.run_program(&p, &[("a", 200), ("b", 3)]).unwrap();
-            assert_eq!(out.read_reg("c"), Some(want), "tier {tier}");
-            assert!(out.stats.instructions > 0);
+        let disabled = one_worker(HeartbeatSource::Disabled, 100);
+        let beating = [
+            HeartbeatSource::LocalTimer,
+            HeartbeatSource::PingThread,
+            HeartbeatSource::TimerSignal,
+        ]
+        .map(|source| (source, one_worker(source, 20)));
+        for case in cases() {
+            let name = &case.name;
+            let mut want: Option<Outcome> = None;
+            for tier in ExecTier::ALL {
+                let backend = ExecBackend::new(&case.program, tier);
+                let machine = case.machine(&backend).run().unwrap();
+                let (rt, beats) = disabled.run_program(&mut case.machine(&backend)).unwrap();
+                assert_eq!(beats, 0, "{name} {tier}");
+                assert_eq!(rt.stats, machine.stats, "{name} {tier}");
+                assert_eq!(rt.final_regs(), machine.final_regs(), "{name} {tier}");
+                assert_eq!((rt.work, rt.span), (machine.work, machine.span));
+                want = Some(machine);
+            }
+            let want = want.unwrap();
+            let backend = ExecBackend::new(&case.program, ExecTier::default());
+            for (source, rt) in &beating {
+                let (got, _) = rt.run_program(&mut case.machine(&backend)).unwrap();
+                let what = format!("{name} {source:?}");
+                assert!(want.read_reg(case.result).is_some(), "{what}");
+                assert_eq!(
+                    got.read_reg(case.result),
+                    want.read_reg(case.result),
+                    "{what}"
+                );
+                let (g, w) = (&got.stats, &want.stats);
+                assert_eq!(g.chan_pushes, w.chan_pushes, "{what}");
+                assert_eq!(g.chan_pops, w.chan_pops, "{what}");
+                assert_eq!(g.detaches, w.detaches, "{what}");
+                assert_eq!(g.detached_live_at_halt, w.detached_live_at_halt, "{what}");
+                assert!(g.joins >= g.forks, "{what}");
+            }
         }
     }
 
@@ -391,17 +269,17 @@ mod tests {
     #[test]
     fn run_program_promotes_fib() {
         let p = fib();
+        let rt = one_worker(HeartbeatSource::LocalTimer, 20);
         for tier in ExecTier::ALL {
-            let rt = Runtime::new(
-                RtConfig::default()
-                    .workers(1)
-                    .heartbeat(Duration::from_micros(20))
-                    .exec_tier(tier),
-            );
-            let out = rt.run_program(&p, &[("n", 15)]).unwrap();
+            let config = MachineConfig::default().with_exec_tier(tier);
+            let mut m = Machine::new(&p, config);
+            m.set_reg("n", 15).unwrap();
+            let (out, beats) = rt.run_program(&mut m).unwrap();
             assert_eq!(out.read_reg("f"), Some(610), "tier {tier}");
             // Every fork is eventually matched by joins on both sides.
             assert!(out.stats.joins >= out.stats.forks);
+            // One promotion attempt per observed beat, at most.
+            assert!(out.stats.promotions <= beats);
         }
     }
 
@@ -410,14 +288,62 @@ mod tests {
     #[test]
     fn run_program_serial_without_heartbeats() {
         let p = prod();
-        let rt = Runtime::new(
-            RtConfig::default()
-                .workers(1)
-                .source(HeartbeatSource::Disabled),
-        );
-        let out = rt.run_program(&p, &[("a", 100), ("b", 2)]).unwrap();
+        let rt = one_worker(HeartbeatSource::Disabled, 100);
+        let mut m = Machine::new(&p, MachineConfig::default());
+        m.set_reg("a", 100).unwrap();
+        m.set_reg("b", 2).unwrap();
+        let (out, beats) = rt.run_program(&mut m).unwrap();
         assert_eq!(out.read_reg("c"), Some(200));
         assert_eq!(out.stats.promotions, 0);
         assert_eq!(out.stats.forks, 0);
+        assert_eq!(beats, 0);
+    }
+
+    /// A program with no boundary and no promotion-ready point must
+    /// still stop at the step limit — armed watch or not. The runtime's
+    /// former copy of the driver ran an armed stretch unbounded and
+    /// never returned from this program, so each run sits under its own
+    /// watchdog rather than the harness's. The small limit ends before
+    /// the first beat can arm the watch, the large one long after.
+    #[test]
+    fn spin_stops_at_the_step_limit_under_every_source() {
+        let p =
+            parse_program("spin: [.]\n  i := i + 1\n  heap[a + 0] := i\n  jump spin\n").unwrap();
+        let mut sources = vec![HeartbeatSource::LocalTimer, HeartbeatSource::Disabled];
+        if crate::timer_signal_supported() {
+            sources.push(HeartbeatSource::TimerSignal);
+        }
+        for (source, limit) in sources
+            .into_iter()
+            .flat_map(|s| [(s, 10_000), (s, 2_000_000)])
+        {
+            let p = p.clone();
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let config = MachineConfig {
+                    step_limit: limit,
+                    ..MachineConfig::default()
+                };
+                let mut m = Machine::new(&p, config);
+                let cell = m.alloc_zeroed(1);
+                m.set_reg("a", cell).unwrap();
+                m.set_reg("i", 0).unwrap();
+                let result = one_worker(source, 20).run_program(&mut m).map(|_| ());
+                let _ = tx.send((result, m.heap().load(cell, 0).unwrap()));
+            });
+            let (result, iterations) = rx
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("{source:?}: the spin program hung the runtime"));
+            assert_eq!(
+                result,
+                Err(MachineError::StepLimitExceeded { limit }),
+                "{source:?}"
+            );
+            // Three instructions per iteration, at most limit + 1 run.
+            assert!(
+                (1..=(limit as i64 + 1) / 3 + 1).contains(&iterations),
+                "{source:?}: {iterations} iterations under a limit of {limit}"
+            );
+        }
     }
 }

@@ -2,7 +2,9 @@
 //! job: starts a server in-process, submits one TPAL-assembly program
 //! and one IR (`.tpl`) program over real TCP, asserts the decode cache
 //! hits on resubmission, and checks that the replay token reproduces
-//! each run bit-for-bit.
+//! each run bit-for-bit; then sends a program that never halts to the
+//! native runtime under a 1 000-step limit and checks that it is a
+//! prompt 400 and that the server goes on serving.
 //!
 //! Exits nonzero (panics) on any violated expectation.
 
@@ -104,6 +106,25 @@ fn main() {
         Some(0.0),
         "two programs are far below the cache's capacity: {stats:?}"
     );
+
+    // A runaway program is its own request's 400, not a wedged executor
+    // (the CI job's `timeout-minutes` is the backstop if it ever is).
+    let on_rt = |source: &str, rest: &str| {
+        format!(
+            "{{\"source\":\"{}\",\"substrate\":\"rt\",{rest}}}",
+            escape(source)
+        )
+    };
+    let spin = on_rt("spin: [.]\n    jump spin\n", "\"step_limit\":1000");
+    let (status, body) = client.request("POST", "/run", &spin).expect("request");
+    assert_eq!(status, 400, "spin: {body}");
+    assert!(body.contains("step limit of 1000"), "spin: {body}");
+    // Same pool shape, so the same pool worker the spin ran on.
+    let fib = on_rt(FIB_TPAL, "\"sets\":{\"n\":15}");
+    let (status, body) = client.request("POST", "/run", &fib).expect("request");
+    assert_eq!(status, 200, "after spin: {body}");
+    assert!(body.contains("\"f\":610"), "after spin: {body}");
+    println!("serve_smoke: spin on rt is a 400 at the step limit; next request served");
 
     let (status, body) = client.request("POST", "/shutdown", "").expect("shutdown");
     assert_eq!(status, 200, "{body}");

@@ -12,7 +12,8 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use tpal_core::machine::Value;
+use tpal_core::isa::Reg;
+use tpal_core::machine::{Machine, MachineConfig, Value};
 use tpal_rt::{RtConfig, Runtime};
 use tpal_sim::{Sim, SimConfig};
 use tpal_trace::json::escape;
@@ -21,9 +22,10 @@ use tpal_trace::{chrome, MetricsReport, WorkSpanProfile};
 use crate::cache::{CachedProgram, ProgramCache};
 use crate::spec::{RunSpec, Substrate};
 
-/// The service's flag-absent simulator instruction budget. Far below
-/// [`SimConfig`]'s own default: a shared service bounds tenant runs
-/// aggressively, and a spec can still raise it explicitly.
+/// The service's flag-absent instruction budget, on both substrates.
+/// Far below [`SimConfig`]'s and [`MachineConfig`]'s own defaults: a
+/// shared service bounds tenant runs aggressively, and a spec can still
+/// raise it explicitly.
 pub const SERVICE_STEP_LIMIT: u64 = 200_000_000;
 
 /// Hard caps a shared service imposes on one run, whatever the spec says.
@@ -32,8 +34,12 @@ pub const MAX_CORES: usize = 256;
 pub const MAX_RT_WORKERS: usize = 64;
 
 /// How many distinct native-runtime pools stay warm. Pools are keyed by
-/// (workers, ♥, policy, delivery source); the cap bounds resident OS
-/// threads when many tenants ask for many shapes.
+/// (♥, policy, delivery source) and have one worker per thread that can
+/// call [`Engine::execute`] at once — a TPAL program's promoted tasks
+/// never leave the worker interpreting it, so a spec's `workers` buys a
+/// run nothing, while a worker per caller keeps concurrent requests of
+/// one shape running side by side; the cap bounds resident OS threads
+/// when many tenants ask for many shapes.
 const MAX_RT_POOLS: usize = 4;
 
 /// Optional report attachments for a run.
@@ -94,22 +100,32 @@ impl std::fmt::Display for EngineError {
 /// warm native-runtime pools.
 pub struct Engine {
     cache: ProgramCache,
+    callers: usize,
     pools: Mutex<Vec<(PoolKey, Arc<Runtime>)>>,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct PoolKey {
-    workers: usize,
     hb_us: u64,
     policy: String,
     source: &'static str,
 }
 
 impl Engine {
-    /// A fresh engine with an empty cache and no warm pools.
+    /// A fresh engine with an empty cache and no warm pools, for one
+    /// calling thread.
     pub fn new() -> Engine {
+        Engine::shared_by(1)
+    }
+
+    /// A fresh engine that `callers` threads execute on at once (the
+    /// server's executors): each blocks in its run until a pool worker
+    /// finishes it, so every native-runtime pool gets that many workers
+    /// and a long run delays no other caller's.
+    pub fn shared_by(callers: usize) -> Engine {
         Engine {
             cache: ProgramCache::new(),
+            callers: callers.clamp(1, MAX_RT_WORKERS),
             pools: Mutex::new(Vec::new()),
         }
     }
@@ -192,7 +208,7 @@ impl Engine {
         let mut result = String::from("{");
         result.push_str(&format!(
             "\"registers\":{},",
-            render_registers(out.final_regs())
+            render_registers(out.final_regs().iter().map(|(n, v)| (n.as_str(), *v)))
         ));
         let s = &out.stats;
         result.push_str(&format!(
@@ -262,33 +278,38 @@ impl Engine {
                 "trace/profile/metrics attachments need the sim substrate".to_owned(),
             ));
         }
-        let hb_us = spec.heartbeat.unwrap_or(100);
-        let pool = self.pool(workers, hb_us, spec);
-        let backend = entry.backend(spec.tier);
-        let args: Vec<(String, i64)> = spec
-            .sets
-            .iter()
-            .map(|(name, v)| (entry.set_reg_name(name), *v))
-            .collect();
-        let arg_refs: Vec<(&str, i64)> = args.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        let out = pool
-            .run_program_with(entry.program(), backend, &arg_refs)
+        let program = entry.program();
+        let config = MachineConfig {
+            step_limit: spec.step_limit.unwrap_or(SERVICE_STEP_LIMIT),
+            ..MachineConfig::default()
+        };
+        let mut machine = Machine::with_backend(program, entry.backend(spec.tier), config);
+        for (name, value) in &spec.sets {
+            machine
+                .set_reg(&entry.set_reg_name(name), *value)
+                .map_err(|e| EngineError::Bad(format!("set {name}: {e}")))?;
+        }
+        let (out, heartbeats) = self
+            .pool(spec.heartbeat.unwrap_or(100), spec)
+            .run_program(&mut machine)
             .map_err(|e| EngineError::Bad(format!("runtime fault: {e}")))?;
 
         // Registers are the deterministic contract on the native
         // runtime; scheduling counters depend on real-time heartbeat
         // arrival and stay observational.
-        let result = format!(
-            "{{\"registers\":{}}}",
-            render_int_registers(&collect_rt_regs(entry, &out))
-        );
+        let regs = out.final_regs();
+        let named = (0..program.reg_count()).map(|i| {
+            let r = Reg::from_index(i);
+            (program.reg_name(r), regs.read_raw(r))
+        });
+        let result = format!("{{\"registers\":{}}}", render_registers(named));
         let s = &out.stats;
         let extras = vec![(
             "rt_stats".to_owned(),
             format!(
                 "{{\"forks\":{},\"heartbeats\":{},\"instructions\":{},\"joins\":{},\
                  \"promotions\":{}}}",
-                s.forks, s.heartbeats, s.instructions, s.joins, s.promotions
+                s.forks, heartbeats, s.instructions, s.joins, s.promotions
             ),
         )];
         Ok(RunOutput { result, extras })
@@ -296,9 +317,8 @@ impl Engine {
 
     /// Fetches (or creates) the warm pool for a native-runtime shape,
     /// evicting the oldest pool beyond [`MAX_RT_POOLS`].
-    fn pool(&self, workers: usize, hb_us: u64, spec: &RunSpec) -> Arc<Runtime> {
+    fn pool(&self, hb_us: u64, spec: &RunSpec) -> Arc<Runtime> {
         let key = PoolKey {
-            workers,
             hb_us,
             policy: spec.policy.label(),
             source: spec.source.label(),
@@ -308,7 +328,7 @@ impl Engine {
             return Arc::clone(pool);
         }
         let config = RtConfig::default()
-            .workers(workers)
+            .workers(self.callers)
             .heartbeat(Duration::from_micros(hb_us))
             .policy(spec.policy)
             .source(spec.source);
@@ -330,22 +350,16 @@ impl Default for Engine {
 
 /// Renders the integer-valued registers of a final register dump as a
 /// sorted JSON object.
-fn render_registers(regs: &[(String, Value)]) -> String {
-    let ints: Vec<(String, i64)> = regs
-        .iter()
+fn render_registers<'a>(regs: impl Iterator<Item = (&'a str, Value)>) -> String {
+    let mut ints: Vec<(&str, i64)> = regs
         .filter_map(|(n, v)| match v {
-            Value::Int(x) => Some((n.clone(), *x)),
+            Value::Int(x) => Some((n, x)),
             _ => None,
         })
         .collect();
-    render_int_registers(&ints)
-}
-
-fn render_int_registers(regs: &[(String, i64)]) -> String {
-    let mut regs: Vec<&(String, i64)> = regs.iter().collect();
-    regs.sort();
+    ints.sort();
     let mut s = String::from("{");
-    for (i, (name, v)) in regs.iter().enumerate() {
+    for (i, (name, v)) in ints.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
@@ -353,21 +367,6 @@ fn render_int_registers(regs: &[(String, i64)]) -> String {
     }
     s.push('}');
     s
-}
-
-/// The native runtime's outcome dump, filtered to integer registers.
-fn collect_rt_regs(entry: &CachedProgram, out: &tpal_rt::ProgramOutcome) -> Vec<(String, i64)> {
-    let program = entry.program();
-    let mut regs = Vec::new();
-    for i in 0..program.reg_count() {
-        let name = program
-            .reg_name(tpal_core::isa::Reg::from_index(i))
-            .to_owned();
-        if let Some(v) = out.read_reg(&name) {
-            regs.push((name, v));
-        }
-    }
-    regs
 }
 
 #[cfg(test)]
@@ -444,15 +443,20 @@ mod tests {
     #[test]
     fn rt_pools_are_reused_per_shape() {
         let engine = Engine::new();
-        let spec = RunSpec::rt(2);
-        let a = engine.pool(2, 100, &spec);
-        let b = engine.pool(2, 100, &spec);
-        assert!(Arc::ptr_eq(&a, &b), "same shape shares one pool");
-        let c = engine.pool(2, 200, &spec);
+        let a = engine.pool(100, &RunSpec::rt(2));
+        let b = engine.pool(100, &RunSpec::rt(7));
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "same ♥/policy/source shares one pool whatever `workers` says"
+        );
+        assert_eq!(a.workers(), 1, "one caller, one worker");
+        let shared = Engine::shared_by(3).pool(100, &RunSpec::rt(1));
+        assert_eq!(shared.workers(), 3, "a worker per concurrent caller");
+        let c = engine.pool(200, &RunSpec::rt(2));
         assert!(!Arc::ptr_eq(&a, &c), "different ♥ gets its own pool");
         let mut signal = RunSpec::rt(2);
         signal.source = tpal_rt::HeartbeatSource::TimerSignal;
-        let d = engine.pool(2, 100, &signal);
+        let d = engine.pool(100, &signal);
         assert!(
             !Arc::ptr_eq(&a, &d),
             "different delivery source gets its own pool"

@@ -30,6 +30,12 @@
 //! a number beyond that (or with a fraction or an exponent that leaves
 //! the target type) is rejected with a pointer to the string form rather
 //! than rounded.
+//!
+//! `workers` (rt substrate, 1..=64) is validated and travels in the
+//! replay token but does not size anything: a TPAL program's promoted
+//! tasks never leave the pool worker interpreting it. The server sizes
+//! each rt pool by its own executor count instead, so concurrent
+//! requests of one shape run side by side.
 
 use tpal_core::tier::ExecTier;
 use tpal_sched::{HeartbeatSource, Policy};

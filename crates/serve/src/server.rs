@@ -96,8 +96,9 @@ impl Server {
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
+        let executors = config.executors.max(1);
         let shared = Arc::new(Shared {
-            engine: Engine::new(),
+            engine: Engine::shared_by(executors),
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -106,7 +107,7 @@ impl Server {
             shed: AtomicU64::new(0),
             completed: AtomicU64::new(0),
         });
-        let executors = (0..config.executors.max(1))
+        let executors = (0..executors)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()

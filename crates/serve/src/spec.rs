@@ -118,7 +118,9 @@ pub enum Substrate {
     /// so registers are reproducible but scheduling statistics are
     /// observational.
     Rt {
-        /// Worker thread count.
+        /// Requested worker count: validated and kept in the token, but
+        /// a program is interpreted on one worker whatever it says (see
+        /// [`crate::proto`]).
         workers: usize,
     },
 }

@@ -233,6 +233,131 @@ fn tcp_round_trip_hit_miss_replay_and_errors() {
     server.join();
 }
 
+const SPIN: &str = "spin: [.]\n    jump spin\n";
+const FIB_TPL: &str = "fn fib(n) {\n    if n < 2 { return n; }\n    par {\n        \
+    f1 = fib(n - 1);\n        f2 = fib(n - 2);\n    }\n    return f1 + f2;\n}\n";
+
+/// A runaway program on the native runtime is that request's 400, in
+/// bounded time, and the executor and pool worker that ran it serve the
+/// next request: the step limit — the spec's, or the service's when the
+/// spec has none — reaches the runtime's driver and clamps every
+/// stretch. (It used not to: this program held its executor and pool
+/// worker forever, so the body runs under a watchdog of its own.)
+#[test]
+fn a_spinning_rt_program_is_a_bounded_client_error_and_the_executor_lives() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        // One executor: a wedged one would starve every later request.
+        let server = Server::start(ServeConfig {
+            executors: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let mut client = Client::connect(server.addr()).expect("connect");
+
+        let mut spin_is_refused = |extra: &str, limit: u64, within: Duration| {
+            let start = Instant::now();
+            let body = run_body(SPIN, &format!(",\"substrate\":\"rt\",\"workers\":1{extra}"));
+            let (status, reply) = client.request("POST", "/run", &body).unwrap();
+            assert_eq!(status, 400, "{reply}");
+            assert!(
+                reply.contains(&format!("step limit of {limit} instructions")),
+                "{reply}"
+            );
+            assert!(start.elapsed() < within, "took {:?}", start.elapsed());
+            let (status, health) = client.request("GET", "/healthz", "").unwrap();
+            assert_eq!((status, health.as_str()), (200, "{\"ok\":true}"));
+        };
+        spin_is_refused(",\"step_limit\":1000", 1000, Duration::from_secs(2));
+        spin_is_refused(
+            "",
+            tpal_serve::engine::SERVICE_STEP_LIMIT,
+            Duration::from_secs(60),
+        );
+
+        // Same connection, same one-worker pool shape: still served.
+        let body = run_body(
+            FIB_TPL,
+            ",\"ir\":true,\"substrate\":\"rt\",\"workers\":1,\"sets\":{\"n\":10}",
+        );
+        let (status, reply) = client.request("POST", "/run", &body).unwrap();
+        assert_eq!(status, 200, "{reply}");
+        assert!(reply.contains("\"result\":55"), "{reply}");
+
+        server.shutdown();
+        server.join();
+        done.send(()).unwrap();
+    });
+    // A panic above drops `done`: that is a failure too, not a hang.
+    finished
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the spin program wedged the server (or an assertion above failed)");
+}
+
+/// Executors share each native-runtime pool and block in their runs, so
+/// a pool has a worker per executor: a quick request is answered while
+/// a long one of the same pool shape is still running on the other
+/// executor. (With one worker per pool the quick one would queue behind
+/// the full service step limit.)
+#[test]
+fn overlapping_rt_requests_of_one_shape_run_side_by_side() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let server = Server::start(ServeConfig {
+        executors: 2,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.addr();
+
+    let spin_done = Arc::new(AtomicBool::new(false));
+    let spinner = {
+        let spin_done = Arc::clone(&spin_done);
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("connect");
+            let body = run_body(SPIN, ",\"substrate\":\"rt\",\"workers\":1");
+            let reply = client.request("POST", "/run", &body).expect("spin reply");
+            spin_done.store(true, Ordering::SeqCst);
+            reply
+        })
+    };
+    // Wait until an executor has taken the spin off the queue.
+    let mut client = Client::connect(addr).expect("connect");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let (_, stats) = client.request("GET", "/stats", "").unwrap();
+        let stats = parse(&stats).unwrap();
+        let field = |k: &str| stats.get(k).and_then(Json::as_num).unwrap_or(0.0);
+        if field("submitted") >= 1.0 && field("queue_depth") == 0.0 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "spin never started: {stats:?}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    let body = run_body(
+        FIB_TPL,
+        ",\"ir\":true,\"substrate\":\"rt\",\"workers\":1,\"sets\":{\"n\":10}",
+    );
+    let (status, reply) = client.request("POST", "/run", &body).unwrap();
+    assert_eq!(status, 200, "{reply}");
+    assert!(reply.contains("\"result\":55"), "{reply}");
+    assert!(
+        !spin_done.load(Ordering::SeqCst),
+        "fib was answered only after the spin on the other executor ended"
+    );
+
+    let (status, reply) = spinner.join().expect("spinner thread");
+    assert_eq!(status, 400, "{reply}");
+    let limit = tpal_serve::engine::SERVICE_STEP_LIMIT;
+    assert!(
+        reply.contains(&format!("step limit of {limit} instructions")),
+        "{reply}"
+    );
+    server.shutdown();
+    server.join();
+}
+
 /// Input that nests without bound — a JSON body, a `.tpl` source, the
 /// JSON inside a replay token — is that request's 400 with the ordinary
 /// error body, not the process's stack: the same server, on the same

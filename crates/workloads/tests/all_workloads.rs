@@ -3,13 +3,17 @@
 //!
 //! * natively: serial, heartbeat (`tpal-rt`), and eager (`tpal-cilk`);
 //! * simulated: the IR lowered serial/heartbeat/eager and run on the
-//!   multicore simulator.
+//!   multicore simulator;
+//! * the streaming specs' lowerings interpreted by `tpal-rt`
+//!   (`Runtime::run_program`) against the abstract machine.
 //!
 //! This is the property that makes the benchmark numbers meaningful: all
 //! systems do the same computation.
 
 use tpal_cilk::CilkRuntime;
-use tpal_ir::lower::{lower, Mode};
+use tpal_core::machine::{Machine, MachineConfig};
+use tpal_core::tier::{ExecBackend, ExecTier};
+use tpal_ir::lower::{lower, Lowered, Mode};
 use tpal_rt::{HeartbeatSource, RtConfig, Runtime};
 use tpal_sim::{Sim, SimConfig};
 use tpal_workloads::{all_workloads, Scale, SimSpec, Workload};
@@ -172,6 +176,90 @@ fn spmv_nests_hold_checksums_under_every_source() {
                         "{name} {source:?} w{workers} #{rep}"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// A spec's lowering on the abstract machine with heartbeats off, inputs
+/// loaded — what `Runtime::run_program` replaces the beats of.
+fn serial_machine<'p>(
+    lowered: &'p Lowered,
+    spec: &SimSpec,
+    backend: &'p ExecBackend,
+) -> Machine<'p> {
+    let mut m = Machine::with_backend(&lowered.program, backend, MachineConfig::serial());
+    for (name, data) in &spec.input.arrays {
+        let base = m.alloc_array(data);
+        m.set_reg(&lowered.param_reg(name), base).unwrap();
+    }
+    for (name, v) in &spec.input.ints {
+        m.set_reg(&lowered.param_reg(name), *v).unwrap();
+    }
+    m
+}
+
+/// The three streaming specs (channels, `detach`) through
+/// `Runtime::run_program`: it runs the abstract machine's own driver,
+/// so with no beats the two are *equal* — every counter, every
+/// register, work and span, on every tier — and under real beats
+/// everything a schedule cannot change still is. (The hand-written
+/// `programs/*.tpal` rows of the same table are `tpal-rt`'s
+/// `run_program_matches_machine_across_tiers`.)
+#[test]
+fn streaming_specs_run_on_the_runtime_as_on_the_machine() {
+    let one_worker = |source, hb_us| {
+        Runtime::new(
+            RtConfig::default()
+                .workers(1)
+                .source(source)
+                .heartbeat(std::time::Duration::from_micros(hb_us)),
+        )
+    };
+    let disabled = one_worker(HeartbeatSource::Disabled, 100);
+    let beating = [
+        HeartbeatSource::LocalTimer,
+        HeartbeatSource::PingThread,
+        HeartbeatSource::TimerSignal,
+    ]
+    .map(|source| (source, one_worker(source, 20)));
+    for w in all_workloads().iter().filter(|w| w.is_streaming()) {
+        let spec = w.sim_spec(Scale::Quick);
+        for mode in [Mode::Serial, Mode::Heartbeat] {
+            let name = format!("{} {mode:?}", w.name());
+            let lowered = lower(&spec.ir, mode).unwrap();
+            let mut want = None;
+            for tier in ExecTier::ALL {
+                let backend = ExecBackend::new(&lowered.program, tier);
+                let on_machine = serial_machine(&lowered, &spec, &backend).run().unwrap();
+                let (rt, beats) = disabled
+                    .run_program(&mut serial_machine(&lowered, &spec, &backend))
+                    .unwrap();
+                assert_eq!(beats, 0, "{name} {tier}");
+                assert_eq!(rt.stats, on_machine.stats, "{name} {tier}");
+                assert_eq!(rt.final_regs(), on_machine.final_regs(), "{name} {tier}");
+                assert_eq!((rt.work, rt.span), (on_machine.work, on_machine.span));
+                want = Some(on_machine);
+            }
+            let want = want.unwrap();
+            assert_eq!(want.read_reg(&lowered.result_reg), Some(spec.expected));
+            let backend = ExecBackend::new(&lowered.program, ExecTier::default());
+            for (source, rt) in &beating {
+                let (got, _) = rt
+                    .run_program(&mut serial_machine(&lowered, &spec, &backend))
+                    .unwrap();
+                let what = format!("{name} {source:?}");
+                assert_eq!(
+                    got.read_reg(&lowered.result_reg),
+                    Some(spec.expected),
+                    "{what}"
+                );
+                let (g, w) = (&got.stats, &want.stats);
+                assert_eq!(g.chan_pushes, w.chan_pushes, "{what}");
+                assert_eq!(g.chan_pops, w.chan_pops, "{what}");
+                assert_eq!(g.detaches, w.detaches, "{what}");
+                assert_eq!(g.detached_live_at_halt, w.detached_live_at_halt, "{what}");
+                assert!(g.joins >= g.forks, "{what}");
             }
         }
     }

@@ -18,7 +18,11 @@
 //! names the entry function's parameters and the result register is
 //! `result`. Three execution substrates are reachable: the reference
 //! machine (the default), the multicore simulator (`--sim CORES`), and
-//! the native heartbeat runtime (`--rt WORKERS`).
+//! the native heartbeat runtime (`--rt WORKERS`). WORKERS is accepted
+//! and does not speed a *program* up: the runtime runs the machine's own
+//! task-set driver on one worker, with real-time heartbeats (so `--tau`
+//! and `--newest-first` apply there too), and that one worker is the
+//! pool — the summary line says so.
 //!
 //! `--heartbeat` is in the substrate's own time unit: instructions on
 //! the machine (default 100), cycles on the simulator (default 3000 —
@@ -65,7 +69,7 @@
 //! cargo run --release --bin tpal-run -- programs/sum.tpal \
 //!     --set main.n=100000 --sim 8 --linux --policy eager/sequence
 //! cargo run --release --bin tpal-run -- programs/fib.tpal \
-//!     --set n=25 --rt 4 --heartbeat 100
+//!     --set n=25 --rt 1 --heartbeat 100
 //! ```
 
 use std::process::ExitCode;
@@ -376,41 +380,78 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-    } else if let Some(workers) = opts.rt_workers {
-        // The native runtime's ♥ is wall-clock microseconds (the
-        // paper's §4.2 interval as the flag-absent default). The
-        // runtime's historical victim policy is `sequence`; an explicit
-        // --policy/--victim overrides it.
+    } else {
+        // The machine and the native runtime run the same `Machine` —
+        // same backend, τ, promotion order and step limit — and differ
+        // only in where heartbeats come from: the machine's ♥ counts
+        // instructions, the runtime's is wall-clock microseconds (the
+        // paper's §4.2 interval as the flag-absent default).
         let heartbeat = opts.heartbeat.unwrap_or(100);
-        let mut config = RtConfig::default()
-            .workers(workers)
+        let config = MachineConfig::default()
+            .with_heartbeat(heartbeat)
+            .with_tau(opts.tau)
+            .with_promotion_order(opts.order)
+            .with_exec_tier(opts.exec_tier);
+        let mut m = Machine::new(&program, config);
+        for (k, v) in &sets {
+            if let Err(e) = m.set_reg(k, *v) {
+                eprintln!("--set {k}: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+        if opts.rt_workers.is_none() {
+            return match m.run() {
+                Ok(out) => {
+                    println!("machine run, ♥ = {heartbeat}:");
+                    dump(&named_regs(&|name| out.read_reg(name)));
+                    println!(
+                        "  instructions = {}, tasks = {}, promotions = {}, {}",
+                        out.stats.instructions,
+                        out.stats.forks,
+                        out.stats.promotions,
+                        cost_summary(&out)
+                    );
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    eprintln!("machine fault: {e}");
+                    ExitCode::FAILURE
+                }
+            };
+        }
+        // One job is ever injected and its tasks stay on the worker that
+        // picks it up, so whatever `--rt N` says the pool has one worker.
+        // The runtime's historical victim policy is `sequence`; an
+        // explicit --policy/--victim overrides it.
+        let mut rt_config = RtConfig::default()
+            .workers(1)
             .heartbeat(Duration::from_micros(heartbeat))
-            .exec_tier(opts.exec_tier)
             .trace(opts.trace_out.is_some() || opts.profile);
         if opts.policy_given {
-            config = config.policy(opts.policy);
+            rt_config = rt_config.policy(opts.policy);
         }
         if let Some(source) = opts.heartbeat_source {
-            config = config.source(source);
+            rt_config = rt_config.source(source);
         }
-        let policy_label = config.policy.label();
-        let source_label = config.source.label();
-        let rt = Runtime::new(config);
-        let args: Vec<(&str, i64)> = sets.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        match rt.run_program(&program, &args) {
-            Ok(out) => {
+        let rt = Runtime::new(rt_config);
+        match rt.run_program(&mut m) {
+            Ok((out, heartbeats)) => {
                 println!(
-                    "native runtime, {workers} workers, ♥ = {heartbeat}µs, \
-                     policy = {policy_label}, source = {source_label}:"
+                    "native runtime, {} worker, ♥ = {heartbeat}µs, \
+                     policy = {}, source = {}:",
+                    rt.workers(),
+                    rt_config.policy.label(),
+                    rt_config.source.label()
                 );
                 dump(&named_regs(&|name| out.read_reg(name)));
                 println!(
-                    "  instructions = {}, heartbeats = {}, promotions = {}, tasks = {}, joins = {}",
+                    "  instructions = {}, heartbeats = {heartbeats}, promotions = {}, \
+                     tasks = {}, joins = {}, {}",
                     out.stats.instructions,
-                    out.stats.heartbeats,
                     out.stats.promotions,
                     out.stats.forks,
-                    out.stats.joins
+                    out.stats.joins,
+                    cost_summary(&out)
                 );
                 if let Some(trace) = rt.take_trace() {
                     if report_trace(&trace, &opts) == ExitCode::FAILURE {
@@ -424,41 +465,17 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-    } else {
-        let config = MachineConfig::default()
-            .with_heartbeat(opts.heartbeat.unwrap_or(100))
-            .with_tau(opts.tau)
-            .with_promotion_order(opts.order)
-            .with_exec_tier(opts.exec_tier);
-        let mut m = Machine::new(&program, config);
-        for (k, v) in &sets {
-            if let Err(e) = m.set_reg(k, *v) {
-                eprintln!("--set {k}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        match m.run() {
-            Ok(out) => {
-                println!("machine run, ♥ = {}:", opts.heartbeat.unwrap_or(100));
-                dump(&named_regs(&|name| out.read_reg(name)));
-                println!(
-                    "  instructions = {}, tasks = {}, promotions = {}, work = {}, span = {} \
-                     (parallelism {:.1})",
-                    out.stats.instructions,
-                    out.stats.forks,
-                    out.stats.promotions,
-                    out.work,
-                    out.span,
-                    out.parallelism()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("machine fault: {e}");
-                ExitCode::FAILURE
-            }
-        }
     }
+}
+
+/// The cost-semantics tail of a machine or native-runtime summary line.
+fn cost_summary(out: &tpal::core::machine::Outcome) -> String {
+    format!(
+        "work = {}, span = {} (parallelism {:.1})",
+        out.work,
+        out.span,
+        out.parallelism()
+    )
 }
 
 /// Writes `--trace` output and prints the `--profile` report from a

@@ -79,8 +79,8 @@ fn rt_substrate_is_reachable() {
     ]);
     assert!(ok, "run failed: {stderr}");
     assert!(
-        stdout.contains("native runtime, 2 workers, ♥ = 50µs"),
-        "rt header expected, got:\n{stdout}"
+        stdout.contains("native runtime, 1 worker, ♥ = 50µs"),
+        "rt header naming the effective pool size (`--rt 2` is accepted, one worker runs), got:\n{stdout}"
     );
     assert!(stdout.contains("f = 55"), "fib(10) = 55, got:\n{stdout}");
 }
@@ -182,4 +182,71 @@ fn heartbeat_source_rejects_unknown_values() {
         stderr.contains("unknown source `carrier-pigeon`"),
         "got stderr:\n{stderr}"
     );
+}
+
+/// The summary line's `name = value` field.
+fn summary_field(stdout: &str, name: &str) -> u64 {
+    let line = (stdout.lines().find(|l| l.contains("instructions = "))).expect("summary line");
+    let value = line.split(&format!("{name} = ")).nth(1).expect(name);
+    let digits: String = value.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect(name)
+}
+
+#[test]
+fn rt_runs_honour_tau_and_report_work_and_span() {
+    // `--tau` used to be read on the machine branch only. With τ = 0 a
+    // fork-join weighs nothing, so work is exactly the instruction
+    // count, promotions or not.
+    let fib = ["programs/fib.tpal", "--set", "n=22", "--rt", "1"];
+    let (ok, stdout, stderr) = tpal_run(&[&fib[..], &["--tau", "0"]].concat());
+    assert!(ok, "run failed: {stderr}");
+    assert_eq!(
+        summary_field(&stdout, "work"),
+        summary_field(&stdout, "instructions"),
+        "{stdout}"
+    );
+    // With the default τ every promoted fork-join adds to it.
+    let (ok, stdout, stderr) = tpal_run(&fib);
+    assert!(ok, "run failed: {stderr}");
+    assert!(stdout.contains("span = "), "{stdout}");
+    let (work, instructions) = (
+        summary_field(&stdout, "work"),
+        summary_field(&stdout, "instructions"),
+    );
+    if summary_field(&stdout, "tasks") > 0 {
+        assert!(work > instructions, "{stdout}");
+    } else {
+        assert_eq!(work, instructions, "{stdout}");
+    }
+}
+
+#[test]
+fn a_spinning_program_faults_at_the_step_limit_on_the_rt_substrate() {
+    // This used to hang: the runtime had its own copy of the machine's
+    // driver, which stopped clamping stretches to the step limit once a
+    // heartbeat armed the promotion watch. The child gets its own
+    // deadline so a regression fails here instead of hanging the suite.
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("spin.tpal");
+    std::fs::write(&file, "spin: [.]\n    jump spin\n").unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tpal-run"))
+        .args([file.to_str().unwrap(), "--rt", "1"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn tpal-run");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            child.kill().unwrap();
+            panic!("tpal-run --rt 1 on a spinning program did not return");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert!(!status.success());
+    assert!(stderr.contains("step limit"), "got stderr:\n{stderr}");
 }
