@@ -21,19 +21,26 @@ impl Heap {
     /// Allocates `size` zero-initialised words, returning the base
     /// address.
     pub fn alloc(&mut self, size: usize) -> i64 {
-        if self.words.is_empty() {
-            self.words.push(0);
-        }
-        let base = self.words.len() as i64;
+        let base = self.next_base();
         self.words.resize(self.words.len() + size, 0);
         base
     }
 
     /// Allocates and initialises an array, returning its base address.
+    /// The words are written once, straight from `data`.
     pub fn alloc_init(&mut self, data: &[i64]) -> i64 {
-        let base = self.alloc(data.len());
-        self.words[base as usize..base as usize + data.len()].copy_from_slice(data);
+        let base = self.next_base();
+        self.words.extend_from_slice(data);
         base
+    }
+
+    /// Where the next allocation starts, once the null word is reserved
+    /// (a `Heap::default()` has none yet).
+    fn next_base(&mut self) -> i64 {
+        if self.words.is_empty() {
+            self.words.push(0);
+        }
+        self.words.len() as i64
     }
 
     fn check(&self, addr: i64) -> Result<usize, MachineError> {
@@ -174,6 +181,22 @@ mod tests {
         let mut h = Heap::new();
         let a = h.alloc_init(&[5, 6, 7]);
         assert_eq!(h.slice(a, 3).unwrap(), &[5, 6, 7]);
+    }
+
+    #[test]
+    fn alloc_init_into_a_default_heap_reserves_null_first() {
+        let mut h = Heap::default();
+        let a = h.alloc_init(&[5, 6, 7]);
+        assert_eq!(a, 1);
+        assert_eq!(h.len(), 4);
+        assert_eq!(h.slice(a, 3).unwrap(), &[5, 6, 7]);
+        assert!(matches!(
+            h.load(0, 0),
+            Err(MachineError::HeapOutOfRange { .. })
+        ));
+        let b = h.alloc_init(&[]);
+        assert_eq!(b, 4);
+        assert_eq!(h.len(), 4);
     }
 
     #[test]

@@ -2,25 +2,33 @@
 //!
 //! [`Sim`] replaces the original cycle-tick loop (preserved as
 //! [`SimRef`](crate::SimRef)) with a discrete-event formulation: a
-//! binary-heap event queue orders interrupt deliveries and core actions
-//! by `(time, phase, core)`, and between scheduling-relevant boundaries
-//! each core executes whole *runs* of straight-line instructions in one
-//! [`ExecBackend::run_until`] call over the configured execution tier
-//! (reference, decoded micro-ops, or those plus loop templates —
-//! compiled once per [`Sim`] and shared by every core and task, see
-//! [`SimConfig::exec_tier`]) instead of one `step_task` round-trip per
-//! cycle.
+//! fixed-slot event [`Calendar`] orders interrupt deliveries and core
+//! actions by `(time, phase, core)`, and between scheduling-relevant
+//! boundaries each core executes whole *runs* of straight-line
+//! instructions in one [`ExecBackend::run_until`] call over the
+//! configured execution tier (reference, decoded micro-ops, or those
+//! plus loop templates — compiled once per [`Sim`] and shared by every
+//! core and task, see [`SimConfig::exec_tier`]) instead of one
+//! `step_task` round-trip per cycle.
+//!
+//! Every event source owns one calendar slot: one per core for its next
+//! action (a parked core's slot is cleared) and one per interrupt
+//! source — per core for the local timers, one for the ping chain, none
+//! when interrupts are disabled. A slot holds at most one key, so the
+//! event being handled stays armed in its slot, and handling it ends in
+//! one "replace the popped slot" walk up a tournament tree of fan-out 8.
+//! Keys are unique and totally ordered, so the calendar yields exactly
+//! the sequence any exact priority queue over the same keys would.
+//! Running tasks stay in place beside the cores and leave only when they
+//! leave the core (halt, a stashing join, a channel park).
 //! Simulated time jumps from event to event, so the cost of a run is
-//! O(instructions + events·log events) rather than
+//! O(instructions + events·log cores) rather than
 //! O(makespan × cores).
 //!
 //! The two engines are observably equivalent — identical makespan,
 //! [`SimStats`], and final registers for every program × configuration ×
 //! seed — which the `engine_equivalence` differential suite enforces.
 //! See `DESIGN.md` for the equivalence argument.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use tpal_core::isa::Reg;
 use tpal_core::machine::{
@@ -257,7 +265,6 @@ impl SimOutcome {
 }
 
 struct Core {
-    current: Option<TaskState>,
     deque: std::collections::VecDeque<TaskState>,
     busy_until: u64,
     /// Promotion-policy state (delivered-beat flag, adaptive spacing,
@@ -269,13 +276,14 @@ struct Core {
     probe_k: u64,
 }
 
-/// A scheduled event, ordered by `(time, phase, core)` so that the heap
-/// replays exactly the order the cycle-tick reference visits things
-/// within one cycle: first interrupt delivery (phase 0), then the cores
-/// in index order (phase 1). Matching that order is what keeps the RNG
-/// stream (ping jitter before same-cycle steals, steals by core index)
-/// and all shared-store effects identical to [`SimRef`](crate::SimRef).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// A scheduled event, ordered by `(time, phase, core)` so that the
+/// calendar replays exactly the order the cycle-tick reference visits
+/// things within one cycle: first interrupt delivery (phase 0), then the
+/// cores in index order (phase 1). Matching that order is what keeps the
+/// RNG stream (ping jitter before same-cycle steals, steals by core
+/// index) and all shared-store effects identical to
+/// [`SimRef`](crate::SimRef).
+#[derive(Debug, Clone, Copy)]
 struct Event {
     time: u64,
     phase: u8,
@@ -285,12 +293,125 @@ struct Event {
 const PHASE_INTERRUPT: u8 = 0;
 const PHASE_ACTION: u8 = 1;
 
-fn push_action(queue: &mut BinaryHeap<Reverse<Event>>, core: usize, time: u64) {
-    queue.push(Reverse(Event {
+/// An [`Event`] packed so that integer order is event order: time in
+/// the high 64 bits, then phase, then core. The full `u64` time range
+/// survives (a replay token may ask for ♥ = `u64::MAX`).
+type Key = u128;
+
+/// A cleared slot's key. No event packs to it: a real key's phase field
+/// is 0 or 1.
+const EMPTY: Key = Key::MAX;
+
+impl Event {
+    fn key(self) -> Key {
+        (self.time as Key) << 64 | (self.phase as Key) << 32 | self.core as Key
+    }
+
+    fn from_key(key: Key) -> Event {
+        Event {
+            time: (key >> 64) as u64,
+            phase: (key >> 32) as u8,
+            core: key as u32,
+        }
+    }
+}
+
+fn action_key(core: usize, time: u64) -> Key {
+    Event {
         time,
         phase: PHASE_ACTION,
         core: core as u32,
-    }));
+    }
+    .key()
+}
+
+fn interrupt_key(core: usize, time: u64) -> Key {
+    Event {
+        time,
+        phase: PHASE_INTERRUPT,
+        core: core as u32,
+    }
+    .key()
+}
+
+/// The calendar tree's fan-out: arming a slot re-reduces one group of
+/// `FANOUT` keys per level, `⌈log₈ slots⌉` groups in all — one for 2 to
+/// 8 slots, two for the 30 of 15 cores with local timers, three for the
+/// 512 of 256.
+const FANOUT: usize = 8;
+
+/// The event calendar: a fixed set of slots, each armed with one key or
+/// cleared, and the earliest armed key on demand.
+///
+/// A tournament (winner) tree of fan-out [`FANOUT`] keeps the earliest
+/// key at its root: every entry above the leaves holds the earliest key
+/// of its group below. Arming a slot is one walk from its leaf to the
+/// root, and the group reductions are branch-free, which matters more
+/// than their count: which key wins is data, and a mispredicted branch
+/// per level costs more than the whole walk.
+struct Calendar {
+    /// The tree's levels, the leaves (one per slot) first. Entry `j` of
+    /// a level above the leaves is the earliest of entries
+    /// `FANOUT·j .. FANOUT·(j + 1)` of the level below. Every level is
+    /// padded with [`EMPTY`] to whole groups.
+    keys: Box<[Key]>,
+    /// Where each level below the root starts in `keys`, leaves first.
+    levels: Box<[usize]>,
+    /// Where the root level starts; its first entry is the earliest key.
+    root: usize,
+}
+
+impl Calendar {
+    fn new(slots: usize) -> Calendar {
+        let mut levels = Vec::new();
+        let mut len = 0;
+        let mut width = slots;
+        while width > 1 {
+            levels.push(len);
+            len += width.div_ceil(FANOUT) * FANOUT;
+            width = width.div_ceil(FANOUT);
+        }
+        Calendar {
+            keys: vec![EMPTY; len + FANOUT].into_boxed_slice(),
+            levels: levels.into_boxed_slice(),
+            root: len,
+        }
+    }
+
+    /// The earliest armed event, or `None` if every slot is cleared.
+    fn min(&self) -> Option<Event> {
+        let key = self.keys[self.root];
+        // The low word alone tells a cleared slot (all ones) from an
+        // event (phase 0 or 1), and reads back one of the two 8-byte
+        // stores that wrote the root; a 16-byte load of both would miss
+        // store-to-load forwarding.
+        (key as u64 != EMPTY as u64).then(|| Event::from_key(key))
+    }
+
+    /// Arms `slot` at `key` ([`EMPTY`] clears it), replacing what it held.
+    fn set(&mut self, slot: usize, key: Key) {
+        let mut i = slot;
+        let mut key = key;
+        for &level in self.levels.iter() {
+            self.keys[level + i] = key;
+            let group = level + i / FANOUT * FANOUT;
+            key = earliest(
+                self.keys[group..group + FANOUT]
+                    .try_into()
+                    .expect("levels are whole groups"),
+            );
+            i /= FANOUT;
+        }
+        self.keys[self.root + i] = key;
+    }
+}
+
+/// The earliest key of one group, reduced pairwise.
+#[inline(always)]
+fn earliest(g: &[Key; FANOUT]) -> Key {
+    let low = g[0].min(g[1]).min(g[2].min(g[3]));
+    let high = g[4].min(g[5]).min(g[6].min(g[7]));
+    low.min(high)
 }
 
 /// The multicore simulator. Mirrors the [`tpal_core::machine::Machine`]
@@ -390,7 +511,6 @@ impl<'p> Sim<'p> {
         let mut stats = SimStats::default();
         let mut cores: Vec<Core> = (0..cfg.cores)
             .map(|_| Core {
-                current: None,
                 deque: std::collections::VecDeque::new(),
                 busy_until: 0,
                 promote: PromoteState::default(),
@@ -398,7 +518,13 @@ impl<'p> Sim<'p> {
                 probe_k: 0,
             })
             .collect();
-        cores[0].current = Some(self.initial.take().expect("simulation already run"));
+        // Each core's running task, kept beside `cores` so an action can
+        // run it in place while it mutates other cores. A task leaves
+        // its slot only when it leaves the core: halt, a join that stashes
+        // it, or a channel park.
+        let mut running: Vec<Option<TaskState>> = (0..cfg.cores).map(|_| None).collect();
+        running[0] = Some(self.initial.take().expect("simulation already run"));
+        let mut running_count: usize = 1;
 
         // Ping-thread signaller state. Unlike the reference (which tests
         // `now >= ping.next_time` once per cycle), `ping.next_time` here
@@ -411,8 +537,8 @@ impl<'p> Sim<'p> {
         // attempt is a forced failure, which licenses parking (below).
         let mut queued: usize = 0;
         // Parked cores: idle cores fast-forwarded through forced-failure
-        // steal retries. A parked core keeps no action event in the
-        // queue; `busy_until` holds its next *not yet counted* retry
+        // steal retries. A parked core's action slot is cleared;
+        // `busy_until` holds its next *not yet counted* retry
         // time, and `flush_parked!` settles the retries lazily.
         let mut parked: Vec<bool> = vec![false; cfg.cores];
         let mut parked_count: usize = 0;
@@ -479,8 +605,8 @@ impl<'p> Sim<'p> {
         }
 
         // Settles every parked core's pending retries that virtually
-        // precede event `$ev`. A retry of core `p` occupies queue
-        // position `(t, PHASE_ACTION, p)`, so it precedes the event if
+        // precede event `$ev`. A retry of core `p` would carry the key
+        // `(t, PHASE_ACTION, p)`, so it precedes the event if
         // `t < $ev.time`, or at `t == $ev.time` when the event is a later
         // core's action (the reference scans cores in index order within
         // a cycle).
@@ -513,20 +639,28 @@ impl<'p> Sim<'p> {
             };
         }
 
-        // Seed the queue: every core attempts an action on cycle 1 (the
-        // reference's first tick), and the interrupt source fires its
-        // first delivery chain.
-        let mut queue: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
+        // The calendar's slots: core `c`'s next action is slot `c`; the
+        // interrupt source owns the slots after those — core `c`'s local
+        // timer is slot `cores + c`, the ping chain's next delivery is
+        // slot `cores`. Seed it: every core attempts an action on cycle 1
+        // (the reference's first tick), and the interrupt source fires
+        // its first delivery chain.
+        let interrupt_slots = match cfg.interrupt {
+            InterruptModel::PerCoreTimer { .. } | InterruptModel::JitteredTimer { .. } => cfg.cores,
+            InterruptModel::PingThread { .. } => 1,
+            InterruptModel::Disabled => 0,
+        };
+        let mut calendar = Calendar::new(cfg.cores + interrupt_slots);
         for c in 0..cfg.cores {
-            push_action(&mut queue, c, 1);
+            calendar.set(c, action_key(c, 1));
         }
 
         // Settles every parked core's pending retries and re-arms each
         // at its next retry time — the "work just became visible"
-        // discipline of the Forked arm, shared by `detach` and channel
-        // wakes. Cores after the acting one in index order may retry at
-        // this very cycle and see the new task, exactly as the
-        // reference's in-cycle scan does.
+        // discipline of `fork`, `detach` and channel wakes. Cores after
+        // the acting one in index order may retry at this very cycle and
+        // see the new task, exactly as the reference's in-cycle scan
+        // does.
         macro_rules! unpark_all {
             ($ev:expr) => {
                 if parked_count > 0 {
@@ -534,7 +668,7 @@ impl<'p> Sim<'p> {
                     for p in 0..cfg.cores {
                         if parked[p] {
                             parked[p] = false;
-                            push_action(&mut queue, p, cores[p].busy_until);
+                            calendar.set(p, action_key(p, cores[p].busy_until));
                         }
                     }
                     parked_count = 0;
@@ -588,19 +722,11 @@ impl<'p> Sim<'p> {
                 // The first deadline is exact in both models; jitter
                 // enters at re-arm time, one draw per delivery.
                 for (c, core) in cores.iter().enumerate() {
-                    queue.push(Reverse(Event {
-                        time: core.next_hb.max(1),
-                        phase: PHASE_INTERRUPT,
-                        core: c as u32,
-                    }));
+                    calendar.set(cfg.cores + c, interrupt_key(c, core.next_hb.max(1)));
                 }
             }
             InterruptModel::PingThread { .. } => {
-                queue.push(Reverse(Event {
-                    time: ping.next_time,
-                    phase: PHASE_INTERRUPT,
-                    core: ping.next_core as u32,
-                }));
+                calendar.set(cfg.cores, interrupt_key(ping.next_core, ping.next_time));
             }
             InterruptModel::Disabled => {}
         }
@@ -609,12 +735,13 @@ impl<'p> Sim<'p> {
         let end_time: u64;
 
         'sim: loop {
-            // The queue can only drain before `halt` if interrupts are
+            // The calendar can only empty before `halt` if interrupts are
             // disabled and every core is parked on an empty system — no
             // event can ever create work again. (The reference spins
             // forever on that degenerate program; an error is strictly
-            // more useful.)
-            let Some(Reverse(ev)) = queue.pop() else {
+            // more useful.) The event stays armed while it is handled:
+            // each arm below re-arms or clears its slot.
+            let Some(ev) = calendar.min() else {
                 return Err(MachineError::Deadlock);
             };
             let now = ev.time;
@@ -644,13 +771,10 @@ impl<'p> Sim<'p> {
                                 what: OverheadKind::Interrupt
                             }
                         );
-                        queue.push(Reverse(Event {
-                            // `.max(now + 1)`: with ♥ = 0 the reference
-                            // still delivers at most once per cycle.
-                            time: core.next_hb.max(now + 1),
-                            phase: PHASE_INTERRUPT,
-                            core: ev.core,
-                        }));
+                        // `.max(now + 1)`: with ♥ = 0 the reference still
+                        // delivers at most once per cycle.
+                        let next = core.next_hb.max(now + 1);
+                        calendar.set(cfg.cores + ci, interrupt_key(ci, next));
                     }
                     InterruptModel::JitteredTimer { service_cost, .. } => {
                         // The re-arm jitter draw below must land at the
@@ -678,11 +802,8 @@ impl<'p> Sim<'p> {
                                 what: OverheadKind::Interrupt
                             }
                         );
-                        queue.push(Reverse(Event {
-                            time: core.next_hb.max(now + 1),
-                            phase: PHASE_INTERRUPT,
-                            core: ev.core,
-                        }));
+                        let next = core.next_hb.max(now + 1);
+                        calendar.set(cfg.cores + ci, interrupt_key(ci, next));
                     }
                     InterruptModel::PingThread { service_cost, .. } => {
                         // The jitter draw below must land at the right
@@ -709,38 +830,34 @@ impl<'p> Sim<'p> {
                             cfg.interrupt.ping_delay(&mut env)
                         };
                         ping.advance(now, cfg.cores, cfg.heartbeat, delay);
-                        queue.push(Reverse(Event {
-                            time: ping.next_time,
-                            phase: PHASE_INTERRUPT,
-                            core: ping.next_core as u32,
-                        }));
+                        calendar.set(cfg.cores, interrupt_key(ping.next_core, ping.next_time));
                     }
                     InterruptModel::Disabled => unreachable!("no interrupt source armed"),
                 }
                 continue;
             }
 
-            // Core action. Exactly one action event is outstanding per
-            // core; if an interrupt pushed the core's busy horizon past
-            // the scheduled time, re-arm at the new horizon.
+            // Core action. If an interrupt pushed the core's busy horizon
+            // past the scheduled time, re-arm at the new horizon.
             let c = ev.core as usize;
             if cores[c].busy_until > now {
-                push_action(&mut queue, c, cores[c].busy_until);
+                calendar.set(c, action_key(c, cores[c].busy_until));
                 continue;
             }
 
             // Acquire work if idle.
-            if cores[c].current.is_none() {
+            if running[c].is_none() {
                 if let Some(t) = cores[c].deque.pop_back() {
                     // Own pop is free; the task runs this very cycle.
                     queued -= 1;
-                    cores[c].current = Some(t);
+                    running[c] = Some(t);
+                    running_count += 1;
                     if tracer.is_some() {
                         current_id[c] = queued_ids[c].pop_back().expect("id mirrors deque");
                     }
                 } else if !(parked_push.is_empty() && parked_pop.is_empty())
                     && queued == 0
-                    && cores.iter().all(|k| k.current.is_none())
+                    && running_count == 0
                 {
                     // Channel deadlock: every remaining task is parked
                     // on a channel and no runner exists to wake one —
@@ -760,6 +877,7 @@ impl<'p> Sim<'p> {
                         parked[c] = true;
                         parked_count += 1;
                         cores[c].busy_until = now;
+                        calendar.set(c, EMPTY);
                         continue;
                     }
                     // Steal from another core's top; the policy picks
@@ -773,7 +891,8 @@ impl<'p> Sim<'p> {
                     match stolen {
                         Some(t) => {
                             queued -= 1;
-                            cores[c].current = Some(t);
+                            running[c] = Some(t);
+                            running_count += 1;
                             cores[c].busy_until = now + cfg.steal_cost;
                             stats.steals += 1;
                             stats.overhead_cycles += cfg.steal_cost;
@@ -809,16 +928,17 @@ impl<'p> Sim<'p> {
                             // with a positive cost the freshly charged
                             // `busy_until` always defeats it there too.
                             if cfg.steal_retry_cost == 0
-                                && cores.iter().all(|k| {
-                                    k.current.is_none() && k.deque.is_empty() && k.busy_until <= now
-                                })
+                                && running_count == 0
+                                && cores
+                                    .iter()
+                                    .all(|k| k.deque.is_empty() && k.busy_until <= now)
                             {
                                 return Err(MachineError::Deadlock);
                             }
                         }
                     }
                     // A core acts at most once per cycle.
-                    push_action(&mut queue, c, cores[c].busy_until.max(now + 1));
+                    calendar.set(c, action_key(c, cores[c].busy_until.max(now + 1)));
                     continue;
                 } else {
                     // Single core, nothing runnable, nothing queued: no
@@ -829,7 +949,7 @@ impl<'p> Sim<'p> {
                 }
             }
 
-            let mut task = cores[c].current.take().expect("task present");
+            let task = running[c].as_mut().expect("task present");
 
             // Scheduling boundary: the promotion policy decides what a
             // promotion-ready point does with the delivered beat
@@ -887,13 +1007,9 @@ impl<'p> Sim<'p> {
             };
             let watch = !step_past && promo.watch(&cores[c].promote);
 
-            let (steps, pause) = self.backend.run_until(
-                self.program,
-                &mut task,
-                &mut self.stores,
-                max_steps,
-                watch,
-            )?;
+            let (steps, pause) =
+                self.backend
+                    .run_until(self.program, task, &mut self.stores, max_steps, watch)?;
             if steps > 0 {
                 stats.instructions += steps;
                 stats.work_cycles += steps;
@@ -918,8 +1034,7 @@ impl<'p> Sim<'p> {
                     // interrupt (Quantum) or the handler diversion
                     // (PromotionReady) happens on the next action.
                     cores[c].busy_until = now + steps;
-                    cores[c].current = Some(task);
-                    push_action(&mut queue, c, now + steps);
+                    calendar.set(c, action_key(c, now + steps));
                 }
                 RunPause::Boundary if steps > 0 => {
                     // The boundary instruction must execute at its own
@@ -927,13 +1042,12 @@ impl<'p> Sim<'p> {
                     // and allocations are globally ordered against other
                     // cores' events in (now, now + steps].
                     cores[c].busy_until = now + steps;
-                    cores[c].current = Some(task);
-                    push_action(&mut queue, c, now + steps);
+                    calendar.set(c, action_key(c, now + steps));
                 }
                 RunPause::Boundary => {
                     // The very next instruction is the boundary: execute
                     // it this cycle, exactly as the reference does.
-                    match step_task(self.program, &mut task, &mut self.stores)? {
+                    match step_task(self.program, task, &mut self.stores)? {
                         StepOutcome::Ran => {
                             // jralloc / snew / halloc.
                             stats.instructions += 1;
@@ -947,8 +1061,7 @@ impl<'p> Sim<'p> {
                                 }
                             );
                             cores[c].busy_until = now + 1;
-                            cores[c].current = Some(task);
-                            push_action(&mut queue, c, now + 1);
+                            calendar.set(c, action_key(c, now + 1));
                         }
                         StepOutcome::Halted => {
                             stats.instructions += 1;
@@ -972,9 +1085,11 @@ impl<'p> Sim<'p> {
                                         task: current_id[c]
                                     }
                                 );
+                                running[c] = None;
+                                running_count -= 1;
                                 live_tasks -= 1;
                                 cores[c].busy_until = now + 1;
-                                push_action(&mut queue, c, now + 1);
+                                calendar.set(c, action_key(c, now + 1));
                             } else {
                                 // The counters become the outcome:
                                 // settle every parked core's retries up
@@ -990,7 +1105,7 @@ impl<'p> Sim<'p> {
                                         task: current_id[c]
                                     }
                                 );
-                                halted = task;
+                                halted = running[c].take().expect("task present");
                                 end_time = now;
                                 break 'sim;
                             }
@@ -1034,29 +1149,13 @@ impl<'p> Sim<'p> {
                             promo.on_fork(&mut cores[c].promote);
                             cores[c].deque.push_back(*child);
                             queued += 1;
-                            // Work exists again: settle every parked
-                            // core's retries that precede this fork,
-                            // then re-arm each at its next pending
-                            // retry. Cores after this one in index
-                            // order may retry at this very cycle and
-                            // see the new task, exactly as the
-                            // reference's in-cycle scan does.
-                            if parked_count > 0 {
-                                flush_parked!(ev);
-                                for p in 0..cfg.cores {
-                                    if parked[p] {
-                                        parked[p] = false;
-                                        push_action(&mut queue, p, cores[p].busy_until);
-                                    }
-                                }
-                                parked_count = 0;
-                            }
+                            // Work exists again: wake the parked cores.
+                            unpark_all!(ev);
                             cores[c].busy_until = now + 1 + cfg.fork_cost;
                             stats.overhead_cycles += cfg.fork_cost;
-                            cores[c].current = Some(task);
                             live_tasks += 1;
                             stats.max_live_tasks = stats.max_live_tasks.max(live_tasks);
-                            push_action(&mut queue, c, cores[c].busy_until);
+                            calendar.set(c, action_key(c, cores[c].busy_until));
                         }
                         StepOutcome::Joined { jr } => {
                             stats.instructions += 1;
@@ -1094,8 +1193,10 @@ impl<'p> Sim<'p> {
                                 }
                                 _ => 0,
                             };
+                            let task = running[c].take().expect("task present");
                             match resolve_join(self.program, task, jr, &mut self.stores, 0)? {
                                 JoinResolution::TaskDied => {
+                                    running_count -= 1;
                                     live_tasks -= 1;
                                     tev!(
                                         c,
@@ -1109,7 +1210,7 @@ impl<'p> Sim<'p> {
                                 }
                                 JoinResolution::Merged(t) => {
                                     stats.merges += 1;
-                                    cores[c].current = Some(*t);
+                                    running[c] = Some(*t);
                                     if tracer.is_some() {
                                         let merged = next_task_id;
                                         next_task_id += 1;
@@ -1127,7 +1228,7 @@ impl<'p> Sim<'p> {
                                     }
                                 }
                                 JoinResolution::Completed(t) => {
-                                    cores[c].current = Some(*t);
+                                    running[c] = Some(*t);
                                     if tracer.is_some() {
                                         let resumed = next_task_id;
                                         next_task_id += 1;
@@ -1144,7 +1245,7 @@ impl<'p> Sim<'p> {
                                     }
                                 }
                             }
-                            push_action(&mut queue, c, cores[c].busy_until);
+                            calendar.set(c, action_key(c, cores[c].busy_until));
                         }
                         StepOutcome::Detached { child } => {
                             // Same cost shape as a fork — `detach`
@@ -1189,10 +1290,9 @@ impl<'p> Sim<'p> {
                             unpark_all!(ev);
                             cores[c].busy_until = now + 1 + cfg.fork_cost;
                             stats.overhead_cycles += cfg.fork_cost;
-                            cores[c].current = Some(task);
                             live_tasks += 1;
                             stats.max_live_tasks = stats.max_live_tasks.max(live_tasks);
-                            push_action(&mut queue, c, cores[c].busy_until);
+                            calendar.set(c, action_key(c, cores[c].busy_until));
                         }
                         StepOutcome::ChanPushed { ch } => {
                             stats.instructions += 1;
@@ -1216,9 +1316,8 @@ impl<'p> Sim<'p> {
                                 }
                             );
                             cores[c].busy_until = now + 1;
-                            cores[c].current = Some(task);
                             wake_one!(parked_pop, ch, c, ev, now);
-                            push_action(&mut queue, c, now + 1);
+                            calendar.set(c, action_key(c, now + 1));
                         }
                         StepOutcome::ChanPopped { ch } => {
                             stats.instructions += 1;
@@ -1242,9 +1341,8 @@ impl<'p> Sim<'p> {
                                 }
                             );
                             cores[c].busy_until = now + 1;
-                            cores[c].current = Some(task);
                             wake_one!(parked_push, ch, c, ev, now);
-                            push_action(&mut queue, c, now + 1);
+                            calendar.set(c, action_key(c, now + 1));
                         }
                         StepOutcome::ChanClosed { ch } => {
                             stats.instructions += 1;
@@ -1267,7 +1365,6 @@ impl<'p> Sim<'p> {
                                 }
                             );
                             cores[c].busy_until = now + 1;
-                            cores[c].current = Some(task);
                             // Close wakes every waiter: poppers first
                             // (they drain the buffer or fault), then
                             // pushers (they fault), each cohort in park
@@ -1306,13 +1403,13 @@ impl<'p> Sim<'p> {
                                     }
                                 }
                             }
-                            push_action(&mut queue, c, now + 1);
+                            calendar.set(c, action_key(c, now + 1));
                         }
                         StepOutcome::ChanBlocked { ch, push } => {
                             // The instruction did not execute (the
                             // machine un-counted it); the core spent the
                             // cycle discovering the block and parks the
-                            // task — its current slot stays empty, so
+                            // task — its running slot is left empty, so
                             // the next action seeks new work.
                             stats.chan_blocks += 1;
                             stats.idle_cycles += 1;
@@ -1328,13 +1425,15 @@ impl<'p> Sim<'p> {
                                 }
                             );
                             let tid = current_id[c];
+                            let task = running[c].take().expect("task present");
+                            running_count -= 1;
                             if push {
                                 parked_push.push_back((ch, task, tid));
                             } else {
                                 parked_pop.push_back((ch, task, tid));
                             }
                             cores[c].busy_until = now + 1;
-                            push_action(&mut queue, c, now + 1);
+                            calendar.set(c, action_key(c, now + 1));
                         }
                     }
                     if stats.instructions > cfg.step_limit {
@@ -1372,5 +1471,113 @@ impl<'p> Sim<'p> {
             span: halted.rel_span,
             final_regs,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// A slot's key: phase and core are fixed per slot, as in the
+    /// engine, so no two slots share a key.
+    fn key_of(slot: usize, time: u64) -> Key {
+        Event {
+            time,
+            phase: (slot % 2) as u8,
+            core: slot as u32,
+        }
+        .key()
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Arm a slot, whatever it held.
+        Set(usize, u64),
+        Clear(usize),
+        /// Take the earliest event and re-arm its slot (`Some`) or
+        /// clear it — the engine's own step.
+        Replace(Option<u64>),
+    }
+
+    /// Times that collide often, and times at the very top of the range.
+    fn time() -> BoxedStrategy<u64> {
+        prop_oneof![
+            3 => 0u64..64,
+            1 => (0u64..4).prop_map(|k| u64::MAX - k),
+            1 => any::<u64>(),
+        ]
+        .boxed()
+    }
+
+    fn op() -> BoxedStrategy<Op> {
+        prop_oneof![
+            4 => (0usize..1024, time()).prop_map(|(s, t)| Op::Set(s, t)),
+            1 => (0usize..1024).prop_map(Op::Clear),
+            4 => time().prop_map(|t| Op::Replace(Some(t))),
+            1 => Just(Op::Replace(None)),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The calendar yields exactly the sequence an ordered set of the
+        /// same keys does, for any slot count — whole groups or not, one
+        /// tree level or three.
+        #[test]
+        fn calendar_pops_in_key_order(
+            slots in prop_oneof![1usize..=20, Just(30usize), 60usize..=70, Just(512usize)],
+            ops in proptest::collection::vec(op(), 0..400),
+        ) {
+            let mut calendar = Calendar::new(slots);
+            let mut model = BTreeSet::new();
+            let mut armed: Vec<Option<Key>> = vec![None; slots];
+            for op in ops {
+                let (slot, key) = match op {
+                    Op::Set(s, t) => (s % slots, Some(key_of(s % slots, t))),
+                    Op::Clear(s) => (s % slots, None),
+                    Op::Replace(t) => {
+                        let Some(&first) = model.first() else { continue };
+                        let slot = armed.iter().position(|&k| k == Some(first)).unwrap();
+                        (slot, t.map(|t| key_of(slot, t)))
+                    }
+                };
+                if let Some(old) = armed[slot].take() {
+                    model.remove(&old);
+                }
+                if let Some(key) = key {
+                    model.insert(key);
+                    armed[slot] = Some(key);
+                }
+                calendar.set(slot, key.unwrap_or(EMPTY));
+                prop_assert_eq!(calendar.min().map(Event::key), model.first().copied());
+            }
+        }
+    }
+
+    #[test]
+    fn keys_order_by_time_then_phase_then_core() {
+        let late = interrupt_key(0, u64::MAX);
+        assert!(action_key(7, u64::MAX - 1) < late);
+        assert!(late < action_key(0, u64::MAX));
+        assert!(interrupt_key(3, 5) < interrupt_key(4, 5));
+        assert!(action_key(255, u64::MAX) < EMPTY);
+        let ev = Event::from_key(action_key(255, u64::MAX));
+        assert_eq!((ev.time, ev.phase, ev.core), (u64::MAX, PHASE_ACTION, 255));
+    }
+
+    #[test]
+    fn an_empty_calendar_has_no_event() {
+        let mut calendar = Calendar::new(3);
+        assert!(calendar.min().is_none());
+        calendar.set(2, action_key(2, u64::MAX));
+        assert_eq!(calendar.min().map(|ev| ev.time), Some(u64::MAX));
+        calendar.set(2, EMPTY);
+        assert!(calendar.min().is_none());
     }
 }

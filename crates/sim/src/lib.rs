@@ -24,8 +24,9 @@
 //! quantities behind Figures 7, 10, 11, 14, and 15.
 //!
 //! Two engines implement the same model: [`Sim`], the event-driven
-//! production engine (a binary-heap event queue plus instruction-run
-//! batching via [`tpal_core::machine::run_task_until`]), and [`SimRef`],
+//! production engine (a fixed-slot event calendar — one slot per core's
+//! next action and per interrupt source — plus instruction-run batching
+//! via [`tpal_core::machine::run_task_until`]), and [`SimRef`],
 //! the original one-tick-per-cycle loop kept as the executable
 //! specification. They are held observably equivalent — identical
 //! makespan, stats, and final registers on every program ×

@@ -265,6 +265,78 @@ fn jittered_timer_engines_agree() {
     }
 }
 
+/// Every program the repository's benchmark simulates.
+const BENCHMARK_PROGRAMS: [&str; 7] = [
+    "plus-reduce-array",
+    "floyd-warshall-small",
+    "mandelbrot",
+    "mergesort-uniform",
+    "knapsack",
+    "pipeline-tokens",
+    "spmv-stream",
+];
+
+/// The benchmark's own configuration — the paper's 15 cores under
+/// Nautilus timers at ♥ = 3000, 30 calendar slots in a two-level tree —
+/// on every program it simulates, at the seed of its first run.
+#[test]
+fn benchmark_configuration_engines_agree() {
+    for name in BENCHMARK_PROGRAMS {
+        let spec = workload(name)
+            .expect("known workload")
+            .sim_spec(Scale::Quick);
+        let mut config = SimConfig::nautilus(15, 3_000);
+        config.seed = 1;
+        let ctx = format!("{name} / nautilus-15");
+        assert_pair_agrees(&spec, Mode::Heartbeat, config, &ctx);
+    }
+}
+
+/// Wide machines, up to the service's 256-core ceiling: the event
+/// calendar's tree gains a level past 8 and 64 slots, so 64 ping-driven
+/// cores (65 slots) and 256 timer-driven ones (512 slots) walk three.
+#[test]
+fn wide_machines_engines_agree() {
+    for name in ["knapsack", "pipeline-tokens"] {
+        let spec = workload(name)
+            .expect("known workload")
+            .sim_spec(Scale::Quick);
+        for (label, config) in [
+            ("linux-64", SimConfig::linux(64, 3_000)),
+            ("nautilus-256", SimConfig::nautilus(256, 3_000)),
+        ] {
+            let ctx = format!("{name} / {label}");
+            assert_pair_agrees(&spec, Mode::Heartbeat, config, &ctx);
+        }
+    }
+}
+
+/// ♥ at the edges of its range, as a replay token may carry it: a beat
+/// due every cycle (0 and 1), and beats so far apart (2⁵³ + 1,
+/// `u64::MAX`) that the first never lands — the event calendar holds it
+/// at the very top of the time range. Per-core timers join in only at
+/// the far end: a timer beat every cycle livelocks the promotion handler
+/// in both engines (by design, until the step limit), whereas the ping
+/// chain paces itself by its own delivery latency.
+#[test]
+fn heartbeat_edges_engines_agree() {
+    for name in ["knapsack", "pipeline-tokens"] {
+        let spec = workload(name)
+            .expect("known workload")
+            .sim_spec(Scale::Quick);
+        for heartbeat in [0, 1, (1 << 53) + 1, u64::MAX] {
+            let mut configs = vec![("linux-4", SimConfig::linux(4, heartbeat))];
+            if heartbeat > 1 {
+                configs.push(("nautilus-4", SimConfig::nautilus(4, heartbeat)));
+            }
+            for (label, config) in configs {
+                let ctx = format!("{name} / {label} / ♥ {heartbeat}");
+                assert_pair_agrees(&spec, Mode::Heartbeat, config, &ctx);
+            }
+        }
+    }
+}
+
 /// The timelines must agree bucket-for-bucket too: the event engine
 /// buckets the trace it recorded ([`Timeline::from_trace`] — merged work
 /// spans split per cycle, a settled retry chain charged retry by retry)
@@ -275,15 +347,7 @@ fn jittered_timer_engines_agree() {
 /// [`Timeline::from_trace`]: tpal_sim::Timeline::from_trace
 #[test]
 fn timelines_agree_bucket_for_bucket() {
-    for name in [
-        "plus-reduce-array",
-        "floyd-warshall-small",
-        "mandelbrot",
-        "mergesort-uniform",
-        "knapsack",
-        "pipeline-tokens",
-        "spmv-stream",
-    ] {
+    for name in BENCHMARK_PROGRAMS {
         let spec = workload(name)
             .expect("known workload")
             .sim_spec(Scale::Quick);

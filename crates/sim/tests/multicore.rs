@@ -7,7 +7,7 @@ use tpal_core::machine::{Machine, MachineConfig, MachineError};
 use tpal_core::programs::{fib, prod};
 use tpal_ir::ast::{Expr, Function, IrProgram, ParFor, Reducer, Stmt};
 use tpal_ir::lower::{lower, Mode};
-use tpal_sim::{InterruptModel, Sim, SimConfig, SimOutcome};
+use tpal_sim::{InterruptModel, Sim, SimConfig, SimOutcome, SimRef};
 
 fn run_prod(config: SimConfig, a: i64, b: i64) -> SimOutcome {
     let p = prod();
@@ -206,6 +206,47 @@ fn deadlock_detected_for_non_halting_program() {
     let mut sim = Sim::new(&p, SimConfig::nautilus(2, 1000));
     // Joining without fork is a protocol error.
     assert!(matches!(sim.run(), Err(MachineError::JoinWithoutFork)));
+}
+
+/// Every task parked on a channel nobody will service: the main task on
+/// an empty one, a detached producer on a full one. Both engines report
+/// `Deadlock` rather than fast-forwarding idle cores for ever, on one
+/// core and on many, whatever the interrupt source.
+#[test]
+fn channel_deadlock_detected_by_both_engines() {
+    let p = tpal_core::asm::parse_program(
+        "main: [.]
+             c := chmake 1
+             d := chmake 1
+             detach producer
+             v := chpop d
+             halt
+         producer: [.]
+             x := 1
+             chpush c, x
+             chpush c, x
+             halt",
+    )
+    .unwrap();
+    for config in [
+        SimConfig::nautilus(1, 3000),
+        SimConfig::nautilus(15, 3000),
+        SimConfig::linux(4, 3000),
+        SimConfig {
+            interrupt: InterruptModel::Disabled,
+            ..SimConfig::nautilus(3, 3000)
+        },
+    ] {
+        let ctx = format!("{} cores, {}", config.cores, config.interrupt.label());
+        assert!(
+            matches!(Sim::new(&p, config).run(), Err(MachineError::Deadlock)),
+            "{ctx}"
+        );
+        assert!(
+            matches!(SimRef::new(&p, config).run(), Err(MachineError::Deadlock)),
+            "{ctx}: reference"
+        );
+    }
 }
 
 #[test]
