@@ -64,6 +64,6 @@ pub use heartbeat::HeartbeatSource;
 pub use pool::{RtConfig, Runtime, WorkerCtx};
 pub use signal::supported as timer_signal_supported;
 pub use stats::RtStats;
-// The scheduling policies themselves live in the shared policy kernel;
+// The promotion rules themselves live in the shared scheduler kernel;
 // re-exported so runtime users need not depend on `tpal-sched` directly.
-pub use tpal_sched::{Policy, Promotion, Victim};
+pub use tpal_sched::Promotion;

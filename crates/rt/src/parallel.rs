@@ -161,8 +161,7 @@ impl WorkerCtx<'_> {
     /// `true` when a beat is due on this worker (consumes the beat).
     ///
     /// Local-timer polls are subsampled here: the timestamp counter is
-    /// read only every [`RtConfig::poll_subsample`](crate::RtConfig) +
-    /// 1th call, so the common-case cost of ultra-frequent fork points
+    /// read only every 32nd call (`pool::POLL_SUBSAMPLE` + 1), so the common-case cost of ultra-frequent fork points
     /// is one counter decrement — the polling budget the paper's §6
     /// discussion targets. Flag-based sources (`PingThread`,
     /// `TimerSignal`) are a single relaxed load and never subsample.
@@ -209,9 +208,9 @@ impl WorkerCtx<'_> {
     }
 
     /// Acts on one poll's outcome: accounts a due beat as serviced, then
-    /// lets the policy arbitrate — `heartbeat` promotes once per beat,
-    /// `eager` at every poll, `never` not at all (the mechanism without
-    /// the promotions), `adaptive:τ` once per sufficiently spaced beat.
+    /// lets the promotion rule arbitrate — `heartbeat` promotes once per
+    /// beat, `eager` at every poll, `never` not at all (the mechanism
+    /// without the promotions).
     fn service(&self, beat: bool) -> bool {
         if beat {
             let c = self.shared.counters.shard(self.id);

@@ -1,7 +1,7 @@
 //! The worker pool: threads, deques, stealing, and the heartbeat plumbing.
 //!
 //! The pool itself is policy-free — it runs type-erased jobs from per-worker
-//! Chase–Lev deques with randomized stealing and a global injector for
+//! Chase–Lev deques with salted-sweep stealing and a global injector for
 //! external submissions. The heartbeat/promotion logic lives in
 //! `parallel.rs`; the eager Cilk baseline (`tpal-cilk`) reuses this pool
 //! with the heartbeat source disabled.
@@ -12,10 +12,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use tpal_deque::{deque, CachePadded, Injector, Steal, Stealer, Worker};
-use tpal_sched::{
-    HeartbeatCell, HeartbeatSource, Policy, PromoteState, Promotion, RngEnv, SplitMix64, Victim,
-    VictimPolicy,
-};
+use tpal_sched::{victim_sequence, Domain, HeartbeatCell, HeartbeatSource, Promotion};
 use tpal_trace::{EventKind, SharedTracer, Trace};
 
 use crate::heartbeat::{now_ticks, ticks_per_us};
@@ -52,26 +49,16 @@ pub struct RtConfig {
     /// exactly [`RtConfig::poll_stride`] iterations (the behaviour the
     /// parity tests pin).
     pub poll_adaptive: bool,
-    /// Local-timer fork-point subsampling: at promotion-ready points
-    /// with no block loop of their own (fork points, one-block loops)
-    /// the timestamp counter is read only every `poll_subsample + 1`th
-    /// call, the others costing a counter decrement; `0` reads it at
-    /// every such poll. Only `LocalTimer` consults this: the flag-based
-    /// sources are one relaxed load regardless, paced loop blocks poll
-    /// unsubsampled (their length already bounds the rate), and `eager`
-    /// promotes at every poll, so has no cheap path to keep.
-    pub poll_subsample: u32,
     /// Record structured scheduling events (deliveries, services,
     /// promotions, task creations, steals) into a per-worker trace,
     /// collected with [`Runtime::take_trace`]. Off by default: when off,
     /// every record site is one `None` check and nothing is allocated.
     pub trace: bool,
-    /// The scheduling policy: when poll points attempt promotions and
-    /// whom a thief probes. The runtime's historical behaviour is
-    /// `heartbeat` promotion with the `sequence` victim sweep.
-    /// [`RtConfig::suppress_promotions`] overrides the promotion half
-    /// to `never`.
-    pub policy: Policy,
+    /// When poll points attempt promotions (default `heartbeat`; a
+    /// thief always sweeps every other worker, so runs label as
+    /// `<promotion>/sequence`). [`RtConfig::suppress_promotions`]
+    /// overrides it to `never`.
+    pub promotion: Promotion,
 }
 
 impl Default for RtConfig {
@@ -85,13 +72,8 @@ impl Default for RtConfig {
             suppress_promotions: false,
             poll_stride: 32,
             poll_adaptive: true,
-            poll_subsample: 31,
             trace: false,
-            policy: Policy {
-                promotion: Promotion::Heartbeat,
-                victim: Victim::Sequence,
-                chan_wake: tpal_sched::ChanWake::Fifo,
-            },
+            promotion: Promotion::Heartbeat,
         }
     }
 }
@@ -135,25 +117,27 @@ impl RtConfig {
         self
     }
 
-    /// Sets the local-timer fork-point subsample (see
-    /// [`RtConfig::poll_subsample`]).
-    pub fn poll_subsample(mut self, n: u32) -> Self {
-        self.poll_subsample = n;
-        self
-    }
-
     /// Enables structured event tracing (see [`RtConfig::trace`]).
     pub fn trace(mut self, yes: bool) -> Self {
         self.trace = yes;
         self
     }
 
-    /// Sets the scheduling policy (see [`RtConfig::policy`]).
-    pub fn policy(mut self, p: Policy) -> Self {
-        self.policy = p;
+    /// Sets the promotion rule (see [`RtConfig::promotion`]).
+    pub fn promotion(mut self, p: Promotion) -> Self {
+        self.promotion = p;
         self
     }
 }
+
+/// Local-timer fork-point subsampling: at promotion-ready points with no
+/// block loop of their own (fork points, one-block loops) the timestamp
+/// counter is read only every `POLL_SUBSAMPLE + 1`th call, the others
+/// costing a counter decrement. Only `LocalTimer` consults this: the
+/// flag-based sources are one relaxed load regardless, paced loop blocks
+/// poll unsubsampled (their length already bounds the rate), and `eager`
+/// promotes at every poll, so has no cheap path to keep.
+const POLL_SUBSAMPLE: u32 = 31;
 
 /// Idle-sleep states of a worker's [`SleepCell`].
 const SLEEP_AWAKE: u32 = 0;
@@ -208,18 +192,16 @@ pub(crate) struct Shared {
     /// ♥ as wall time (the per-worker interval timers are programmed in
     /// nanoseconds, not ticks).
     pub heartbeat: Duration,
-    /// The effective promotion policy ([`RtConfig::suppress_promotions`]
+    /// The effective promotion rule ([`RtConfig::suppress_promotions`]
     /// maps to [`Promotion::Never`] at construction).
     pub promotion: Promotion,
-    /// The steal-victim policy.
-    pub victim: Victim,
     pub poll_stride: usize,
     /// See [`RtConfig::poll_adaptive`].
     pub poll_adaptive: bool,
-    /// See [`RtConfig::poll_subsample`]; 0 under `eager`, so that a
-    /// non-zero `poll_skip` always means "no beat, no promotion".
+    /// [`POLL_SUBSAMPLE`], or 0 under `eager`, so that a non-zero
+    /// `poll_skip` always means "no beat, no promotion".
     pub poll_subsample: u32,
-    /// Sweep salt drawn by `sequence`-policy thieves; padded because
+    /// Sweep salt drawn by thieves, one per round; padded because
     /// concurrent thieves hammer it while stealing.
     pub rng_salt: CachePadded<AtomicU64>,
     /// Structured event recording (None unless [`RtConfig::trace`]).
@@ -353,11 +335,6 @@ pub struct WorkerCtx<'a> {
     pub(crate) poll_skip: std::cell::Cell<u32>,
     /// The pacing state the next loop to start adopts (see [`Pacer`]).
     pub(crate) pacer: std::cell::Cell<Pacer>,
-    /// Promotion-policy state (adaptive-τ spacing; the beat flag lives
-    /// on the worker's [`HeartbeatCell`]).
-    pub(crate) promote: std::cell::Cell<PromoteState>,
-    /// Per-worker RNG for randomized victim selection (`uniform`).
-    pub(crate) rng: RefCell<SplitMix64>,
     _not_send: std::marker::PhantomData<*mut ()>,
 }
 
@@ -373,8 +350,6 @@ impl<'a> WorkerCtx<'a> {
                 last: 0,
                 nested: false,
             }),
-            promote: std::cell::Cell::new(PromoteState::default()),
-            rng: RefCell::new(SplitMix64::new(0x9E3779B9 ^ id as u64)),
             _not_send: std::marker::PhantomData,
         }
     }
@@ -395,7 +370,7 @@ impl<'a> WorkerCtx<'a> {
         self.shared.notify();
     }
 
-    /// Pops from the local deque, the injector, or a random victim.
+    /// Pops from the local deque, the injector, or a victim.
     pub(crate) fn find_job(&self) -> Option<Job> {
         if let Some(job) = LOCAL_DEQUE.with(|d| d.borrow().as_ref().and_then(|w| w.pop())) {
             return Some(job);
@@ -405,19 +380,10 @@ impl<'a> WorkerCtx<'a> {
         }
         let n = self.shared.workers.len();
         if n > 1 {
-            let policy = self.shared.victim;
-            // A fresh sweep salt per round keeps concurrent `sequence`
-            // thieves spread over victims; the other policies ignore it.
-            let salt = match policy {
-                Victim::Sequence => self.shared.rng_salt.0.fetch_add(1, Ordering::Relaxed),
-                _ => 0,
-            };
-            let mut rng = self.rng.borrow_mut();
-            for k in 0..(n - 1) as u64 {
-                let v = {
-                    let mut env = RngEnv::new(&mut rng, 0, n);
-                    policy.probe(&mut env, self.id, salt, k)
-                };
+            // A fresh sweep salt per round keeps concurrent thieves
+            // spread over victims.
+            let salt = self.shared.rng_salt.0.fetch_add(1, Ordering::Relaxed);
+            for v in victim_sequence(self.id, n, salt as usize) {
                 loop {
                     match self.shared.workers[v].stealer.steal() {
                         Steal::Success(job) => {
@@ -439,26 +405,11 @@ impl<'a> WorkerCtx<'a> {
         None
     }
 
-    /// Asks the promotion policy whether this poll point — which
-    /// observed a due heartbeat iff `beat` — should attempt a promotion
-    /// now (the library surface of the policy kernel's
-    /// [`PromotionPolicy`](tpal_sched::PromotionPolicy)).
+    /// Asks the promotion rule whether this poll point — which observed
+    /// a due heartbeat iff `beat` — should attempt a promotion now.
     #[inline]
     pub(crate) fn attempt_promotion(&self, beat: bool) -> bool {
-        use tpal_sched::PromotionPolicy as _;
-        let promo = self.shared.promotion;
-        // Only the adaptive policy consults the clock.
-        let now = match promo {
-            Promotion::AdaptiveTau { .. } if beat => now_ticks(),
-            _ => 0,
-        };
-        let mut st = self.promote.get();
-        let attempt = promo.should_attempt(&st, beat, now);
-        if attempt {
-            st.record_promotion(now);
-            self.promote.set(st);
-        }
-        attempt
+        self.shared.promotion.should_attempt(beat)
     }
 
     /// Runs queued work until `done` holds (a helping join: never
@@ -508,17 +459,13 @@ impl Runtime {
             }
             s => s,
         };
-        // The effective policy: `suppress_promotions` is a hard override
+        // The effective rule: `suppress_promotions` is a hard override
         // (the serial-by-default measurement mode) over whatever the
-        // policy bundle asked for.
-        let effective = Policy {
-            promotion: if config.suppress_promotions {
-                Promotion::Never
-            } else {
-                config.policy.promotion
-            },
-            victim: config.policy.victim,
-            chan_wake: config.policy.chan_wake,
+        // config asked for.
+        let promotion = if config.suppress_promotions {
+            Promotion::Never
+        } else {
+            config.promotion
         };
         let shared = Arc::new(Shared {
             workers,
@@ -529,18 +476,17 @@ impl Runtime {
             source,
             interval_ticks: interval_ticks.max(1),
             heartbeat: config.heartbeat,
-            promotion: effective.promotion,
-            victim: effective.victim,
+            promotion,
             poll_stride: config.poll_stride.max(1),
             poll_adaptive: config.poll_adaptive,
-            poll_subsample: match effective.promotion {
+            poll_subsample: match promotion {
                 Promotion::Eager => 0,
-                _ => config.poll_subsample,
+                _ => POLL_SUBSAMPLE,
             },
             rng_salt: CachePadded(AtomicU64::new(0x9E3779B9)),
             tracer: config.trace.then(|| {
                 SharedTracer::new(config.workers, "ticks", interval_ticks.max(1))
-                    .policy(effective.label())
+                    .policy(promotion.label(Domain::Rt))
                     .source(source.label())
             }),
             start_ticks: now_ticks(),

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use tpal_rt::{HeartbeatSource, Policy, RtConfig, Runtime, WorkerCtx};
+use tpal_rt::{HeartbeatSource, Promotion, RtConfig, Runtime, WorkerCtx};
 
 /// `Σ i` over `0..n` as a latent reduce whose accumulator the optimiser
 /// cannot see through: with a plain `a + i` body LLVM folds each block
@@ -364,42 +364,25 @@ fn many_workers_oversubscribed() {
 
 #[test]
 fn poll_subsample_paces_beat_detection() {
-    // ISSUE 10 satellite: the fork-point clock-poll subsample is a knob
-    // (`RtConfig::poll_subsample`), not a hardcoded 31. Under a fixed
-    // stride, a LocalTimer loop checks the deadline only every
-    // `subsample + 1`th poll — so an absurd subsample must stretch beat
-    // detection past the run and starve servicing, while the default
-    // detects beats promptly. Correctness must hold either way.
-    let run = |sub: u32| {
-        let rt = Runtime::new(
-            RtConfig::default()
-                .workers(1)
-                .source(HeartbeatSource::LocalTimer)
-                .heartbeat(Duration::from_micros(100))
-                .poll_adaptive(false)
-                .poll_subsample(sub),
-        );
-        let n = 8_000_000usize;
-        let total = rt.run(|ctx| {
-            ctx.reduce(
-                0..n,
-                0u64,
-                |_, i, a| a ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                |a, b| a ^ b,
-            )
-        });
-        std::hint::black_box(total);
-        rt.stats().heartbeats_serviced
-    };
-    let responsive = run(31);
-    let starved = run(1 << 30);
-    assert!(
-        responsive > 0,
-        "a multi-ms loop at ♥=100µs with the default subsample must service beats"
+    // The fork-point clock-poll subsample is a constant: under a fixed
+    // stride a LocalTimer loop checks the deadline only every 32nd poll,
+    // and that must still detect beats promptly — a multi-ms loop at
+    // ♥ = 100µs services several of them, and the result is exact.
+    let rt = Runtime::new(
+        RtConfig::default()
+            .workers(1)
+            .source(HeartbeatSource::LocalTimer)
+            .heartbeat(Duration::from_micros(100))
+            .poll_adaptive(false),
     );
+    let n = 8_000_000usize;
+    let mix = |i: usize| (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
+    let total = rt.run(|ctx| ctx.reduce(0..n, 0u64, |_, i, a| a ^ mix(i), |a, b| a ^ b));
+    assert_eq!(total, (0..n).fold(0, |a, i| a ^ mix(i)));
+    let serviced = rt.stats().heartbeats_serviced;
     assert!(
-        starved * 4 < responsive,
-        "subsample 2^30 must starve detection: serviced {starved} vs {responsive}"
+        serviced > 0,
+        "a multi-ms loop at ♥=100µs with the constant subsample must service beats"
     );
 }
 
@@ -476,7 +459,7 @@ fn nested_loops_promote_outermost_first() {
         RtConfig::default()
             .workers(1)
             .source(HeartbeatSource::Disabled)
-            .policy(Policy::parse("eager").unwrap())
+            .promotion(Promotion::Eager)
             .poll_adaptive(false)
             .poll_stride(1),
     );

@@ -2,17 +2,16 @@
 //! paper), in both domains.
 //!
 //! The cycle domain (simulator) configures an [`InterruptModel`] and
-//! advances deadlines/ping rounds through [`HeartbeatDelivery`] and
-//! [`PingChain`]. The tick domain (native runtime) configures a
-//! [`HeartbeatSource`] and polls a per-worker [`HeartbeatCell`]. The
-//! mechanisms correspond pairwise: `PerCoreTimer`/`JitteredTimer` ↔
-//! `LocalTimer`/`TimerSignal` (precise per-core delivery — polled
-//! deadline vs real OS timer signal), `PingThread` ↔ `PingThread`,
-//! `Disabled` ↔ `Disabled`.
+//! advances ping rounds through [`PingChain`]. The tick domain (native
+//! runtime) configures a [`HeartbeatSource`] and polls a per-worker
+//! [`HeartbeatCell`]. The mechanisms correspond pairwise:
+//! `PerCoreTimer` ↔ `LocalTimer`/`TimerSignal` (precise per-core
+//! delivery — polled deadline vs real OS timer signal), `PingThread` ↔
+//! `PingThread`, `Disabled` ↔ `Disabled`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use crate::env::SchedEnv;
+use crate::rng::SplitMix64;
 
 /// How heartbeat interrupts reach simulated cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,16 +20,6 @@ pub enum InterruptModel {
     /// Every core's flag is raised exactly every ♥ cycles; servicing
     /// costs `service_cost` cycles on the interrupted core.
     PerCoreTimer {
-        /// Cycles charged to the core per delivered interrupt.
-        service_cost: u64,
-    },
-    /// Per-core timers whose expiries wander: each delivery re-arms at
-    /// `♥ + U[0, jitter]` cycles, modelling timers that cannot hold an
-    /// exact period (coalescing, shared timer wheels). The mean beat
-    /// interval is `♥ + jitter/2`.
-    JitteredTimer {
-        /// Uniform jitter added to each re-armed deadline, `[0, jitter]`.
-        jitter: u64,
         /// Cycles charged to the core per delivered interrupt.
         service_cost: u64,
     },
@@ -52,71 +41,18 @@ pub enum InterruptModel {
     Disabled,
 }
 
-/// A uniform draw in `[0, jitter]`, drawing only when there is any
-/// jitter (so jitter-free configurations consume no stream positions).
-#[inline]
-fn jitter_draw<E: SchedEnv>(env: &mut E, jitter: u64) -> u64 {
-    if jitter > 0 {
-        env.rand_below(jitter + 1)
-    } else {
-        0
-    }
-}
-
-/// The delivery-policy face of the trait family: what the engines ask
-/// of a delivery mechanism. Implemented by [`InterruptModel`] (cycle
-/// domain) and [`HeartbeatSource`] (tick domain).
-pub trait HeartbeatDelivery {
-    /// Whether any delivery ever happens.
-    fn enabled(&self) -> bool;
-
-    /// Time charged to the receiving core per delivery (the tick
-    /// domain's cost is real and therefore 0 here).
-    fn service_cost(&self) -> u64;
-
-    /// The deadline following a delivery whose previous deadline was
-    /// `prev`, for per-core timer mechanisms. Jittered mechanisms draw
-    /// from `env` at this point — delivery order *is* stream order.
-    fn next_deadline<E: SchedEnv>(&self, env: &mut E, prev: u64, interval: u64) -> u64;
-}
-
-impl HeartbeatDelivery for InterruptModel {
-    fn enabled(&self) -> bool {
-        !matches!(self, InterruptModel::Disabled)
-    }
-
-    fn service_cost(&self) -> u64 {
-        match *self {
-            InterruptModel::PerCoreTimer { service_cost }
-            | InterruptModel::JitteredTimer { service_cost, .. }
-            | InterruptModel::PingThread { service_cost, .. } => service_cost,
-            InterruptModel::Disabled => 0,
-        }
-    }
-
-    fn next_deadline<E: SchedEnv>(&self, env: &mut E, prev: u64, interval: u64) -> u64 {
-        match *self {
-            InterruptModel::PerCoreTimer { .. } => prev + interval,
-            InterruptModel::JitteredTimer { jitter, .. } => {
-                prev + interval + jitter_draw(env, jitter)
-            }
-            // The ping thread has no per-core deadlines; its schedule is
-            // the PingChain's.
-            InterruptModel::PingThread { .. } => prev + interval,
-            InterruptModel::Disabled => u64::MAX,
-        }
-    }
-}
-
 impl InterruptModel {
-    /// The signaller occupancy of one ping delivery: `latency` plus the
-    /// jitter draw. Only meaningful for [`InterruptModel::PingThread`];
-    /// 0 (and no draw) otherwise.
-    pub fn ping_delay<E: SchedEnv>(&self, env: &mut E) -> u64 {
+    /// The signaller occupancy of one ping delivery: `latency` plus a
+    /// uniform draw in `[0, jitter]`, drawn only when there is any jitter
+    /// (so jitter-free configurations consume no stream positions). Only
+    /// meaningful for [`InterruptModel::PingThread`]; 0 (and no draw)
+    /// otherwise.
+    pub fn ping_delay(&self, rng: &mut SplitMix64) -> u64 {
         match *self {
             InterruptModel::PingThread {
                 latency, jitter, ..
-            } => latency + jitter_draw(env, jitter),
+            } if jitter > 0 => latency + rng.below(jitter + 1),
+            InterruptModel::PingThread { latency, .. } => latency,
             _ => 0,
         }
     }
@@ -126,7 +62,6 @@ impl InterruptModel {
     pub fn label(self) -> &'static str {
         match self {
             InterruptModel::PerCoreTimer { .. } => "per-core-timer",
-            InterruptModel::JitteredTimer { .. } => "jittered-timer",
             InterruptModel::PingThread { .. } => "ping",
             InterruptModel::Disabled => "disabled",
         }
@@ -227,20 +162,6 @@ impl HeartbeatSource {
     }
 }
 
-impl HeartbeatDelivery for HeartbeatSource {
-    fn enabled(&self) -> bool {
-        !matches!(self, HeartbeatSource::Disabled)
-    }
-
-    fn service_cost(&self) -> u64 {
-        0
-    }
-
-    fn next_deadline<E: SchedEnv>(&self, _env: &mut E, prev: u64, interval: u64) -> u64 {
-        prev.wrapping_add(interval)
-    }
-}
-
 /// Per-worker heartbeat state: the delivery half of the native domain.
 /// The clock is passed in ([`HeartbeatCell::poll`] takes a `now`
 /// closure) so the cell itself stays domain-neutral and testable.
@@ -338,8 +259,6 @@ impl HeartbeatCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::RngEnv;
-    use crate::rng::SplitMix64;
 
     #[test]
     fn ping_flag_consumed_once() {
@@ -428,38 +347,29 @@ mod tests {
         assert_eq!((chain.next_core, chain.next_time), (0, 280));
     }
 
+    /// The ping jitter is the delivery's only draw: one per delivery
+    /// with jitter, none without, and never for the other models.
     #[test]
-    fn jittered_timer_draws_only_with_jitter() {
-        let mut rng = SplitMix64::new(5);
-        let position = rng.clone().next_u64();
-        let m = InterruptModel::JitteredTimer {
-            jitter: 0,
-            service_cost: 1,
+    fn ping_delay_draws_only_with_jitter() {
+        let ping = |jitter| InterruptModel::PingThread {
+            latency: 110,
+            jitter,
+            service_cost: 60,
         };
-        let mut env = RngEnv::new(&mut rng, 0, 1);
-        assert_eq!(m.next_deadline(&mut env, 500, 100), 600);
-        assert_eq!(rng.next_u64(), position, "jitter 0 must not draw");
+        let mut rng = SplitMix64::new(5);
+        let position = rng.clone();
+        assert_eq!(ping(0).ping_delay(&mut rng), 110);
+        assert_eq!(InterruptModel::Disabled.ping_delay(&mut rng), 0);
+        let timer = InterruptModel::PerCoreTimer { service_cost: 5 };
+        assert_eq!(timer.ping_delay(&mut rng), 0);
+        assert_eq!(rng.next_u64(), position.clone().next_u64(), "no draw");
 
         let mut rng = SplitMix64::new(5);
-        let m = InterruptModel::JitteredTimer {
-            jitter: 8,
-            service_cost: 1,
-        };
-        let mut env = RngEnv::new(&mut rng, 0, 1);
-        let d = m.next_deadline(&mut env, 500, 100);
-        assert!((600..=608).contains(&d));
-    }
-
-    #[test]
-    fn service_costs_and_enablement() {
-        use super::HeartbeatDelivery as _;
-        assert!(!InterruptModel::Disabled.enabled());
-        assert_eq!(
-            InterruptModel::PerCoreTimer { service_cost: 5 }.service_cost(),
-            5
-        );
-        assert!(HeartbeatSource::LocalTimer.enabled());
-        assert!(!HeartbeatSource::Disabled.enabled());
-        assert_eq!(HeartbeatSource::PingThread.service_cost(), 0);
+        let mut expect = SplitMix64::new(5);
+        for _ in 0..100 {
+            let d = ping(60).ping_delay(&mut rng);
+            assert_eq!(d, 110 + expect.below(61));
+            assert!((110..=170).contains(&d));
+        }
     }
 }

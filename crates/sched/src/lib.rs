@@ -1,49 +1,37 @@
-//! The scheduler-policy kernel shared by the simulator and the native
-//! runtime.
+//! The scheduler kernel shared by the simulator and the native runtime.
 //!
-//! Heartbeat scheduling's guarantees come from *policy* — when latent
-//! parallelism is promoted, whom a thief probes, how heartbeats reach
-//! the workers — and this crate owns every one of those decisions in
-//! exactly one place. The two execution substrates differ only in their
-//! *domain*: the simulator counts virtual cycles and draws randomness
-//! from a seeded stream; the native runtime reads the CPU timestamp
-//! counter. Both are abstracted by the tiny [`SchedEnv`] trait (clock,
-//! RNG, core count), so the identical policy code drives both.
+//! The paper's scheduler is one rule — promote the oldest latent
+//! parallelism once per heartbeat — and its figures vary only how beats
+//! arrive, against the eager and "interrupts only" baselines. This crate
+//! holds exactly those choices, each in one place, as inherent methods on
+//! the enums that name them:
 //!
-//! The policy surface is a trait family with built-in implementations:
+//! * [`Promotion`] — when a promotion-ready point promotes: on the
+//!   heartbeat (the paper's scheme), eagerly at every opportunity
+//!   (initial decomposition), or never ("serial, interrupts only").
+//! * [`InterruptModel`] / [`HeartbeatSource`] — how beats reach cores:
+//!   exact per-core timers or a modelled ping thread ([`PingChain`]) in
+//!   the simulator; a native flag/deadline cell ([`HeartbeatCell`]) on
+//!   the runtime.
 //!
-//! * [`PromotionPolicy`] / [`Promotion`] — when a promotion-ready point
-//!   promotes: on the heartbeat (the paper's scheme), eagerly at every
-//!   opportunity (initial decomposition), never ("serial, interrupts
-//!   only"), or adaptively with a minimum spacing τ.
-//! * [`VictimPolicy`] / [`Victim`] — whom a thief probes: one uniform
-//!   draw per probe, the proven [`victim_sequence`] salted sweep, or a
-//!   locality-salted per-thief fixed order.
-//! * [`ChannelWakePolicy`] / [`ChanWake`] — which parked waiter a
-//!   channel push/pop resumes: oldest-first (deterministic default) or
-//!   uniformly random (fairness ablation).
-//! * [`HeartbeatDelivery`] / [`InterruptModel`] / [`HeartbeatSource`] —
-//!   how beats reach cores: exact per-core timers, jittered timers, a
-//!   modelled ping thread ([`PingChain`]), or a native flag/deadline
-//!   cell ([`HeartbeatCell`]).
-//!
-//! A [`Policy`] bundles one promotion policy with one victim policy and
-//! threads through `SimConfig`, `RtConfig`, and `tpal-run --policy`.
+//! Everything else is structure, not choice: a thief on the simulator
+//! probes one uniformly random other core ([`uniform_victim`], drawing
+//! from the seeded [`SplitMix64`] stream), a runtime thief sweeps every
+//! other worker ([`victim_sequence`]), and a channel wake resumes the
+//! oldest waiter. A policy label (`heartbeat/uniform`) names the
+//! promotion rule and the substrate's steal rule; [`Promotion::parse`]
+//! is the one reader of labels and [`Promotion::label`] the one writer.
 
 #![warn(missing_docs)]
 
-mod chwake;
 mod delivery;
-mod env;
 mod policy;
 mod promote;
 mod rng;
 mod victim;
 
-pub use chwake::{ChanWake, ChannelWakePolicy};
-pub use delivery::{HeartbeatCell, HeartbeatDelivery, HeartbeatSource, InterruptModel, PingChain};
-pub use env::{RngEnv, SchedEnv};
-pub use policy::Policy;
-pub use promote::{PromoteState, PromoteStep, Promotion, PromotionPolicy};
+pub use delivery::{HeartbeatCell, HeartbeatSource, InterruptModel, PingChain};
+pub use policy::{Domain, PolicyError};
+pub use promote::{PromoteState, PromoteStep, Promotion};
 pub use rng::SplitMix64;
-pub use victim::{victim_sequence, Victim, VictimPolicy};
+pub use victim::{uniform_victim, victim_sequence};

@@ -1,17 +1,11 @@
-//! Promotion policies: when a promotion-ready point promotes.
+//! Promotion: when a promotion-ready point promotes.
 
-/// Per-core (simulator) or per-worker (runtime) promotion state. The
-/// delivery mechanism raises `beat`; the policy consumes it.
+/// Per-core (simulator) promotion state. The delivery mechanism raises
+/// `beat`; the promotion rule consumes it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PromoteState {
     /// A heartbeat has been delivered and not yet consumed.
     pub beat: bool,
-    /// Time of the last admitted promotion (adaptive-τ spacing), or
-    /// `None` before the first one — the first is always admitted, in
-    /// both time domains (cycle counts start near 0, timestamp-counter
-    /// ticks do not, so measuring spacing from a zero default would
-    /// make the domains disagree on the opening beat).
-    pub last_promotion: Option<u64>,
     /// The previous machine-level decision was a handler diversion that
     /// has not forked yet. [`Promotion::Eager`]'s livelock guard: a
     /// handler that finds nothing to promote jumps straight back to the
@@ -22,69 +16,42 @@ pub struct PromoteState {
 }
 
 impl PromoteState {
-    /// Records an admitted promotion at `now` (adaptive-τ spacing).
-    pub fn record_promotion(&mut self, now: u64) {
-        self.last_promotion = Some(now);
+    /// The core's task forked: the diversion produced a task, so the
+    /// eager bounce guard is cleared.
+    #[inline]
+    pub fn on_fork(&mut self) {
+        self.bounced = false;
     }
 }
 
-/// What a core should do at a scheduling boundary (the simulator's
+/// What a core should do at a promotion-ready point (the simulator's
 /// machine-level decision; the runtime's library constructs promote
-/// directly and use [`PromotionPolicy::should_attempt`] instead).
+/// directly and use [`Promotion::should_attempt`] instead).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PromoteStep {
     /// Divert the task to its promotion handler (a promotion attempt).
     Divert,
     /// Execute exactly one instruction without watching for
-    /// promotion-ready entries: the policy declined this point and the
-    /// task must step past it to make progress.
+    /// promotion-ready entries: the point was declined and the task must
+    /// step past it to make progress.
     StepPast,
     /// Run normally.
     Run,
 }
 
-/// When promotion-ready points promote. Implemented by [`Promotion`].
+/// When promotion-ready points promote.
 ///
-/// The trait has two surfaces for the two domains:
+/// Two surfaces serve the two domains, driven by one admission rule:
 ///
 /// * The simulator executes TPAL programs, where promotion means
-///   diverting a task to its handler block: it calls
-///   [`wants_point_check`](Self::wants_point_check),
-///   [`decide`](Self::decide), and [`watch`](Self::watch) around every
-///   instruction run, and [`on_fork`](Self::on_fork) when a task forks.
+///   diverting a task to its handler block: it asks
+///   [`watch`](Self::watch) around every instruction run,
+///   [`decide`](Self::decide) at a promotion-ready point, and clears the
+///   bounce guard with [`PromoteState::on_fork`] when a task forks.
 /// * The native runtime's library constructs (`join2`, `reduce`) hold
 ///   the latent-parallelism list themselves: they ask
 ///   [`should_attempt`](Self::should_attempt) at each poll point and
 ///   promote directly.
-///
-/// Both surfaces are driven by the same [`PromoteState`] and the same
-/// admission rule, so a policy behaves consistently across domains —
-/// what the cross-domain parity suite checks.
-pub trait PromotionPolicy {
-    /// Whether the (mildly expensive) promotion-point test is worth
-    /// running given the current state. `false` short-circuits exactly
-    /// where the pre-kernel engines short-circuited on the raw flag.
-    fn wants_point_check(&self, st: &PromoteState) -> bool;
-
-    /// The machine-level decision at a scheduling boundary: `at_point`
-    /// says whether the task sits at a promotion-ready block entry.
-    /// Consumes the beat and updates spacing/bounce state.
-    fn decide(&self, at_point: bool, st: &mut PromoteState, now: u64) -> PromoteStep;
-
-    /// Whether instruction runs should pause at promotion-ready block
-    /// entries (the decoded-stream `watch` flag).
-    fn watch(&self, st: &PromoteState) -> bool;
-
-    /// Notifies the policy that the core's task forked (clears the
-    /// eager bounce guard: the diversion produced a task).
-    fn on_fork(&self, st: &mut PromoteState);
-
-    /// The library-level decision: should a poll point with `beat`
-    /// (a consumed due heartbeat) attempt a promotion now?
-    fn should_attempt(&self, st: &PromoteState, beat: bool, now: u64) -> bool;
-}
-
-/// The built-in promotion policies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Promotion {
     /// Promote exactly one opportunity per delivered heartbeat — the
@@ -100,122 +67,72 @@ pub enum Promotion {
     /// "serial, interrupts only" configuration (Figures 9 and 13),
     /// isolating the cost of the interrupt mechanism itself.
     Never,
-    /// Promote on the heartbeat, but drop beats arriving within `tau`
-    /// time units of the last admitted promotion — a minimum-spacing
-    /// ablation (rejected beats are consumed, not deferred).
-    AdaptiveTau {
-        /// Minimum spacing between admitted promotions, in the
-        /// domain's time unit.
-        tau: u64,
-    },
 }
 
 // These run on the engines' per-pause / per-poll hot paths in a
 // different crate, so cross-crate inlining must be explicit.
-impl PromotionPolicy for Promotion {
+impl Promotion {
+    /// Every promotion rule, in label order.
+    pub const ALL: [Promotion; 3] = [Promotion::Heartbeat, Promotion::Eager, Promotion::Never];
+
+    /// Whether promotion-ready points matter right now: the (mildly
+    /// expensive) point test is worth running, and instruction runs
+    /// should pause at promotion-ready block entries (the decoded
+    /// stream's `watch` flag).
     #[inline]
-    fn wants_point_check(&self, st: &PromoteState) -> bool {
+    pub fn watch(self, st: &PromoteState) -> bool {
         match self {
-            Promotion::Heartbeat | Promotion::AdaptiveTau { .. } => st.beat,
+            Promotion::Heartbeat => st.beat,
             Promotion::Eager => true,
             Promotion::Never => false,
         }
     }
 
+    /// The machine-level decision at a promotion-ready point. Consumes
+    /// the beat and updates the bounce guard.
     #[inline]
-    fn decide(&self, at_point: bool, st: &mut PromoteState, now: u64) -> PromoteStep {
+    pub fn decide(self, st: &mut PromoteState) -> PromoteStep {
         match self {
             Promotion::Eager => {
-                if at_point {
-                    if st.bounced {
-                        // The handler just bounced back here without
-                        // forking; force one instruction of progress.
-                        st.bounced = false;
-                        PromoteStep::StepPast
-                    } else {
-                        st.bounced = true;
-                        PromoteStep::Divert
-                    }
+                if st.bounced {
+                    // The handler just bounced back here without forking;
+                    // force one instruction of progress.
+                    st.bounced = false;
+                    PromoteStep::StepPast
+                } else {
+                    st.bounced = true;
+                    PromoteStep::Divert
+                }
+            }
+            _ if st.beat => {
+                st.beat = false;
+                if self.should_attempt(true) {
+                    PromoteStep::Divert
                 } else {
                     PromoteStep::Run
                 }
             }
-            _ => {
-                if at_point && st.beat {
-                    st.beat = false;
-                    if self.should_attempt(st, true, now) {
-                        st.record_promotion(now);
-                        PromoteStep::Divert
-                    } else {
-                        PromoteStep::Run
-                    }
-                } else {
-                    PromoteStep::Run
-                }
-            }
+            _ => PromoteStep::Run,
         }
     }
 
+    /// The library-level decision: should a poll point that consumed a
+    /// due heartbeat iff `beat` attempt a promotion now?
     #[inline]
-    fn watch(&self, st: &PromoteState) -> bool {
-        match self {
-            Promotion::Heartbeat | Promotion::AdaptiveTau { .. } => st.beat,
-            Promotion::Eager => true,
-            Promotion::Never => false,
-        }
-    }
-
-    #[inline]
-    fn on_fork(&self, st: &mut PromoteState) {
-        st.bounced = false;
-    }
-
-    #[inline]
-    fn should_attempt(&self, st: &PromoteState, beat: bool, now: u64) -> bool {
+    pub fn should_attempt(self, beat: bool) -> bool {
         match self {
             Promotion::Heartbeat => beat,
             Promotion::Eager => true,
             Promotion::Never => false,
-            Promotion::AdaptiveTau { tau } => {
-                beat && st
-                    .last_promotion
-                    .is_none_or(|last| now.wrapping_sub(last) >= *tau)
-            }
-        }
-    }
-}
-
-impl Promotion {
-    /// Parses a CLI name: `heartbeat`, `eager`, `never`, or
-    /// `adaptive:N` (τ in the domain's time unit).
-    pub fn parse(s: &str) -> Result<Promotion, String> {
-        match s {
-            "heartbeat" => Ok(Promotion::Heartbeat),
-            "eager" => Ok(Promotion::Eager),
-            "never" => Ok(Promotion::Never),
-            other => {
-                if let Some(tau) = other.strip_prefix("adaptive:") {
-                    let tau: u64 = tau
-                        .parse()
-                        .map_err(|e| format!("adaptive:N promotion policy: {e}"))?;
-                    Ok(Promotion::AdaptiveTau { tau })
-                } else {
-                    Err(format!(
-                        "unknown promotion policy `{other}` \
-                         (expected heartbeat|eager|never|adaptive:N)"
-                    ))
-                }
-            }
         }
     }
 
-    /// The CLI/trace-facing name.
-    pub fn label(&self) -> String {
+    /// The rule's name: the first segment of a policy label.
+    pub fn name(self) -> &'static str {
         match self {
-            Promotion::Heartbeat => "heartbeat".to_owned(),
-            Promotion::Eager => "eager".to_owned(),
-            Promotion::Never => "never".to_owned(),
-            Promotion::AdaptiveTau { tau } => format!("adaptive:{tau}"),
+            Promotion::Heartbeat => "heartbeat",
+            Promotion::Eager => "eager",
+            Promotion::Never => "never",
         }
     }
 }
@@ -223,23 +140,21 @@ impl Promotion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Domain;
 
-    /// Default policy, step by step: a beat is consumed by exactly one
+    /// Default rule, step by step: a beat is consumed by exactly one
     /// diversion at a promotion-ready point, and watch mirrors the flag.
     #[test]
     fn heartbeat_consumes_one_beat_per_divert() {
         let p = Promotion::Heartbeat;
         let mut st = PromoteState::default();
-        assert!(!p.wants_point_check(&st));
         assert!(!p.watch(&st));
         st.beat = true;
-        assert!(p.wants_point_check(&st));
         assert!(p.watch(&st));
-        assert_eq!(p.decide(false, &mut st, 5), PromoteStep::Run);
-        assert!(st.beat, "a non-point boundary must not consume the beat");
-        assert_eq!(p.decide(true, &mut st, 6), PromoteStep::Divert);
+        assert_eq!(p.decide(&mut st), PromoteStep::Divert);
         assert!(!st.beat);
-        assert_eq!(p.decide(true, &mut st, 7), PromoteStep::Run);
+        assert!(!p.watch(&st));
+        assert_eq!(p.decide(&mut st), PromoteStep::Run);
     }
 
     /// Eager alternates Divert / StepPast at a bouncing handler (the
@@ -248,17 +163,17 @@ mod tests {
     fn eager_bounce_guard_alternates_and_fork_rearms() {
         let p = Promotion::Eager;
         let mut st = PromoteState::default();
-        assert_eq!(p.decide(true, &mut st, 0), PromoteStep::Divert);
-        assert_eq!(p.decide(true, &mut st, 0), PromoteStep::StepPast);
-        assert_eq!(p.decide(true, &mut st, 0), PromoteStep::Divert);
-        p.on_fork(&mut st);
+        assert_eq!(p.decide(&mut st), PromoteStep::Divert);
+        assert_eq!(p.decide(&mut st), PromoteStep::StepPast);
+        assert_eq!(p.decide(&mut st), PromoteStep::Divert);
+        st.on_fork();
         assert!(!st.bounced);
-        assert_eq!(p.decide(true, &mut st, 0), PromoteStep::Divert);
+        assert_eq!(p.decide(&mut st), PromoteStep::Divert);
         assert!(p.watch(&st));
-        assert!(p.should_attempt(&st, false, 0), "eager ignores the beat");
+        assert!(p.should_attempt(false), "eager ignores the beat");
     }
 
-    /// Never: no checks, no watch, no attempts — beats pile up unread.
+    /// Never: no watch, no attempts — beats pile up unread.
     #[test]
     fn never_declines_everything() {
         let p = Promotion::Never;
@@ -266,41 +181,22 @@ mod tests {
             beat: true,
             ..Default::default()
         };
-        assert!(!p.wants_point_check(&st));
         assert!(!p.watch(&st));
-        assert!(!p.should_attempt(&st, true, 0));
-        assert_eq!(p.decide(true, &mut st, 0), PromoteStep::Run);
+        assert!(!p.should_attempt(true));
+        assert_eq!(p.decide(&mut st), PromoteStep::Run);
     }
 
-    /// Adaptive-τ: a beat within τ of the last admitted promotion is
-    /// consumed without promoting; one at ≥ τ is admitted.
-    #[test]
-    fn adaptive_tau_drops_close_beats() {
-        let p = Promotion::AdaptiveTau { tau: 100 };
-        let mut st = PromoteState {
-            beat: true,
-            ..Default::default()
-        };
-        assert_eq!(
-            p.decide(true, &mut st, 10),
-            PromoteStep::Divert,
-            "the first promotion is always admitted"
-        );
-        assert_eq!(st.last_promotion, Some(10));
-        st.beat = true;
-        assert_eq!(p.decide(true, &mut st, 50), PromoteStep::Run);
-        assert!(!st.beat, "a rejected beat is dropped, not deferred");
-        st.beat = true;
-        assert_eq!(p.decide(true, &mut st, 110), PromoteStep::Divert);
-        assert_eq!(st.last_promotion, Some(110));
-    }
-
+    /// Every rule's name parses back to it, alone or as a label on
+    /// either substrate; a name no rule has does not.
     #[test]
     fn parse_round_trips() {
-        for s in ["heartbeat", "eager", "never", "adaptive:250"] {
-            assert_eq!(Promotion::parse(s).unwrap().label(), s);
+        for p in Promotion::ALL {
+            for domain in [Domain::Sim, Domain::Rt] {
+                assert_eq!(Promotion::parse(p.name(), domain), Ok(p));
+                assert_eq!(Promotion::parse(&p.label(domain), domain), Ok(p));
+            }
         }
-        assert!(Promotion::parse("sometimes").is_err());
-        assert!(Promotion::parse("adaptive:x").is_err());
+        assert!(Promotion::parse("sometimes", Domain::Sim).is_err());
+        assert!(Promotion::parse("", Domain::Rt).is_err());
     }
 }

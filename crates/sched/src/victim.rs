@@ -1,128 +1,39 @@
-//! Steal-victim selection policies.
+//! Steal-victim selection: each substrate's one rule.
 
-use crate::env::SchedEnv;
+use crate::rng::SplitMix64;
 
-/// The `k`-th victim of the deterministic salted sweep for thief `id`
-/// in a pool of `n`: `(id + 1 + (salt + k) % (n - 1)) % n`. For
-/// `k in 0..n-1` this hits each of the other workers exactly once —
-/// never `id` itself, never a duplicate. Requires `n >= 2`.
+/// The simulator's steal rule: one uniformly random *other* core per
+/// probe, `(id + 1 + rand(cores - 1)) % cores` — exactly one draw, which
+/// is what lets the simulator skip a parked core's forced-failure
+/// retries in O(1). Every simulated figure and exact count rests on
+/// this stream. Requires `cores >= 2`.
 #[inline]
-fn kth_victim(id: usize, n: usize, salt: u64, k: u64) -> usize {
-    debug_assert!(n >= 2);
-    (id + 1 + ((salt.wrapping_add(k)) % (n as u64 - 1)) as usize) % n
+pub fn uniform_victim(rng: &mut SplitMix64, id: usize, cores: usize) -> usize {
+    debug_assert!(cores >= 2, "probing needs someone to probe");
+    (id + 1 + rng.below(cores as u64 - 1) as usize) % cores
 }
 
-/// The victim probe order for worker `id` in a pool of `n`: every one of
-/// the other `n - 1` workers exactly once, starting at a salt-chosen
-/// offset (so concurrent thieves spread out). Empty for `n <= 1`.
+/// The victim probe order for worker `id` in a pool of `n` — the native
+/// runtime's steal rule: every one of the other `n - 1` workers exactly
+/// once, starting at a salt-chosen offset (so concurrent thieves spread
+/// out). Empty for `n <= 1`.
 ///
-/// The offsets `1 + (salt + k) % (n - 1)` for `k in 0..n-1` hit each of
+/// The `k`-th victim is `(id + 1 + (salt + k) % (n - 1)) % n`; the
+/// offsets `1 + (salt + k) % (n - 1)` for `k in 0..n-1` hit each of
 /// `1..n` exactly once, so the sequence can neither probe the same victim
 /// twice nor yield `id` itself. (An earlier version, then private to the
 /// native runtime's pool, iterated `k in 0..n`, re-probing its first
 /// victim on the final iteration — a wasted steal attempt per failed
 /// round — and carried a dead `v == id` guard.)
 pub fn victim_sequence(id: usize, n: usize, salt: usize) -> impl Iterator<Item = usize> {
-    (0..n.saturating_sub(1) as u64).map(move |k| kth_victim(id, n, salt as u64, k))
-}
-
-/// A stable per-thief salt for [`Victim::Locality`]: thieves keep a
-/// fixed probe order (so repeated steals revisit the same victims, in
-/// cache-warm order) that still differs between thieves.
-#[inline]
-fn locality_salt(id: usize) -> u64 {
-    (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
-}
-
-/// How a thief chooses whom to probe. Implemented by [`Victim`]; the
-/// engines are generic in spirit but statically use the built-in enum.
-pub trait VictimPolicy {
-    /// RNG draws one probe consumes. The simulator's parked-core
-    /// fast-forward uses this to advance the stream past `k` forced
-    /// failures in O(1) (`skip(k × draws_per_probe)`).
-    fn draws_per_probe(&self) -> u64;
-
-    /// The victim for probe number `k` of thief `id`, where `salt`
-    /// seeds the deterministic orders (the native runtime passes a
-    /// fresh sweep salt per round; the simulator passes 0 and a
-    /// monotone per-core `k`). Randomized policies draw from `env`.
-    /// Requires at least two workers.
-    fn probe<E: SchedEnv>(&self, env: &mut E, id: usize, salt: u64, k: u64) -> usize;
-}
-
-/// The built-in victim-selection policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Victim {
-    /// One uniformly random *other* core per probe — the simulator's
-    /// historical behaviour: `(id + 1 + rand(n - 1)) % n`.
-    Uniform,
-    /// The deterministic salted sweep [`victim_sequence`] — the native
-    /// runtime's behaviour: each round probes every other worker
-    /// exactly once from a salt-rotated start.
-    Sequence,
-    /// [`victim_sequence`] with a stable per-thief salt: every thief
-    /// keeps one fixed probe order for the whole run (locality).
-    Locality,
-}
-
-// Probes run on the steal hot path in a different crate, so
-// cross-crate inlining must be explicit.
-impl VictimPolicy for Victim {
-    #[inline]
-    fn draws_per_probe(&self) -> u64 {
-        match self {
-            Victim::Uniform => 1,
-            Victim::Sequence | Victim::Locality => 0,
-        }
-    }
-
-    #[inline]
-    fn probe<E: SchedEnv>(&self, env: &mut E, id: usize, salt: u64, k: u64) -> usize {
-        let n = env.cores();
-        debug_assert!(n >= 2, "probing needs someone to probe");
-        match self {
-            Victim::Uniform => (id + 1 + env.rand_below(n as u64 - 1) as usize) % n,
-            Victim::Sequence => kth_victim(id, n, salt, k),
-            Victim::Locality => kth_victim(id, n, locality_salt(id), k),
-        }
-    }
-}
-
-impl Default for Victim {
-    /// `Uniform` — the simulator's historical draw.
-    fn default() -> Self {
-        Victim::Uniform
-    }
-}
-
-impl Victim {
-    /// Parses a CLI name: `uniform`, `sequence`, or `locality`.
-    pub fn parse(s: &str) -> Result<Victim, String> {
-        match s {
-            "uniform" => Ok(Victim::Uniform),
-            "sequence" => Ok(Victim::Sequence),
-            "locality" => Ok(Victim::Locality),
-            other => Err(format!(
-                "unknown victim policy `{other}` (expected uniform|sequence|locality)"
-            )),
-        }
-    }
-
-    /// The CLI/trace-facing name.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Victim::Uniform => "uniform",
-            Victim::Sequence => "sequence",
-            Victim::Locality => "locality",
-        }
-    }
+    let salt = salt as u64;
+    (0..n.saturating_sub(1) as u64)
+        .map(move |k| (id + 1 + (salt.wrapping_add(k) % (n as u64 - 1)) as usize) % n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::RngEnv;
-    use crate::rng::SplitMix64;
 
     /// The probe order must cover each of the other workers exactly
     /// once — no duplicate probe, never self, and no division by zero
@@ -160,40 +71,35 @@ mod tests {
     }
 
     /// Uniform probing matches the simulator's historical expression
-    /// draw for draw.
+    /// draw for draw, and never names the thief.
     #[test]
     fn uniform_probe_matches_legacy_expression() {
         let cores = 7usize;
         let mut a = SplitMix64::new(99);
         let mut b = SplitMix64::new(99);
-        for id in [0usize, 3, 6] {
+        for id in [0usize, 3, 6, 6, 2] {
             let legacy = (id + 1 + b.below(cores as u64 - 1) as usize) % cores;
-            let mut env = RngEnv::new(&mut a, 0, cores);
-            assert_eq!(Victim::Uniform.probe(&mut env, id, 0, 0), legacy);
+            let got = uniform_victim(&mut a, id, cores);
+            assert_eq!(got, legacy);
+            assert_ne!(got, id);
         }
+        assert_eq!(a.next_u64(), b.next_u64(), "one draw per probe");
     }
 
-    /// Sequence/Locality probes are pure: no draws consumed, self never
-    /// probed, and a full round of either covers everyone else.
+    /// The runtime's sweep is a pure function of `(id, n, salt)` — no
+    /// generator to draw from — and one round of it probes everyone else.
     #[test]
     fn deterministic_policies_probe_everyone_without_draws() {
         let cores = 5usize;
-        for policy in [Victim::Sequence, Victim::Locality] {
-            assert_eq!(policy.draws_per_probe(), 0);
-            for id in 0..cores {
-                let mut rng = SplitMix64::new(1);
-                let before = rng.clone().next_u64();
-                let mut seen: Vec<usize> = (0..cores as u64 - 1)
-                    .map(|k| {
-                        let mut env = RngEnv::new(&mut rng, 0, cores);
-                        policy.probe(&mut env, id, 3, k)
-                    })
-                    .collect();
-                assert_eq!(rng.next_u64(), before, "{policy:?} drew from the RNG");
-                assert!(!seen.contains(&id));
+        for id in 0..cores {
+            for salt in [0usize, 3, usize::MAX] {
+                let round: Vec<usize> = victim_sequence(id, cores, salt).collect();
+                assert_eq!(round, victim_sequence(id, cores, salt).collect::<Vec<_>>());
+                assert!(!round.contains(&id));
+                let mut seen = round.clone();
                 seen.sort_unstable();
                 seen.dedup();
-                assert_eq!(seen.len(), cores - 1, "{policy:?} repeated a victim");
+                assert_eq!(seen.len(), cores - 1, "a victim repeated: {round:?}");
             }
         }
     }

@@ -3,8 +3,9 @@
 //! and one IR (`.tpl`) program over real TCP, asserts the decode cache
 //! hits on resubmission, and checks that the replay token reproduces
 //! each run bit-for-bit; then sends a program that never halts to the
-//! native runtime under a 1 000-step limit and checks that it is a
-//! prompt 400 and that the server goes on serving.
+//! native runtime under a 1 000-step limit, a retired `policy`, a
+//! `step_limit` above the service's and an rt `heartbeat` of 1 µs, and
+//! checks that each is a prompt 400 and that the server goes on serving.
 //!
 //! Exits nonzero (panics) on any violated expectation.
 
@@ -125,6 +126,37 @@ fn main() {
     assert_eq!(status, 200, "after spin: {body}");
     assert!(body.contains("\"f\":610"), "after spin: {body}");
     println!("serve_smoke: spin on rt is a 400 at the step limit; next request served");
+
+    // Requests the service refuses outright, each followed by one it
+    // serves.
+    let over = tpal_serve::engine::SERVICE_STEP_LIMIT + 1;
+    for (what, body, names) in [
+        (
+            "retired policy",
+            run_body(FIB_TPAL, false, 2, &[("n", 15)]).replace(
+                "\"cores\":2",
+                "\"cores\":2,\"policy\":\"adaptive:40/locality\"",
+            ),
+            "`adaptive:40`",
+        ),
+        (
+            "step_limit above the service's",
+            on_rt(FIB_TPAL, &format!("\"step_limit\":{over}")),
+            "step_limit",
+        ),
+        (
+            "rt heartbeat of 1",
+            on_rt(FIB_TPAL, "\"heartbeat\":1"),
+            "heartbeat",
+        ),
+    ] {
+        let (status, body) = client.request("POST", "/run", &body).expect("request");
+        assert_eq!(status, 400, "{what}: {body}");
+        assert!(body.contains(names), "{what}: {body}");
+        let (status, body) = client.request("POST", "/run", &fib).expect("request");
+        assert_eq!(status, 200, "after {what}: {body}");
+        println!("serve_smoke: {what} is a 400; next request served");
+    }
 
     let (status, body) = client.request("POST", "/shutdown", "").expect("shutdown");
     assert_eq!(status, 200, "{body}");

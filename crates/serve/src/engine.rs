@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use tpal_core::isa::Reg;
 use tpal_core::machine::{Machine, MachineConfig, Value};
-use tpal_rt::{RtConfig, Runtime};
+use tpal_rt::{Promotion, RtConfig, Runtime};
 use tpal_sim::{Sim, SimConfig};
 use tpal_trace::json::escape;
 use tpal_trace::{chrome, MetricsReport, WorkSpanProfile};
@@ -32,14 +32,18 @@ pub const SERVICE_STEP_LIMIT: u64 = 200_000_000;
 pub const MAX_CORES: usize = 256;
 /// See [`MAX_CORES`].
 pub const MAX_RT_WORKERS: usize = 64;
+/// The smallest native-runtime ♥ a spec may ask for, in µs: the smallest
+/// every delivery source has been shown to run a program at. Below it a
+/// worker would spend its time servicing beats.
+pub const MIN_RT_HEARTBEAT_US: u64 = 20;
 
 /// How many distinct native-runtime pools stay warm. Pools are keyed by
-/// (♥, policy, delivery source) and have one worker per thread that can
-/// call [`Engine::execute`] at once — a TPAL program's promoted tasks
-/// never leave the worker interpreting it, so a spec's `workers` buys a
-/// run nothing, while a worker per caller keeps concurrent requests of
-/// one shape running side by side; the cap bounds resident OS threads
-/// when many tenants ask for many shapes.
+/// (♥, promotion rule, delivery source) and have one worker per thread
+/// that can call [`Engine::execute`] at once — a TPAL program's promoted
+/// tasks never leave the worker interpreting it, so a spec's `workers`
+/// buys a run nothing, while a worker per caller keeps concurrent
+/// requests of one shape running side by side; the cap bounds resident
+/// OS threads when many tenants ask for many shapes.
 const MAX_RT_POOLS: usize = 4;
 
 /// Optional report attachments for a run.
@@ -104,10 +108,10 @@ pub struct Engine {
     pools: Mutex<Vec<(PoolKey, Arc<Runtime>)>>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PoolKey {
     hb_us: u64,
-    policy: String,
+    promotion: Promotion,
     source: &'static str,
 }
 
@@ -140,15 +144,21 @@ impl Engine {
     /// # Errors
     ///
     /// [`EngineError::Bad`] for unsatisfiable specs (zero or excessive
-    /// parallelism, unknown argument registers, runs that fault or
-    /// exceed the step budget, report attachments on the native
-    /// runtime).
+    /// parallelism, a step limit above [`SERVICE_STEP_LIMIT`], a native
+    /// ♥ below [`MIN_RT_HEARTBEAT_US`], unknown argument registers, runs
+    /// that fault or exceed the step budget, report attachments on the
+    /// native runtime).
     pub fn execute(
         &self,
         entry: &CachedProgram,
         spec: &RunSpec,
         include: RunInclude,
     ) -> Result<RunOutput, EngineError> {
+        if let Some(limit) = spec.step_limit.filter(|&l| l > SERVICE_STEP_LIMIT) {
+            return Err(EngineError::Bad(format!(
+                "step_limit must be at most {SERVICE_STEP_LIMIT}, got {limit}"
+            )));
+        }
         match spec.substrate {
             Substrate::Sim { cores, linux } => self.execute_sim(entry, spec, include, cores, linux),
             Substrate::Rt { workers } => self.execute_rt(entry, spec, include, workers),
@@ -187,7 +197,7 @@ impl Engine {
         } else {
             SimConfig::nautilus(cores, heartbeat)
         };
-        config.policy = spec.policy;
+        config.promotion = spec.promotion;
         config.exec_tier = spec.tier;
         config.seed = spec.seed;
         config.step_limit = spec.step_limit.unwrap_or(SERVICE_STEP_LIMIT);
@@ -270,6 +280,12 @@ impl Engine {
                 "workers must be in 1..={MAX_RT_WORKERS}, got {workers}"
             )));
         }
+        let hb_us = spec.heartbeat.unwrap_or(100);
+        if hb_us < MIN_RT_HEARTBEAT_US {
+            return Err(EngineError::Bad(format!(
+                "heartbeat must be at least {MIN_RT_HEARTBEAT_US} µs on the rt substrate, got {hb_us}"
+            )));
+        }
         if include.any() {
             // Pools are shared across concurrent tenants, so a per-run
             // trace would interleave unrelated runs; the simulator is
@@ -290,7 +306,7 @@ impl Engine {
                 .map_err(|e| EngineError::Bad(format!("set {name}: {e}")))?;
         }
         let (out, heartbeats) = self
-            .pool(spec.heartbeat.unwrap_or(100), spec)
+            .pool(hb_us, spec)
             .run_program(&mut machine)
             .map_err(|e| EngineError::Bad(format!("runtime fault: {e}")))?;
 
@@ -320,7 +336,7 @@ impl Engine {
     fn pool(&self, hb_us: u64, spec: &RunSpec) -> Arc<Runtime> {
         let key = PoolKey {
             hb_us,
-            policy: spec.policy.label(),
+            promotion: spec.promotion,
             source: spec.source.label(),
         };
         let mut pools = self.pools.lock().unwrap_or_else(|e| e.into_inner());
@@ -330,7 +346,7 @@ impl Engine {
         let config = RtConfig::default()
             .workers(self.callers)
             .heartbeat(Duration::from_micros(hb_us))
-            .policy(spec.policy)
+            .promotion(spec.promotion)
             .source(spec.source);
         let pool = Arc::new(Runtime::new(config));
         pools.push((key, Arc::clone(&pool)));
@@ -440,6 +456,41 @@ mod tests {
         assert!(matches!(err, EngineError::Bad(_)));
     }
 
+    /// A step limit above the service's and an rt ♥ below its floor are
+    /// refused by name, before anything runs; the bounds themselves run.
+    #[test]
+    fn numeric_bounds_are_refused_by_name() {
+        let engine = Engine::new();
+        let (entry, _) = engine.cache().get_or_compile(&fib_src());
+        let entry = entry.unwrap();
+        let run = |spec: &RunSpec| engine.execute(&entry, spec, RunInclude::default());
+        for mut spec in [RunSpec::sim(2).set("n", 5), RunSpec::rt(1).set("n", 5)] {
+            spec.step_limit = Some(SERVICE_STEP_LIMIT + 1);
+            let Err(EngineError::Bad(e)) = run(&spec) else {
+                panic!("a step limit above the service's must be refused")
+            };
+            assert!(e.contains("step_limit") && e.contains("200000001"), "{e}");
+            spec.step_limit = Some(SERVICE_STEP_LIMIT);
+            assert!(run(&spec).is_ok());
+        }
+        let mut spec = RunSpec::rt(1).set("n", 5);
+        spec.heartbeat = Some(MIN_RT_HEARTBEAT_US - 1);
+        let Err(EngineError::Bad(e)) = run(&spec) else {
+            panic!("an rt heartbeat below the floor must be refused")
+        };
+        assert!(e.contains("heartbeat") && e.contains("got 19"), "{e}");
+        spec.heartbeat = Some(MIN_RT_HEARTBEAT_US);
+        assert!(run(&spec).is_ok());
+        // The floor is the runtime's: a simulated ♥ below it runs.
+        let mut sim = RunSpec::sim(2).set("n", 5);
+        sim.substrate = Substrate::Sim {
+            cores: 2,
+            linux: true,
+        };
+        sim.heartbeat = Some(MIN_RT_HEARTBEAT_US - 1);
+        assert!(run(&sim).is_ok());
+    }
+
     #[test]
     fn rt_pools_are_reused_per_shape() {
         let engine = Engine::new();
@@ -447,7 +498,7 @@ mod tests {
         let b = engine.pool(100, &RunSpec::rt(7));
         assert!(
             Arc::ptr_eq(&a, &b),
-            "same ♥/policy/source shares one pool whatever `workers` says"
+            "same ♥/promotion/source shares one pool whatever `workers` says"
         );
         assert_eq!(a.workers(), 1, "one caller, one worker");
         let shared = Engine::shared_by(3).pool(100, &RunSpec::rt(1));

@@ -36,9 +36,19 @@
 //! tasks never leave the pool worker interpreting it. The server sizes
 //! each rt pool by its own executor count instead, so concurrent
 //! requests of one shape run side by side.
+//!
+//! `policy` is `heartbeat`, `eager` or `never`, optionally followed by
+//! the substrate's victim segment — `/uniform` on `sim`, `/uniform` or
+//! `/sequence` on `rt` (each substrate steals by one rule of its own, so
+//! only the promotion rule is a choice). A retired spelling —
+//! `adaptive:N`, `locality`, `sequence` on `sim`, a third segment — is a
+//! 400 naming the value. The engine refuses a `step_limit` above
+//! [`SERVICE_STEP_LIMIT`](crate::engine::SERVICE_STEP_LIMIT) and an `rt`
+//! `heartbeat` below [`MIN_RT_HEARTBEAT_US`](crate::engine::MIN_RT_HEARTBEAT_US),
+//! as it refuses `cores` / `workers` out of range.
 
 use tpal_core::tier::ExecTier;
-use tpal_sched::{HeartbeatSource, Policy};
+use tpal_sched::{HeartbeatSource, Promotion};
 use tpal_trace::json::{escape, parse_exact, Json};
 
 use crate::engine::RunInclude;
@@ -60,8 +70,9 @@ pub struct RunRequest {
 /// # Errors
 ///
 /// A description of the malformation: bad JSON, missing `source`, a
-/// field of the wrong type, unknown substrate/tier/policy names, or
-/// integers a JSON number cannot carry exactly.
+/// field of the wrong type, unknown substrate/tier names, a policy label
+/// outside the vocabulary (named, retired ones included), or integers a
+/// JSON number cannot carry exactly.
 pub fn parse_run_request(body: &str) -> Result<RunRequest, String> {
     let doc = parse_exact(body).map_err(|e| format!("request body: {e}"))?;
     if !matches!(doc, Json::Obj(_)) {
@@ -88,12 +99,11 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, String> {
         },
         Some(other) => return Err(format!("unknown substrate `{other}` (sim|rt)")),
     };
-    let policy = match opt_str(&doc, "policy")? {
-        Some(label) => Policy::parse(label).map_err(|e| format!("`policy`: {e}"))?,
-        None => match substrate {
-            Substrate::Sim { .. } => Policy::default(),
-            Substrate::Rt { .. } => Policy::parse("heartbeat/sequence").expect("static label"),
-        },
+    let promotion = match opt_str(&doc, "policy")? {
+        Some(label) => {
+            Promotion::parse(label, substrate.domain()).map_err(|e| format!("`policy`: {e}"))?
+        }
+        None => Promotion::default(),
     };
     let source = match opt_str(&doc, "heartbeat_source")? {
         None => HeartbeatSource::LocalTimer,
@@ -133,7 +143,7 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, String> {
     let mut spec = RunSpec {
         substrate,
         heartbeat: opt_u64(&doc, "heartbeat")?,
-        policy,
+        promotion,
         source,
         tier,
         seed: opt_u64(&doc, "seed")?.unwrap_or(0xDEC0DE),
@@ -263,7 +273,11 @@ mod tests {
         assert_eq!(req.src.mode, "serial");
         assert_eq!(req.spec.substrate, Substrate::Rt { workers: 3 });
         assert_eq!(req.spec.heartbeat, Some(250));
-        assert_eq!(req.spec.policy.label(), "eager/uniform");
+        assert_eq!(req.spec.promotion, Promotion::Eager);
+        assert_eq!(
+            req.spec.promotion.label(req.spec.substrate.domain()),
+            "eager/sequence"
+        );
         assert_eq!(req.spec.source, HeartbeatSource::TimerSignal);
         assert_eq!(req.spec.tier, ExecTier::Decoded);
         assert_eq!(req.spec.seed, u64::MAX);
@@ -358,6 +372,37 @@ mod tests {
         );
         let rt = r#"{"source": "x", "substrate": "rt", "workers": 1e30}"#;
         assert!(parse_run_request(rt).unwrap_err().contains("`workers`"));
+    }
+
+    /// A policy label is read for the request's substrate: retired
+    /// spellings are errors naming the value, and an rt request may name
+    /// either victim.
+    #[test]
+    fn policy_labels_are_read_per_substrate() {
+        let req = |substrate: &str, policy: &str| {
+            parse_run_request(&format!(
+                r#"{{"source": "x", "substrate": "{substrate}", "policy": "{policy}"}}"#
+            ))
+        };
+        for (substrate, policy, names) in [
+            ("sim", "adaptive:40/uniform", "`adaptive:40`"),
+            ("sim", "eager/locality", "`locality`"),
+            ("sim", "heartbeat/sequence", "`sequence`"),
+            ("sim", "heartbeat/uniform/random", "`random`"),
+            ("rt", "never/locality", "`locality`"),
+        ] {
+            let e = req(substrate, policy).unwrap_err();
+            assert!(e.contains("`policy`") && e.contains(names), "{policy}: {e}");
+        }
+        assert_eq!(
+            req("sim", "never").unwrap().spec.promotion,
+            Promotion::Never
+        );
+        for policy in ["eager/uniform", "eager/sequence"] {
+            assert_eq!(req("rt", policy).unwrap().spec.promotion, Promotion::Eager);
+        }
+        let rt = parse_run_request(r#"{"source": "x", "substrate": "rt"}"#).unwrap();
+        assert_eq!(rt.spec.promotion, Promotion::Heartbeat);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! A submitted program is identified by the FNV-1a content hash of its
 //! source text plus frontend flags (`ir`, lowering mode) — the decode
 //! cache key. A *run* is a program hash plus every knob that can change
-//! the outcome: substrate, ♥, policy, execution tier, seed, step limit,
-//! and the argument registers. The replay token is the run spec itself,
+//! the outcome: substrate, ♥, promotion rule, execution tier, seed, step
+//! limit, and the argument registers. The replay token is the run spec itself,
 //! canonically serialized and hex-armoured, so `GET /replay/<token>`
 //! needs no server-side registry beyond the program cache: the token
 //! alone names a bit-reproducible run.
@@ -13,7 +13,7 @@
 use std::fmt;
 
 use tpal_core::tier::ExecTier;
-use tpal_sched::{HeartbeatSource, Policy};
+use tpal_sched::{Domain, HeartbeatSource, Promotion};
 use tpal_trace::json::{parse_exact, write_escaped, Json};
 
 use crate::proto::{opt_bool, opt_str, opt_u64};
@@ -125,6 +125,16 @@ pub enum Substrate {
     },
 }
 
+impl Substrate {
+    /// The policy-label domain of this substrate.
+    pub fn domain(self) -> Domain {
+        match self {
+            Substrate::Sim { .. } => Domain::Sim,
+            Substrate::Rt { .. } => Domain::Rt,
+        }
+    }
+}
+
 /// Everything besides the program that determines a run's outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSpec {
@@ -134,8 +144,11 @@ pub struct RunSpec {
     /// cycles, default 3000; runtime: µs, default 100). `None` applies
     /// the substrate default.
     pub heartbeat: Option<u64>,
-    /// Promotion + victim policy.
-    pub policy: Policy,
+    /// When promotion-ready points promote. It travels as the token's
+    /// `policy` label, whose victim segment is the substrate's own steal
+    /// rule (`heartbeat/uniform` on the simulator, `heartbeat/sequence`
+    /// on the runtime).
+    pub promotion: Promotion,
     /// Heartbeat delivery mechanism (native-runtime runs; the simulator
     /// models delivery through its own `InterruptModel` and ignores
     /// this).
@@ -162,7 +175,7 @@ impl RunSpec {
                 linux: false,
             },
             heartbeat: None,
-            policy: Policy::default(),
+            promotion: Promotion::default(),
             source: HeartbeatSource::LocalTimer,
             tier: ExecTier::default(),
             seed: 0xDEC0DE,
@@ -171,12 +184,10 @@ impl RunSpec {
         }
     }
 
-    /// A default-config native-runtime run (the runtime's historical
-    /// `heartbeat/sequence` policy).
+    /// A default-config native-runtime run.
     pub fn rt(workers: usize) -> RunSpec {
         RunSpec {
             substrate: Substrate::Rt { workers },
-            policy: Policy::parse("heartbeat/sequence").expect("static policy label"),
             ..RunSpec::sim(0)
         }
     }
@@ -222,7 +233,7 @@ impl RunSpec {
         }
         write!(out, "\"hbsrc\":\"{}\",", self.source.label())?;
         write!(out, "\"linux\":{linux},\"policy\":\"")?;
-        write_escaped(out, &self.policy.label())?;
+        write_escaped(out, &self.promotion.label(self.substrate.domain()))?;
         write!(out, "\",\"prog\":\"{prog_hash:016x}\",")?;
         write!(out, "\"seed\":\"{:x}\",\"sets\":{{", self.seed)?;
         // A canonical spec is already sorted; any other takes the detour.
@@ -252,7 +263,8 @@ impl RunSpec {
     /// # Errors
     ///
     /// A description of the malformation: wrong prefix, bad hex, bad
-    /// JSON, or a missing, wrong-typed or out-of-range field.
+    /// JSON, a missing, wrong-typed or out-of-range field, or a retired
+    /// policy label (named).
     pub fn from_token(token: &str) -> Result<(u64, RunSpec), String> {
         let hex = token
             .strip_prefix("r1-")
@@ -284,7 +296,8 @@ impl RunSpec {
             },
             other => return Err(format!("token substrate `{other}` unknown")),
         };
-        let policy = Policy::parse(str_field("policy")?)?;
+        let promotion = Promotion::parse(str_field("policy")?, substrate.domain())
+            .map_err(|e| format!("token `policy`: {e}"))?;
         // Tokens minted before the delivery-source knob existed carry no
         // `hbsrc`; they replay under the historical default.
         let source = match opt_str(&doc, "hbsrc").map_err(field)? {
@@ -314,7 +327,7 @@ impl RunSpec {
         let mut spec = RunSpec {
             substrate,
             heartbeat: opt_u64(&doc, "hb").map_err(field)?,
-            policy,
+            promotion,
             source,
             tier,
             seed,
@@ -435,7 +448,10 @@ mod tests {
         let (hash, decoded) = RunSpec::from_token(&token).unwrap();
         assert_eq!(hash, 1);
         assert_eq!(decoded, spec);
-        assert_eq!(decoded.policy.label(), "heartbeat/sequence");
+        assert_eq!(
+            decoded.promotion.label(decoded.substrate.domain()),
+            "heartbeat/sequence"
+        );
     }
 
     #[test]

@@ -105,13 +105,7 @@ proptest! {
         n in 0i64..26,
         linux in any::<bool>(),
         tier in proptest::sample::select(vec!["ref", "decoded", "threaded"]),
-        policy in proptest::sample::select(vec![
-            "heartbeat/uniform",
-            "heartbeat/sequence",
-            "eager/locality",
-            "adaptive:40/uniform",
-            "never/uniform",
-        ]),
+        promotion in proptest::sample::select(tpal_sched::Promotion::ALL),
     ) {
         let engine = Engine::new();
         let (entry, _) = engine.cache().get_or_compile(&program(3));
@@ -123,7 +117,7 @@ proptest! {
         spec.heartbeat = heartbeat;
         spec.seed = seed;
         spec.tier = tpal_core::tier::ExecTier::parse(tier).unwrap();
-        spec.policy = tpal_sched::Policy::parse(policy).unwrap();
+        spec.promotion = promotion;
         spec.canonicalize();
 
         let first = engine.execute(&entry, &spec, RunInclude::default()).unwrap();
@@ -443,6 +437,110 @@ fn hostile_nesting_and_token_fields_are_client_errors_and_the_server_lives() {
         refused("GET", &path, "", names);
     }
 
+    server.shutdown();
+    server.join();
+}
+
+/// Every retired policy spelling — in a request or inside a token that
+/// an older server minted — is that request's 400 naming the value, and
+/// the server goes on serving. An rt request may still name either
+/// victim.
+#[test]
+fn retired_policy_labels_are_client_errors_and_the_server_lives() {
+    use tpal_serve::spec::{hex_decode, hex_encode};
+
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let body = run_body(SUM_TPL, ",\"ir\":true,\"cores\":2,\"sets\":{\"n\":100}");
+    let (status, reply) = client.request("POST", "/run", &body).unwrap();
+    assert_eq!(status, 200, "{reply}");
+    let reply = parse(&reply).unwrap();
+    let token = reply.get("replay").and_then(Json::as_str).expect("token");
+    let payload = String::from_utf8(hex_decode(&token["r1-".len()..]).unwrap()).unwrap();
+
+    let mut refused = |method: &str, path: &str, body: &str, names: &str| {
+        let (status, reply) = client.request(method, path, body).unwrap();
+        assert_eq!(status, 400, "{path} {body}: {reply}");
+        assert!(reply.contains(names), "{reply}");
+        let (status, health) = client.request("GET", "/healthz", "").unwrap();
+        assert_eq!((status, health.as_str()), (200, "{\"ok\":true}"));
+    };
+    for (label, names) in [
+        ("adaptive:40/uniform", "`adaptive:40`"),
+        ("eager/locality", "`locality`"),
+        ("heartbeat/uniform/random", "`random`"),
+        ("heartbeat/sequence", "`sequence`"),
+    ] {
+        let policy = format!(",\"ir\":true,\"cores\":2,\"policy\":\"{label}\"");
+        refused("POST", "/run", &run_body(SUM_TPL, &policy), names);
+        let edited = payload.replace(
+            "\"policy\":\"heartbeat/uniform\"",
+            &format!("\"policy\":\"{label}\""),
+        );
+        assert_ne!(edited, payload);
+        let path = format!("/replay/r1-{}", hex_encode(edited.as_bytes()));
+        refused("GET", &path, "", names);
+    }
+
+    for victim in ["uniform", "sequence"] {
+        let rt = format!(
+            ",\"ir\":true,\"substrate\":\"rt\",\"policy\":\"eager/{victim}\",\"sets\":{{\"n\":100}}"
+        );
+        let (status, reply) = client
+            .request("POST", "/run", &run_body(SUM_TPL, &rt))
+            .unwrap();
+        assert_eq!(status, 200, "{reply}");
+        assert!(reply.contains("\"result\":4950"), "{reply}");
+    }
+    server.shutdown();
+    server.join();
+}
+
+/// A step limit above the service's and an rt ♥ below the floor are
+/// refused by name before anything runs; the server then answers
+/// `/healthz` and an ordinary rt request.
+#[test]
+fn service_numeric_bounds_are_client_errors_and_the_server_lives() {
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let over = tpal_serve::engine::SERVICE_STEP_LIMIT + 1;
+    for (extra, names) in [
+        (format!(",\"step_limit\":{over}"), "step_limit"),
+        (
+            format!(",\"substrate\":\"rt\",\"step_limit\":\"{over}\""),
+            "step_limit",
+        ),
+        (
+            ",\"substrate\":\"rt\",\"heartbeat\":1".to_owned(),
+            "heartbeat",
+        ),
+        (
+            ",\"substrate\":\"rt\",\"heartbeat\":19".to_owned(),
+            "heartbeat",
+        ),
+    ] {
+        let body = run_body(
+            FIB_TPL,
+            &format!(",\"ir\":true,\"sets\":{{\"n\":10}}{extra}"),
+        );
+        let start = Instant::now();
+        let (status, reply) = client.request("POST", "/run", &body).unwrap();
+        assert_eq!(status, 400, "{extra}: {reply}");
+        assert!(reply.contains(names), "{extra}: {reply}");
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "{extra}: refused late"
+        );
+        let (status, health) = client.request("GET", "/healthz", "").unwrap();
+        assert_eq!((status, health.as_str()), (200, "{\"ok\":true}"));
+    }
+    let body = run_body(
+        FIB_TPL,
+        ",\"ir\":true,\"substrate\":\"rt\",\"heartbeat\":20,\"sets\":{\"n\":10}",
+    );
+    let (status, reply) = client.request("POST", "/run", &body).unwrap();
+    assert_eq!(status, 200, "{reply}");
+    assert!(reply.contains("\"result\":55"), "{reply}");
     server.shutdown();
     server.join();
 }

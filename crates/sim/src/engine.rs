@@ -39,8 +39,8 @@ use tpal_core::program::Program;
 use tpal_core::tier::{ExecBackend, ExecTier};
 
 use tpal_sched::{
-    ChannelWakePolicy, HeartbeatDelivery, InterruptModel, PingChain, Policy, PromoteState,
-    PromoteStep, PromotionPolicy, RngEnv, SplitMix64, VictimPolicy,
+    uniform_victim, Domain, InterruptModel, PingChain, PromoteState, PromoteStep, Promotion,
+    SplitMix64,
 };
 use tpal_trace::{EventKind, OverheadKind, Trace, TraceBuilder};
 
@@ -83,10 +83,10 @@ pub struct SimConfig {
     /// Which promotion-ready mark `prmsplit` pops: the paper's
     /// outermost-first policy (§2.3) or its innermost-first ablation.
     pub promotion_order: PromotionOrder,
-    /// The scheduling policy: when promotion-ready points promote and
-    /// whom a thief probes. The default (`heartbeat/uniform`) is the
-    /// pre-kernel behaviour, bit for bit.
-    pub policy: Policy,
+    /// When promotion-ready points promote. The default (`heartbeat`)
+    /// is the paper's rule; whatever it is, a thief probes one uniformly
+    /// random other core, so runs label as `<promotion>/uniform`.
+    pub promotion: Promotion,
     /// Which interpreter tier executes task quanta. All tiers are
     /// bit-identical in outcome; they differ only in dispatch speed.
     pub exec_tier: ExecTier,
@@ -107,7 +107,7 @@ impl Default for SimConfig {
             record_timeline: false,
             record_trace: false,
             promotion_order: PromotionOrder::OldestFirst,
-            policy: Policy::default(),
+            promotion: Promotion::default(),
             exec_tier: ExecTier::default(),
         }
     }
@@ -267,13 +267,10 @@ impl SimOutcome {
 struct Core {
     deque: std::collections::VecDeque<TaskState>,
     busy_until: u64,
-    /// Promotion-policy state (delivered-beat flag, adaptive spacing,
-    /// eager bounce guard) — consumed by [`PromotionPolicy`].
+    /// Promotion state (delivered-beat flag, eager bounce guard) —
+    /// consumed by [`Promotion`].
     promote: PromoteState,
     next_hb: u64,
-    /// Monotone steal-probe counter, consumed by the deterministic
-    /// [`VictimPolicy`] orders (unused under `uniform`).
-    probe_k: u64,
 }
 
 /// A scheduled event, ordered by `(time, phase, core)` so that the
@@ -504,10 +501,6 @@ impl<'p> Sim<'p> {
     pub fn run(&mut self) -> Result<SimOutcome, MachineError> {
         let cfg = self.config;
         let mut rng = SplitMix64::new(cfg.seed);
-        // RNG draws one steal probe consumes — the parked-core
-        // fast-forward must skip exactly this much stream per settled
-        // retry.
-        let steal_draws = cfg.policy.victim.draws_per_probe();
         let mut stats = SimStats::default();
         let mut cores: Vec<Core> = (0..cfg.cores)
             .map(|_| Core {
@@ -515,7 +508,6 @@ impl<'p> Sim<'p> {
                 busy_until: 0,
                 promote: PromoteState::default(),
                 next_hb: cfg.heartbeat,
-                probe_k: 0,
             })
             .collect();
         // Each core's running task, kept beside `cores` so an action can
@@ -560,7 +552,7 @@ impl<'p> Sim<'p> {
         let mut tracer = if cfg.record_trace || cfg.record_timeline {
             Some(
                 TraceBuilder::new(cfg.cores, "cycles", cfg.heartbeat)
-                    .policy(cfg.policy.label())
+                    .policy(cfg.promotion.label(Domain::Sim))
                     .source(cfg.interrupt.label()),
             )
         } else {
@@ -580,10 +572,10 @@ impl<'p> Sim<'p> {
 
         // Settles core `$p`'s pending retries at virtual times strictly
         // before `$bound`. Each settled retry charges the same counters
-        // as a live failed steal and advances the RNG stream by one draw
-        // — the drawn victim is unobservable (every deque is empty while
-        // any core is parked), but the stream position is, hence the O(1)
-        // `skip`. The whole chain is one trace span: recording costs O(1)
+        // as a live failed steal and advances the RNG stream by its one
+        // victim draw — the drawn victim is unobservable (every deque is
+        // empty while any core is parked), but the stream position is,
+        // hence the O(1) `skip`. The whole chain is one trace span: recording costs O(1)
         // per settled chain however long the core sat parked.
         macro_rules! flush_one {
             ($p:expr, $bound:expr) => {
@@ -591,8 +583,7 @@ impl<'p> Sim<'p> {
                 if next < $bound {
                     let retry = cfg.steal_retry_cost;
                     let k = ($bound - 1 - next) / retry + 1;
-                    rng.skip(k * steal_draws);
-                    cores[$p].probe_k += k;
+                    rng.skip(k);
                     stats.failed_steals += k;
                     stats.idle_cycles += k * retry;
                     // Settled retroactively: the span carries a later
@@ -646,7 +637,7 @@ impl<'p> Sim<'p> {
         // (the reference's first tick), and the interrupt source fires
         // its first delivery chain.
         let interrupt_slots = match cfg.interrupt {
-            InterruptModel::PerCoreTimer { .. } | InterruptModel::JitteredTimer { .. } => cfg.cores,
+            InterruptModel::PerCoreTimer { .. } => cfg.cores,
             InterruptModel::PingThread { .. } => 1,
             InterruptModel::Disabled => 0,
         };
@@ -676,26 +667,12 @@ impl<'p> Sim<'p> {
             };
         }
 
-        // Wakes one task parked on channel `$ch` (the policy picks
-        // which, counted in park order) onto core `$c`'s deque. The
-        // unpark must precede the policy's draw so a Random pick lands
-        // at the same stream position as the reference's in-cycle scan.
+        // Wakes the oldest task parked on channel `$ch` onto core `$c`'s
+        // deque.
         macro_rules! wake_one {
             ($list:expr, $ch:expr, $c:expr, $ev:expr, $now:expr) => {
-                let waiters = $list.iter().filter(|&&(ch2, _, _)| ch2 == $ch).count();
-                if waiters > 0 {
+                if let Some(idx) = $list.iter().position(|&(ch2, _, _)| ch2 == $ch) {
                     unpark_all!($ev);
-                    let pick = {
-                        let mut env = RngEnv::new(&mut rng, $now, cfg.cores);
-                        cfg.policy.chan_wake.select(&mut env, waiters)
-                    };
-                    let idx = $list
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &(ch2, _, _))| ch2 == $ch)
-                        .nth(pick)
-                        .map(|(i, _)| i)
-                        .expect("pick is below the waiter count");
                     let (wch, t, tid) = $list.remove(idx).expect("index in range");
                     cores[$c].deque.push_back(t);
                     queued += 1;
@@ -707,7 +684,7 @@ impl<'p> Sim<'p> {
                         $c,
                         $now,
                         0,
-                        EventKind::ChanWake {
+                        EventKind::ChanResume {
                             ch: wch as u32,
                             task: tid
                         }
@@ -718,9 +695,7 @@ impl<'p> Sim<'p> {
 
         // Arm the interrupt source's first delivery chain.
         match cfg.interrupt {
-            InterruptModel::PerCoreTimer { .. } | InterruptModel::JitteredTimer { .. } => {
-                // The first deadline is exact in both models; jitter
-                // enters at re-arm time, one draw per delivery.
+            InterruptModel::PerCoreTimer { .. } => {
                 for (c, core) in cores.iter().enumerate() {
                     calendar.set(cfg.cores + c, interrupt_key(c, core.next_hb.max(1)));
                 }
@@ -776,35 +751,6 @@ impl<'p> Sim<'p> {
                         let next = core.next_hb.max(now + 1);
                         calendar.set(cfg.cores + ci, interrupt_key(ci, next));
                     }
-                    InterruptModel::JitteredTimer { service_cost, .. } => {
-                        // The re-arm jitter draw below must land at the
-                        // right stream position: settle all pending
-                        // parked retries (each may carry draws) first.
-                        flush_parked!(ev);
-                        let ci = ev.core as usize;
-                        let next = {
-                            let mut env = RngEnv::new(&mut rng, now, cfg.cores);
-                            cfg.interrupt
-                                .next_deadline(&mut env, cores[ci].next_hb, cfg.heartbeat)
-                        };
-                        let core = &mut cores[ci];
-                        core.promote.beat = true;
-                        core.next_hb = next;
-                        core.busy_until = core.busy_until.max(now) + service_cost;
-                        stats.heartbeats_delivered += 1;
-                        stats.overhead_cycles += service_cost;
-                        tev!(ci, now, 0, EventKind::HeartbeatDelivered);
-                        tev!(
-                            ci,
-                            now,
-                            service_cost,
-                            EventKind::Overhead {
-                                what: OverheadKind::Interrupt
-                            }
-                        );
-                        let next = core.next_hb.max(now + 1);
-                        calendar.set(cfg.cores + ci, interrupt_key(ci, next));
-                    }
                     InterruptModel::PingThread { service_cost, .. } => {
                         // The jitter draw below must land at the right
                         // stream position, and the receiving core's
@@ -825,10 +771,7 @@ impl<'p> Sim<'p> {
                                 what: OverheadKind::Interrupt
                             }
                         );
-                        let delay = {
-                            let mut env = RngEnv::new(&mut rng, now, cfg.cores);
-                            cfg.interrupt.ping_delay(&mut env)
-                        };
+                        let delay = cfg.interrupt.ping_delay(&mut rng);
                         ping.advance(now, cfg.cores, cfg.heartbeat, delay);
                         calendar.set(cfg.cores, interrupt_key(ping.next_core, ping.next_time));
                     }
@@ -880,13 +823,8 @@ impl<'p> Sim<'p> {
                         calendar.set(c, EMPTY);
                         continue;
                     }
-                    // Steal from another core's top; the policy picks
-                    // the victim.
-                    let victim = {
-                        let mut env = RngEnv::new(&mut rng, now, cfg.cores);
-                        cfg.policy.victim.probe(&mut env, c, 0, cores[c].probe_k)
-                    };
-                    cores[c].probe_k += 1;
+                    // Steal from a uniformly random other core's top.
+                    let victim = uniform_victim(&mut rng, c, cfg.cores);
                     let stolen = cores[victim].deque.pop_front();
                     match stolen {
                         Some(t) => {
@@ -951,15 +889,15 @@ impl<'p> Sim<'p> {
 
             let task = running[c].as_mut().expect("task present");
 
-            // Scheduling boundary: the promotion policy decides what a
+            // Scheduling boundary: the promotion rule decides what a
             // promotion-ready point does with the delivered beat
             // (rollforward semantics — promotion happens only at
             // promotion-ready program points).
-            let promo = cfg.policy.promotion;
+            let promo = cfg.promotion;
             let mut step_past = false;
-            if promo.wants_point_check(&cores[c].promote) {
+            if promo.watch(&cores[c].promote) {
                 if let Some(handler) = task.at_promotion_point(self.program) {
-                    match promo.decide(true, &mut cores[c].promote, now) {
+                    match promo.decide(&mut cores[c].promote) {
                         PromoteStep::Divert => {
                             task.divert_to_handler(handler);
                             stats.promotions += 1;
@@ -980,17 +918,14 @@ impl<'p> Sim<'p> {
             }
 
             // Batch horizon: this core cannot be re-flagged before its
-            // own next timer tick (PerCoreTimer/JitteredTimer — the
-            // armed deadline is exact; jitter enters at re-arm) or the
-            // signaller's next delivery to *anyone* (PingThread —
+            // own next timer tick (PerCoreTimer — the armed deadline is
+            // exact) or the signaller's next delivery to *anyone* (PingThread —
             // conservative, since the chain's future targets depend on
             // jitter draws that must stay in delivery order). Interrupts
             // at the horizon sort before the follow-up action, so the
             // flag is seen then.
             let horizon = match cfg.interrupt {
-                InterruptModel::PerCoreTimer { .. } | InterruptModel::JitteredTimer { .. } => {
-                    cores[c].next_hb.max(now + 1)
-                }
+                InterruptModel::PerCoreTimer { .. } => cores[c].next_hb.max(now + 1),
                 InterruptModel::PingThread { .. } => ping.next_time.max(now + 1),
                 InterruptModel::Disabled => u64::MAX,
             };
@@ -1145,8 +1080,8 @@ impl<'p> Sim<'p> {
                             }
                             stats.forks += 1;
                             // The diversion produced a task: re-arm the
-                            // eager policy's bounce guard.
-                            promo.on_fork(&mut cores[c].promote);
+                            // eager rule's bounce guard.
+                            cores[c].promote.on_fork();
                             cores[c].deque.push_back(*child);
                             queued += 1;
                             // Work exists again: wake the parked cores.
@@ -1284,7 +1219,7 @@ impl<'p> Sim<'p> {
                                 );
                             }
                             stats.detaches += 1;
-                            promo.on_fork(&mut cores[c].promote);
+                            cores[c].promote.on_fork();
                             cores[c].deque.push_back(*child);
                             queued += 1;
                             unpark_all!(ev);
@@ -1392,7 +1327,7 @@ impl<'p> Sim<'p> {
                                                 c,
                                                 now,
                                                 0,
-                                                EventKind::ChanWake {
+                                                EventKind::ChanResume {
                                                     ch: wch as u32,
                                                     task: tid
                                                 }

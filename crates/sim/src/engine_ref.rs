@@ -18,8 +18,7 @@ use tpal_core::machine::{
 use tpal_core::program::Program;
 
 use tpal_sched::{
-    ChannelWakePolicy, HeartbeatDelivery, InterruptModel, PingChain, PromoteState, PromoteStep,
-    PromotionPolicy, RngEnv, SplitMix64, VictimPolicy,
+    uniform_victim, InterruptModel, PingChain, PromoteState, PromoteStep, SplitMix64,
 };
 
 use crate::engine::{SimConfig, SimOutcome, SimStats};
@@ -31,7 +30,6 @@ struct Core {
     busy_until: u64,
     promote: PromoteState,
     next_hb: u64,
-    probe_k: u64,
 }
 
 /// The reference multicore simulator: one global tick per cycle.
@@ -109,7 +107,6 @@ impl<'p> SimRef<'p> {
                 busy_until: 0,
                 promote: PromoteState::default(),
                 next_hb: cfg.heartbeat,
-                probe_k: 0,
             })
             .collect();
         cores[0].current = Some(self.initial.take().expect("simulation already run"));
@@ -140,23 +137,11 @@ impl<'p> SimRef<'p> {
             };
         }
 
-        // Wakes one task parked on channel `$ch` (the policy picks
-        // which, counted in park order) onto core `$c`'s deque.
+        // Wakes the oldest task parked on channel `$ch` onto core `$c`'s
+        // deque.
         macro_rules! wake_one {
             ($list:expr, $ch:expr, $c:expr) => {
-                let waiters = $list.iter().filter(|&&(ch2, _)| ch2 == $ch).count();
-                if waiters > 0 {
-                    let pick = {
-                        let mut env = RngEnv::new(&mut rng, now, cfg.cores);
-                        cfg.policy.chan_wake.select(&mut env, waiters)
-                    };
-                    let idx = $list
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &(ch2, _))| ch2 == $ch)
-                        .nth(pick)
-                        .map(|(i, _)| i)
-                        .expect("pick is below the waiter count");
+                if let Some(idx) = $list.iter().position(|&(ch2, _)| ch2 == $ch) {
                     let (_, t) = $list.remove(idx).expect("index in range");
                     cores[$c].deque.push_back(t);
                     stats.chan_wakes += 1;
@@ -181,30 +166,6 @@ impl<'p> SimRef<'p> {
                         }
                     }
                 }
-                InterruptModel::JitteredTimer { service_cost, .. } => {
-                    for ci in 0..cfg.cores {
-                        if now >= cores[ci].next_hb {
-                            // One jitter draw per delivery, in core
-                            // index order — the stream-order contract
-                            // the event engine replays.
-                            let next = {
-                                let mut env = RngEnv::new(&mut rng, now, cfg.cores);
-                                cfg.interrupt.next_deadline(
-                                    &mut env,
-                                    cores[ci].next_hb,
-                                    cfg.heartbeat,
-                                )
-                            };
-                            let core = &mut cores[ci];
-                            core.promote.beat = true;
-                            core.next_hb = next;
-                            core.busy_until = core.busy_until.max(now) + service_cost;
-                            stats.heartbeats_delivered += 1;
-                            stats.overhead_cycles += service_cost;
-                            trace!(ci, Activity::Overhead, service_cost);
-                        }
-                    }
-                }
                 InterruptModel::PingThread { service_cost, .. } => {
                     if now >= ping.next_time {
                         let ci = ping.next_core;
@@ -214,10 +175,7 @@ impl<'p> SimRef<'p> {
                         stats.heartbeats_delivered += 1;
                         stats.overhead_cycles += service_cost;
                         trace!(ci, Activity::Overhead, service_cost);
-                        let delay = {
-                            let mut env = RngEnv::new(&mut rng, now, cfg.cores);
-                            cfg.interrupt.ping_delay(&mut env)
-                        };
+                        let delay = cfg.interrupt.ping_delay(&mut rng);
                         ping.advance(now, cfg.cores, cfg.heartbeat, delay);
                     }
                 }
@@ -235,13 +193,8 @@ impl<'p> SimRef<'p> {
                     if let Some(t) = cores[c].deque.pop_back() {
                         cores[c].current = Some(t);
                     } else if cfg.cores > 1 {
-                        // Steal from another core's top; the policy
-                        // picks the victim.
-                        let victim = {
-                            let mut env = RngEnv::new(&mut rng, now, cfg.cores);
-                            cfg.policy.victim.probe(&mut env, c, 0, cores[c].probe_k)
-                        };
-                        cores[c].probe_k += 1;
+                        // Steal from a uniformly random other core's top.
+                        let victim = uniform_victim(&mut rng, c, cfg.cores);
                         let stolen = cores[victim].deque.pop_front();
                         match stolen {
                             Some(t) => {
@@ -271,13 +224,13 @@ impl<'p> SimRef<'p> {
 
                 let mut task = cores[c].current.take().expect("task present");
 
-                // Scheduling boundary: the promotion policy decides what
-                // a promotion-ready point does with the delivered beat
+                // Scheduling boundary: the promotion rule decides what a
+                // promotion-ready point does with the delivered beat
                 // (rollforward semantics).
-                let promo = cfg.policy.promotion;
-                if promo.wants_point_check(&cores[c].promote) {
+                let promo = cfg.promotion;
+                if promo.watch(&cores[c].promote) {
                     if let Some(handler) = task.at_promotion_point(self.program) {
-                        match promo.decide(true, &mut cores[c].promote, now) {
+                        match promo.decide(&mut cores[c].promote) {
                             PromoteStep::Divert => {
                                 task.divert_to_handler(handler);
                                 stats.promotions += 1;
@@ -319,8 +272,8 @@ impl<'p> SimRef<'p> {
                         trace!(c, Activity::Overhead, cfg.fork_cost);
                         stats.forks += 1;
                         // The diversion produced a task: re-arm the
-                        // eager policy's bounce guard.
-                        promo.on_fork(&mut cores[c].promote);
+                        // eager rule's bounce guard.
+                        cores[c].promote.on_fork();
                         cores[c].deque.push_back(*child);
                         cores[c].busy_until = now + 1 + cfg.fork_cost;
                         stats.overhead_cycles += cfg.fork_cost;
@@ -357,7 +310,7 @@ impl<'p> SimRef<'p> {
                         trace!(c, Activity::Work, 1);
                         trace!(c, Activity::Overhead, cfg.fork_cost);
                         stats.detaches += 1;
-                        promo.on_fork(&mut cores[c].promote);
+                        cores[c].promote.on_fork();
                         cores[c].deque.push_back(*child);
                         cores[c].busy_until = now + 1 + cfg.fork_cost;
                         stats.overhead_cycles += cfg.fork_cost;

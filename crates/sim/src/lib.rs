@@ -67,4 +67,4 @@ pub use timeline::{Activity, Bucket, Timeline};
 // The execution tier (reference / decoded / decoded + loop templates)
 // selected via `SimConfig::exec_tier`; re-exported for the same reason.
 pub use tpal_core::tier::ExecTier;
-pub use tpal_sched::{InterruptModel, Policy, Promotion, SplitMix64, Victim};
+pub use tpal_sched::{Domain, InterruptModel, Promotion, SplitMix64};

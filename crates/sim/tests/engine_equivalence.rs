@@ -3,7 +3,7 @@
 //! code) — must be *observably equivalent* to the cycle-tick reference
 //! ([`SimRef`]): identical makespan, identical [`SimStats`] field by
 //! field, and identical final registers, on real workload programs,
-//! across every interrupt model and several RNG seeds.
+//! across every interrupt model, promotion rule and several RNG seeds.
 //!
 //! This suite is what licenses the event-queue + instruction-batching
 //! rewrite and the tiered interpreters stacked on it: any scheduling
@@ -13,7 +13,7 @@
 //! here as a mismatched counter or register.
 
 use tpal_ir::lower::{lower, Mode};
-use tpal_sim::{ExecTier, InterruptModel, Policy, Sim, SimConfig, SimRef};
+use tpal_sim::{ExecTier, Promotion, Sim, SimConfig, SimRef};
 use tpal_workloads::{workload, Scale, SimSpec};
 
 const SEEDS: [u64; 3] = [0xDEC0DE, 1, 0xFEED_5EED];
@@ -174,32 +174,29 @@ fn mandelbrot_tiles_engines_agree() {
     assert_engines_agree("mandelbrot-tiles");
 }
 
-/// The channel-wake draw comes from the shared policy kernel: under
-/// `ChanWake::Random` every wake consumes exactly one bounded RNG draw,
-/// and both engines must consume the stream at the same positions (the
-/// reference flushes its parked list before any draw for this reason).
+/// A channel wake resumes the oldest waiter in both engines, whatever
+/// the promotion rule makes of the stages: under `heartbeat` the
+/// channel-fed loops promote, under `eager` they split at every point,
+/// under `never` every stage runs serially, and the parked lists drain
+/// in the same order in all three. (Machine sizes other than
+/// [`configs`]'s, so the `heartbeat` rows are not a repeat of
+/// `pipeline_tokens_engines_agree`'s.)
 #[test]
 fn streaming_chan_wake_matrix_engines_agree() {
-    let policies = [
-        "heartbeat/uniform/random",
-        "heartbeat/sequence/random",
-        "eager/uniform/random",
-    ];
     for name in ["pipeline-tokens", "spmv-stream"] {
         let spec = workload(name)
             .expect("known workload")
             .sim_spec(Scale::Quick);
-        for pspec in policies {
-            let policy = Policy::parse(pspec).expect("valid policy spec");
+        for promotion in Promotion::ALL {
             for (label, base) in [
-                ("linux-4", SimConfig::linux(4, 3_000)),
-                ("nautilus-8", SimConfig::nautilus(8, 3_000)),
+                ("linux-3", SimConfig::linux(3, 3_000)),
+                ("nautilus-6", SimConfig::nautilus(6, 3_000)),
             ] {
                 for seed in SEEDS {
                     let mut config = base;
-                    config.policy = policy;
+                    config.promotion = promotion;
                     config.seed = seed;
-                    let ctx = format!("{name} / {label} / {pspec} / seed {seed:#x}");
+                    let ctx = format!("{name} / {label} / {promotion:?} / seed {seed:#x}");
                     assert_pair_agrees(&spec, Mode::Heartbeat, config, &ctx);
                 }
             }
@@ -207,60 +204,26 @@ fn streaming_chan_wake_matrix_engines_agree() {
     }
 }
 
-/// Non-default policies must keep the engines in lockstep too: every
-/// promote/steal decision comes from the shared kernel (`tpal-sched`),
-/// so the matrix below — promotion policies that change *which* points
-/// promote crossed with victim policies that change the RNG draw
-/// pattern — would expose any engine-specific decision logic left
-/// behind by the refactor.
+/// Non-default promotion rules must keep the engines in lockstep too:
+/// every promote/steal decision comes from the shared kernel
+/// (`tpal-sched`), so rules that change *which* points promote would
+/// expose any engine-specific decision logic.
 #[test]
 fn policy_matrix_engines_agree() {
-    let policies = [
-        "eager/uniform",
-        "never/uniform",
-        "adaptive:7000/uniform",
-        "heartbeat/sequence",
-        "heartbeat/locality",
-        "eager/sequence",
-        "adaptive:5000/locality",
-    ];
     for name in ["plus-reduce-array", "mergesort-uniform"] {
         let spec = workload(name)
             .expect("known workload")
             .sim_spec(Scale::Quick);
-        for pspec in policies {
-            let policy = Policy::parse(pspec).expect("valid policy spec");
+        for promotion in [Promotion::Eager, Promotion::Never] {
             for (label, base) in [
                 ("linux-4", SimConfig::linux(4, 3_000)),
                 ("nautilus-8", SimConfig::nautilus(8, 3_000)),
             ] {
                 let mut config = base;
-                config.policy = policy;
-                let ctx = format!("{name} / {label} / {pspec}");
+                config.promotion = promotion;
+                let ctx = format!("{name} / {label} / {promotion:?}");
                 assert_pair_agrees(&spec, Mode::Heartbeat, config, &ctx);
             }
-        }
-    }
-}
-
-/// The jittered local timer draws its re-arm offsets from the shared
-/// RNG stream: both engines must consume the draws in the same order
-/// (core index order per delivery cycle) to stay equivalent.
-#[test]
-fn jittered_timer_engines_agree() {
-    for name in ["plus-reduce-array", "floyd-warshall-small"] {
-        let spec = workload(name)
-            .expect("known workload")
-            .sim_spec(Scale::Quick);
-        for seed in SEEDS {
-            let mut config = SimConfig::nautilus(8, 3_000);
-            config.interrupt = InterruptModel::JitteredTimer {
-                jitter: 400,
-                service_cost: 5,
-            };
-            config.seed = seed;
-            let ctx = format!("{name} / jittered-8 / seed {seed:#x}");
-            assert_pair_agrees(&spec, Mode::Heartbeat, config, &ctx);
         }
     }
 }

@@ -40,7 +40,7 @@ fn instant_name(kind: &EventKind) -> Option<&'static str> {
         EventKind::ChanPop { .. } => "chan-pop",
         EventKind::ChanClose { .. } => "chan-close",
         EventKind::ChanBlock { .. } => "chan-block",
-        EventKind::ChanWake { .. } => "chan-wake",
+        EventKind::ChanResume { .. } => "chan-wake",
         EventKind::Work { .. } | EventKind::Overhead { .. } | EventKind::Idle { .. } => {
             return None
         }
@@ -79,7 +79,7 @@ fn push_args(out: &mut String, kind: &EventKind) {
         EventKind::ChanPush { ch, task }
         | EventKind::ChanPop { ch, task }
         | EventKind::ChanClose { ch, task }
-        | EventKind::ChanWake { ch, task } => {
+        | EventKind::ChanResume { ch, task } => {
             let _ = write!(out, r#","args":{{"ch":{ch},"task":{task}}}"#);
         }
         EventKind::ChanBlock { ch, task, push } => {
@@ -362,7 +362,7 @@ mod tests {
                 push: false,
             },
         );
-        b.record(0, 3, 0, EventKind::ChanWake { ch: 1, task: 1 });
+        b.record(0, 3, 0, EventKind::ChanResume { ch: 1, task: 1 });
         b.record(0, 4, 0, EventKind::ChanPop { ch: 1, task: 0 });
         b.record(0, 5, 0, EventKind::ChanClose { ch: 1, task: 1 });
         let text = chrome_json(&b.finish());
@@ -401,13 +401,13 @@ mod tests {
     #[test]
     fn policy_tag_lands_in_other_data() {
         let trace = TraceBuilder::new(1, "cycles", 5)
-            .policy("adaptive:64/sequence")
+            .policy("never/sequence")
             .finish();
         let doc = json::parse(&chrome_json(&trace)).unwrap();
         let other = doc.get("otherData").unwrap();
         assert_eq!(
             other.get("policy").and_then(Json::as_str),
-            Some("adaptive:64/sequence")
+            Some("never/sequence")
         );
     }
 

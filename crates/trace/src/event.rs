@@ -158,8 +158,9 @@ pub enum EventKind {
         push: bool,
     },
     /// A channel operation made parked `task` runnable again (it
-    /// re-enters a deque and retries its channel instruction).
-    ChanWake {
+    /// re-enters a deque and retries its channel instruction). Rendered
+    /// as `chan-wake`.
+    ChanResume {
         /// The channel identifier.
         ch: u32,
         /// The woken task.

@@ -65,7 +65,7 @@ fn folded(kind: &EventKind) -> bool {
         | EventKind::HeartbeatServiced
         | EventKind::ChanClose { .. }
         | EventKind::ChanBlock { .. }
-        | EventKind::ChanWake { .. }
+        | EventKind::ChanResume { .. }
         | EventKind::Steal { .. } => false,
     }
 }

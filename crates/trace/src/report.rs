@@ -162,7 +162,7 @@ impl MetricsReport {
                     EventKind::ChanPush { .. } => r.chan_pushes += 1,
                     EventKind::ChanPop { .. } => r.chan_pops += 1,
                     EventKind::ChanBlock { .. } => r.chan_blocks += 1,
-                    EventKind::ChanWake { .. } => r.chan_wakes += 1,
+                    EventKind::ChanResume { .. } => r.chan_wakes += 1,
                     EventKind::TaskEnd { .. } | EventKind::ChanClose { .. } => {}
                 }
             }
@@ -456,7 +456,7 @@ mod tests {
             },
         );
         b.record(0, 4, 0, EventKind::ChanPop { ch: 1, task: 0 });
-        b.record(0, 4, 0, EventKind::ChanWake { ch: 1, task: 1 });
+        b.record(0, 4, 0, EventKind::ChanResume { ch: 1, task: 1 });
         b.record(0, 5, 0, EventKind::ChanPop { ch: 1, task: 0 });
         b.record(1, 6, 0, EventKind::ChanClose { ch: 1, task: 1 });
         let r = MetricsReport::from_trace(&b.finish());
@@ -481,11 +481,11 @@ mod tests {
     #[test]
     fn render_attributes_policy_when_tagged() {
         let trace = TraceBuilder::new(1, "cycles", 10)
-            .policy("eager/locality")
+            .policy("eager/uniform")
             .finish();
         let r = MetricsReport::from_trace(&trace);
-        assert_eq!(r.policy, "eager/locality");
-        assert!(r.render().contains("policy eager/locality"));
+        assert_eq!(r.policy, "eager/uniform");
+        assert!(r.render().contains("policy eager/uniform"));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! tpal-run FILE [--ir [--mode serial|heartbeat|expanded|eager]]
 //!               [--set reg=int]... [--heartbeat N] [--tau N]
 //!               [--sim CORES | --rt WORKERS] [--linux | --nautilus]
-//!               [--policy P[/V[/C]]] [--victim V]
+//!               [--policy P[/V]]
 //!               [--heartbeat-source ping|local-timer|signal]
 //!               [--exec-tier ref|decoded|threaded]
 //!               [--newest-first] [--print]
@@ -32,14 +32,13 @@
 //! instead of running.
 //!
 //! Scheduling policy (simulator and native-runtime runs): `--policy`
-//! selects the promotion policy (`heartbeat`, `eager`, `never`,
-//! `adaptive:N`), optionally combined with a victim policy as
-//! `promo/victim` and a channel-wake policy as `promo/victim/chanwake`
-//! (`fifo`, `random` — who wakes when a channel unblocks); `--victim`
-//! selects the steal-victim policy alone (`uniform`, `sequence`,
-//! `locality`). The defaults are the historical behaviours
-//! (`heartbeat/uniform` on the simulator, `heartbeat/sequence` on the
-//! runtime), both with `fifo` channel wake-up.
+//! selects the promotion rule (`heartbeat`, the default, `eager` or
+//! `never`), optionally followed by the substrate's victim segment as
+//! `promo/victim`. Each substrate steals by one rule of its own — the
+//! simulator probes a uniformly random core (`uniform`), the runtime
+//! sweeps every worker (`sequence`, where `uniform` is also accepted) —
+//! and the run header names it. A channel wake always resumes the
+//! oldest waiter.
 //!
 //! Heartbeat delivery (native-runtime runs only): `--heartbeat-source`
 //! selects how beats reach the workers — `ping` (a dedicated ping
@@ -67,7 +66,7 @@
 //! cargo run --release --bin tpal-run -- programs/prod.tpal \
 //!     --set a=100000 --set b=3 --sim 8
 //! cargo run --release --bin tpal-run -- programs/sum.tpal \
-//!     --set main.n=100000 --sim 8 --linux --policy eager/sequence
+//!     --set main.n=100000 --sim 8 --linux --policy eager
 //! cargo run --release --bin tpal-run -- programs/fib.tpal \
 //!     --set n=25 --rt 1 --heartbeat 100
 //! ```
@@ -78,7 +77,7 @@ use std::time::Duration;
 use tpal::core::asm::{parse_program, print_program};
 use tpal::core::machine::{Machine, MachineConfig, PromotionOrder};
 use tpal::rt::{HeartbeatSource, RtConfig, Runtime};
-use tpal::sim::{ExecTier, Policy, Sim, SimConfig, Victim};
+use tpal::sim::{Domain, ExecTier, Promotion, Sim, SimConfig};
 
 struct Options {
     file: String,
@@ -95,11 +94,8 @@ struct Options {
     ir: bool,
     mode: tpal::ir::Mode,
     order: PromotionOrder,
-    policy: Policy,
-    /// Whether `--policy`/`--victim` was passed at all (the native
-    /// runtime's default victim differs from the simulator's, so "not
-    /// given" cannot be represented as any particular `Policy` value).
-    policy_given: bool,
+    /// `--policy`, parsed for the substrate the run selected.
+    promotion: Promotion,
     /// `Some` iff `--heartbeat-source` was passed (native runtime only).
     heartbeat_source: Option<HeartbeatSource>,
     exec_tier: ExecTier,
@@ -110,7 +106,7 @@ struct Options {
 fn usage() -> String {
     "usage: tpal-run FILE [--ir [--mode serial|heartbeat|expanded|eager]] \
      [--set reg=int]... [--heartbeat N] [--tau N] [--sim CORES | --rt WORKERS] \
-     [--linux | --nautilus] [--policy P[/V[/C]]] [--victim V] \
+     [--linux | --nautilus] [--policy P[/V]] \
      [--heartbeat-source ping|local-timer|signal] \
      [--exec-tier ref|decoded|threaded] \
      [--newest-first] [--print] [--trace OUT.json] [--profile]"
@@ -131,8 +127,7 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
         ir: false,
         mode: tpal::ir::Mode::Heartbeat,
         order: PromotionOrder::OldestFirst,
-        policy: Policy::default(),
-        policy_given: false,
+        promotion: Promotion::default(),
         heartbeat_source: None,
         exec_tier: ExecTier::default(),
         trace_out: None,
@@ -141,6 +136,9 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
     let need = |args: &mut std::env::Args, what: &str| {
         args.next().ok_or_else(|| format!("{what} needs a value"))
     };
+    // Read once the substrate is known: the victim segment it accepts is
+    // the substrate's.
+    let mut policy = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--set" => {
@@ -177,24 +175,7 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
                         .map_err(|e| format!("--rt: {e}"))?,
                 );
             }
-            "--policy" => {
-                let spec = need(&mut args, "--policy")?;
-                let parsed = Policy::parse(&spec).map_err(|e| format!("--policy: {e}"))?;
-                opts.policy.promotion = parsed.promotion;
-                // Only override the victim half when the spec named one,
-                // so `--victim` and a bare `--policy` compose. The
-                // channel-wake third segment rides along the same way.
-                if spec.contains('/') {
-                    opts.policy.victim = parsed.victim;
-                    opts.policy.chan_wake = parsed.chan_wake;
-                }
-                opts.policy_given = true;
-            }
-            "--victim" => {
-                opts.policy.victim = Victim::parse(&need(&mut args, "--victim")?)
-                    .map_err(|e| format!("--victim: {e}"))?;
-                opts.policy_given = true;
-            }
+            "--policy" => policy = Some(need(&mut args, "--policy")?),
             "--heartbeat-source" => {
                 let spec = need(&mut args, "--heartbeat-source")?;
                 opts.heartbeat_source = Some(HeartbeatSource::parse(&spec).ok_or_else(|| {
@@ -245,11 +226,18 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
                 .to_owned(),
         );
     }
-    if opts.policy_given && opts.sim_cores.is_none() && opts.rt_workers.is_none() {
-        return Err(
-            "--policy/--victim need a simulator or runtime run (--sim CORES | --rt WORKERS)"
-                .to_owned(),
-        );
+    if let Some(label) = policy {
+        let domain = match (opts.sim_cores, opts.rt_workers) {
+            (Some(_), _) => Domain::Sim,
+            (_, Some(_)) => Domain::Rt,
+            _ => {
+                return Err(
+                    "--policy needs a simulator or runtime run (--sim CORES | --rt WORKERS)"
+                        .to_owned(),
+                )
+            }
+        };
+        opts.promotion = Promotion::parse(&label, domain).map_err(|e| format!("--policy: {e}"))?;
     }
     if opts.heartbeat_source.is_some() && opts.rt_workers.is_none() {
         return Err("--heartbeat-source needs a native-runtime run (--rt WORKERS)".to_owned());
@@ -342,7 +330,7 @@ fn main() -> ExitCode {
             SimConfig::nautilus(cores, heartbeat)
         };
         config.promotion_order = opts.order;
-        config.policy = opts.policy;
+        config.promotion = opts.promotion;
         config.exec_tier = opts.exec_tier;
         config.record_trace = opts.trace_out.is_some() || opts.profile;
         let mut sim = Sim::new(&program, config);
@@ -356,7 +344,7 @@ fn main() -> ExitCode {
             Ok(out) => {
                 println!(
                     "simulated {cores} cores, ♥ = {heartbeat}, policy = {}:",
-                    opts.policy.label()
+                    opts.promotion.label(Domain::Sim)
                 );
                 dump(&named_regs(&|name| out.read_reg(name)));
                 println!(
@@ -421,15 +409,11 @@ fn main() -> ExitCode {
         }
         // One job is ever injected and its tasks stay on the worker that
         // picks it up, so whatever `--rt N` says the pool has one worker.
-        // The runtime's historical victim policy is `sequence`; an
-        // explicit --policy/--victim overrides it.
         let mut rt_config = RtConfig::default()
             .workers(1)
             .heartbeat(Duration::from_micros(heartbeat))
+            .promotion(opts.promotion)
             .trace(opts.trace_out.is_some() || opts.profile);
-        if opts.policy_given {
-            rt_config = rt_config.policy(opts.policy);
-        }
         if let Some(source) = opts.heartbeat_source {
             rt_config = rt_config.source(source);
         }
@@ -440,7 +424,7 @@ fn main() -> ExitCode {
                     "native runtime, {} worker, ♥ = {heartbeat}µs, \
                      policy = {}, source = {}:",
                     rt.workers(),
-                    rt_config.policy.label(),
+                    rt_config.promotion.label(Domain::Rt),
                     rt_config.source.label()
                 );
                 dump(&named_regs(&|name| out.read_reg(name)));

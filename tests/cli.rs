@@ -107,10 +107,40 @@ fn policy_flags_work_on_the_rt_substrate() {
 fn policy_still_rejected_without_a_parallel_substrate() {
     let (ok, _, stderr) = tpal_run(&["programs/fib.tpal", "--set", "n=10", "--policy", "eager"]);
     assert!(!ok, "machine runs must reject --policy");
-    assert!(
-        stderr.contains("--policy/--victim need"),
-        "got stderr:\n{stderr}"
-    );
+    assert!(stderr.contains("--policy needs"), "got stderr:\n{stderr}");
+}
+
+#[test]
+fn retired_policy_labels_are_refused_by_name() {
+    for (substrate, label, names) in [
+        ("--sim", "adaptive:5000/locality", "`adaptive:5000`"),
+        ("--sim", "eager/locality", "`locality`"),
+        ("--sim", "heartbeat/sequence", "`sequence`"),
+        ("--rt", "heartbeat/uniform/random", "`random`"),
+    ] {
+        let args = ["programs/fib.tpal", "--set", "n=10", substrate, "2"];
+        let (ok, _, stderr) = tpal_run(&[&args[..], &["--policy", label]].concat());
+        assert!(!ok, "{substrate} --policy {label} must be refused");
+        assert!(
+            stderr.contains("--policy") && stderr.contains(names),
+            "{label}: {stderr}"
+        );
+    }
+    // The header names each substrate's own steal rule, whichever
+    // victim an rt label gave.
+    for (substrate, label, header) in [
+        ("--sim", "never", "policy = never/uniform"),
+        ("--rt", "never/uniform", "policy = never/sequence"),
+    ] {
+        let args = ["programs/fib.tpal", "--set", "n=10", substrate, "2"];
+        let (ok, stdout, stderr) = tpal_run(&[&args[..], &["--policy", label]].concat());
+        assert!(ok, "{label}: {stderr}");
+        assert!(stdout.contains(header), "{label}: {stdout}");
+        assert!(stdout.contains("f = 55"), "{label}: {stdout}");
+    }
+    let (ok, _, stderr) = tpal_run(&["programs/fib.tpal", "--sim", "2", "--victim", "uniform"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown argument `--victim`"), "{stderr}");
 }
 
 #[test]

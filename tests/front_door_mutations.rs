@@ -25,7 +25,7 @@ const TPL_SOURCES: [&str; 4] = [
 
 const REQUESTS: [&str; 3] = [
     r#"{"source":"main: [.]\n  r := 6\n  r := r * 7\n  halt\n"}"#,
-    r#"{"source":"fn main(n) { return n; }","ir":true,"mode":"expanded","substrate":"sim","cores":4,"linux":true,"heartbeat":3000,"policy":"adaptive:4/locality/random","tier":"decoded","seed":"18446744073709551615","step_limit":200000000,"sets":{"n":1000,"m":"-7"},"include":["trace","profile","metrics"]}"#,
+    r#"{"source":"fn main(n) { return n; }","ir":true,"mode":"expanded","substrate":"sim","cores":4,"linux":true,"heartbeat":3000,"policy":"eager/uniform","tier":"decoded","seed":"18446744073709551615","step_limit":200000000,"sets":{"n":1000,"m":"-7"},"include":["trace","profile","metrics"]}"#,
     r#"{"source":"main: halt","substrate":"rt","workers":2,"heartbeat_source":"signal","sets":{}}"#,
 ];
 

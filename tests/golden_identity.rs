@@ -15,7 +15,7 @@ use tpal::core::asm::{parse_program, print_program};
 use tpal::core::isa::{Label, Reg};
 use tpal::core::program::Program;
 use tpal::ir::{lower, parse_ir, Mode};
-use tpal::serve::spec::{Fnv1a, RunSpec};
+use tpal::serve::spec::{hex_decode, hex_encode, Fnv1a, RunSpec};
 use tpal::workloads::{all_workloads, Scale};
 use tpal_sched::HeartbeatSource;
 
@@ -165,6 +165,59 @@ fn front_ends_are_bit_identical_to_the_recorded_parent() {
             .unwrap_or_else(|| "the tables differ in length".to_owned());
         panic!("{differing}\n--- the whole actual table ---\n{actual}--- end ---");
     }
+}
+
+/// A token an older server minted may carry a label that is no longer
+/// in the vocabulary: it fails to decode with the value named, never as
+/// a neighbouring run. An rt token naming the simulator's victim still
+/// decodes, and re-renders with the runtime's own.
+#[test]
+fn tokens_with_retired_labels_fail_by_name() {
+    let sim = RunSpec::sim(2).set("main.n", 500);
+    let rt = RunSpec::rt(3).set("n", 20);
+    let edit = |spec: &RunSpec, from: &str, to: &str| {
+        let payload = hex_decode(&spec.token(7)["r1-".len()..]).unwrap();
+        let payload = String::from_utf8(payload).unwrap();
+        let from = format!("\"policy\":\"{from}\"");
+        assert!(payload.contains(&from), "{payload}");
+        let edited = payload.replace(&from, &format!("\"policy\":\"{to}\""));
+        format!("r1-{}", hex_encode(edited.as_bytes()))
+    };
+    for (spec, from, to, names) in [
+        (
+            &sim,
+            "heartbeat/uniform",
+            "adaptive:40/uniform",
+            "`adaptive:40`",
+        ),
+        (&sim, "heartbeat/uniform", "eager/locality", "`locality`"),
+        (
+            &sim,
+            "heartbeat/uniform",
+            "heartbeat/uniform/random",
+            "`random`",
+        ),
+        (
+            &sim,
+            "heartbeat/uniform",
+            "heartbeat/sequence",
+            "`sequence`",
+        ),
+        (
+            &rt,
+            "heartbeat/sequence",
+            "adaptive:40/sequence",
+            "`adaptive:40`",
+        ),
+        (&rt, "heartbeat/sequence", "never/locality", "`locality`"),
+    ] {
+        let e = RunSpec::from_token(&edit(spec, from, to)).unwrap_err();
+        assert!(e.contains(names) && e.contains("policy"), "{to}: {e}");
+    }
+    let token = edit(&rt, "heartbeat/sequence", "heartbeat/uniform");
+    let (hash, decoded) = RunSpec::from_token(&token).expect("an rt `/uniform` token decodes");
+    assert_eq!((hash, &decoded), (7, &rt));
+    assert_eq!(decoded.token(7), rt.token(7));
 }
 
 /// One token in full, so a digest mismatch above can be read, and the

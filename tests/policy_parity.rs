@@ -1,11 +1,10 @@
-//! Cross-domain policy parity: one shared [`Policy`] object must induce
+//! Cross-domain policy parity: one shared [`Promotion`] value must induce
 //! the same qualitative scheduling behaviour in both execution domains —
 //! the simulator's deterministic cycle domain and the native runtime's
 //! RDTSC tick domain.
 //!
-//! The same policy value is handed to `SimConfig` and `RtConfig`; the
-//! suite then checks the policy ordering that defines each promotion
-//! policy's meaning:
+//! The same value is handed to `SimConfig` and `RtConfig`; the suite
+//! then checks the ordering that defines each promotion rule's meaning:
 //!
 //! * `never`  — zero promotions (the "interrupts only" configuration),
 //! * `heartbeat` — promotions gated on delivered beats,
@@ -21,28 +20,24 @@ use std::time::Duration;
 
 use tpal::ir::lower::{lower, Mode};
 use tpal::rt::{HeartbeatSource, RtConfig, RtStats, Runtime};
-use tpal::sim::{Policy, Sim, SimConfig, SimStats};
+use tpal::sim::{Domain, Promotion, Sim, SimConfig, SimStats};
 use tpal::workloads::{workload, Scale};
 
-/// The shared policy objects under test — parsed once, used verbatim in
-/// both domains.
-fn shared_policies() -> [(&'static str, Policy); 3] {
-    [
-        ("heartbeat", Policy::parse("heartbeat").unwrap()),
-        ("eager", Policy::parse("eager").unwrap()),
-        ("never", Policy::parse("never").unwrap()),
-    ]
+/// The shared promotion rules under test — used verbatim in both
+/// domains.
+fn shared_policies() -> [(&'static str, Promotion); 3] {
+    Promotion::ALL.map(|p| (p.name(), p))
 }
 
 /// Runs the quick plus-reduce workload on the simulator under `policy`
 /// and returns the run's stats, asserting the checksum.
-fn sim_stats(policy: Policy) -> SimStats {
+fn sim_stats(policy: Promotion) -> SimStats {
     let spec = workload("plus-reduce-array")
         .expect("known workload")
         .sim_spec(Scale::Quick);
     let lowered = lower(&spec.ir, Mode::Heartbeat).unwrap();
     let mut config = SimConfig::nautilus(4, 3_000);
-    config.policy = policy;
+    config.promotion = policy;
     let mut sim = Sim::new(&lowered.program, config);
     for (pname, data) in &spec.input.arrays {
         let base = sim.alloc_array(data);
@@ -56,7 +51,7 @@ fn sim_stats(policy: Policy) -> SimStats {
         out.read_reg(&lowered.result_reg),
         Some(spec.expected),
         "checksum under {}",
-        policy.label()
+        policy.label(Domain::Sim)
     );
     out.stats
 }
@@ -71,7 +66,7 @@ const RT_STRIDE: usize = 32;
 /// adaptive pacer is off: the eager floor below counts promotion-ready
 /// points per fixed `RT_STRIDE` block, which coarsened strides would
 /// erase.
-fn rt_stats(policy: Policy, source: HeartbeatSource) -> RtStats {
+fn rt_stats(policy: Promotion, source: HeartbeatSource) -> RtStats {
     let rt = Runtime::new(
         RtConfig::default()
             .workers(2)
@@ -79,14 +74,14 @@ fn rt_stats(policy: Policy, source: HeartbeatSource) -> RtStats {
             .source(source)
             .poll_stride(RT_STRIDE)
             .poll_adaptive(false)
-            .policy(policy),
+            .promotion(policy),
     );
     let total = rt.run(|ctx| ctx.reduce(0..RT_N, 0u64, |_, i, acc| acc + i as u64, |a, b| a + b));
     assert_eq!(
         total,
         (RT_N as u64 - 1) * RT_N as u64 / 2,
         "sum under {}",
-        policy.label()
+        policy.label(Domain::Rt)
     );
     rt.stats()
 }
@@ -192,7 +187,7 @@ fn rt_signal_storm_keeps_checksums_and_beat_accounting() {
             .workers(2)
             .heartbeat(Duration::from_micros(50))
             .source(HeartbeatSource::TimerSignal)
-            .policy(Policy::parse("heartbeat").unwrap()),
+            .promotion(Promotion::Heartbeat),
     );
     for round in 0..20usize {
         let n = 400_000 + round * 10_000;
