@@ -1,21 +1,14 @@
-//! Figure 10: achieved versus target heartbeat rate, Linux (ping
-//! thread) versus Nautilus (per-core timer), at the leisurely and
-//! aggressive intervals.
-//!
-//! Two reproductions are reported:
-//!
-//! * **simulated, 15 cores** — the delivery models of `tpal-sim`, where
-//!   the sequential ping round provably cannot meet `P × latency > ♥`;
-//! * **native** — the real ping thread (sleep-based) and the real local
-//!   timer on this machine's workers, measured over a fixed busy
-//!   workload.
+//! Figure 10, native half: achieved versus target heartbeat rate, the
+//! real ping thread (sleep-based) versus the real local timer on this
+//! machine's workers, at the leisurely and aggressive intervals,
+//! measured over a fixed busy workload. The simulated half (15 cores,
+//! where the sequential ping round cannot meet `P × latency > ♥`) is a
+//! figure of the `figures` table.
 
 use std::time::Duration;
 
-use tpal_bench::{banner, run_sim, scale, SIM_CORES, SIM_HEARTBEAT, SIM_HEARTBEAT_FAST};
-use tpal_ir::lower::Mode;
+use tpal_bench::{banner, scale};
 use tpal_rt::{HeartbeatSource, RtConfig, Runtime};
-use tpal_sim::SimConfig;
 
 fn native_rate(source: HeartbeatSource, us: u64, workers: usize) -> (f64, f64) {
     let rt = Runtime::new(
@@ -52,34 +45,9 @@ fn native_rate(source: HeartbeatSource, us: u64, workers: usize) -> (f64, f64) {
 fn main() {
     banner(
         "Figure 10",
-        "achieved vs target heartbeat rate (Linux ping thread vs per-core timer)",
+        "native: achieved vs target heartbeat rate (ping thread vs local timer)",
     );
 
-    // --- Simulated, 15 cores, every workload -------------------------
-    println!("\nsimulated (15 cores): fraction of target rate achieved");
-    println!(
-        "{:<22} {:>12} {:>12} {:>12} {:>12}",
-        "benchmark", "linux ♥=3k", "naut ♥=3k", "linux ♥=600", "naut ♥=600"
-    );
-    for w in tpal_workloads::all_workloads() {
-        let spec = w.sim_spec(scale());
-        let mut row = format!("{:<22}", w.name());
-        for cfg in [
-            SimConfig::linux(SIM_CORES, SIM_HEARTBEAT),
-            SimConfig::nautilus(SIM_CORES, SIM_HEARTBEAT),
-            SimConfig::linux(SIM_CORES, SIM_HEARTBEAT_FAST),
-            SimConfig::nautilus(SIM_CORES, SIM_HEARTBEAT_FAST),
-        ] {
-            let out = run_sim(&spec, Mode::Heartbeat, cfg);
-            row.push_str(&format!(
-                " {:>11.0}%",
-                out.heartbeat_rate_achieved() * 100.0
-            ));
-        }
-        println!("{row}");
-    }
-
-    // --- Native --------------------------------------------------------
     let workers = tpal_bench::native_workers();
     println!("\nnative ({workers} workers): delivered heartbeats per second (and % of target)");
     println!(

@@ -1,19 +1,18 @@
-//! Shared harness utilities for the figure-reproduction benchmarks.
-//!
-//! Each `benches/figNN_*.rs` target regenerates one table or figure of
-//! the paper (see `DESIGN.md` for the index and `EXPERIMENTS.md` for
-//! recorded results). All targets honour `TPAL_BENCH_MODE=quick|full`
-//! (default `quick`) and print plain-text tables to stdout.
+//! Harnesses regenerating the paper's figures: the simulated ones are
+//! one table, [`figures`]; each native `benches/figNN_*.rs` target times
+//! one figure with the helpers here (`DESIGN.md` has the index,
+//! `EXPERIMENTS.md` the results). All targets honour
+//! `TPAL_BENCH_MODE=quick|full` (default `quick`) and print plain text.
 
 #![warn(missing_docs)]
 
 use std::time::{Duration, Instant};
 
-use tpal_ir::lower::{lower, Mode};
-use tpal_sim::{Sim, SimConfig, SimOutcome};
-use tpal_workloads::{Scale, SimSpec};
+use tpal_workloads::Scale;
 
 pub use tpal_workloads::all_workloads;
+
+pub mod figures;
 
 /// The scale selected by `TPAL_BENCH_MODE`.
 pub fn scale() -> Scale {
@@ -40,35 +39,6 @@ pub fn time_native(expected: i64, mut f: impl FnMut() -> i64) -> Duration {
         assert_eq!(got, expected, "benchmark kernel returned a wrong checksum");
     }
     best
-}
-
-/// Runs a workload's simulator spec in the given mode/config, asserting
-/// the checksum.
-pub fn run_sim(spec: &SimSpec, mode: Mode, config: SimConfig) -> SimOutcome {
-    let lowered = lower(&spec.ir, mode).expect("lowering");
-    let mut sim = Sim::new(&lowered.program, config);
-    for (name, data) in &spec.input.arrays {
-        let base = sim.alloc_array(data);
-        sim.set_reg(&lowered.param_reg(name), base)
-            .expect("array param");
-    }
-    for (name, v) in &spec.input.ints {
-        sim.set_reg(&lowered.param_reg(name), *v)
-            .expect("int param");
-    }
-    let out = sim.run().expect("simulation");
-    assert_eq!(
-        out.read_reg(&lowered.result_reg),
-        Some(spec.expected),
-        "simulated checksum mismatch"
-    );
-    out
-}
-
-/// The simulated serial-baseline makespan of a spec (1 core, serial
-/// lowering, no interrupts).
-pub fn sim_serial_time(spec: &SimSpec) -> u64 {
-    run_sim(spec, Mode::Serial, SimConfig::serial()).time
 }
 
 /// Geometric mean of a slice of ratios.
@@ -104,19 +74,10 @@ pub fn native_workers() -> usize {
         .max(2)
 }
 
-/// The simulated core count of the paper's full-scale runs.
-pub const SIM_CORES: usize = 15;
-
-/// The default simulated heartbeat ♥ in cycles (tuned by the
-/// `heartbeat_tuner` bench, mirroring §4.2's 100µs).
-pub const SIM_HEARTBEAT: u64 = 3_000;
-
-/// The "aggressive" simulated heartbeat, mirroring the paper's 20µs.
-pub const SIM_HEARTBEAT_FAST: u64 = 600;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpal_sim::SimConfig;
 
     #[test]
     fn geomean_of_ones() {
@@ -132,7 +93,7 @@ mod tests {
     fn sim_runner_checks_expectation() {
         let w = tpal_workloads::workload("plus-reduce-array").unwrap();
         let spec = w.sim_spec(Scale::Quick);
-        let t = sim_serial_time(&spec);
-        assert!(t > 0);
+        let out = figures::run_sim(&spec, tpal_ir::lower::Mode::Serial, SimConfig::serial());
+        assert!(out.time > 0);
     }
 }

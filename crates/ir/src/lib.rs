@@ -23,8 +23,8 @@
 //! [`Mode::Heartbeat`] emits the *reduced* style (one loop block plus a
 //! sentinel join record) and [`Mode::HeartbeatExpanded`] the *expanded*
 //! style (separate serial and parallel loop blocks, a join-free serial
-//! path, duplicated bodies); the `ablation_block_style` bench measures
-//! the trade.
+//! path, duplicated bodies); the block-style ablation of `tpal-bench`'s
+//! `figures` table measures the trade.
 //!
 //! The lowered [`tpal_core::Program`]s run on the reference machine or on
 //! the `tpal-sim` multicore simulator; the benchmark suite in
