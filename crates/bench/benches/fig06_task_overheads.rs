@@ -11,9 +11,10 @@
 
 use std::time::Duration;
 
-use tpal_bench::{all_workloads, banner, geomean, ms, scale, time_native};
+use tpal_bench::{banner, geomean, ms, paper_then_streaming, scale, time_native, STREAMING_ROWS};
 use tpal_cilk::CilkRuntime;
 use tpal_rt::{HeartbeatSource, RtConfig, Runtime};
+use tpal_workloads::Workload;
 
 fn main() {
     banner(
@@ -33,12 +34,8 @@ fn main() {
         "benchmark", "serial ms", "cilk ms", "tpal ms", "cilk x", "tpal x", "cilk tsk", "tpal tsk"
     );
 
-    let mut cilk_ratios_iter = Vec::new();
-    let mut tpal_ratios_iter = Vec::new();
-    let mut cilk_ratios_rec = Vec::new();
-    let mut tpal_ratios_rec = Vec::new();
-
-    for w in all_workloads() {
+    // Times one workload and prints its row: (cilk x, tpal x).
+    let row = |w: &dyn Workload| {
         let p = w.prepare(scale());
         let expected = p.expected();
 
@@ -54,13 +51,6 @@ fn main() {
 
         let rc = t_cilk.as_secs_f64() / t_serial.as_secs_f64();
         let rt = t_tpal.as_secs_f64() / t_serial.as_secs_f64();
-        if w.is_recursive() {
-            cilk_ratios_rec.push(rc);
-            tpal_ratios_rec.push(rt);
-        } else {
-            cilk_ratios_iter.push(rc);
-            tpal_ratios_iter.push(rt);
-        }
         println!(
             "{:<22} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>7.2}x {:>9} {:>9}",
             w.name(),
@@ -72,6 +62,23 @@ fn main() {
             cilk_tasks,
             tpal_tasks
         );
+        (rc, rt)
+    };
+
+    let (paper, streaming) = paper_then_streaming();
+    let mut cilk_ratios_iter = Vec::new();
+    let mut tpal_ratios_iter = Vec::new();
+    let mut cilk_ratios_rec = Vec::new();
+    let mut tpal_ratios_rec = Vec::new();
+    for w in &paper {
+        let (rc, rt) = row(w.as_ref());
+        if w.is_recursive() {
+            cilk_ratios_rec.push(rc);
+            tpal_ratios_rec.push(rt);
+        } else {
+            cilk_ratios_iter.push(rc);
+            tpal_ratios_iter.push(rt);
+        }
     }
 
     println!(
@@ -84,6 +91,10 @@ fn main() {
         geomean(&cilk_ratios_rec),
         geomean(&tpal_ratios_rec)
     );
+    println!("{STREAMING_ROWS}");
+    for w in &streaming {
+        row(w.as_ref());
+    }
     println!(
         "\npaper's shape: TPAL ≈ serial everywhere (worst case knapsack);\n\
          Cilk shows large single-core slowdowns on fine-grained benchmarks."

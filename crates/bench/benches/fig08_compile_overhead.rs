@@ -9,8 +9,9 @@
 //! check standing in for rollforward, §6's ~2% budget) and any
 //! structural differences in the parallel-ready kernels.
 
-use tpal_bench::{all_workloads, banner, geomean, ms, scale, time_native};
+use tpal_bench::{banner, geomean, ms, paper_then_streaming, scale, time_native, STREAMING_ROWS};
 use tpal_rt::{HeartbeatSource, RtConfig, Runtime};
+use tpal_workloads::Workload;
 
 fn main() {
     banner(
@@ -27,8 +28,8 @@ fn main() {
         "\n{:<22} {:>11} {:>12} {:>9}",
         "benchmark", "serial ms", "tpal-off ms", "ratio"
     );
-    let mut ratios = Vec::new();
-    for w in all_workloads() {
+    // Times one workload and prints its row: the overhead ratio.
+    let row = |w: &dyn Workload| {
         let p = w.prepare(scale());
         let expected = p.expected();
         let t_serial = time_native(expected, || p.run_serial());
@@ -40,7 +41,6 @@ fn main() {
             "interrupts off must stay serial"
         );
         let r = t_off.as_secs_f64() / t_serial.as_secs_f64();
-        ratios.push(r);
         println!(
             "{:<22} {:>11.2} {:>12.2} {:>8.2}x",
             w.name(),
@@ -48,11 +48,19 @@ fn main() {
             ms(t_off),
             r,
         );
-    }
+        r
+    };
+    let (paper, streaming) = paper_then_streaming();
+    let ratios: Vec<f64> = paper.iter().map(|w| row(w.as_ref())).collect();
     println!(
         "\ngeomean instrumentation overhead: {:.2}x",
         geomean(&ratios)
     );
+    println!("{STREAMING_ROWS}");
+    for w in &streaming {
+        row(w.as_ref());
+    }
+    println!();
     println!(
         "paper's shape: ≈1.0x across the suite (worst cases kmeans 1.17x,\n\
          knapsack 1.51x from promotion-mark maintenance)."

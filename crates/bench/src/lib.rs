@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use tpal_workloads::Scale;
+use tpal_workloads::{Scale, Workload};
 
 pub use tpal_workloads::all_workloads;
 
@@ -48,6 +48,19 @@ pub fn geomean(xs: &[f64]) -> f64 {
     }
     (xs.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / xs.len() as f64).exp()
 }
+
+/// A list of workloads.
+pub type Workloads = Vec<Box<dyn Workload>>;
+
+/// The paper's twelve workloads, then the three streaming ones. A
+/// figure's geomeans cover the twelve only; the streaming rows print
+/// below them.
+pub fn paper_then_streaming() -> (Workloads, Workloads) {
+    all_workloads().into_iter().partition(|w| !w.is_streaming())
+}
+
+/// The heading printed above a figure's streaming rows.
+pub const STREAMING_ROWS: &str = "\nstreaming workloads (ours; outside the geomeans):";
 
 /// Prints a header banner for a figure.
 pub fn banner(fig: &str, what: &str) {

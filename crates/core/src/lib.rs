@@ -22,8 +22,9 @@
 //!   interrupts and join resolution (Figures 27 and 30), and typed errors.
 //! * [`cost`] — the cost semantics of Figure 28: series-parallel cost
 //!   graphs summarised as work and span, with the fork-join weight `τ`.
-//! * [`programs`] — the paper's example programs (`prod`, `pow`, `fib`)
-//!   built programmatically, used throughout tests and documentation.
+//! * [`programs`] — the paper's example programs (`prod`, `pow`, `fib`),
+//!   parsed from the shipped `programs/*.tpal` text, used throughout
+//!   tests and documentation.
 //!
 //! # Truth encoding
 //!

@@ -6,6 +6,14 @@
 
 use crate::machine::value::MachineError;
 
+/// The most words the heap may hold once `halloc` has run (2²⁴ words,
+/// 128 MiB): an allocation that would take it past this faults with
+/// [`MachineError::HeapExhausted`] instead of asking the host for it.
+/// The largest heap any registry workload reaches at `Scale::Full`, on
+/// every lowering, is `plus-reduce-array`'s 1 200 001 words (its input
+/// array plus the null word), so this leaves 14× headroom.
+pub const MAX_HEAP_WORDS: usize = 1 << 24;
+
 /// The shared heap of a machine.
 #[derive(Debug, Clone, Default)]
 pub struct Heap {

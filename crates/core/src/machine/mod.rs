@@ -25,7 +25,7 @@ mod value;
 
 pub use channel::{Channel, ChannelStore};
 pub use exec::{Beats, ExecStats, Machine, MachineConfig, Outcome, SchedulePolicy};
-pub use heap::Heap;
+pub use heap::{Heap, MAX_HEAP_WORDS};
 pub use join::{Assoc, JoinId, JoinOutcome, JoinStore};
 pub use stack::{PromotionOrder, StackId, StackRef, StackStore};
 pub use step::{

@@ -16,7 +16,7 @@
 use crate::cost::CostGraph;
 use crate::isa::{Annotation, BinOp, Instr, Label, Operand, Reg};
 use crate::machine::channel::ChannelStore;
-use crate::machine::heap::Heap;
+use crate::machine::heap::{Heap, MAX_HEAP_WORDS};
 use crate::machine::join::{Assoc, JoinId, JoinOutcome, JoinStore, Stash};
 use crate::machine::stack::StackStore;
 use crate::machine::value::{MachineError, RegFile, Value};
@@ -655,6 +655,9 @@ pub fn step_task(
             let n = task.read_operand(size)?.as_int()?;
             if n < 0 {
                 return Err(MachineError::HeapOutOfRange { addr: n });
+            }
+            if n as usize > MAX_HEAP_WORDS.saturating_sub(stores.heap.len()) {
+                return Err(MachineError::HeapExhausted { words: n });
             }
             let base = stores.heap.alloc(n as usize);
             task.regs.write(dst, Value::Int(base));

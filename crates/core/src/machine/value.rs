@@ -222,6 +222,12 @@ pub enum MachineError {
         /// The faulting word address.
         addr: i64,
     },
+    /// `halloc` asked for more words than the heap has left under
+    /// [`MAX_HEAP_WORDS`](crate::machine::MAX_HEAP_WORDS).
+    HeapExhausted {
+        /// The words requested.
+        words: i64,
+    },
     /// `prmsplit` found no promotion-ready mark.
     NoMark,
     /// `join` was issued by a task with no registered dependency on the
@@ -289,6 +295,11 @@ impl fmt::Display for MachineError {
                     "heap access at word address {addr} outside any allocation"
                 )
             }
+            MachineError::HeapExhausted { words } => write!(
+                f,
+                "halloc of {words} words exceeds the heap limit of {} words",
+                crate::machine::MAX_HEAP_WORDS
+            ),
             MachineError::NoMark => write!(f, "prmsplit found no promotion-ready mark"),
             MachineError::JoinWithoutFork => {
                 write!(f, "join issued without a registered dependency edge")

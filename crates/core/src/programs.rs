@@ -1,4 +1,5 @@
-//! The paper's example programs, built programmatically.
+//! The paper's example programs, parsed from the shipped `.tpal` text
+//! (`programs/{prod,pow,fib}.tpal`, compiled into the crate).
 //!
 //! * [`prod`] — the running example (Figures 2, 32–34): `c = a * b` by
 //!   repeated addition, with heartbeat-promotable loop parallelism.
@@ -12,7 +13,8 @@
 //! # Deviations from the paper's listings (documented faithfully)
 //!
 //! The appendix listings contain three defects that any executable
-//! reproduction must address; see `DESIGN.md` for the full discussion:
+//! reproduction must address; see `DESIGN.md` for the full discussion,
+//! and the comments on the `.tpal` blocks that carry each fix:
 //!
 //! 1. **Figure 23, line 46** writes the `joink` continuation through `sp`;
 //!    the prose and Figure 24 show it must go through `sp-top` (the
@@ -31,645 +33,43 @@
 //!    preserves the outer-loop-first policy and is how the paper's own
 //!    stack-mark mechanism (Appendix B.2) behaves.
 
-use crate::isa::{Annotation, BinOp, Instr, JoinPolicy, MemAddr, Operand, Reg, RegMap};
-use crate::program::{Program, ProgramBuilder};
+use crate::asm::parse_program;
+use crate::program::Program;
 
-/// Shorthand instruction constructors used by the program builders (and
-/// exported for tests and the IR lowering crate).
-pub mod build {
-    use super::*;
-
-    /// `dst := src`.
-    pub fn mov(dst: Reg, src: impl Into<Operand>) -> Instr {
-        Instr::Move {
-            dst,
-            src: src.into(),
-        }
-    }
-
-    /// `dst := lhs op rhs`.
-    pub fn op(dst: Reg, o: BinOp, lhs: Reg, rhs: impl Into<Operand>) -> Instr {
-        Instr::Op {
-            dst,
-            op: o,
-            lhs,
-            rhs: rhs.into(),
-        }
-    }
-
-    /// `if-jump cond, target`.
-    pub fn if_jump(cond: Reg, target: impl Into<Operand>) -> Instr {
-        Instr::IfJump {
-            cond,
-            target: target.into(),
-        }
-    }
-
-    /// `jump target`.
-    pub fn jump(target: impl Into<Operand>) -> Instr {
-        Instr::Jump {
-            target: target.into(),
-        }
-    }
-
-    /// `dst := jralloc cont`.
-    pub fn jralloc(dst: Reg, cont: impl Into<Operand>) -> Instr {
-        Instr::JrAlloc {
-            dst,
-            cont: cont.into(),
-        }
-    }
-
-    /// `fork jr, target`.
-    pub fn fork(jr: Reg, target: impl Into<Operand>) -> Instr {
-        Instr::Fork {
-            jr,
-            target: target.into(),
-        }
-    }
-
-    /// `join jr`.
-    pub fn join(jr: Reg) -> Instr {
-        Instr::Join { jr }
-    }
-
-    /// `mem[base + offset]`.
-    pub fn mem(base: Reg, offset: u32) -> MemAddr {
-        MemAddr { base, offset }
-    }
-
-    /// `dst := mem[base + offset]`.
-    pub fn load(dst: Reg, base: Reg, offset: u32) -> Instr {
-        Instr::Load {
-            dst,
-            addr: mem(base, offset),
-        }
-    }
-
-    /// `mem[base + offset] := src`.
-    pub fn store(base: Reg, offset: u32, src: impl Into<Operand>) -> Instr {
-        Instr::Store {
-            addr: mem(base, offset),
-            src: src.into(),
-        }
-    }
+/// Assembles a listing compiled into the crate; a parse error is a
+/// defect in the shipped file, so it panics naming the file.
+fn shipped(file: &str, text: &str) -> Program {
+    parse_program(text).unwrap_or_else(|e| panic!("programs/{file}: {e}"))
 }
 
-use build::*;
-
-/// Builds the paper's running example `prod` (Figure 2): computes
-/// `c = a * b` by repeated addition.
+/// The paper's running example `prod` (Figure 2): computes `c = a * b`
+/// by repeated addition.
 ///
 /// Inputs: registers `a` and `b`. Output: register `c` at `halt`.
 /// The serial blocks run unchanged until a heartbeat fires at the `loop`
 /// promotion-ready point; the handler then splits the remaining
 /// iterations.
 pub fn prod() -> Program {
-    let mut b = ProgramBuilder::new();
-    build_prod_into(&mut b, ProdExit::Halt);
-    b.build().expect("prod is well-formed")
+    shipped("prod.tpal", include_str!("../../../programs/prod.tpal"))
 }
 
-/// How the generated `prod` blocks terminate: standalone (`halt`) or as a
-/// callable routine (`jump ret`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProdExit {
-    Halt,
-    JumpRet,
-}
-
-/// Emits prod's blocks into `b`. The `exit_kind` selects between the
-/// standalone program of Figure 2 and the callable variant used inside
-/// `pow` (Appendix B.1), which returns through the `ret` register and
-/// funnels its heartbeat handlers through `pow`'s outermost-first logic.
-fn build_prod_into(b: &mut ProgramBuilder, exit_kind: ProdExit) {
-    let (ra, rb, rc, rr, rr2, rt, rm, rn, rtr, rjr) = (
-        b.reg("a"),
-        b.reg("b"),
-        b.reg("c"),
-        b.reg("r"),
-        b.reg("r2"),
-        b.reg("t"),
-        b.reg("m"),
-        b.reg("n"),
-        b.reg("tr"),
-        b.reg("jr"),
-    );
-    let l_exit = b.label("exit");
-    let l_loop = b.label("loop");
-    let l_promote = b.label("loop_promote");
-    let l_par = b.label("loop_par");
-    let l_comb = b.label("comb");
-    let l_exit_par = b.label("exit_par");
-
-    // prod: [·]  r := 0; jump loop
-    let mut entry = vec![mov(rr, 0)];
-    if exit_kind == ProdExit::JumpRet {
-        // Inside pow, a fresh call must forget any previous inner record.
-        entry.push(mov(rjr, 0));
-    }
-    entry.push(jump(l_loop));
-    b.block("prod", entry);
-
-    // exit: [jtppt assoc-comm; {r ↦ r2}; comb]  c := r; halt / jump ret
-    let exit_term = match exit_kind {
-        ProdExit::Halt => Instr::Halt,
-        ProdExit::JumpRet => jump(b.reg("ret")),
-    };
-    b.annotated_block(
-        "exit",
-        Annotation::JoinTarget {
-            policy: JoinPolicy::AssocComm,
-            merge: RegMap::new().with(rr, rr2),
-            comb: l_comb,
-        },
-        vec![mov(rc, rr), exit_term],
-    );
-
-    // The handlers the loop blocks divert to. Standalone prod uses its own
-    // (Figure 33); inside pow they are pow's outermost-first funnels.
-    let (loop_handler, par_handler) = match exit_kind {
-        ProdExit::Halt => (b.label("loop_try_promote"), b.label("loop_par_try_promote")),
-        ProdExit::JumpRet => (b.label("inner_try"), b.label("inner_par_try")),
-    };
-
-    // loop: [prppt ★]  if-jump a, exit; r := r + b; a := a - 1; jump loop
-    b.annotated_block(
-        "loop",
-        Annotation::PromotionReady {
-            handler: loop_handler,
-        },
-        vec![
-            if_jump(ra, l_exit),
-            op(rr, BinOp::Add, rr, rb),
-            op(ra, BinOp::Sub, ra, 1),
-            jump(l_loop),
-        ],
-    );
-
-    if exit_kind == ProdExit::Halt {
-        // loop_try_promote: first promotion allocates the join record.
-        b.block(
-            "loop_try_promote",
-            vec![
-                op(rt, BinOp::Lt, ra, 2),
-                if_jump(rt, l_loop),
-                jralloc(rjr, l_exit),
-                jump(l_promote),
-            ],
-        );
-        // loop_par_try_promote: later promotions share the record.
-        b.block(
-            "loop_par_try_promote",
-            vec![
-                op(rt, BinOp::Lt, ra, 2),
-                if_jump(rt, l_par),
-                jump(l_promote),
-            ],
-        );
-    }
-
-    // loop_promote: split remaining iterations between parent and child.
-    //
-    // Inside pow, the inner child must not inherit ownership of the outer
-    // loop's iterations (deviation 3 in the module docs), so ownership is
-    // parked at 1 (non-owner) across the fork and restored afterwards.
-    let mut promote = vec![
-        op(rm, BinOp::Div, ra, 2),
-        op(rn, BinOp::Mod, ra, 2),
-        mov(ra, rm),
-        mov(rtr, rr),
-        mov(rr, 0),
-    ];
-    if exit_kind == ProdExit::JumpRet {
-        let rown = b.reg("own");
-        let rtown = b.reg("town");
-        promote.push(mov(rtown, rown));
-        promote.push(mov(rown, 1));
-        promote.push(fork(rjr, l_par));
-        promote.push(mov(rown, rtown));
-    } else {
-        promote.push(fork(rjr, l_par));
-    }
-    promote.extend([
-        op(ra, BinOp::Add, rm, Operand::Reg(rn)),
-        mov(rr, rtr),
-        jump(l_par),
-    ]);
-    b.block("loop_promote", promote);
-
-    // loop_par: [prppt ★]
-    b.annotated_block(
-        "loop_par",
-        Annotation::PromotionReady {
-            handler: par_handler,
-        },
-        vec![
-            if_jump(ra, l_exit_par),
-            op(rr, BinOp::Add, rr, rb),
-            op(ra, BinOp::Sub, ra, 1),
-            jump(l_par),
-        ],
-    );
-
-    // comb: r := r + r2; join jr
-    b.block("comb", vec![op(rr, BinOp::Add, rr, rr2), join(rjr)]);
-
-    // exit_par: join jr
-    b.block("exit_par", vec![join(rjr)]);
-}
-
-/// Builds the nested-loop example `pow` (Appendix B.1): computes
-/// `f = d^e` by iterating the inner `prod` loop, with heartbeat promotion
-/// preferring the *outermost* latent parallelism.
+/// The nested-loop example `pow` (Appendix B.1): computes `f = d^e` by
+/// iterating the inner `prod` loop, with heartbeat promotion preferring
+/// the *outermost* latent parallelism.
 ///
 /// Inputs: registers `d` and `e` (`e ≥ 0`). Output: register `f` at
 /// `halt`. Uses multiplicative splitting of the outer loop
 /// (`d^e = d^(m+n) · d^m`) exactly as Figure 18's `ploop-promote`.
 pub fn pow() -> Program {
-    let mut b = ProgramBuilder::new();
-
-    // Inner prod in callable form (handlers funnel through pow's).
-    build_prod_into(&mut b, ProdExit::JumpRet);
-
-    let (rd, re, rf, rpr, rpr2, rpjr, rret) = (
-        b.reg("d"),
-        b.reg("e"),
-        b.reg("f"),
-        b.reg("pr"),
-        b.reg("pr2"),
-        b.reg("pjr"),
-        b.reg("ret"),
-    );
-    let (ra, rb, rc, rjr, rt) = (b.reg("a"), b.reg("b"), b.reg("c"), b.reg("jr"), b.reg("t"));
-    // Ownership flag for outer iterations: 0 (true) = owner.
-    let rown = b.reg("own");
-    let rtown = b.reg("town");
-    let (rm, rn, rtpr) = (b.reg("m"), b.reg("n"), b.reg("tpr"));
-    // Handler plumbing registers.
-    let rpabort = b.reg("pabort");
-    let rpcont = b.reg("pcont");
-
-    let l_prod = b.label("prod");
-    let l_loop = b.label("loop");
-    let l_par = b.label("loop_par");
-    let l_inner_promote = b.label("loop_promote");
-    let l_exit = b.label("exit");
-
-    let l_pow = b.label("pow");
-    let l_ploop = b.label("ploop");
-    let l_ploop_cont = b.label("ploop_cont");
-    let l_pexit = b.label("pexit");
-    let l_ploop_par = b.label("ploop_par");
-    let l_ploop_par_cont = b.label("ploop_par_cont");
-    let l_pjoin = b.label("pjoin");
-    let l_pcomb = b.label("pcomb");
-    let l_ptry = b.label("ptry_promote");
-    let l_ptry_par = b.label("ptry_par_promote");
-    let l_inner_try = b.label("inner_try");
-    let l_inner_par_try = b.label("inner_par_try");
-    let l_outer_try = b.label("outer_try");
-    let l_outer_check = b.label("outer_check");
-    let l_outer_alloc = b.label("outer_alloc");
-    let l_outer_promote = b.label("outer_promote");
-    let l_inner_only = b.label("inner_only_try");
-    let l_inner_alloc = b.label("inner_alloc");
-    let l_abort = b.label("abort");
-
-    // pow: [·]
-    b.block(
-        "pow",
-        vec![
-            mov(rpr, 1),
-            mov(rpjr, 0),
-            mov(rjr, 0),
-            mov(rown, 0), // we own the outer iterations
-            mov(ra, 0),   // inner state starts empty (read by handlers)
-            jump(l_ploop),
-        ],
-    );
-    let _ = l_pow;
-
-    // pexit: [jtppt assoc-comm; {pr ↦ pr2}; pcomb]  f := pr; halt
-    b.annotated_block(
-        "pexit",
-        Annotation::JoinTarget {
-            policy: JoinPolicy::AssocComm,
-            merge: RegMap::new().with(rpr, rpr2),
-            comb: l_pcomb,
-        },
-        vec![mov(rf, rpr), Instr::Halt],
-    );
-
-    // ploop: [prppt ptry_promote]
-    b.annotated_block(
-        "ploop",
-        Annotation::PromotionReady { handler: l_ptry },
-        vec![
-            if_jump(re, l_pexit),
-            mov(ra, rd),
-            mov(rb, rpr),
-            mov(rret, l_ploop_cont),
-            jump(l_prod),
-        ],
-    );
-
-    // ploop_cont: pr := c; e := e - 1; jump ploop
-    b.block(
-        "ploop_cont",
-        vec![mov(rpr, rc), op(re, BinOp::Sub, re, 1), jump(l_ploop)],
-    );
-
-    // ploop_par: [prppt ptry_par_promote]
-    b.annotated_block(
-        "ploop_par",
-        Annotation::PromotionReady {
-            handler: l_ptry_par,
-        },
-        vec![
-            if_jump(re, l_pjoin),
-            mov(ra, rd),
-            mov(rb, rpr),
-            mov(rret, l_ploop_par_cont),
-            jump(l_prod),
-        ],
-    );
-
-    b.block(
-        "ploop_par_cont",
-        vec![mov(rpr, rc), op(re, BinOp::Sub, re, 1), jump(l_ploop_par)],
-    );
-
-    // pjoin: join pjr
-    b.block("pjoin", vec![join(rpjr)]);
-
-    // pcomb: pr := pr * pr2; join pjr
-    b.block("pcomb", vec![op(rpr, BinOp::Mul, rpr, rpr2), join(rpjr)]);
-
-    // ----- heartbeat handlers (outermost-first funnel) -----
-
-    // From the outer serial loop.
-    b.block(
-        "ptry_promote",
-        vec![
-            mov(rpabort, l_ploop),
-            mov(rpcont, l_ploop_par),
-            jump(l_outer_try),
-        ],
-    );
-    // From the outer parallel loop.
-    b.block(
-        "ptry_par_promote",
-        vec![
-            mov(rpabort, l_ploop_par),
-            mov(rpcont, l_ploop_par),
-            jump(l_outer_try),
-        ],
-    );
-    // From the inner serial loop.
-    b.block(
-        "inner_try",
-        vec![mov(rpabort, l_loop), mov(rpcont, l_loop), jump(l_outer_try)],
-    );
-    // From the inner parallel loop.
-    b.block(
-        "inner_par_try",
-        vec![mov(rpabort, l_par), mov(rpcont, l_par), jump(l_outer_try)],
-    );
-
-    // outer_try: only the owner of outer iterations may promote them.
-    b.block(
-        "outer_try",
-        vec![if_jump(rown, l_outer_check), jump(l_inner_only)],
-    );
-    b.block(
-        "outer_check",
-        vec![
-            op(rt, BinOp::Lt, re, 2),
-            if_jump(rt, l_inner_only),
-            if_jump(rpjr, l_outer_alloc),
-            jump(l_outer_promote),
-        ],
-    );
-    b.block(
-        "outer_alloc",
-        vec![jralloc(rpjr, l_pexit), jump(l_outer_promote)],
-    );
-    // outer_promote: the ploop-promote of Figure 18, plus retargeting the
-    // in-flight inner return continuation to the parallel outer loop.
-    b.block(
-        "outer_promote",
-        vec![
-            op(rm, BinOp::Div, re, 2),
-            op(rn, BinOp::Mod, re, 2),
-            mov(re, rm),
-            mov(rtpr, rpr),
-            mov(rpr, 1),
-            mov(rret, l_ploop_par_cont),
-            fork(rpjr, l_ploop_par),
-            op(re, BinOp::Add, rm, Operand::Reg(rn)),
-            mov(rpr, rtpr),
-            jump(rpcont),
-        ],
-    );
-
-    // inner_only_try: the prod promotion path, gated on remaining inner
-    // iterations, transferring outer ownership away from the inner child.
-    b.block(
-        "inner_only_try",
-        vec![
-            op(rt, BinOp::Lt, ra, 2),
-            if_jump(rt, l_abort),
-            if_jump(rjr, l_inner_alloc),
-            jump(l_inner_promote),
-        ],
-    );
-    b.block("abort", vec![jump(rpabort)]);
-    b.block(
-        "inner_alloc",
-        vec![jralloc(rjr, l_exit), jump(l_inner_promote)],
-    );
-
-    let _ = (rtown, l_pow, l_inner_try, l_inner_par_try);
-    let pow_entry = b.label("pow");
-    b.entry(pow_entry);
-    b.build().expect("pow is well-formed")
+    shipped("pow.tpal", include_str!("../../../programs/pow.tpal"))
 }
 
-/// Builds the recursive example `fib` (Appendix B.2): computes the n-th
+/// The recursive example `fib` (Appendix B.2): computes the n-th
 /// Fibonacci number with stack-based promotion-ready marks.
 ///
 /// Input: register `n`. Output: register `f` at `halt`.
 pub fn fib() -> Program {
-    let mut b = ProgramBuilder::new();
-
-    let (rn, rf, rf2, rt, rsp, rsp_top, rtop, rjr, rtn, rtsp, rret) = (
-        b.reg("n"),
-        b.reg("f"),
-        b.reg("f2"),
-        b.reg("t"),
-        b.reg("sp"),
-        b.reg("sp_top"),
-        b.reg("top"),
-        b.reg("jr"),
-        b.reg("tn"),
-        b.reg("tsp"),
-        b.reg("ret"),
-    );
-
-    let l_fib = b.label("fib");
-    let l_exit = b.label("exit");
-    let l_loop = b.label("loop");
-    let l_retk = b.label("retk");
-    let l_branch1 = b.label("branch1");
-    let l_branch2 = b.label("branch2");
-    let l_try = b.label("loop_try_promote");
-    let l_par_try = b.label("loop_par_try_promote");
-    let l_promote = b.label("loop_promote");
-    let l_comb = b.label("comb");
-    let l_joink = b.label("joink");
-    let l_par = b.label("loop_par");
-    let l_done = b.label("done");
-
-    // main: sp := snew; ret := done; jump fib
-    b.block(
-        "main",
-        vec![Instr::SNew { dst: rsp }, mov(rret, l_done), jump(l_fib)],
-    );
-    b.block("done", vec![Instr::Halt]);
-
-    // fib: salloc sp, 1; mem[sp+0] := exit; jump loop
-    b.block(
-        "fib",
-        vec![
-            Instr::SAlloc { sp: rsp, n: 1 },
-            store(rsp, 0, l_exit),
-            jump(l_loop),
-        ],
-    );
-
-    // exit: sfree sp, 1; jump ret
-    b.block("exit", vec![Instr::SFree { sp: rsp, n: 1 }, jump(rret)]);
-
-    // The recursive loop body, shared by the serial and parallel blocks
-    // (they differ only in their prppt handler's abort target).
-    let loop_body = |l_self: crate::isa::Label| {
-        vec![
-            mov(rf, rn),
-            op(rt, BinOp::Lt, rn, 2),
-            if_jump(rt, l_retk),
-            mov(rf, 0),
-            Instr::SAlloc { sp: rsp, n: 3 },
-            store(rsp, 0, l_branch1),
-            op(rt, BinOp::Sub, rn, 2),
-            Instr::PrmPush { addr: mem(rsp, 1) },
-            store(rsp, 2, rt),
-            op(rn, BinOp::Sub, rn, 1),
-            jump(l_self),
-        ]
-    };
-
-    // loop: [prppt loop_try_promote]
-    b.annotated_block(
-        "loop",
-        Annotation::PromotionReady { handler: l_try },
-        loop_body(l_loop),
-    );
-
-    // loop_par: [prppt loop_par_try_promote] — identical body.
-    b.annotated_block(
-        "loop_par",
-        Annotation::PromotionReady { handler: l_par_try },
-        loop_body(l_par),
-    );
-
-    // retk: [jtppt assoc-comm; {f ↦ f2}; comb]  t := mem[sp+0]; jump t
-    b.annotated_block(
-        "retk",
-        Annotation::JoinTarget {
-            policy: JoinPolicy::AssocComm,
-            merge: RegMap::new().with(rf, rf2),
-            comb: l_comb,
-        },
-        vec![load(rt, rsp, 0), jump(rt)],
-    );
-
-    // branch1: first recursive result in f; start second branch.
-    b.block(
-        "branch1",
-        vec![
-            store(rsp, 0, l_branch2),
-            Instr::PrmPop { addr: mem(rsp, 1) },
-            load(rn, rsp, 2),
-            store(rsp, 2, rf),
-            jump(l_loop),
-        ],
-    );
-
-    // branch2: combine the two branch results and pop the frame.
-    b.block(
-        "branch2",
-        vec![
-            load(rt, rsp, 2),
-            op(rf, BinOp::Add, rf, rt),
-            Instr::SFree { sp: rsp, n: 3 },
-            jump(l_retk),
-        ],
-    );
-
-    // Handlers: try to promote the oldest latent call.
-    let handler = |abort: crate::isa::Label| {
-        vec![
-            Instr::PrmEmpty { dst: rt, sp: rsp },
-            if_jump(rt, abort), // no marks (0 = empty = true) → back to work
-            jump(l_promote),
-        ]
-    };
-    b.block("loop_try_promote", handler(l_loop));
-    b.block("loop_par_try_promote", handler(l_par));
-
-    // loop_promote: reify the oldest latent call as a child task.
-    //
-    // The promoted frame [cont, mark, n-2] becomes [joink, jr, n-2→f-slot]:
-    // its continuation is retargeted at joink and the record is saved in
-    // the dead mark cell so joink can reload it after later promotions
-    // clobber the jr register (deviation 2 in the module docs).
-    b.block(
-        "loop_promote",
-        vec![
-            jralloc(rjr, l_retk),
-            Instr::PrmSplit { sp: rsp, dst: rtop },
-            op(rsp_top, BinOp::Add, rsp, Operand::Reg(rtop)),
-            op(rsp_top, BinOp::Sub, rsp_top, 1),
-            store(rsp_top, 0, l_joink),
-            store(rsp_top, 1, rjr),
-            mov(rtn, rn),
-            load(rn, rsp_top, 2),
-            mov(rtsp, rsp),
-            Instr::SNew { dst: rsp },
-            Instr::SAlloc { sp: rsp, n: 2 },
-            store(rsp, 0, l_joink),
-            store(rsp, 1, rjr),
-            fork(rjr, l_par),
-            mov(rsp, rtsp),
-            mov(rn, rtn),
-            jump(l_par),
-        ],
-    );
-
-    // comb: f := f + f2; join jr
-    b.block("comb", vec![op(rf, BinOp::Add, rf, rf2), join(rjr)]);
-
-    // joink: reached by the pop-walk at a promoted frame (sp points at the
-    // frame's continuation cell) or by a child at the base of its fresh
-    // stack; reload the record and pop past the frame.
-    b.block(
-        "joink",
-        vec![load(rjr, rsp, 1), op(rsp, BinOp::Add, rsp, 3), join(rjr)],
-    );
-
-    let _ = l_fib;
-    b.build().expect("fib is well-formed")
+    shipped("fib.tpal", include_str!("../../../programs/fib.tpal"))
 }
 
 #[cfg(test)]

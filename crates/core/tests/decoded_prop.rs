@@ -5,14 +5,17 @@
 //! registers, same heap checksum, same cycle count, and, when the
 //! program faults, the same [`MachineError`] at the same task position.
 //! The generator deliberately produces division-by-zero,
-//! uninitialised-register, heap-range, and stack-fault paths, and the
+//! uninitialised-register, heap-range, heap-exhaustion and stack-fault
+//! paths, and the
 //! compiled tiers are driven with adversarial quantum chunkings so
 //! fused micro-ops are split mid-way.
 
 use proptest::prelude::*;
 
 use tpal_core::isa::{BinOp, Instr, MemAddr, Operand};
-use tpal_core::machine::{step_task, MachineError, RunPause, StepOutcome, Stores, TaskState};
+use tpal_core::machine::{
+    step_task, MachineError, RunPause, StepOutcome, Stores, TaskState, MAX_HEAP_WORDS,
+};
 use tpal_core::program::{Program, ProgramBuilder};
 use tpal_core::tier::{ExecBackend, ExecTier};
 
@@ -37,6 +40,7 @@ enum GenInstr {
     Store(usize, u32, GenOperand),
     HLoad(usize, usize, GenOperand),
     HStore(usize, GenOperand, GenOperand),
+    HAlloc(usize, i64),
     IfJumpFwd(usize, usize), // cond reg, forward distance selector
 }
 
@@ -73,6 +77,13 @@ fn instr_strategy() -> impl Strategy<Value = GenInstr> {
             .prop_map(|(d, b, o)| GenInstr::HLoad(d, b, o)),
         (0usize..3, operand_strategy(), operand_strategy())
             .prop_map(|(b, o, s)| GenInstr::HStore(b, o, s)),
+        // Allocation: small sizes succeed, a negative one faults out of
+        // range, and the last two ask for more than the heap may hold.
+        (
+            vreg.clone(),
+            proptest::sample::select(&[-1i64, 0, 3, MAX_HEAP_WORDS as i64, i64::MAX / 2][..])
+        )
+            .prop_map(|(d, n)| GenInstr::HAlloc(d, n)),
         (anyreg, 0usize..4).prop_map(|(c, t)| GenInstr::IfJumpFwd(c, t)),
     ]
 }
@@ -184,6 +195,10 @@ fn build_program(bodies: &[Vec<GenInstr>], jumps: &[usize], seeds: &[i64]) -> Pr
                     base: hbase_of(*base),
                     offset: to_op(o),
                     src: to_op(s),
+                },
+                GenInstr::HAlloc(d, n) => Instr::HAlloc {
+                    dst: vregs[*d],
+                    size: Operand::Int(*n),
                 },
                 GenInstr::IfJumpFwd(c, t) => Instr::IfJump {
                     cond: reg_of(*c),

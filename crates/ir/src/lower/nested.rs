@@ -5,8 +5,8 @@
 //! paper's `pow`: every heartbeat handler first offers latent *calls*
 //! (mark list), then remaining *outer* iterations — but only when the
 //! interrupted task owns them, tracked by an ownership flag transferred
-//! away at inner forks (see `programs.rs` in `tpal-core` for why the
-//! paper's register-only Figure 18 needs this) — and only then splits the
+//! away at inner forks (see `programs/pow.tpal`'s `loop_promote` for why
+//! the paper's register-only Figure 18 needs this) — and only then splits the
 //! inner loop.
 //!
 //! Serial and eager modes delegate to the plain loop lowerings by

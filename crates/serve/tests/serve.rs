@@ -288,6 +288,48 @@ fn a_spinning_rt_program_is_a_bounded_client_error_and_the_executor_lives() {
         .expect("the spin program wedged the server (or an assertion above failed)");
 }
 
+/// A `halloc` that asks for more heap than the machine allows is that
+/// request's 400 on both substrates, as often as it is sent, and the
+/// service keeps answering. (It used to panic in the executor: the sim
+/// request was a 503 and its executor never came back, and the rt one
+/// killed a pool worker and hung, so the body runs under a watchdog.)
+#[test]
+fn a_halloc_bomb_is_a_client_error_and_every_executor_lives() {
+    const EXECUTORS: usize = 2;
+    const BOMB: &str = "main: [.]\n    a := halloc 4611686018427387903\n    halt\n";
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let server = Server::start(ServeConfig {
+            executors: EXECUTORS,
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let mut client = Client::connect(server.addr()).expect("connect");
+        for substrate in ["", ",\"substrate\":\"rt\",\"workers\":1"] {
+            for _ in 0..=EXECUTORS {
+                let body = run_body(BOMB, substrate);
+                let (status, reply) = client.request("POST", "/run", &body).unwrap();
+                assert_eq!(status, 400, "{substrate}: {reply}");
+                assert!(reply.contains("exceeds the heap limit"), "{reply}");
+            }
+        }
+        let body = run_body(FIB_TPL, ",\"ir\":true,\"sets\":{\"n\":10}");
+        let (status, reply) = client.request("POST", "/run", &body).unwrap();
+        assert_eq!(status, 200, "{reply}");
+        assert!(reply.contains("\"result\":55"), "{reply}");
+        let (status, health) = client.request("GET", "/healthz", "").unwrap();
+        assert_eq!((status, health.as_str()), (200, "{\"ok\":true}"));
+
+        server.shutdown();
+        server.join();
+        done.send(()).unwrap();
+    });
+    // A panic above drops `done`: that is a failure too, not a hang.
+    finished
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the halloc bomb wedged the server (or an assertion above failed)");
+}
+
 /// Executors share each native-runtime pool and block in their runs, so
 /// a pool has a worker per executor: a quick request is answered while
 /// a long one of the same pool shape is still running on the other

@@ -12,6 +12,7 @@
 //! fault points, step accounting, promotion-watch behaviour) shows up
 //! here as a mismatched counter or register.
 
+use tpal_core::machine::MachineError;
 use tpal_ir::lower::{lower, Mode};
 use tpal_sim::{ExecTier, Promotion, Sim, SimConfig, SimRef};
 use tpal_workloads::{workload, Scale, SimSpec};
@@ -172,6 +173,37 @@ fn spmv_stream_engines_agree() {
 #[test]
 fn mandelbrot_tiles_engines_agree() {
     assert_engines_agree("mandelbrot-tiles");
+}
+
+/// A fault in parallel work — a `halloc` past the heap limit, late in a
+/// heartbeat-split loop — is the same typed error from both engines on
+/// every tier, whichever core reaches it.
+#[test]
+fn heap_exhaustion_faults_agree() {
+    let ir = tpal_ir::parse_ir(
+        "fn main(n) { s = 0; parfor i in 0..n reduce(s: +, 0) { \
+         if i == 2999 { a = alloc(4611686018427387903); } s = s + i; } return s; }",
+    )
+    .unwrap();
+    let lowered = lower(&ir, Mode::Heartbeat).unwrap();
+    let fault = Err(MachineError::HeapExhausted {
+        words: 4_611_686_018_427_387_903,
+    });
+    for (label, config) in [
+        ("linux-4", SimConfig::linux(4, 3_000)),
+        ("nautilus-8", SimConfig::nautilus(8, 600)),
+    ] {
+        let mut ref_engine = SimRef::new(&lowered.program, config);
+        ref_engine.set_reg(&lowered.param_reg("n"), 5_000).unwrap();
+        assert_eq!(ref_engine.run().map(|_| ()), fault, "{label}: reference");
+        for tier in ExecTier::ALL {
+            let mut config = config;
+            config.exec_tier = tier;
+            let mut new_engine = Sim::new(&lowered.program, config);
+            new_engine.set_reg(&lowered.param_reg("n"), 5_000).unwrap();
+            assert_eq!(new_engine.run().map(|_| ()), fault, "{label} [{tier}]");
+        }
+    }
 }
 
 /// A channel wake resumes the oldest waiter in both engines, whatever

@@ -1,9 +1,9 @@
 //! Hand-written TPAL assembly, straight from the paper.
 //!
-//! Parses the `prod` listing of Figure 2 from its concrete syntax, runs
-//! it under several heartbeat settings, prints the machine's statistics,
-//! and round-trips the nested `pow` and recursive `fib` programs through
-//! the pretty-printer.
+//! Parses the `prod` listing of Figure 2 (`programs/prod.tpal`) from its
+//! concrete syntax, runs it under several heartbeat settings, prints the
+//! machine's statistics, and round-trips the nested `pow` and recursive
+//! `fib` programs through the pretty-printer.
 //!
 //! Run with: `cargo run --release --example assembler`
 
@@ -11,52 +11,9 @@ use tpal::core::asm::{parse_program, print_program};
 use tpal::core::machine::{Machine, MachineConfig};
 use tpal::core::programs;
 
-const PROD_LISTING: &str = r#"
-// The prod program of Figure 2: computes c = a * b.
-prod: [.]
-    r := 0
-    jump loop
-exit: [jtppt assoc-comm; {r -> r2}; comb]
-    c := r
-    halt
-loop: [prppt loop_try_promote]
-    if-jump a, exit
-    r := r + b
-    a := a - 1
-    jump loop
-loop_try_promote: [.]
-    t := a < 2
-    if-jump t, loop
-    jr := jralloc exit
-    jump loop_promote
-loop_par_try_promote: [.]
-    t := a < 2
-    if-jump t, loop_par
-    jump loop_promote
-loop_promote: [.]
-    m := a / 2
-    n := a % 2
-    a := m
-    tr := r
-    r := 0
-    fork jr, loop_par
-    a := m + n
-    r := tr
-    jump loop_par
-loop_par: [prppt loop_par_try_promote]
-    if-jump a, exit_par
-    r := r + b
-    a := a - 1
-    jump loop_par
-comb: [.]
-    r := r + r2
-    join jr
-exit_par: [.]
-    join jr
-"#;
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let program = parse_program(PROD_LISTING)?;
+    // The listing as shipped in `programs/`, in the paper's syntax.
+    let program = parse_program(include_str!("../programs/prod.tpal"))?;
     println!(
         "parsed prod: {} blocks, {} instructions\n",
         program.block_count(),

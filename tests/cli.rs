@@ -250,16 +250,20 @@ fn rt_runs_honour_tau_and_report_work_and_span() {
     }
 }
 
-#[test]
-fn a_spinning_program_faults_at_the_step_limit_on_the_rt_substrate() {
-    // This used to hang: the runtime had its own copy of the machine's
-    // driver, which stopped clamping stretches to the step limit once a
-    // heartbeat armed the promotion watch. The child gets its own
-    // deadline so a regression fails here instead of hanging the suite.
-    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("spin.tpal");
-    std::fs::write(&file, "spin: [.]\n    jump spin\n").unwrap();
+/// Runs `tpal-run` on `program` (written to a scratch file named
+/// `name`) with `args`, killing it if it has not returned within two
+/// minutes so a hang fails the test instead of the suite. Returns the
+/// exit status and stderr.
+fn tpal_run_bounded(
+    name: &str,
+    program: &str,
+    args: &[&str],
+) -> (std::process::ExitStatus, String) {
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&file, program).unwrap();
     let mut child = Command::new(env!("CARGO_BIN_EXE_tpal-run"))
-        .args([file.to_str().unwrap(), "--rt", "1"])
+        .arg(&file)
+        .args(args)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::piped())
         .spawn()
@@ -271,12 +275,38 @@ fn a_spinning_program_faults_at_the_step_limit_on_the_rt_substrate() {
         }
         if std::time::Instant::now() > deadline {
             child.kill().unwrap();
-            panic!("tpal-run --rt 1 on a spinning program did not return");
+            panic!("tpal-run {name} {args:?} did not return");
         }
         std::thread::sleep(std::time::Duration::from_millis(20));
     };
     let mut stderr = String::new();
     std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    (status, stderr)
+}
+
+#[test]
+fn a_spinning_program_faults_at_the_step_limit_on_the_rt_substrate() {
+    // This used to hang: the runtime had its own copy of the machine's
+    // driver, which stopped clamping stretches to the step limit once a
+    // heartbeat armed the promotion watch.
+    let (status, stderr) =
+        tpal_run_bounded("spin.tpal", "spin: [.]\n    jump spin\n", &["--rt", "1"]);
     assert!(!status.success());
     assert!(stderr.contains("step limit"), "got stderr:\n{stderr}");
+}
+
+#[test]
+fn a_halloc_bomb_is_a_runtime_fault_on_every_substrate() {
+    // This used to panic with `capacity overflow` in the heap (exit 101
+    // on the machine and the simulator; on rt the panic killed the pool
+    // worker and the run never returned).
+    let bomb = "main: [.]\n    a := halloc 4611686018427387903\n    halt\n";
+    for args in [&[][..], &["--sim", "2"], &["--rt", "1"]] {
+        let (status, stderr) = tpal_run_bounded("bomb.tpal", bomb, args);
+        assert_eq!(status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("halloc of 4611686018427387903 words exceeds the heap limit"),
+            "{args:?}: {stderr}"
+        );
+    }
 }

@@ -88,20 +88,38 @@ fn every_shipped_program_assembles() {
     assert!(checked >= 4, "expected the full corpus, found {checked}");
 }
 
-/// The source-language original of `programs/sum.tpal` (the assembly is
-/// its heartbeat lowering) must keep meaning the same thing under every
-/// lowering mode.
+/// `programs/sum.tpal`'s header quotes its source-language original
+/// (the indented block between the header's first two bare `//` lines)
+/// and says the body is that source's `Mode::Heartbeat` lowering.
+fn sum_source_and_body() -> (String, String) {
+    let text = std::fs::read_to_string("programs/sum.tpal").expect("programs/sum.tpal");
+    let (comments, body): (Vec<&str>, Vec<&str>) = text.lines().partition(|l| l.starts_with("//"));
+    let source = comments
+        .split(|l| *l == "//")
+        .nth(1)
+        .expect("a quoted source between two bare `//` lines")
+        .iter()
+        .map(|l| format!("{}\n", &l[2..]))
+        .collect();
+    (source, body.iter().map(|l| format!("{l}\n")).collect())
+}
+
+/// The header tells the truth: lowering the quoted source prints
+/// exactly the file's assembly.
+#[test]
+fn sum_tpal_is_the_heartbeat_lowering_of_its_quoted_source() {
+    let (source, body) = sum_source_and_body();
+    let ir = tpal::ir::parse_ir(&source).unwrap_or_else(|e| panic!("{e}\n{source}"));
+    let lowered = tpal::ir::lower(&ir, tpal::ir::Mode::Heartbeat).unwrap();
+    assert_eq!(tpal::core::asm::print_program(&lowered.program), body);
+}
+
+/// The source-language original of `programs/sum.tpal` must keep
+/// meaning the same thing under every lowering mode.
 #[test]
 fn sum_source_corpus_through_frontend() {
-    let src = "\
-        fn main(n) {\n\
-            a = alloc(n);\n\
-            parfor i in 0..n { a[i] = i * 3 + 1; }\n\
-            s = 0;\n\
-            parfor i in 0..n reduce(s: +, 0) { s = s + a[i]; }\n\
-            return s;\n\
-        }\n";
-    let ir = tpal::ir::parse_ir(src).unwrap_or_else(|e| panic!("{e}"));
+    let (src, _) = sum_source_and_body();
+    let ir = tpal::ir::parse_ir(&src).unwrap_or_else(|e| panic!("{e}"));
     let n = 5_000i64;
     let expected: i64 = (0..n).map(|i| i * 3 + 1).sum();
     for mode in [
