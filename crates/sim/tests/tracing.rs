@@ -186,6 +186,70 @@ fn chrome_trace_bytes_deterministic_per_seed() {
     assert!(a == b, "same seed, different trace bytes");
 }
 
+/// FNV-1a (64-bit) over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The Chrome trace of every benchmark program under three configs,
+/// pinned across builds by FNV-1a digest and byte length. The
+/// determinism tests above compare two runs of one build; this table
+/// catches an event that moves, appears or vanishes when the engine is
+/// rewritten. A row that changes is a changed trace, never a re-bless.
+#[test]
+fn chrome_trace_bytes_pinned_across_builds() {
+    #[rustfmt::skip]
+    const PINNED: [(&str, &str, u64, usize); 21] = [
+        ("plus-reduce-array", "nautilus4", 0x9e003a544c594557, 657288),
+        ("plus-reduce-array", "linux4", 0x4d7a0684145688af, 669150),
+        ("plus-reduce-array", "nautilus15", 0x491f04c991493a8b, 6668069),
+        ("floyd-warshall-small", "nautilus4", 0xad94a886fc80d01f, 342682),
+        ("floyd-warshall-small", "linux4", 0xf017531e9c56b31d, 356214),
+        ("floyd-warshall-small", "nautilus15", 0x76790e5b64082b94, 2011934),
+        ("mandelbrot", "nautilus4", 0xed033847d16f0954, 595884),
+        ("mandelbrot", "linux4", 0x50f510eb707abe01, 610467),
+        ("mandelbrot", "nautilus15", 0xf76ad34beb57ec2e, 2776637),
+        ("mergesort-uniform", "nautilus4", 0x55e56b3d9972a238, 1466844),
+        ("mergesort-uniform", "linux4", 0x9b9c547852d53372, 1481244),
+        ("mergesort-uniform", "nautilus15", 0xef3f4a7b14a03fa8, 9882374),
+        ("knapsack", "nautilus4", 0xc507b560620d4c24, 5837),
+        ("knapsack", "linux4", 0x4e0f4865b1dcf6b9, 5673),
+        ("knapsack", "nautilus15", 0xd8c28501b013df3e, 64309),
+        ("pipeline-tokens", "nautilus4", 0xb071df7960450863, 1095427),
+        ("pipeline-tokens", "linux4", 0x8ee69cf5f43d4328, 1099117),
+        ("pipeline-tokens", "nautilus15", 0xa0c4634557b6008c, 2158311),
+        ("spmv-stream", "nautilus4", 0x9e00477b35e49e24, 331776),
+        ("spmv-stream", "linux4", 0x7a181a9ab617eca4, 334345),
+        ("spmv-stream", "nautilus15", 0x92bca90b25d10a3f, 4428377),
+    ];
+    let configs = [
+        ("nautilus4", SimConfig::nautilus(4, 3_000)),
+        ("linux4", SimConfig::linux(4, 3_000)),
+        ("nautilus15", SimConfig::nautilus(15, 500)),
+    ];
+    let mut actual = Vec::new();
+    for name in BENCHMARK_PROGRAMS {
+        for (label, mut config) in configs {
+            config.record_trace = true;
+            let out = run_workload(name, config);
+            let json = chrome::chrome_json(out.trace.as_ref().expect("trace recorded"));
+            actual.push((name, label, fnv1a(json.as_bytes()), json.len()));
+        }
+    }
+    let rows = |t: &[(&str, &str, u64, usize)]| {
+        t.iter()
+            .map(|(n, l, h, len)| format!("        (\"{n}\", \"{l}\", 0x{h:016x}, {len}),\n"))
+            .collect::<String>()
+    };
+    assert!(
+        actual == PINNED,
+        "trace bytes moved; this build's table:\n{}",
+        rows(&actual)
+    );
+}
+
 /// A timeline is the trace, bucketed: a run asked for both returns a
 /// timeline equal to `from_trace` of the trace it returns, and each
 /// flag alone returns its own artefact and not the other's.
