@@ -514,6 +514,7 @@ impl<'p> Machine<'p> {
                     RunPause::Boundary => {
                         let outcome = step_task(program, &mut task, stores)?;
                         beats.on_step(&outcome);
+                        let detach = matches!(outcome, StepOutcome::Detached { .. });
                         match outcome {
                             StepOutcome::Ran => {}
                             StepOutcome::Halted => {
@@ -527,10 +528,18 @@ impl<'p> Machine<'p> {
                                 stats.detached_live_at_halt = detached_live;
                                 return Ok(Outcome::new(program, task, stats));
                             }
-                            StepOutcome::Forked { child } => {
-                                stats.forks += 1;
+                            StepOutcome::Forked { child } | StepOutcome::Detached { child } => {
+                                // A spawn is live, as are the running and
+                                // the parked tasks.
+                                if detach {
+                                    stats.detaches += 1;
+                                    detached_live += 1;
+                                } else {
+                                    stats.forks += 1;
+                                }
                                 spawn(&mut queue, &mut task, *child);
-                                stats.max_live_tasks = stats.max_live_tasks.max(queue.len() + 1);
+                                stats.max_live_tasks =
+                                    stats.max_live_tasks.max(queue.len() + 1 + parked.len());
                             }
                             StepOutcome::Joined { jr } => {
                                 stats.instructions += 1;
@@ -544,13 +553,6 @@ impl<'p> Machine<'p> {
                                     JoinResolution::Completed(resumed) => task = *resumed,
                                 }
                                 continue 'inner;
-                            }
-                            StepOutcome::Detached { child } => {
-                                stats.detaches += 1;
-                                detached_live += 1;
-                                spawn(&mut queue, &mut task, *child);
-                                stats.max_live_tasks =
-                                    stats.max_live_tasks.max(queue.len() + 1 + parked.len());
                             }
                             StepOutcome::ChanPushed { ch } => {
                                 // One item appeared: wake the oldest

@@ -27,7 +27,7 @@ pub use channel::{Channel, ChannelStore};
 pub use exec::{Beats, ExecStats, Machine, MachineConfig, Outcome, SchedulePolicy};
 pub use heap::{Heap, MAX_HEAP_WORDS};
 pub use join::{Assoc, JoinId, JoinOutcome, JoinStore};
-pub use stack::{PromotionOrder, StackId, StackRef, StackStore};
+pub use stack::{PromotionOrder, StackId, StackRef, StackStore, MAX_STACK_CELLS};
 pub use step::{
     resolve_join, run_task_until, step_task, JoinResolution, RunPause, StepOutcome, Stores,
     TaskCost, TaskState,

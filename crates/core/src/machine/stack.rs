@@ -22,6 +22,14 @@
 
 use crate::machine::value::{MachineError, Value};
 
+/// The most cells one stack may hold once `salloc` has run (2²⁴ cells,
+/// 384 MiB): an allocation that would take it past this faults with
+/// [`MachineError::StackExhausted`] instead of asking the host for it.
+/// The deepest stack any registry workload reaches at `Scale::Full`, on
+/// every lowering, on the machine and on a 15-core simulator, is
+/// `knapsack`'s 491 cells (heartbeat lowering, simulated).
+pub const MAX_STACK_CELLS: usize = 1 << 24;
+
 /// Identifier of a stack in a [`StackStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StackId(pub(crate) u32);
@@ -125,6 +133,9 @@ impl StackStore {
                 pos: sp.pos,
                 len: cells.len(),
             });
+        }
+        if n as usize > MAX_STACK_CELLS.saturating_sub(live) {
+            return Err(MachineError::StackExhausted { cells: n });
         }
         cells.truncate(live);
         cells.extend(std::iter::repeat_n(Value::Int(0), n as usize));

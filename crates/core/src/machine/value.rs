@@ -213,6 +213,12 @@ pub enum MachineError {
         /// Number of live cells.
         len: usize,
     },
+    /// `salloc` asked for more cells than its stack has left under
+    /// [`MAX_STACK_CELLS`](crate::machine::MAX_STACK_CELLS).
+    StackExhausted {
+        /// The cells requested.
+        cells: u32,
+    },
     /// `sfree` tried to free more cells than are live.
     StackUnderflow,
     /// `prmpop` targeted a cell that does not hold a mark.
@@ -287,6 +293,11 @@ impl fmt::Display for MachineError {
                     "stack access at position {pos} outside live cells (len {len})"
                 )
             }
+            MachineError::StackExhausted { cells } => write!(
+                f,
+                "salloc of {cells} cells exceeds the stack limit of {} cells",
+                crate::machine::MAX_STACK_CELLS
+            ),
             MachineError::StackUnderflow => write!(f, "stack underflow in sfree"),
             MachineError::NotAMark => write!(f, "prmpop on a cell that is not a mark"),
             MachineError::HeapOutOfRange { addr } => {

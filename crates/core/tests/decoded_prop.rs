@@ -5,8 +5,8 @@
 //! registers, same heap checksum, same cycle count, and, when the
 //! program faults, the same [`MachineError`] at the same task position.
 //! The generator deliberately produces division-by-zero,
-//! uninitialised-register, heap-range, heap-exhaustion and stack-fault
-//! paths, and the
+//! uninitialised-register, heap-range, heap-exhaustion, stack-fault and
+//! stack-exhaustion paths, and the
 //! compiled tiers are driven with adversarial quantum chunkings so
 //! fused micro-ops are split mid-way.
 
@@ -15,6 +15,7 @@ use proptest::prelude::*;
 use tpal_core::isa::{BinOp, Instr, MemAddr, Operand};
 use tpal_core::machine::{
     step_task, MachineError, RunPause, StepOutcome, Stores, TaskState, MAX_HEAP_WORDS,
+    MAX_STACK_CELLS,
 };
 use tpal_core::program::{Program, ProgramBuilder};
 use tpal_core::tier::{ExecBackend, ExecTier};
@@ -66,8 +67,16 @@ fn instr_strategy() -> impl Strategy<Value = GenInstr> {
             .prop_map(|(d, o, l, r)| GenInstr::Op(d, o, l, r)),
         // Stack traffic: the entry block allocates 4 cells, so offsets
         // 0..6 stray out of range and `sfree` beyond the allocation
-        // underflows — both are wanted fault paths.
-        (0usize..2, 1u32..3).prop_map(|(s, n)| GenInstr::SAlloc(s, n)),
+        // underflows — both are wanted fault paths — and now and then an
+        // allocation asks for more cells than a stack may hold.
+        (
+            0usize..2,
+            prop_oneof![
+                4 => 1u32..3,
+                1 => proptest::sample::select(&[MAX_STACK_CELLS as u32, u32::MAX][..]),
+            ]
+        )
+            .prop_map(|(s, n)| GenInstr::SAlloc(s, n)),
         (1u32..6).prop_map(GenInstr::SFree),
         (vreg.clone(), 0usize..2, 0u32..6).prop_map(|(d, b, o)| GenInstr::Load(d, b, o)),
         (0usize..2, 0u32..6, operand_strategy()).prop_map(|(b, o, s)| GenInstr::Store(b, o, s)),

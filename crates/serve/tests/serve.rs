@@ -288,15 +288,12 @@ fn a_spinning_rt_program_is_a_bounded_client_error_and_the_executor_lives() {
         .expect("the spin program wedged the server (or an assertion above failed)");
 }
 
-/// A `halloc` that asks for more heap than the machine allows is that
-/// request's 400 on both substrates, as often as it is sent, and the
-/// service keeps answering. (It used to panic in the executor: the sim
-/// request was a 503 and its executor never came back, and the rt one
-/// killed a pool worker and hung, so the body runs under a watchdog.)
-#[test]
-fn a_halloc_bomb_is_a_client_error_and_every_executor_lives() {
+/// Sends `bomb` `executors + 1` times on each substrate, asserting a 400
+/// that says `message` each time, then asserts the service still runs
+/// `fib` and answers `/healthz`. The body runs under a watchdog: a bomb
+/// that kills an executor or a pool worker hangs rather than fails.
+fn assert_bomb_is_a_client_error(bomb: &'static str, message: &'static str) {
     const EXECUTORS: usize = 2;
-    const BOMB: &str = "main: [.]\n    a := halloc 4611686018427387903\n    halt\n";
     let (done, finished) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let server = Server::start(ServeConfig {
@@ -307,10 +304,10 @@ fn a_halloc_bomb_is_a_client_error_and_every_executor_lives() {
         let mut client = Client::connect(server.addr()).expect("connect");
         for substrate in ["", ",\"substrate\":\"rt\",\"workers\":1"] {
             for _ in 0..=EXECUTORS {
-                let body = run_body(BOMB, substrate);
+                let body = run_body(bomb, substrate);
                 let (status, reply) = client.request("POST", "/run", &body).unwrap();
                 assert_eq!(status, 400, "{substrate}: {reply}");
-                assert!(reply.contains("exceeds the heap limit"), "{reply}");
+                assert!(reply.contains(message), "{reply}");
             }
         }
         let body = run_body(FIB_TPL, ",\"ir\":true,\"sets\":{\"n\":10}");
@@ -327,7 +324,30 @@ fn a_halloc_bomb_is_a_client_error_and_every_executor_lives() {
     // A panic above drops `done`: that is a failure too, not a hang.
     finished
         .recv_timeout(Duration::from_secs(120))
-        .expect("the halloc bomb wedged the server (or an assertion above failed)");
+        .expect("the bomb wedged the server (or an assertion above failed)");
+}
+
+/// A `halloc` that asks for more heap than the machine allows is that
+/// request's 400 on both substrates, as often as it is sent, and the
+/// service keeps answering. (It used to panic in the executor: the sim
+/// request was a 503 and its executor never came back, and the rt one
+/// killed a pool worker and hung.)
+#[test]
+fn a_halloc_bomb_is_a_client_error_and_every_executor_lives() {
+    assert_bomb_is_a_client_error(
+        "main: [.]\n    a := halloc 4611686018427387903\n    halt\n",
+        "exceeds the heap limit",
+    );
+}
+
+/// The same for a `salloc` past the stack limit. (It used to abort the
+/// whole server: a failed allocation is not an unwinding panic.)
+#[test]
+fn a_salloc_bomb_is_a_client_error_and_every_executor_lives() {
+    assert_bomb_is_a_client_error(
+        "main: [.]\n    sp := snew\n    salloc sp, 4294967295\n    halt\n",
+        "exceeds the stack limit",
+    );
 }
 
 /// Executors share each native-runtime pool and block in their runs, so

@@ -32,8 +32,8 @@
 
 use tpal_core::isa::Reg;
 use tpal_core::machine::{
-    resolve_join, step_task, JoinResolution, MachineError, PromotionOrder, RunPause, StepOutcome,
-    Stores, TaskState, Value,
+    resolve_join, step_task, Assoc, JoinResolution, MachineError, PromotionOrder, RunPause,
+    StepOutcome, Stores, TaskState, Value,
 };
 use tpal_core::program::Program;
 use tpal_core::tier::{ExecBackend, ExecTier};
@@ -265,7 +265,8 @@ impl SimOutcome {
 }
 
 struct Core {
-    deque: std::collections::VecDeque<TaskState>,
+    /// Queued tasks, each with its trace id.
+    deque: std::collections::VecDeque<(TaskState, u64)>,
     busy_until: u64,
     /// Promotion state (delivered-beat flag, eager bounce guard) —
     /// consumed by [`Promotion`].
@@ -544,11 +545,11 @@ impl<'p> Sim<'p> {
         let mut parked_push: std::collections::VecDeque<(i64, TaskState, u64)> = Default::default();
         let mut parked_pop: std::collections::VecDeque<(i64, TaskState, u64)> = Default::default();
         // Structured event tracing — the one recording path: a requested
-        // timeline is bucketed from the trace after the run. Task
-        // identity is tracked *beside* the task states (per-core current
-        // id + an id deque mirroring each work deque) and only when
-        // tracing is on, so the traced-off path is exactly the code above
-        // plus one `None` branch per site.
+        // timeline is bucketed from the trace after the run. Every task
+        // carries its trace id — beside it in a deque or a channel's park
+        // list, in `current_id` while it runs — whether or not tracing is
+        // on, so the traced-off path pays one `None` branch per record
+        // site and nothing else.
         let mut tracer = if cfg.record_trace || cfg.record_timeline {
             Some(
                 TraceBuilder::new(cfg.cores, "cycles", cfg.heartbeat)
@@ -560,8 +561,6 @@ impl<'p> Sim<'p> {
         };
         let mut next_task_id: u64 = 1; // the initial task is id 0
         let mut current_id: Vec<u64> = vec![0; cfg.cores];
-        let mut queued_ids: Vec<std::collections::VecDeque<u64>> =
-            vec![std::collections::VecDeque::new(); cfg.cores];
         macro_rules! tev {
             ($core:expr, $ts:expr, $dur:expr, $kind:expr) => {
                 if let Some(tb) = &mut tracer {
@@ -668,27 +667,27 @@ impl<'p> Sim<'p> {
         }
 
         // Wakes the oldest task parked on channel `$ch` onto core `$c`'s
-        // deque.
+        // deque; `false` if none is parked there.
         macro_rules! wake_one {
             ($list:expr, $ch:expr, $c:expr, $ev:expr, $now:expr) => {
                 if let Some(idx) = $list.iter().position(|&(ch2, _, _)| ch2 == $ch) {
                     unpark_all!($ev);
-                    let (wch, t, tid) = $list.remove(idx).expect("index in range");
-                    cores[$c].deque.push_back(t);
+                    let (_, t, tid) = $list.remove(idx).expect("index in range");
+                    cores[$c].deque.push_back((t, tid));
                     queued += 1;
                     stats.chan_wakes += 1;
-                    if tracer.is_some() {
-                        queued_ids[$c].push_back(tid);
-                    }
                     tev!(
                         $c,
                         $now,
                         0,
                         EventKind::ChanResume {
-                            ch: wch as u32,
+                            ch: $ch as u32,
                             task: tid
                         }
                     );
+                    true
+                } else {
+                    false
                 }
             };
         }
@@ -722,60 +721,50 @@ impl<'p> Sim<'p> {
             let now = ev.time;
 
             if ev.phase == PHASE_INTERRUPT {
-                match cfg.interrupt {
+                // The receiving core, its pending retries settled first:
+                // the service cost below shifts the retry pending at
+                // delivery time.
+                let (ci, service_cost) = match cfg.interrupt {
                     InterruptModel::PerCoreTimer { service_cost } => {
                         let ci = ev.core as usize;
                         if parked[ci] {
-                            // The shift below applies to the retry
-                            // pending at delivery time; settle the
-                            // earlier ones first.
                             flush_one!(ci, now);
                         }
-                        let core = &mut cores[ci];
-                        core.promote.beat = true;
-                        core.next_hb += cfg.heartbeat;
-                        core.busy_until = core.busy_until.max(now) + service_cost;
-                        stats.heartbeats_delivered += 1;
-                        stats.overhead_cycles += service_cost;
-                        tev!(ci, now, 0, EventKind::HeartbeatDelivered);
-                        tev!(
-                            ci,
-                            now,
-                            service_cost,
-                            EventKind::Overhead {
-                                what: OverheadKind::Interrupt
-                            }
-                        );
-                        // `.max(now + 1)`: with ♥ = 0 the reference still
-                        // delivers at most once per cycle.
-                        let next = core.next_hb.max(now + 1);
-                        calendar.set(cfg.cores + ci, interrupt_key(ci, next));
+                        (ci, service_cost)
                     }
                     InterruptModel::PingThread { service_cost, .. } => {
                         // The jitter draw below must land at the right
-                        // stream position, and the receiving core's
-                        // chain shifts: settle all pending retries now.
+                        // stream position too: settle every chain.
                         flush_parked!(ev);
-                        let ci = ping.next_core;
-                        let core = &mut cores[ci];
-                        core.promote.beat = true;
-                        core.busy_until = core.busy_until.max(now) + service_cost;
-                        stats.heartbeats_delivered += 1;
-                        stats.overhead_cycles += service_cost;
-                        tev!(ci, now, 0, EventKind::HeartbeatDelivered);
-                        tev!(
-                            ci,
-                            now,
-                            service_cost,
-                            EventKind::Overhead {
-                                what: OverheadKind::Interrupt
-                            }
-                        );
-                        let delay = cfg.interrupt.ping_delay(&mut rng);
-                        ping.advance(now, cfg.cores, cfg.heartbeat, delay);
-                        calendar.set(cfg.cores, interrupt_key(ping.next_core, ping.next_time));
+                        (ping.next_core, service_cost)
                     }
                     InterruptModel::Disabled => unreachable!("no interrupt source armed"),
+                };
+                let core = &mut cores[ci];
+                core.promote.beat = true;
+                core.busy_until = core.busy_until.max(now) + service_cost;
+                stats.heartbeats_delivered += 1;
+                stats.overhead_cycles += service_cost;
+                tev!(ci, now, 0, EventKind::HeartbeatDelivered);
+                tev!(
+                    ci,
+                    now,
+                    service_cost,
+                    EventKind::Overhead {
+                        what: OverheadKind::Interrupt
+                    }
+                );
+                // Re-arm the source.
+                if let InterruptModel::PingThread { .. } = cfg.interrupt {
+                    let delay = cfg.interrupt.ping_delay(&mut rng);
+                    ping.advance(now, cfg.cores, cfg.heartbeat, delay);
+                    calendar.set(cfg.cores, interrupt_key(ping.next_core, ping.next_time));
+                } else {
+                    core.next_hb += cfg.heartbeat;
+                    // `.max(now + 1)`: with ♥ = 0 the reference still
+                    // delivers at most once per cycle.
+                    let next = core.next_hb.max(now + 1);
+                    calendar.set(cfg.cores + ci, interrupt_key(ci, next));
                 }
                 continue;
             }
@@ -790,14 +779,12 @@ impl<'p> Sim<'p> {
 
             // Acquire work if idle.
             if running[c].is_none() {
-                if let Some(t) = cores[c].deque.pop_back() {
+                if let Some((t, id)) = cores[c].deque.pop_back() {
                     // Own pop is free; the task runs this very cycle.
                     queued -= 1;
                     running[c] = Some(t);
+                    current_id[c] = id;
                     running_count += 1;
-                    if tracer.is_some() {
-                        current_id[c] = queued_ids[c].pop_back().expect("id mirrors deque");
-                    }
                 } else if !(parked_push.is_empty() && parked_pop.is_empty())
                     && queued == 0
                     && running_count == 0
@@ -827,17 +814,14 @@ impl<'p> Sim<'p> {
                     let victim = uniform_victim(&mut rng, c, cfg.cores);
                     let stolen = cores[victim].deque.pop_front();
                     match stolen {
-                        Some(t) => {
+                        Some((t, id)) => {
                             queued -= 1;
                             running[c] = Some(t);
+                            current_id[c] = id;
                             running_count += 1;
                             cores[c].busy_until = now + cfg.steal_cost;
                             stats.steals += 1;
                             stats.overhead_cycles += cfg.steal_cost;
-                            if tracer.is_some() {
-                                current_id[c] =
-                                    queued_ids[victim].pop_front().expect("id mirrors deque");
-                            }
                             tev!(
                                 c,
                                 now,
@@ -982,127 +966,88 @@ impl<'p> Sim<'p> {
                 RunPause::Boundary => {
                     // The very next instruction is the boundary: execute
                     // it this cycle, exactly as the reference does.
-                    match step_task(self.program, task, &mut self.stores)? {
-                        StepOutcome::Ran => {
-                            // jralloc / snew / halloc.
-                            stats.instructions += 1;
-                            stats.work_cycles += 1;
-                            tev!(
-                                c,
-                                now,
-                                1,
-                                EventKind::Work {
-                                    task: current_id[c]
-                                }
-                            );
-                            cores[c].busy_until = now + 1;
-                            calendar.set(c, action_key(c, now + 1));
+                    let outcome = step_task(self.program, task, &mut self.stores)?;
+                    let id = current_id[c];
+                    // Every outcome but a block executed the instruction.
+                    if !matches!(outcome, StepOutcome::ChanBlocked { .. }) {
+                        stats.instructions += 1;
+                        stats.work_cycles += 1;
+                        tev!(c, now, 1, EventKind::Work { task: id });
+                    }
+                    let detach = matches!(outcome, StepOutcome::Detached { .. });
+                    // The core acts again after the instruction's cycle
+                    // plus whatever overhead its outcome charges.
+                    let mut busy_until = now + 1;
+                    match outcome {
+                        StepOutcome::Ran => {} // jralloc / snew / halloc.
+                        StepOutcome::Halted if task.detached => {
+                            // A detached task retires through its own
+                            // halt; the run ends at the root's.
+                            tev!(c, now, 0, EventKind::TaskEnd { task: id });
+                            running[c] = None;
+                            running_count -= 1;
+                            live_tasks -= 1;
                         }
                         StepOutcome::Halted => {
-                            stats.instructions += 1;
-                            stats.work_cycles += 1;
+                            // The counters become the outcome: settle
+                            // every parked core's retries up to the halt
+                            // (earlier cores' attempts this very cycle
+                            // included, as in the reference's in-order
+                            // scan).
+                            flush_parked!(ev);
+                            tev!(c, now, 0, EventKind::TaskEnd { task: id });
+                            halted = running[c].take().expect("task present");
+                            end_time = now;
+                            break 'sim;
+                        }
+                        StepOutcome::Forked { child } | StepOutcome::Detached { child } => {
+                            // `detach` has a fork's cost shape — it
+                            // allocates and enqueues a task — minus the
+                            // join record.
+                            let child_id = next_task_id;
+                            next_task_id += 1;
                             tev!(
                                 c,
                                 now,
-                                1,
-                                EventKind::Work {
-                                    task: current_id[c]
+                                0,
+                                if detach {
+                                    EventKind::TaskDetach {
+                                        parent: id,
+                                        child: child_id,
+                                    }
+                                } else {
+                                    EventKind::TaskSpawn {
+                                        parent: id,
+                                        child: child_id,
+                                    }
                                 }
                             );
-                            if task.detached {
-                                // A detached task retires through its
-                                // own halt; the run ends at the root's.
-                                tev!(
-                                    c,
-                                    now,
-                                    0,
-                                    EventKind::TaskEnd {
-                                        task: current_id[c]
-                                    }
-                                );
-                                running[c] = None;
-                                running_count -= 1;
-                                live_tasks -= 1;
-                                cores[c].busy_until = now + 1;
-                                calendar.set(c, action_key(c, now + 1));
+                            tev!(
+                                c,
+                                now,
+                                cfg.fork_cost,
+                                EventKind::Overhead {
+                                    what: OverheadKind::Fork
+                                }
+                            );
+                            if detach {
+                                stats.detaches += 1;
                             } else {
-                                // The counters become the outcome:
-                                // settle every parked core's retries up
-                                // to the halt (earlier cores' attempts
-                                // this very cycle included, as in the
-                                // reference's in-order scan).
-                                flush_parked!(ev);
-                                tev!(
-                                    c,
-                                    now,
-                                    0,
-                                    EventKind::TaskEnd {
-                                        task: current_id[c]
-                                    }
-                                );
-                                halted = running[c].take().expect("task present");
-                                end_time = now;
-                                break 'sim;
+                                stats.forks += 1;
                             }
-                        }
-                        StepOutcome::Forked { child } => {
-                            stats.instructions += 1;
-                            stats.work_cycles += 1;
-                            if tracer.is_some() {
-                                let child_id = next_task_id;
-                                next_task_id += 1;
-                                queued_ids[c].push_back(child_id);
-                                tev!(
-                                    c,
-                                    now,
-                                    1,
-                                    EventKind::Work {
-                                        task: current_id[c]
-                                    }
-                                );
-                                tev!(
-                                    c,
-                                    now,
-                                    0,
-                                    EventKind::TaskSpawn {
-                                        parent: current_id[c],
-                                        child: child_id
-                                    }
-                                );
-                                tev!(
-                                    c,
-                                    now,
-                                    cfg.fork_cost,
-                                    EventKind::Overhead {
-                                        what: OverheadKind::Fork
-                                    }
-                                );
-                            }
-                            stats.forks += 1;
                             // The diversion produced a task: re-arm the
                             // eager rule's bounce guard.
                             cores[c].promote.on_fork();
-                            cores[c].deque.push_back(*child);
+                            cores[c].deque.push_back((*child, child_id));
                             queued += 1;
                             // Work exists again: wake the parked cores.
                             unpark_all!(ev);
-                            cores[c].busy_until = now + 1 + cfg.fork_cost;
+                            busy_until += cfg.fork_cost;
                             stats.overhead_cycles += cfg.fork_cost;
                             live_tasks += 1;
                             stats.max_live_tasks = stats.max_live_tasks.max(live_tasks);
-                            calendar.set(c, action_key(c, cores[c].busy_until));
                         }
                         StepOutcome::Joined { jr } => {
-                            stats.instructions += 1;
-                            stats.work_cycles += 1;
-                            tev!(
-                                c,
-                                now,
-                                1,
-                                EventKind::Work {
-                                    task: current_id[c]
-                                }
-                            );
                             tev!(
                                 c,
                                 now,
@@ -1112,20 +1057,13 @@ impl<'p> Sim<'p> {
                                 }
                             );
                             stats.joins += 1;
-                            cores[c].busy_until = now + 1 + cfg.join_cost;
+                            busy_until += cfg.join_cost;
                             stats.overhead_cycles += cfg.join_cost;
                             // The fork-tree node this task sits on, read
-                            // before resolution consumes the task (trace
-                            // runs only; `Root` means a completing join).
-                            let assoc = if tracer.is_some() {
-                                task.assoc(jr)
-                            } else {
-                                None
-                            };
-                            let node = |a| match a {
-                                Some(tpal_core::machine::Assoc::Node { node, .. }) => {
-                                    node.index() as u32
-                                }
+                            // before resolution consumes the task (`Root`
+                            // means a completing join).
+                            let node = match task.assoc(jr) {
+                                Some(Assoc::Node { node, .. }) => node.index() as u32,
                                 _ => 0,
                             };
                             let task = running[c].take().expect("task present");
@@ -1133,212 +1071,61 @@ impl<'p> Sim<'p> {
                                 JoinResolution::TaskDied => {
                                     running_count -= 1;
                                     live_tasks -= 1;
-                                    tev!(
-                                        c,
-                                        now,
-                                        0,
-                                        EventKind::JoinStash {
-                                            task: current_id[c],
-                                            node: node(assoc)
-                                        }
-                                    );
+                                    tev!(c, now, 0, EventKind::JoinStash { task: id, node });
                                 }
                                 JoinResolution::Merged(t) => {
                                     stats.merges += 1;
                                     running[c] = Some(*t);
-                                    if tracer.is_some() {
-                                        let merged = next_task_id;
-                                        next_task_id += 1;
-                                        tev!(
-                                            c,
-                                            now,
-                                            0,
-                                            EventKind::JoinMerge {
-                                                task: current_id[c],
-                                                node: node(assoc),
-                                                merged
-                                            }
-                                        );
-                                        current_id[c] = merged;
-                                    }
+                                    current_id[c] = next_task_id;
+                                    next_task_id += 1;
+                                    tev!(
+                                        c,
+                                        now,
+                                        0,
+                                        EventKind::JoinMerge {
+                                            task: id,
+                                            node,
+                                            merged: current_id[c]
+                                        }
+                                    );
                                 }
                                 JoinResolution::Completed(t) => {
                                     running[c] = Some(*t);
-                                    if tracer.is_some() {
-                                        let resumed = next_task_id;
-                                        next_task_id += 1;
-                                        tev!(
-                                            c,
-                                            now,
-                                            0,
-                                            EventKind::JoinContinue {
-                                                task: current_id[c],
-                                                resumed
-                                            }
-                                        );
-                                        current_id[c] = resumed;
-                                    }
+                                    current_id[c] = next_task_id;
+                                    next_task_id += 1;
+                                    tev!(
+                                        c,
+                                        now,
+                                        0,
+                                        EventKind::JoinContinue {
+                                            task: id,
+                                            resumed: current_id[c]
+                                        }
+                                    );
                                 }
                             }
-                            calendar.set(c, action_key(c, cores[c].busy_until));
-                        }
-                        StepOutcome::Detached { child } => {
-                            // Same cost shape as a fork — `detach`
-                            // allocates and enqueues a task — minus the
-                            // join record.
-                            stats.instructions += 1;
-                            stats.work_cycles += 1;
-                            if tracer.is_some() {
-                                let child_id = next_task_id;
-                                next_task_id += 1;
-                                queued_ids[c].push_back(child_id);
-                                tev!(
-                                    c,
-                                    now,
-                                    1,
-                                    EventKind::Work {
-                                        task: current_id[c]
-                                    }
-                                );
-                                tev!(
-                                    c,
-                                    now,
-                                    0,
-                                    EventKind::TaskDetach {
-                                        parent: current_id[c],
-                                        child: child_id
-                                    }
-                                );
-                                tev!(
-                                    c,
-                                    now,
-                                    cfg.fork_cost,
-                                    EventKind::Overhead {
-                                        what: OverheadKind::Fork
-                                    }
-                                );
-                            }
-                            stats.detaches += 1;
-                            cores[c].promote.on_fork();
-                            cores[c].deque.push_back(*child);
-                            queued += 1;
-                            unpark_all!(ev);
-                            cores[c].busy_until = now + 1 + cfg.fork_cost;
-                            stats.overhead_cycles += cfg.fork_cost;
-                            live_tasks += 1;
-                            stats.max_live_tasks = stats.max_live_tasks.max(live_tasks);
-                            calendar.set(c, action_key(c, cores[c].busy_until));
                         }
                         StepOutcome::ChanPushed { ch } => {
-                            stats.instructions += 1;
-                            stats.work_cycles += 1;
-                            tev!(
-                                c,
-                                now,
-                                1,
-                                EventKind::Work {
-                                    task: current_id[c]
-                                }
-                            );
                             stats.chan_pushes += 1;
-                            tev!(
-                                c,
-                                now,
-                                0,
-                                EventKind::ChanPush {
-                                    ch: ch as u32,
-                                    task: current_id[c]
-                                }
-                            );
-                            cores[c].busy_until = now + 1;
+                            let ch32 = ch as u32;
+                            tev!(c, now, 0, EventKind::ChanPush { ch: ch32, task: id });
                             wake_one!(parked_pop, ch, c, ev, now);
-                            calendar.set(c, action_key(c, now + 1));
                         }
                         StepOutcome::ChanPopped { ch } => {
-                            stats.instructions += 1;
-                            stats.work_cycles += 1;
-                            tev!(
-                                c,
-                                now,
-                                1,
-                                EventKind::Work {
-                                    task: current_id[c]
-                                }
-                            );
                             stats.chan_pops += 1;
-                            tev!(
-                                c,
-                                now,
-                                0,
-                                EventKind::ChanPop {
-                                    ch: ch as u32,
-                                    task: current_id[c]
-                                }
-                            );
-                            cores[c].busy_until = now + 1;
+                            let ch32 = ch as u32;
+                            tev!(c, now, 0, EventKind::ChanPop { ch: ch32, task: id });
                             wake_one!(parked_push, ch, c, ev, now);
-                            calendar.set(c, action_key(c, now + 1));
                         }
                         StepOutcome::ChanClosed { ch } => {
-                            stats.instructions += 1;
-                            stats.work_cycles += 1;
-                            tev!(
-                                c,
-                                now,
-                                1,
-                                EventKind::Work {
-                                    task: current_id[c]
-                                }
-                            );
-                            tev!(
-                                c,
-                                now,
-                                0,
-                                EventKind::ChanClose {
-                                    ch: ch as u32,
-                                    task: current_id[c]
-                                }
-                            );
-                            cores[c].busy_until = now + 1;
+                            let ch32 = ch as u32;
+                            tev!(c, now, 0, EventKind::ChanClose { ch: ch32, task: id });
                             // Close wakes every waiter: poppers first
                             // (they drain the buffer or fault), then
                             // pushers (they fault), each cohort in park
                             // order.
-                            let wakes = parked_pop
-                                .iter()
-                                .chain(parked_push.iter())
-                                .filter(|&&(ch2, _, _)| ch2 == ch)
-                                .count();
-                            if wakes > 0 {
-                                unpark_all!(ev);
-                                for list in [&mut parked_pop, &mut parked_push] {
-                                    let mut i = 0;
-                                    while i < list.len() {
-                                        if list[i].0 == ch {
-                                            let (wch, t, tid) =
-                                                list.remove(i).expect("index in range");
-                                            cores[c].deque.push_back(t);
-                                            queued += 1;
-                                            stats.chan_wakes += 1;
-                                            if tracer.is_some() {
-                                                queued_ids[c].push_back(tid);
-                                            }
-                                            tev!(
-                                                c,
-                                                now,
-                                                0,
-                                                EventKind::ChanResume {
-                                                    ch: wch as u32,
-                                                    task: tid
-                                                }
-                                            );
-                                        } else {
-                                            i += 1;
-                                        }
-                                    }
-                                }
-                            }
-                            calendar.set(c, action_key(c, now + 1));
+                            while wake_one!(parked_pop, ch, c, ev, now) {}
+                            while wake_one!(parked_push, ch, c, ev, now) {}
                         }
                         StepOutcome::ChanBlocked { ch, push } => {
                             // The instruction did not execute (the
@@ -1355,22 +1142,21 @@ impl<'p> Sim<'p> {
                                 0,
                                 EventKind::ChanBlock {
                                     ch: ch as u32,
-                                    task: current_id[c],
+                                    task: id,
                                     push
                                 }
                             );
-                            let tid = current_id[c];
                             let task = running[c].take().expect("task present");
                             running_count -= 1;
                             if push {
-                                parked_push.push_back((ch, task, tid));
+                                parked_push.push_back((ch, task, id));
                             } else {
-                                parked_pop.push_back((ch, task, tid));
+                                parked_pop.push_back((ch, task, id));
                             }
-                            cores[c].busy_until = now + 1;
-                            calendar.set(c, action_key(c, now + 1));
                         }
                     }
+                    cores[c].busy_until = busy_until;
+                    calendar.set(c, action_key(c, busy_until));
                     if stats.instructions > cfg.step_limit {
                         return Err(MachineError::StepLimitExceeded {
                             limit: cfg.step_limit,

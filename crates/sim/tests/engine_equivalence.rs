@@ -12,7 +12,9 @@
 //! fault points, step accounting, promotion-watch behaviour) shows up
 //! here as a mismatched counter or register.
 
+use tpal_core::asm::parse_program;
 use tpal_core::machine::MachineError;
+use tpal_core::program::Program;
 use tpal_ir::lower::{lower, Mode};
 use tpal_sim::{ExecTier, Promotion, Sim, SimConfig, SimRef};
 use tpal_workloads::{workload, Scale, SimSpec};
@@ -175,6 +177,30 @@ fn mandelbrot_tiles_engines_agree() {
     assert_engines_agree("mandelbrot-tiles");
 }
 
+/// Runs `program` with `reg` = `n` on both engines, every tier of the
+/// new one, under two machines, and asserts each run ends in `fault`.
+fn assert_fault_agrees(program: &Program, reg: &str, n: i64, fault: MachineError) {
+    for (label, config) in [
+        ("linux-4", SimConfig::linux(4, 3_000)),
+        ("nautilus-8", SimConfig::nautilus(8, 600)),
+    ] {
+        let mut ref_engine = SimRef::new(program, config);
+        ref_engine.set_reg(reg, n).unwrap();
+        assert_eq!(
+            ref_engine.run().map(|_| ()),
+            Err(fault),
+            "{label}: reference"
+        );
+        for tier in ExecTier::ALL {
+            let mut config = config;
+            config.exec_tier = tier;
+            let mut new_engine = Sim::new(program, config);
+            new_engine.set_reg(reg, n).unwrap();
+            assert_eq!(new_engine.run().map(|_| ()), Err(fault), "{label} [{tier}]");
+        }
+    }
+}
+
 /// A fault in parallel work — a `halloc` past the heap limit, late in a
 /// heartbeat-split loop — is the same typed error from both engines on
 /// every tier, whichever core reaches it.
@@ -186,24 +212,24 @@ fn heap_exhaustion_faults_agree() {
     )
     .unwrap();
     let lowered = lower(&ir, Mode::Heartbeat).unwrap();
-    let fault = Err(MachineError::HeapExhausted {
+    let fault = MachineError::HeapExhausted {
         words: 4_611_686_018_427_387_903,
-    });
-    for (label, config) in [
-        ("linux-4", SimConfig::linux(4, 3_000)),
-        ("nautilus-8", SimConfig::nautilus(8, 600)),
-    ] {
-        let mut ref_engine = SimRef::new(&lowered.program, config);
-        ref_engine.set_reg(&lowered.param_reg("n"), 5_000).unwrap();
-        assert_eq!(ref_engine.run().map(|_| ()), fault, "{label}: reference");
-        for tier in ExecTier::ALL {
-            let mut config = config;
-            config.exec_tier = tier;
-            let mut new_engine = Sim::new(&lowered.program, config);
-            new_engine.set_reg(&lowered.param_reg("n"), 5_000).unwrap();
-            assert_eq!(new_engine.run().map(|_| ()), fault, "{label} [{tier}]");
-        }
-    }
+    };
+    assert_fault_agrees(&lowered.program, &lowered.param_reg("n"), 5_000, fault);
+}
+
+/// The same for a `salloc` past the stack limit: fib(21) faults where a
+/// serially finished fib(12) subtree (result 144) would pop its frame,
+/// with promoted subtrees running on other cores.
+#[test]
+fn stack_exhaustion_faults_agree() {
+    let text = include_str!("../../../programs/fib.tpal").replace(
+        "    f := f + t\n    sfree sp, 3\n",
+        "    f := f + t\n    t := f == 144\n    if-jump t, bomb\n    sfree sp, 3\n",
+    ) + "bomb: [.]\n    salloc sp, 4294967295\n    halt\n";
+    let program = parse_program(&text).unwrap();
+    let fault = MachineError::StackExhausted { cells: u32::MAX };
+    assert_fault_agrees(&program, "n", 21, fault);
 }
 
 /// A channel wake resumes the oldest waiter in both engines, whatever

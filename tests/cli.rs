@@ -310,3 +310,18 @@ fn a_halloc_bomb_is_a_runtime_fault_on_every_substrate() {
         );
     }
 }
+
+#[test]
+fn a_salloc_bomb_is_a_runtime_fault_on_every_substrate() {
+    // This used to abort the process (`memory allocation of 103079215080
+    // bytes failed`, exit 134) on every substrate.
+    let bomb = "main: [.]\n    sp := snew\n    salloc sp, 4294967295\n    halt\n";
+    for args in [&[][..], &["--sim", "2"], &["--rt", "1"]] {
+        let (status, stderr) = tpal_run_bounded("sbomb.tpal", bomb, args);
+        assert_eq!(status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("salloc of 4294967295 cells exceeds the stack limit"),
+            "{args:?}: {stderr}"
+        );
+    }
+}

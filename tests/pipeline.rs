@@ -177,3 +177,30 @@ fn par2_ir_through_facade() {
         );
     }
 }
+
+/// `max_live_tasks` counts every simultaneously live task at a fork as
+/// at a detach: the queue, the running task and the tasks parked on
+/// channels. Here three poppers stay parked on `c` through the
+/// eight-leaf `par` tree, so its peak is 8 live tasks, not the 5 that
+/// the queue and the runner alone reach.
+#[test]
+fn machine_max_live_tasks_counts_parked_tasks_at_a_fork() {
+    let ir = tpal::ir::parse_ir(
+        "fn main(n) { c = chmake(1); e = chmake(1); \
+         detach popper(c); detach popper(c); detach popper(c); detach pusher(e); \
+         y = chpop(e); par { a = four(1); b = four(2); } \
+         chpush(c, 0); chpush(c, 0); chpush(c, 0); return a + b + y + n; }
+         fn popper(c) { x = chpop(c); return 0; }
+         fn pusher(e) { chpush(e, 1); return 0; }
+         fn four(n) { par { a = two(n); b = two(n); } return a + b; }
+         fn two(n) { par { a = leaf(n); b = leaf(n); } return a + b; }
+         fn leaf(n) { return n; }",
+    )
+    .unwrap();
+    let lowered = lower(&ir, Mode::Eager { workers: 1 }).unwrap();
+    let mut m = Machine::new(&lowered.program, MachineConfig::default());
+    m.set_reg(&lowered.param_reg("n"), 0).unwrap();
+    let out = m.run().unwrap();
+    assert_eq!(out.read_reg(&lowered.result_reg), Some(13));
+    assert_eq!(out.stats.max_live_tasks, 8);
+}
