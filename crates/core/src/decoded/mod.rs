@@ -21,7 +21,9 @@
 //!   ([`CmpBranch`]), the whole 3-instruction loop-head block
 //!   ([`CmpBranchBranch`]), the add/sub-immediate + compare + branch
 //!   back-edge triple ([`StepCmpBranch`]), and op + `jump` loop tails
-//!   ([`OpJump`]).
+//!   ([`OpJump`]); and runs of two or more consecutive moves
+//!   ([`MovRun`]), stores through one base ([`StoreRun`]) or loads
+//!   through one base ([`LoadRun`]), whose operands live in a side table.
 //!
 //! [`DecodedProgram::run_until`] then executes micro-ops with the exact
 //! observable semantics of [`crate::machine::run_task_until`]: same
@@ -48,11 +50,14 @@
 //! [`CmpBranchBranch`]: UOp::CmpBranchBranch
 //! [`StepCmpBranch`]: UOp::StepCmpBranch
 //! [`OpJump`]: UOp::OpJump
+//! [`MovRun`]: UOp::MovRun
+//! [`StoreRun`]: UOp::StoreRun
+//! [`LoadRun`]: UOp::LoadRun
 
 use crate::isa::{BinOp, Instr, Label, Operand, Reg};
 use crate::machine::heap::Heap;
 use crate::machine::stack::StackRef;
-use crate::machine::step::{eval_binop, exec_plain, RunPause, Stores, TaskState};
+use crate::machine::step::{eval_binop, exec_plain, int_binop, RunPause, Stores, TaskState};
 use crate::machine::{MachineError, Value};
 use crate::program::Program;
 
@@ -105,6 +110,17 @@ pub(crate) enum Src {
 }
 
 impl Src {
+    /// The operand's value with no initialisation check: an unwritten
+    /// register reads as [`Value::Uninit`], which the caller faults on.
+    #[inline(always)]
+    fn peek(self, regs: &[Value]) -> Value {
+        match self {
+            Src::Reg(r) => regs[r.index()],
+            Src::Int(n) => Value::Int(n),
+            Src::Label(l) => Value::Label(l),
+        }
+    }
+
     #[inline(always)]
     fn eval(self, regs: &[Value]) -> Result<Value, MachineError> {
         match self {
@@ -157,22 +173,13 @@ impl IntSrc {
     }
 }
 
-/// [`eval_binop`] with the operators the fused branch shapes almost
-/// always carry (int compare, int add/sub step) peeled into straight
-/// compares, so the fused arms skip the full operator table on the hot
-/// path. Falls back to [`eval_binop`] for everything else — semantics
-/// (including faults) are unchanged.
-#[inline(always)]
-fn eval_binop_fast(op: BinOp, l: Value, r: Value) -> Result<Value, MachineError> {
-    if let (Value::Int(a), Value::Int(b)) = (l, r) {
-        match op {
-            BinOp::Lt => return Ok(Value::Int(if a < b { 0 } else { 1 })),
-            BinOp::Add => return Ok(Value::Int(a.wrapping_add(b))),
-            BinOp::Sub => return Ok(Value::Int(a.wrapping_sub(b))),
-            _ => {}
-        }
-    }
-    eval_binop(op, l, r)
+/// `lhs op rhs` when the operands are not two integers: stack-pointer
+/// arithmetic, equality on other kinds, and every fault, raised in the
+/// reference's order (left read, right read, operator). Out of line so
+/// the ALU arms keep only their integer path.
+#[inline(never)]
+fn binop_slow(regs: &[Value], op: BinOp, lhs: Reg, rhs: Src) -> Result<Value, MachineError> {
+    eval_binop(op, rread(regs, lhs)?, rhs.eval(regs)?)
 }
 
 /// A micro-op: a pre-resolved plain instruction, a fused run of them, or
@@ -242,6 +249,16 @@ pub(crate) enum UOp {
         offset: IntSrc,
         src: IntSrc,
     },
+    /// `len` ≥ 2 consecutive `r := v`, constituents
+    /// `runs[start..start + len]` (`len` steps). Every constituent is a
+    /// move, so the arm is one straight loop with no inner dispatch.
+    MovRun { start: u32, len: u32 },
+    /// `len` ≥ 2 consecutive `mem[base + n] := v` through one base,
+    /// likewise. Stores write no register, so the base is read once.
+    StoreRun { base: Reg, start: u32, len: u32 },
+    /// `len` ≥ 2 consecutive `r := mem[base + n]` through one base that
+    /// none of them writes, likewise; the base is read once.
+    LoadRun { base: Reg, start: u32, len: u32 },
     /// Fused `r := r' op v; if-jump r, l` (2 steps). Taken goes to
     /// `taken`; not-taken falls through to `pc + 1`.
     CmpBranch {
@@ -304,8 +321,11 @@ pub(crate) enum UOp {
 }
 
 // The fetch side of dispatch is one indexed load of this stride; the
-// template variants exist as table indices so it stays there.
+// template and run variants exist as table indices so it stays there.
 const _: () = assert!(std::mem::size_of::<UOp>() <= 56);
+// A register value fits in two machine registers, so a read, an ALU
+// result or a register write never goes through a stack temporary.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 /// The source provenance of one micro-op: the block and the contiguous
 /// instruction range `[instr, instr + len)` it covers.
@@ -360,6 +380,51 @@ pub struct DecodedProgram {
     /// Rosters of the installed [`UOp::GuardedLoop`] templates (empty as
     /// decoded).
     pub(crate) guarded: Vec<GuardedLoop>,
+    /// Constituents of the run micro-ops, in stream order: a run names
+    /// its slice `[start, start + len)`.
+    runs: Vec<RunPart>,
+}
+
+/// One constituent of a run micro-op: a move `reg := src`, a store
+/// `mem[base + offset] := src` (`reg` is the base), or a load
+/// `reg := mem[base + offset]` (`src` is the base).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RunPart {
+    reg: Reg,
+    offset: u32,
+    src: Src,
+}
+
+impl RunPart {
+    fn of(instr: Instr) -> RunPart {
+        match instr {
+            Instr::Move { dst, src } => RunPart {
+                reg: dst,
+                offset: 0,
+                src: Src::of(src),
+            },
+            Instr::Store { addr, src } => RunPart {
+                reg: addr.base,
+                offset: addr.offset,
+                src: Src::of(src),
+            },
+            Instr::Load { dst, addr } => RunPart {
+                reg: dst,
+                offset: addr.offset,
+                src: Src::Reg(addr.base),
+            },
+            other => unreachable!("{other:?} in a run"),
+        }
+    }
+}
+
+/// Whether a fused segment starting with `first` is a run micro-op (every
+/// branch shape starts with an `Op`).
+fn is_run(first: &Instr) -> bool {
+    matches!(
+        first,
+        Instr::Move { .. } | Instr::Store { .. } | Instr::Load { .. }
+    )
 }
 
 /// Length of the fused run starting at `i` in a block's instruction
@@ -367,14 +432,31 @@ pub struct DecodedProgram {
 /// and, for branches, a condition register equal to the preceding op's
 /// destination; runs never cross a boundary instruction.
 ///
-/// Only branch shapes fuse. Pairing adjacent control-free instructions
-/// was tried and measured slower on every workload: the generic pair
-/// needs an inner constituent dispatch that costs as much as the outer
-/// dispatch it saves, and carrying two instructions inline bloats the
-/// micro-op stride (112 bytes vs 56) enough to hurt the fetch path.
+/// Branch shapes fuse, and so do runs of one kind of plain instruction
+/// (moves; stores through one base; loads through one base none of them
+/// writes). Pairing *mixed* adjacent control-free instructions was tried
+/// and measured slower on every workload: the generic pair needs an
+/// inner constituent dispatch that costs as much as the outer dispatch
+/// it saves, and carrying two instructions inline bloats the micro-op
+/// stride (112 bytes vs 56) enough to hurt the fetch path. A run has
+/// neither cost: its arm is one loop over a side table.
 fn fusion_len(instrs: &[Instr], i: usize) -> usize {
-    let Instr::Op { dst, op, rhs, .. } = instrs[i] else {
-        return 1;
+    // The run of instructions from `i` that `same` admits (a load that
+    // writes its own base is a run of one).
+    let run =
+        |same: &dyn Fn(&Instr) -> bool| instrs[i..].iter().take_while(|x| same(x)).count().max(1);
+    let (dst, op, rhs) = match instrs[i] {
+        Instr::Move { .. } => return run(&|x| matches!(x, Instr::Move { .. })),
+        Instr::Store { addr: a, .. } => {
+            return run(&|x| matches!(x, Instr::Store { addr, .. } if addr.base == a.base))
+        }
+        Instr::Load { addr: a, .. } => {
+            return run(
+                &|x| matches!(x, Instr::Load { dst, addr } if addr.base == a.base && *dst != a.base),
+            )
+        }
+        Instr::Op { dst, op, rhs, .. } => (dst, op, rhs),
+        _ => return 1,
     };
     // Back-edge triple: add/sub-immediate, then compare, then branch.
     if matches!(op, BinOp::Add | BinOp::Sub) && matches!(rhs, Operand::Int(_)) {
@@ -429,6 +511,7 @@ impl DecodedProgram {
         let mut block_entry = Vec::with_capacity(nblocks);
         let mut instr_base = Vec::with_capacity(nblocks);
         let mut flat = Vec::with_capacity(program.instr_count());
+        let mut run_parts = 0;
         for (label, block) in program.iter() {
             block_entry.push(segments.len() as u32);
             instr_base.push(flat.len() as u32);
@@ -436,6 +519,9 @@ impl DecodedProgram {
             let mut i = 0;
             while i < block.instrs.len() {
                 let len = fusion_len(&block.instrs, i);
+                if len > 1 && is_run(&block.instrs[i]) {
+                    run_parts += len;
+                }
                 segments.push((label.index() as u32, i as u32, len as u32));
                 i += len;
             }
@@ -447,6 +533,8 @@ impl DecodedProgram {
         let mut src = Vec::with_capacity(segments.len());
         let mut prppt_entry = Vec::with_capacity(segments.len());
         let mut pc_of = vec![MID; flat.len()];
+        // Sized in pass 1, so the table is allocated once.
+        let mut runs = Vec::with_capacity(run_parts);
         let handlers: Vec<Option<Label>> = program
             .blocks()
             .iter()
@@ -465,6 +553,24 @@ impl DecodedProgram {
             let i = instr as usize;
             let uop = match len {
                 1 => Self::decode_single(instrs[i], entry_of),
+                _ if is_run(&instrs[i]) => {
+                    let start = runs.len() as u32;
+                    runs.extend(instrs[i..i + len as usize].iter().map(|&x| RunPart::of(x)));
+                    match instrs[i] {
+                        Instr::Move { .. } => UOp::MovRun { start, len },
+                        Instr::Store { addr, .. } => UOp::StoreRun {
+                            base: addr.base,
+                            start,
+                            len,
+                        },
+                        Instr::Load { addr, .. } => UOp::LoadRun {
+                            base: addr.base,
+                            start,
+                            len,
+                        },
+                        other => unreachable!("no run starts at {other:?}"),
+                    }
+                }
                 2 => match (instrs[i], instrs[i + 1]) {
                     (
                         Instr::Op { dst, op, lhs, rhs },
@@ -563,6 +669,7 @@ impl DecodedProgram {
             weights,
             reduce: Vec::new(),
             guarded: Vec::new(),
+            runs,
         }
     }
 
@@ -831,6 +938,56 @@ impl DecodedProgram {
                     break;
                 }};
             }
+            // `lhs op rhs` as constituent `$parts`, with no `Result` on
+            // the way: two integers take the inline integer path, which
+            // faults only on a zero divisor; anything else (pointer
+            // arithmetic, an unwritten register, a type fault) takes the
+            // out-of-line one.
+            macro_rules! alu {
+                ($parts:expr, $op:expr, $lhs:expr, $rhs:expr) => {
+                    match (regs[$lhs.index()], $rhs.peek(regs)) {
+                        (Value::Int(a), Value::Int(b)) => match int_binop($op, a, b) {
+                            Some(n) => Value::Int(n),
+                            None => fault!($parts, MachineError::DivisionByZero),
+                        },
+                        _ => part!($parts, binop_slow(regs, $op, $lhs, $rhs)),
+                    }
+                };
+            }
+            // A plain `dst := lhs op rhs`.
+            macro_rules! op {
+                ($dst:expr, $op:expr, $lhs:expr, $rhs:expr) => {{
+                    regs[$dst.index()] = alu!(1, $op, $lhs, $rhs);
+                    remaining -= 1;
+                    pc += 1;
+                }};
+            }
+            // An operand's value as constituent `$parts` (faults on an
+            // unwritten register).
+            macro_rules! read {
+                ($parts:expr, $src:expr) => {
+                    match $src {
+                        Src::Reg(r) => match regs[r.index()] {
+                            Value::Uninit => {
+                                fault!($parts, MachineError::UninitRegister { reg: r })
+                            }
+                            v => v,
+                        },
+                        Src::Int(n) => Value::Int(n),
+                        Src::Label(l) => Value::Label(l),
+                    }
+                };
+            }
+            // A stack-pointer register as constituent 1; anything else
+            // faults through the out-of-line read.
+            macro_rules! stack {
+                ($r:expr) => {
+                    match regs[$r.index()] {
+                        Value::Stack(sp) => sp,
+                        _ => part!(1, rstack(regs, $r)),
+                    }
+                };
+            }
             // The fused loop-head block (compare + branch + jump): 2
             // steps taken, 3 on the fall-through exit. Shared by the
             // plain arm and the loop templates installed over it.
@@ -839,9 +996,7 @@ impl DecodedProgram {
                     if remaining < 3 {
                         split!();
                     }
-                    let l = part!(1, rread(regs, $lhs));
-                    let r = part!(1, $rhs.eval(regs));
-                    let v = part!(1, eval_binop_fast($op, l, r));
+                    let v = alu!(1, $op, $lhs, $rhs);
                     regs[$dst.index()] = v;
                     if v.is_true() {
                         remaining -= 2;
@@ -872,82 +1027,22 @@ impl DecodedProgram {
                 let next = pc + 1;
                 match uops[pc] {
                     UOp::Mov { dst, src } => {
-                        let v = part!(1, src.eval(regs));
-                        regs[dst.index()] = v;
+                        regs[dst.index()] = read!(1, src);
                         remaining -= 1;
                         pc = next;
                     }
-                    UOp::Op { dst, op, lhs, rhs } => {
-                        let l = part!(1, rread(regs, lhs));
-                        let r = part!(1, rhs.eval(regs));
-                        let v = part!(1, eval_binop(op, l, r));
-                        regs[dst.index()] = v;
-                        remaining -= 1;
-                        pc = next;
-                    }
-                    UOp::OpAdd { dst, lhs, rhs } => {
-                        let l = part!(1, rread(regs, lhs));
-                        let r = part!(1, rhs.eval(regs));
-                        let v = match (l, r) {
-                            (Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_add(b)),
-                            _ => part!(1, eval_binop(BinOp::Add, l, r)),
-                        };
-                        regs[dst.index()] = v;
-                        remaining -= 1;
-                        pc = next;
-                    }
-                    UOp::OpSub { dst, lhs, rhs } => {
-                        let l = part!(1, rread(regs, lhs));
-                        let r = part!(1, rhs.eval(regs));
-                        let v = match (l, r) {
-                            (Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_sub(b)),
-                            _ => part!(1, eval_binop(BinOp::Sub, l, r)),
-                        };
-                        regs[dst.index()] = v;
-                        remaining -= 1;
-                        pc = next;
-                    }
-                    UOp::OpMul { dst, lhs, rhs } => {
-                        let l = part!(1, rread(regs, lhs));
-                        let r = part!(1, rhs.eval(regs));
-                        let v = match (l, r) {
-                            (Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_mul(b)),
-                            _ => part!(1, eval_binop(BinOp::Mul, l, r)),
-                        };
-                        regs[dst.index()] = v;
-                        remaining -= 1;
-                        pc = next;
-                    }
-                    UOp::OpLt { dst, lhs, rhs } => {
-                        let l = part!(1, rread(regs, lhs));
-                        let r = part!(1, rhs.eval(regs));
-                        let v = match (l, r) {
-                            (Value::Int(a), Value::Int(b)) => Value::Int(if a < b { 0 } else { 1 }),
-                            _ => part!(1, eval_binop(BinOp::Lt, l, r)),
-                        };
-                        regs[dst.index()] = v;
-                        remaining -= 1;
-                        pc = next;
-                    }
-                    UOp::OpLe { dst, lhs, rhs } => {
-                        let l = part!(1, rread(regs, lhs));
-                        let r = part!(1, rhs.eval(regs));
-                        let v = match (l, r) {
-                            (Value::Int(a), Value::Int(b)) => {
-                                Value::Int(if a <= b { 0 } else { 1 })
-                            }
-                            _ => part!(1, eval_binop(BinOp::Le, l, r)),
-                        };
-                        regs[dst.index()] = v;
-                        remaining -= 1;
-                        pc = next;
-                    }
+                    UOp::Op { dst, op, lhs, rhs } => op!(dst, op, lhs, rhs),
+                    UOp::OpAdd { dst, lhs, rhs } => op!(dst, BinOp::Add, lhs, rhs),
+                    UOp::OpSub { dst, lhs, rhs } => op!(dst, BinOp::Sub, lhs, rhs),
+                    UOp::OpMul { dst, lhs, rhs } => op!(dst, BinOp::Mul, lhs, rhs),
+                    UOp::OpLt { dst, lhs, rhs } => op!(dst, BinOp::Lt, lhs, rhs),
+                    UOp::OpLe { dst, lhs, rhs } => op!(dst, BinOp::Le, lhs, rhs),
                     UOp::Jump { target } => {
                         remaining -= 1;
                         pc = target as usize;
                     }
                     UOp::JumpReg { reg } => {
-                        let v = part!(1, rread(regs, reg));
+                        let v = read!(1, Src::Reg(reg));
                         match v {
                             Value::Label(l) => {
                                 remaining -= 1;
@@ -960,14 +1055,14 @@ impl DecodedProgram {
                     }
                     UOp::JumpBad { got } => fault!(1, MachineError::JumpToNonLabel { got }),
                     UOp::IfJump { cond, target } => {
-                        let c = part!(1, rread(regs, cond));
+                        let c = read!(1, Src::Reg(cond));
                         remaining -= 1;
                         pc = if c.is_true() { target as usize } else { next };
                     }
                     UOp::IfJumpReg { cond, reg } => {
-                        let c = part!(1, rread(regs, cond));
+                        let c = read!(1, Src::Reg(cond));
                         if c.is_true() {
-                            let v = part!(1, rread(regs, reg));
+                            let v = read!(1, Src::Reg(reg));
                             match v {
                                 Value::Label(l) => {
                                     remaining -= 1;
@@ -983,7 +1078,7 @@ impl DecodedProgram {
                         }
                     }
                     UOp::IfJumpBad { cond, got } => {
-                        let c = part!(1, rread(regs, cond));
+                        let c = read!(1, Src::Reg(cond));
                         if c.is_true() {
                             fault!(1, MachineError::JumpToNonLabel { got });
                         }
@@ -991,54 +1086,93 @@ impl DecodedProgram {
                         pc = next;
                     }
                     UOp::SAlloc { sp, n } => {
-                        let cur = part!(1, rstack(regs, sp));
+                        let cur = stack!(sp);
                         let new = part!(1, stacks.salloc(cur, n));
                         regs[sp.index()] = Value::Stack(new);
                         remaining -= 1;
                         pc = next;
                     }
                     UOp::SFree { sp, n } => {
-                        let cur = part!(1, rstack(regs, sp));
+                        let cur = stack!(sp);
                         let new = part!(1, stacks.sfree(cur, n));
                         regs[sp.index()] = Value::Stack(new);
                         remaining -= 1;
                         pc = next;
                     }
                     UOp::Load { dst, base, offset } => {
-                        let sp = part!(1, rstack(regs, base));
+                        let sp = stack!(base);
                         let v = part!(1, stacks.load(sp, offset));
                         regs[dst.index()] = v;
                         remaining -= 1;
                         pc = next;
                     }
                     UOp::Store { base, offset, src } => {
-                        let sp = part!(1, rstack(regs, base));
-                        let v = part!(1, src.eval(regs));
+                        let sp = stack!(base);
+                        let v = read!(1, src);
                         part!(1, stacks.store(sp, offset, v));
                         remaining -= 1;
                         pc = next;
                     }
+                    // Runs: a quantum that would split one falls back to
+                    // stepwise execution, and a fault stops at its exact
+                    // constituent (`k + 1` executed).
+                    UOp::MovRun { start, len } => {
+                        if remaining < len as u64 {
+                            split!();
+                        }
+                        let run = &self.runs[start as usize..][..len as usize];
+                        for (k, p) in run.iter().enumerate() {
+                            regs[p.reg.index()] = read!(k as u32 + 1, p.src);
+                        }
+                        remaining -= len as u64;
+                        pc = next;
+                    }
+                    UOp::StoreRun { base, start, len } => {
+                        if remaining < len as u64 {
+                            split!();
+                        }
+                        let sp = stack!(base);
+                        let run = &self.runs[start as usize..][..len as usize];
+                        for (k, p) in run.iter().enumerate() {
+                            let v = read!(k as u32 + 1, p.src);
+                            part!(k as u32 + 1, stacks.store(sp, p.offset, v));
+                        }
+                        remaining -= len as u64;
+                        pc = next;
+                    }
+                    UOp::LoadRun { base, start, len } => {
+                        if remaining < len as u64 {
+                            split!();
+                        }
+                        let sp = stack!(base);
+                        let run = &self.runs[start as usize..][..len as usize];
+                        for (k, p) in run.iter().enumerate() {
+                            regs[p.reg.index()] = part!(k as u32 + 1, stacks.load(sp, p.offset));
+                        }
+                        remaining -= len as u64;
+                        pc = next;
+                    }
                     UOp::PrmPush { base, offset } => {
-                        let sp = part!(1, rstack(regs, base));
+                        let sp = stack!(base);
                         part!(1, stacks.prmpush(sp, offset));
                         remaining -= 1;
                         pc = next;
                     }
                     UOp::PrmPop { base, offset } => {
-                        let sp = part!(1, rstack(regs, base));
+                        let sp = stack!(base);
                         part!(1, stacks.prmpop(sp, offset));
                         remaining -= 1;
                         pc = next;
                     }
                     UOp::PrmEmpty { dst, sp } => {
-                        let spv = part!(1, rstack(regs, sp));
+                        let spv = stack!(sp);
                         let v = part!(1, stacks.prmempty(spv));
                         regs[dst.index()] = v;
                         remaining -= 1;
                         pc = next;
                     }
                     UOp::PrmSplit { sp, dst } => {
-                        let spv = part!(1, rstack(regs, sp));
+                        let spv = stack!(sp);
                         let off = part!(1, stacks.prmsplit(spv));
                         regs[dst.index()] = Value::Int(off);
                         remaining -= 1;
@@ -1070,9 +1204,7 @@ impl DecodedProgram {
                         if remaining < 2 {
                             split!();
                         }
-                        let l = part!(1, rread(regs, lhs));
-                        let r = part!(1, rhs.eval(regs));
-                        let v = part!(1, eval_binop_fast(op, l, r));
+                        let v = alu!(1, op, lhs, rhs);
                         regs[dst.index()] = v;
                         remaining -= 2;
                         pc = if v.is_true() { taken as usize } else { next };
@@ -1104,10 +1236,7 @@ impl DecodedProgram {
                         if remaining < 2 {
                             split!();
                         }
-                        let l = part!(1, rread(regs, lhs));
-                        let r = part!(1, rhs.eval(regs));
-                        let v = part!(1, eval_binop_fast(op, l, r));
-                        regs[dst.index()] = v;
+                        regs[dst.index()] = alu!(1, op, lhs, rhs);
                         remaining -= 2;
                         pc = target as usize;
                     }
@@ -1133,12 +1262,8 @@ impl DecodedProgram {
                         if remaining < 3 {
                             split!();
                         }
-                        let sl = part!(1, rread(regs, step_lhs));
-                        let sv = part!(1, eval_binop_fast(step_op, sl, Value::Int(step_imm)));
-                        regs[step_dst.index()] = sv;
-                        let l = part!(2, rread(regs, lhs));
-                        let r = part!(2, rhs.eval(regs));
-                        let v = part!(2, eval_binop_fast(op, l, r));
+                        regs[step_dst.index()] = alu!(1, step_op, step_lhs, Src::Int(step_imm));
+                        let v = alu!(2, op, lhs, rhs);
                         regs[dst.index()] = v;
                         remaining -= 3;
                         pc = if v.is_true() { taken as usize } else { next };
@@ -1305,8 +1430,9 @@ mod tests {
         assert_eq!(task.regs.read(acc).unwrap(), Value::Int(45));
     }
 
-    /// Adjacent control-free instructions fuse into pairs, but a pair
-    /// never steals the compare of a branch fusion.
+    /// Adjacent control-free instructions of different kinds stay
+    /// unfused (only same-kind runs fuse), and nothing steals the compare
+    /// of a branch fusion.
     #[test]
     fn adjacent_plain_ops_stay_unfused() {
         use crate::isa::{Instr, Operand};
@@ -1380,6 +1506,77 @@ mod tests {
                 }
             }
             assert_eq!(task.regs, rtask.regs);
+        }
+    }
+
+    /// Consecutive moves, stores through one base and loads through one
+    /// base fuse into run micro-ops; a load that writes its own base and
+    /// a store through another base each end a run. Every quantum that
+    /// lands inside a run replays the reference exactly.
+    #[test]
+    fn runs_fuse() {
+        use crate::asm::parse_program;
+        use crate::machine::{step_task, StepOutcome};
+        let p = parse_program(
+            "main: [.]
+                sp := snew
+                salloc sp, 4
+                q := sp
+                a := 1
+                b := 2
+                c := a
+                mem[sp + 0] := a
+                mem[sp + 1] := b
+                mem[sp + 2] := sp
+                mem[q + 3] := c
+                d := mem[sp + 0]
+                e := mem[sp + 1]
+                sp := mem[sp + 2]
+                f := mem[sp + 1]
+                g := mem[sp + 3]
+                halt",
+        )
+        .unwrap();
+        let d = DecodedProgram::decode(&p);
+        let kinds: Vec<(UOp, u32)> = (0..d.uop_count())
+            .map(|pc| (d.uops[pc], d.source(pc).len))
+            .collect();
+        assert!(matches!(kinds[0], (UOp::Boundary, 1)));
+        assert!(matches!(kinds[1], (UOp::SAlloc { .. }, 1)));
+        assert!(matches!(kinds[2], (UOp::MovRun { len: 4, .. }, 4)));
+        assert!(matches!(kinds[3], (UOp::StoreRun { len: 3, .. }, 3)));
+        assert!(matches!(kinds[4], (UOp::Store { .. }, 1)));
+        assert!(matches!(kinds[5], (UOp::LoadRun { len: 2, .. }, 2)));
+        assert!(matches!(kinds[6], (UOp::Load { .. }, 1)));
+        assert!(matches!(kinds[7], (UOp::LoadRun { len: 2, .. }, 2)));
+        assert!(matches!(kinds[8], (UOp::Boundary, 1)));
+        assert_eq!(d.uop_count(), 9);
+
+        for quantum in 1..=6u64 {
+            let mut stores = Stores::new();
+            let mut task = TaskState::new(&p, p.entry());
+            let mut rstores = Stores::new();
+            let mut rtask = task.clone();
+            loop {
+                let (s1, p1) = d.run_until(&mut task, &mut stores, quantum, false).unwrap();
+                let (s2, p2) =
+                    run_task_until(&p, &mut rtask, &mut rstores, quantum, false).unwrap();
+                assert_eq!((s1, p1), (s2, p2), "quantum {quantum}");
+                assert_eq!((task.block, task.instr), (rtask.block, rtask.instr));
+                assert_eq!(task.regs, rtask.regs);
+                if p1 == RunPause::Boundary {
+                    let halted = |o| matches!(o, StepOutcome::Halted);
+                    let h1 = halted(step_task(&p, &mut task, &mut stores).unwrap());
+                    let h2 = halted(step_task(&p, &mut rtask, &mut rstores).unwrap());
+                    assert_eq!(h1, h2);
+                    if h1 {
+                        break;
+                    }
+                }
+            }
+            assert_eq!(task.cycles, rtask.cycles);
+            let g = p.reg("g").unwrap();
+            assert_eq!(task.regs.read(g).unwrap(), Value::Int(1));
         }
     }
 

@@ -42,7 +42,12 @@ impl StackId {
 }
 
 /// A pointer into a task stack: the `uptr` of the formal grammar.
+///
+/// Packed to 4-byte alignment so it takes 12 bytes, not 16, which keeps
+/// [`Value`] at 16 bytes: small enough to travel in a pair of machine
+/// registers. A field cannot be borrowed; read `pos` by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(C, packed(4))]
 pub struct StackRef {
     /// Which stack.
     pub stack: StackId,
@@ -52,20 +57,29 @@ pub struct StackRef {
 }
 
 impl StackRef {
-    /// `sp + n`: move `n` cells deeper (toward the base).
+    /// `sp + n`: move `n` cells deeper (toward the base). Wraps, as
+    /// integer `+` does: a wild pointer faults when it is used.
     pub fn deeper(self, n: i64) -> StackRef {
         StackRef {
             stack: self.stack,
-            pos: self.pos - n,
+            pos: self.pos.wrapping_sub(n),
         }
     }
 
-    /// `sp - n`: move `n` cells shallower (away from the base).
+    /// `sp - n`: move `n` cells shallower (away from the base). Wraps
+    /// like [`Self::deeper`].
     pub fn shallower(self, n: i64) -> StackRef {
         StackRef {
             stack: self.stack,
-            pos: self.pos + n,
+            pos: self.pos.wrapping_add(n),
         }
+    }
+
+    /// The position of the cell `mem[sp + offset]` addresses (wrapping,
+    /// so a wild pointer gives an out-of-range position, never a panic).
+    #[inline(always)]
+    pub(crate) fn cell(self, offset: u32) -> i64 {
+        self.pos.wrapping_sub(offset as i64)
     }
 }
 
@@ -127,13 +141,14 @@ impl StackStore {
     #[inline]
     pub fn salloc(&mut self, sp: StackRef, n: u32) -> Result<StackRef, MachineError> {
         let cells = self.cells_mut(sp.stack);
-        let live = (sp.pos + 1) as usize;
-        if sp.pos < -1 || live > cells.len() {
+        let pos = sp.pos;
+        if pos < -1 || pos >= cells.len() as i64 {
             return Err(MachineError::StackOutOfRange {
-                pos: sp.pos,
+                pos,
                 len: cells.len(),
             });
         }
+        let live = (pos + 1) as usize;
         if n as usize > MAX_STACK_CELLS.saturating_sub(live) {
             return Err(MachineError::StackExhausted { cells: n });
         }
@@ -141,7 +156,7 @@ impl StackStore {
         cells.extend(std::iter::repeat_n(Value::Int(0), n as usize));
         Ok(StackRef {
             stack: sp.stack,
-            pos: sp.pos + n as i64,
+            pos: pos + n as i64,
         })
     }
 
@@ -149,7 +164,7 @@ impl StackStore {
     /// the updated pointer.
     #[inline]
     pub fn sfree(&mut self, sp: StackRef, n: u32) -> Result<StackRef, MachineError> {
-        let new_pos = sp.pos - n as i64;
+        let new_pos = sp.pos.wrapping_sub(n as i64);
         if new_pos < -1 {
             return Err(MachineError::StackUnderflow);
         }
@@ -157,7 +172,7 @@ impl StackStore {
         // a view adjustment and the cells become dead (reclaimed by the
         // next salloc at or below new_pos).
         let cells = self.cells_mut(sp.stack);
-        if sp.pos + 1 == cells.len() as i64 {
+        if sp.pos == cells.len() as i64 - 1 {
             cells.truncate((new_pos + 1) as usize);
         }
         Ok(StackRef {
@@ -167,7 +182,7 @@ impl StackStore {
     }
 
     fn check(&self, sp: StackRef, offset: u32) -> Result<usize, MachineError> {
-        let pos = sp.pos - offset as i64;
+        let pos = sp.cell(offset);
         let len = self.cells(sp.stack).len();
         if pos < 0 || pos as usize >= len {
             return Err(MachineError::StackOutOfRange { pos, len });
@@ -183,7 +198,7 @@ impl StackStore {
     #[inline]
     pub fn load(&self, sp: StackRef, offset: u32) -> Result<Value, MachineError> {
         let cells = &self.stacks[sp.stack.index()];
-        let pos = sp.pos - offset as i64;
+        let pos = sp.cell(offset);
         cells
             .get(pos as usize)
             .copied()
@@ -197,7 +212,7 @@ impl StackStore {
     #[inline]
     pub fn store(&mut self, sp: StackRef, offset: u32, v: Value) -> Result<(), MachineError> {
         let cells = &mut self.stacks[sp.stack.index()];
-        let pos = sp.pos - offset as i64;
+        let pos = sp.cell(offset);
         let len = cells.len();
         match cells.get_mut(pos as usize) {
             Some(cell) => {
@@ -284,9 +299,9 @@ mod tests {
     fn snew_then_salloc_and_addressing() {
         let mut st = StackStore::new();
         let sp = st.snew();
-        assert_eq!(sp.pos, -1);
+        assert_eq!({ sp.pos }, -1);
         let sp = st.salloc(sp, 3).unwrap();
-        assert_eq!(sp.pos, 2);
+        assert_eq!({ sp.pos }, 2);
         // Fresh cells are zero.
         for k in 0..3 {
             assert_eq!(st.load(sp, k).unwrap(), Value::Int(0));
@@ -397,8 +412,33 @@ mod tests {
         assert_eq!(st.load(view, 0).unwrap(), Value::Int(99));
         // salloc from the view reclaims the 3 dead cells above it.
         let sp2 = st.salloc(view, 2).unwrap();
-        assert_eq!(sp2.pos, view.pos + 2);
+        assert_eq!({ sp2.pos }, view.pos + 2);
         assert_eq!(st.load(sp2, 2).unwrap(), Value::Int(99));
+    }
+
+    /// Pointer arithmetic wraps as integer arithmetic does, and every
+    /// `StackStore` operation turns a wild pointer into a typed fault
+    /// instead of overflowing.
+    #[test]
+    fn wild_pointers_wrap_then_fault() {
+        let mut st = StackStore::new();
+        let fresh = st.snew();
+        let sp = st.salloc(fresh, 2).unwrap();
+        assert_eq!({ sp.deeper(i64::MIN).pos }, i64::MIN + 1);
+        assert_eq!({ sp.shallower(i64::MAX).pos }, i64::MIN);
+        let top = st.snew().deeper(i64::MIN);
+        assert_eq!({ top.pos }, i64::MAX);
+        let bottom = sp.shallower(i64::MAX).shallower(1);
+        assert_eq!({ bottom.pos }, i64::MIN + 1);
+        let out = |pos, len| MachineError::StackOutOfRange { pos, len };
+        assert_eq!(st.salloc(top, 2).unwrap_err(), out(i64::MAX, 0));
+        assert_eq!(st.salloc(bottom, 2).unwrap_err(), out(i64::MIN + 1, 2));
+        assert_eq!(st.load(bottom, 3).unwrap_err(), out(i64::MAX - 1, 2));
+        let stored = st.store(bottom, 3, Value::Int(1));
+        assert_eq!(stored.unwrap_err(), out(i64::MAX - 1, 2));
+        assert_eq!(st.prmpop(bottom, 3).unwrap_err(), out(i64::MAX - 1, 2));
+        assert_eq!(st.sfree(top, 1).map(|s| s.pos), Ok(i64::MAX - 1));
+        assert_eq!(st.sfree(bottom, 1), Err(MachineError::StackUnderflow));
     }
 
     #[test]
@@ -407,7 +447,7 @@ mod tests {
             stack: StackId(0),
             pos: 10,
         };
-        assert_eq!(r.deeper(3).pos, 7);
+        assert_eq!({ r.deeper(3).pos }, 7);
         assert_eq!(r.deeper(3).shallower(3), r);
     }
 }

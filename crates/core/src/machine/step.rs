@@ -279,6 +279,45 @@ pub enum StepOutcome {
     },
 }
 
+/// A primitive binary operation on two integers (wrapping arithmetic,
+/// zero-is-true comparisons). `None` only for a zero divisor: no other
+/// pair of integers faults.
+#[inline(always)]
+pub(crate) fn int_binop(op: BinOp, a: i64, b: i64) -> Option<i64> {
+    use BinOp::*;
+    let truth = |b: bool| (!b) as i64; // 0 = true
+    Some(match op {
+        Add => a.wrapping_add(b),
+        Sub => a.wrapping_sub(b),
+        Mul => a.wrapping_mul(b),
+        Div => {
+            if b == 0 {
+                return None;
+            }
+            a.wrapping_div(b)
+        }
+        Mod => {
+            if b == 0 {
+                return None;
+            }
+            a.wrapping_rem(b)
+        }
+        Lt => truth(a < b),
+        Le => truth(a <= b),
+        Gt => truth(a > b),
+        Ge => truth(a >= b),
+        EqOp => truth(a == b),
+        Ne => truth(a != b),
+        And => a & b,
+        Or => a | b,
+        Xor => a ^ b,
+        Shl => a.wrapping_shl((b & 63) as u32),
+        Shr => a.wrapping_shr((b & 63) as u32),
+        Min => a.min(b),
+        Max => a.max(b),
+    })
+}
+
 /// Evaluates a primitive binary operation (`[binop]`, plus the pointer
 /// arithmetic used by the stack extension).
 #[inline]
@@ -286,39 +325,9 @@ pub fn eval_binop(op: BinOp, lhs: Value, rhs: Value) -> Result<Value, MachineErr
     use BinOp::*;
     let bool_to_val = |b: bool| Value::Int(if b { 0 } else { 1 }); // 0 = true
     match (lhs, rhs) {
-        (Value::Int(a), Value::Int(b)) => {
-            let v = match op {
-                Add => Value::Int(a.wrapping_add(b)),
-                Sub => Value::Int(a.wrapping_sub(b)),
-                Mul => Value::Int(a.wrapping_mul(b)),
-                Div => {
-                    if b == 0 {
-                        return Err(MachineError::DivisionByZero);
-                    }
-                    Value::Int(a.wrapping_div(b))
-                }
-                Mod => {
-                    if b == 0 {
-                        return Err(MachineError::DivisionByZero);
-                    }
-                    Value::Int(a.wrapping_rem(b))
-                }
-                Lt => bool_to_val(a < b),
-                Le => bool_to_val(a <= b),
-                Gt => bool_to_val(a > b),
-                Ge => bool_to_val(a >= b),
-                EqOp => bool_to_val(a == b),
-                Ne => bool_to_val(a != b),
-                And => Value::Int(a & b),
-                Or => Value::Int(a | b),
-                Xor => Value::Int(a ^ b),
-                Shl => Value::Int(a.wrapping_shl((b & 63) as u32)),
-                Shr => Value::Int(a.wrapping_shr((b & 63) as u32)),
-                Min => Value::Int(a.min(b)),
-                Max => Value::Int(a.max(b)),
-            };
-            Ok(v)
-        }
+        (Value::Int(a), Value::Int(b)) => int_binop(op, a, b)
+            .map(Value::Int)
+            .ok_or(MachineError::DivisionByZero),
         // Stack-pointer arithmetic: `sp + n` moves deeper, `sp - n`
         // shallower (see module docs of `stack`).
         (Value::Stack(s), Value::Int(n)) if op == Add => Ok(Value::Stack(s.deeper(n))),
@@ -908,11 +917,11 @@ mod tests {
             pos: 5,
         });
         match eval_binop(BinOp::Add, sp, Value::Int(2)).unwrap() {
-            Value::Stack(s) => assert_eq!(s.pos, 3),
+            Value::Stack(s) => assert_eq!({ s.pos }, 3),
             other => panic!("{other:?}"),
         }
         match eval_binop(BinOp::Sub, sp, Value::Int(2)).unwrap() {
-            Value::Stack(s) => assert_eq!(s.pos, 7),
+            Value::Stack(s) => assert_eq!({ s.pos }, 7),
             other => panic!("{other:?}"),
         }
     }

@@ -8,7 +8,10 @@
 //! uninitialised-register, heap-range, heap-exhaustion, stack-fault and
 //! stack-exhaustion paths, and the
 //! compiled tiers are driven with adversarial quantum chunkings so
-//! fused micro-ops are split mid-way.
+//! fused micro-ops are split mid-way. It favours long runs of moves,
+//! stores through one base and loads through one base (the shapes the
+//! decoder fuses into run micro-ops), loads that overwrite their own
+//! base, and faults inside those runs.
 
 use proptest::prelude::*;
 
@@ -37,6 +40,8 @@ enum GenInstr {
     Op(usize, BinOp, usize, GenOperand),
     SAlloc(usize, u32),
     SFree(u32),
+    /// `dst := mem[base + n]`; `dst` may be `sp` (VAL_REGS + 1), the
+    /// load that writes its own base.
     Load(usize, usize, u32),
     Store(usize, u32, GenOperand),
     HLoad(usize, usize, GenOperand),
@@ -97,6 +102,45 @@ fn instr_strategy() -> impl Strategy<Value = GenInstr> {
     ]
 }
 
+/// A load's destination and offset: mostly a value register, now and
+/// then `sp` from the cell the init block points back at the stack.
+fn load_into() -> impl Strategy<Value = (usize, u32)> {
+    prop_oneof![
+        11 => (0..VAL_REGS, prop_oneof![19 => 0u32..4, 1 => 4u32..6]),
+        1 => Just((VAL_REGS + 1, 3)),
+    ]
+}
+
+/// One stretch of a body: a single instruction, or a run of two to
+/// seven moves, stores through one base, or loads through one base.
+/// Run constituents mostly succeed, so runs execute whole, but an
+/// unwritten source, an out-of-range cell or a base that is not a stack
+/// turns up at any position now and then.
+fn segment_strategy() -> impl Strategy<Value = Vec<GenInstr>> {
+    let run = 2usize..8;
+    let src = || {
+        prop_oneof![
+            30 => prop_oneof![
+                (0..VAL_REGS).prop_map(GenOperand::Reg),
+                Just(GenOperand::Reg(VAL_REGS + 1)),
+                (-2i64..12).prop_map(GenOperand::Int),
+            ],
+            1 => Just(GenOperand::Reg(VAL_REGS)),
+        ]
+    };
+    let base = || prop_oneof![19 => Just(0usize), 1 => Just(1usize)];
+    let offset = || prop_oneof![19 => 0u32..4, 1 => 4u32..6];
+    prop_oneof![
+        2 => instr_strategy().prop_map(|i| vec![i]),
+        2 => proptest::collection::vec((0..VAL_REGS, src()), run.clone())
+            .prop_map(|ms| ms.into_iter().map(|(d, s)| GenInstr::Move(d, s)).collect()),
+        2 => (base(), proptest::collection::vec((offset(), src()), run.clone()))
+            .prop_map(|(b, ss)| ss.into_iter().map(|(o, s)| GenInstr::Store(b, o, s)).collect()),
+        2 => (base(), proptest::collection::vec(load_into(), run))
+            .prop_map(|(b, ls)| ls.into_iter().map(|(d, o)| GenInstr::Load(d, b, o)).collect()),
+    ]
+}
+
 /// Builds a terminating program: an init block that allocates the stack
 /// and heap and seeds `r0..r4`, then `NBLOCKS` body blocks whose jumps
 /// (conditional and terminator alike) only ever target *later* blocks,
@@ -146,6 +190,13 @@ fn build_program(bodies: &[Vec<GenInstr>], jumps: &[usize], seeds: &[i64]) -> Pr
     let mut init = vec![
         Instr::SNew { dst: sp },
         Instr::SAlloc { sp, n: 4 },
+        Instr::Store {
+            addr: MemAddr {
+                base: sp,
+                offset: 3,
+            },
+            src: Operand::Reg(sp),
+        },
         Instr::HAlloc {
             dst: arr,
             size: Operand::Int(8),
@@ -182,7 +233,7 @@ fn build_program(bodies: &[Vec<GenInstr>], jumps: &[usize], seeds: &[i64]) -> Pr
                 },
                 GenInstr::SFree(n) => Instr::SFree { sp, n: *n },
                 GenInstr::Load(d, base, o) => Instr::Load {
-                    dst: vregs[*d],
+                    dst: reg_of(*d),
                     addr: MemAddr {
                         base: base_of(*base),
                         offset: *o,
@@ -271,7 +322,7 @@ fn drive(program: &Program, backend: &ExecBackend, chunks: &[u64]) -> RunResult 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Compiled execution (decoded and threaded tiers) reaches the
     /// reference's exact final state — registers, heap, cycles, fault
@@ -280,7 +331,8 @@ proptest! {
     #[test]
     fn compiled_tiers_match_reference(
         bodies in proptest::collection::vec(
-            proptest::collection::vec(instr_strategy(), 0..10), 4..7),
+            proptest::collection::vec(segment_strategy(), 0..8)
+                .prop_map(|segs| segs.concat()), 4..7),
         jumps in proptest::collection::vec(0usize..8, 7..8),
         seeds in proptest::collection::vec(-4i64..100, VAL_REGS..VAL_REGS + 1),
         chunks in proptest::collection::vec(
@@ -303,5 +355,58 @@ proptest! {
         // itself must be chunking-invariant on every executor.
         let ref_sliced = drive(&p, &reference_backend, &chunks);
         prop_assert_eq!(&reference, &ref_sliced);
+    }
+}
+
+/// A fault inside a run stops every tier at that exact constituent, with
+/// the steps before it committed, under every quantum chunking: an
+/// unwritten source or an out-of-range cell at each position of a move,
+/// store or load run. A base that is not a stack faults on the first
+/// constituent: the base is common to the run, and a different base
+/// starts a run of its own.
+#[test]
+fn run_faults_stop_at_their_constituent() {
+    const LEN: usize = 4;
+    let u = GenOperand::Reg(VAL_REGS);
+    let one = GenOperand::Int(1);
+    type Fault = fn(&MachineError) -> bool;
+    let uninit: Fault = |e| matches!(e, MachineError::UninitRegister { .. });
+    let range: Fault = |e| matches!(e, MachineError::StackOutOfRange { .. });
+    let not_a_stack: Fault = |e| matches!(e, MachineError::TypeError { .. });
+    let mut cases: Vec<(Vec<GenInstr>, usize, Fault)> = Vec::new();
+    for k in 0..LEN {
+        let run = |ok: &dyn Fn(usize) -> GenInstr, bad: GenInstr| -> Vec<GenInstr> {
+            (0..LEN)
+                .map(|j| if j == k { bad.clone() } else { ok(j) })
+                .collect()
+        };
+        let mov = |j: usize| GenInstr::Move(j % VAL_REGS, one.clone());
+        let store = |j: usize| GenInstr::Store(0, j as u32, one.clone());
+        let load = |j: usize| GenInstr::Load(j % VAL_REGS, 0, j as u32);
+        cases.push((run(&mov, GenInstr::Move(0, u.clone())), k, uninit));
+        cases.push((run(&store, GenInstr::Store(0, 1, u.clone())), k, uninit));
+        cases.push((run(&store, GenInstr::Store(0, 5, one.clone())), k, range));
+        cases.push((run(&load, GenInstr::Load(0, 0, 5)), k, range));
+    }
+    let stores = (0..LEN).map(|j| GenInstr::Store(1, j as u32, one.clone()));
+    cases.push((stores.collect(), 0, not_a_stack));
+    let loads = (0..LEN).map(|j| GenInstr::Load(j, 1, j as u32));
+    cases.push((loads.collect(), 0, not_a_stack));
+
+    for (run, k, fault) in cases {
+        let p = build_program(&[run], &[0], &[1, 2, 3, 4, 5]);
+        let reference = drive(&p, &ExecBackend::new(&p, ExecTier::Reference), &[u64::MAX]);
+        assert!(
+            matches!(&reference.outcome, Err(e) if fault(e)),
+            "at {k}: {reference:?}"
+        );
+        assert_eq!((reference.block.as_str(), reference.instr), ("blk0", k + 1));
+        for tier in [ExecTier::Decoded, ExecTier::Threaded] {
+            let backend = ExecBackend::new(&p, tier);
+            for chunks in [&[u64::MAX][..], &[1], &[2], &[3], &[1, 5], &[2, 64]] {
+                let run = drive(&p, &backend, chunks);
+                assert_eq!(reference, run, "at {k} [{tier}] chunks {chunks:?}");
+            }
+        }
     }
 }

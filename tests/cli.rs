@@ -312,6 +312,39 @@ fn a_halloc_bomb_is_a_runtime_fault_on_every_substrate() {
 }
 
 #[test]
+fn stack_pointer_arithmetic_wraps_and_a_wild_pointer_faults() {
+    // Both used to panic in debug builds ("attempt to subtract with
+    // overflow" in `StackRef::deeper`, "attempt to add with overflow" in
+    // `salloc`) and wrap silently in release. Pointer arithmetic now
+    // wraps like integer arithmetic on every build, and using the wild
+    // pointer is a typed fault.
+    let prelude = "main: [.]\n    sp := snew\n    salloc sp, 2\n    x := 0\n    \
+                   x := x - 9223372036854775807\n    x := x - 1\n";
+    let wraps = format!("{prelude}    q := sp + x\n    halt\n");
+    let wild = "main: [.]\n    sp := snew\n    x := 0\n    x := x - 9223372036854775807\n    \
+                x := x - 1\n    q := sp + x\n    salloc q, 2\n    halt\n";
+    for tier in ["ref", "decoded", "threaded"] {
+        for substrate in [&[][..], &["--sim", "2"]] {
+            let args: Vec<&str> = ["--exec-tier", tier]
+                .iter()
+                .chain(substrate)
+                .copied()
+                .collect();
+            let (status, stderr) = tpal_run_bounded("wraps.tpal", &wraps, &args);
+            assert_eq!(status.code(), Some(0), "{args:?}: {stderr}");
+            let (status, stderr) = tpal_run_bounded("wild.tpal", wild, &args);
+            assert_eq!(status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains(
+                    "stack access at position 9223372036854775807 outside live cells (len 0)"
+                ),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn a_salloc_bomb_is_a_runtime_fault_on_every_substrate() {
     // This used to abort the process (`memory allocation of 103079215080
     // bytes failed`, exit 134) on every substrate.

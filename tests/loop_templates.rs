@@ -11,7 +11,7 @@ use tpal::core::asm::parse_program;
 use tpal::core::program::Program;
 use tpal::core::threaded::{TemplateCounts, ThreadedProgram};
 use tpal::ir::{lower, Mode};
-use tpal::workloads::{workload, Scale};
+use tpal::workloads::{all_workloads, workload, Scale};
 
 fn compiled(name: &str, mode: Mode) -> TemplateCounts {
     let spec = workload(name)
@@ -21,31 +21,54 @@ fn compiled(name: &str, mode: Mode) -> TemplateCounts {
     ThreadedProgram::compile(&lowered.program).templates()
 }
 
-/// The benchmark's `sim_loops` programs run on templates, in the mode the
-/// simulator runs (heartbeat) and in its serial baseline.
-#[test]
-fn loop_workloads_install_their_templates() {
-    for mode in [Mode::Heartbeat, Mode::Serial] {
-        let t = compiled("plus-reduce-array", mode);
-        assert!(t.reduce >= 1, "plus-reduce-array [{mode:?}]: {t:?}");
-        let t = compiled("floyd-warshall-small", mode);
-        assert!(t.guarded >= 1, "floyd-warshall-small [{mode:?}]: {t:?}");
+/// The registry workloads that install templates, with their exact
+/// counts under the serial and the heartbeat lowering. Every other
+/// registry workload installs none. A fusion or lowering change that
+/// silently de-templates a loop would make `sim_loops` about ten times
+/// slower; it fails here first.
+const TEMPLATED: [(&str, TemplateCounts, TemplateCounts); 4] = [
+    ("plus-reduce-array", counts(1, 0, 1), counts(1, 0, 0)),
+    ("kmeans", counts(1, 0, 1), counts(1, 0, 1)),
+    ("floyd-warshall-small", counts(0, 1, 1), counts(0, 1, 1)),
+    ("floyd-warshall-large", counts(0, 1, 1), counts(0, 1, 1)),
+];
+
+const fn counts(reduce: usize, guarded: usize, watched: usize) -> TemplateCounts {
+    TemplateCounts {
+        reduce,
+        guarded,
+        watched,
     }
 }
 
-/// The benchmark's `sim_branchy` and `sim_stream` programs are its
-/// template-free side: their fast-tier stream is the decoded one.
+/// The loop workloads (the benchmark's `sim_loops` among them) run on
+/// exactly their templates, in the mode the simulator runs (heartbeat)
+/// and in its serial baseline.
+#[test]
+fn loop_workloads_install_their_templates() {
+    for (name, serial, heartbeat) in TEMPLATED {
+        assert_eq!(compiled(name, Mode::Serial), serial, "{name} [Serial]");
+        assert_eq!(
+            compiled(name, Mode::Heartbeat),
+            heartbeat,
+            "{name} [Heartbeat]"
+        );
+    }
+}
+
+/// Every other registry workload — the benchmark's `sim_branchy` and
+/// `sim_stream` programs among them — is template-free: its fast-tier
+/// stream is the decoded one.
 #[test]
 fn branchy_and_streaming_workloads_install_none() {
-    for name in [
-        "mandelbrot",
-        "mergesort-uniform",
-        "knapsack",
-        "pipeline-tokens",
-        "spmv-stream",
-    ] {
-        let t = compiled(name, Mode::Heartbeat);
-        assert_eq!((t.reduce, t.guarded), (0, 0), "{name}: {t:?}");
+    for w in all_workloads() {
+        let name = w.name();
+        if TEMPLATED.iter().any(|t| t.0 == name) {
+            continue;
+        }
+        for mode in [Mode::Serial, Mode::Heartbeat] {
+            assert_eq!(compiled(name, mode), counts(0, 0, 0), "{name} [{mode:?}]");
+        }
     }
 }
 
