@@ -62,11 +62,20 @@ pub struct RtConfig {
 }
 
 impl Default for RtConfig {
+    /// The defaults on one worker per CPU the host makes available.
     fn default() -> Self {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        RtConfig::with_workers(cpus)
+    }
+}
+
+impl RtConfig {
+    /// The defaults on `n` workers, without asking the host how many
+    /// CPUs it has — on Linux that reads the cgroup quota, tens of µs,
+    /// which a per-request config cannot afford.
+    pub fn with_workers(n: usize) -> Self {
         RtConfig {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            workers: n.max(1),
             heartbeat: Duration::from_micros(100),
             source: HeartbeatSource::LocalTimer,
             suppress_promotions: false,
@@ -76,9 +85,7 @@ impl Default for RtConfig {
             promotion: Promotion::Heartbeat,
         }
     }
-}
 
-impl RtConfig {
     /// Sets the worker count.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);

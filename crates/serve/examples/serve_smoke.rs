@@ -4,8 +4,10 @@
 //! hits on resubmission, and checks that the replay token reproduces
 //! each run bit-for-bit; then sends a program that never halts to the
 //! native runtime under a 1 000-step limit, a retired `policy`, a
-//! `step_limit` above the service's and an rt `heartbeat` of 1 µs, and
-//! checks that each is a prompt 400 and that the server goes on serving.
+//! `step_limit` above the service's, an rt `heartbeat` of 1 µs and a
+//! simulated per-core-timer `heartbeat` of 0 (which once held an
+//! executor for good), and checks that each is a prompt 400 and that the
+//! server goes on serving.
 //!
 //! Exits nonzero (panics) on any violated expectation.
 
@@ -143,6 +145,12 @@ fn main() {
             "step_limit above the service's",
             on_rt(FIB_TPAL, &format!("\"step_limit\":{over}")),
             "step_limit",
+        ),
+        (
+            "sim heartbeat of 0",
+            run_body(FIB_TPAL, false, 2, &[("n", 15)])
+                .replace("\"cores\":2", "\"cores\":2,\"heartbeat\":0"),
+            "heartbeat",
         ),
         (
             "rt heartbeat of 1",

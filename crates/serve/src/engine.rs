@@ -1,6 +1,10 @@
-//! The execution engine: turns a cached program plus a [`RunSpec`] into
-//! a rendered result, dispatching onto the deterministic simulator or a
-//! shared native-runtime pool.
+//! The execution engine: the one path from a cached program plus a
+//! substrate configuration to a finished run — on the deterministic
+//! simulator, on the abstract machine, or on the machine driven by a
+//! shared native-runtime pool. [`Engine::run`] is that path;
+//! [`Engine::execute`] adds the service's ceilings in front of it and
+//! its JSON rendering behind it, and `tpal-run` prints the same
+//! [`RunOutcome`] as text.
 //!
 //! The deterministic part of every response — registers, and on the
 //! simulator also statistics and makespan — is rendered into one
@@ -9,15 +13,15 @@
 //! data (native-runtime scheduling counters, wall time, traces) stays
 //! in `RunOutput::extras`, outside the comparison.
 
+use std::fmt::{Display, Write};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use tpal_core::isa::Reg;
-use tpal_core::machine::{Machine, MachineConfig, Value};
-use tpal_rt::{Promotion, RtConfig, Runtime};
-use tpal_sim::{Sim, SimConfig};
-use tpal_trace::json::escape;
-use tpal_trace::{chrome, MetricsReport, WorkSpanProfile};
+use tpal_core::machine::{Machine, MachineConfig, Outcome, Value};
+use tpal_rt::{RtConfig, Runtime};
+use tpal_sim::{Sim, SimConfig, SimOutcome};
+use tpal_trace::json::{escape, write_escaped};
+use tpal_trace::{chrome, MetricsReport, Trace, WorkSpanProfile};
 
 use crate::cache::{CachedProgram, ProgramCache};
 use crate::spec::{RunSpec, Substrate};
@@ -38,12 +42,12 @@ pub const MAX_RT_WORKERS: usize = 64;
 pub const MIN_RT_HEARTBEAT_US: u64 = 20;
 
 /// How many distinct native-runtime pools stay warm. Pools are keyed by
-/// (♥, promotion rule, delivery source) and have one worker per thread
-/// that can call [`Engine::execute`] at once — a TPAL program's promoted
-/// tasks never leave the worker interpreting it, so a spec's `workers`
-/// buys a run nothing, while a worker per caller keeps concurrent
-/// requests of one shape running side by side; the cap bounds resident
-/// OS threads when many tenants ask for many shapes.
+/// their [`RtConfig`] (♥, promotion rule, delivery source, trace) and
+/// have one worker per thread that can call [`Engine::run`] at once — a
+/// TPAL program's promoted tasks never leave the worker interpreting it,
+/// so a spec's `workers` buys a run nothing, while a worker per caller
+/// keeps concurrent requests of one shape running side by side; the cap
+/// bounds resident OS threads when many tenants ask for many shapes.
 const MAX_RT_POOLS: usize = 4;
 
 /// Optional report attachments for a run.
@@ -86,7 +90,7 @@ pub enum EngineError {
     UnknownProgram(u64),
 }
 
-impl std::fmt::Display for EngineError {
+impl Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EngineError::Bad(msg) => f.write_str(msg),
@@ -100,19 +104,66 @@ impl std::fmt::Display for EngineError {
     }
 }
 
+/// A run's substrate configuration, built by [`RunSpec::config`].
+#[derive(Debug, Clone, Copy)]
+pub enum RunConfig {
+    /// The deterministic multicore simulator.
+    Sim(SimConfig),
+    /// The abstract machine's task-set driver: on a warm native-runtime
+    /// pool with real-time beats when the [`RtConfig`] is present, else
+    /// on the machine's own instruction-counting ♥ (the reference
+    /// machine).
+    Machine(MachineConfig, Option<RtConfig>),
+}
+
+/// A finished run, before rendering.
+#[derive(Debug)]
+pub struct RunOutcome<'p> {
+    /// The halting task's integer registers, sorted by name (the names
+    /// are the program's own).
+    pub registers: Vec<(&'p str, i64)>,
+    /// What the substrate reports beyond the registers.
+    pub report: Report,
+}
+
+/// The substrate's own account of a run.
+#[derive(Debug)]
+pub enum Report {
+    /// A simulator run: deterministic statistics and makespan.
+    Sim(SimOutcome),
+    /// A reference-machine run.
+    Machine(Outcome),
+    /// A run on a native-runtime pool, whose scheduling counters depend
+    /// on when real-time beats arrived.
+    Rt {
+        /// The machine's outcome.
+        out: Outcome,
+        /// Heartbeats the interpreter observed.
+        heartbeats: u64,
+        /// The pool's worker count.
+        workers: usize,
+        /// The pool's trace, when its config records one.
+        trace: Option<Trace>,
+    },
+}
+
+impl Report {
+    /// The recorded scheduling trace, if the run recorded one.
+    pub fn trace(&self) -> Option<&Trace> {
+        match self {
+            Report::Sim(out) => out.trace.as_ref(),
+            Report::Rt { trace, .. } => trace.as_ref(),
+            Report::Machine(_) => None,
+        }
+    }
+}
+
 /// The shared execution engine: the decode cache plus a small set of
 /// warm native-runtime pools.
 pub struct Engine {
     cache: ProgramCache,
     callers: usize,
-    pools: Mutex<Vec<(PoolKey, Arc<Runtime>)>>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PoolKey {
-    hb_us: u64,
-    promotion: Promotion,
-    source: &'static str,
+    pools: Mutex<Vec<(RtConfig, Arc<Runtime>)>>,
 }
 
 impl Engine {
@@ -139,30 +190,28 @@ impl Engine {
         &self.cache
     }
 
-    /// Executes `spec` against a cached program, rendering the result.
+    /// Executes `spec` against a cached program under the service's
+    /// ceilings and defaults, rendering the result.
     ///
     /// # Errors
     ///
     /// [`EngineError::Bad`] for unsatisfiable specs (zero or excessive
     /// parallelism, a step limit above [`SERVICE_STEP_LIMIT`], a native
-    /// ♥ below [`MIN_RT_HEARTBEAT_US`], unknown argument registers, runs
-    /// that fault or exceed the step budget, report attachments on the
-    /// native runtime).
+    /// ♥ below [`MIN_RT_HEARTBEAT_US`], whatever [`RunSpec::config`]
+    /// refuses, report attachments on the native runtime) and whatever
+    /// [`Engine::run`] fails with.
     pub fn execute(
         &self,
         entry: &CachedProgram,
         spec: &RunSpec,
         include: RunInclude,
     ) -> Result<RunOutput, EngineError> {
-        if let Some(limit) = spec.step_limit.filter(|&l| l > SERVICE_STEP_LIMIT) {
-            return Err(EngineError::Bad(format!(
-                "step_limit must be at most {SERVICE_STEP_LIMIT}, got {limit}"
-            )));
-        }
-        match spec.substrate {
-            Substrate::Sim { cores, linux } => self.execute_sim(entry, spec, include, cores, linux),
-            Substrate::Rt { workers } => self.execute_rt(entry, spec, include, workers),
-        }
+        admit(spec, include).map_err(EngineError::Bad)?;
+        let config = spec
+            .config(include.any(), Some(SERVICE_STEP_LIMIT))
+            .map_err(EngineError::Bad)?;
+        let outcome = self.run(entry, config, &spec.sets)?;
+        Ok(render(&outcome, include))
     }
 
     /// Replays a token: decodes it, fetches the program from the cache,
@@ -178,178 +227,87 @@ impl Engine {
         Ok((spec, output))
     }
 
-    fn execute_sim(
+    /// Runs `entry` under `config`, first seeding the argument registers
+    /// `sets` (names as submitted, mapped by
+    /// [`CachedProgram::set_reg_name`]) in order.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Bad`] for an unknown argument register and for a
+    /// run that faults or exceeds its step limit.
+    pub fn run<'p>(
         &self,
-        entry: &CachedProgram,
-        spec: &RunSpec,
-        include: RunInclude,
-        cores: usize,
-        linux: bool,
-    ) -> Result<RunOutput, EngineError> {
-        if cores == 0 || cores > MAX_CORES {
-            return Err(EngineError::Bad(format!(
-                "cores must be in 1..={MAX_CORES}, got {cores}"
-            )));
-        }
-        let heartbeat = spec.heartbeat.unwrap_or(3_000);
-        let mut config = if linux {
-            SimConfig::linux(cores, heartbeat)
-        } else {
-            SimConfig::nautilus(cores, heartbeat)
-        };
-        config.promotion = spec.promotion;
-        config.exec_tier = spec.tier;
-        config.seed = spec.seed;
-        config.step_limit = spec.step_limit.unwrap_or(SERVICE_STEP_LIMIT);
-        config.record_trace = include.any();
-        // The compiled artifact is cloned per run (a memcpy of the
-        // handler stream), not recompiled — the decode-once payoff.
-        let backend = entry.backend(spec.tier).clone();
-        let mut sim = Sim::with_backend(entry.program(), backend, config);
-        for (name, value) in &spec.sets {
-            let reg = entry.set_reg_name(name);
-            sim.set_reg(&reg, *value)
-                .map_err(|e| EngineError::Bad(format!("set {name}: {e}")))?;
-        }
-        let out = sim
-            .run()
-            .map_err(|e| EngineError::Bad(format!("simulation failed: {e}")))?;
-
-        let mut result = String::from("{");
-        result.push_str(&format!(
-            "\"registers\":{},",
-            render_registers(out.final_regs().iter().map(|(n, v)| (n.as_str(), *v)))
-        ));
-        let s = &out.stats;
-        result.push_str(&format!(
-            "\"stats\":{{\"failed_steals\":{},\"forks\":{},\"heartbeats_delivered\":{},\
-             \"idle_cycles\":{},\"instructions\":{},\"joins\":{},\"max_live_tasks\":{},\
-             \"merges\":{},\"overhead_cycles\":{},\"promotions\":{},\"steals\":{},\
-             \"work_cycles\":{}}},",
-            s.failed_steals,
-            s.forks,
-            s.heartbeats_delivered,
-            s.idle_cycles,
-            s.instructions,
-            s.joins,
-            s.max_live_tasks,
-            s.merges,
-            s.overhead_cycles,
-            s.promotions,
-            s.steals,
-            s.work_cycles,
-        ));
-        result.push_str(&format!("\"time\":{}", out.time));
-        result.push('}');
-
-        let mut extras = Vec::new();
-        if let Some(trace) = &out.trace {
-            if include.trace {
-                extras.push(("trace".to_owned(), chrome::chrome_json(trace)));
-            }
-            if include.profile {
-                let p = WorkSpanProfile::from_trace(trace);
-                extras.push((
-                    "profile".to_owned(),
-                    format!(
-                        "{{\"parallelism\":{:.3},\"span\":{},\"tasks\":{},\"work\":{}}}",
-                        p.parallelism(),
-                        p.span,
-                        p.tasks,
-                        p.work
-                    ),
-                ));
-            }
-            if include.metrics {
-                let report = MetricsReport::from_trace(trace).render();
-                extras.push(("metrics".to_owned(), format!("\"{}\"", escape(&report))));
-            }
-        }
-        Ok(RunOutput { result, extras })
-    }
-
-    fn execute_rt(
-        &self,
-        entry: &CachedProgram,
-        spec: &RunSpec,
-        include: RunInclude,
-        workers: usize,
-    ) -> Result<RunOutput, EngineError> {
-        if workers == 0 || workers > MAX_RT_WORKERS {
-            return Err(EngineError::Bad(format!(
-                "workers must be in 1..={MAX_RT_WORKERS}, got {workers}"
-            )));
-        }
-        let hb_us = spec.heartbeat.unwrap_or(100);
-        if hb_us < MIN_RT_HEARTBEAT_US {
-            return Err(EngineError::Bad(format!(
-                "heartbeat must be at least {MIN_RT_HEARTBEAT_US} µs on the rt substrate, got {hb_us}"
-            )));
-        }
-        if include.any() {
-            // Pools are shared across concurrent tenants, so a per-run
-            // trace would interleave unrelated runs; the simulator is
-            // the observability substrate.
-            return Err(EngineError::Bad(
-                "trace/profile/metrics attachments need the sim substrate".to_owned(),
-            ));
-        }
+        entry: &'p CachedProgram,
+        config: RunConfig,
+        sets: &[(String, i64)],
+    ) -> Result<RunOutcome<'p>, EngineError> {
         let program = entry.program();
-        let config = MachineConfig {
-            step_limit: spec.step_limit.unwrap_or(SERVICE_STEP_LIMIT),
-            ..MachineConfig::default()
+        let bad = |what: &str, e: &dyn Display| EngineError::Bad(format!("{what}: {e}"));
+        let report = match config {
+            RunConfig::Sim(config) => {
+                // The compiled artifact is cloned per run (a memcpy of the
+                // handler stream), not recompiled — the decode-once payoff.
+                let backend = entry.backend(config.exec_tier).clone();
+                let mut sim = Sim::with_backend(program, backend, config);
+                for (name, value) in sets {
+                    sim.set_reg(&entry.set_reg_name(name), *value)
+                        .map_err(|e| bad(&format!("set {name}"), &e))?;
+                }
+                Report::Sim(sim.run().map_err(|e| bad("simulation failed", &e))?)
+            }
+            RunConfig::Machine(config, rt) => {
+                let backend = entry.backend(config.exec_tier);
+                let mut machine = Machine::with_backend(program, backend, config);
+                for (name, value) in sets {
+                    machine
+                        .set_reg(&entry.set_reg_name(name), *value)
+                        .map_err(|e| bad(&format!("set {name}"), &e))?;
+                }
+                match rt {
+                    None => Report::Machine(machine.run().map_err(|e| bad("machine fault", &e))?),
+                    Some(rt) => {
+                        let pool = self.pool(rt);
+                        let (out, heartbeats) = pool
+                            .run_program(&mut machine)
+                            .map_err(|e| bad("runtime fault", &e))?;
+                        let (workers, trace) = (pool.workers(), pool.take_trace());
+                        Report::Rt {
+                            out,
+                            heartbeats,
+                            workers,
+                            trace,
+                        }
+                    }
+                }
+            }
         };
-        let mut machine = Machine::with_backend(program, entry.backend(spec.tier), config);
-        for (name, value) in &spec.sets {
-            machine
-                .set_reg(&entry.set_reg_name(name), *value)
-                .map_err(|e| EngineError::Bad(format!("set {name}: {e}")))?;
-        }
-        let (out, heartbeats) = self
-            .pool(hb_us, spec)
-            .run_program(&mut machine)
-            .map_err(|e| EngineError::Bad(format!("runtime fault: {e}")))?;
-
-        // Registers are the deterministic contract on the native
-        // runtime; scheduling counters depend on real-time heartbeat
-        // arrival and stay observational.
-        let regs = out.final_regs();
-        let named = (0..program.reg_count()).map(|i| {
-            let r = Reg::from_index(i);
-            (program.reg_name(r), regs.read_raw(r))
-        });
-        let result = format!("{{\"registers\":{}}}", render_registers(named));
-        let s = &out.stats;
-        let extras = vec![(
-            "rt_stats".to_owned(),
-            format!(
-                "{{\"forks\":{},\"heartbeats\":{},\"instructions\":{},\"joins\":{},\
-                 \"promotions\":{}}}",
-                s.forks, heartbeats, s.instructions, s.joins, s.promotions
-            ),
-        )];
-        Ok(RunOutput { result, extras })
+        let value = |i: usize| match &report {
+            Report::Sim(out) => out.final_regs()[i].1,
+            Report::Machine(out) | Report::Rt { out, .. } => {
+                out.final_regs().read_raw(Reg::from_index(i))
+            }
+        };
+        let mut registers: Vec<(&str, i64)> = (0..program.reg_count())
+            .filter_map(|i| match value(i) {
+                Value::Int(x) => Some((program.reg_name(Reg::from_index(i)), x)),
+                _ => None,
+            })
+            .collect();
+        registers.sort();
+        Ok(RunOutcome { registers, report })
     }
 
-    /// Fetches (or creates) the warm pool for a native-runtime shape,
-    /// evicting the oldest pool beyond [`MAX_RT_POOLS`].
-    fn pool(&self, hb_us: u64, spec: &RunSpec) -> Arc<Runtime> {
-        let key = PoolKey {
-            hb_us,
-            promotion: spec.promotion,
-            source: spec.source.label(),
-        };
+    /// Fetches (or creates) the warm pool of `config`'s shape, sized one
+    /// worker per caller, evicting the oldest pool beyond
+    /// [`MAX_RT_POOLS`].
+    fn pool(&self, config: RtConfig) -> Arc<Runtime> {
+        let config = config.workers(self.callers);
         let mut pools = self.pools.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, pool)) = pools.iter().find(|(k, _)| *k == key) {
+        if let Some((_, pool)) = pools.iter().find(|(k, _)| *k == config) {
             return Arc::clone(pool);
         }
-        let config = RtConfig::default()
-            .workers(self.callers)
-            .heartbeat(Duration::from_micros(hb_us))
-            .promotion(spec.promotion)
-            .source(spec.source);
         let pool = Arc::new(Runtime::new(config));
-        pools.push((key, Arc::clone(&pool)));
+        pools.push((config, Arc::clone(&pool)));
         if pools.len() > MAX_RT_POOLS {
             // Dropped here only if no in-flight run still holds the Arc.
             pools.remove(0);
@@ -364,25 +322,111 @@ impl Default for Engine {
     }
 }
 
-/// Renders the integer-valued registers of a final register dump as a
-/// sorted JSON object.
-fn render_registers<'a>(regs: impl Iterator<Item = (&'a str, Value)>) -> String {
-    let mut ints: Vec<(&str, i64)> = regs
-        .filter_map(|(n, v)| match v {
-            Value::Int(x) => Some((n, x)),
-            _ => None,
-        })
-        .collect();
-    ints.sort();
-    let mut s = String::from("{");
-    for (i, (name, v)) in ints.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+/// The service's own ceilings, checked ahead of a run. A value is
+/// refused by name: a step limit above [`SERVICE_STEP_LIMIT`], cores or
+/// workers outside the service's range, a native ♥ below
+/// [`MIN_RT_HEARTBEAT_US`] (the default is above it), and attachments
+/// on the native runtime, whose shared pools would interleave unrelated
+/// tenants' traces — the simulator is the observability substrate.
+fn admit(spec: &RunSpec, include: RunInclude) -> Result<(), String> {
+    let hb_floor = MIN_RT_HEARTBEAT_US;
+    match (spec.substrate, spec.step_limit, spec.heartbeat) {
+        (_, Some(limit), _) if limit > SERVICE_STEP_LIMIT => Err(format!(
+            "step_limit must be at most {SERVICE_STEP_LIMIT}, got {limit}"
+        )),
+        (Substrate::Sim { cores, .. }, ..) if !(1..=MAX_CORES).contains(&cores) => {
+            Err(format!("cores must be in 1..={MAX_CORES}, got {cores}"))
         }
-        s.push_str(&format!("\"{}\":{v}", escape(name)));
+        (Substrate::Rt { workers }, ..) if !(1..=MAX_RT_WORKERS).contains(&workers) => Err(
+            format!("workers must be in 1..={MAX_RT_WORKERS}, got {workers}"),
+        ),
+        (Substrate::Rt { .. }, _, Some(hb)) if hb < hb_floor => Err(format!(
+            "heartbeat must be at least {hb_floor} µs on the rt substrate, got {hb}"
+        )),
+        (Substrate::Rt { .. }, ..) if include.any() => {
+            Err("trace/profile/metrics attachments need the sim substrate".to_owned())
+        }
+        _ => Ok(()),
     }
-    s.push('}');
-    s
+}
+
+/// Renders a run as the service's canonical `result` object plus its
+/// observational extras.
+fn render(outcome: &RunOutcome<'_>, include: RunInclude) -> RunOutput {
+    let mut result = String::from("{\"registers\":{");
+    for (i, (name, v)) in outcome.registers.iter().enumerate() {
+        result.push_str(if i > 0 { ",\"" } else { "\"" });
+        let _ = write_escaped(&mut result, name);
+        let _ = write!(result, "\":{v}");
+    }
+    result.push('}');
+    let mut extras = Vec::new();
+    match &outcome.report {
+        Report::Sim(out) => {
+            let s = &out.stats;
+            let _ = write!(
+                result,
+                ",\"stats\":{{\"failed_steals\":{},\"forks\":{},\"heartbeats_delivered\":{},\
+                 \"idle_cycles\":{},\"instructions\":{},\"joins\":{},\"max_live_tasks\":{},\
+                 \"merges\":{},\"overhead_cycles\":{},\"promotions\":{},\"steals\":{},\
+                 \"work_cycles\":{}}},\"time\":{}",
+                s.failed_steals,
+                s.forks,
+                s.heartbeats_delivered,
+                s.idle_cycles,
+                s.instructions,
+                s.joins,
+                s.max_live_tasks,
+                s.merges,
+                s.overhead_cycles,
+                s.promotions,
+                s.steals,
+                s.work_cycles,
+                out.time,
+            );
+        }
+        // Registers are the deterministic contract on the native
+        // runtime; scheduling counters depend on real-time heartbeat
+        // arrival and stay observational.
+        Report::Rt {
+            out, heartbeats, ..
+        } => {
+            let s = &out.stats;
+            extras.push((
+                "rt_stats".to_owned(),
+                format!(
+                    "{{\"forks\":{},\"heartbeats\":{heartbeats},\"instructions\":{},\"joins\":{},\
+                     \"promotions\":{}}}",
+                    s.forks, s.instructions, s.joins, s.promotions
+                ),
+            ));
+        }
+        Report::Machine(_) => {}
+    }
+    result.push('}');
+    if let Some(trace) = outcome.report.trace() {
+        if include.trace {
+            extras.push(("trace".to_owned(), chrome::chrome_json(trace)));
+        }
+        if include.profile {
+            let p = WorkSpanProfile::from_trace(trace);
+            extras.push((
+                "profile".to_owned(),
+                format!(
+                    "{{\"parallelism\":{:.3},\"span\":{},\"tasks\":{},\"work\":{}}}",
+                    p.parallelism(),
+                    p.span,
+                    p.tasks,
+                    p.work
+                ),
+            ));
+        }
+        if include.metrics {
+            let report = MetricsReport::from_trace(trace).render();
+            extras.push(("metrics".to_owned(), format!("\"{}\"", escape(&report))));
+        }
+    }
+    RunOutput { result, extras }
 }
 
 #[cfg(test)]
@@ -456,7 +500,8 @@ mod tests {
         assert!(matches!(err, EngineError::Bad(_)));
     }
 
-    /// A step limit above the service's and an rt ♥ below its floor are
+    /// A step limit above the service's, an rt ♥ below its floor and a
+    /// simulated per-core-timer ♥ the timer's service would swallow are
     /// refused by name, before anything runs; the bounds themselves run.
     #[test]
     fn numeric_bounds_are_refused_by_name() {
@@ -481,37 +526,73 @@ mod tests {
         assert!(e.contains("heartbeat") && e.contains("got 19"), "{e}");
         spec.heartbeat = Some(MIN_RT_HEARTBEAT_US);
         assert!(run(&spec).is_ok());
-        // The floor is the runtime's: a simulated ♥ below it runs.
-        let mut sim = RunSpec::sim(2).set("n", 5);
-        sim.substrate = Substrate::Sim {
+        // A per-core timer's beat costs 5 cycles: at or below that no
+        // instruction ever runs, so the step limit could not end the run.
+        let mut nautilus = RunSpec::sim(2).set("n", 5);
+        for hb in [0, 5] {
+            nautilus.heartbeat = Some(hb);
+            let Err(EngineError::Bad(e)) = run(&nautilus) else {
+                panic!("a nautilus heartbeat of {hb} must be refused")
+            };
+            assert!(
+                e.contains("heartbeat") && e.contains(&format!("got {hb}")),
+                "{e}"
+            );
+        }
+        // The smallest ♥ accepted runs instructions (one cycle's worth a
+        // beat), so the step limit ends it.
+        nautilus.heartbeat = Some(6);
+        nautilus.step_limit = Some(10_000);
+        match run(&nautilus) {
+            Ok(_) => {}
+            Err(e) => assert!(e.to_string().contains("step limit of 10000"), "{e}"),
+        }
+        // The floors are the runtime's and the timer's: a ping-thread ♥
+        // below both runs.
+        let mut linux = RunSpec::sim(2).set("n", 5);
+        linux.substrate = Substrate::Sim {
             cores: 2,
             linux: true,
         };
-        sim.heartbeat = Some(MIN_RT_HEARTBEAT_US - 1);
-        assert!(run(&sim).is_ok());
+        for hb in [0, MIN_RT_HEARTBEAT_US - 1] {
+            linux.heartbeat = Some(hb);
+            assert!(run(&linux).is_ok(), "linux ♥ {hb}");
+        }
+    }
+
+    /// The warm pool for an rt spec's shape.
+    fn pool_for(engine: &Engine, spec: &RunSpec, trace: bool) -> Arc<Runtime> {
+        let Ok(RunConfig::Machine(_, Some(rt))) = spec.config(trace, None) else {
+            panic!("an rt spec builds a pool config")
+        };
+        engine.pool(rt)
     }
 
     #[test]
     fn rt_pools_are_reused_per_shape() {
         let engine = Engine::new();
-        let a = engine.pool(100, &RunSpec::rt(2));
-        let b = engine.pool(100, &RunSpec::rt(7));
+        let a = pool_for(&engine, &RunSpec::rt(2), false);
+        let b = pool_for(&engine, &RunSpec::rt(7), false);
         assert!(
             Arc::ptr_eq(&a, &b),
             "same ♥/promotion/source shares one pool whatever `workers` says"
         );
         assert_eq!(a.workers(), 1, "one caller, one worker");
-        let shared = Engine::shared_by(3).pool(100, &RunSpec::rt(1));
+        let shared = pool_for(&Engine::shared_by(3), &RunSpec::rt(1), false);
         assert_eq!(shared.workers(), 3, "a worker per concurrent caller");
-        let c = engine.pool(200, &RunSpec::rt(2));
+        let mut slower = RunSpec::rt(2);
+        slower.heartbeat = Some(200);
+        let c = pool_for(&engine, &slower, false);
         assert!(!Arc::ptr_eq(&a, &c), "different ♥ gets its own pool");
         let mut signal = RunSpec::rt(2);
         signal.source = tpal_rt::HeartbeatSource::TimerSignal;
-        let d = engine.pool(100, &signal);
+        let d = pool_for(&engine, &signal, false);
         assert!(
             !Arc::ptr_eq(&a, &d),
             "different delivery source gets its own pool"
         );
+        let traced = pool_for(&engine, &RunSpec::rt(2), true);
+        assert!(!Arc::ptr_eq(&a, &traced), "a traced run gets its own pool");
     }
 
     #[test]

@@ -45,7 +45,9 @@
 //! 400 naming the value. The engine refuses a `step_limit` above
 //! [`SERVICE_STEP_LIMIT`](crate::engine::SERVICE_STEP_LIMIT) and an `rt`
 //! `heartbeat` below [`MIN_RT_HEARTBEAT_US`](crate::engine::MIN_RT_HEARTBEAT_US),
-//! as it refuses `cores` / `workers` out of range.
+//! as it refuses `cores` / `workers` out of range and a `sim` `heartbeat`
+//! at or below the per-core timer's service cost (5 cycles; `linux`
+//! delivery has no such floor).
 
 use tpal_core::tier::ExecTier;
 use tpal_sched::{HeartbeatSource, Promotion};

@@ -11,11 +11,16 @@
 //! alone names a bit-reproducible run.
 
 use std::fmt;
+use std::time::Duration;
 
+use tpal_core::machine::MachineConfig;
 use tpal_core::tier::ExecTier;
-use tpal_sched::{Domain, HeartbeatSource, Promotion};
+use tpal_rt::RtConfig;
+use tpal_sched::{Domain, HeartbeatSource, InterruptModel, Promotion};
+use tpal_sim::SimConfig;
 use tpal_trace::json::{parse_exact, write_escaped, Json};
 
+use crate::engine::RunConfig;
 use crate::proto::{opt_bool, opt_str, opt_u64};
 
 /// Incremental FNV-1a (64-bit) hasher — the dependency-free content
@@ -157,8 +162,8 @@ pub struct RunSpec {
     pub tier: ExecTier,
     /// RNG seed (simulator victim selection and delivery jitter).
     pub seed: u64,
-    /// Instruction budget before the run is aborted (simulator runs;
-    /// `None` applies the service default).
+    /// Instruction budget before the run is aborted. `None` applies the
+    /// caller's default ([`RunSpec::config`]).
     pub step_limit: Option<u64>,
     /// Argument registers, as submitted (IR parameter names are mapped
     /// to lowered register names at execution time). Kept sorted by
@@ -196,6 +201,64 @@ impl RunSpec {
     pub fn set(mut self, name: impl Into<String>, value: i64) -> RunSpec {
         self.sets.push((name.into(), value));
         self
+    }
+
+    /// The substrate configuration this spec names: the one place the
+    /// ♥ defaults (3 000 cycles on the simulator; 100 µs on the runtime,
+    /// which is also the machine's ♥ of 100 instructions), the interrupt
+    /// model, tier, promotion rule, seed and step limit are applied.
+    /// `trace` records a scheduling trace; `step_limit` is the default
+    /// for an absent [`RunSpec::step_limit`] (`None`: the substrate's
+    /// own). The native-runtime config names one worker: the
+    /// [`Engine`](crate::engine::Engine) sizes its pools.
+    ///
+    /// # Errors
+    ///
+    /// A spec no substrate can run, naming the field: zero cores or
+    /// workers, or a simulated per-core-timer ♥ at or below the timer's
+    /// service cost — every beat would be serviced before an instruction
+    /// ran, so not even the step limit could end the run.
+    pub fn config(&self, trace: bool, step_limit: Option<u64>) -> Result<RunConfig, String> {
+        let step_limit = self.step_limit.or(step_limit);
+        match self.substrate {
+            Substrate::Sim { cores: 0, .. } => Err("cores must be at least 1, got 0".to_owned()),
+            Substrate::Rt { workers: 0 } => Err("workers must be at least 1, got 0".to_owned()),
+            Substrate::Sim { cores, linux } => {
+                let heartbeat = self.heartbeat.unwrap_or(3_000);
+                let mut config = if linux {
+                    SimConfig::linux(cores, heartbeat)
+                } else {
+                    SimConfig::nautilus(cores, heartbeat)
+                };
+                if let InterruptModel::PerCoreTimer { service_cost } = config.interrupt {
+                    if heartbeat <= service_cost {
+                        return Err(format!(
+                            "heartbeat must exceed the per-core timer's service cost of \
+                             {service_cost} cycles, got {heartbeat}"
+                        ));
+                    }
+                }
+                config.promotion = self.promotion;
+                config.exec_tier = self.tier;
+                config.seed = self.seed;
+                config.step_limit = step_limit.unwrap_or(config.step_limit);
+                config.record_trace = trace;
+                Ok(RunConfig::Sim(config))
+            }
+            Substrate::Rt { .. } => {
+                let heartbeat = self.heartbeat.unwrap_or(100);
+                let mut machine = MachineConfig::default()
+                    .with_heartbeat(heartbeat)
+                    .with_exec_tier(self.tier);
+                machine.step_limit = step_limit.unwrap_or(machine.step_limit);
+                let rt = RtConfig::with_workers(1)
+                    .heartbeat(Duration::from_micros(heartbeat))
+                    .promotion(self.promotion)
+                    .source(self.source)
+                    .trace(trace);
+                Ok(RunConfig::Machine(machine, Some(rt)))
+            }
+        }
     }
 
     /// Sorts the argument list so equal specs serialize identically.

@@ -12,17 +12,24 @@
 //!               [--trace OUT.json] [--profile]
 //! ```
 //!
+//! `tpal-run` is a front door to `tpal-serve`'s engine: its flags become
+//! a [`ProgramSrc`] and a [`RunSpec`], the program compiles through a
+//! private engine's decode cache, and the run goes through
+//! [`Engine::run`] — the path a `POST /run` takes, minus the service's
+//! ceilings. A run here and a request there with the same settings end
+//! in the same registers.
+//!
 //! Without `--ir`, FILE is TPAL assembly (`.tpal`). With `--ir`, FILE is
 //! the C-like task-parallel source language (`.tpl`), compiled through
 //! `tpal-ir` in the chosen mode (default `heartbeat`); `--set` then
 //! names the entry function's parameters and the result register is
 //! `result`. Three execution substrates are reachable: the reference
 //! machine (the default), the multicore simulator (`--sim CORES`), and
-//! the native heartbeat runtime (`--rt WORKERS`). WORKERS is accepted
-//! and does not speed a *program* up: the runtime runs the machine's own
-//! task-set driver on one worker, with real-time heartbeats (so `--tau`
-//! and `--newest-first` apply there too), and that one worker is the
-//! pool — the summary line says so.
+//! the native heartbeat runtime (`--rt WORKERS`). WORKERS does not
+//! speed a *program* up: the runtime runs the machine's own task-set
+//! driver on one worker, with real-time heartbeats (so `--tau` and
+//! `--newest-first` apply there too), and that one worker is the pool —
+//! the summary line says so.
 //!
 //! `--heartbeat` is in the substrate's own time unit: instructions on
 //! the machine (default 100), cycles on the simulator (default 3000 —
@@ -60,6 +67,21 @@
 //! span T∞, available parallelism) and the per-core metrics report
 //! derived from the same trace.
 //!
+//! A flag the selected run would ignore is refused by name (exit 1):
+//! `--sim` with `--rt`; `--policy`, `--trace` or `--profile` without
+//! either; `--heartbeat-source` without `--rt`; `--linux` or
+//! `--nautilus` without `--sim`; `--tau` with `--sim` (the simulator
+//! charges cycles, not τ); `--mode` without `--ir`. So is a run no
+//! substrate can execute: zero cores or workers, or a simulated
+//! per-core-timer ♥ at or below the timer's 5-cycle service cost, which
+//! would service beats forever without running an instruction.
+//!
+//! Errors go to stderr prefixed by where they arose: `FILE: asm parse:`,
+//! `FILE: ir parse:` or `FILE: lowering:` for the frontend, `set NAME:`
+//! for an unknown argument register, and `machine fault:`,
+//! `simulation failed:` or `runtime fault:` for a run that faults or
+//! exceeds its step limit.
+//!
 //! Examples:
 //!
 //! ```text
@@ -71,37 +93,18 @@
 //!     --set n=25 --rt 1 --heartbeat 100
 //! ```
 
+use std::env::Args;
+use std::fmt::Display;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::str::FromStr;
 
-use tpal::core::asm::{parse_program, print_program};
-use tpal::core::machine::{Machine, MachineConfig, PromotionOrder};
-use tpal::rt::{HeartbeatSource, RtConfig, Runtime};
-use tpal::sim::{Domain, ExecTier, Promotion, Sim, SimConfig};
-
-struct Options {
-    file: String,
-    sets: Vec<(String, i64)>,
-    /// `Some` iff `--heartbeat` was passed: each substrate applies its
-    /// own default when absent, and an explicit value — even one that
-    /// happens to equal another substrate's default — is honoured.
-    heartbeat: Option<u64>,
-    tau: u64,
-    sim_cores: Option<usize>,
-    rt_workers: Option<usize>,
-    linux: bool,
-    print: bool,
-    ir: bool,
-    mode: tpal::ir::Mode,
-    order: PromotionOrder,
-    /// `--policy`, parsed for the substrate the run selected.
-    promotion: Promotion,
-    /// `Some` iff `--heartbeat-source` was passed (native runtime only).
-    heartbeat_source: Option<HeartbeatSource>,
-    exec_tier: ExecTier,
-    trace_out: Option<String>,
-    profile: bool,
-}
+use tpal::core::asm::print_program;
+use tpal::core::machine::{Outcome, PromotionOrder};
+use tpal::rt::HeartbeatSource;
+use tpal::serve::engine::{Engine, Report, RunConfig};
+use tpal::serve::spec::{ProgramSrc, RunSpec, Substrate};
+use tpal::sim::{ExecTier, Promotion};
+use tpal::trace::{chrome, MetricsReport, WorkSpanProfile};
 
 fn usage() -> String {
     "usage: tpal-run FILE [--ir [--mode serial|heartbeat|expanded|eager]] \
@@ -113,368 +116,203 @@ fn usage() -> String {
         .to_owned()
 }
 
-fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
+fn main() -> ExitCode {
+    match run(std::env::args()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The next argument, as `flag`'s value.
+fn value<T: FromStr<Err: Display>>(args: &mut Args, flag: &str) -> Result<T, String> {
+    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+fn run(mut args: Args) -> Result<(), String> {
     args.next(); // program name
-    let mut opts = Options {
-        file: String::new(),
-        sets: Vec::new(),
-        heartbeat: None,
-        tau: 10,
-        sim_cores: None,
-        rt_workers: None,
-        linux: false,
-        print: false,
-        ir: false,
-        mode: tpal::ir::Mode::Heartbeat,
-        order: PromotionOrder::OldestFirst,
-        promotion: Promotion::default(),
-        heartbeat_source: None,
-        exec_tier: ExecTier::default(),
-        trace_out: None,
-        profile: false,
-    };
-    let need = |args: &mut std::env::Args, what: &str| {
-        args.next().ok_or_else(|| format!("{what} needs a value"))
-    };
-    // Read once the substrate is known: the victim segment it accepts is
-    // the substrate's.
-    let mut policy = None;
+    let mut src = ProgramSrc::asm("");
+    let mut spec = RunSpec::rt(1);
+    let (mut file, mut sim, mut rt, mut tau) = (None, None, None, None);
+    let (mut delivery, mut mode, mut policy, mut source) = (None, None, None, None);
+    let (mut order, mut print) = (PromotionOrder::OldestFirst, false);
+    let (mut trace_out, mut profile) = (None::<String>, false);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--set" => {
-                let kv = need(&mut args, "--set")?;
+                let kv: String = value(&mut args, &arg)?;
                 let (k, v) = kv
                     .split_once('=')
                     .ok_or_else(|| format!("--set expects reg=int, got `{kv}`"))?;
-                let v: i64 = v.parse().map_err(|e| format!("--set {kv}: {e}"))?;
-                opts.sets.push((k.to_owned(), v));
+                let v = v.parse().map_err(|e| format!("--set {kv}: {e}"))?;
+                spec.sets.push((k.to_owned(), v));
             }
-            "--heartbeat" => {
-                opts.heartbeat = Some(
-                    need(&mut args, "--heartbeat")?
-                        .parse()
-                        .map_err(|e| format!("--heartbeat: {e}"))?,
-                );
-            }
-            "--tau" => {
-                opts.tau = need(&mut args, "--tau")?
-                    .parse()
-                    .map_err(|e| format!("--tau: {e}"))?;
-            }
-            "--sim" => {
-                opts.sim_cores = Some(
-                    need(&mut args, "--sim")?
-                        .parse()
-                        .map_err(|e| format!("--sim: {e}"))?,
-                );
-            }
-            "--rt" => {
-                opts.rt_workers = Some(
-                    need(&mut args, "--rt")?
-                        .parse()
-                        .map_err(|e| format!("--rt: {e}"))?,
-                );
-            }
-            "--policy" => policy = Some(need(&mut args, "--policy")?),
+            "--heartbeat" => spec.heartbeat = Some(value(&mut args, &arg)?),
+            "--tau" => tau = Some(value(&mut args, &arg)?),
+            "--sim" => sim = Some(value(&mut args, &arg)?),
+            "--rt" => rt = Some(value(&mut args, &arg)?),
+            "--policy" => policy = Some(value::<String>(&mut args, &arg)?),
             "--heartbeat-source" => {
-                let spec = need(&mut args, "--heartbeat-source")?;
-                opts.heartbeat_source = Some(HeartbeatSource::parse(&spec).ok_or_else(|| {
-                    format!("--heartbeat-source: unknown source `{spec}` (ping|local-timer|signal)")
+                let s: String = value(&mut args, &arg)?;
+                source = Some(HeartbeatSource::parse(&s).ok_or_else(|| {
+                    format!("--heartbeat-source: unknown source `{s}` (ping|local-timer|signal)")
                 })?);
             }
             "--exec-tier" => {
-                let spec = need(&mut args, "--exec-tier")?;
-                opts.exec_tier = ExecTier::parse(&spec).ok_or_else(|| {
-                    format!("--exec-tier: unknown tier `{spec}` (ref|decoded|threaded)")
+                let s: String = value(&mut args, &arg)?;
+                spec.tier = ExecTier::parse(&s).ok_or_else(|| {
+                    format!("--exec-tier: unknown tier `{s}` (ref|decoded|threaded)")
                 })?;
             }
-            "--trace" => opts.trace_out = Some(need(&mut args, "--trace")?),
-            "--profile" => opts.profile = true,
-            "--newest-first" => opts.order = PromotionOrder::NewestFirst,
-            "--linux" => opts.linux = true,
-            "--nautilus" => opts.linux = false,
-            "--print" => opts.print = true,
-            "--ir" => opts.ir = true,
-            "--mode" => {
-                opts.mode = match need(&mut args, "--mode")?.as_str() {
-                    "serial" => tpal::ir::Mode::Serial,
-                    "heartbeat" => tpal::ir::Mode::Heartbeat,
-                    "expanded" => tpal::ir::Mode::HeartbeatExpanded,
-                    "eager" => tpal::ir::Mode::Eager { workers: 15 },
-                    other => return Err(format!("unknown --mode `{other}`")),
-                };
-            }
+            "--mode" => mode = Some(value(&mut args, &arg)?),
+            "--trace" => trace_out = Some(value(&mut args, &arg)?),
+            "--profile" => profile = true,
+            "--newest-first" => order = PromotionOrder::NewestFirst,
+            "--linux" | "--nautilus" => delivery = Some(arg.clone()),
+            "--print" => print = true,
+            "--ir" => src.ir = true,
             "--help" | "-h" => return Err(usage()),
-            other if opts.file.is_empty() && !other.starts_with('-') => {
-                opts.file = other.to_owned();
-            }
+            other if file.is_none() && !other.starts_with('-') => file = Some(other.to_owned()),
             other => return Err(format!("unknown argument `{other}`\n{}", usage())),
         }
     }
-    if opts.file.is_empty() {
-        return Err(usage());
-    }
-    if opts.sim_cores.is_some() && opts.rt_workers.is_some() {
+    let file = file.ok_or_else(usage)?;
+    if sim.is_some() && rt.is_some() {
         return Err("--sim and --rt are mutually exclusive".to_owned());
     }
-    if (opts.trace_out.is_some() || opts.profile)
-        && opts.sim_cores.is_none()
-        && opts.rt_workers.is_none()
-    {
-        return Err(
-            "--trace/--profile need a simulator or runtime run (--sim CORES | --rt WORKERS)"
-                .to_owned(),
-        );
+    let parallel = sim.is_some() || rt.is_some();
+    let traced = trace_out.is_some() || profile;
+    let sim_or_rt = "a simulator or runtime run (--sim CORES | --rt WORKERS)";
+    let on_rt = "a native-runtime run (--rt WORKERS)";
+    let on_sim = "a simulator run (--sim CORES)";
+    let off_sim = "a machine or native-runtime run";
+    let flag = delivery.as_deref().unwrap_or_default();
+    // A flag the selected run would ignore is refused by name.
+    for (given, name, ok, run) in [
+        (traced, "--trace/--profile", parallel, sim_or_rt),
+        (policy.is_some(), "--policy", parallel, sim_or_rt),
+        (source.is_some(), "--heartbeat-source", rt.is_some(), on_rt),
+        (!flag.is_empty(), flag, sim.is_some(), on_sim),
+        (tau.is_some(), "--tau", sim.is_none(), off_sim),
+        (mode.is_some(), "--mode", src.ir, "--ir"),
+    ] {
+        if given && !ok {
+            return Err(format!("{name} needs {run}"));
+        }
     }
+
+    // A machine run is a one-worker rt spec whose pool is dropped below.
+    spec.substrate = match (sim, rt) {
+        (Some(cores), _) => Substrate::Sim {
+            cores,
+            linux: flag == "--linux",
+        },
+        (None, workers) => Substrate::Rt {
+            workers: workers.unwrap_or(1),
+        },
+    };
     if let Some(label) = policy {
-        let domain = match (opts.sim_cores, opts.rt_workers) {
-            (Some(_), _) => Domain::Sim,
-            (_, Some(_)) => Domain::Rt,
-            _ => {
-                return Err(
-                    "--policy needs a simulator or runtime run (--sim CORES | --rt WORKERS)"
-                        .to_owned(),
-                )
-            }
-        };
-        opts.promotion = Promotion::parse(&label, domain).map_err(|e| format!("--policy: {e}"))?;
+        spec.promotion = Promotion::parse(&label, spec.substrate.domain())
+            .map_err(|e| format!("--policy: {e}"))?;
     }
-    if opts.heartbeat_source.is_some() && opts.rt_workers.is_none() {
-        return Err("--heartbeat-source needs a native-runtime run (--rt WORKERS)".to_owned());
-    }
-    Ok(opts)
-}
-
-fn main() -> ExitCode {
-    let opts = match parse_args(std::env::args()) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let src = match std::fs::read_to_string(&opts.file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{}: {e}", opts.file);
-            return ExitCode::FAILURE;
-        }
-    };
-    // Assembly directly, or source compiled through the IR. With --ir,
-    // --set names become entry-function parameters.
-    let (program, sets) = if opts.ir {
-        let ir = match tpal::ir::parse_ir(&src) {
-            Ok(ir) => ir,
-            Err(e) => {
-                eprintln!("{}: {e}", opts.file);
-                return ExitCode::FAILURE;
-            }
-        };
-        let lowered = match tpal::ir::lower(&ir, opts.mode) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("{}: {e}", opts.file);
-                return ExitCode::FAILURE;
-            }
-        };
-        let sets = opts
-            .sets
-            .iter()
-            .map(|(k, v)| (lowered.param_reg(k), *v))
-            .collect::<Vec<_>>();
-        (lowered.program, sets)
-    } else {
-        let program = match parse_program(&src) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{}: {e}", opts.file);
-                return ExitCode::FAILURE;
-            }
-        };
-        (program, opts.sets.clone())
-    };
-    if opts.print {
-        print!("{}", print_program(&program));
-        return ExitCode::SUCCESS;
+    spec.source = source.unwrap_or(spec.source);
+    src.source = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
+    src.mode = mode.unwrap_or(src.mode);
+    let engine = Engine::new();
+    let entry = engine.cache().get_or_compile(&src).0;
+    let entry = entry.map_err(|e| format!("{file}: {e}"))?;
+    if print {
+        print!("{}", print_program(entry.program()));
+        return Ok(());
     }
 
-    // Final integer registers, sorted by name, skipping never-written ones.
-    let dump = |regs: &[(String, i64)]| {
-        for (name, v) in regs {
-            println!("  {name} = {v}");
+    // τ, the promotion order and the machine run in place of a pool are
+    // this front door's own adjustments of the spec's config.
+    let mut config = spec.config(traced, None)?;
+    let heartbeat = match &mut config {
+        RunConfig::Sim(sim) => {
+            sim.promotion_order = order;
+            sim.heartbeat
+        }
+        RunConfig::Machine(machine, pool) => {
+            machine.tau = tau.unwrap_or(machine.tau);
+            machine.promotion_order = order;
+            if rt.is_none() {
+                *pool = None;
+            }
+            machine.heartbeat
         }
     };
-    let named_regs = |read: &dyn Fn(&str) -> Option<i64>| {
-        let mut regs = Vec::new();
-        for i in 0..program.reg_count() {
-            let name = program
-                .reg_name(tpal::core::isa::Reg::from_index(i))
-                .to_owned();
-            if let Some(v) = read(&name) {
-                regs.push((name, v));
-            }
-        }
-        regs.sort();
-        regs
+    let outcome = engine
+        .run(&entry, config, &spec.sets)
+        .map_err(|e| e.to_string())?;
+    let label = spec.promotion.label(spec.substrate.domain());
+    let (header, summary) = match &outcome.report {
+        Report::Sim(out) => (
+            format!(
+                "simulated {} cores, ♥ = {heartbeat}, policy = {label}:",
+                out.cores
+            ),
+            format!(
+                "time = {} cycles, tasks = {}, steals = {}, utilization = {:.0}%, \
+                 heartbeat rate achieved = {:.0}%",
+                out.time,
+                out.stats.forks,
+                out.stats.steals,
+                out.utilization() * 100.0,
+                out.heartbeat_rate_achieved() * 100.0
+            ),
+        ),
+        Report::Machine(out) => (
+            format!("machine run, ♥ = {heartbeat}:"),
+            format!(
+                "instructions = {}, tasks = {}, promotions = {}, {}",
+                out.stats.instructions,
+                out.stats.forks,
+                out.stats.promotions,
+                cost_summary(out)
+            ),
+        ),
+        Report::Rt {
+            out,
+            heartbeats,
+            workers,
+            ..
+        } => (
+            format!(
+                "native runtime, {workers} worker, ♥ = {heartbeat}µs, policy = {label}, \
+                 source = {}:",
+                spec.source.label()
+            ),
+            format!(
+                "instructions = {}, heartbeats = {heartbeats}, promotions = {}, tasks = {}, \
+                 joins = {}, {}",
+                out.stats.instructions,
+                out.stats.promotions,
+                out.stats.forks,
+                out.stats.joins,
+                cost_summary(out)
+            ),
+        ),
     };
-
-    if let Some(cores) = opts.sim_cores {
-        // The simulator's ♥ is in cycles; the machine default of 100 is
-        // far too aggressive there, so the flag-absent default is the
-        // tuned value. An explicitly passed ♥ — including an explicit
-        // 100 — is always honoured.
-        let heartbeat = opts.heartbeat.unwrap_or(3_000);
-        let mut config = if opts.linux {
-            SimConfig::linux(cores, heartbeat)
-        } else {
-            SimConfig::nautilus(cores, heartbeat)
-        };
-        config.promotion_order = opts.order;
-        config.promotion = opts.promotion;
-        config.exec_tier = opts.exec_tier;
-        config.record_trace = opts.trace_out.is_some() || opts.profile;
-        let mut sim = Sim::new(&program, config);
-        for (k, v) in &sets {
-            if let Err(e) = sim.set_reg(k, *v) {
-                eprintln!("--set {k}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        match sim.run() {
-            Ok(out) => {
-                println!(
-                    "simulated {cores} cores, ♥ = {heartbeat}, policy = {}:",
-                    opts.promotion.label(Domain::Sim)
-                );
-                dump(&named_regs(&|name| out.read_reg(name)));
-                println!(
-                    "  time = {} cycles, tasks = {}, steals = {}, utilization = {:.0}%, \
-                     heartbeat rate achieved = {:.0}%",
-                    out.time,
-                    out.stats.forks,
-                    out.stats.steals,
-                    out.utilization() * 100.0,
-                    out.heartbeat_rate_achieved() * 100.0
-                );
-                if let Some(trace) = &out.trace {
-                    if report_trace(trace, &opts) == ExitCode::FAILURE {
-                        return ExitCode::FAILURE;
-                    }
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("simulation failed: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    } else {
-        // The machine and the native runtime run the same `Machine` —
-        // same backend, τ, promotion order and step limit — and differ
-        // only in where heartbeats come from: the machine's ♥ counts
-        // instructions, the runtime's is wall-clock microseconds (the
-        // paper's §4.2 interval as the flag-absent default).
-        let heartbeat = opts.heartbeat.unwrap_or(100);
-        let config = MachineConfig::default()
-            .with_heartbeat(heartbeat)
-            .with_tau(opts.tau)
-            .with_promotion_order(opts.order)
-            .with_exec_tier(opts.exec_tier);
-        let mut m = Machine::new(&program, config);
-        for (k, v) in &sets {
-            if let Err(e) = m.set_reg(k, *v) {
-                eprintln!("--set {k}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if opts.rt_workers.is_none() {
-            return match m.run() {
-                Ok(out) => {
-                    println!("machine run, ♥ = {heartbeat}:");
-                    dump(&named_regs(&|name| out.read_reg(name)));
-                    println!(
-                        "  instructions = {}, tasks = {}, promotions = {}, {}",
-                        out.stats.instructions,
-                        out.stats.forks,
-                        out.stats.promotions,
-                        cost_summary(&out)
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("machine fault: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        // One job is ever injected and its tasks stay on the worker that
-        // picks it up, so whatever `--rt N` says the pool has one worker.
-        let mut rt_config = RtConfig::default()
-            .workers(1)
-            .heartbeat(Duration::from_micros(heartbeat))
-            .promotion(opts.promotion)
-            .trace(opts.trace_out.is_some() || opts.profile);
-        if let Some(source) = opts.heartbeat_source {
-            rt_config = rt_config.source(source);
-        }
-        let rt = Runtime::new(rt_config);
-        match rt.run_program(&mut m) {
-            Ok((out, heartbeats)) => {
-                println!(
-                    "native runtime, {} worker, ♥ = {heartbeat}µs, \
-                     policy = {}, source = {}:",
-                    rt.workers(),
-                    rt_config.promotion.label(Domain::Rt),
-                    rt_config.source.label()
-                );
-                dump(&named_regs(&|name| out.read_reg(name)));
-                println!(
-                    "  instructions = {}, heartbeats = {heartbeats}, promotions = {}, \
-                     tasks = {}, joins = {}, {}",
-                    out.stats.instructions,
-                    out.stats.promotions,
-                    out.stats.forks,
-                    out.stats.joins,
-                    cost_summary(&out)
-                );
-                if let Some(trace) = rt.take_trace() {
-                    if report_trace(&trace, &opts) == ExitCode::FAILURE {
-                        return ExitCode::FAILURE;
-                    }
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("runtime fault: {e}");
-                ExitCode::FAILURE
-            }
-        }
+    println!("{header}");
+    for (name, v) in &outcome.registers {
+        println!("  {name} = {v}");
     }
-}
-
-/// The cost-semantics tail of a machine or native-runtime summary line.
-fn cost_summary(out: &tpal::core::machine::Outcome) -> String {
-    format!(
-        "work = {}, span = {} (parallelism {:.1})",
-        out.work,
-        out.span,
-        out.parallelism()
-    )
-}
-
-/// Writes `--trace` output and prints the `--profile` report from a
-/// recorded trace (shared by the simulator and native-runtime paths).
-fn report_trace(trace: &tpal::trace::Trace, opts: &Options) -> ExitCode {
-    if let Some(path) = &opts.trace_out {
-        let json = tpal::trace::chrome::chrome_json(trace);
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("--trace {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    println!("  {summary}");
+    let Some(trace) = outcome.report.trace() else {
+        return Ok(());
+    };
+    if let Some(path) = &trace_out {
+        let json = chrome::chrome_json(trace);
+        std::fs::write(path, json).map_err(|e| format!("--trace {path}: {e}"))?;
         println!("  trace: {} events -> {path}", trace.len());
     }
-    if opts.profile {
-        let p = tpal::trace::WorkSpanProfile::from_trace(trace);
+    if profile {
+        let p = WorkSpanProfile::from_trace(trace);
         println!(
             "  profile: work = {} cycles, span = {} cycles, \
              parallelism = {:.1}, tasks = {}",
@@ -483,7 +321,17 @@ fn report_trace(trace: &tpal::trace::Trace, opts: &Options) -> ExitCode {
             p.parallelism(),
             p.tasks
         );
-        print!("{}", tpal::trace::MetricsReport::from_trace(trace).render());
+        print!("{}", MetricsReport::from_trace(trace).render());
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// The cost-semantics tail of a machine or native-runtime summary line.
+fn cost_summary(out: &Outcome) -> String {
+    format!(
+        "work = {}, span = {} (parallelism {:.1})",
+        out.work,
+        out.span,
+        out.parallelism()
+    )
 }

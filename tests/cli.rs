@@ -358,3 +358,167 @@ fn a_salloc_bomb_is_a_runtime_fault_on_every_substrate() {
         );
     }
 }
+
+/// A simulated per-core-timer ♥ at or below the timer's 5-cycle service
+/// cost never ran an instruction, so not even the step limit ended the
+/// run (`fib(1)` spun for good). It is refused by name; the ping-thread
+/// model has no such floor.
+#[test]
+fn a_heartbeat_the_timer_service_swallows_is_refused() {
+    let fib = include_str!("../programs/fib.tpal");
+    for hb in ["0", "5"] {
+        let args = ["--set", "n=1", "--sim", "1", "--heartbeat", hb];
+        let (status, stderr) = tpal_run_bounded("fib.tpal", fib, &args);
+        assert_eq!(status.code(), Some(1), "♥ {hb}: {stderr}");
+        assert!(
+            stderr.contains("heartbeat") && stderr.contains(&format!("got {hb}")),
+            "♥ {hb}: {stderr}"
+        );
+    }
+    let linux = ["--set", "n=1", "--sim", "1", "--linux", "--heartbeat", "0"];
+    let (status, stderr) = tpal_run_bounded("fib.tpal", fib, &linux);
+    assert_eq!(status.code(), Some(0), "{stderr}");
+}
+
+/// Zero cores used to panic (exit 101) and zero workers ran silently;
+/// both are the typed error the service gives.
+#[test]
+fn zero_cores_or_workers_are_refused() {
+    let fib = include_str!("../programs/fib.tpal");
+    for (flag, names) in [("--sim", "cores must be"), ("--rt", "workers must be")] {
+        let (status, stderr) = tpal_run_bounded("fib.tpal", fib, &["--set", "n=5", flag, "0"]);
+        assert_eq!(status.code(), Some(1), "{flag} 0: {stderr}");
+        assert!(stderr.contains(names), "{flag} 0: {stderr}");
+    }
+}
+
+#[test]
+fn tau_is_refused_on_the_simulator() {
+    let (ok, _, stderr) = tpal_run(&["programs/fib.tpal", "--sim", "2", "--tau", "5"]);
+    assert!(!ok, "the simulator charges cycles, not τ");
+    assert!(stderr.contains("--tau needs"), "{stderr}");
+}
+
+#[test]
+fn interrupt_models_are_refused_off_the_simulator() {
+    for args in [
+        vec!["programs/fib.tpal", "--linux"],
+        vec!["programs/fib.tpal", "--rt", "1", "--nautilus"],
+    ] {
+        let flag = args.last().unwrap();
+        let (ok, _, stderr) = tpal_run(&args);
+        assert!(!ok, "{args:?}");
+        assert!(stderr.contains(&format!("{flag} needs")), "{stderr}");
+    }
+}
+
+#[test]
+fn mode_is_refused_without_ir() {
+    let (ok, _, stderr) = tpal_run(&["programs/fib.tpal", "--mode", "serial"]);
+    assert!(!ok, "an assembly program has no lowering mode");
+    assert!(stderr.contains("--mode needs --ir"), "{stderr}");
+}
+
+/// Frontend errors name the stage that raised them, as the service's do.
+#[test]
+fn frontend_errors_name_their_stage() {
+    for (name, program, args, stage) in [
+        ("bad.tpal", "main: [.]\n    bogus\n", &[][..], "asm parse:"),
+        ("bad.tpl", "fn main( {", &["--ir"][..], "ir parse:"),
+        (
+            "sum.tpl",
+            SUM_TPL,
+            &["--ir", "--mode", "bogus"][..],
+            "unknown mode",
+        ),
+    ] {
+        let (status, stderr) = tpal_run_bounded(name, program, args);
+        assert_eq!(status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains(&format!("{name}: {stage}")), "{stderr}");
+    }
+}
+
+/// A parallel-loop reduction in the task-parallel source language.
+const SUM_TPL: &str =
+    "fn main(n) {\n    s = 0;\n    parfor i in 0..n reduce(s: +, 0) { s = s + i; }\n    return s;\n}\n";
+
+/// `tpal-run` and `tpal-serve` run one path: for every shipped program
+/// at a small input, plus a `.tpl` source under `--ir`, the integer
+/// registers `tpal-run` prints on `--sim 2` and on `--rt 1` are the
+/// `result.registers` that `Engine::execute` renders for the same spec.
+/// The runtime's ♥ is one second on both sides, so no real-time beat
+/// lands in these short runs and the registers do not depend on when
+/// one would have.
+#[test]
+fn the_cli_and_the_service_agree_on_registers() {
+    use tpal::serve::engine::{Engine, RunInclude};
+    use tpal::serve::spec::{ProgramSrc, RunSpec};
+
+    let tpl = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("agree.tpl");
+    std::fs::write(&tpl, SUM_TPL).unwrap();
+    let mut programs: Vec<_> = std::fs::read_dir("programs")
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "tpal"))
+        .collect();
+    programs.sort();
+    assert!(programs.len() >= 5, "{programs:?}");
+    programs.push(tpl);
+    let engine = Engine::new();
+    for path in &programs {
+        let sets: &[(&str, i64)] = match path.file_stem().unwrap().to_str().unwrap() {
+            "fib" => &[("n", 12)],
+            "pipeline" => &[("n", 100)],
+            "pow" => &[("d", 300), ("e", 3)],
+            "prod" => &[("a", 1000), ("b", 3)],
+            "sum" => &[("main.n", 1000)],
+            "agree" => &[("n", 100)],
+            other => panic!("give programs/{other}.tpal a small input here"),
+        };
+        let ir = path.extension().unwrap() == "tpl";
+        let source = std::fs::read_to_string(path).unwrap();
+        let src = if ir {
+            ProgramSrc::tpl(source, "heartbeat")
+        } else {
+            ProgramSrc::asm(source)
+        };
+        let entry = engine.cache().get_or_compile(&src).0.unwrap();
+        let mut rt = RunSpec::rt(1);
+        rt.heartbeat = Some(1_000_000);
+        for (flags, mut spec) in [
+            (&["--sim", "2"][..], RunSpec::sim(2)),
+            (&["--rt", "1", "--heartbeat", "1000000"][..], rt),
+        ] {
+            let mut args = vec![path.to_str().unwrap().to_owned()];
+            args.extend(flags.iter().map(|f| f.to_string()));
+            if ir {
+                args.push("--ir".to_owned());
+            }
+            for (k, v) in sets {
+                args.extend(["--set".to_owned(), format!("{k}={v}")]);
+                spec = spec.set(*k, *v);
+            }
+            let args: Vec<&str> = args.iter().map(String::as_str).collect();
+            let (ok, stdout, stderr) = tpal_run(&args);
+            assert!(ok, "{args:?}: {stderr}");
+            // Between the header and the summary line: `  name = value`.
+            let lines: Vec<&str> = stdout.lines().collect();
+            let printed: Vec<String> = lines[1..lines.len() - 1]
+                .iter()
+                .map(|l| {
+                    let (name, v) = l.trim().split_once(" = ").expect(l);
+                    format!("\"{name}\":{v}")
+                })
+                .collect();
+            let served = engine
+                .execute(&entry, &spec, RunInclude::default())
+                .unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            let want = format!("{{\"registers\":{{{}}}", printed.join(","));
+            assert!(
+                served.result.starts_with(&want),
+                "{args:?}:\ntpal-run  {want}\ntpal-serve {}",
+                served.result
+            );
+        }
+    }
+}
