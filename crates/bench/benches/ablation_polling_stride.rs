@@ -42,6 +42,7 @@ fn main() {
                 .workers(1)
                 .source(HeartbeatSource::PingThread)
                 .heartbeat(Duration::from_micros(100))
+                .poll_adaptive(false)
                 .poll_stride(stride),
         );
         let t = time_native(expected, || rt.run(|ctx| p.run_heartbeat(ctx)));

@@ -4,6 +4,7 @@
 //! `EXPERIMENTS.md` the results). All targets honour
 //! `TPAL_BENCH_MODE=quick|full` (default `quick`) and print plain text.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::{Duration, Instant};

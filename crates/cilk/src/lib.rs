@@ -27,6 +27,7 @@
 //! assert_eq!(total, (0..10_000i64).sum());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::Range;

@@ -519,11 +519,6 @@ impl Block {
             instrs,
         }
     }
-
-    /// Creates a block with the given annotation.
-    pub fn with_annotation(annotation: Annotation, instrs: Vec<Instr>) -> Self {
-        Block { annotation, instrs }
-    }
 }
 
 #[cfg(test)]

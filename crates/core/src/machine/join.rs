@@ -159,11 +159,6 @@ impl JoinStore {
         self.records[j.index()].cont
     }
 
-    /// Number of records allocated.
-    pub fn record_count(&self) -> usize {
-        self.records.len()
-    }
-
     /// Number of dependency edges still open on `j`.
     pub fn open_edges(&self, j: JoinId) -> u32 {
         self.records[j.index()].open_edges

@@ -121,11 +121,6 @@ impl StackStore {
         StackRef { stack: id, pos: -1 }
     }
 
-    /// Number of stacks ever allocated.
-    pub fn stack_count(&self) -> usize {
-        self.stacks.len()
-    }
-
     fn cells(&self, id: StackId) -> &Vec<Value> {
         &self.stacks[id.index()]
     }

@@ -49,17 +49,6 @@ impl Value {
         }
     }
 
-    /// Extracts a label, or reports a type error.
-    pub fn as_label(self) -> Result<Label, MachineError> {
-        match self {
-            Value::Label(l) => Ok(l),
-            other => Err(MachineError::TypeError {
-                expected: "label",
-                got: other.kind(),
-            }),
-        }
-    }
-
     /// Extracts a join-record identifier, or reports a type error.
     pub fn as_join(self) -> Result<JoinId, MachineError> {
         match self {

@@ -331,18 +331,6 @@ impl<T> Stealer<T> {
         }
     }
 
-    /// Steals, retrying internally while the deque reports [`Steal::Retry`].
-    /// Returns `None` only when the deque is observed empty.
-    pub fn steal_until_empty(&self) -> Option<T> {
-        loop {
-            match self.steal() {
-                Steal::Success(v) => return Some(v),
-                Steal::Empty => return None,
-                Steal::Retry => std::hint::spin_loop(),
-            }
-        }
-    }
-
     /// Approximate number of tasks in the deque.
     pub fn len(&self) -> usize {
         self.inner.len_estimate()

@@ -1,84 +1,15 @@
-//! A lock-free segmented MPMC injector queue.
-//!
-//! The runtimes' global injector takes *external* submissions (root jobs
-//! pushed from threads outside the pool) and hands them to whichever
-//! worker asks first. The original implementation was a
-//! `Mutex<VecDeque>`, which puts one contended lock on the idle-worker
-//! hot path (every `find_job` probes the injector between the local pop
-//! and the steal sweep). This module replaces it with a segmented
-//! array-based MPMC queue in the style of `crossbeam`'s `SegQueue`
-//! (Vyukov-lineage): a singly linked chain of fixed-size blocks, two
-//! cache-padded monotone indices (`head` for consumers, `tail` for
-//! producers), and per-slot state flags.
-//!
-//! Steady-state operations are lock-free: a push is one CAS on `tail`
-//! plus a slot write and a release flag store; a pop is one CAS on
-//! `head` plus a flag check and a slot read. Block transitions
-//! (allocating the next block once per [`BLOCK_CAP`] pushes) happen on
-//! the producer that claims the last slot of a block, serialized by the
-//! same index CAS — no lock anywhere.
-//!
-//! # Memory reclamation
-//!
-//! Consumed blocks are kept alive until the queue itself is dropped —
-//! the same retire-until-drop discipline the Chase–Lev deque uses for
-//! grown buffers — which sidesteps the stalled-reader reclamation race
-//! without an epoch scheme. The retained memory is proportional to the
-//! total number of elements ever pushed (one slot each), which is fine
-//! for the runtimes' injector traffic (one root job per external
-//! submission); callers with unbounded lifetime traffic should recycle
-//! the queue periodically.
+//! The runtimes' global injector: external submissions (one root job
+//! per `Runtime::run`) wait here for whichever worker asks first. A push
+//! is paid once per run, so the queue is a locked `VecDeque`, bounded by
+//! what it holds. What stays lock-free is the probe each idle worker's
+//! `find_job` makes before stealing: an empty injector is one load.
 
-use std::cell::UnsafeCell;
-use std::fmt;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// Pads and aligns a value to a cache line, so two adjacent values in a
-/// struct or array cannot false-share.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-pub struct CachePadded<T>(pub T);
-
-/// Index positions per block *lap*: [`BLOCK_CAP`] real slots plus one
-/// sentinel position marking the block transition.
-const LAP: u64 = 64;
-/// Real slots per block.
-pub const BLOCK_CAP: usize = (LAP - 1) as usize;
-
-/// Slot states. A slot moves `EMPTY → FULL → TAKEN` exactly once.
-const SLOT_EMPTY: u32 = 0;
-const SLOT_FULL: u32 = 1;
-const SLOT_TAKEN: u32 = 2;
-
-struct Slot<T> {
-    state: AtomicU32,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
-
-/// One fixed-size segment of the queue.
-struct Block<T> {
-    slots: Box<[Slot<T>]>,
-    next: AtomicPtr<Block<T>>,
-}
-
-impl<T> Block<T> {
-    fn alloc() -> *mut Block<T> {
-        let slots = (0..BLOCK_CAP)
-            .map(|_| Slot {
-                state: AtomicU32::new(SLOT_EMPTY),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
-        Box::into_raw(Box::new(Block {
-            slots,
-            next: AtomicPtr::new(std::ptr::null_mut()),
-        }))
-    }
-}
-
-/// A lock-free unbounded MPMC queue: any thread may push, any thread
-/// may pop.
+/// An unbounded MPMC FIFO queue: any thread may push, any thread may
+/// pop.
 ///
 /// # Examples
 ///
@@ -92,192 +23,51 @@ impl<T> Block<T> {
 /// assert_eq!(q.pop(), Some(2));
 /// assert_eq!(q.pop(), None);
 /// ```
+#[derive(Debug, Default)]
 pub struct Injector<T> {
-    /// Consumer index (monotone; offsets `% LAP == BLOCK_CAP` are
-    /// sentinel positions skipped at block transitions).
-    head: CachePadded<AtomicU64>,
-    /// Producer index, same encoding.
-    tail: CachePadded<AtomicU64>,
-    /// The block containing the slot `head` points at. Only the popper
-    /// that crosses a block boundary stores here; while it does, `head`
-    /// rests on the sentinel and other poppers spin.
-    head_block: CachePadded<AtomicPtr<Block<T>>>,
-    /// The block containing the slot `tail` points at, same protocol.
-    tail_block: CachePadded<AtomicPtr<Block<T>>>,
-    /// The oldest block, kept for drop-time reclamation of the whole
-    /// chain (blocks are never freed while the queue is live).
-    first_block: *mut Block<T>,
-}
-
-// SAFETY: the slot protocol transfers each T exactly once across
-// threads; indices and flags carry the synchronization.
-unsafe impl<T: Send> Send for Injector<T> {}
-unsafe impl<T: Send> Sync for Injector<T> {}
-
-impl<T> Default for Injector<T> {
-    fn default() -> Self {
-        Injector::new()
-    }
-}
-
-impl<T> fmt::Debug for Injector<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Injector")
-            .field("len", &self.len())
-            .finish()
-    }
+    /// `queue`'s length, stored under the lock after every change.
+    len: AtomicUsize,
+    queue: Mutex<VecDeque<T>>,
 }
 
 impl<T> Injector<T> {
-    /// An empty queue (the first block is allocated eagerly).
+    /// An empty queue.
     pub fn new() -> Injector<T> {
-        let first = Block::alloc();
         Injector {
-            head: CachePadded(AtomicU64::new(0)),
-            tail: CachePadded(AtomicU64::new(0)),
-            head_block: CachePadded(AtomicPtr::new(first)),
-            tail_block: CachePadded(AtomicPtr::new(first)),
-            first_block: first,
+            len: AtomicUsize::new(0),
+            queue: Mutex::new(VecDeque::new()),
         }
     }
 
-    /// Pushes `value` at the back of the queue. Lock-free: one index
-    /// CAS plus a slot publish in the steady state; the producer that
-    /// fills a block also links the next one.
+    /// Pushes `value` at the back of the queue.
     pub fn push(&self, value: T) {
-        loop {
-            let tail = self.tail.0.load(Ordering::Acquire);
-            let offset = (tail % LAP) as usize;
-            if offset == BLOCK_CAP {
-                // A producer is mid-transition to the next block; its
-                // two stores below land momentarily.
-                std::hint::spin_loop();
-                continue;
-            }
-            let block = self.tail_block.0.load(Ordering::Acquire);
-            if self
-                .tail
-                .0
-                .compare_exchange_weak(tail, tail + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_err()
-            {
-                std::hint::spin_loop();
-                continue;
-            }
-            // The CAS serialized us: slot `offset` of `block` is ours.
-            // (`block` cannot be stale: `tail_block` only changes while
-            // `tail` rests on a sentinel, and sentinels never win the
-            // CAS above.)
-            unsafe {
-                if offset + 1 == BLOCK_CAP {
-                    // We claimed the last slot: install the next block
-                    // *before* publishing our value, so a consumer that
-                    // sees this slot FULL can always cross the boundary.
-                    let next = Block::alloc();
-                    (*block).next.store(next, Ordering::Release);
-                    self.tail_block.0.store(next, Ordering::Release);
-                    self.tail.0.store(tail + 2, Ordering::Release);
-                }
-                let slot = &(*block).slots[offset];
-                (*slot.value.get()).write(value);
-                slot.state.store(SLOT_FULL, Ordering::Release);
-            }
-            return;
-        }
+        let mut queue = self.queue.lock().expect("injector lock poisoned");
+        queue.push_back(value);
+        self.len.store(queue.len(), Ordering::SeqCst);
     }
 
-    /// Pops from the front of the queue. Returns `None` when the queue
-    /// is observed empty — including the transient case where a
-    /// producer has claimed a slot but not yet published its value
-    /// (the producer's post-push wakeup covers that window for the
-    /// runtime's sleep protocol).
+    /// Pops from the front of the queue; an empty queue answers `None`
+    /// without taking the lock.
     pub fn pop(&self) -> Option<T> {
-        loop {
-            let head = self.head.0.load(Ordering::Acquire);
-            let offset = (head % LAP) as usize;
-            if offset == BLOCK_CAP {
-                // A popper is mid-transition to the next block.
-                std::hint::spin_loop();
-                continue;
-            }
-            let tail = self.tail.0.load(Ordering::SeqCst);
-            if head >= tail {
-                return None;
-            }
-            let block = self.head_block.0.load(Ordering::Acquire);
-            // SAFETY: `block` matches `head`'s lap (it only changes
-            // while `head` rests on a sentinel), and `offset` is a real
-            // slot index.
-            let slot = unsafe { &(*block).slots[offset] };
-            if slot.state.load(Ordering::Acquire) != SLOT_FULL {
-                // Claimed but unpublished (or already drained past
-                // `tail` raced ahead); nothing consumable yet.
-                return None;
-            }
-            if self
-                .head
-                .0
-                .compare_exchange_weak(head, head + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_err()
-            {
-                std::hint::spin_loop();
-                continue;
-            }
-            // The CAS serialized us: the slot's value is ours.
-            let value = unsafe { (*slot.value.get()).assume_init_read() };
-            slot.state.store(SLOT_TAKEN, Ordering::Release);
-            if offset + 1 == BLOCK_CAP {
-                // We consumed the last slot of this block; its producer
-                // installed `next` before publishing (see `push`), so
-                // the boundary is always crossable here.
-                let next = unsafe { (*block).next.load(Ordering::Acquire) };
-                debug_assert!(!next.is_null(), "block published without a successor");
-                self.head_block.0.store(next, Ordering::Release);
-                self.head.0.store(head + 2, Ordering::Release);
-            }
-            return Some(value);
+        if self.is_empty() {
+            return None;
         }
+        let mut queue = self.queue.lock().expect("injector lock poisoned");
+        let value = queue.pop_front();
+        self.len.store(queue.len(), Ordering::SeqCst);
+        value
     }
 
-    /// An estimate of the number of queued elements (exact when the
-    /// queue is quiescent; never under-reports a completed push that no
-    /// pop has claimed).
+    /// The number of queued elements.
     pub fn len(&self) -> usize {
-        // Strip the one sentinel position per lap from each index to
-        // count real slots.
-        fn elems(index: u64) -> u64 {
-            index - index / LAP
-        }
-        let tail = self.tail.0.load(Ordering::SeqCst);
-        let head = self.head.0.load(Ordering::SeqCst);
-        elems(tail).saturating_sub(elems(head)) as usize
+        self.len.load(Ordering::SeqCst)
     }
 
-    /// Whether the queue appears empty. A completed, unconsumed push is
-    /// always visible here — the guarantee the runtime's park-recheck
-    /// relies on.
+    /// Whether the queue is empty. A completed push is always visible
+    /// here: its `SeqCst` store and this `SeqCst` load, with the fence in
+    /// the runtime's `notify`, are what a parking worker's recheck needs.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-impl<T> Drop for Injector<T> {
-    fn drop(&mut self) {
-        // Walk the whole chain from the first block: drop any value
-        // still FULL (pushed, never popped), then free every block.
-        let mut block = self.first_block;
-        while !block.is_null() {
-            unsafe {
-                for slot in (*block).slots.iter() {
-                    if slot.state.load(Ordering::Relaxed) == SLOT_FULL {
-                        (*slot.value.get()).assume_init_drop();
-                    }
-                }
-                let next = (*block).next.load(Ordering::Relaxed);
-                drop(Box::from_raw(block));
-                block = next;
-            }
-        }
     }
 }
 
@@ -288,7 +78,7 @@ mod tests {
     #[test]
     fn fifo_within_and_across_blocks() {
         let q = Injector::new();
-        let n = 5 * BLOCK_CAP + 7;
+        let n = 322;
         for i in 0..n {
             q.push(i);
         }
@@ -304,7 +94,7 @@ mod tests {
     fn interleaved_push_pop() {
         let q = Injector::new();
         let mut next_out = 0usize;
-        for i in 0..10 * BLOCK_CAP {
+        for i in 0..630 {
             q.push(i);
             if i % 3 == 0 {
                 assert_eq!(q.pop(), Some(next_out));
@@ -315,7 +105,7 @@ mod tests {
             assert_eq!(v, next_out);
             next_out += 1;
         }
-        assert_eq!(next_out, 10 * BLOCK_CAP);
+        assert_eq!(next_out, 630);
     }
 
     #[test]
@@ -330,12 +120,12 @@ mod tests {
         }
         {
             let q = Injector::new();
-            for _ in 0..3 * BLOCK_CAP {
+            for _ in 0..189 {
                 q.push(D);
             }
             drop(q.pop()); // one popped and dropped
         }
-        assert_eq!(DROPS.load(Ordering::Relaxed), 3 * BLOCK_CAP);
+        assert_eq!(DROPS.load(Ordering::Relaxed), 189);
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! * [`chase_lev`] — the lock-free Chase–Lev dynamic circular deque
 //!   (Chase & Lev, SPAA 2005, with the C11 memory orderings of Lê et al.,
 //!   PPoPP 2013). This is what the runtimes use.
-//! * [`injector`] — a lock-free segmented MPMC queue (SegQueue-style)
-//!   for external job submissions: the runtime's global injector.
+//! * [`injector`] — the runtime's global injector for external job
+//!   submissions: a `Mutex<VecDeque>` whose atomic length lets an idle
+//!   worker probe it empty without the lock. A push is paid once per
+//!   run, so only the probe needs to be lock-free.
 //! * [`mutex_deque`] — a trivially-correct mutex-protected deque with the
 //!   same interface, used as the oracle in differential and stress tests.
 //!
@@ -38,4 +40,10 @@ pub mod injector;
 pub mod mutex_deque;
 
 pub use chase_lev::{deque, Steal, Stealer, Worker};
-pub use injector::{CachePadded, Injector};
+pub use injector::Injector;
+
+/// Pads and aligns a value to a cache line, so two adjacent values in a
+/// struct or array cannot false-share.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub struct CachePadded<T>(pub T);

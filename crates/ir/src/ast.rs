@@ -96,16 +96,6 @@ impl Expr {
         Expr::bin(BinOp::Mod, self, rhs)
     }
 
-    /// `self >> rhs` (arithmetic).
-    pub fn shr(self, rhs: Expr) -> Expr {
-        Expr::bin(BinOp::Shr, self, rhs)
-    }
-
-    /// `self << rhs`.
-    pub fn shl(self, rhs: Expr) -> Expr {
-        Expr::bin(BinOp::Shl, self, rhs)
-    }
-
     /// `min(self, rhs)`.
     pub fn min(self, rhs: Expr) -> Expr {
         Expr::bin(BinOp::Min, self, rhs)
@@ -129,11 +119,6 @@ impl Expr {
     /// `self > rhs` (0 = true).
     pub fn gt(self, rhs: Expr) -> Expr {
         Expr::bin(BinOp::Gt, self, rhs)
-    }
-
-    /// `self >= rhs` (0 = true).
-    pub fn ge(self, rhs: Expr) -> Expr {
-        Expr::bin(BinOp::Ge, self, rhs)
     }
 
     /// `self == rhs` (0 = true).

@@ -69,6 +69,7 @@
 //! assert_eq!(out.read_reg(&lowered.result_reg), Some(5050));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;

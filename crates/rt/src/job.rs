@@ -6,7 +6,7 @@
 //! stack frame dies, the same discipline `rayon::scope` relies on. The
 //! unsafety is confined to this module and `parallel.rs`.
 
-use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::pool::WorkerCtx;
 
@@ -110,74 +110,6 @@ impl ResultLatch {
     }
 }
 
-/// A lock-free accumulation list (Treiber stack) for reduction
-/// partials: chunk tasks push their partial result with one CAS; the
-/// initiating worker drains after its count latch clears. Order is
-/// arbitrary — callers must combine with an associative **and
-/// commutative** merge, which `reduce` already requires.
-#[derive(Debug)]
-pub(crate) struct PartialStack<T> {
-    head: AtomicPtr<PartialNode<T>>,
-}
-
-struct PartialNode<T> {
-    value: T,
-    next: *mut PartialNode<T>,
-}
-
-// SAFETY: values are moved in before the publishing CAS (release) and
-// moved out only by the exclusive drain (`&mut`) or Drop.
-unsafe impl<T: Send> Send for PartialStack<T> {}
-unsafe impl<T: Send> Sync for PartialStack<T> {}
-
-impl<T> PartialStack<T> {
-    pub(crate) fn new() -> Self {
-        PartialStack {
-            head: AtomicPtr::new(std::ptr::null_mut()),
-        }
-    }
-
-    /// Pushes one partial; lock-free from any worker.
-    pub(crate) fn push(&self, value: T) {
-        let node = Box::into_raw(Box::new(PartialNode {
-            value,
-            next: std::ptr::null_mut(),
-        }));
-        loop {
-            let head = self.head.load(Ordering::Relaxed);
-            // SAFETY: `node` is unpublished; we still own it.
-            unsafe { (*node).next = head };
-            if self
-                .head
-                .compare_exchange_weak(head, node, Ordering::Release, Ordering::Relaxed)
-                .is_ok()
-            {
-                return;
-            }
-        }
-    }
-
-    /// Takes every pushed value (exclusive access ends the race window;
-    /// the caller synchronizes via its completion latch first).
-    pub(crate) fn drain(&mut self) -> Vec<T> {
-        let mut out = Vec::new();
-        let mut p = self.head.swap(std::ptr::null_mut(), Ordering::Acquire);
-        while !p.is_null() {
-            // SAFETY: detached exclusively-owned chain.
-            let node = unsafe { Box::from_raw(p) };
-            out.push(node.value);
-            p = node.next;
-        }
-        out
-    }
-}
-
-impl<T> Drop for PartialStack<T> {
-    fn drop(&mut self) {
-        self.drain();
-    }
-}
-
 /// States of a latent (mark-list) entry.
 pub(crate) mod latent_state {
     /// Still latent: may be promoted or claimed inline.
@@ -244,58 +176,6 @@ mod tests {
         assert_eq!(s.get(), latent_state::PROMOTED);
         s.set_done();
         assert_eq!(s.get(), latent_state::DONE);
-    }
-
-    #[test]
-    fn partial_stack_collects_all_pushes() {
-        let mut s = PartialStack::new();
-        for i in 0..100 {
-            s.push(i);
-        }
-        let mut got = s.drain();
-        got.sort_unstable();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
-        assert!(s.drain().is_empty());
-    }
-
-    #[test]
-    fn partial_stack_concurrent_pushes() {
-        let s = std::sync::Arc::new(PartialStack::new());
-        let handles: Vec<_> = (0..4u64)
-            .map(|t| {
-                let s = std::sync::Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for i in 0..1_000 {
-                        s.push(t * 1_000 + i);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut s = std::sync::Arc::try_unwrap(s).unwrap();
-        let mut got = s.drain();
-        got.sort_unstable();
-        assert_eq!(got, (0..4_000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn partial_stack_drop_frees_unconsumed() {
-        use std::sync::atomic::AtomicUsize;
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        struct D;
-        impl Drop for D {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        {
-            let s = PartialStack::new();
-            s.push(D);
-            s.push(D);
-        }
-        assert_eq!(DROPS.load(Ordering::Relaxed), 2);
     }
 
     #[test]

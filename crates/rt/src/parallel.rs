@@ -16,11 +16,12 @@
 use std::cell::{Cell, UnsafeCell};
 use std::ops::Range;
 use std::sync::atomic::Ordering;
+use std::sync::Mutex;
 
 use tpal_trace::EventKind;
 
 use crate::job::latent_state::{CLAIMED, DONE, LATENT, PROMOTED};
-use crate::job::{CountLatch, Job, LatentState, PartialStack};
+use crate::job::{CountLatch, Job, LatentState};
 use crate::pool::{LatentSlot, Pacer, Shared, WorkerCtx};
 use crate::HeartbeatSource;
 
@@ -346,9 +347,9 @@ impl WorkerCtx<'_> {
         }
         struct Ctl<T, B> {
             pending: CountLatch,
-            /// Lock-free accumulation in arrival order (Treiber stack):
-            /// `merge` is required to be associative and commutative.
-            partials: PartialStack<T>,
+            /// Split-off chunks' results, one push per promotion, in any
+            /// order: `merge` is required to be associative and commutative.
+            partials: Mutex<Vec<T>>,
             identity: T,
             /// Shared by every chunk, on any worker: `B: Sync`.
             body: *const B,
@@ -388,7 +389,7 @@ impl WorkerCtx<'_> {
             let frame = unsafe { Box::from_raw(data as *mut Frame<T, B>) };
             let t = run_chunk(ctx, &frame);
             let ctl = unsafe { &*frame.ctl };
-            ctl.partials.push(t);
+            ctl.partials.lock().expect("partials lock poisoned").push(t);
             ctl.pending.done();
         }
 
@@ -482,7 +483,7 @@ impl WorkerCtx<'_> {
         {
             let ctl: Ctl<T, B> = Ctl {
                 pending: CountLatch::new(),
-                partials: PartialStack::new(),
+                partials: Mutex::new(Vec::new()),
                 identity,
                 body,
             };
@@ -493,8 +494,8 @@ impl WorkerCtx<'_> {
             };
             let acc = run_chunk(ctx, &root);
             ctx.help_until(|| ctl.pending.is_clear());
-            let mut partials = ctl.partials;
-            partials.drain().into_iter().fold(acc, merge)
+            let partials = ctl.partials.into_inner().expect("partials lock poisoned");
+            partials.into_iter().fold(acc, merge)
         }
 
         run_loop(self, range, identity, &body, &merge)

@@ -6,9 +6,9 @@
 //! `parallel.rs`; the eager Cilk baseline (`tpal-cilk`) reuses this pool
 //! with the heartbeat source disabled.
 
-use std::cell::{RefCell, UnsafeCell};
+use std::cell::RefCell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use tpal_deque::{deque, CachePadded, Injector, Steal, Stealer, Worker};
@@ -183,8 +183,8 @@ pub(crate) struct WorkerShared {
 
 pub(crate) struct Shared {
     pub workers: Vec<WorkerShared>,
-    /// External-submission queue: lock-free MPMC (no lock on the
-    /// injector-pop leg of `find_job`).
+    /// External-submission queue: one push per [`Runtime::run`], so it
+    /// is locked; an idle `find_job` probes it empty with one load.
     pub injector: Injector<Job>,
     /// Number of workers currently registered as parked (or about to
     /// park). Padded: it sits on the producer's `notify` fast path.
@@ -532,21 +532,21 @@ impl Runtime {
     }
 
     /// Runs `f` on a worker and returns its result, blocking the calling
-    /// thread until completion (an atomic latch plus `park` — no mutex
-    /// or condvar on the submission/completion path).
+    /// thread until completion (an atomic latch plus `park`; the closure
+    /// and its result cross threads in two once-per-run locks).
     pub fn run<F, T>(&self, f: F) -> T
     where
         F: FnOnce(&WorkerCtx<'_>) -> T + Send,
         T: Send,
     {
         struct Root<F, T> {
-            f: UnsafeCell<Option<F>>,
-            result: UnsafeCell<Option<T>>,
+            f: Mutex<Option<F>>,
+            result: Mutex<Option<T>>,
             latch: ResultLatch,
         }
         let root = Root {
-            f: UnsafeCell::new(Some(f)),
-            result: UnsafeCell::new(None),
+            f: Mutex::new(Some(f)),
+            result: Mutex::new(None),
             latch: ResultLatch::new(),
         };
 
@@ -555,13 +555,11 @@ impl Runtime {
             F: FnOnce(&WorkerCtx<'_>) -> T + Send,
             T: Send,
         {
-            // SAFETY: `run` keeps `root` alive until the latch releases,
-            // and the job runs exactly once, so the cells are exclusive
-            // to this execution until `set` publishes them.
+            // SAFETY: `run` keeps `root` alive until the latch releases.
             let root = unsafe { &*(data as *const Root<F, T>) };
-            let f = unsafe { (*root.f.get()).take().expect("root job ran twice") };
-            let t = f(ctx);
-            unsafe { *root.result.get() = Some(t) };
+            let f = root.f.lock().expect("root closure lock poisoned").take();
+            let t = f.expect("root job ran twice")(ctx);
+            *root.result.lock().expect("root result lock poisoned") = Some(t);
             root.latch.set();
         }
 
@@ -572,9 +570,8 @@ impl Runtime {
         self.shared.notify();
 
         root.latch.wait();
-        // SAFETY: the released latch (acquire) publishes the result
-        // write; the job has finished touching the cells.
-        unsafe { (*root.result.get()).take().expect("result published") }
+        let result = root.result.into_inner().expect("root result lock poisoned");
+        result.expect("result published")
     }
 
     /// A snapshot of the runtime's instrumentation counters (the

@@ -138,6 +138,11 @@ mod imp {
     /// `siginfo_t`/`ucontext_t`, and the three-argument frame is
     /// measurably more expensive to build (~4µs/beat of ~27µs on the
     /// virtualised dev host) than the classic one-argument frame.
+    ///
+    /// Nothing here may record a trace event: `SharedTracer::record`
+    /// takes the track's lock, which the interrupted worker may hold, so
+    /// a record from this handler would deadlock. The delivery instant is
+    /// recorded by the worker when it consumes the flag.
     extern "C" fn on_heartbeat(_signo: i32) {
         let cell = HB_CELL.with(Cell::get);
         if !cell.is_null() {

@@ -22,6 +22,7 @@
 //! promotion rule and the substrate's steal rule; [`Promotion::parse`]
 //! is the one reader of labels and [`Promotion::label`] the one writer.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod delivery;

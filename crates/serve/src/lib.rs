@@ -36,6 +36,8 @@
 //! server.join(); // serve until POST /shutdown
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod engine;
 pub mod http;

@@ -52,6 +52,7 @@
 //! assert!(out.speedup_base() > 2.0); // parallel work actually overlapped
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;

@@ -5,60 +5,8 @@
 //! is off, snapshot as [`SchedStats`]. The event layer ([`crate::event`])
 //! supersedes them for anything time-resolved; the counters remain the
 //! zero-configuration path the benches read between trials.
-//!
-//! Two layouts share the [`SchedStats`] snapshot type: the flat
-//! [`SchedCounters`] (one cache line all producers hammer — fine for a
-//! single-owner recorder) and the [`ShardedCounters`] the native runtime
-//! uses, which gives every worker its own cache-line-aligned
-//! [`CounterShard`] so steady-state increments never bounce a shared
-//! line between cores; aggregation happens only at snapshot time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Shared atomic counters, read back as [`SchedStats`].
-///
-/// Heartbeat *delivery* is intentionally not here: delivery is counted
-/// per worker (each delivery targets one worker's heartbeat cell), so
-/// the owner passes the summed value to [`SchedCounters::snapshot`] —
-/// and must reset those per-worker cells alongside [`SchedCounters::reset`],
-/// or post-reset Fig.-10 serviced/delivered ratios are computed against
-/// a stale cumulative denominator.
-#[derive(Debug, Default)]
-pub struct SchedCounters {
-    /// Heartbeat events that performed a promotion.
-    pub promotions: AtomicU64,
-    /// Tasks actually created (promoted latent calls and loop splits).
-    pub tasks_created: AtomicU64,
-    /// Successful steals between workers.
-    pub steals: AtomicU64,
-    /// Heartbeat flags observed (serviced) at promotion points.
-    pub heartbeats_serviced: AtomicU64,
-}
-
-impl SchedCounters {
-    /// A coherent-enough snapshot (individual relaxed loads; exact once
-    /// the workers are quiescent). `delivered` is the per-worker
-    /// delivery total supplied by the owner.
-    pub fn snapshot(&self, delivered: u64) -> SchedStats {
-        SchedStats {
-            promotions: self.promotions.load(Ordering::Relaxed),
-            tasks_created: self.tasks_created.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            heartbeats_serviced: self.heartbeats_serviced.load(Ordering::Relaxed),
-            heartbeats_delivered: delivered,
-        }
-    }
-
-    /// Zeroes every counter (between benchmark trials). The owner must
-    /// also reset its per-worker delivery counters — see the type-level
-    /// note.
-    pub fn reset(&self) {
-        self.promotions.store(0, Ordering::Relaxed);
-        self.tasks_created.store(0, Ordering::Relaxed);
-        self.steals.store(0, Ordering::Relaxed);
-        self.heartbeats_serviced.store(0, Ordering::Relaxed);
-    }
-}
 
 /// One worker's private scheduler counters, padded and aligned to a
 /// cache line so adjacent shards never false-share. Increments are
@@ -98,9 +46,14 @@ impl CounterShard {
 }
 
 /// Per-worker sharded scheduler counters: writes go to the caller's own
-/// [`CounterShard`]; reads aggregate across shards. The delivery count
-/// stays per-worker on the heartbeat cells, exactly as for
-/// [`SchedCounters`] (see that type's note).
+/// [`CounterShard`]; reads aggregate across shards.
+///
+/// Heartbeat *delivery* is intentionally not here: delivery is counted
+/// per worker (each delivery targets one worker's heartbeat cell), so
+/// the owner passes the summed value to [`ShardedCounters::snapshot`] —
+/// and must reset those per-worker cells alongside
+/// [`ShardedCounters::reset`], or post-reset Fig.-10 serviced/delivered
+/// ratios are computed against a stale cumulative denominator.
 #[derive(Debug)]
 pub struct ShardedCounters {
     shards: Box<[CounterShard]>,
@@ -128,9 +81,9 @@ impl ShardedCounters {
         &self.shards[id]
     }
 
-    /// The aggregate snapshot: sums every shard. `delivered` is the
-    /// per-worker delivery total supplied by the owner (see
-    /// [`SchedCounters::snapshot`]).
+    /// The aggregate snapshot: sums every shard (individual relaxed
+    /// loads; exact once the workers are quiescent). `delivered` is the
+    /// per-worker delivery total supplied by the owner.
     pub fn snapshot(&self, delivered: u64) -> SchedStats {
         let mut total = SchedStats {
             heartbeats_delivered: delivered,
@@ -155,9 +108,9 @@ impl ShardedCounters {
             .collect()
     }
 
-    /// Zeroes every shard (between benchmark trials). As with
-    /// [`SchedCounters::reset`], the owner must also reset its
-    /// per-worker delivery counters.
+    /// Zeroes every shard (between benchmark trials). The owner must
+    /// also reset its per-worker delivery counters — see the type-level
+    /// note.
     pub fn reset(&self) {
         for s in self.shards.iter() {
             s.reset();
@@ -201,9 +154,9 @@ mod tests {
 
     #[test]
     fn snapshot_and_reset_round_trip() {
-        let c = SchedCounters::default();
-        c.promotions.store(3, Ordering::Relaxed);
-        c.steals.store(7, Ordering::Relaxed);
+        let c = ShardedCounters::new(1);
+        c.shard(0).promotions.store(3, Ordering::Relaxed);
+        c.shard(0).steals.store(7, Ordering::Relaxed);
         let s = c.snapshot(9);
         assert_eq!(s.promotions, 3);
         assert_eq!(s.steals, 7);
@@ -214,17 +167,20 @@ mod tests {
 
     #[test]
     fn sharded_totals_equal_flat_counters() {
-        // The sharded layout must aggregate to exactly what a flat
+        // The sharded layout must aggregate to exactly what one flat
         // counter set would have recorded for the same increments.
-        let flat = SchedCounters::default();
         let sharded = ShardedCounters::new(3);
         for (i, n) in [(0usize, 5u64), (1, 7), (2, 11)] {
-            flat.promotions.fetch_add(n, Ordering::Relaxed);
-            flat.steals.fetch_add(n * 2, Ordering::Relaxed);
             sharded.shard(i).promotions.fetch_add(n, Ordering::Relaxed);
             sharded.shard(i).steals.fetch_add(n * 2, Ordering::Relaxed);
         }
-        assert_eq!(sharded.snapshot(4), flat.snapshot(4));
+        let flat = SchedStats {
+            promotions: 23,
+            steals: 46,
+            heartbeats_delivered: 4,
+            ..SchedStats::default()
+        };
+        assert_eq!(sharded.snapshot(4), flat);
         let per = sharded.per_worker(&[1, 2, 1]);
         assert_eq!(per.len(), 3);
         assert_eq!(per.iter().map(|s| s.promotions).sum::<u64>(), 23);

@@ -1,10 +1,9 @@
 //! The event vocabulary and the two recorders (single-threaded builder
 //! for the simulator, shared multi-producer tracer for the runtime).
 
-use std::cell::UnsafeCell;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Identifier of a task within one trace. The initial task is 0; every
 /// fork and every join resolution (merge or completion) allocates a
@@ -400,87 +399,18 @@ impl TraceBuilder {
     }
 }
 
-/// Events per allocated chunk of a [`SharedTracer`] track.
-const CHUNK: usize = 256;
-
-/// Slot lifecycle in a tracer chunk: claimed-but-unwritten, published,
-/// drained by a collect.
-const SLOT_PENDING: u32 = 0;
-const SLOT_READY: u32 = 1;
-const SLOT_COLLECTED: u32 = 2;
-
-struct EventSlot {
-    state: AtomicU32,
-    ev: UnsafeCell<MaybeUninit<TraceEvent>>,
-}
-
-/// One chunk of a track's append-only event log. `claimed` hands out
-/// slot indices by fetch-add (it may overshoot `CHUNK`; overshooting
-/// claimants install or adopt the next chunk and retry there).
-struct EventChunk {
-    /// The previously filled chunk (older events); fixed before this
-    /// chunk is published.
-    prev: *mut EventChunk,
-    claimed: AtomicUsize,
-    slots: Box<[EventSlot]>,
-}
-
-impl EventChunk {
-    fn alloc(prev: *mut EventChunk) -> *mut EventChunk {
-        let slots = (0..CHUNK)
-            .map(|_| EventSlot {
-                state: AtomicU32::new(SLOT_PENDING),
-                ev: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
-        Box::into_raw(Box::new(EventChunk {
-            prev,
-            claimed: AtomicUsize::new(0),
-            slots,
-        }))
-    }
-}
-
-/// A track's chunk-list head, padded so adjacent tracks' heads (and the
-/// owner-worker fetch-adds behind them) never share a cache line.
-#[repr(align(64))]
-struct TrackRow {
-    head: AtomicPtr<EventChunk>,
-}
-
-/// Multi-producer trace recorder (the native runtime's): per-worker
-/// chunked append-only logs, **lock-free on every record**. Each track
-/// is a linked list of fixed-size chunks; a record claims a slot with
-/// one `fetch_add` on the newest chunk (uncontended in the steady state
-/// — each worker appends to its own track; the ping thread appending
-/// delivery instants to a worker's track is the rare multi-producer
-/// case the same protocol already covers) and publishes it with one
-/// release store. Chunks are retained until the tracer is dropped, so
-/// collection never races reclamation; [`SharedTracer::collect`] merges
-/// each track by the global sequence number.
+/// Multi-producer trace recorder (the native runtime's): one locked
+/// event log per worker track, plus a global sequence number. A track's
+/// producers are its own worker and the ping thread's rare deliveries,
+/// so its lock is uncontended.
+#[derive(Debug)]
 pub struct SharedTracer {
     time_unit: &'static str,
     heartbeat: u64,
     policy: String,
     source: String,
-    rows: Vec<TrackRow>,
+    tracks: Vec<Mutex<Vec<TraceEvent>>>,
     next_seq: AtomicU64,
-}
-
-// SAFETY: chunk slots are published with release stores after their
-// `UnsafeCell` write and consumed behind an acquire CAS that each slot
-// can win exactly once; chunks are only freed by `Drop` (`&mut self`).
-unsafe impl Send for SharedTracer {}
-unsafe impl Sync for SharedTracer {}
-
-impl std::fmt::Debug for SharedTracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedTracer")
-            .field("tracks", &self.rows.len())
-            .field("policy", &self.policy)
-            .field("source", &self.source)
-            .finish()
-    }
 }
 
 impl SharedTracer {
@@ -491,11 +421,7 @@ impl SharedTracer {
             heartbeat,
             policy: String::new(),
             source: String::new(),
-            rows: (0..tracks)
-                .map(|_| TrackRow {
-                    head: AtomicPtr::new(EventChunk::alloc(std::ptr::null_mut())),
-                })
-                .collect(),
+            tracks: (0..tracks).map(|_| Mutex::default()).collect(),
             next_seq: AtomicU64::new(0),
         }
     }
@@ -506,118 +432,41 @@ impl SharedTracer {
         self
     }
 
-    /// Tags collected traces with the run's heartbeat-delivery-source
-    /// label.
+    /// Tags collected traces with the run's heartbeat-source label.
     pub fn source(mut self, label: impl Into<String>) -> SharedTracer {
         self.source = label.into();
         self
     }
 
-    /// Records one event on `track`. Lock-free; safe from any thread.
+    /// Records one event on `track`: safe from any thread, but never
+    /// from a signal handler, which may interrupt the lock's holder.
     #[inline]
     pub fn record(&self, track: usize, ts: u64, dur: u64, kind: EventKind) {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let row = &self.rows[track];
-        loop {
-            let chunk_ptr = row.head.load(Ordering::Acquire);
-            // SAFETY: chunks are never freed while the tracer is live.
-            let chunk = unsafe { &*chunk_ptr };
-            let i = chunk.claimed.fetch_add(1, Ordering::Relaxed);
-            if i < CHUNK {
-                let slot = &chunk.slots[i];
-                // SAFETY: the fetch_add gave us index `i` exclusively.
-                unsafe { (*slot.ev.get()).write(TraceEvent { seq, ts, dur, kind }) };
-                slot.state.store(SLOT_READY, Ordering::Release);
-                return;
-            }
-            // Chunk exhausted: install a fresh one (or adopt a racer's)
-            // and retry. This is the once-per-CHUNK growth path.
-            let fresh = EventChunk::alloc(chunk_ptr);
-            if row
-                .head
-                .compare_exchange(chunk_ptr, fresh, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                // SAFETY: `fresh` never escaped; we still own it.
-                drop(unsafe { Box::from_raw(fresh) });
-            }
-        }
+        let mut events = self.tracks[track].lock().expect("trace lock poisoned");
+        events.push(TraceEvent { seq, ts, dur, kind });
     }
 
-    /// Drains every published event into a [`Trace`], naming tracks
-    /// `worker 0`, `worker 1`, … with each track in global sequence
-    /// order. Concurrent producers of one track may claim slots out of
-    /// `seq` order, so a track is sorted when — and only when — that
-    /// happened; a single producer (the steady state) never pays it.
-    /// Events recorded after collection begins may land in either this
-    /// trace or the next; drained slots are never reused.
+    /// Drains every recorded event into a [`Trace`], track `i` named
+    /// `worker i` and in global sequence order. Concurrent producers of
+    /// one track may push out of `seq` order, so a track is sorted when —
+    /// and only when — that happened. Events recorded after collection
+    /// begins may land in either this trace or the next.
     pub fn collect(&self) -> Trace {
+        let drain = |(i, track): (usize, &Mutex<Vec<TraceEvent>>)| {
+            let mut events = std::mem::take(&mut *track.lock().expect("trace lock poisoned"));
+            if !events.is_sorted_by_key(|e| e.seq) {
+                events.sort_unstable_by_key(|e| e.seq);
+            }
+            let name = format!("worker {i}");
+            Track { name, events }
+        };
         Trace {
             time_unit: self.time_unit,
             heartbeat: self.heartbeat,
             policy: self.policy.clone(),
             source: self.source.clone(),
-            tracks: self
-                .rows
-                .iter()
-                .enumerate()
-                .map(|(i, row)| {
-                    // Walk newest→oldest, then drain oldest-first: slot
-                    // order is claim order, which is `seq` order unless
-                    // producers raced.
-                    let mut chain = Vec::new();
-                    let mut p = row.head.load(Ordering::Acquire);
-                    while !p.is_null() {
-                        chain.push(p);
-                        // SAFETY: live until Drop; prev fixed pre-publish.
-                        p = unsafe { (*p).prev };
-                    }
-                    let mut events = Vec::new();
-                    for &chunk_ptr in chain.iter().rev() {
-                        // SAFETY: as above.
-                        let chunk = unsafe { &*chunk_ptr };
-                        let n = chunk.claimed.load(Ordering::Acquire).min(CHUNK);
-                        for slot in &chunk.slots[..n] {
-                            if slot
-                                .state
-                                .compare_exchange(
-                                    SLOT_READY,
-                                    SLOT_COLLECTED,
-                                    Ordering::AcqRel,
-                                    Ordering::Relaxed,
-                                )
-                                .is_ok()
-                            {
-                                // SAFETY: READY (acquire) published the
-                                // write; the CAS wins at most once.
-                                events.push(unsafe { (*slot.ev.get()).assume_init() });
-                            }
-                        }
-                    }
-                    if !events.is_sorted_by_key(|e| e.seq) {
-                        events.sort_unstable_by_key(|e| e.seq);
-                    }
-                    Track {
-                        name: format!("worker {i}"),
-                        events,
-                    }
-                })
-                .collect(),
-        }
-    }
-}
-
-impl Drop for SharedTracer {
-    fn drop(&mut self) {
-        for row in &self.rows {
-            let mut p = row.head.load(Ordering::Relaxed);
-            while !p.is_null() {
-                // SAFETY: `&mut self` means no concurrent record/collect;
-                // the chain is ours to free (TraceEvent is Copy).
-                let prev = unsafe { (*p).prev };
-                drop(unsafe { Box::from_raw(p) });
-                p = prev;
-            }
+            tracks: self.tracks.iter().enumerate().map(drain).collect(),
         }
     }
 }
@@ -722,7 +571,7 @@ mod tests {
     #[test]
     fn shared_tracer_crosses_chunk_boundaries() {
         let tr = SharedTracer::new(1, "ticks", 0);
-        let n = 3 * CHUNK + 17;
+        let n = 785;
         for i in 0..n as u64 {
             tr.record(0, i, 0, EventKind::HeartbeatDelivered);
         }

@@ -41,6 +41,7 @@
 //! from `tpal-rt` so snapshot/reset semantics live next to the event
 //! layer that supersedes them.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chrome;
@@ -50,7 +51,7 @@ pub mod json;
 pub mod profile;
 pub mod report;
 
-pub use counters::{CounterShard, SchedCounters, SchedStats, ShardedCounters};
+pub use counters::{CounterShard, SchedStats, ShardedCounters};
 pub use event::{
     EventKind, OverheadKind, SharedTracer, TaskId, Trace, TraceBuilder, TraceEvent, Track,
 };

@@ -32,6 +32,7 @@
 //! assert_eq!(sum, 999_999 * 1_000_000 / 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use tpal_cilk as cilk;
