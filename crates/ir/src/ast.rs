@@ -116,11 +116,6 @@ impl Expr {
         Expr::bin(BinOp::Le, self, rhs)
     }
 
-    /// `self > rhs` (0 = true).
-    pub fn gt(self, rhs: Expr) -> Expr {
-        Expr::bin(BinOp::Gt, self, rhs)
-    }
-
     /// `self == rhs` (0 = true).
     pub fn eq_(self, rhs: Expr) -> Expr {
         Expr::bin(BinOp::EqOp, self, rhs)
@@ -129,13 +124,6 @@ impl Expr {
     /// `self != rhs` (0 = true).
     pub fn ne(self, rhs: Expr) -> Expr {
         Expr::bin(BinOp::Ne, self, rhs)
-    }
-
-    /// Logical conjunction of two *truth values* (each exactly 0 or 1):
-    /// true iff both true. Under the 0-is-true encoding this is bitwise
-    /// or.
-    pub fn and(self, rhs: Expr) -> Expr {
-        Expr::bin(BinOp::Or, self, rhs)
     }
 
     /// Logical negation of a truth value (exactly 0 or 1).
@@ -489,12 +477,6 @@ impl Function {
         self.body.push(s);
         self
     }
-
-    /// Appends several statements.
-    pub fn stmts(mut self, s: impl IntoIterator<Item = Stmt>) -> Function {
-        self.body.extend(s);
-        self
-    }
 }
 
 /// A whole IR program: functions plus the name of the entry function.
@@ -547,8 +529,9 @@ mod tests {
     #[test]
     fn logical_and_is_bitwise_or_under_zero_truth() {
         // (0 and 0) = 0 (true); (0 and 1) = 1 (false).
-        match Expr::int(0).and(Expr::int(1)) {
-            Expr::Bin(BinOp::Or, _, _) => {}
+        let p = crate::parse_ir("fn main() { return 0 && 1; }").unwrap();
+        match &p.functions[0].body[..] {
+            [Stmt::Return(Expr::Bin(BinOp::Or, _, _))] => {}
             other => panic!("{other:?}"),
         }
     }
@@ -565,7 +548,7 @@ mod tests {
     fn function_builder_accumulates() {
         let f = Function::new("f", ["a"])
             .stmt(Stmt::assign("x", Expr::int(1)))
-            .stmts([Stmt::Return(Expr::var("x"))]);
+            .stmt(Stmt::Return(Expr::var("x")));
         assert_eq!(f.body.len(), 2);
     }
 }

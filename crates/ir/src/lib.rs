@@ -27,15 +27,18 @@
 //! `figures` table measures the trade.
 //!
 //! The lowered [`tpal_core::Program`]s run on the reference machine or on
-//! the `tpal-sim` multicore simulator; the benchmark suite in
-//! `tpal-workloads` is written against this IR.
+//! the `tpal-sim` multicore simulator. Programs are written either as
+//! `.tpl` source text ([`parse_ir`]; the benchmark suite in
+//! `tpal-workloads` ships its programs this way) or built with the
+//! [`ast`] constructors.
 //!
 //! # Truth encoding
 //!
 //! The IR inherits TPAL's truth encoding: comparisons evaluate to **0 for
 //! true**, and [`Stmt::If`]/[`Stmt::While`] take the branch when the
-//! condition is zero. Use the [`ast::Expr`] helper constructors
-//! ([`ast::Expr::lt`], [`ast::Expr::and`], …), which handle the encoding.
+//! condition is zero. The `.tpl` operators (`<`, `&&`, `!`, …) and the
+//! [`ast::Expr`] helper constructors ([`ast::Expr::lt`],
+//! [`ast::Expr::not`], …) handle the encoding.
 //!
 //! # Example
 //!

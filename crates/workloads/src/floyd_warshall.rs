@@ -6,7 +6,6 @@
 //! (§4.3). We keep two sizes for the same contrast.
 
 use tpal_cilk::cilk_for;
-use tpal_ir::ast::{Expr, Function, IrProgram, ParFor, Stmt};
 use tpal_rt::WorkerCtx;
 
 use crate::inputs::fw_graph;
@@ -164,52 +163,8 @@ impl Workload for FloydWarshall {
         let mut r = g.clone();
         fw_serial(&mut r, n);
         let expected = dist_checksum(&r);
-        let v = Expr::var;
-        let i = Expr::int;
-
-        let f = Function::new("main", ["g", "n"])
-            .stmt(Stmt::for_(
-                "k",
-                i(0),
-                v("n"),
-                vec![Stmt::ParFor(ParFor::new("i", i(0), v("n")).body(vec![
-                    Stmt::assign("dik", v("g").load(v("i").mul(v("n")).add(v("k")))),
-                    Stmt::for_(
-                        "j",
-                        i(0),
-                        v("n"),
-                        vec![
-                            Stmt::assign(
-                                "alt",
-                                v("dik").add(v("g").load(v("k").mul(v("n")).add(v("j")))),
-                            ),
-                            Stmt::if_(
-                                v("alt").lt(v("g").load(v("i").mul(v("n")).add(v("j")))),
-                                vec![Stmt::store(
-                                    v("g"),
-                                    v("i").mul(v("n")).add(v("j")),
-                                    v("alt"),
-                                )],
-                            ),
-                        ],
-                    ),
-                ]))],
-            ))
-            // Checksum (min against INF is a no-op post-FW, omitted).
-            .stmt(Stmt::assign("h", i(0)))
-            .stmt(Stmt::for_(
-                "p",
-                i(0),
-                v("n").mul(v("n")),
-                vec![Stmt::assign(
-                    "h",
-                    v("h").add(v("g").load(v("p")).mul(v("p").rem(i(13)).add(i(1)))),
-                )],
-            ))
-            .stmt(Stmt::Return(v("h")));
-
         SimSpec {
-            ir: IrProgram::new("main").function(f),
+            ir: shipped!("floyd-warshall.tpl"),
             input: SimInput::default().array("g", g).int("n", n as i64),
             expected,
         }

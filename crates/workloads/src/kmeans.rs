@@ -6,7 +6,6 @@
 //! structure rather than the centroids themselves (§4.4).
 
 use tpal_cilk::cilk_reduce;
-use tpal_ir::ast::{Expr, Function, IrProgram, ParFor, Stmt};
 use tpal_rt::WorkerCtx;
 
 use crate::inputs::kmeans_points;
@@ -165,134 +164,8 @@ impl Workload for Kmeans {
         let n = scale.pick(2_500, 12_000);
         let points = kmeans_points(n, DIMS, CLUSTERS, 0x4B4D);
         let expected = kmeans_serial(&points, n);
-        let v = Expr::var;
-        let i = Expr::int;
-
-        // The assignment phase as a ParFor; centroid recomputation and
-        // the membership checksum run serially per round.
-        let assign_body = vec![
-            Stmt::assign("best", i(0)),
-            Stmt::assign("bd", i(i64::MAX)),
-            Stmt::for_(
-                "c",
-                i(0),
-                i(CLUSTERS as i64),
-                vec![
-                    Stmt::assign("d", i(0)),
-                    Stmt::for_(
-                        "j",
-                        i(0),
-                        i(DIMS as i64),
-                        vec![
-                            Stmt::assign(
-                                "dj",
-                                v("pts")
-                                    .load(v("p").mul(i(DIMS as i64)).add(v("j")))
-                                    .sub(v("cent").load(v("c").mul(i(DIMS as i64)).add(v("j")))),
-                            ),
-                            Stmt::assign("d", v("d").add(v("dj").mul(v("dj")))),
-                        ],
-                    ),
-                    Stmt::if_(
-                        v("d").lt(v("bd")),
-                        vec![Stmt::assign("bd", v("d")), Stmt::assign("best", v("c"))],
-                    ),
-                ],
-            ),
-            Stmt::store(v("mem"), v("p"), v("best")),
-        ];
-
-        let f = Function::new("main", ["pts", "cent", "mem", "sums", "counts", "n"])
-            .stmt(Stmt::for_(
-                "round",
-                i(0),
-                i(ROUNDS as i64),
-                vec![
-                    Stmt::ParFor(ParFor::new("p", i(0), v("n")).body(assign_body.clone())),
-                    // Clear accumulators.
-                    Stmt::for_(
-                        "c",
-                        i(0),
-                        i(CLUSTERS as i64),
-                        vec![
-                            Stmt::store(v("counts"), v("c"), i(0)),
-                            Stmt::for_(
-                                "j",
-                                i(0),
-                                i(DIMS as i64),
-                                vec![Stmt::store(
-                                    v("sums"),
-                                    v("c").mul(i(DIMS as i64)).add(v("j")),
-                                    i(0),
-                                )],
-                            ),
-                        ],
-                    ),
-                    // Accumulate and recompute (serial).
-                    Stmt::for_(
-                        "p",
-                        i(0),
-                        v("n"),
-                        vec![
-                            Stmt::assign("m", v("mem").load(v("p"))),
-                            Stmt::store(v("counts"), v("m"), v("counts").load(v("m")).add(i(1))),
-                            Stmt::for_(
-                                "j",
-                                i(0),
-                                i(DIMS as i64),
-                                vec![Stmt::store(
-                                    v("sums"),
-                                    v("m").mul(i(DIMS as i64)).add(v("j")),
-                                    v("sums")
-                                        .load(v("m").mul(i(DIMS as i64)).add(v("j")))
-                                        .add(v("pts").load(v("p").mul(i(DIMS as i64)).add(v("j")))),
-                                )],
-                            ),
-                        ],
-                    ),
-                    Stmt::for_(
-                        "c",
-                        i(0),
-                        i(CLUSTERS as i64),
-                        vec![Stmt::if_(
-                            v("counts").load(v("c")).gt(i(0)),
-                            vec![Stmt::for_(
-                                "j",
-                                i(0),
-                                i(DIMS as i64),
-                                vec![Stmt::store(
-                                    v("cent"),
-                                    v("c").mul(i(DIMS as i64)).add(v("j")),
-                                    v("sums")
-                                        .load(v("c").mul(i(DIMS as i64)).add(v("j")))
-                                        .div(v("counts").load(v("c"))),
-                                )],
-                            )],
-                        )],
-                    ),
-                ],
-            ))
-            // Checksum.
-            .stmt(Stmt::assign("h", i(0)))
-            .stmt(Stmt::for_(
-                "p",
-                i(0),
-                v("n"),
-                vec![Stmt::assign(
-                    "h",
-                    v("h").add(v("mem").load(v("p")).mul(v("p").rem(i(7)).add(i(1)))),
-                )],
-            ))
-            .stmt(Stmt::for_(
-                "c",
-                i(0),
-                i((CLUSTERS * DIMS) as i64),
-                vec![Stmt::assign("h", v("h").add(v("cent").load(v("c"))))],
-            ))
-            .stmt(Stmt::Return(v("h")));
-
         SimSpec {
-            ir: IrProgram::new("main").function(f),
+            ir: shipped!("kmeans.tpl"),
             input: SimInput::default()
                 .array("pts", points.clone())
                 .array("cent", points[..CLUSTERS * DIMS].to_vec())

@@ -7,7 +7,6 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use tpal_cilk::cilk_spawn2;
-use tpal_ir::ast::{CallSpec, Expr, Function, IrProgram, Stmt};
 use tpal_rt::WorkerCtx;
 
 use rand::rngs::StdRng;
@@ -159,94 +158,8 @@ impl Workload for Knapsack {
         let ins = instance(n, 0x6A5A);
         let mut best = 0i64;
         let expected = serial_rec(&ins, 0, ins.cap, 0, &mut best);
-        let v = Expr::var;
-        let i = Expr::int;
-
-        // knap(wp, vp, bestp, n, idx, cap, val): branch and bound with
-        // the incumbent in a shared heap cell (monotone pruning only —
-        // racy updates can weaken pruning but never the optimum).
-        let knap = Function::new("knap", ["wp", "vp", "bestp", "n", "idx", "cap", "val"])
-            .stmt(Stmt::if_(
-                v("idx").eq_(v("n")),
-                vec![
-                    Stmt::if_(
-                        v("val").gt(v("bestp").load(i(0))),
-                        vec![Stmt::store(v("bestp"), i(0), v("val"))],
-                    ),
-                    Stmt::Return(v("val")),
-                ],
-            ))
-            .stmt(Stmt::assign("wi", v("wp").load(v("idx"))))
-            .stmt(Stmt::assign("vi", v("vp").load(v("idx"))))
-            .stmt(Stmt::assign(
-                "ub",
-                v("val").add(v("cap").mul(v("vi")).add(v("wi")).sub(i(1)).div(v("wi"))),
-            ))
-            .stmt(Stmt::if_(
-                v("ub").le(v("bestp").load(i(0))),
-                vec![Stmt::Return(v("val"))],
-            ))
-            .stmt(Stmt::if_else(
-                v("wi").le(v("cap")),
-                vec![
-                    Stmt::Par2 {
-                        left: CallSpec::new(
-                            "knap",
-                            vec![
-                                v("wp"),
-                                v("vp"),
-                                v("bestp"),
-                                v("n"),
-                                v("idx").add(i(1)),
-                                v("cap").sub(v("wi")),
-                                v("val").add(v("vi")),
-                            ],
-                            "l",
-                        ),
-                        right: CallSpec::new(
-                            "knap",
-                            vec![
-                                v("wp"),
-                                v("vp"),
-                                v("bestp"),
-                                v("n"),
-                                v("idx").add(i(1)),
-                                v("cap"),
-                                v("val"),
-                            ],
-                            "r",
-                        ),
-                    },
-                    Stmt::Return(v("l").max(v("r"))),
-                ],
-                vec![
-                    Stmt::call(
-                        "knap",
-                        vec![
-                            v("wp"),
-                            v("vp"),
-                            v("bestp"),
-                            v("n"),
-                            v("idx").add(i(1)),
-                            v("cap"),
-                            v("val"),
-                        ],
-                        Some("r"),
-                    ),
-                    Stmt::Return(v("r")),
-                ],
-            ));
-
-        let main = Function::new("main", ["wp", "vp", "bestp", "n", "cap"])
-            .stmt(Stmt::call(
-                "knap",
-                vec![v("wp"), v("vp"), v("bestp"), v("n"), i(0), v("cap"), i(0)],
-                Some("out"),
-            ))
-            .stmt(Stmt::Return(v("out")));
-
         SimSpec {
-            ir: IrProgram::new("main").function(main).function(knap),
+            ir: shipped!("knapsack.tpl"),
             input: SimInput::default()
                 .array("wp", ins.w.clone())
                 .array("vp", ins.v.clone())

@@ -7,7 +7,6 @@
 //! integer results.
 
 use tpal_cilk::cilk_reduce;
-use tpal_ir::ast::{Expr, Function, IrProgram, ParFor, Reducer, Stmt};
 use tpal_rt::WorkerCtx;
 
 use crate::{Prepared, Scale, SimInput, SimSpec, Workload};
@@ -50,44 +49,6 @@ pub(crate) fn row_iters(py: i64, w: i64, h: i64, max_iter: i64) -> i64 {
         s += pixel_iters(px, py, w, h, max_iter);
     }
     s
-}
-
-/// The per-pixel escape-iteration statements, parameterised over the
-/// loop variable `p` (flat pixel index) and the frame variables `w`,
-/// `h`, `mi`; the iteration count lands in `it` and accumulates into
-/// `s`. Shared between `mandelbrot` and the streaming
-/// `mandelbrot-tiles` workload.
-pub(crate) fn pixel_stmts() -> Vec<Stmt> {
-    let v = Expr::var;
-    let i = Expr::int;
-    vec![
-        Stmt::assign("px", v("p").rem(v("w"))),
-        Stmt::assign("py", v("p").div(v("w"))),
-        Stmt::assign("cx", i(X0).add(i(X1 - X0).mul(v("px")).div(v("w")))),
-        Stmt::assign("cy", i(Y0).add(i(Y1 - Y0).mul(v("py")).div(v("h")))),
-        Stmt::assign("zx", i(0)),
-        Stmt::assign("zy", i(0)),
-        Stmt::assign("it", i(0)),
-        Stmt::assign("go", i(0)), // 0 = keep iterating
-        Stmt::While {
-            cond: v("go").eq_(i(0)).and(v("it").lt(v("mi"))),
-            body: vec![
-                Stmt::assign("zx2", v("zx").mul(v("zx")).div(i(FP))),
-                Stmt::assign("zy2", v("zy").mul(v("zy")).div(i(FP))),
-                Stmt::if_else(
-                    v("zx2").add(v("zy2")).gt(i(4 * FP)),
-                    vec![Stmt::assign("go", i(1))],
-                    vec![
-                        Stmt::assign("nzx", v("zx2").sub(v("zy2")).add(v("cx"))),
-                        Stmt::assign("zy", i(2).mul(v("zx")).mul(v("zy")).div(i(FP)).add(v("cy"))),
-                        Stmt::assign("zx", v("nzx")),
-                        Stmt::assign("it", v("it").add(i(1))),
-                    ],
-                ),
-            ],
-        },
-        Stmt::assign("s", v("s").add(v("it"))),
-    ]
 }
 
 /// The `mandelbrot` workload.
@@ -168,22 +129,8 @@ impl Workload for Mandelbrot {
         for py in 0..h {
             expected += row_iters(py, w, h, max_iter);
         }
-        let v = Expr::var;
-        let i = Expr::int;
-
-        // Flat parfor over pixels; the escape loop is a serial While.
-        let body = pixel_stmts();
-        let f = Function::new("main", ["w", "h", "mi"])
-            .stmt(Stmt::assign("s", i(0)))
-            .stmt(Stmt::ParFor(
-                ParFor::new("p", i(0), v("w").mul(v("h")))
-                    .body(body)
-                    .reducer(Reducer::new("s", tpal_core::isa::BinOp::Add, 0)),
-            ))
-            .stmt(Stmt::Return(v("s")));
-
         SimSpec {
-            ir: IrProgram::new("main").function(f),
+            ir: shipped!("mandelbrot.tpl"),
             input: SimInput::default()
                 .int("w", w)
                 .int("h", h)

@@ -4,7 +4,6 @@
 //! uniform and exponential distributions, as in the paper.
 
 use tpal_cilk::{cilk_for, cilk_spawn2};
-use tpal_ir::ast::{CallSpec, Expr, Function, IrProgram, ParFor, Stmt};
 use tpal_rt::WorkerCtx;
 
 use crate::inputs::{exponential_ints, uniform_ints};
@@ -234,125 +233,8 @@ impl Workload for Mergesort {
         let mut tmp = vec![0i64; n];
         serial_sort(&mut sorted, &mut tmp, 0, n);
         let expected = checksum(&sorted);
-        let v = Expr::var;
-        let i = Expr::int;
-
-        // msort(a, tmp, lo, hi): recursive sort with latent fork-join and
-        // a parallel copy-back loop.
-        let msort = Function::new("msort", ["a", "tmp", "lo", "hi"])
-            .stmt(Stmt::if_(
-                v("hi").sub(v("lo")).le(i(CUTOFF as i64)),
-                vec![
-                    // Insertion sort a[lo..hi].
-                    Stmt::for_(
-                        "p",
-                        v("lo").add(i(1)),
-                        v("hi"),
-                        vec![
-                            Stmt::assign("x", v("a").load(v("p"))),
-                            Stmt::assign("q", v("p")),
-                            // The IR `and` is strict, so the guard and the
-                            // load must be sequenced with a flag.
-                            Stmt::assign("go", i(0)),
-                            Stmt::While {
-                                cond: v("q").gt(v("lo")).and(v("go").eq_(i(0))),
-                                body: vec![Stmt::if_else(
-                                    v("a").load(v("q").sub(i(1))).gt(v("x")),
-                                    vec![
-                                        Stmt::store(v("a"), v("q"), v("a").load(v("q").sub(i(1)))),
-                                        Stmt::assign("q", v("q").sub(i(1))),
-                                    ],
-                                    vec![Stmt::assign("go", i(1))],
-                                )],
-                            },
-                            Stmt::store(v("a"), v("q"), v("x")),
-                        ],
-                    ),
-                    Stmt::Return(i(0)),
-                ],
-            ))
-            .stmt(Stmt::assign(
-                "mid",
-                v("lo").add(v("hi").sub(v("lo")).div(i(2))),
-            ))
-            .stmt(Stmt::Par2 {
-                left: CallSpec::new("msort", vec![v("a"), v("tmp"), v("lo"), v("mid")], "dl"),
-                right: CallSpec::new("msort", vec![v("a"), v("tmp"), v("mid"), v("hi")], "dr"),
-            })
-            // Two-finger merge into tmp[lo..hi].
-            .stmt(Stmt::assign("ii", v("lo")))
-            .stmt(Stmt::assign("jj", v("mid")))
-            .stmt(Stmt::assign("kk", v("lo")))
-            .stmt(Stmt::While {
-                cond: v("ii").lt(v("mid")).and(v("jj").lt(v("hi"))),
-                body: vec![
-                    Stmt::if_else(
-                        v("a").load(v("ii")).le(v("a").load(v("jj"))),
-                        vec![
-                            Stmt::store(v("tmp"), v("kk"), v("a").load(v("ii"))),
-                            Stmt::assign("ii", v("ii").add(i(1))),
-                        ],
-                        vec![
-                            Stmt::store(v("tmp"), v("kk"), v("a").load(v("jj"))),
-                            Stmt::assign("jj", v("jj").add(i(1))),
-                        ],
-                    ),
-                    Stmt::assign("kk", v("kk").add(i(1))),
-                ],
-            })
-            .stmt(Stmt::While {
-                cond: v("ii").lt(v("mid")),
-                body: vec![
-                    Stmt::store(v("tmp"), v("kk"), v("a").load(v("ii"))),
-                    Stmt::assign("ii", v("ii").add(i(1))),
-                    Stmt::assign("kk", v("kk").add(i(1))),
-                ],
-            })
-            .stmt(Stmt::While {
-                cond: v("jj").lt(v("hi")),
-                body: vec![
-                    Stmt::store(v("tmp"), v("kk"), v("a").load(v("jj"))),
-                    Stmt::assign("jj", v("jj").add(i(1))),
-                    Stmt::assign("kk", v("kk").add(i(1))),
-                ],
-            })
-            // Parallel copy-back.
-            .stmt(Stmt::ParFor(ParFor::new("c", v("lo"), v("hi")).body(vec![
-                Stmt::store(v("a"), v("c"), v("tmp").load(v("c"))),
-            ])))
-            .stmt(Stmt::Return(i(0)));
-
-        let main = Function::new("main", ["a", "tmp", "n"])
-            .stmt(Stmt::call(
-                "msort",
-                vec![v("a"), v("tmp"), i(0), v("n")],
-                None,
-            ))
-            // Checksum with sortedness flag.
-            .stmt(Stmt::assign("h", i(0)))
-            .stmt(Stmt::assign("bad", i(0)))
-            .stmt(Stmt::for_(
-                "p",
-                i(0),
-                v("n"),
-                vec![
-                    Stmt::assign(
-                        "h",
-                        v("h").add(v("a").load(v("p")).mul(v("p").rem(i(9)).add(i(1)))),
-                    ),
-                    Stmt::if_(
-                        v("p").gt(i(0)),
-                        vec![Stmt::if_(
-                            v("a").load(v("p").sub(i(1))).gt(v("a").load(v("p"))),
-                            vec![Stmt::assign("bad", i(1))],
-                        )],
-                    ),
-                ],
-            ))
-            .stmt(Stmt::Return(v("h").add(v("bad").mul(i(0x5AD)))));
-
         SimSpec {
-            ir: IrProgram::new("main").function(main).function(msort),
+            ir: shipped!("mergesort.tpl"),
             input: SimInput::default()
                 .array("a", data)
                 .array("tmp", vec![0; n])

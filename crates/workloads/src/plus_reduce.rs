@@ -3,7 +3,6 @@
 //! exact integers here).
 
 use tpal_cilk::cilk_reduce;
-use tpal_ir::ast::{Expr, Function, IrProgram, ParFor, Reducer, Stmt};
 use tpal_rt::WorkerCtx;
 
 use crate::inputs::dense_vector;
@@ -78,19 +77,8 @@ impl Workload for PlusReduceArray {
         let n = scale.pick(250_000, 1_200_000);
         let data = dense_vector(n, 0xA11CE);
         let expected = sum_serial(&data);
-        let f = Function::new("main", ["a", "n"])
-            .stmt(Stmt::assign("s", Expr::int(0)))
-            .stmt(Stmt::ParFor(
-                ParFor::new("i", Expr::int(0), Expr::var("n"))
-                    .body(vec![Stmt::assign(
-                        "s",
-                        Expr::var("s").add(Expr::var("a").load(Expr::var("i"))),
-                    )])
-                    .reducer(Reducer::new("s", tpal_core::isa::BinOp::Add, 0)),
-            ))
-            .stmt(Stmt::Return(Expr::var("s")));
         SimSpec {
-            ir: IrProgram::new("main").function(f),
+            ir: shipped!("plus-reduce-array.tpl"),
             input: SimInput::default().array("a", data).int("n", n as i64),
             expected,
         }

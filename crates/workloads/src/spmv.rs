@@ -6,7 +6,6 @@
 //! heartbeat scheduling does on demand and uniform loop grains cannot.
 
 use tpal_cilk::cilk_grain;
-use tpal_ir::ast::{Expr, Function, IrProgram, ParForNested, Reducer, Stmt};
 use tpal_rt::WorkerCtx;
 
 use crate::inputs::{arrowhead_matrix, dense_vector, powerlaw_matrix, random_matrix, CsrMatrix};
@@ -173,46 +172,8 @@ impl Workload for Spmv {
         let m = self.sim_matrix(scale);
         let x = dense_vector(m.cols, 0xB0B);
         let expected = checksum(&m.spmv_serial(&x));
-        let v = Expr::var;
-        let i = Expr::int;
-
-        // total = Σ_r weight(r) · (Σ_k vals[k] · x[col[k]]); y stored too.
-        let nest = ParForNested {
-            outer_var: "r".into(),
-            outer_from: i(0),
-            outer_to: v("rows"),
-            pre: vec![
-                Stmt::assign("lo", v("rp").load(v("r"))),
-                Stmt::assign("hi", v("rp").load(v("r").add(i(1)))),
-                Stmt::assign("rowsum", i(0)),
-            ],
-            inner_var: "k".into(),
-            inner_from: v("lo"),
-            inner_to: v("hi"),
-            inner_body: vec![Stmt::assign(
-                "rowsum",
-                v("rowsum").add(
-                    v("vals")
-                        .load(v("k"))
-                        .mul(v("x").load(v("ci").load(v("k")))),
-                ),
-            )],
-            inner_reducers: vec![Reducer::new("rowsum", tpal_core::isa::BinOp::Add, 0)],
-            post: vec![
-                Stmt::store(v("y"), v("r"), v("rowsum")),
-                Stmt::assign("w", v("r").bitand_mask()),
-                Stmt::assign("total", v("total").add(v("rowsum").mul(v("w")))),
-            ],
-            outer_reducers: vec![Reducer::new("total", tpal_core::isa::BinOp::Add, 0)],
-        };
-
-        let f = Function::new("main", ["rp", "ci", "vals", "x", "y", "rows"])
-            .stmt(Stmt::assign("total", i(0)))
-            .stmt(Stmt::ParForNested(Box::new(nest)))
-            .stmt(Stmt::Return(v("total")));
-
         SimSpec {
-            ir: IrProgram::new("main").function(f),
+            ir: shipped!("spmv.tpl"),
             input: SimInput::default()
                 .array("rp", m.row_ptr.clone())
                 .array("ci", m.col_idx.clone())
@@ -222,16 +183,5 @@ impl Workload for Spmv {
                 .int("rows", m.rows as i64),
             expected,
         }
-    }
-}
-
-/// Helper: `(r & 0xF) + 1` as an expression (the checksum weight).
-trait ChecksumWeight {
-    fn bitand_mask(self) -> Expr;
-}
-
-impl ChecksumWeight for Expr {
-    fn bitand_mask(self) -> Expr {
-        Expr::bin(tpal_core::isa::BinOp::And, self, Expr::int(0xF)).add(Expr::int(1))
     }
 }

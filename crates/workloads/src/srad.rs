@@ -6,7 +6,6 @@
 //! original's memory-access and loop structure.
 
 use tpal_cilk::cilk_for;
-use tpal_ir::ast::{Expr, Function, IrProgram, ParFor, Stmt};
 use tpal_rt::WorkerCtx;
 
 use crate::inputs::dense_vector;
@@ -163,78 +162,8 @@ impl Workload for Srad {
             .map(|x| x.unsigned_abs() as i64 * 16)
             .collect();
         let expected = srad_serial(&initial, rows, cols);
-        let v = Expr::var;
-        let i = Expr::int;
-
-        // One round from src → dst as a ParFor over rows; the function is
-        // called with the buffers swapped each round. Clamped neighbour
-        // indexing via min/max.
-        let cell = |dr: i64, dc: i64| -> Expr {
-            let rr = v("r").add(i(dr)).max(i(0)).min(v("rows").sub(i(1)));
-            let cc = v("c").add(i(dc)).max(i(0)).min(v("cols").sub(i(1)));
-            v("src").load(rr.mul(v("cols")).add(cc))
-        };
-        let round_fn = Function::new("round", ["src", "dst", "rows", "cols"])
-            .stmt(Stmt::ParFor(ParFor::new("r", i(0), v("rows")).body(vec![
-                Stmt::for_(
-                    "c",
-                    i(0),
-                    v("cols"),
-                    vec![
-                        Stmt::assign("x", v("src").load(v("r").mul(v("cols")).add(v("c")))),
-                        Stmt::assign(
-                            "lap",
-                            cell(-1, 0)
-                                .add(cell(1, 0))
-                                .add(cell(0, -1))
-                                .add(cell(0, 1))
-                                .sub(i(4).mul(v("x"))),
-                        ),
-                        // |x| % 8 + 1 via conditional negate.
-                        Stmt::if_else(
-                            v("x").lt(i(0)),
-                            vec![Stmt::assign("ax", i(0).sub(v("x")))],
-                            vec![Stmt::assign("ax", v("x"))],
-                        ),
-                        Stmt::assign("coef", v("ax").rem(i(8)).add(i(1))),
-                        // Floored shift-like division toward -inf is not
-                        // needed: the serial kernel uses / 16 (trunc),
-                        // matched here by Div.
-                        Stmt::store(
-                            v("dst"),
-                            v("r").mul(v("cols")).add(v("c")),
-                            v("x").add(v("lap").mul(v("coef")).div(i(16))),
-                        ),
-                    ],
-                ),
-            ])))
-            .stmt(Stmt::Return(i(0)));
-
-        let main = Function::new("main", ["a", "b", "rows", "cols"])
-            .stmt(Stmt::call(
-                "round",
-                vec![v("a"), v("b"), v("rows"), v("cols")],
-                None,
-            ))
-            .stmt(Stmt::call(
-                "round",
-                vec![v("b"), v("a"), v("rows"), v("cols")],
-                None,
-            ))
-            .stmt(Stmt::assign("h", i(0)))
-            .stmt(Stmt::for_(
-                "p",
-                i(0),
-                v("rows").mul(v("cols")),
-                vec![Stmt::assign(
-                    "h",
-                    v("h").add(v("a").load(v("p")).mul(v("p").rem(i(11)).add(i(1)))),
-                )],
-            ))
-            .stmt(Stmt::Return(v("h")));
-
         SimSpec {
-            ir: IrProgram::new("main").function(main).function(round_fn),
+            ir: shipped!("srad.tpl"),
             input: SimInput::default()
                 .array("a", initial)
                 .array("b", vec![0; rows * cols])
