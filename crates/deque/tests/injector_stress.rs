@@ -1,7 +1,8 @@
-//! Contention stress for the lock-free MPMC injector: N producers × M
-//! consumers with seeded random yields, asserting no element is lost or
-//! delivered twice. (Loom is unavailable offline, so this is the seeded
-//! stress harness the ISSUE allows; it runs in CI un-ignored.)
+//! Contention stress for the MPMC injector (a `Mutex<VecDeque>` behind
+//! an atomic length): N producers × M consumers with seeded random
+//! yields, asserting no element is lost or delivered twice. (Loom is
+//! unavailable offline, so this is a seeded stress harness; it runs in
+//! CI un-ignored.)
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -327,7 +327,7 @@ fn report_per_worker_totals_match_counters() {
 #[test]
 fn concurrent_external_submitters() {
     // Many external threads calling `run` concurrently hammer the
-    // lock-free injector, the result latch, and the eventcount wake
+    // injector's lock, the result latch, and the eventcount wake
     // protocol at once. Every submission must complete with the right
     // answer, none lost, none doubled.
     let rt = std::sync::Arc::new(crate::rt(4, HeartbeatSource::LocalTimer, 50));

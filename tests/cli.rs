@@ -522,3 +522,40 @@ fn the_cli_and_the_service_agree_on_registers() {
         }
     }
 }
+
+/// The benchmark suite's integer-input programs run by file through the
+/// front door: `tpal-run FILE --ir --sim 4 --set …` at the Quick inputs
+/// prints the checksum `sim_spec` expects. The other workloads take
+/// arrays, which `--set` cannot carry.
+#[test]
+fn integer_input_workload_programs_run_by_file() {
+    use tpal::workloads::{workload, Scale};
+
+    for (name, params) in [
+        ("mandelbrot", &["w", "h", "mi"][..]),
+        ("pipeline-tokens", &["n"][..]),
+        ("mandelbrot-tiles", &["mw", "mh", "mmi", "mth"][..]),
+    ] {
+        let spec = workload(name).unwrap().sim_spec(Scale::Quick);
+        assert!(spec.input.arrays.is_empty(), "{name} takes arrays");
+        let names: Vec<&str> = spec.input.ints.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, params, "{name}");
+        let mut args = vec![
+            format!("crates/workloads/programs/{name}.tpl"),
+            "--ir".to_owned(),
+            "--sim".to_owned(),
+            "4".to_owned(),
+        ];
+        for (k, v) in &spec.input.ints {
+            args.extend(["--set".to_owned(), format!("{k}={v}")]);
+        }
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let (ok, stdout, stderr) = tpal_run(&args);
+        assert!(ok, "{args:?}: {stderr}");
+        let want = format!("result = {}", spec.expected);
+        assert!(
+            stdout.lines().any(|l| l.trim() == want),
+            "{name}: want `{want}` in\n{stdout}"
+        );
+    }
+}

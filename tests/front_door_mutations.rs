@@ -3,7 +3,9 @@
 //! the JSON parser under the last two and the HTTP framing in front of
 //! them — must answer any input with `Ok` or a typed error: never a
 //! panic. Seeded byte flips, truncations, deletions and splices over a
-//! corpus of real inputs; the seed is fixed, so a failure reproduces.
+//! corpus of real inputs (the shipped `.tpal` programs, the benchmark
+//! suite's `.tpl` programs and their lowerings among them); the seed is
+//! fixed, so a failure reproduces.
 //!
 //! A parsed program is also lowered (`.tpl`) or printed and reparsed
 //! (`.tpal`), a parsed document validated or read as a request: what a
@@ -22,6 +24,21 @@ const TPL_SOURCES: [&str; 4] = [
     "fn main(n) {\n    c = chmake(2);\n    detach produce(c, n);\n    s = 0;\n    k = 0;\n    while k < n {\n        v = chpop(c);\n        s = s + v;\n        k = k + 1;\n    }\n    return s;\n}\nfn produce(c, n) {\n    for i in 0..n {\n        chpush(c, i);\n    }\n    chclose(c);\n    return 0;\n}\n",
     "fn main(a, n) {\n    s = 0;\n    parfor i in 0..n reduce(s: +, 0) {\n        t = 0;\n        parfor j in 0..n reduce(t: max, -5) { t = max(t, a[i * n + j]); }\n        s = s + t;\n    }\n    return s;\n}\n",
 ];
+
+/// The four sources above, then the workloads' shipped programs in
+/// sorted order.
+fn tpl_corpus() -> Vec<String> {
+    let mut corpus: Vec<String> = TPL_SOURCES.iter().map(|s| s.to_string()).collect();
+    let mut shipped: Vec<_> = std::fs::read_dir("crates/workloads/programs")
+        .expect("crates/workloads/programs/ exists")
+        .map(|e| e.expect("readable entry").path())
+        .collect();
+    shipped.sort();
+    for path in shipped {
+        corpus.push(std::fs::read_to_string(path).expect("readable program"));
+    }
+    corpus
+}
 
 const REQUESTS: [&str; 3] = [
     r#"{"source":"main: [.]\n  r := 6\n  r := r * 7\n  halt\n"}"#,
@@ -118,8 +135,8 @@ fn the_assembler_never_panics() {
     for path in shipped {
         corpus.push(std::fs::read_to_string(path).expect("readable program"));
     }
-    for tpl in TPL_SOURCES {
-        let ir = parse_ir(tpl).expect("corpus parses");
+    for tpl in tpl_corpus() {
+        let ir = parse_ir(&tpl).expect("corpus parses");
         for mode in [Mode::Heartbeat, Mode::Eager { workers: 2 }] {
             corpus.push(print_program(
                 &lower(&ir, mode).expect("corpus lowers").program,
@@ -170,10 +187,11 @@ fn the_tpl_frontend_never_panics() {
         " f(x) ",
         " - ",
     ];
+    let corpus = tpl_corpus();
     let mut rng = Rng(0x5EED_0002);
     let (mut accepted, mut rejected) = (0, 0);
     for i in 0..6000 {
-        let text = mutate(&mut rng, TPL_SOURCES[i % TPL_SOURCES.len()], &splices);
+        let text = mutate(&mut rng, &corpus[i % corpus.len()], &splices);
         match parse_ir(&text) {
             Ok(ir) => {
                 accepted += 1;
