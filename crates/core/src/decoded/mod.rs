@@ -1,11 +1,11 @@
 //! Pre-decoded micro-op streams: a decode-once, execute-many
 //! representation of a validated [`Program`].
 //!
-//! The [`Instr`] interpreter in [`crate::machine::step`] re-matches the
+//! The [`Instr`] interpreter in `machine::step` re-matches the
 //! nested instruction enum, re-resolves every [`crate::isa::Operand`],
 //! and re-fetches the current block's instruction slice on every step.
 //! [`DecodedProgram::decode`] pays those costs once, flattening the
-//! program into one contiguous array of micro-ops ([`UOp`]s) with:
+//! program into one contiguous array of micro-ops (`UOp`s) with:
 //!
 //! * **pre-resolved operands** — register indices and inlined immediate
 //!   [`Value`]s, so execution never matches on `Operand`;
@@ -18,12 +18,12 @@
 //!   by program counter or block, off the hot path;
 //! * **superinstruction fusion** — the hot shapes the lowering pass
 //!   emits collapse into single micro-ops: compare + `if-jump`
-//!   ([`CmpBranch`]), the whole 3-instruction loop-head block
-//!   ([`CmpBranchBranch`]), the add/sub-immediate + compare + branch
-//!   back-edge triple ([`StepCmpBranch`]), and op + `jump` loop tails
-//!   ([`OpJump`]); and runs of two or more consecutive moves
-//!   ([`MovRun`]), stores through one base ([`StoreRun`]) or loads
-//!   through one base ([`LoadRun`]), whose operands live in a side table.
+//!   (`CmpBranch`), the whole 3-instruction loop-head block
+//!   (`CmpBranchBranch`), the add/sub-immediate + compare + branch
+//!   back-edge triple (`StepCmpBranch`), and op + `jump` loop tails
+//!   (`OpJump`); and runs of two or more consecutive moves
+//!   (`MovRun`), stores through one base (`StoreRun`) or loads
+//!   through one base (`LoadRun`), whose operands live in a side table.
 //!
 //! [`DecodedProgram::run_until`] then executes micro-ops with the exact
 //! observable semantics of [`crate::machine::run_task_until`]: same
@@ -45,14 +45,6 @@
 //! Decoding happens strictly *after* validation and is invisible to the
 //! assembler: `asm` prints from [`Instr`], so a parse → print round
 //! trip never observes fusion.
-//!
-//! [`CmpBranch`]: UOp::CmpBranch
-//! [`CmpBranchBranch`]: UOp::CmpBranchBranch
-//! [`StepCmpBranch`]: UOp::StepCmpBranch
-//! [`OpJump`]: UOp::OpJump
-//! [`MovRun`]: UOp::MovRun
-//! [`StoreRun`]: UOp::StoreRun
-//! [`LoadRun`]: UOp::LoadRun
 
 use crate::isa::{BinOp, Instr, Label, Operand, Reg};
 use crate::machine::heap::Heap;

@@ -189,7 +189,7 @@ impl StackStore {
     ///
     /// (Hot path: a negative position casts to a `usize` far beyond any
     /// length, so the single `get` doubles as the upper *and* lower range
-    /// check of [`Self::check`].)
+    /// check of `check`.)
     #[inline]
     pub fn load(&self, sp: StackRef, offset: u32) -> Result<Value, MachineError> {
         let cells = &self.stacks[sp.stack.index()];

@@ -29,7 +29,7 @@
 //! and the heap.
 //!
 //! A `parfor` whose body contains exactly one inner `parfor` desugars to
-//! the outer-loop-first [`ParForNested`](crate::ast::ParForNested): the
+//! the outer-loop-first [`ParForNested`]: the
 //! statements before the inner loop become the prologue, those after it
 //! the epilogue.
 //!
