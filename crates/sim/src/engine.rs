@@ -11,16 +11,19 @@
 //! core and task, see [`SimConfig::exec_tier`]) instead of one
 //! `step_task` round-trip per cycle.
 //!
-//! Every event source owns one calendar slot: one per core for its next
-//! action (a parked core's slot is cleared) and one per interrupt
-//! source — per core for the local timers, one for the ping chain, none
-//! when interrupts are disabled. A slot holds at most one key, so the
-//! event being handled stays armed in its slot, and handling it ends in
-//! one "replace the popped slot" walk up a tournament tree of fan-out 8.
-//! Keys are unique and totally ordered, so the calendar yields exactly
-//! the sequence any exact priority queue over the same keys would.
-//! Running tasks stay in place beside the cores and leave only when they
-//! leave the core (halt, a stashing join, a channel park).
+//! The calendar holds only what acts: one slot per core for its next
+//! action and one for the interrupt source — the ping chain's next
+//! delivery, or the timer wave that delivers every core's in-phase local
+//! timer in one event. A slot holds at most one key, so the event being
+//! handled stays armed in its slot, and handling it ends in one "replace
+//! the popped slot" walk up a tournament tree of fan-out 4. Keys are
+//! unique and totally ordered, so the calendar yields exactly the
+//! sequence any exact priority queue over the same keys would.
+//! An idle core — no task, an empty deque — leaves the calendar and
+//! becomes a chain of steal retries, settled in place: in O(1) while
+//! nothing is queued, retry by retry in `(time, core)` order while tasks
+//! are. Running tasks stay in place beside the cores and leave only when
+//! they leave the core (halt, a stashing join, a channel park).
 //! Simulated time jumps from event to event, so the cost of a run is
 //! O(instructions + events·log cores) rather than
 //! O(makespan × cores).
@@ -267,11 +270,18 @@ impl SimOutcome {
 struct Core {
     /// Queued tasks, each with its trace id.
     deque: std::collections::VecDeque<(TaskState, u64)>,
+    /// When the core can act next. An idle core's is its next retry
+    /// that has not been settled yet.
     busy_until: u64,
     /// Promotion state (delivered-beat flag, eager bounce guard) —
     /// consumed by [`Promotion`].
     promote: PromoteState,
-    next_hb: u64,
+    /// The core is idle — no task, an empty deque — and out of the
+    /// calendar: a chain of steal retries (see `Sim::run`).
+    idle: bool,
+    /// The last run paused right before a boundary instruction, so the
+    /// next action can execute it without a zero-step run first.
+    at_boundary: bool,
 }
 
 /// A scheduled event, ordered by `(time, phase, core)` so that the
@@ -333,10 +343,9 @@ fn interrupt_key(core: usize, time: u64) -> Key {
 }
 
 /// The calendar tree's fan-out: arming a slot re-reduces one group of
-/// `FANOUT` keys per level, `⌈log₈ slots⌉` groups in all — one for 2 to
-/// 8 slots, two for the 30 of 15 cores with local timers, three for the
-/// 512 of 256.
-const FANOUT: usize = 8;
+/// `FANOUT` keys per level, `⌈log₄ slots⌉` groups in all — two for the
+/// 16 slots of 15 cores, five for the 257 of 256.
+const FANOUT: usize = 4;
 
 /// The event calendar: a fixed set of slots, each armed with one key or
 /// cleared, and the earliest armed key on demand.
@@ -376,9 +385,14 @@ impl Calendar {
         }
     }
 
+    /// The earliest armed key, [`EMPTY`] if every slot is cleared.
+    fn min_key(&self) -> Key {
+        self.keys[self.root]
+    }
+
     /// The earliest armed event, or `None` if every slot is cleared.
     fn min(&self) -> Option<Event> {
-        let key = self.keys[self.root];
+        let key = self.min_key();
         // The low word alone tells a cleared slot (all ones) from an
         // event (phase 0 or 1), and reads back one of the two 8-byte
         // stores that wrote the root; a 16-byte load of both would miss
@@ -407,9 +421,7 @@ impl Calendar {
 /// The earliest key of one group, reduced pairwise.
 #[inline(always)]
 fn earliest(g: &[Key; FANOUT]) -> Key {
-    let low = g[0].min(g[1]).min(g[2].min(g[3]));
-    let high = g[4].min(g[5]).min(g[6].min(g[7]));
-    low.min(high)
+    g[0].min(g[1]).min(g[2].min(g[3]))
 }
 
 /// The multicore simulator. Mirrors the [`tpal_core::machine::Machine`]
@@ -508,7 +520,8 @@ impl<'p> Sim<'p> {
                 deque: std::collections::VecDeque::new(),
                 busy_until: 0,
                 promote: PromoteState::default(),
-                next_hb: cfg.heartbeat,
+                idle: false,
+                at_boundary: false,
             })
             .collect();
         // Each core's running task, kept beside `cores` so an action can
@@ -524,24 +537,33 @@ impl<'p> Sim<'p> {
         // is always the exact cycle of the next delivery, i.e. already
         // clamped to be strictly after the previous one.
         let mut ping = PingChain::new(cfg.heartbeat.max(1), cfg.heartbeat);
+        // Per-core timers all start at ♥ and advance by ♥ together, so
+        // one deadline serves every core.
+        let mut next_beat = cfg.heartbeat;
 
         let mut live_tasks: usize = 1;
-        // Tasks sitting in deques right now. Zero means every steal
-        // attempt is a forced failure, which licenses parking (below).
+        // Tasks sitting in deques right now.
         let mut queued: usize = 0;
-        // Parked cores: idle cores fast-forwarded through forced-failure
-        // steal retries. A parked core's action slot is cleared;
-        // `busy_until` holds its next *not yet counted* retry
-        // time, and `flush_parked!` settles the retries lazily.
-        let mut parked: Vec<bool> = vec![false; cfg.cores];
-        let mut parked_count: usize = 0;
+        // Idle cores — no task, an empty deque — are retry chains, not
+        // calendar events: `busy_until` is the next retry not yet
+        // settled, and `retries` holds one key per idle core. While
+        // nothing is queued every retry is a forced failure, settled
+        // lazily in O(1) by `settle_idle!`, and the keys may be stale;
+        // while tasks are queued the keys are exact and in key order, and
+        // the loop settles them retry by retry before each calendar event.
+        // Only with a positive retry cost on a multicore: a free retry
+        // stays a calendar action (the reference's starvation check
+        // needs it), and a lone core has nobody to steal from.
+        let chains = cfg.cores > 1 && cfg.steal_retry_cost > 0;
+        let mut retries: std::collections::VecDeque<Key> =
+            std::collections::VecDeque::with_capacity(cfg.cores);
         // Tasks parked on a full channel (pushers) or an empty one
         // (poppers), in park order, each with its trace id. A parked
         // task occupies no core and no deque — and is invisible to
-        // `queued`, so parked *cores* fast-forward right over blocked
+        // `queued`, so idle cores fast-forward right over blocked
         // channel traffic; a matching channel operation re-queues the
-        // task on the waking core's deque (and unparks cores, exactly
-        // like a fork making work visible).
+        // task on the waking core's deque (and makes the idle cores'
+        // retries live, exactly like a fork making work visible).
         let mut parked_push: std::collections::VecDeque<(i64, TaskState, u64)> = Default::default();
         let mut parked_pop: std::collections::VecDeque<(i64, TaskState, u64)> = Default::default();
         // Structured event tracing — the one recording path: a requested
@@ -569,14 +591,15 @@ impl<'p> Sim<'p> {
             };
         }
 
-        // Settles core `$p`'s pending retries at virtual times strictly
-        // before `$bound`. Each settled retry charges the same counters
-        // as a live failed steal and advances the RNG stream by its one
-        // victim draw — the drawn victim is unobservable (every deque is
-        // empty while any core is parked), but the stream position is,
-        // hence the O(1) `skip`. The whole chain is one trace span: recording costs O(1)
-        // per settled chain however long the core sat parked.
-        macro_rules! flush_one {
+        // Settles idle core `$p`'s pending retries at virtual times
+        // strictly before `$bound`, in O(1) — valid while nothing is
+        // queued. Each settled retry charges the same counters as a live
+        // failed steal and advances the RNG stream by its one victim
+        // draw — the drawn victim is unobservable (every deque is empty),
+        // but the stream position is, hence the O(1) `skip`. The whole
+        // chain is one trace span: recording costs O(1) per settled chain
+        // however long the core sat idle.
+        macro_rules! settle_one {
             ($p:expr, $bound:expr) => {
                 let next = cores[$p].busy_until;
                 if next < $bound {
@@ -594,28 +617,27 @@ impl<'p> Sim<'p> {
             };
         }
 
-        // Settles every parked core's pending retries that virtually
-        // precede event `$ev`. A retry of core `p` would carry the key
-        // `(t, PHASE_ACTION, p)`, so it precedes the event if
+        // While nothing is queued, settles every idle core's retries that
+        // virtually precede event `$ev`. A retry of core `p` carries the
+        // key `(t, PHASE_ACTION, p)`, so it precedes the event if
         // `t < $ev.time`, or at `t == $ev.time` when the event is a later
         // core's action (the reference scans cores in index order within
-        // a cycle).
+        // a cycle). While tasks are queued the loop has already settled
+        // every retry before the event.
         //
-        // Settling is *deferred*: while cores are parked no RNG draw can
-        // happen (steal draws require work in a deque, which would have
-        // unparked everyone), so pure skips commute past every other
-        // event. Flushing is needed only where the chains become
-        // observable — before a ping delivery (its jitter draw must land
-        // at the right stream position, and the receiving core's chain
-        // shifts), at a fork (the chains go live again), at `halt` (the
+        // Settling is *deferred*: while nothing is queued no steal draw
+        // can happen, so pure skips commute past every other event.
+        // Settling is needed only where the chains become observable —
+        // before a ping delivery (its jitter draw must land at the right
+        // stream position, and the receiving core's chain shifts), when
+        // work is queued (the chains go live again), at `halt` (the
         // counters become the outcome), and, per core, when a timer
-        // interrupt shifts that one chain (see flush_one! at the timer
-        // arm).
-        macro_rules! flush_parked {
+        // interrupt shifts that one chain.
+        macro_rules! settle_idle {
             ($ev:expr) => {
-                if parked_count > 0 {
+                if queued == 0 && !retries.is_empty() {
                     for p in 0..cfg.cores {
-                        if !parked[p] {
+                        if !cores[p].idle {
                             continue;
                         }
                         let bound = if $ev.phase == PHASE_ACTION && (p as u32) < $ev.core {
@@ -623,46 +645,98 @@ impl<'p> Sim<'p> {
                         } else {
                             $ev.time
                         };
-                        flush_one!(p, bound);
+                        settle_one!(p, bound);
                     }
                 }
             };
         }
 
-        // The calendar's slots: core `c`'s next action is slot `c`; the
-        // interrupt source owns the slots after those — core `c`'s local
-        // timer is slot `cores + c`, the ping chain's next delivery is
-        // slot `cores`. Seed it: every core attempts an action on cycle 1
-        // (the reference's first tick), and the interrupt source fires
-        // its first delivery chain.
-        let interrupt_slots = match cfg.interrupt {
-            InterruptModel::PerCoreTimer { .. } => cfg.cores,
-            InterruptModel::PingThread { .. } => 1,
-            InterruptModel::Disabled => 0,
-        };
-        let mut calendar = Calendar::new(cfg.cores + interrupt_slots);
+        // Rewrites every idle core's key from its `busy_until` and puts
+        // the keys back in order: when queued work makes the retries live,
+        // and after an interrupt shifts idle cores' retries while they are.
+        macro_rules! resort_retries {
+            () => {
+                for key in retries.iter_mut() {
+                    let p = Event::from_key(*key).core as usize;
+                    *key = action_key(p, cores[p].busy_until);
+                }
+                retries.make_contiguous().sort_unstable();
+            };
+        }
+
+        // Adds `$key` to the live retries in key order. A failed retry's
+        // next one usually comes after every other: the idle cores retry
+        // in turn.
+        macro_rules! insert_retry {
+            ($key:expr) => {
+                let key = $key;
+                if retries.back().is_none_or(|&last| last < key) {
+                    retries.push_back(key);
+                } else {
+                    let at = retries.partition_point(|&k| k < key);
+                    retries.insert(at, key);
+                }
+            };
+        }
+
+        // The calendar's slots: core `c`'s next action is slot `c`, and
+        // slot `cores` is the interrupt source's next delivery — the ping
+        // chain's, or the timer wave's (every core's local timer fires in
+        // one cycle, in core order, exactly as the same-time interrupt
+        // keys `(t, 0, 0..cores)` would pop). An idle core's slot, and
+        // the source's when interrupts are disabled, stays cleared. Seed
+        // it: every core attempts an action on cycle 1 (the reference's
+        // first tick), and the interrupt source fires its first delivery.
+        let mut calendar = Calendar::new(cfg.cores + 1);
         for c in 0..cfg.cores {
             calendar.set(c, action_key(c, 1));
         }
+        match cfg.interrupt {
+            InterruptModel::PerCoreTimer { .. } => {
+                calendar.set(cfg.cores, interrupt_key(0, next_beat.max(1)));
+            }
+            InterruptModel::PingThread { .. } => {
+                calendar.set(cfg.cores, interrupt_key(ping.next_core, ping.next_time));
+            }
+            InterruptModel::Disabled => {}
+        }
 
-        // Settles every parked core's pending retries and re-arms each
-        // at its next retry time — the "work just became visible"
-        // discipline of `fork`, `detach` and channel wakes. Cores after
-        // the acting one in index order may retry at this very cycle and
-        // see the new task, exactly as the reference's in-cycle scan
-        // does.
-        macro_rules! unpark_all {
-            ($ev:expr) => {
-                if parked_count > 0 {
-                    flush_parked!($ev);
-                    for p in 0..cfg.cores {
-                        if parked[p] {
-                            parked[p] = false;
-                            calendar.set(p, action_key(p, cores[p].busy_until));
-                        }
-                    }
-                    parked_count = 0;
+        // Core `$c` has no task and an empty deque: it leaves the
+        // calendar as a retry chain whose next attempt is at `$t`.
+        macro_rules! go_idle {
+            ($c:expr, $t:expr) => {
+                cores[$c].idle = true;
+                cores[$c].busy_until = $t;
+                calendar.set($c, EMPTY);
+                insert_retry!(action_key($c, $t));
+            };
+        }
+
+        // Channel deadlock: every remaining task is parked on a channel
+        // and no runner exists to wake one — without this check the idle
+        // chains would follow the interrupt source forever.
+        macro_rules! chan_deadlock {
+            () => {
+                !(parked_push.is_empty() && parked_pop.is_empty())
+                    && queued == 0
+                    && running_count == 0
+            };
+        }
+
+        // Queues task `$t` on core `$c`'s deque during event `$ev`. The
+        // first queued task makes the idle cores' retries live: settle
+        // them while they are still forced failures, then order them.
+        // Cores after the acting one in index order may retry at this very
+        // cycle and see the new task, exactly as the reference's in-cycle
+        // scan does.
+        macro_rules! enqueue {
+            ($c:expr, $t:expr, $id:expr, $ev:expr) => {
+                if queued == 0 && !retries.is_empty() {
+                    settle_idle!($ev);
+                    resort_retries!();
                 }
+                cores[$c].deque.push_back(($t, $id));
+                queued += 1;
             };
         }
 
@@ -671,10 +745,8 @@ impl<'p> Sim<'p> {
         macro_rules! wake_one {
             ($list:expr, $ch:expr, $c:expr, $ev:expr, $now:expr) => {
                 if let Some(idx) = $list.iter().position(|&(ch2, _, _)| ch2 == $ch) {
-                    unpark_all!($ev);
                     let (_, t, tid) = $list.remove(idx).expect("index in range");
-                    cores[$c].deque.push_back((t, tid));
-                    queued += 1;
+                    enqueue!($c, t, tid, $ev);
                     stats.chan_wakes += 1;
                     tev!(
                         $c,
@@ -692,25 +764,87 @@ impl<'p> Sim<'p> {
             };
         }
 
-        // Arm the interrupt source's first delivery chain.
-        match cfg.interrupt {
-            InterruptModel::PerCoreTimer { .. } => {
-                for (c, core) in cores.iter().enumerate() {
-                    calendar.set(cfg.cores + c, interrupt_key(c, core.next_hb.max(1)));
+        // Core `$c`'s steal attempt at cycle `$t`: it draws a uniformly
+        // random other core and takes the top of its deque. A hit makes
+        // the core busy for the steal, a miss for the retry. Evaluates to
+        // whether it stole.
+        macro_rules! steal {
+            ($c:expr, $t:expr) => {{
+                let (c, t): (usize, u64) = ($c, $t);
+                let victim = uniform_victim(&mut rng, c, cfg.cores);
+                match cores[victim].deque.pop_front() {
+                    Some((task, id)) => {
+                        queued -= 1;
+                        running[c] = Some(task);
+                        current_id[c] = id;
+                        running_count += 1;
+                        cores[c].busy_until = t + cfg.steal_cost;
+                        stats.steals += 1;
+                        stats.overhead_cycles += cfg.steal_cost;
+                        tev!(
+                            c,
+                            t,
+                            0,
+                            EventKind::Steal {
+                                victim: victim as u32
+                            }
+                        );
+                        tev!(
+                            c,
+                            t,
+                            cfg.steal_cost,
+                            EventKind::Overhead {
+                                what: OverheadKind::Steal
+                            }
+                        );
+                        true
+                    }
+                    None => {
+                        cores[c].busy_until = t + cfg.steal_retry_cost;
+                        stats.failed_steals += 1;
+                        stats.idle_cycles += cfg.steal_retry_cost;
+                        tev!(c, t, cfg.steal_retry_cost, EventKind::Idle { retries: 1 });
+                        false
+                    }
                 }
-            }
-            InterruptModel::PingThread { .. } => {
-                calendar.set(cfg.cores, interrupt_key(ping.next_core, ping.next_time));
-            }
-            InterruptModel::Disabled => {}
+            }};
         }
 
         let halted: TaskState;
         let end_time: u64;
 
         'sim: loop {
+            // While tasks are queued, the idle cores race for them: settle
+            // every retry that precedes the next calendar event, in
+            // `(time, core)` order. A thief rejoins the calendar, and its
+            // next action bounds the race if it comes first; the race ends
+            // early when the queue empties.
+            if queued > 0 && !retries.is_empty() {
+                let mut bound = calendar.min_key();
+                while let Some(&key) = retries.front() {
+                    if key >= bound {
+                        break;
+                    }
+                    retries.pop_front();
+                    let Event { time: t, core, .. } = Event::from_key(key);
+                    let p = core as usize;
+                    if steal!(p, t) {
+                        cores[p].idle = false;
+                        // A core acts at most once per cycle.
+                        let key = action_key(p, cores[p].busy_until.max(t + 1));
+                        calendar.set(p, key);
+                        bound = bound.min(key);
+                        if queued == 0 {
+                            break;
+                        }
+                    } else {
+                        insert_retry!(action_key(p, cores[p].busy_until));
+                    }
+                }
+            }
+
             // The calendar can only empty before `halt` if interrupts are
-            // disabled and every core is parked on an empty system — no
+            // disabled and every core is idle on an empty system — no
             // event can ever create work again. (The reference spins
             // forever on that degenerate program; an error is strictly
             // more useful.) The event stays armed while it is handled:
@@ -721,50 +855,54 @@ impl<'p> Sim<'p> {
             let now = ev.time;
 
             if ev.phase == PHASE_INTERRUPT {
-                // The receiving core, its pending retries settled first:
-                // the service cost below shifts the retry pending at
-                // delivery time.
-                let (ci, service_cost) = match cfg.interrupt {
-                    InterruptModel::PerCoreTimer { service_cost } => {
-                        let ci = ev.core as usize;
-                        if parked[ci] {
-                            flush_one!(ci, now);
-                        }
-                        (ci, service_cost)
-                    }
+                // The receiving cores: every core for the timer wave, the
+                // chain's next target for the ping thread — whose jitter
+                // draw below must land at the right stream position, so
+                // every idle chain is settled first.
+                let (targets, service_cost) = match cfg.interrupt {
+                    InterruptModel::PerCoreTimer { service_cost } => (0..cfg.cores, service_cost),
                     InterruptModel::PingThread { service_cost, .. } => {
-                        // The jitter draw below must land at the right
-                        // stream position too: settle every chain.
-                        flush_parked!(ev);
-                        (ping.next_core, service_cost)
+                        settle_idle!(ev);
+                        (ping.next_core..ping.next_core + 1, service_cost)
                     }
                     InterruptModel::Disabled => unreachable!("no interrupt source armed"),
                 };
-                let core = &mut cores[ci];
-                core.promote.beat = true;
-                core.busy_until = core.busy_until.max(now) + service_cost;
-                stats.heartbeats_delivered += 1;
-                stats.overhead_cycles += service_cost;
-                tev!(ci, now, 0, EventKind::HeartbeatDelivered);
-                tev!(
-                    ci,
-                    now,
-                    service_cost,
-                    EventKind::Overhead {
-                        what: OverheadKind::Interrupt
+                for ci in targets {
+                    // An idle core's pending retries are settled first:
+                    // the service cost shifts the retry pending at
+                    // delivery time. (While tasks are queued the race
+                    // has settled them already.)
+                    if cores[ci].idle && queued == 0 {
+                        settle_one!(ci, now);
                     }
-                );
+                    let core = &mut cores[ci];
+                    core.promote.beat = true;
+                    core.busy_until = core.busy_until.max(now) + service_cost;
+                    stats.heartbeats_delivered += 1;
+                    stats.overhead_cycles += service_cost;
+                    tev!(ci, now, 0, EventKind::HeartbeatDelivered);
+                    tev!(
+                        ci,
+                        now,
+                        service_cost,
+                        EventKind::Overhead {
+                            what: OverheadKind::Interrupt
+                        }
+                    );
+                }
+                if queued > 0 && !retries.is_empty() {
+                    resort_retries!();
+                }
                 // Re-arm the source.
                 if let InterruptModel::PingThread { .. } = cfg.interrupt {
                     let delay = cfg.interrupt.ping_delay(&mut rng);
                     ping.advance(now, cfg.cores, cfg.heartbeat, delay);
                     calendar.set(cfg.cores, interrupt_key(ping.next_core, ping.next_time));
                 } else {
-                    core.next_hb += cfg.heartbeat;
+                    next_beat += cfg.heartbeat;
                     // `.max(now + 1)`: with ♥ = 0 the reference still
                     // delivers at most once per cycle.
-                    let next = core.next_hb.max(now + 1);
-                    calendar.set(cfg.cores + ci, interrupt_key(ci, next));
+                    calendar.set(cfg.cores, interrupt_key(0, next_beat.max(now + 1)));
                 }
                 continue;
             }
@@ -785,81 +923,29 @@ impl<'p> Sim<'p> {
                     running[c] = Some(t);
                     current_id[c] = id;
                     running_count += 1;
-                } else if !(parked_push.is_empty() && parked_pop.is_empty())
-                    && queued == 0
-                    && running_count == 0
-                {
-                    // Channel deadlock: every remaining task is parked
-                    // on a channel and no runner exists to wake one —
-                    // without this the parked-core fast-forward would
-                    // spin the interrupt chain forever.
+                } else if chan_deadlock!() {
                     return Err(MachineError::Deadlock);
+                } else if chains {
+                    // Thieves emptied the deque this core would have
+                    // popped: it goes idle, and its first retry is this
+                    // very action, made before the next calendar event.
+                    go_idle!(c, now);
+                    continue;
                 } else if cfg.cores > 1 {
-                    if queued == 0 && cfg.steal_retry_cost > 0 {
-                        // Every deque is empty: this attempt and every
-                        // retry until a fork pushes work are forced
-                        // failures. Park instead of simulating them —
-                        // the retry chain (starting with this attempt,
-                        // at `now`) is settled lazily by flush_parked!,
-                        // and interrupts shift `busy_until` exactly as
-                        // they would the live chain. The Forked arm
-                        // re-arms parked cores.
-                        parked[c] = true;
-                        parked_count += 1;
-                        cores[c].busy_until = now;
-                        calendar.set(c, EMPTY);
-                        continue;
+                    // A free retry: the core stays in the calendar and
+                    // acts at most once per cycle. Then the reference's
+                    // end-of-cycle starvation check can fire (all cores
+                    // free, empty, and idle this cycle); with a positive
+                    // cost the freshly charged `busy_until` always
+                    // defeats it there.
+                    if !steal!(c, now)
+                        && running_count == 0
+                        && cores
+                            .iter()
+                            .all(|k| k.deque.is_empty() && k.busy_until <= now)
+                    {
+                        return Err(MachineError::Deadlock);
                     }
-                    // Steal from a uniformly random other core's top.
-                    let victim = uniform_victim(&mut rng, c, cfg.cores);
-                    let stolen = cores[victim].deque.pop_front();
-                    match stolen {
-                        Some((t, id)) => {
-                            queued -= 1;
-                            running[c] = Some(t);
-                            current_id[c] = id;
-                            running_count += 1;
-                            cores[c].busy_until = now + cfg.steal_cost;
-                            stats.steals += 1;
-                            stats.overhead_cycles += cfg.steal_cost;
-                            tev!(
-                                c,
-                                now,
-                                0,
-                                EventKind::Steal {
-                                    victim: victim as u32
-                                }
-                            );
-                            tev!(
-                                c,
-                                now,
-                                cfg.steal_cost,
-                                EventKind::Overhead {
-                                    what: OverheadKind::Steal
-                                }
-                            );
-                        }
-                        None => {
-                            cores[c].busy_until = now + cfg.steal_retry_cost;
-                            stats.failed_steals += 1;
-                            stats.idle_cycles += cfg.steal_retry_cost;
-                            tev!(c, now, cfg.steal_retry_cost, EventKind::Idle { retries: 1 });
-                            // With a zero retry cost the reference's
-                            // end-of-cycle starvation check can fire (all
-                            // cores free, empty, and idle this cycle);
-                            // with a positive cost the freshly charged
-                            // `busy_until` always defeats it there too.
-                            if cfg.steal_retry_cost == 0
-                                && running_count == 0
-                                && cores
-                                    .iter()
-                                    .all(|k| k.deque.is_empty() && k.busy_until <= now)
-                            {
-                                return Err(MachineError::Deadlock);
-                            }
-                        }
-                    }
-                    // A core acts at most once per cycle.
                     calendar.set(c, action_key(c, cores[c].busy_until.max(now + 1)));
                     continue;
                 } else {
@@ -872,63 +958,73 @@ impl<'p> Sim<'p> {
             }
 
             let task = running[c].as_mut().expect("task present");
-
-            // Scheduling boundary: the promotion rule decides what a
-            // promotion-ready point does with the delivered beat
-            // (rollforward semantics — promotion happens only at
-            // promotion-ready program points).
             let promo = cfg.promotion;
-            let mut step_past = false;
-            if promo.watch(&cores[c].promote) {
-                if let Some(handler) = task.at_promotion_point(self.program) {
-                    match promo.decide(&mut cores[c].promote) {
-                        PromoteStep::Divert => {
-                            task.divert_to_handler(handler);
-                            stats.promotions += 1;
-                            tev!(c, now, 0, EventKind::HeartbeatServiced);
-                            tev!(
-                                c,
-                                now,
-                                0,
-                                EventKind::TaskPromote {
-                                    task: current_id[c]
-                                }
-                            );
+
+            let (steps, pause) = if std::mem::take(&mut cores[c].at_boundary)
+                && (!promo.watch(&cores[c].promote)
+                    || task.at_promotion_point(self.program).is_none())
+            {
+                // The last run stopped right before a boundary, and no
+                // promotion can be decided here: a run would execute
+                // nothing.
+                (0, RunPause::Boundary)
+            } else {
+                // Scheduling boundary: the promotion rule decides what a
+                // promotion-ready point does with the delivered beat
+                // (rollforward semantics — promotion happens only at
+                // promotion-ready program points).
+                let mut step_past = false;
+                if promo.watch(&cores[c].promote) {
+                    if let Some(handler) = task.at_promotion_point(self.program) {
+                        match promo.decide(&mut cores[c].promote) {
+                            PromoteStep::Divert => {
+                                task.divert_to_handler(handler);
+                                stats.promotions += 1;
+                                tev!(c, now, 0, EventKind::HeartbeatServiced);
+                                tev!(
+                                    c,
+                                    now,
+                                    0,
+                                    EventKind::TaskPromote {
+                                        task: current_id[c]
+                                    }
+                                );
+                            }
+                            PromoteStep::StepPast => step_past = true,
+                            PromoteStep::Run => {}
                         }
-                        PromoteStep::StepPast => step_past = true,
-                        PromoteStep::Run => {}
                     }
                 }
-            }
 
-            // Batch horizon: this core cannot be re-flagged before its
-            // own next timer tick (PerCoreTimer — the armed deadline is
-            // exact) or the signaller's next delivery to *anyone* (PingThread —
-            // conservative, since the chain's future targets depend on
-            // jitter draws that must stay in delivery order). Interrupts
-            // at the horizon sort before the follow-up action, so the
-            // flag is seen then.
-            let horizon = match cfg.interrupt {
-                InterruptModel::PerCoreTimer { .. } => cores[c].next_hb.max(now + 1),
-                InterruptModel::PingThread { .. } => ping.next_time.max(now + 1),
-                InterruptModel::Disabled => u64::MAX,
-            };
-            let allowed = cfg
-                .step_limit
-                .saturating_add(1)
-                .saturating_sub(stats.instructions);
-            // A declined point must execute exactly one instruction
-            // unwatched (or the watch would pause at it again, forever).
-            let max_steps = if step_past {
-                1.min(allowed)
-            } else {
-                (horizon - now).min(allowed)
-            };
-            let watch = !step_past && promo.watch(&cores[c].promote);
+                // Batch horizon: this core cannot be re-flagged before
+                // the next timer wave (PerCoreTimer — the armed deadline
+                // is exact) or the signaller's next delivery to *anyone*
+                // (PingThread — conservative, since the chain's future
+                // targets depend on jitter draws that must stay in
+                // delivery order). Interrupts at the horizon sort before
+                // the follow-up action, so the flag is seen then.
+                let horizon = match cfg.interrupt {
+                    InterruptModel::PerCoreTimer { .. } => next_beat.max(now + 1),
+                    InterruptModel::PingThread { .. } => ping.next_time.max(now + 1),
+                    InterruptModel::Disabled => u64::MAX,
+                };
+                let allowed = cfg
+                    .step_limit
+                    .saturating_add(1)
+                    .saturating_sub(stats.instructions);
+                // A declined point must execute exactly one instruction
+                // unwatched (or the watch would pause at it again,
+                // forever).
+                let max_steps = if step_past {
+                    1.min(allowed)
+                } else {
+                    (horizon - now).min(allowed)
+                };
+                let watch = !step_past && promo.watch(&cores[c].promote);
 
-            let (steps, pause) =
                 self.backend
-                    .run_until(self.program, task, &mut self.stores, max_steps, watch)?;
+                    .run_until(self.program, task, &mut self.stores, max_steps, watch)?
+            };
             if steps > 0 {
                 stats.instructions += steps;
                 stats.work_cycles += steps;
@@ -961,6 +1057,7 @@ impl<'p> Sim<'p> {
                     // and allocations are globally ordered against other
                     // cores' events in (now, now + steps].
                     cores[c].busy_until = now + steps;
+                    cores[c].at_boundary = true;
                     calendar.set(c, action_key(c, now + steps));
                 }
                 RunPause::Boundary => {
@@ -990,11 +1087,11 @@ impl<'p> Sim<'p> {
                         }
                         StepOutcome::Halted => {
                             // The counters become the outcome: settle
-                            // every parked core's retries up to the halt
+                            // every idle core's retries up to the halt
                             // (earlier cores' attempts this very cycle
                             // included, as in the reference's in-order
                             // scan).
-                            flush_parked!(ev);
+                            settle_idle!(ev);
                             tev!(c, now, 0, EventKind::TaskEnd { task: id });
                             halted = running[c].take().expect("task present");
                             end_time = now;
@@ -1038,10 +1135,7 @@ impl<'p> Sim<'p> {
                             // The diversion produced a task: re-arm the
                             // eager rule's bounce guard.
                             cores[c].promote.on_fork();
-                            cores[c].deque.push_back((*child, child_id));
-                            queued += 1;
-                            // Work exists again: wake the parked cores.
-                            unpark_all!(ev);
+                            enqueue!(c, *child, child_id, ev);
                             busy_until += cfg.fork_cost;
                             stats.overhead_cycles += cfg.fork_cost;
                             live_tasks += 1;
@@ -1132,7 +1226,7 @@ impl<'p> Sim<'p> {
                             // machine un-counted it); the core spent the
                             // cycle discovering the block and parks the
                             // task — its running slot is left empty, so
-                            // the next action seeks new work.
+                            // the core seeks new work next.
                             stats.chan_blocks += 1;
                             stats.idle_cycles += 1;
                             tev!(c, now, 1, EventKind::Idle { retries: 0 });
@@ -1155,12 +1249,23 @@ impl<'p> Sim<'p> {
                             }
                         }
                     }
-                    cores[c].busy_until = busy_until;
-                    calendar.set(c, action_key(c, busy_until));
                     if stats.instructions > cfg.step_limit {
                         return Err(MachineError::StepLimitExceeded {
                             limit: cfg.step_limit,
                         });
+                    }
+                    if running[c].is_none() && cores[c].deque.is_empty() && chains {
+                        // The task left and nothing is queued here: the
+                        // core goes idle without an action that would
+                        // find no work. (With work in its own deque it
+                        // stays an action: an own pop is free.)
+                        if chan_deadlock!() {
+                            return Err(MachineError::Deadlock);
+                        }
+                        go_idle!(c, busy_until);
+                    } else {
+                        cores[c].busy_until = busy_until;
+                        calendar.set(c, action_key(c, busy_until));
                     }
                 }
             }
@@ -1203,15 +1308,15 @@ mod tests {
 
     use super::*;
 
-    /// A slot's key: phase and core are fixed per slot, as in the
-    /// engine, so no two slots share a key.
-    fn key_of(slot: usize, time: u64) -> Key {
-        Event {
-            time,
-            phase: (slot % 2) as u8,
-            core: slot as u32,
+    /// A slot's key, laid out as in the engine: the last of `slots` is
+    /// the interrupt source's (the timer wave's key), every other slot
+    /// is its core's next action, so no two slots share a key.
+    fn key_of(slots: usize, slot: usize, time: u64) -> Key {
+        if slot == slots - 1 {
+            interrupt_key(0, time)
+        } else {
+            action_key(slot, time)
         }
-        .key()
     }
 
     #[derive(Debug, Clone)]
@@ -1249,10 +1354,11 @@ mod tests {
 
         /// The calendar yields exactly the sequence an ordered set of the
         /// same keys does, for any slot count — whole groups or not, one
-        /// tree level or three.
+        /// tree level or five — with the interrupt slot's wave sorting
+        /// before the actions of its own cycle.
         #[test]
         fn calendar_pops_in_key_order(
-            slots in prop_oneof![1usize..=20, Just(30usize), 60usize..=70, Just(512usize)],
+            slots in prop_oneof![1usize..=20, 60usize..=70, Just(257usize)],
             ops in proptest::collection::vec(op(), 0..400),
         ) {
             let mut calendar = Calendar::new(slots);
@@ -1260,12 +1366,12 @@ mod tests {
             let mut armed: Vec<Option<Key>> = vec![None; slots];
             for op in ops {
                 let (slot, key) = match op {
-                    Op::Set(s, t) => (s % slots, Some(key_of(s % slots, t))),
+                    Op::Set(s, t) => (s % slots, Some(key_of(slots, s % slots, t))),
                     Op::Clear(s) => (s % slots, None),
                     Op::Replace(t) => {
                         let Some(&first) = model.first() else { continue };
                         let slot = armed.iter().position(|&k| k == Some(first)).unwrap();
-                        (slot, t.map(|t| key_of(slot, t)))
+                        (slot, t.map(|t| key_of(slots, slot, t)))
                     }
                 };
                 if let Some(old) = armed[slot].take() {
@@ -1287,6 +1393,9 @@ mod tests {
         assert!(action_key(7, u64::MAX - 1) < late);
         assert!(late < action_key(0, u64::MAX));
         assert!(interrupt_key(3, 5) < interrupt_key(4, 5));
+        // The timer wave delivers to every core before any core acts.
+        assert!(interrupt_key(0, 5) < action_key(0, 5));
+        assert!(action_key(255, 4) < interrupt_key(0, 5));
         assert!(action_key(255, u64::MAX) < EMPTY);
         let ev = Event::from_key(action_key(255, u64::MAX));
         assert_eq!((ev.time, ev.phase, ev.core), (u64::MAX, PHASE_ACTION, 255));

@@ -298,8 +298,9 @@ const BENCHMARK_PROGRAMS: [&str; 7] = [
 ];
 
 /// The benchmark's own configuration — the paper's 15 cores under
-/// Nautilus timers at ♥ = 3000, 30 calendar slots in a two-level tree —
-/// on every program it simulates, at the seed of its first run.
+/// Nautilus timers at ♥ = 3000, 16 calendar slots (one per core and the
+/// timer wave's) in a two-level tree — on every program it simulates, at
+/// the seed of its first run.
 #[test]
 fn benchmark_configuration_engines_agree() {
     for name in BENCHMARK_PROGRAMS {
@@ -314,8 +315,9 @@ fn benchmark_configuration_engines_agree() {
 }
 
 /// Wide machines, up to the service's 256-core ceiling: the event
-/// calendar's tree gains a level past 8 and 64 slots, so 64 ping-driven
-/// cores (65 slots) and 256 timer-driven ones (512 slots) walk three.
+/// calendar's tree gains a level past 4, 16, 64 and 256 slots, so 64
+/// ping-driven cores (65 slots) walk four levels and 256 timer-driven
+/// ones (257 slots) walk five.
 #[test]
 fn wide_machines_engines_agree() {
     for name in ["knapsack", "pipeline-tokens"] {
@@ -328,6 +330,38 @@ fn wide_machines_engines_agree() {
         ] {
             let ctx = format!("{name} / {label}");
             assert_pair_agrees(&spec, Mode::Heartbeat, config, &ctx);
+        }
+    }
+}
+
+/// The steal costs the idle cores' retry chains branch on, at their
+/// edges: a free retry (the chains stay calendar actions), one-cycle
+/// retries and steals (a thief acts the cycle after it steals), the
+/// defaults, and a retry dearer than a steal. Small ♥ stays out: under
+/// per-core timers a beat always due livelocks the promotion handler
+/// (see [`heartbeat_edges_engines_agree`]).
+#[test]
+fn steal_cost_edges_engines_agree() {
+    for name in ["knapsack", "pipeline-tokens", "spmv-stream"] {
+        let spec = workload(name)
+            .expect("known workload")
+            .sim_spec(Scale::Quick);
+        for steal_retry_cost in [0, 1, 50, 601] {
+            for steal_cost in [0, 1, 600] {
+                for (label, base) in [
+                    ("linux-3", SimConfig::linux(3, 3_000)),
+                    ("nautilus-6", SimConfig::nautilus(6, 3_000)),
+                ] {
+                    let config = SimConfig {
+                        steal_retry_cost,
+                        steal_cost,
+                        ..base
+                    };
+                    let ctx =
+                        format!("{name} / {label} / retry {steal_retry_cost} / steal {steal_cost}");
+                    assert_pair_agrees(&spec, Mode::Heartbeat, config, &ctx);
+                }
+            }
         }
     }
 }
