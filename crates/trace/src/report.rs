@@ -104,14 +104,15 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
-    /// Computes the report in one pass over `trace`.
+    /// Computes the report in one pass over `trace`, plus a sort of its
+    /// channel pushes and pops.
     pub fn from_trace(trace: &Trace) -> MetricsReport {
         let mut r = MetricsReport {
             time_unit: trace.time_unit,
             heartbeat: trace.heartbeat,
             policy: trace.policy.clone(),
             source: trace.source.clone(),
-            makespan: trace.makespan(),
+            makespan: 0,
             per_core: vec![CoreActivity::default(); trace.tracks.len()],
             per_core_steals: vec![0; trace.tracks.len()],
             per_core_promotions: vec![0; trace.tracks.len()],
@@ -132,8 +133,13 @@ impl MetricsReport {
             chan_wakes: 0,
             chan_max_occupancy: Vec::new(),
         };
+        // Pushes and pops as `(seq, channel, push)`: occupancy needs them
+        // in the run's causal order, since one channel's pushes and pops
+        // interleave across cores.
+        let mut traffic: Vec<(u64, u32, bool)> = Vec::new();
         for (core, track) in trace.tracks.iter().enumerate() {
             for e in &track.events {
+                r.makespan = r.makespan.max(e.ts + e.dur);
                 match e.kind {
                     EventKind::Work { .. } => r.per_core[core].work += e.dur,
                     EventKind::Overhead { what } => {
@@ -159,33 +165,30 @@ impl MetricsReport {
                     EventKind::JoinMerge { .. } => r.join_merges += 1,
                     EventKind::JoinContinue { .. } => r.join_continues += 1,
                     EventKind::TaskDetach { .. } => r.detaches += 1,
-                    EventKind::ChanPush { .. } => r.chan_pushes += 1,
-                    EventKind::ChanPop { .. } => r.chan_pops += 1,
+                    EventKind::ChanPush { ch, .. } => {
+                        r.chan_pushes += 1;
+                        traffic.push((e.seq, ch, true));
+                    }
+                    EventKind::ChanPop { ch, .. } => {
+                        r.chan_pops += 1;
+                        traffic.push((e.seq, ch, false));
+                    }
                     EventKind::ChanBlock { .. } => r.chan_blocks += 1,
                     EventKind::ChanResume { .. } => r.chan_wakes += 1,
                     EventKind::TaskEnd { .. } | EventKind::ChanClose { .. } => {}
                 }
             }
         }
-        if r.chan_pushes + r.chan_pops > 0 {
-            // Occupancy needs the global causal order (pushes and pops
-            // of one channel interleave across cores) — of the pushes
-            // and pops only, so only those are merged.
+        if !traffic.is_empty() {
+            traffic.sort_unstable_by_key(|&(seq, ..)| seq);
             let mut occ: std::collections::BTreeMap<u32, (u64, u64)> = Default::default();
-            let push_or_pop =
-                |k: &EventKind| matches!(k, EventKind::ChanPush { .. } | EventKind::ChanPop { .. });
-            for e in trace.causal_order(push_or_pop) {
-                match e.kind {
-                    EventKind::ChanPush { ch, .. } => {
-                        let slot = occ.entry(ch).or_insert((0, 0));
-                        slot.0 += 1;
-                        slot.1 = slot.1.max(slot.0);
-                    }
-                    EventKind::ChanPop { ch, .. } => {
-                        let slot = occ.entry(ch).or_insert((0, 0));
-                        slot.0 = slot.0.saturating_sub(1);
-                    }
-                    _ => {}
+            for (_, ch, push) in traffic {
+                let slot = occ.entry(ch).or_insert((0, 0));
+                if push {
+                    slot.0 += 1;
+                    slot.1 = slot.1.max(slot.0);
+                } else {
+                    slot.0 = slot.0.saturating_sub(1);
                 }
             }
             r.chan_max_occupancy = occ.into_iter().map(|(ch, (_, max))| (ch, max)).collect();
