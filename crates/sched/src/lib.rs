@@ -18,7 +18,12 @@
 //! probes one uniformly random other core ([`uniform_victim`], drawing
 //! from the seeded [`SplitMix64`] stream), a runtime thief sweeps every
 //! other worker ([`victim_sequence`]), and a channel wake resumes the
-//! oldest waiter. A policy label (`heartbeat/uniform`) names the
+//! oldest waiter. On the simulator the promotion rule also decides when
+//! that wake becomes a real task: a woken task stays latent on the
+//! waking core until a beat reaches it under `heartbeat`
+//! ([`Promotion::latent_wakes`], [`Promotion::beat_releases_wakes`]),
+//! is queued at once under `eager`, and stays latent under `never`.
+//! A policy label (`heartbeat/uniform`) names the
 //! promotion rule and the substrate's steal rule; [`Promotion::parse`]
 //! is the one reader of labels and [`Promotion::label`] the one writer.
 

@@ -127,6 +127,24 @@ impl Promotion {
         }
     }
 
+    /// Whether a channel wake stays *latent*: the woken task waits on the
+    /// waking core, out of thieves' sight, and runs there once that
+    /// core's own deque is empty — latent parallelism like a
+    /// promotion-ready point's. Under `eager` every wake is a real,
+    /// stealable task at once.
+    #[inline]
+    pub fn latent_wakes(self) -> bool {
+        !matches!(self, Promotion::Eager)
+    }
+
+    /// Whether a beat delivered to a core makes its latent wakes real
+    /// (queued on its deque, in wake order): under `heartbeat` only —
+    /// `never` keeps them latent for good.
+    #[inline]
+    pub fn beat_releases_wakes(self) -> bool {
+        matches!(self, Promotion::Heartbeat)
+    }
+
     /// The rule's name: the first segment of a policy label.
     pub fn name(self) -> &'static str {
         match self {
@@ -184,6 +202,16 @@ mod tests {
         assert!(!p.watch(&st));
         assert!(!p.should_attempt(true));
         assert_eq!(p.decide(&mut st), PromoteStep::Run);
+    }
+
+    /// Only `eager` makes a wake real at once, only `heartbeat` makes
+    /// latent wakes real at a beat.
+    #[test]
+    fn wake_rules() {
+        let latent = Promotion::ALL.map(Promotion::latent_wakes);
+        let released = Promotion::ALL.map(Promotion::beat_releases_wakes);
+        assert_eq!(latent, [true, false, true]);
+        assert_eq!(released, [true, false, false]);
     }
 
     /// Every rule's name parses back to it, alone or as a label on

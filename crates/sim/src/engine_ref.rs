@@ -27,6 +27,9 @@ use crate::timeline::{Activity, Timeline};
 struct Core {
     current: Option<TaskState>,
     deque: std::collections::VecDeque<TaskState>,
+    /// Channel wakes not yet made real, in wake order: the core runs
+    /// them once its deque is empty, and thieves never see them.
+    latent: std::collections::VecDeque<TaskState>,
     busy_until: u64,
     promote: PromoteState,
     next_hb: u64,
@@ -104,6 +107,7 @@ impl<'p> SimRef<'p> {
             .map(|_| Core {
                 current: None,
                 deque: std::collections::VecDeque::new(),
+                latent: std::collections::VecDeque::new(),
                 busy_until: 0,
                 promote: PromoteState::default(),
                 next_hb: cfg.heartbeat,
@@ -120,8 +124,8 @@ impl<'p> SimRef<'p> {
         let mut live_tasks: usize = 1;
         // Tasks parked on a full channel (pushers) or an empty one
         // (poppers), in park order. A parked task occupies no core and
-        // no deque; a matching channel operation re-queues it on the
-        // waking core's deque.
+        // no deque; a matching channel operation wakes it onto the waking
+        // core — latent, or queued on its deque under `eager`.
         let mut parked_push: std::collections::VecDeque<(i64, TaskState)> = Default::default();
         let mut parked_pop: std::collections::VecDeque<(i64, TaskState)> = Default::default();
         let mut timeline = if cfg.record_timeline {
@@ -137,14 +141,36 @@ impl<'p> SimRef<'p> {
             };
         }
 
-        // Wakes the oldest task parked on channel `$ch` onto core `$c`'s
-        // deque.
+        // Wakes task `$t` onto core `$c`: latent, or queued on its deque
+        // when the promotion rule makes every wake real at once.
+        macro_rules! wake {
+            ($c:expr, $t:expr) => {
+                if cfg.promotion.latent_wakes() {
+                    cores[$c].latent.push_back($t);
+                } else {
+                    cores[$c].deque.push_back($t);
+                }
+                stats.chan_wakes += 1;
+            };
+        }
+
+        // Wakes the oldest task parked on channel `$ch` onto core `$c`.
         macro_rules! wake_one {
             ($list:expr, $ch:expr, $c:expr) => {
                 if let Some(idx) = $list.iter().position(|&(ch2, _)| ch2 == $ch) {
                     let (_, t) = $list.remove(idx).expect("index in range");
-                    cores[$c].deque.push_back(t);
-                    stats.chan_wakes += 1;
+                    wake!($c, t);
+                }
+            };
+        }
+
+        // A beat reaching core `$c` makes its latent wakes real, in wake
+        // order, when the promotion rule says so.
+        macro_rules! release_wakes {
+            ($c:expr) => {
+                if cfg.promotion.beat_releases_wakes() {
+                    let core = &mut cores[$c];
+                    core.deque.extend(core.latent.drain(..));
                 }
             };
         }
@@ -155,7 +181,8 @@ impl<'p> SimRef<'p> {
             // Interrupt delivery.
             match cfg.interrupt {
                 InterruptModel::PerCoreTimer { service_cost } => {
-                    for (ci, core) in cores.iter_mut().enumerate() {
+                    for ci in 0..cfg.cores {
+                        let core = &mut cores[ci];
                         if now >= core.next_hb {
                             core.promote.beat = true;
                             core.next_hb += cfg.heartbeat;
@@ -163,6 +190,7 @@ impl<'p> SimRef<'p> {
                             stats.heartbeats_delivered += 1;
                             stats.overhead_cycles += service_cost;
                             trace!(ci, Activity::Overhead, service_cost);
+                            release_wakes!(ci);
                         }
                     }
                 }
@@ -175,6 +203,7 @@ impl<'p> SimRef<'p> {
                         stats.heartbeats_delivered += 1;
                         stats.overhead_cycles += service_cost;
                         trace!(ci, Activity::Overhead, service_cost);
+                        release_wakes!(ci);
                         let delay = cfg.interrupt.ping_delay(&mut rng);
                         ping.advance(now, cfg.cores, cfg.heartbeat, delay);
                     }
@@ -191,6 +220,9 @@ impl<'p> SimRef<'p> {
                 // Acquire work if idle.
                 if cores[c].current.is_none() {
                     if let Some(t) = cores[c].deque.pop_back() {
+                        cores[c].current = Some(t);
+                    } else if let Some(t) = cores[c].latent.pop_front() {
+                        // A latent wake is taken as freely as an own pop.
                         cores[c].current = Some(t);
                     } else if cfg.cores > 1 {
                         // Steal from a uniformly random other core's top.
@@ -350,8 +382,7 @@ impl<'p> SimRef<'p> {
                             while i < list.len() {
                                 if list[i].0 == ch {
                                     let (_, t) = list.remove(i).expect("index in range");
-                                    cores[c].deque.push_back(t);
-                                    stats.chan_wakes += 1;
+                                    wake!(c, t);
                                 } else {
                                     i += 1;
                                 }
@@ -383,20 +414,21 @@ impl<'p> SimRef<'p> {
             if all_idle
                 && cores
                     .iter()
-                    .all(|c| c.current.is_none() && c.deque.is_empty())
+                    .all(|c| c.current.is_none() && c.deque.is_empty() && c.latent.is_empty())
                 && cores.iter().all(|c| c.busy_until <= now)
             {
                 return Err(MachineError::Deadlock);
             }
 
             // Channel deadlock: every remaining task is parked on a
-            // channel and no runner exists to wake one. (The fork-join
-            // check above misses this when positive steal-retry charges
-            // keep `busy_until` bouncing ahead of `now` forever.)
+            // channel and no runner exists to wake one — a latent wake is
+            // a runner. (The fork-join check above misses this when
+            // positive steal-retry charges keep `busy_until` bouncing
+            // ahead of `now` forever.)
             if !(parked_push.is_empty() && parked_pop.is_empty())
                 && cores
                     .iter()
-                    .all(|c| c.current.is_none() && c.deque.is_empty())
+                    .all(|c| c.current.is_none() && c.deque.is_empty() && c.latent.is_empty())
             {
                 return Err(MachineError::Deadlock);
             }
