@@ -749,7 +749,7 @@ impl DecodedProgram {
     }
 
     /// Source provenance of micro-op `pc`: the block and instruction
-    /// range it covers. Timeline spans and cost attribution stay exact
+    /// range it covers. Trace spans and cost attribution stay exact
     /// because every micro-op maps back to a contiguous source range and
     /// counts one step per covered instruction.
     pub fn source(&self, pc: usize) -> UopSource {
@@ -1297,7 +1297,7 @@ mod tests {
 
     /// Every micro-op maps back to a contiguous source range, and the
     /// ranges of each block tile its instruction list exactly — the
-    /// property that keeps timeline spans and cost attribution correct.
+    /// property that keeps trace spans and cost attribution correct.
     #[test]
     fn sources_tile_blocks_exactly() {
         for p in [prod(), fib()] {

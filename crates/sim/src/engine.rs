@@ -52,8 +52,6 @@ use tpal_sched::{
 };
 use tpal_trace::{EventKind, OverheadKind, Trace, TraceBuilder};
 
-use crate::timeline::Timeline;
-
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
@@ -77,16 +75,14 @@ pub struct SimConfig {
     pub seed: u64,
     /// Abort after this many executed instructions.
     pub step_limit: u64,
-    /// Record a per-core activity [`Timeline`] (bucketed at ♥/2 cycles)
-    /// in the outcome: the run records a trace, as for `record_trace`,
-    /// and buckets it at the end ([`Timeline::from_trace`]).
-    pub record_timeline: bool,
     /// Record a full structured [`Trace`] (task lifecycle events and
     /// per-core activity spans) in the outcome. Off by default: when
     /// off, every record site is one `Option`/`None` branch and nothing
     /// is allocated; when on, time and memory are O(scheduling
     /// decisions) — spans are maximal runs, so neither how long a core
     /// sat idle nor how a task's work was sliced into quanta adds events.
+    /// [`tpal_trace::report::activity_buckets`] turns it into per-core
+    /// activity over time.
     pub record_trace: bool,
     /// Which promotion-ready mark `prmsplit` pops: the paper's
     /// outermost-first policy (§2.3) or its innermost-first ablation.
@@ -112,7 +108,6 @@ impl Default for SimConfig {
             join_cost: 50,
             seed: 0xDEC0DE,
             step_limit: 20_000_000_000,
-            record_timeline: false,
             record_trace: false,
             promotion_order: PromotionOrder::OldestFirst,
             promotion: Promotion::default(),
@@ -206,9 +201,6 @@ pub struct SimOutcome {
     pub cores: usize,
     /// The heartbeat interval ♥ the run targeted.
     pub heartbeat: u64,
-    /// Per-core activity timeline, when
-    /// [`SimConfig::record_timeline`] was set.
-    pub timeline: Option<Timeline>,
     /// Structured event trace, when [`SimConfig::record_trace`] was set.
     pub trace: Option<Trace>,
     /// Total work T₁ of the computation in cycles (the machine's own
@@ -600,13 +592,12 @@ impl<'p> Sim<'p> {
         // visible.
         let mut parked_push: std::collections::VecDeque<(i64, TaskState, u64)> = Default::default();
         let mut parked_pop: std::collections::VecDeque<(i64, TaskState, u64)> = Default::default();
-        // Structured event tracing — the one recording path: a requested
-        // timeline is bucketed from the trace after the run. Every task
+        // Structured event tracing, the one recording path. Every task
         // carries its trace id — beside it in a deque or a channel's park
         // list, in `current_id` while it runs — whether or not tracing is
         // on, so the traced-off path pays one `None` branch per record
         // site and nothing else.
-        let mut tracer = if cfg.record_trace || cfg.record_timeline {
+        let mut tracer = if cfg.record_trace {
             Some(
                 TraceBuilder::new(cfg.cores, "cycles", cfg.heartbeat)
                     .policy(cfg.promotion.label(Domain::Sim))
@@ -1369,19 +1360,12 @@ impl<'p> Sim<'p> {
             })
             .collect();
 
-        let trace = tracer.map(TraceBuilder::finish);
-        let timeline = trace
-            .as_ref()
-            .filter(|_| cfg.record_timeline)
-            .map(|trace| Timeline::from_trace(trace, (cfg.heartbeat / 2).max(64)));
-
         Ok(SimOutcome {
             time: end_time,
             stats,
             cores: cfg.cores,
             heartbeat: cfg.heartbeat,
-            timeline,
-            trace: trace.filter(|_| cfg.record_trace),
+            trace: tracer.map(TraceBuilder::finish),
             // The halting task's fork/join-threaded counters are the
             // whole computation's totals (τ = 0 in this engine).
             work: halted.rel_work,

@@ -20,9 +20,9 @@ use tpal_core::program::Program;
 use tpal_sched::{
     uniform_victim, InterruptModel, PingChain, PromoteState, PromoteStep, SplitMix64,
 };
+use tpal_trace::report::CoreActivity;
 
 use crate::engine::{SimConfig, SimOutcome, SimStats};
-use crate::timeline::{Activity, Timeline};
 
 struct Core {
     current: Option<TaskState>,
@@ -37,8 +37,10 @@ struct Core {
 
 /// The reference multicore simulator: one global tick per cycle.
 ///
-/// Same public API and observable behaviour as [`Sim`](crate::Sim); see
-/// the module docs for why it is kept.
+/// Same observable behaviour as [`Sim`](crate::Sim), and the same
+/// set-up and run API apart from tracing: it records no trace, but
+/// [`SimRef::run_bucketed`] charges each core's activity to time
+/// buckets as it goes. See the module docs for why it is kept.
 pub struct SimRef<'p> {
     program: &'p Program,
     config: SimConfig,
@@ -100,6 +102,29 @@ impl<'p> SimRef<'p> {
     /// if all cores go idle with no runnable task before a `halt`, or
     /// [`MachineError::StepLimitExceeded`].
     pub fn run(&mut self) -> Result<SimOutcome, MachineError> {
+        Ok(self.run_inner(None)?.0)
+    }
+
+    /// Runs the simulation as [`SimRef::run`] does, charging each core's
+    /// work, overhead and idle cycles to `bucket`-cycle time buckets (0
+    /// counts as 1) the cycle they are spent — the live counterpart of
+    /// [`tpal_trace::report::activity_buckets`] over [`Sim`](crate::Sim)'s
+    /// trace, which must come out the same.
+    ///
+    /// # Errors
+    ///
+    /// As [`SimRef::run`].
+    pub fn run_bucketed(
+        &mut self,
+        bucket: u64,
+    ) -> Result<(SimOutcome, Vec<Vec<CoreActivity>>), MachineError> {
+        self.run_inner(Some(bucket))
+    }
+
+    fn run_inner(
+        &mut self,
+        bucket: Option<u64>,
+    ) -> Result<(SimOutcome, Vec<Vec<CoreActivity>>), MachineError> {
         let cfg = self.config;
         let mut rng = SplitMix64::new(cfg.seed);
         let mut stats = SimStats::default();
@@ -128,15 +153,18 @@ impl<'p> SimRef<'p> {
         // core — latent, or queued on its deque under `eager`.
         let mut parked_push: std::collections::VecDeque<(i64, TaskState)> = Default::default();
         let mut parked_pop: std::collections::VecDeque<(i64, TaskState)> = Default::default();
-        let mut timeline = if cfg.record_timeline {
-            Some(Timeline::new(cfg.cores, (cfg.heartbeat / 2).max(64)))
-        } else {
-            None
-        };
-        macro_rules! trace {
-            ($core:expr, $kind:expr, $cycles:expr) => {
-                if let Some(tl) = &mut timeline {
-                    tl.record($core, now, $kind, $cycles);
+        // Activity charged live per core and time bucket, when asked for.
+        let bucket = bucket.map(|b| b.max(1));
+        let mut buckets: Vec<Vec<CoreActivity>> = vec![Vec::new(); cfg.cores];
+        macro_rules! charge {
+            ($core:expr, $field:ident, $cycles:expr) => {
+                if let Some(size) = bucket {
+                    let row = &mut buckets[$core];
+                    let idx = (now / size) as usize;
+                    if row.len() <= idx {
+                        row.resize(idx + 1, CoreActivity::default());
+                    }
+                    row[idx].$field += $cycles;
                 }
             };
         }
@@ -189,7 +217,7 @@ impl<'p> SimRef<'p> {
                             core.busy_until = core.busy_until.max(now) + service_cost;
                             stats.heartbeats_delivered += 1;
                             stats.overhead_cycles += service_cost;
-                            trace!(ci, Activity::Overhead, service_cost);
+                            charge!(ci, overhead, service_cost);
                             release_wakes!(ci);
                         }
                     }
@@ -202,7 +230,7 @@ impl<'p> SimRef<'p> {
                         core.busy_until = core.busy_until.max(now) + service_cost;
                         stats.heartbeats_delivered += 1;
                         stats.overhead_cycles += service_cost;
-                        trace!(ci, Activity::Overhead, service_cost);
+                        charge!(ci, overhead, service_cost);
                         release_wakes!(ci);
                         let delay = cfg.interrupt.ping_delay(&mut rng);
                         ping.advance(now, cfg.cores, cfg.heartbeat, delay);
@@ -234,7 +262,7 @@ impl<'p> SimRef<'p> {
                                 cores[c].busy_until = now + cfg.steal_cost;
                                 stats.steals += 1;
                                 stats.overhead_cycles += cfg.steal_cost;
-                                trace!(c, Activity::Overhead, cfg.steal_cost);
+                                charge!(c, overhead, cfg.steal_cost);
                                 all_idle = false;
                                 continue;
                             }
@@ -242,13 +270,13 @@ impl<'p> SimRef<'p> {
                                 cores[c].busy_until = now + cfg.steal_retry_cost;
                                 stats.failed_steals += 1;
                                 stats.idle_cycles += cfg.steal_retry_cost;
-                                trace!(c, Activity::Idle, cfg.steal_retry_cost);
+                                charge!(c, idle, cfg.steal_retry_cost);
                                 continue;
                             }
                         }
                     } else {
                         stats.idle_cycles += 1;
-                        trace!(c, Activity::Idle, 1);
+                        charge!(c, idle, 1);
                         continue;
                     }
                 }
@@ -279,14 +307,14 @@ impl<'p> SimRef<'p> {
                     StepOutcome::Ran => {
                         stats.instructions += 1;
                         stats.work_cycles += 1;
-                        trace!(c, Activity::Work, 1);
+                        charge!(c, work, 1);
                         cores[c].busy_until = now + 1;
                         cores[c].current = Some(task);
                     }
                     StepOutcome::Halted => {
                         stats.instructions += 1;
                         stats.work_cycles += 1;
-                        trace!(c, Activity::Work, 1);
+                        charge!(c, work, 1);
                         if task.detached {
                             // A detached task retires through its own
                             // halt; the run ends at the root task's.
@@ -300,8 +328,8 @@ impl<'p> SimRef<'p> {
                     StepOutcome::Forked { child } => {
                         stats.instructions += 1;
                         stats.work_cycles += 1;
-                        trace!(c, Activity::Work, 1);
-                        trace!(c, Activity::Overhead, cfg.fork_cost);
+                        charge!(c, work, 1);
+                        charge!(c, overhead, cfg.fork_cost);
                         stats.forks += 1;
                         // The diversion produced a task: re-arm the
                         // eager rule's bounce guard.
@@ -316,8 +344,8 @@ impl<'p> SimRef<'p> {
                     StepOutcome::Joined { jr } => {
                         stats.instructions += 1;
                         stats.work_cycles += 1;
-                        trace!(c, Activity::Work, 1);
-                        trace!(c, Activity::Overhead, cfg.join_cost);
+                        charge!(c, work, 1);
+                        charge!(c, overhead, cfg.join_cost);
                         stats.joins += 1;
                         cores[c].busy_until = now + 1 + cfg.join_cost;
                         stats.overhead_cycles += cfg.join_cost;
@@ -339,8 +367,8 @@ impl<'p> SimRef<'p> {
                         // and enqueues a task — minus the join record.
                         stats.instructions += 1;
                         stats.work_cycles += 1;
-                        trace!(c, Activity::Work, 1);
-                        trace!(c, Activity::Overhead, cfg.fork_cost);
+                        charge!(c, work, 1);
+                        charge!(c, overhead, cfg.fork_cost);
                         stats.detaches += 1;
                         cores[c].promote.on_fork();
                         cores[c].deque.push_back(*child);
@@ -353,7 +381,7 @@ impl<'p> SimRef<'p> {
                     StepOutcome::ChanPushed { ch } => {
                         stats.instructions += 1;
                         stats.work_cycles += 1;
-                        trace!(c, Activity::Work, 1);
+                        charge!(c, work, 1);
                         stats.chan_pushes += 1;
                         cores[c].busy_until = now + 1;
                         cores[c].current = Some(task);
@@ -362,7 +390,7 @@ impl<'p> SimRef<'p> {
                     StepOutcome::ChanPopped { ch } => {
                         stats.instructions += 1;
                         stats.work_cycles += 1;
-                        trace!(c, Activity::Work, 1);
+                        charge!(c, work, 1);
                         stats.chan_pops += 1;
                         cores[c].busy_until = now + 1;
                         cores[c].current = Some(task);
@@ -371,7 +399,7 @@ impl<'p> SimRef<'p> {
                     StepOutcome::ChanClosed { ch } => {
                         stats.instructions += 1;
                         stats.work_cycles += 1;
-                        trace!(c, Activity::Work, 1);
+                        charge!(c, work, 1);
                         cores[c].busy_until = now + 1;
                         cores[c].current = Some(task);
                         // Close wakes every waiter: poppers first (they
@@ -395,7 +423,7 @@ impl<'p> SimRef<'p> {
                         // discovering the block and parks the task.
                         stats.chan_blocks += 1;
                         stats.idle_cycles += 1;
-                        trace!(c, Activity::Idle, 1);
+                        charge!(c, idle, 1);
                         cores[c].busy_until = now + 1;
                         if push {
                             parked_push.push_back((ch, task));
@@ -442,12 +470,11 @@ impl<'p> SimRef<'p> {
             })
             .collect();
 
-        Ok(SimOutcome {
+        let outcome = SimOutcome {
             time: now,
             stats,
             cores: cfg.cores,
             heartbeat: cfg.heartbeat,
-            timeline,
             // The reference engine predates structured tracing and keeps
             // the cycle-tick loop minimal; the machine's work/span
             // accounting is engine-independent, so those still apply.
@@ -455,6 +482,7 @@ impl<'p> SimRef<'p> {
             work: halted.rel_work,
             span: halted.rel_span,
             final_regs,
-        })
+        };
+        Ok((outcome, buckets))
     }
 }

@@ -57,15 +57,13 @@
 
 mod engine;
 mod engine_ref;
-pub mod timeline;
 
 pub use engine::{Sim, SimConfig, SimOutcome, SimStats};
 pub use engine_ref::SimRef;
 // Scheduling decisions (interrupt models, policies, the deterministic
 // RNG) live in the shared policy kernel; re-exported here so simulator
 // users need not depend on `tpal-sched` directly.
-pub use timeline::{Activity, Bucket, Timeline};
+pub use tpal_sched::{Domain, InterruptModel, Promotion, SplitMix64};
 // The execution tier (reference / decoded / decoded + loop templates)
 // selected via `SimConfig::exec_tier`; re-exported for the same reason.
 pub use tpal_core::tier::ExecTier;
-pub use tpal_sched::{Domain, InterruptModel, Promotion, SplitMix64};

@@ -17,6 +17,7 @@ use tpal_core::machine::MachineError;
 use tpal_core::program::Program;
 use tpal_ir::lower::{lower, Mode};
 use tpal_sim::{ExecTier, InterruptModel, Promotion, Sim, SimConfig, SimOutcome, SimRef, SimStats};
+use tpal_trace::report::activity_buckets;
 use tpal_trace::EventKind;
 use tpal_workloads::{workload, Scale, SimSpec};
 
@@ -465,16 +466,17 @@ fn heartbeat_edges_engines_agree() {
     }
 }
 
-/// The timelines must agree bucket-for-bucket too: the event engine
-/// buckets the trace it recorded ([`Timeline::from_trace`] — merged work
-/// spans split per cycle, a settled retry chain charged retry by retry)
-/// while the reference records cycle by cycle as it goes, and the two
-/// must come out the same on every program the repository's benchmark
-/// simulates, under both interrupt models.
+/// Per-core activity must agree bucket-for-bucket too: the event engine
+/// records a trace ([`activity_buckets`] of it splits merged work spans
+/// per cycle and charges a settled retry chain retry by retry) while the
+/// reference charges cycle by cycle as it goes, and the two must come
+/// out the same on every program the repository's benchmark simulates,
+/// under both interrupt models. It is the one check that the trace puts
+/// cycles where the reference spends them.
 ///
-/// [`Timeline::from_trace`]: tpal_sim::Timeline::from_trace
+/// [`activity_buckets`]: tpal_trace::report::activity_buckets
 #[test]
-fn timelines_agree_bucket_for_bucket() {
+fn activity_agrees_bucket_for_bucket() {
     for name in BENCHMARK_PROGRAMS {
         let spec = workload(name)
             .expect("known workload")
@@ -484,7 +486,8 @@ fn timelines_agree_bucket_for_bucket() {
             ("nautilus-4", SimConfig::nautilus(4, 3_000)),
             ("linux-4", SimConfig::linux(4, 3_000)),
         ] {
-            config.record_timeline = true;
+            config.record_trace = true;
+            let bucket = (config.heartbeat / 2).max(64);
 
             let mut new_engine = Sim::new(&lowered.program, config);
             let mut ref_engine = SimRef::new(&lowered.program, config);
@@ -499,18 +502,13 @@ fn timelines_agree_bucket_for_bucket() {
                 ref_engine.set_reg(&lowered.param_reg(pname), *v).unwrap();
             }
             let new_out = new_engine.run().unwrap();
-            let ref_out = ref_engine.run().unwrap();
+            let (_, ref_buckets) = ref_engine.run_bucketed(bucket).unwrap();
 
-            let new_tl = new_out.timeline.expect("timeline recorded");
-            let ref_tl = ref_out.timeline.expect("timeline recorded");
-            assert_eq!(new_tl.cores(), ref_tl.cores(), "{name} {label}");
-            assert_eq!(new_tl.bucket_cycles(), ref_tl.bucket_cycles());
-            for c in 0..new_tl.cores() {
-                assert_eq!(
-                    new_tl.core(c),
-                    ref_tl.core(c),
-                    "{name} {label}: core {c} buckets"
-                );
+            let trace = new_out.trace.expect("trace recorded");
+            let new_buckets = activity_buckets(&trace, bucket);
+            assert_eq!(new_buckets.len(), ref_buckets.len(), "{name} {label}");
+            for (c, (new_row, ref_row)) in new_buckets.iter().zip(&ref_buckets).enumerate() {
+                assert_eq!(new_row, ref_row, "{name} {label}: core {c} buckets");
             }
         }
     }

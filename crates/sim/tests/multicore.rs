@@ -8,6 +8,7 @@ use tpal_core::programs::{fib, prod};
 use tpal_ir::ast::{Expr, Function, IrProgram, ParFor, Reducer, Stmt};
 use tpal_ir::lower::{lower, Mode};
 use tpal_sim::{InterruptModel, Sim, SimConfig, SimOutcome, SimRef};
+use tpal_trace::report::{activity_buckets, CoreActivity};
 
 fn run_prod(config: SimConfig, a: i64, b: i64) -> SimOutcome {
     let p = prod();
@@ -291,31 +292,44 @@ fn heartbeat_vs_eager_task_counts_from_ir() {
     );
 }
 
+/// The run's activity over time shows heartbeat scheduling ramp up:
+/// before the first beat only the initial task's core works, and once
+/// promotions have spread the loop every core is busy.
 #[test]
-fn timeline_records_the_run() {
+fn activity_buckets_show_the_ramp_up() {
     let mut cfg = SimConfig::nautilus(4, 2000);
-    cfg.record_timeline = true;
+    cfg.record_trace = true;
     let out = run_prod(cfg, 200_000, 1);
-    let tl = out.timeline.as_ref().expect("timeline recorded");
-    assert_eq!(tl.cores(), 4);
-    // The timeline's cycles reconcile with the stats.
-    let (mut work, mut overhead, mut idle) = (0u64, 0u64, 0u64);
-    for c in 0..tl.cores() {
-        for b in tl.core(c) {
-            work += b.work;
-            overhead += b.overhead;
-            idle += b.idle;
-        }
+    let buckets = activity_buckets(out.trace.as_ref().expect("trace recorded"), 1_000);
+    assert_eq!(buckets.len(), 4);
+    // The buckets' cycles reconcile with the stats.
+    let mut sum = CoreActivity::default();
+    for b in buckets.iter().flatten() {
+        sum.work += b.work;
+        sum.overhead += b.overhead;
+        sum.idle += b.idle;
     }
-    assert_eq!(work, out.stats.work_cycles);
-    assert_eq!(overhead, out.stats.overhead_cycles);
-    assert_eq!(idle, out.stats.idle_cycles);
-    // The rendering covers every core and shows busy columns.
-    let s = tl.render(60);
-    assert_eq!(s.lines().count(), 4);
-    assert!(s.contains('#') || s.contains('+'), "{s}");
-    // Ramp-up: utilization at the start of the run is below its peak.
-    let u = tl.utilization_series(20);
-    let peak = u.iter().cloned().fold(0.0f64, f64::max);
-    assert!(u[0] <= peak);
+    assert_eq!(sum.work, out.stats.work_cycles);
+    assert_eq!(sum.overhead, out.stats.overhead_cycles);
+    assert_eq!(sum.idle, out.stats.idle_cycles);
+    // No beat before cycle 2000: in bucket 0, core 0 runs the serial
+    // loop and the others find nothing to steal.
+    let first = &buckets[0][0];
+    assert!(
+        first.work > 0 && first.overhead == 0 && first.idle == 0,
+        "{first:?}"
+    );
+    for (c, row) in buckets.iter().enumerate().skip(1) {
+        let b = &row[0];
+        assert!(
+            b.work == 0 && b.overhead == 0 && b.idle > 0,
+            "core {c}: {b:?}"
+        );
+    }
+    // Later, some bucket has all four cores at least 90% at work.
+    let len = buckets.iter().map(Vec::len).min().unwrap();
+    assert!(
+        (1..len).any(|i| buckets.iter().all(|row| row[i].utilization() >= 0.9)),
+        "{buckets:?}"
+    );
 }

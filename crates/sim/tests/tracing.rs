@@ -1,8 +1,8 @@
 //! End-to-end tests of the structured trace subsystem on the simulator:
 //! Chrome-schema validity of rendered traces, byte-level determinism,
 //! consistency of the trace-derived metrics with the engine's own
-//! counters, the TASKPROF-style work/span fold against the machine's
-//! fork/join-threaded accounting, and timeline reconstruction.
+//! counters, and the TASKPROF-style work/span fold against the machine's
+//! fork/join-threaded accounting.
 
 use tpal_ir::lower::{lower, Mode};
 use tpal_sim::{Sim, SimConfig, SimOutcome};
@@ -295,33 +295,6 @@ fn chrome_trace_bytes_pinned_across_builds() {
         actual == PINNED,
         "trace bytes moved; this build's table:\n{}",
         rows(&actual)
-    );
-}
-
-/// A timeline is the trace, bucketed: a run asked for both returns a
-/// timeline equal to `from_trace` of the trace it returns, and each
-/// flag alone returns its own artefact and not the other's.
-#[test]
-fn timeline_from_trace_matches_live_recording() {
-    let mut config = traced(4);
-    config.record_timeline = true;
-    let out = run_workload("plus-reduce-array", config);
-    let live = out.timeline.as_ref().expect("timeline recorded");
-    let rebuilt = tpal_sim::Timeline::from_trace(
-        out.trace.as_ref().expect("trace recorded"),
-        live.bucket_cycles(),
-    );
-    assert_eq!(&rebuilt, live);
-
-    config.record_trace = false;
-    let timeline_only = run_workload("plus-reduce-array", config);
-    assert_eq!(timeline_only.timeline.as_ref(), Some(live));
-    assert!(timeline_only.trace.is_none(), "no trace was asked for");
-    let trace_only = run_workload("plus-reduce-array", traced(4));
-    assert!(trace_only.timeline.is_none(), "no timeline was asked for");
-    assert_eq!(
-        trace_only.trace.map(|t| t.len()),
-        out.trace.map(|t| t.len())
     );
 }
 

@@ -31,7 +31,8 @@
 //! * [`report`] — a [`report::MetricsReport`] reproducing the
 //!   paper-figure quantities: polling/overhead fraction (Fig. 8),
 //!   delivered-versus-serviced heartbeat rates (Fig. 10), task counts
-//!   (Fig. 15a), per-core and total utilization (Fig. 15b).
+//!   (Fig. 15a), per-core and total utilization (Fig. 15b) — and
+//!   [`report::activity_buckets`], the same per-core activity over time.
 //! * [`profile`] — a TASKPROF-style fold of the recorded task DAG into
 //!   total work, span, and available parallelism (Yoga & Nagarakatte,
 //!   "A Fast Causal Profiler for Task Parallel Programs").
