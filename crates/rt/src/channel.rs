@@ -1,116 +1,51 @@
-//! Bounded FIFO channels for native streaming pipelines.
+//! Bounded FIFO channels and the cooperative executor that runs
+//! native pipeline stages.
 //!
 //! The native analogue of the ISA's `chmake`/`chpush`/`chpop`/`chclose`
-//! (see `tpal_core::isa::Instr`): a lock-free bounded ring carrying
-//! `i64` items between pipeline stages running on pool workers. The
-//! steady-state paths — push into a non-full ring, pop from a non-empty
-//! ring — are single-CAS lock-free (a Vyukov-style ring with per-slot
-//! sequence numbers, MPMC-safe so fan-in/fan-out stages need no extra
-//! coordination). Blocking is the slow path and follows the worker
-//! pool's eventcount sleep protocol (`pool::SleepCell`): a waiter
-//! registers in a padded counter, *re-checks* the ring, and only then
-//! parks; the waker's `SeqCst` fence pairs with the registration so a
-//! wakeup is never lost. A belt-and-braces park timeout bounds the cost
-//! of any missed edge at one re-check interval.
+//! (see `tpal_core::isa::Instr`): a bounded queue of `i64` items
+//! between pipeline stages. A stage is a future; [`run_stages`] polls
+//! every stage of one pipeline on the calling worker, the way the
+//! single-worker machine interleaves detached tasks through its
+//! park/wake path. A full `push` or an empty `pop` is `Pending`, not a
+//! parked thread, so a pipeline costs no OS thread per stage and a
+//! stage that can never proceed is reported as [`Deadlock`] instead of
+//! hanging.
 //!
-//! # Deadlock discipline
-//!
-//! A blocked channel op parks the **OS thread**. Unlike `join2`, it
-//! must not "help" the pool while waiting: a helped job could be the
-//! partner stage, which would then block *beneath* the waiter on the
-//! same stack and never be resumed. For the same reason a stage that
-//! blocks on channels must never be *submitted* as a pool job — a
-//! fork-join `help` loop could pick it up and strand it mid-stack.
-//! Detached stages therefore run on dedicated OS threads
-//! (`std::thread::scope` in the streaming workloads); only their
-//! *latent inner loops* go to the pool, via ordinary promotion.
+//! Parallelism stays where the heartbeat puts it: a latent loop
+//! *inside* a stage (`WorkerCtx::reduce`) still promotes onto the pool.
+//! A stage itself never becomes a pool job — a [`Channel`] is not
+//! `Sync`, so a future that holds one across an `.await` is not `Send`,
+//! and neither a pool job nor another thread can take it.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
+use std::future::{poll_fn, Future};
+use std::pin::Pin;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
 
-use tpal_deque::CachePadded;
-
-/// Error returned by operations on a closed channel.
+/// Error returned by a push on a closed channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Closed;
 
-/// Result of a non-blocking push attempt.
+/// Error returned by [`run_stages`] when no stage is ready but some
+/// have not finished: each waits on a channel that no other stage will
+/// push, pop or close.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryPush {
-    /// The item was appended.
-    Pushed,
-    /// The ring is full; retry after a pop.
-    Full,
-    /// The channel is closed; the item can never be delivered.
-    Closed,
-}
+pub struct Deadlock;
 
-/// Result of a non-blocking pop attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryPop {
-    /// The oldest item.
-    Popped(i64),
-    /// The ring is empty but open; retry after a push.
-    Empty,
-    /// The channel is closed **and** drained (pop-after-close drains
-    /// remaining items first, exactly like the ISA's `chpop`).
-    Closed,
-}
-
-/// Counters of one channel's lifetime, for reports and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChannelStats {
-    /// Items appended.
-    pub pushes: u64,
-    /// Items removed.
-    pub pops: u64,
-    /// Times a `push`/`pop` had to park its thread.
-    pub blocks: u64,
-}
-
-struct Slot {
-    /// Vyukov sequence word: `ticket` when the slot is free for the
-    /// push with that ticket, `ticket + 1` once its item is readable.
-    seq: AtomicU64,
-    val: UnsafeCell<i64>,
-}
-
-/// A bounded FIFO channel of `i64` items.
-///
-/// See the [module docs](self) for the lock-freedom and blocking
-/// protocol.
+/// A bounded FIFO channel of `i64` items, shared by the stages of one
+/// [`run_stages`] call.
 pub struct Channel {
-    cap: u64,
-    slots: Box<[Slot]>,
-    /// Next push ticket.
-    tail: CachePadded<AtomicU64>,
-    /// Next pop ticket.
-    head: CachePadded<AtomicU64>,
-    closed: AtomicBool,
-    /// Threads registered as parked (or about to park); the waker's
-    /// fast path is one fence plus this load, mirroring
-    /// `Shared::notify`.
-    waiters: CachePadded<AtomicU64>,
-    /// Parked thread handles (slow path only).
-    parked: Mutex<Vec<std::thread::Thread>>,
-    pushes: AtomicU64,
-    pops: AtomicU64,
-    blocks: AtomicU64,
+    cap: usize,
+    items: RefCell<VecDeque<i64>>,
+    closed: Cell<bool>,
+    /// Stages pending on this channel, each woken by the next push, pop
+    /// or close (all of them: with several producers or consumers, any
+    /// of them may be the one that can proceed).
+    waiting: RefCell<Vec<Waker>>,
 }
-
-// SAFETY: slot payloads are published/consumed through the `seq`
-// acquire/release protocol; the `UnsafeCell` is never aliased outside
-// a claimed ticket.
-unsafe impl Send for Channel {}
-unsafe impl Sync for Channel {}
-
-/// Spins before registering as a waiter (uncontended hand-offs resolve
-/// well under this).
-const SPIN: u32 = 64;
-/// Park timeout bounding any missed-edge cost.
-const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 impl Channel {
     /// A channel holding at most `cap` items (`cap ≥ 1`).
@@ -121,341 +56,316 @@ impl Channel {
     /// reason: a zero-capacity bounded FIFO can never move an item).
     pub fn with_capacity(cap: usize) -> Channel {
         assert!(cap >= 1, "channel capacity must be at least 1");
-        let slots = (0..cap as u64)
-            .map(|i| Slot {
-                seq: AtomicU64::new(i),
-                val: UnsafeCell::new(0),
-            })
-            .collect();
         Channel {
-            cap: cap as u64,
-            slots,
-            tail: CachePadded(AtomicU64::new(0)),
-            head: CachePadded(AtomicU64::new(0)),
-            closed: AtomicBool::new(false),
-            waiters: CachePadded(AtomicU64::new(0)),
-            parked: Mutex::new(Vec::new()),
-            pushes: AtomicU64::new(0),
-            pops: AtomicU64::new(0),
-            blocks: AtomicU64::new(0),
+            cap,
+            items: RefCell::new(VecDeque::with_capacity(cap)),
+            closed: Cell::new(false),
+            waiting: RefCell::new(Vec::new()),
         }
     }
 
-    /// The capacity in items.
-    pub fn capacity(&self) -> usize {
-        self.cap as usize
-    }
+    // `push` and `pop` return their `poll_fn` directly instead of
+    // wrapping it in an `async fn`: one state machine fewer per item,
+    // about a quarter of `pipeline-tokens`' time per token.
 
-    /// Lifetime counters (racy snapshot).
-    pub fn stats(&self) -> ChannelStats {
-        ChannelStats {
-            pushes: self.pushes.load(Ordering::Relaxed),
-            pops: self.pops.load(Ordering::Relaxed),
-            blocks: self.blocks.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Non-blocking push.
-    pub fn try_push(&self, v: i64) -> TryPush {
-        if self.closed.load(Ordering::Acquire) {
-            return TryPush::Closed;
-        }
-        let mut t = self.tail.0.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(t % self.cap) as usize];
-            let s = slot.seq.load(Ordering::Acquire);
-            if s == t {
-                // Slot free for ticket t: claim it.
-                match self.tail.0.compare_exchange_weak(
-                    t,
-                    t + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the ticket claim gives exclusive
-                        // access until the release store below.
-                        unsafe { *slot.val.get() = v };
-                        slot.seq.store(t + 1, Ordering::Release);
-                        self.pushes.fetch_add(1, Ordering::Relaxed);
-                        self.notify();
-                        return TryPush::Pushed;
-                    }
-                    Err(now) => t = now,
-                }
-            } else if s < t {
-                // The slot still holds an unpopped item from `cap`
-                // tickets ago: full.
-                return TryPush::Full;
-            } else {
-                // A racing push claimed ticket t; reload.
-                t = self.tail.0.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Non-blocking pop.
-    pub fn try_pop(&self) -> TryPop {
-        let mut h = self.head.0.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(h % self.cap) as usize];
-            let s = slot.seq.load(Ordering::Acquire);
-            if s == h + 1 {
-                // Item readable for ticket h: claim it.
-                match self.head.0.compare_exchange_weak(
-                    h,
-                    h + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the ticket claim gives exclusive
-                        // access until the release store below.
-                        let v = unsafe { *slot.val.get() };
-                        slot.seq.store(h + self.cap, Ordering::Release);
-                        self.pops.fetch_add(1, Ordering::Relaxed);
-                        self.notify();
-                        return TryPop::Popped(v);
-                    }
-                    Err(now) => h = now,
-                }
-            } else if s <= h {
-                // No item for ticket h. Closed-and-drained faults;
-                // drain-first ordering: the closed check comes *after*
-                // the emptiness check, so items pushed before close are
-                // always delivered.
-                if self.closed.load(Ordering::Acquire) {
-                    // Re-check emptiness after observing closed: a push
-                    // racing ahead of close must not be dropped.
-                    let s2 = slot.seq.load(Ordering::Acquire);
-                    if s2 == h + 1 {
-                        h = self.head.0.load(Ordering::Relaxed);
-                        continue;
-                    }
-                    return TryPop::Closed;
-                }
-                return TryPop::Empty;
-            } else {
-                // A racing pop claimed ticket h; reload.
-                h = self.head.0.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Closes the channel (idempotent): pending items remain poppable,
-    /// blocked pushers fail with [`Closed`], blocked poppers drain then
-    /// see [`TryPop::Closed`].
-    pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        self.notify();
-    }
-
-    /// Whether [`Channel::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-
-    /// Blocking push: parks this OS thread while the ring is full.
+    /// Appends `v`, pending while the channel is full.
     ///
     /// # Errors
     ///
-    /// [`Closed`] if the channel closes before the item is delivered.
-    pub fn push(&self, v: i64) -> Result<(), Closed> {
-        let mut spins = 0u32;
-        loop {
-            match self.try_push(v) {
-                TryPush::Pushed => return Ok(()),
-                TryPush::Closed => return Err(Closed),
-                TryPush::Full => self.block(&mut spins, |ch| {
-                    ch.closed.load(Ordering::SeqCst) || ch.occupancy() < ch.cap
-                }),
+    /// [`Closed`] if the channel is closed before the item is appended.
+    pub fn push(&self, v: i64) -> impl Future<Output = Result<(), Closed>> + '_ {
+        poll_fn(move |cx| {
+            if self.closed.get() {
+                return Poll::Ready(Err(Closed));
+            }
+            let mut items = self.items.borrow_mut();
+            if items.len() == self.cap {
+                self.wait(cx);
+                return Poll::Pending;
+            }
+            items.push_back(v);
+            self.wake_all();
+            Poll::Ready(Ok(()))
+        })
+    }
+
+    /// Removes the oldest item, pending while the channel is empty and
+    /// open. Returns `None` once the channel is closed **and** drained
+    /// (items pushed before the close are still delivered, exactly like
+    /// the ISA's `chpop`).
+    pub fn pop(&self) -> impl Future<Output = Option<i64>> + '_ {
+        poll_fn(|cx| {
+            if let Some(v) = self.items.borrow_mut().pop_front() {
+                self.wake_all();
+                return Poll::Ready(Some(v));
+            }
+            if self.closed.get() {
+                return Poll::Ready(None);
+            }
+            self.wait(cx);
+            Poll::Pending
+        })
+    }
+
+    /// Closes the channel (idempotent): pending items remain poppable,
+    /// pending and later pushes fail with [`Closed`].
+    pub fn close(&self) {
+        self.closed.set(true);
+        self.wake_all();
+    }
+
+    fn wait(&self, cx: &Context<'_>) {
+        let mut waiting = self.waiting.borrow_mut();
+        if !waiting.iter().any(|w| w.will_wake(cx.waker())) {
+            waiting.push(cx.waker().clone());
+        }
+    }
+
+    fn wake_all(&self) {
+        let mut waiting = self.waiting.borrow_mut();
+        if !waiting.is_empty() {
+            waiting.drain(..).for_each(Waker::wake);
+        }
+    }
+}
+
+/// One detached stage of a pipeline, as [`run_stages`] takes it.
+pub type Stage<'a> = Pin<Box<dyn Future<Output = ()> + 'a>>;
+
+/// Wakes one stage by setting its bit in the executor's ready set.
+struct StageWaker {
+    ready: Arc<AtomicU64>,
+    bit: u64,
+}
+
+impl Wake for StageWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        // Release pairs with the executor's Acquire swap: what the
+        // waking stage wrote is visible to the stage it wakes.
+        self.ready.fetch_or(self.bit, Ordering::Release);
+    }
+}
+
+/// Runs `sink` and the detached `stages` of one pipeline to completion
+/// on the calling thread and returns the sink's output.
+///
+/// Every ready stage is polled in turn until all have finished; a
+/// stage is ready again once a channel it waits on is pushed, popped or
+/// closed. Stages wait only on each other: a stage woken from outside
+/// this call is not waited for.
+///
+/// ```
+/// use tpal_rt::{run_stages, Channel, RtConfig, Runtime};
+///
+/// let rt = Runtime::new(RtConfig::default().workers(2));
+/// let total = rt.run(|ctx| {
+///     let ch = Channel::with_capacity(64);
+///     let feed = async {
+///         for n in 1..=1_000i64 {
+///             ch.push(n).await.expect("open");
+///         }
+///         ch.close();
+///     };
+///     let sink = async {
+///         let mut total = 0i64;
+///         while let Some(n) = ch.pop().await {
+///             // A latent loop inside a stage still promotes onto the pool.
+///             total += ctx.reduce(0..n as usize, 0i64, |_, i, acc| acc + i as i64, |a, b| a + b);
+///         }
+///         total
+///     };
+///     run_stages(sink, vec![Box::pin(feed)]).expect("the feeder closes the channel")
+/// });
+/// assert_eq!(total, (1..=1_000i64).map(|n| n * (n - 1) / 2).sum::<i64>());
+/// ```
+///
+/// A stage never leaves the thread that runs it: a future that holds a
+/// [`Channel`] across an `.await` is not `Send`, so it cannot become a
+/// pool job or move to another thread, where a stage blocked beneath
+/// its partner could deadlock the pipeline.
+///
+/// ```compile_fail
+/// use tpal_rt::Channel;
+///
+/// let ch = Channel::with_capacity(1);
+/// let stage = async move { ch.push(1).await };
+/// std::thread::spawn(move || stage);
+/// ```
+///
+/// # Errors
+///
+/// [`Deadlock`] when no stage is ready but some have not finished.
+///
+/// # Panics
+///
+/// If there are more than 63 stages besides the sink.
+pub fn run_stages<'a, R>(
+    sink: impl Future<Output = R> + 'a,
+    stages: Vec<Stage<'a>>,
+) -> Result<R, Deadlock> {
+    assert!(stages.len() < 64, "at most 63 stages besides the sink");
+    let out = Cell::new(None);
+    let mut tasks: Vec<Option<Stage<'_>>> = stages.into_iter().map(Some).collect();
+    tasks.push(Some(Box::pin(async { out.set(Some(sink.await)) })));
+    let ready = Arc::new(AtomicU64::new(u64::MAX >> (64 - tasks.len())));
+    let wakers: Vec<Waker> = (0..tasks.len())
+        .map(|i| {
+            let ready = Arc::clone(&ready);
+            Waker::from(Arc::new(StageWaker { ready, bit: 1 << i }))
+        })
+        .collect();
+    let mut unfinished = tasks.len();
+    while unfinished > 0 {
+        let mut set = ready.swap(0, Ordering::Acquire);
+        if set == 0 {
+            return Err(Deadlock);
+        }
+        while set != 0 {
+            let i = set.trailing_zeros() as usize;
+            set &= set - 1;
+            let Some(task) = &mut tasks[i] else { continue };
+            if task
+                .as_mut()
+                .poll(&mut Context::from_waker(&wakers[i]))
+                .is_ready()
+            {
+                tasks[i] = None;
+                unfinished -= 1;
             }
         }
     }
-
-    /// Blocking pop: parks this OS thread while the ring is empty and
-    /// open. Returns `None` once the channel is closed **and** drained.
-    pub fn pop(&self) -> Option<i64> {
-        let mut spins = 0u32;
-        loop {
-            match self.try_pop() {
-                TryPop::Popped(v) => return Some(v),
-                TryPop::Closed => return None,
-                TryPop::Empty => self.block(&mut spins, |ch| {
-                    ch.closed.load(Ordering::SeqCst) || ch.occupancy() > 0
-                }),
-            }
-        }
-    }
-
-    /// One round of the waiting protocol: spin first, then register →
-    /// re-check (the caller's retry) → park. The re-check happens on
-    /// the caller's next `try_*` attempt, which runs after
-    /// registration; pairing with the waker's fence in [`Self::notify`]
-    /// this forms the standard eventcount no-lost-wakeup argument.
-    fn block(&self, spins: &mut u32, ready: impl Fn(&Channel) -> bool) {
-        if *spins < SPIN {
-            *spins += 1;
-            std::hint::spin_loop();
-            return;
-        }
-        self.blocks.fetch_add(1, Ordering::Relaxed);
-        self.waiters.0.fetch_add(1, Ordering::SeqCst);
-        // Re-check after registering: progress published before our
-        // registration is visible now, so we never park over it.
-        if ready(self) {
-            self.waiters.0.fetch_sub(1, Ordering::SeqCst);
-            return;
-        }
-        self.parked
-            .lock()
-            .expect("channel waiter list poisoned")
-            .push(std::thread::current());
-        std::thread::park_timeout(PARK_TIMEOUT);
-        self.waiters.0.fetch_sub(1, Ordering::SeqCst);
-        // Drop a stale self-handle so the list cannot grow unboundedly
-        // under repeated timeouts.
-        let me = std::thread::current().id();
-        self.parked
-            .lock()
-            .expect("channel waiter list poisoned")
-            .retain(|t| t.id() != me);
-    }
-
-    /// The ring occupancy (racy snapshot, in `[0, cap]` modulo races).
-    fn occupancy(&self) -> u64 {
-        let t = self.tail.0.load(Ordering::SeqCst);
-        let h = self.head.0.load(Ordering::SeqCst);
-        t.saturating_sub(h)
-    }
-
-    /// The eventcount notify side: one fence plus one load while nobody
-    /// is parked (every push/pop of a busy pipeline), the waiter-list
-    /// lock only on the rare parked path.
-    #[inline]
-    fn notify(&self) {
-        fence(Ordering::SeqCst);
-        if self.waiters.0.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        self.notify_slow();
-    }
-
-    #[cold]
-    fn notify_slow(&self) {
-        let mut parked = self.parked.lock().expect("channel waiter list poisoned");
-        for t in parked.drain(..) {
-            t.unpark();
-        }
-    }
+    Ok(out.take().expect("the sink finished"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+
+    /// Runs one future with no partner stages.
+    fn run<R>(f: impl Future<Output = R>) -> Result<R, Deadlock> {
+        run_stages(f, Vec::new())
+    }
 
     #[test]
     fn fifo_order_and_capacity() {
         let ch = Channel::with_capacity(3);
-        assert_eq!(ch.try_push(1), TryPush::Pushed);
-        assert_eq!(ch.try_push(2), TryPush::Pushed);
-        assert_eq!(ch.try_push(3), TryPush::Pushed);
-        assert_eq!(ch.try_push(4), TryPush::Full);
-        assert_eq!(ch.try_pop(), TryPop::Popped(1));
-        assert_eq!(ch.try_push(4), TryPush::Pushed);
-        assert_eq!(ch.try_pop(), TryPop::Popped(2));
-        assert_eq!(ch.try_pop(), TryPop::Popped(3));
-        assert_eq!(ch.try_pop(), TryPop::Popped(4));
-        assert_eq!(ch.try_pop(), TryPop::Empty);
-        assert_eq!(ch.stats().pushes, 4);
-        assert_eq!(ch.stats().pops, 4);
+        let out = run(async {
+            for v in 1..=3 {
+                ch.push(v).await.unwrap();
+            }
+            let first = ch.pop().await;
+            ch.push(4).await.unwrap();
+            let mut rest = Vec::new();
+            for _ in 0..3 {
+                rest.push(ch.pop().await.unwrap());
+            }
+            (first, rest)
+        });
+        assert_eq!(out, Ok((Some(1), vec![2, 3, 4])));
+        // A push into a full channel pends, and with nobody to pop it
+        // the pipeline is a deadlock, not a hang.
+        let full = Channel::with_capacity(1);
+        assert_eq!(
+            run(async {
+                full.push(1).await.unwrap();
+                full.push(2).await.unwrap();
+            }),
+            Err(Deadlock)
+        );
     }
 
     #[test]
     fn close_semantics_drain_then_fail() {
         let ch = Channel::with_capacity(4);
-        ch.try_push(7);
-        ch.try_push(8);
-        ch.close();
-        assert!(ch.is_closed());
-        assert_eq!(ch.try_push(9), TryPush::Closed);
-        assert_eq!(ch.try_pop(), TryPop::Popped(7));
-        assert_eq!(ch.try_pop(), TryPop::Popped(8));
-        assert_eq!(ch.try_pop(), TryPop::Closed);
-        ch.close(); // idempotent
-        assert_eq!(ch.try_pop(), TryPop::Closed);
+        let out = run(async {
+            ch.push(7).await.unwrap();
+            ch.push(8).await.unwrap();
+            ch.close();
+            let refused = ch.push(9).await;
+            let drained = [ch.pop().await, ch.pop().await, ch.pop().await];
+            ch.close(); // idempotent
+            (refused, drained, ch.pop().await)
+        });
+        assert_eq!(out, Ok((Err(Closed), [Some(7), Some(8), None], None)));
     }
 
     #[test]
-    fn blocking_pipeline_across_threads() {
-        // Producer and consumer on their own OS threads with a tiny
-        // ring: both directions of blocking are exercised; FIFO order
-        // end-to-end.
-        let ch = Arc::new(Channel::with_capacity(2));
+    fn a_pop_nobody_feeds_is_a_deadlock() {
+        let ch = Channel::with_capacity(1);
+        assert_eq!(run(ch.pop()), Err(Deadlock));
+        // The same with a partner stage that finishes without closing.
+        let idle = async {
+            ch.push(1).await.unwrap();
+        };
+        let sink = async { (ch.pop().await, ch.pop().await) };
+        assert_eq!(run_stages(sink, vec![Box::pin(idle)]), Err(Deadlock));
+    }
+
+    #[test]
+    fn cap_two_pipeline_pends_in_both_directions() {
+        // A tiny channel makes the producer pend on full and the
+        // consumer on empty; FIFO order end-to-end.
+        let ch = Channel::with_capacity(2);
         let n = 10_000i64;
-        let tx = Arc::clone(&ch);
-        let producer = std::thread::spawn(move || {
+        let producer = async {
             for i in 0..n {
-                tx.push(i).expect("channel open while producing");
+                ch.push(i).await.expect("channel open while producing");
             }
-            tx.close();
-        });
-        let mut expected = 0i64;
-        let mut sum = 0i64;
-        while let Some(v) = ch.pop() {
-            assert_eq!(v, expected, "FIFO order");
-            expected += 1;
-            sum += v;
-        }
-        producer.join().unwrap();
-        assert_eq!(expected, n, "no lost or duplicated items");
-        assert_eq!(sum, n * (n - 1) / 2);
-        assert!(ch.pop().is_none(), "closed stays closed");
+            ch.close();
+        };
+        let consumer = async {
+            let mut expected = 0i64;
+            while let Some(v) = ch.pop().await {
+                assert_eq!(v, expected, "FIFO order");
+                expected += 1;
+            }
+            expected
+        };
+        assert_eq!(run_stages(consumer, vec![Box::pin(producer)]), Ok(n));
+        assert_eq!(run(ch.pop()), Ok(None), "closed stays closed");
     }
 
     #[test]
     fn mpmc_no_lost_or_duplicated_items() {
-        // 2 producers × 2 consumers over a small ring: every pushed
+        // 2 producers × 2 consumers over a small channel: every pushed
         // item arrives exactly once (sum check over distinct values).
-        let ch = Arc::new(Channel::with_capacity(4));
+        // Both consumers pend on the same empty channel, so a push must
+        // wake every waiter, not only the last to register.
+        let ch = Channel::with_capacity(4);
         let per = 5_000i64;
-        let producers: Vec<_> = (0..2)
-            .map(|p| {
-                let tx = Arc::clone(&ch);
-                std::thread::spawn(move || {
-                    for i in 0..per {
-                        tx.push(p * per + i).expect("open");
-                    }
-                })
-            })
-            .collect();
-        let consumers: Vec<_> = (0..2)
-            .map(|_| {
-                let rx = Arc::clone(&ch);
-                std::thread::spawn(move || {
-                    let mut sum = 0i64;
-                    let mut count = 0i64;
-                    while let Some(v) = rx.pop() {
-                        sum += v;
-                        count += 1;
-                    }
-                    (sum, count)
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
-        }
-        ch.close();
-        let (mut sum, mut count) = (0i64, 0i64);
-        for c in consumers {
-            let (s, n) = c.join().unwrap();
-            sum += s;
-            count += n;
-        }
-        assert_eq!(count, 2 * per);
-        assert_eq!(sum, (0..2 * per).sum::<i64>());
+        let (sum, count) = (Cell::new(0i64), Cell::new(0i64));
+        let live_producers = Cell::new(2);
+        let producer = |p: i64| {
+            let (ch, live_producers) = (&ch, &live_producers);
+            async move {
+                for i in 0..per {
+                    ch.push(p * per + i).await.expect("open");
+                }
+                live_producers.set(live_producers.get() - 1);
+                if live_producers.get() == 0 {
+                    ch.close();
+                }
+            }
+        };
+        let consumer = || async {
+            while let Some(v) = ch.pop().await {
+                sum.set(sum.get() + v);
+                count.set(count.get() + 1);
+            }
+        };
+        let stages: Vec<Stage<'_>> = vec![
+            Box::pin(consumer()),
+            Box::pin(consumer()),
+            Box::pin(producer(0)),
+            Box::pin(producer(1)),
+        ];
+        assert_eq!(run_stages(async {}, stages), Ok(()));
+        assert_eq!(count.get(), 2 * per);
+        assert_eq!(sum.get(), (0..2 * per).sum::<i64>());
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! the identical semantics by polling one relaxed per-worker atomic flag
 //! at promotion-ready points (loop iterations and fork points); the
 //! paper's §6 measures the cost of such polling at ~2%, and our Figure 8
-//! analogue measures ours. Two delivery mechanisms are provided,
-//! mirroring the paper's §3.2/§5 comparison:
+//! analogue measures ours. Four heartbeat sources are provided, the
+//! first two mirroring the paper's §3.2/§5 comparison:
 //!
 //! * [`HeartbeatSource::PingThread`] — a dedicated thread wakes every ♥
 //!   and raises each worker's flag in turn: the Linux `INT-PingThread`
@@ -59,7 +59,7 @@ pub mod program;
 mod signal;
 mod stats;
 
-pub use channel::{Channel, ChannelStats};
+pub use channel::{run_stages, Channel, Deadlock};
 pub use heartbeat::HeartbeatSource;
 pub use pool::{RtConfig, Runtime, WorkerCtx};
 pub use signal::supported as timer_signal_supported;

@@ -35,9 +35,10 @@
 //! The handler is installed with `SA_RESTART`, so `accept`/`read`/
 //! `sleep`-class syscalls on signalled threads restart transparently.
 //! The runtime's own blocking sites are additionally robust by
-//! construction: every `park_timeout` (idle sleep, channel eventcount,
-//! result latch) sits in a recheck loop that tolerates spurious early
-//! returns, which is all a non-restartable futex wait can produce.
+//! construction: every park (the idle sleep's `park_timeout`, the
+//! result latch's `park`) sits in a recheck loop that tolerates
+//! spurious early returns, which is all a non-restartable futex wait
+//! can produce.
 //!
 //! # Portability
 //!

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use tpal_rt::{HeartbeatSource, Promotion, RtConfig, Runtime, WorkerCtx};
+use tpal_rt::{run_stages, Channel, HeartbeatSource, Promotion, RtConfig, Runtime, WorkerCtx};
 
 /// `Σ i` over `0..n` as a latent reduce whose accumulator the optimiser
 /// cannot see through: with a plain `a + i` body LLVM folds each block
@@ -387,30 +387,32 @@ fn poll_subsample_paces_beat_detection() {
 }
 
 #[test]
-fn channel_park_survives_heartbeat_signals() {
-    // ISSUE 10 satellite (EINTR audit): a worker parked on an empty
-    // channel keeps taking per-worker timer signals every ♥ = 100µs.
-    // Each delivery interrupts the park (futex EINTR); the blocking
-    // protocol must re-check and re-park, not spin, wedge, or miss the
-    // push. Under a broken handler installation the raw signal would
-    // kill the process outright.
-    let rt = std::sync::Arc::new(rt(1, HeartbeatSource::TimerSignal, 100));
-    let ch = std::sync::Arc::new(tpal_rt::Channel::with_capacity(1));
-    let pusher = {
-        let ch = std::sync::Arc::clone(&ch);
-        std::thread::spawn(move || {
-            // Long enough for a few hundred signal deliveries to land on
-            // the parked worker before the value shows up.
-            std::thread::sleep(Duration::from_millis(30));
-            ch.push(42).expect("channel open");
-        })
-    };
-    let got = {
-        let ch = std::sync::Arc::clone(&ch);
-        rt.run(move |_| ch.pop())
-    };
-    pusher.join().unwrap();
-    assert_eq!(got, Some(42));
+fn pending_stage_survives_heartbeat_signals() {
+    // A pipeline stage pending on a full channel while its worker takes
+    // a per-worker timer signal every ♥ = 100µs: the sink spins ~30 ms
+    // between pops, so hundreds of deliveries land while the feeder
+    // waits. Under a broken handler installation the raw signal would
+    // kill the process outright; a lost wake would end in `Deadlock`.
+    let rt = rt(1, HeartbeatSource::TimerSignal, 100);
+    let got = rt.run(|_| {
+        let ch = Channel::with_capacity(1);
+        let feed = async {
+            for v in 1..=3 {
+                ch.push(v).await.expect("channel open");
+            }
+            ch.close();
+        };
+        let sink = async {
+            let mut got = Vec::new();
+            while let Some(v) = ch.pop().await {
+                spin_us(30_000);
+                got.push(v);
+            }
+            got
+        };
+        run_stages(sink, vec![Box::pin(feed)])
+    });
+    assert_eq!(got, Ok(vec![1, 2, 3]));
 }
 
 #[test]

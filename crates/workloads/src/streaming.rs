@@ -16,22 +16,21 @@
 //!
 //! # Native stage placement
 //!
-//! Natively a detached stage runs on its **own OS thread**
-//! (`std::thread::scope`), never as a worker-pool job: a blocked
-//! channel op parks its thread without helping the pool, and a stage
-//! submitted as a pool job could be picked up by a fork-join `help`
-//! loop and then block *beneath* its partner stage on the same stack
-//! (see the deadlock discipline in `tpal_rt::channel`). The consumer
-//! stage runs inline on the calling worker, so its latent inner loops
-//! still promote onto the pool — pipeline parallelism across stages,
-//! heartbeat parallelism within one.
+//! Natively every stage is a future, and `tpal_rt::run_stages` polls a
+//! pipeline's stages in turn on the calling worker: a full push or an
+//! empty pop hands the worker to the next ready stage, as the
+//! single-worker machine does, so no stage needs a thread of its own.
+//! The parallelism is the heartbeat's: a stage's latent inner loop
+//! (`ctx.reduce`, `cilk_reduce`) still promotes onto the pool, while the
+//! stage itself stays on its worker — a future that holds a channel is
+//! not `Send`.
 //!
 //! Every channel here is single-producer/single-consumer, so FIFO
 //! delivery makes arrival order — and therefore every checksum —
 //! schedule-independent.
 
 use tpal_cilk::cilk_reduce;
-use tpal_rt::{Channel, WorkerCtx};
+use tpal_rt::{run_stages, Channel, WorkerCtx};
 
 use crate::inputs::{dense_vector, powerlaw_matrix, CsrMatrix};
 use crate::mandelbrot::{pixel_iters, row_iters};
@@ -43,19 +42,16 @@ fn weight(k: i64) -> i64 {
     (k & 0xF) + 1
 }
 
-/// Runs `feed` on a dedicated thread (the detached stage) while
-/// `consume` runs inline; returns the consumer's result. The feeder
-/// owns closing the channel.
-fn two_stage<F, C>(cap: usize, feed: F, consume: C) -> i64
-where
-    F: FnOnce(&Channel) + Send,
-    C: FnOnce(&Channel) -> i64,
-{
+/// Runs the `feed` stage and the `consume` sink over one channel of
+/// `cap` items; returns the sink's result. The feeder owns closing the
+/// channel.
+fn two_stage(
+    cap: usize,
+    feed: impl AsyncFnOnce(&Channel),
+    consume: impl AsyncFnOnce(&Channel) -> i64,
+) -> i64 {
     let ch = Channel::with_capacity(cap);
-    std::thread::scope(|s| {
-        s.spawn(|| feed(&ch));
-        consume(&ch)
-    })
+    run_stages(consume(&ch), vec![Box::pin(feed(&ch))]).expect("the feeder closes its channel")
 }
 
 // ---------------------------------------------------------------------
@@ -86,34 +82,38 @@ fn tokens_expected(n: i64) -> i64 {
 }
 
 impl PreparedTokens {
-    /// The three-stage pipeline: two detached stages on their own
-    /// threads, the sink inline. Pure pipeline parallelism (no latent
-    /// loops), so the heartbeat and cilk builds share it.
+    /// The three-stage pipeline: two detached stages and the sink.
+    /// Pure pipeline parallelism (no latent loops), so the heartbeat
+    /// and cilk builds share it.
     fn run_pipelined(&self) -> i64 {
         let (n, cap) = (self.n, self.cap);
         let c1 = Channel::with_capacity(cap);
         let c2 = Channel::with_capacity(cap);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for i in 0..n {
-                    c1.push(i).expect("source: c1 never closes early");
-                }
-                c1.close();
-            });
-            s.spawn(|| {
-                while let Some(t) = c1.pop() {
-                    c2.push(transform(t)).expect("map: c2 never closes early");
-                }
-                c2.close();
-            });
+        let source = async {
+            for i in 0..n {
+                c1.push(i).await.expect("source: c1 never closes early");
+            }
+            c1.close();
+        };
+        let map = async {
+            while let Some(t) = c1.pop().await {
+                c2.push(transform(t))
+                    .await
+                    .expect("map: c2 never closes early");
+            }
+            c2.close();
+        };
+        let sink = async {
             let mut h = 0i64;
             let mut k = 0i64;
-            while let Some(u) = c2.pop() {
+            while let Some(u) = c2.pop().await {
                 h += u * weight(k);
                 k += 1;
             }
             h
-        })
+        };
+        run_stages(sink, vec![Box::pin(source), Box::pin(map)])
+            .expect("each stage closes the channel it feeds")
     }
 }
 
@@ -187,9 +187,11 @@ fn spmv_stream_checksum(m: &CsrMatrix, x: &[i64]) -> i64 {
 }
 
 impl PreparedSpmvStream {
-    fn feed(&self, ch: &Channel) {
+    async fn feed(&self, ch: &Channel) {
         for r in 0..self.m.rows as i64 {
-            ch.push(r).expect("spmv feeder: channel never closes early");
+            ch.push(r)
+                .await
+                .expect("spmv feeder: channel never closes early");
         }
         ch.close();
     }
@@ -216,18 +218,17 @@ impl Prepared for PreparedSpmvStream {
     fn run_heartbeat(&self, ctx: &WorkerCtx<'_>) -> i64 {
         two_stage(
             64,
-            |ch| self.feed(ch),
-            |ch| {
+            async |ch| self.feed(ch).await,
+            async |ch| {
                 let (m, x) = (&self.m, &self.x);
                 let mut total = 0i64;
-                while let Some(r) = ch.pop() {
+                while let Some(r) = ch.pop().await {
                     let (lo, hi) = (
                         m.row_ptr[r as usize] as usize,
                         m.row_ptr[r as usize + 1] as usize,
                     );
                     // The channel-fed stage's inner loop is latent: a
-                    // giant powerlaw row splits on heartbeats while the
-                    // feeder keeps streaming.
+                    // giant powerlaw row splits on heartbeats.
                     let s = ctx.reduce(
                         lo..hi,
                         0i64,
@@ -246,12 +247,12 @@ impl Prepared for PreparedSpmvStream {
     fn run_cilk(&self, _ctx: &WorkerCtx<'_>) -> i64 {
         two_stage(
             64,
-            |ch| self.feed(ch),
-            |ch| {
+            async |ch| self.feed(ch).await,
+            async |ch| {
                 // The Cilk port keeps rows serial inside the consumer —
                 // the same row-granularity limitation as plain `spmv`.
                 let mut total = 0i64;
-                while let Some(r) = ch.pop() {
+                while let Some(r) = ch.pop().await {
                     total =
                         total.wrapping_add(self.row_dot_serial(r as usize).wrapping_mul(weight(r)));
                 }
@@ -319,9 +320,11 @@ impl PreparedTiles {
         self.h / self.th
     }
 
-    fn feed(&self, ch: &Channel) {
+    async fn feed(&self, ch: &Channel) {
         for t in 0..self.tiles() {
-            ch.push(t).expect("tile feeder: channel never closes early");
+            ch.push(t)
+                .await
+                .expect("tile feeder: channel never closes early");
         }
         ch.close();
     }
@@ -344,10 +347,10 @@ impl Prepared for PreparedTiles {
         let (w, h, mi, th) = (self.w, self.h, self.max_iter, self.th);
         two_stage(
             4,
-            |ch| self.feed(ch),
-            |ch| {
+            async |ch| self.feed(ch).await,
+            async |ch| {
                 let mut total = 0i64;
-                while let Some(t) = ch.pop() {
+                while let Some(t) = ch.pop().await {
                     // The tile's pixels are a latent flat reduction.
                     total += ctx.reduce(
                         (t * th * w) as usize..((t + 1) * th * w) as usize,
@@ -368,10 +371,10 @@ impl Prepared for PreparedTiles {
         let (w, h, mi, th) = (self.w, self.h, self.max_iter, self.th);
         two_stage(
             4,
-            |ch| self.feed(ch),
-            |ch| {
+            async |ch| self.feed(ch).await,
+            async |ch| {
                 let mut total = 0i64;
-                while let Some(t) = ch.pop() {
+                while let Some(t) = ch.pop().await {
                     total += cilk_reduce(
                         ctx,
                         (t * th * w) as usize..((t + 1) * th * w) as usize,
@@ -436,14 +439,14 @@ mod tests {
     use super::*;
     use tpal_rt::{RtConfig, Runtime};
 
-    /// The native three-stage pipeline really streams (producer blocks
-    /// on the tiny ring, consumer on the empty one) and still matches
-    /// the fused serial checksum.
+    /// The native three-stage pipeline really streams (the producer
+    /// pends on the tiny channel when full, the consumer when empty) and
+    /// still matches the fused serial checksum.
     #[test]
     fn native_token_pipeline_matches_serial() {
         let p = PreparedTokens {
             n: 50_000,
-            cap: 2, // tiny: force both blocking directions
+            cap: 2, // tiny: force both pending directions
             expected: tokens_expected(50_000),
         };
         assert_eq!(p.run_serial(), p.expected());
@@ -452,8 +455,8 @@ mod tests {
     }
 
     /// The channel-fed consumer's latent reduction promotes onto the
-    /// pool while the feeder streams: result stays exact on a
-    /// multi-worker pool with a fast heartbeat.
+    /// pool between pops: result stays exact on a multi-worker pool with
+    /// a fast heartbeat.
     #[test]
     fn native_spmv_stream_with_promotions() {
         let w = SpmvStream;
