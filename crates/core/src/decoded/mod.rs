@@ -13,9 +13,9 @@
 //!   indices into the micro-op array, so taken branches are a single
 //!   assignment (indirect jumps through registers still resolve via a
 //!   label → entry side table);
-//! * **hoisted per-block metadata** — promotion-ready entry flags,
-//!   handler targets, and unit cost weights live in side tables indexed
-//!   by program counter or block, off the hot path;
+//! * **hoisted per-block metadata** — promotion-ready entry flags and
+//!   handler targets live in side tables indexed by program counter or
+//!   block, off the hot path;
 //! * **superinstruction fusion** — the hot shapes the lowering pass
 //!   emits collapse into single micro-ops: compare + `if-jump`
 //!   (`CmpBranch`), the whole 3-instruction loop-head block
@@ -363,9 +363,6 @@ pub struct DecodedProgram {
     /// Per block: the `prppt` handler label, if any (hoisted from
     /// [`crate::isa::Annotation`]).
     pub(crate) handlers: Vec<Option<Label>>,
-    /// Per block: unit cost weight (its instruction count — every
-    /// instruction weighs 1 in the cost semantics).
-    weights: Vec<u32>,
     /// Rosters of the installed [`UOp::ReduceLoop`] templates (empty as
     /// decoded).
     pub(crate) reduce: Vec<ReduceLoop>,
@@ -532,11 +529,6 @@ impl DecodedProgram {
             .iter()
             .map(|b| b.annotation.handler())
             .collect();
-        let weights: Vec<u32> = program
-            .blocks()
-            .iter()
-            .map(|b| b.instrs.len() as u32)
-            .collect();
 
         for &(block, instr, len) in &segments {
             let pc = uops.len() as u32;
@@ -658,7 +650,6 @@ impl DecodedProgram {
             block_entry,
             pc_of,
             handlers,
-            weights,
             reduce: Vec::new(),
             guarded: Vec::new(),
             runs,
@@ -765,11 +756,6 @@ impl DecodedProgram {
     /// The hoisted `prppt` handler of a block, if any.
     pub fn handler(&self, block: Label) -> Option<Label> {
         self.handlers[block.index()]
-    }
-
-    /// The unit cost weight of a block (its instruction count).
-    pub fn block_weight(&self, block: Label) -> u32 {
-        self.weights[block.index()]
     }
 
     /// Writes `task.block`/`task.instr` to the entry of micro-op `pc`.
@@ -1291,7 +1277,6 @@ mod tests {
             assert_eq!(a.pc_of, b.pc_of);
             assert_eq!(a.block_entry, b.block_entry);
             assert_eq!(a.prppt_entry, b.prppt_entry);
-            assert_eq!(a.weights, b.weights);
         }
     }
 
@@ -1325,11 +1310,6 @@ mod tests {
                     p.label_name(label)
                 );
             }
-            // The hoisted cost weights agree with the tiling.
-            let total: u32 = (0..p.block_count())
-                .map(|i| d.block_weight(Label::from_index(i)))
-                .sum();
-            assert_eq!(total as usize, p.instr_count());
         }
     }
 

@@ -6,9 +6,10 @@
 //! simulator) owns a set of [`TaskState`]s and the shared [`Stores`], and
 //! repeatedly:
 //!
-//! 1. polls for a heartbeat interrupt at promotion-ready program points
-//!    ([`TaskState::poll_heartbeat`] or, with an external interrupt source,
-//!    [`TaskState::at_promotion_point`] + [`TaskState::divert_to_handler`]);
+//! 1. at a promotion-ready program point
+//!    ([`TaskState::at_promotion_point`]) with a heartbeat due — per its
+//!    [`crate::machine::Beats`] source, or an external interrupt —
+//!    diverts to the handler ([`TaskState::divert_to_handler`]);
 //! 2. calls [`step_task`] to execute one instruction;
 //! 3. reacts to the returned [`StepOutcome`] — scheduling forked children
 //!    and resolving joins with [`resolve_join`].
@@ -181,20 +182,6 @@ impl TaskState {
     pub fn divert_to_handler(&mut self, handler: Label) {
         self.goto(handler);
         self.cycles = 0;
-    }
-
-    /// The complete heartbeat check of the formal model
-    /// (`PromotionReady`, Figure 27): if the task sits at a
-    /// promotion-ready program point and its cycle counter has exceeded
-    /// `heartbeat` (♥), divert to the handler and return `true`.
-    pub fn poll_heartbeat(&mut self, program: &Program, heartbeat: u64) -> bool {
-        if self.cycles > heartbeat {
-            if let Some(handler) = self.at_promotion_point(program) {
-                self.divert_to_handler(handler);
-                return true;
-            }
-        }
-        false
     }
 
     pub(crate) fn read_operand(&self, v: Operand) -> Result<Value, MachineError> {
@@ -981,34 +968,6 @@ mod tests {
         ));
         assert_eq!(t.cycles, 3);
         assert_eq!(t.rel_work, 3);
-    }
-
-    #[test]
-    fn heartbeat_poll_diverts_only_at_promotion_points() {
-        let mut b = ProgramBuilder::new();
-        let handler = b.label("handler");
-        b.annotated_block(
-            "main",
-            Annotation::PromotionReady { handler },
-            vec![Instr::Halt],
-        );
-        b.block("handler", vec![Instr::Halt]);
-        let p = b.build().unwrap();
-
-        let mut t = TaskState::new(&p, p.entry());
-        // Below threshold: no divert.
-        t.cycles = 3;
-        assert!(!t.poll_heartbeat(&p, 10));
-        // Above threshold at a prppt block entry: divert, counter resets.
-        t.cycles = 11;
-        assert!(t.poll_heartbeat(&p, 10));
-        assert_eq!(p.label_name(t.block), "handler");
-        assert_eq!(t.cycles, 0);
-        // Mid-block: no divert even above threshold.
-        let mut t2 = TaskState::new(&p, p.entry());
-        t2.instr = 1;
-        t2.cycles = 100;
-        assert!(!t2.poll_heartbeat(&p, 10));
     }
 
     #[test]

@@ -38,6 +38,8 @@
 //! seed — which the `engine_equivalence` differential suite enforces.
 //! See `DESIGN.md` for the equivalence argument.
 
+use std::collections::VecDeque;
+
 use tpal_core::isa::Reg;
 use tpal_core::machine::{
     resolve_join, step_task, Assoc, JoinResolution, MachineError, PromotionOrder, RunPause,
@@ -67,7 +69,10 @@ pub struct SimConfig {
     pub fork_cost: u64,
     /// Cycles for a successful steal (task migration).
     pub steal_cost: u64,
-    /// Cycles an idle core spends on a failed steal attempt.
+    /// Cycles an idle core spends on a failed steal attempt. At least
+    /// one on more than one core ([`Sim::with_backend`] panics
+    /// otherwise): an idle core is a chain of retries settled in place,
+    /// never an action on every cycle.
     pub steal_retry_cost: u64,
     /// Cycles charged for join resolution (stash or merge).
     pub join_cost: u64,
@@ -264,13 +269,14 @@ impl SimOutcome {
     }
 }
 
+#[derive(Default)]
 struct Core {
     /// Queued tasks, each with its trace id.
-    deque: std::collections::VecDeque<(TaskState, u64)>,
+    deque: VecDeque<(TaskState, u64)>,
     /// Channel wakes not yet made real, in wake order, each with its
     /// trace id: the core runs them once its deque is empty, thieves
     /// never see them, and they do not count as queued.
-    latent: std::collections::VecDeque<(TaskState, u64)>,
+    latent: VecDeque<(TaskState, u64)>,
     /// When the core can act next. An idle core's is its next retry
     /// that has not been settled yet.
     busy_until: u64,
@@ -278,7 +284,7 @@ struct Core {
     /// consumed by [`Promotion`].
     promote: PromoteState,
     /// The core is idle — no task, an empty deque — and out of the
-    /// calendar: a chain of steal retries (see `Sim::run`).
+    /// calendar: a chain of steal retries (see `Run::retries`).
     idle: bool,
     /// The last run paused right before a boundary instruction, so the
     /// next action can execute it without a zero-step run first.
@@ -453,6 +459,9 @@ pub struct Sim<'p> {
     config: SimConfig,
     stores: Stores,
     initial: Option<TaskState>,
+    /// What the run's fast paths did.
+    #[cfg(test)]
+    counts: tests::Counts,
 }
 
 impl<'p> Sim<'p> {
@@ -473,9 +482,14 @@ impl<'p> Sim<'p> {
     /// # Panics
     ///
     /// If `backend` was compiled for a different tier than
-    /// `config.exec_tier`, or `config.cores` is zero.
+    /// `config.exec_tier`, `config.cores` is zero, or a failed steal is
+    /// free (`config.steal_retry_cost` zero) on more than one core.
     pub fn with_backend(program: &'p Program, backend: ExecBackend, config: SimConfig) -> Self {
         assert!(config.cores > 0, "at least one core required");
+        assert!(
+            config.cores == 1 || config.steal_retry_cost > 0,
+            "a failed steal must cost at least one cycle"
+        );
         assert_eq!(
             backend.tier(),
             config.exec_tier,
@@ -489,6 +503,8 @@ impl<'p> Sim<'p> {
             config,
             stores,
             initial: Some(TaskState::new(program, program.entry())),
+            #[cfg(test)]
+            counts: tests::Counts::default(),
         }
     }
 
@@ -531,187 +547,143 @@ impl<'p> Sim<'p> {
     /// if all cores go idle with no runnable task before a `halt`, or
     /// [`MachineError::StepLimitExceeded`].
     pub fn run(&mut self) -> Result<SimOutcome, MachineError> {
-        let cfg = self.config;
-        let mut rng = SplitMix64::new(cfg.seed);
-        let mut stats = SimStats::default();
-        let mut cores: Vec<Core> = (0..cfg.cores)
-            .map(|_| Core {
-                deque: std::collections::VecDeque::new(),
-                latent: std::collections::VecDeque::new(),
-                busy_until: 0,
-                promote: PromoteState::default(),
-                idle: false,
-                at_boundary: false,
-            })
-            .collect();
-        // Each core's running task, kept beside `cores` so an action can
-        // run it in place while it mutates other cores. A task leaves
-        // its slot only when it leaves the core: halt, a join that stashes
-        // it, or a channel park.
-        let mut running: Vec<Option<TaskState>> = (0..cfg.cores).map(|_| None).collect();
-        running[0] = Some(self.initial.take().expect("simulation already run"));
-        let mut running_count: usize = 1;
-
-        // Ping-thread signaller state. Unlike the reference (which tests
-        // `now >= ping.next_time` once per cycle), `ping.next_time` here
-        // is always the exact cycle of the next delivery, i.e. already
-        // clamped to be strictly after the previous one.
-        let mut ping = PingChain::new(cfg.heartbeat.max(1), cfg.heartbeat);
-        // Per-core timers all start at ♥ and advance by ♥ together, so
-        // one deadline serves every core.
-        let mut next_beat = cfg.heartbeat;
-
-        let mut live_tasks: usize = 1;
-        // Tasks sitting in deques right now.
-        let mut queued: usize = 0;
-        // Latent wakes, on every core.
-        let mut latent: usize = 0;
-        // Idle cores — no task, an empty deque — are retry chains, not
-        // calendar events: `busy_until` is the next retry not yet
-        // settled, and `retries` holds one key per idle core. While
-        // nothing is queued every retry is a forced failure, settled
-        // lazily in O(1) by `settle_idle!`, and the keys may be stale;
-        // while tasks are queued the keys are exact and in key order, and
-        // the loop settles them retry by retry before each calendar event.
-        // Only with a positive retry cost on a multicore: a free retry
-        // stays a calendar action (the reference's starvation check
-        // needs it), and a lone core has nobody to steal from.
-        let chains = cfg.cores > 1 && cfg.steal_retry_cost > 0;
-        let mut retries: std::collections::VecDeque<Key> =
-            std::collections::VecDeque::with_capacity(cfg.cores);
-        // Tasks parked on a full channel (pushers) or an empty one
-        // (poppers), in park order, each with its trace id. A parked
-        // task occupies no core and no deque — and is invisible to
-        // `queued`, so idle cores fast-forward right over blocked
-        // channel traffic; a matching channel operation wakes the task
-        // onto the waking core as a latent wake, still invisible to
-        // `queued` and to thieves. Only when the promotion rule makes it
-        // real — a beat reaching that core under `heartbeat`, at once
-        // under `eager` — is it queued on the core's deque, making the
-        // idle cores' retries live, exactly like a fork making work
-        // visible.
-        let mut parked_push: std::collections::VecDeque<(i64, TaskState, u64)> = Default::default();
-        let mut parked_pop: std::collections::VecDeque<(i64, TaskState, u64)> = Default::default();
-        // Structured event tracing, the one recording path. Every task
-        // carries its trace id — beside it in a deque or a channel's park
-        // list, in `current_id` while it runs — whether or not tracing is
-        // on, so the traced-off path pays one `None` branch per record
-        // site and nothing else.
-        let mut tracer = if cfg.record_trace {
-            Some(
-                TraceBuilder::new(cfg.cores, "cycles", cfg.heartbeat)
-                    .policy(cfg.promotion.label(Domain::Sim))
-                    .source(cfg.interrupt.label()),
-            )
-        } else {
-            None
-        };
-        let mut next_task_id: u64 = 1; // the initial task is id 0
-        let mut current_id: Vec<u64> = vec![0; cfg.cores];
-        macro_rules! tev {
-            ($core:expr, $ts:expr, $dur:expr, $kind:expr) => {
-                if let Some(tb) = &mut tracer {
-                    tb.record($core, $ts, $dur, $kind);
-                }
+        let mut run = Run::new(self);
+        loop {
+            run.race();
+            // The calendar can only empty before `halt` if interrupts are
+            // disabled and every core is idle on an empty system — no
+            // event can ever create work again. (The reference spins
+            // forever on that degenerate program; an error is strictly
+            // more useful.) The event stays armed while it is handled:
+            // each step below re-arms or clears its slot.
+            let Some(ev) = run.calendar.min() else {
+                return Err(MachineError::Deadlock);
             };
-        }
-
-        // Settles idle core `$p`'s pending retries at virtual times
-        // strictly before `$bound`, in O(1) — valid while nothing is
-        // queued. Each settled retry charges the same counters as a live
-        // failed steal and advances the RNG stream by its one victim
-        // draw — the drawn victim is unobservable (every deque is empty),
-        // but the stream position is, hence the O(1) `skip`. The whole
-        // chain is one trace span: recording costs O(1) per settled chain
-        // however long the core sat idle.
-        macro_rules! settle_one {
-            ($p:expr, $bound:expr) => {
-                let next = cores[$p].busy_until;
-                if next < $bound {
-                    let retry = cfg.steal_retry_cost;
-                    let k = ($bound - 1 - next) / retry + 1;
-                    rng.skip(k);
-                    stats.failed_steals += k;
-                    stats.idle_cycles += k * retry;
-                    // Settled retroactively: the span carries a later
-                    // sequence number than events at greater timestamps
-                    // on other cores' tracks (never on its own).
-                    tev!($p, next, k * retry, EventKind::Idle { retries: k });
-                    cores[$p].busy_until = next + k * retry;
+            #[cfg(test)]
+            {
+                run.counts.pops += 1;
+            }
+            if ev.phase == PHASE_INTERRUPT {
+                run.deliver_beat(ev);
+                continue;
+            }
+            let (c, mut now) = (ev.core as usize, ev.time);
+            loop {
+                match run.act(c, now)? {
+                    Acted::Again => {}
+                    Acted::Idle => break,
+                    Acted::Halted => return Ok(run.finish(c, now)),
                 }
-            };
-        }
-
-        // While nothing is queued, settles every idle core's retries that
-        // virtually precede event `$ev`. A retry of core `p` carries the
-        // key `(t, PHASE_ACTION, p)`, so it precedes the event if
-        // `t < $ev.time`, or at `t == $ev.time` when the event is a later
-        // core's action (the reference scans cores in index order within
-        // a cycle). While tasks are queued the loop has already settled
-        // every retry before the event.
-        //
-        // Settling is *deferred*: while nothing is queued no steal draw
-        // can happen, so pure skips commute past every other event.
-        // Settling is needed only where the chains become observable —
-        // before a ping delivery (its jitter draw must land at the right
-        // stream position, and the receiving core's chain shifts), when
-        // work is queued (the chains go live again), at `halt` (the
-        // counters become the outcome), and, per core, when a timer
-        // interrupt shifts that one chain.
-        macro_rules! settle_idle {
-            ($ev:expr) => {
-                if queued == 0 && !retries.is_empty() {
-                    for p in 0..cfg.cores {
-                        if !cores[p].idle {
-                            continue;
-                        }
-                        let bound = if $ev.phase == PHASE_ACTION && (p as u32) < $ev.core {
-                            $ev.time + 1
-                        } else {
-                            $ev.time
-                        };
-                        settle_one!(p, bound);
-                    }
+                let next = run.cores[c].busy_until;
+                let key = action_key(c, next);
+                if run.lone_runner(key) {
+                    now = next;
+                    continue;
                 }
-            };
+                run.calendar.set(c, key);
+                break;
+            }
         }
+    }
+}
 
-        // Rewrites every idle core's key from its `busy_until` and puts
-        // the keys back in order: when queued work makes the retries live,
-        // and after an interrupt shifts idle cores' retries while they are.
-        macro_rules! resort_retries {
-            () => {
-                for key in retries.iter_mut() {
-                    let p = Event::from_key(*key).core as usize;
-                    *key = action_key(p, cores[p].busy_until);
-                }
-                retries.make_contiguous().sort_unstable();
-            };
+/// What a core action leaves behind.
+enum Acted {
+    /// The core acts again at its `busy_until`.
+    Again,
+    /// The core went idle: a retry chain, out of the calendar.
+    Idle,
+    /// The root task halted, and with it the run; it is still in its
+    /// core's running slot.
+    Halted,
+}
+
+/// The run's structured event trace, when [`SimConfig::record_trace`]
+/// is set: traced off, a record site is one `None` branch. Every task
+/// carries its trace id beside it whether or not tracing is on.
+struct Tracer(Option<TraceBuilder>);
+
+impl Tracer {
+    #[inline]
+    fn record(&mut self, core: usize, ts: u64, dur: u64, kind: EventKind) {
+        if let Some(tb) = &mut self.0 {
+            tb.record(core, ts, dur, kind);
         }
+    }
+}
 
-        // Adds `$key` to the live retries in key order. A failed retry's
-        // next one usually comes after every other: the idle cores retry
-        // in turn.
-        macro_rules! insert_retry {
-            ($key:expr) => {
-                let key = $key;
-                if retries.back().is_none_or(|&last| last < key) {
-                    retries.push_back(key);
-                } else {
-                    let at = retries.partition_point(|&k| k < key);
-                    retries.insert(at, key);
-                }
-            };
-        }
+/// The state of one [`Sim::run`], with one method per decision of its
+/// event loop.
+struct Run<'a> {
+    cfg: SimConfig,
+    program: &'a Program,
+    backend: &'a ExecBackend,
+    stores: &'a mut Stores,
+    cores: Vec<Core>,
+    /// Each core's running task with its trace id, kept beside `cores`
+    /// so an action can run it in place while it mutates other cores. A
+    /// task leaves its slot only when it leaves the core: halt, a join
+    /// that stashes it, or a channel park.
+    running: Vec<Option<(TaskState, u64)>>,
+    rng: SplitMix64,
+    stats: SimStats,
+    /// Core `c`'s next action is slot `c`, and slot `cores` is the
+    /// interrupt source's next delivery — the ping chain's, or the timer
+    /// wave's (every core's local timer fires in one cycle, in core
+    /// order, exactly as the same-time interrupt keys `(t, 0, 0..cores)`
+    /// would pop). An idle core's slot, and the source's when interrupts
+    /// are disabled, stays cleared.
+    calendar: Calendar,
+    /// Idle cores — no task, an empty deque — are retry chains, not
+    /// calendar events: `busy_until` is the next retry not yet settled,
+    /// and `retries` holds one key per idle core. While nothing is
+    /// queued every retry is a forced failure, settled lazily in O(1) by
+    /// [`Run::settle_idle`], and the keys may be stale; while tasks are
+    /// queued the keys are exact and in key order, and [`Run::race`]
+    /// settles them retry by retry before each calendar event. A lone
+    /// core has nobody to steal from and never idles.
+    retries: VecDeque<Key>,
+    /// Tasks sitting in deques right now.
+    queued: usize,
+    /// Latent wakes, on every core.
+    latent: usize,
+    live_tasks: usize,
+    /// Tasks parked on a full channel (pushers) or an empty one
+    /// (poppers), in park order, each with its trace id. A parked task
+    /// occupies no core and no deque — and is invisible to `queued`, so
+    /// idle cores fast-forward right over blocked channel traffic; a
+    /// matching channel operation wakes the task onto the waking core as
+    /// a latent wake, still invisible to `queued` and to thieves. Only
+    /// when the promotion rule makes it real — a beat reaching that core
+    /// under `heartbeat`, at once under `eager` — is it queued on the
+    /// core's deque, making the idle cores' retries live, exactly like a
+    /// fork making work visible.
+    parked_push: VecDeque<(i64, TaskState, u64)>,
+    parked_pop: VecDeque<(i64, TaskState, u64)>,
+    /// Ping-thread signaller state. Unlike the reference (which tests
+    /// `now >= ping.next_time` once per cycle), `ping.next_time` here is
+    /// always the exact cycle of the next delivery, i.e. already clamped
+    /// to be strictly after the previous one.
+    ping: PingChain,
+    /// Per-core timers all start at ♥ and advance by ♥ together, so one
+    /// deadline serves every core.
+    next_beat: u64,
+    tracer: Tracer,
+    next_task_id: u64,
+    #[cfg(test)]
+    counts: &'a mut tests::Counts,
+}
 
-        // The calendar's slots: core `c`'s next action is slot `c`, and
-        // slot `cores` is the interrupt source's next delivery — the ping
-        // chain's, or the timer wave's (every core's local timer fires in
-        // one cycle, in core order, exactly as the same-time interrupt
-        // keys `(t, 0, 0..cores)` would pop). An idle core's slot, and
-        // the source's when interrupts are disabled, stays cleared. Seed
-        // it: every core attempts an action on cycle 1 (the reference's
-        // first tick), and the interrupt source fires its first delivery.
+impl<'a> Run<'a> {
+    /// Sets up `sim`'s run: its initial task (trace id 0) on core 0,
+    /// every core's first action on cycle 1 (the reference's first
+    /// tick), and the interrupt source's first delivery.
+    fn new(sim: &'a mut Sim<'_>) -> Run<'a> {
+        let cfg = sim.config;
+        let mut running: Vec<Option<(TaskState, u64)>> = (0..cfg.cores).map(|_| None).collect();
+        running[0] = Some((sim.initial.take().expect("simulation already run"), 0));
+        let ping = PingChain::new(cfg.heartbeat.max(1), cfg.heartbeat);
+        let next_beat = cfg.heartbeat;
         let mut calendar = Calendar::new(cfg.cores + 1);
         for c in 0..cfg.cores {
             calendar.set(c, action_key(c, 1));
@@ -725,653 +697,668 @@ impl<'p> Sim<'p> {
             }
             InterruptModel::Disabled => {}
         }
-
-        // Core `$c` has no task and an empty deque: it leaves the
-        // calendar as a retry chain whose next attempt is at `$t`.
-        macro_rules! go_idle {
-            ($c:expr, $t:expr) => {
-                cores[$c].idle = true;
-                cores[$c].busy_until = $t;
-                calendar.set($c, EMPTY);
-                insert_retry!(action_key($c, $t));
-            };
+        let tracer = Tracer(cfg.record_trace.then(|| {
+            TraceBuilder::new(cfg.cores, "cycles", cfg.heartbeat)
+                .policy(cfg.promotion.label(Domain::Sim))
+                .source(cfg.interrupt.label())
+        }));
+        Run {
+            cfg,
+            program: sim.program,
+            backend: &sim.backend,
+            stores: &mut sim.stores,
+            cores: (0..cfg.cores).map(|_| Core::default()).collect(),
+            running,
+            rng: SplitMix64::new(cfg.seed),
+            stats: SimStats::default(),
+            calendar,
+            retries: VecDeque::with_capacity(cfg.cores),
+            queued: 0,
+            latent: 0,
+            live_tasks: 1,
+            parked_push: VecDeque::new(),
+            parked_pop: VecDeque::new(),
+            ping,
+            next_beat,
+            tracer,
+            next_task_id: 1,
+            #[cfg(test)]
+            counts: &mut sim.counts,
         }
+    }
 
-        // Channel deadlock: every remaining task is parked on a channel
-        // and no runner exists to wake one — a latent wake is a runner.
-        // Without this check the idle chains would follow the interrupt
-        // source forever.
-        macro_rules! chan_deadlock {
-            () => {
-                !(parked_push.is_empty() && parked_pop.is_empty())
-                    && queued == 0
-                    && latent == 0
-                    && running_count == 0
-            };
+    /// Settles idle core `p`'s pending retries at virtual times strictly
+    /// before `bound`, in O(1) — valid while nothing is queued. Each
+    /// settled retry charges the same counters as a live failed steal
+    /// and advances the RNG stream by its one victim draw — the drawn
+    /// victim is unobservable (every deque is empty), but the stream
+    /// position is, hence the O(1) `skip`. The whole chain is one trace
+    /// span: recording costs O(1) per settled chain however long the
+    /// core sat idle.
+    fn settle_one(&mut self, p: usize, bound: u64) {
+        let next = self.cores[p].busy_until;
+        if next < bound {
+            let retry = self.cfg.steal_retry_cost;
+            let k = (bound - 1 - next) / retry + 1;
+            self.rng.skip(k);
+            self.stats.failed_steals += k;
+            self.stats.idle_cycles += k * retry;
+            // Settled retroactively: the span carries a later sequence
+            // number than events at greater timestamps on other cores'
+            // tracks (never on its own).
+            self.tracer
+                .record(p, next, k * retry, EventKind::Idle { retries: k });
+            self.cores[p].busy_until = next + k * retry;
         }
+    }
 
-        // Queues task `$t` on core `$c`'s deque during event `$ev`. The
-        // first queued task makes the idle cores' retries live: settle
-        // them while they are still forced failures, then order them.
-        // Cores after the acting one in index order may retry at this very
-        // cycle and see the new task, exactly as the reference's in-cycle
-        // scan does.
-        macro_rules! enqueue {
-            ($c:expr, $t:expr, $id:expr, $ev:expr) => {
-                if queued == 0 && !retries.is_empty() {
-                    settle_idle!($ev);
-                    resort_retries!();
-                }
-                cores[$c].deque.push_back(($t, $id));
-                queued += 1;
-            };
-        }
-
-        // Wakes the oldest task parked on channel `$ch` onto core `$c` —
-        // latent, or queued on its deque when the promotion rule makes
-        // every wake real at once; `false` if none is parked there.
-        macro_rules! wake_one {
-            ($list:expr, $ch:expr, $c:expr, $ev:expr, $now:expr) => {
-                if let Some(idx) = $list.iter().position(|&(ch2, _, _)| ch2 == $ch) {
-                    let (_, t, tid) = $list.remove(idx).expect("index in range");
-                    if cfg.promotion.latent_wakes() {
-                        cores[$c].latent.push_back((t, tid));
-                        latent += 1;
-                    } else {
-                        enqueue!($c, t, tid, $ev);
-                    }
-                    stats.chan_wakes += 1;
-                    tev!(
-                        $c,
-                        $now,
-                        0,
-                        EventKind::ChanResume {
-                            ch: $ch as u32,
-                            task: tid
-                        }
-                    );
-                    true
-                } else {
-                    false
-                }
-            };
-        }
-
-        // Core `$c`'s steal attempt at cycle `$t`: it draws a uniformly
-        // random other core and takes the top of its deque. A hit makes
-        // the core busy for the steal, a miss for the retry. Evaluates to
-        // whether it stole.
-        macro_rules! steal {
-            ($c:expr, $t:expr) => {{
-                let (c, t): (usize, u64) = ($c, $t);
-                let victim = uniform_victim(&mut rng, c, cfg.cores);
-                match cores[victim].deque.pop_front() {
-                    Some((task, id)) => {
-                        queued -= 1;
-                        running[c] = Some(task);
-                        current_id[c] = id;
-                        running_count += 1;
-                        cores[c].busy_until = t + cfg.steal_cost;
-                        stats.steals += 1;
-                        stats.overhead_cycles += cfg.steal_cost;
-                        tev!(
-                            c,
-                            t,
-                            0,
-                            EventKind::Steal {
-                                victim: victim as u32
-                            }
-                        );
-                        tev!(
-                            c,
-                            t,
-                            cfg.steal_cost,
-                            EventKind::Overhead {
-                                what: OverheadKind::Steal
-                            }
-                        );
-                        true
-                    }
-                    None => {
-                        cores[c].busy_until = t + cfg.steal_retry_cost;
-                        stats.failed_steals += 1;
-                        stats.idle_cycles += cfg.steal_retry_cost;
-                        tev!(c, t, cfg.steal_retry_cost, EventKind::Idle { retries: 1 });
-                        false
-                    }
-                }
-            }};
-        }
-
-        let halted: TaskState;
-        let end_time: u64;
-
-        'sim: loop {
-            // While tasks are queued, the idle cores race for them: settle
-            // every retry that precedes the next calendar event, in
-            // `(time, core)` order. A thief rejoins the calendar, and its
-            // next action bounds the race if it comes first; the race ends
-            // early when the queue empties.
-            if queued > 0 && !retries.is_empty() {
-                let mut bound = calendar.min_key();
-                while let Some(&key) = retries.front() {
-                    if key >= bound {
-                        break;
-                    }
-                    retries.pop_front();
-                    let Event { time: t, core, .. } = Event::from_key(key);
-                    let p = core as usize;
-                    if steal!(p, t) {
-                        cores[p].idle = false;
-                        // A core acts at most once per cycle.
-                        let key = action_key(p, cores[p].busy_until.max(t + 1));
-                        calendar.set(p, key);
-                        bound = bound.min(key);
-                        if queued == 0 {
-                            break;
-                        }
-                    } else {
-                        insert_retry!(action_key(p, cores[p].busy_until));
-                    }
-                }
-            }
-
-            // The calendar can only empty before `halt` if interrupts are
-            // disabled and every core is idle on an empty system — no
-            // event can ever create work again. (The reference spins
-            // forever on that degenerate program; an error is strictly
-            // more useful.) The event stays armed while it is handled:
-            // each arm below re-arms or clears its slot.
-            let Some(mut ev) = calendar.min() else {
-                return Err(MachineError::Deadlock);
-            };
-            let mut now = ev.time;
-
-            if ev.phase == PHASE_INTERRUPT {
-                // The receiving cores: every core for the timer wave, the
-                // chain's next target for the ping thread — whose jitter
-                // draw below must land at the right stream position, so
-                // every idle chain is settled first.
-                let (targets, service_cost) = match cfg.interrupt {
-                    InterruptModel::PerCoreTimer { service_cost } => (0..cfg.cores, service_cost),
-                    InterruptModel::PingThread { service_cost, .. } => {
-                        settle_idle!(ev);
-                        (ping.next_core..ping.next_core + 1, service_cost)
-                    }
-                    InterruptModel::Disabled => unreachable!("no interrupt source armed"),
-                };
-                for ci in targets {
-                    // An idle core's pending retries are settled first:
-                    // the service cost shifts the retry pending at
-                    // delivery time. (While tasks are queued the race
-                    // has settled them already.)
-                    if cores[ci].idle && queued == 0 {
-                        settle_one!(ci, now);
-                    }
-                    let core = &mut cores[ci];
-                    core.promote.beat = true;
-                    core.busy_until = core.busy_until.max(now) + service_cost;
-                    stats.heartbeats_delivered += 1;
-                    stats.overhead_cycles += service_cost;
-                    tev!(ci, now, 0, EventKind::HeartbeatDelivered);
-                    tev!(
-                        ci,
-                        now,
-                        service_cost,
-                        EventKind::Overhead {
-                            what: OverheadKind::Interrupt
-                        }
-                    );
-                    // The beat makes the core's latent wakes real, in
-                    // wake order, if the promotion rule says so.
-                    if cfg.promotion.beat_releases_wakes() {
-                        while let Some((t, id)) = cores[ci].latent.pop_front() {
-                            latent -= 1;
-                            enqueue!(ci, t, id, ev);
-                        }
-                    }
-                }
-                if queued > 0 && !retries.is_empty() {
-                    resort_retries!();
-                }
-                // Re-arm the source.
-                if let InterruptModel::PingThread { .. } = cfg.interrupt {
-                    let delay = cfg.interrupt.ping_delay(&mut rng);
-                    ping.advance(now, cfg.cores, cfg.heartbeat, delay);
-                    calendar.set(cfg.cores, interrupt_key(ping.next_core, ping.next_time));
-                } else {
-                    next_beat += cfg.heartbeat;
-                    // `.max(now + 1)`: with ♥ = 0 the reference still
-                    // delivers at most once per cycle.
-                    calendar.set(cfg.cores, interrupt_key(0, next_beat.max(now + 1)));
-                }
-                continue;
-            }
-
-            // Core action. The lone runner: while no other core is in the
-            // calendar and no idle core can race this one for queued work,
-            // an action whose follow-up comes before the interrupt source's
-            // next delivery is followed by that very action — the event the
-            // calendar would pop next — handled here without arming it.
-            let c = ev.core as usize;
-            loop {
-                let next = 'act: {
-                    // If an interrupt pushed the core's busy horizon past the
-                    // scheduled time, re-arm at the new horizon.
-                    if cores[c].busy_until > now {
-                        break 'act cores[c].busy_until;
-                    }
-
-                    // Acquire work if idle.
-                    if running[c].is_none() {
-                        if let Some((t, id)) = cores[c].deque.pop_back() {
-                            // Own pop is free; the task runs this very cycle.
-                            queued -= 1;
-                            running[c] = Some(t);
-                            current_id[c] = id;
-                            running_count += 1;
-                        } else if let Some((t, id)) = cores[c].latent.pop_front() {
-                            // So is taking a latent wake.
-                            latent -= 1;
-                            running[c] = Some(t);
-                            current_id[c] = id;
-                            running_count += 1;
-                        } else if chan_deadlock!() {
-                            return Err(MachineError::Deadlock);
-                        } else if chains {
-                            // Thieves emptied the deque this core would have
-                            // popped: it goes idle, and its first retry is this
-                            // very action, made before the next calendar event.
-                            go_idle!(c, now);
-                            continue 'sim;
-                        } else if cfg.cores > 1 {
-                            // A free retry: the core stays in the calendar and
-                            // acts at most once per cycle. Then the reference's
-                            // end-of-cycle starvation check can fire (all cores
-                            // free, empty, and idle this cycle); with a positive
-                            // cost the freshly charged `busy_until` always
-                            // defeats it there.
-                            if !steal!(c, now)
-                                && running_count == 0
-                                && latent == 0
-                                && cores
-                                    .iter()
-                                    .all(|k| k.deque.is_empty() && k.busy_until <= now)
-                            {
-                                return Err(MachineError::Deadlock);
-                            }
-                            break 'act cores[c].busy_until.max(now + 1);
-                        } else {
-                            // Single core, nothing runnable, nothing queued: no
-                            // task can ever appear again. (The reference charges
-                            // one idle cycle first, but the error discards the
-                            // outcome, so nothing observable is lost.)
-                            return Err(MachineError::Deadlock);
-                        }
-                    }
-
-                    let task = running[c].as_mut().expect("task present");
-                    let promo = cfg.promotion;
-
-                    let (steps, pause) = if std::mem::take(&mut cores[c].at_boundary)
-                        && (!promo.watch(&cores[c].promote)
-                            || task.at_promotion_point(self.program).is_none())
-                    {
-                        // The last run stopped right before a boundary, and no
-                        // promotion can be decided here: a run would execute
-                        // nothing.
-                        (0, RunPause::Boundary)
-                    } else {
-                        // Scheduling boundary: the promotion rule decides what a
-                        // promotion-ready point does with the delivered beat
-                        // (rollforward semantics — promotion happens only at
-                        // promotion-ready program points).
-                        let mut step_past = false;
-                        if promo.watch(&cores[c].promote) {
-                            if let Some(handler) = task.at_promotion_point(self.program) {
-                                match promo.decide(&mut cores[c].promote) {
-                                    PromoteStep::Divert => {
-                                        task.divert_to_handler(handler);
-                                        stats.promotions += 1;
-                                        tev!(c, now, 0, EventKind::HeartbeatServiced);
-                                        tev!(
-                                            c,
-                                            now,
-                                            0,
-                                            EventKind::TaskPromote {
-                                                task: current_id[c]
-                                            }
-                                        );
-                                    }
-                                    PromoteStep::StepPast => step_past = true,
-                                    PromoteStep::Run => {}
-                                }
-                            }
-                        }
-
-                        // Batch horizon: this core cannot be re-flagged before
-                        // the next timer wave (PerCoreTimer — the armed deadline
-                        // is exact) or the signaller's next delivery to *anyone*
-                        // (PingThread — conservative, since the chain's future
-                        // targets depend on jitter draws that must stay in
-                        // delivery order). Interrupts at the horizon sort before
-                        // the follow-up action, so the flag is seen then.
-                        let horizon = match cfg.interrupt {
-                            InterruptModel::PerCoreTimer { .. } => next_beat.max(now + 1),
-                            InterruptModel::PingThread { .. } => ping.next_time.max(now + 1),
-                            InterruptModel::Disabled => u64::MAX,
-                        };
-                        let allowed = cfg
-                            .step_limit
-                            .saturating_add(1)
-                            .saturating_sub(stats.instructions);
-                        // A declined point must execute exactly one instruction
-                        // unwatched (or the watch would pause at it again,
-                        // forever).
-                        let max_steps = if step_past {
-                            1.min(allowed)
-                        } else {
-                            (horizon - now).min(allowed)
-                        };
-                        let watch = !step_past && promo.watch(&cores[c].promote);
-
-                        self.backend.run_until(
-                            self.program,
-                            task,
-                            &mut self.stores,
-                            max_steps,
-                            watch,
-                        )?
-                    };
-                    if steps > 0 {
-                        stats.instructions += steps;
-                        stats.work_cycles += steps;
-                        tev!(
-                            c,
-                            now,
-                            steps,
-                            EventKind::Work {
-                                task: current_id[c]
-                            }
-                        );
-                        if stats.instructions > cfg.step_limit {
-                            return Err(MachineError::StepLimitExceeded {
-                                limit: cfg.step_limit,
-                            });
-                        }
-                    }
-
-                    break 'act match pause {
-                        RunPause::Quantum | RunPause::PromotionReady => {
-                            // Re-assess at the end of the run: the pending
-                            // interrupt (Quantum) or the handler diversion
-                            // (PromotionReady) happens on the next action.
-                            cores[c].busy_until = now + steps;
-                            now + steps
-                        }
-                        RunPause::Boundary if steps > 0 => {
-                            // The boundary instruction must execute at its own
-                            // virtual time: deque pushes, join-store transitions
-                            // and allocations are globally ordered against other
-                            // cores' events in (now, now + steps].
-                            cores[c].busy_until = now + steps;
-                            cores[c].at_boundary = true;
-                            now + steps
-                        }
-                        RunPause::Boundary => {
-                            // The very next instruction is the boundary: execute
-                            // it this cycle, exactly as the reference does.
-                            let outcome = step_task(self.program, task, &mut self.stores)?;
-                            let id = current_id[c];
-                            // Every outcome but a block executed the instruction.
-                            if !matches!(outcome, StepOutcome::ChanBlocked { .. }) {
-                                stats.instructions += 1;
-                                stats.work_cycles += 1;
-                                tev!(c, now, 1, EventKind::Work { task: id });
-                            }
-                            let detach = matches!(outcome, StepOutcome::Detached { .. });
-                            // The core acts again after the instruction's cycle
-                            // plus whatever overhead its outcome charges.
-                            let mut busy_until = now + 1;
-                            match outcome {
-                                StepOutcome::Ran => {} // jralloc / snew / halloc.
-                                StepOutcome::Halted if task.detached => {
-                                    // A detached task retires through its own
-                                    // halt; the run ends at the root's.
-                                    tev!(c, now, 0, EventKind::TaskEnd { task: id });
-                                    running[c] = None;
-                                    running_count -= 1;
-                                    live_tasks -= 1;
-                                }
-                                StepOutcome::Halted => {
-                                    // The counters become the outcome: settle
-                                    // every idle core's retries up to the halt
-                                    // (earlier cores' attempts this very cycle
-                                    // included, as in the reference's in-order
-                                    // scan).
-                                    settle_idle!(ev);
-                                    tev!(c, now, 0, EventKind::TaskEnd { task: id });
-                                    halted = running[c].take().expect("task present");
-                                    end_time = now;
-                                    break 'sim;
-                                }
-                                StepOutcome::Forked { child } | StepOutcome::Detached { child } => {
-                                    // `detach` has a fork's cost shape — it
-                                    // allocates and enqueues a task — minus the
-                                    // join record.
-                                    let child_id = next_task_id;
-                                    next_task_id += 1;
-                                    tev!(
-                                        c,
-                                        now,
-                                        0,
-                                        if detach {
-                                            EventKind::TaskDetach {
-                                                parent: id,
-                                                child: child_id,
-                                            }
-                                        } else {
-                                            EventKind::TaskSpawn {
-                                                parent: id,
-                                                child: child_id,
-                                            }
-                                        }
-                                    );
-                                    tev!(
-                                        c,
-                                        now,
-                                        cfg.fork_cost,
-                                        EventKind::Overhead {
-                                            what: OverheadKind::Fork
-                                        }
-                                    );
-                                    if detach {
-                                        stats.detaches += 1;
-                                    } else {
-                                        stats.forks += 1;
-                                    }
-                                    // The diversion produced a task: re-arm the
-                                    // eager rule's bounce guard.
-                                    cores[c].promote.on_fork();
-                                    enqueue!(c, *child, child_id, ev);
-                                    busy_until += cfg.fork_cost;
-                                    stats.overhead_cycles += cfg.fork_cost;
-                                    live_tasks += 1;
-                                    stats.max_live_tasks = stats.max_live_tasks.max(live_tasks);
-                                }
-                                StepOutcome::Joined { jr } => {
-                                    tev!(
-                                        c,
-                                        now,
-                                        cfg.join_cost,
-                                        EventKind::Overhead {
-                                            what: OverheadKind::Join
-                                        }
-                                    );
-                                    stats.joins += 1;
-                                    busy_until += cfg.join_cost;
-                                    stats.overhead_cycles += cfg.join_cost;
-                                    // The fork-tree node this task sits on, read
-                                    // before resolution consumes the task (`Root`
-                                    // means a completing join).
-                                    let node = match task.assoc(jr) {
-                                        Some(Assoc::Node { node, .. }) => node.index() as u32,
-                                        _ => 0,
-                                    };
-                                    let task = running[c].take().expect("task present");
-                                    match resolve_join(self.program, task, jr, &mut self.stores, 0)?
-                                    {
-                                        JoinResolution::TaskDied => {
-                                            running_count -= 1;
-                                            live_tasks -= 1;
-                                            tev!(
-                                                c,
-                                                now,
-                                                0,
-                                                EventKind::JoinStash { task: id, node }
-                                            );
-                                        }
-                                        JoinResolution::Merged(t) => {
-                                            stats.merges += 1;
-                                            running[c] = Some(*t);
-                                            current_id[c] = next_task_id;
-                                            next_task_id += 1;
-                                            tev!(
-                                                c,
-                                                now,
-                                                0,
-                                                EventKind::JoinMerge {
-                                                    task: id,
-                                                    node,
-                                                    merged: current_id[c]
-                                                }
-                                            );
-                                        }
-                                        JoinResolution::Completed(t) => {
-                                            running[c] = Some(*t);
-                                            current_id[c] = next_task_id;
-                                            next_task_id += 1;
-                                            tev!(
-                                                c,
-                                                now,
-                                                0,
-                                                EventKind::JoinContinue {
-                                                    task: id,
-                                                    resumed: current_id[c]
-                                                }
-                                            );
-                                        }
-                                    }
-                                }
-                                StepOutcome::ChanPushed { ch } => {
-                                    stats.chan_pushes += 1;
-                                    let ch32 = ch as u32;
-                                    tev!(c, now, 0, EventKind::ChanPush { ch: ch32, task: id });
-                                    wake_one!(parked_pop, ch, c, ev, now);
-                                }
-                                StepOutcome::ChanPopped { ch } => {
-                                    stats.chan_pops += 1;
-                                    let ch32 = ch as u32;
-                                    tev!(c, now, 0, EventKind::ChanPop { ch: ch32, task: id });
-                                    wake_one!(parked_push, ch, c, ev, now);
-                                }
-                                StepOutcome::ChanClosed { ch } => {
-                                    let ch32 = ch as u32;
-                                    tev!(c, now, 0, EventKind::ChanClose { ch: ch32, task: id });
-                                    // Close wakes every waiter: poppers first
-                                    // (they drain the buffer or fault), then
-                                    // pushers (they fault), each cohort in park
-                                    // order.
-                                    while wake_one!(parked_pop, ch, c, ev, now) {}
-                                    while wake_one!(parked_push, ch, c, ev, now) {}
-                                }
-                                StepOutcome::ChanBlocked { ch, push } => {
-                                    // The instruction did not execute (the
-                                    // machine un-counted it); the core spent the
-                                    // cycle discovering the block and parks the
-                                    // task — its running slot is left empty, so
-                                    // the core seeks new work next.
-                                    stats.chan_blocks += 1;
-                                    stats.idle_cycles += 1;
-                                    tev!(c, now, 1, EventKind::Idle { retries: 0 });
-                                    tev!(
-                                        c,
-                                        now,
-                                        0,
-                                        EventKind::ChanBlock {
-                                            ch: ch as u32,
-                                            task: id,
-                                            push
-                                        }
-                                    );
-                                    let task = running[c].take().expect("task present");
-                                    running_count -= 1;
-                                    if push {
-                                        parked_push.push_back((ch, task, id));
-                                    } else {
-                                        parked_pop.push_back((ch, task, id));
-                                    }
-                                }
-                            }
-                            if stats.instructions > cfg.step_limit {
-                                return Err(MachineError::StepLimitExceeded {
-                                    limit: cfg.step_limit,
-                                });
-                            }
-                            if running[c].is_none()
-                                && cores[c].deque.is_empty()
-                                && cores[c].latent.is_empty()
-                                && chains
-                            {
-                                // The task left and nothing is queued or
-                                // latent here: the core goes idle without an
-                                // action that would find no work. (With work
-                                // in its own deque or latent it stays an
-                                // action: an own pop is free.)
-                                if chan_deadlock!() {
-                                    return Err(MachineError::Deadlock);
-                                }
-                                go_idle!(c, busy_until);
-                                continue 'sim;
-                            }
-                            cores[c].busy_until = busy_until;
-                            busy_until
-                        }
-                    };
-                };
-                let key = action_key(c, next);
-                if calendar.armed_cores == 1
-                    && (queued == 0 || retries.is_empty())
-                    && key < calendar.key(cfg.cores)
-                {
-                    ev = Event::from_key(key);
-                    now = next;
+    /// While nothing is queued, settles every idle core's retries that
+    /// virtually precede event `ev`: those before its cycle, and at its
+    /// cycle those of cores before an acting one (the reference scans
+    /// cores in index order). While tasks are queued [`Run::race`] has
+    /// settled them already. Settling is deferred — no steal draw can
+    /// happen, so pure skips commute past every other event — to where
+    /// the chains become observable: a ping delivery's jitter draw, work
+    /// queued, `halt`, and per core a timer beat that shifts its chain.
+    fn settle_idle(&mut self, ev: Event) {
+        if self.queued == 0 && !self.retries.is_empty() {
+            for p in 0..self.cfg.cores {
+                if !self.cores[p].idle {
                     continue;
                 }
-                calendar.set(c, key);
+                let bound = if ev.phase == PHASE_ACTION && (p as u32) < ev.core {
+                    ev.time + 1
+                } else {
+                    ev.time
+                };
+                self.settle_one(p, bound);
+            }
+        }
+    }
+
+    /// Rewrites every idle core's key from its `busy_until` and puts the
+    /// keys back in order: when queued work makes the retries live, and
+    /// after an interrupt shifts idle cores' retries while they are.
+    fn resort_retries(&mut self) {
+        for key in self.retries.iter_mut() {
+            let p = Event::from_key(*key).core as usize;
+            *key = action_key(p, self.cores[p].busy_until);
+        }
+        self.retries.make_contiguous().sort_unstable();
+    }
+
+    /// Adds `key` to the live retries in key order. A failed retry's next
+    /// one usually comes after every other: the idle cores retry in turn.
+    fn insert_retry(&mut self, key: Key) {
+        if self.retries.back().is_none_or(|&last| last < key) {
+            self.retries.push_back(key);
+        } else {
+            let at = self.retries.partition_point(|&k| k < key);
+            self.retries.insert(at, key);
+        }
+    }
+
+    /// Core `c` has no task and nothing of its own to run: it leaves the
+    /// calendar as a retry chain whose next attempt is at `t`. That is a
+    /// deadlock on a lone core, which has nobody to steal from, and when
+    /// every remaining task is parked on a channel with no runner left to
+    /// wake one — a latent wake is a runner. Without the second check the
+    /// idle chains would follow the interrupt source forever.
+    fn go_idle(&mut self, c: usize, t: u64) -> Result<(), MachineError> {
+        let chan_deadlock = !(self.parked_push.is_empty() && self.parked_pop.is_empty())
+            && self.queued == 0
+            && self.latent == 0
+            && self.running.iter().all(Option::is_none);
+        if self.cfg.cores == 1 || chan_deadlock {
+            return Err(MachineError::Deadlock);
+        }
+        self.cores[c].idle = true;
+        self.cores[c].busy_until = t;
+        self.calendar.set(c, EMPTY);
+        self.insert_retry(action_key(c, t));
+        Ok(())
+    }
+
+    /// Queues `task` on core `c`'s deque during event `ev`. The first
+    /// queued task makes the idle cores' retries live: settle them while
+    /// they are still forced failures, then order them. Cores after the
+    /// acting one in index order may retry at this very cycle and see the
+    /// new task, exactly as the reference's in-cycle scan does.
+    fn enqueue(&mut self, c: usize, task: TaskState, id: u64, ev: Event) {
+        if self.queued == 0 && !self.retries.is_empty() {
+            self.settle_idle(ev);
+            self.resort_retries();
+        }
+        self.cores[c].deque.push_back((task, id));
+        self.queued += 1;
+    }
+
+    /// Wakes the oldest task parked on channel `ch` — a pusher if
+    /// `pusher`, else a popper — onto core `c` during event `ev`: latent,
+    /// or queued on its deque when the promotion rule makes every wake
+    /// real at once. `false` if none is parked there. Inlined into each
+    /// of its four call sites: a pipeline hand-off wakes a task on most
+    /// boundaries.
+    #[inline(always)]
+    fn wake_one(&mut self, ch: i64, pusher: bool, c: usize, ev: Event) -> bool {
+        let parked = if pusher {
+            &mut self.parked_push
+        } else {
+            &mut self.parked_pop
+        };
+        let Some(idx) = parked.iter().position(|&(ch2, _, _)| ch2 == ch) else {
+            return false;
+        };
+        let (_, task, id) = parked.remove(idx).expect("index in range");
+        if self.cfg.promotion.latent_wakes() {
+            self.cores[c].latent.push_back((task, id));
+            self.latent += 1;
+        } else {
+            self.enqueue(c, task, id, ev);
+        }
+        self.stats.chan_wakes += 1;
+        self.tracer.record(
+            c,
+            ev.time,
+            0,
+            EventKind::ChanResume {
+                ch: ch as u32,
+                task: id,
+            },
+        );
+        true
+    }
+
+    /// Charges core `c` `cost` cycles of overhead spent on `what` from
+    /// cycle `t`.
+    fn charge(&mut self, c: usize, t: u64, cost: u64, what: OverheadKind) {
+        self.stats.overhead_cycles += cost;
+        self.tracer.record(c, t, cost, EventKind::Overhead { what });
+    }
+
+    /// Core `c`'s steal attempt at cycle `t`: it draws a uniformly random
+    /// other core and takes the top of its deque. A hit makes the core
+    /// busy for the steal, a miss for the retry. Returns whether it stole.
+    fn steal(&mut self, c: usize, t: u64) -> bool {
+        let victim = uniform_victim(&mut self.rng, c, self.cfg.cores);
+        let Some(stolen) = self.cores[victim].deque.pop_front() else {
+            let retry = self.cfg.steal_retry_cost;
+            self.cores[c].busy_until = t + retry;
+            self.stats.failed_steals += 1;
+            self.stats.idle_cycles += retry;
+            self.tracer
+                .record(c, t, retry, EventKind::Idle { retries: 1 });
+            return false;
+        };
+        self.queued -= 1;
+        self.running[c] = Some(stolen);
+        self.cores[c].busy_until = t + self.cfg.steal_cost;
+        self.stats.steals += 1;
+        let victim = victim as u32;
+        self.tracer.record(c, t, 0, EventKind::Steal { victim });
+        self.charge(c, t, self.cfg.steal_cost, OverheadKind::Steal);
+        true
+    }
+
+    /// While tasks are queued, the idle cores race for them: settles
+    /// every retry that precedes the next calendar event, in `(time,
+    /// core)` order. A thief rejoins the calendar, and its next action
+    /// bounds the race if it comes first; the race ends early when the
+    /// queue empties.
+    #[inline]
+    fn race(&mut self) {
+        if self.queued == 0 || self.retries.is_empty() {
+            return;
+        }
+        let mut bound = self.calendar.min_key();
+        while let Some(&key) = self.retries.front() {
+            if key >= bound {
                 break;
+            }
+            self.retries.pop_front();
+            let Event { time: t, core, .. } = Event::from_key(key);
+            let p = core as usize;
+            if self.steal(p, t) {
+                self.cores[p].idle = false;
+                // A core acts at most once per cycle.
+                let key = action_key(p, self.cores[p].busy_until.max(t + 1));
+                self.calendar.set(p, key);
+                bound = bound.min(key);
+                if self.queued == 0 {
+                    break;
+                }
+            } else {
+                self.insert_retry(action_key(p, self.cores[p].busy_until));
+            }
+        }
+    }
+
+    /// Delivers the interrupt source's event `ev` — to every core for the
+    /// timer wave, to the chain's next target for the ping thread — and
+    /// re-arms the source.
+    fn deliver_beat(&mut self, ev: Event) {
+        let now = ev.time;
+        let (targets, service_cost) = match self.cfg.interrupt {
+            InterruptModel::PerCoreTimer { service_cost } => (0..self.cfg.cores, service_cost),
+            InterruptModel::PingThread { service_cost, .. } => {
+                // The jitter draw below must land at the right stream
+                // position: every idle chain is settled first.
+                self.settle_idle(ev);
+                (self.ping.next_core..self.ping.next_core + 1, service_cost)
+            }
+            InterruptModel::Disabled => unreachable!("no interrupt source armed"),
+        };
+        for ci in targets {
+            // An idle core's pending retries are settled first: the
+            // service cost shifts the retry pending at delivery time.
+            // (While tasks are queued the race has settled them already.)
+            if self.cores[ci].idle && self.queued == 0 {
+                self.settle_one(ci, now);
+            }
+            let core = &mut self.cores[ci];
+            core.promote.beat = true;
+            core.busy_until = core.busy_until.max(now) + service_cost;
+            self.stats.heartbeats_delivered += 1;
+            self.tracer
+                .record(ci, now, 0, EventKind::HeartbeatDelivered);
+            self.charge(ci, now, service_cost, OverheadKind::Interrupt);
+            // The beat makes the core's latent wakes real, in wake order,
+            // if the promotion rule says so.
+            if self.cfg.promotion.beat_releases_wakes() {
+                while let Some((task, id)) = self.cores[ci].latent.pop_front() {
+                    self.latent -= 1;
+                    self.enqueue(ci, task, id, ev);
+                }
+            }
+        }
+        if self.queued > 0 && !self.retries.is_empty() {
+            self.resort_retries();
+        }
+        let source = self.cfg.cores;
+        if let InterruptModel::PingThread { .. } = self.cfg.interrupt {
+            let delay = self.cfg.interrupt.ping_delay(&mut self.rng);
+            self.ping
+                .advance(now, self.cfg.cores, self.cfg.heartbeat, delay);
+            self.calendar.set(
+                source,
+                interrupt_key(self.ping.next_core, self.ping.next_time),
+            );
+        } else {
+            self.next_beat += self.cfg.heartbeat;
+            // `.max(now + 1)`: with ♥ = 0 the reference still delivers at
+            // most once per cycle.
+            self.calendar
+                .set(source, interrupt_key(0, self.next_beat.max(now + 1)));
+        }
+    }
+
+    /// Core `c`'s action at cycle `now`: acquire work, run a stretch, and
+    /// apply the boundary it stopped at if that comes this very cycle.
+    #[inline]
+    fn act(&mut self, c: usize, now: u64) -> Result<Acted, MachineError> {
+        #[cfg(test)]
+        {
+            self.counts.actions += 1;
+        }
+        // An interrupt pushed the core's busy horizon past the scheduled
+        // time: re-arm at the new horizon.
+        if self.cores[c].busy_until > now {
+            return Ok(Acted::Again);
+        }
+        if self.running[c].is_none() && !self.acquire(c, now)? {
+            return Ok(Acted::Idle);
+        }
+        if self.boundary_skip(c) {
+            return self.apply_boundary(c, now);
+        }
+        let (steps, pause) = self.run_stretch(c, now)?;
+        Ok(match pause {
+            RunPause::Quantum | RunPause::PromotionReady => {
+                // Re-assess at the end of the run: the pending interrupt
+                // (Quantum) or the handler diversion (PromotionReady)
+                // happens on the next action.
+                self.cores[c].busy_until = now + steps;
+                Acted::Again
+            }
+            RunPause::Boundary if steps > 0 => {
+                // The boundary instruction must execute at its own virtual
+                // time: deque pushes, join-store transitions and
+                // allocations are globally ordered against other cores'
+                // events in (now, now + steps].
+                self.cores[c].busy_until = now + steps;
+                self.cores[c].at_boundary = true;
+                Acted::Again
+            }
+            // The very next instruction is the boundary: execute it this
+            // cycle, exactly as the reference does.
+            RunPause::Boundary => return self.apply_boundary(c, now),
+        })
+    }
+
+    /// Gives core `c`, which has no task, one at `now`: its deque's
+    /// newest (an own pop is free; the task runs this very cycle), else
+    /// its oldest latent wake (so is that). With neither the core goes
+    /// idle, its first retry this very action, made before the next
+    /// calendar event — thieves emptied the deque it would have popped —
+    /// and this is `false`.
+    ///
+    /// The popped entry moves into the slot as the `Option` it came in:
+    /// unwrapping it and wrapping it again copies it twice more, through
+    /// stores that the final copy cannot forward from.
+    fn acquire(&mut self, c: usize, now: u64) -> Result<bool, MachineError> {
+        let core = &mut self.cores[c];
+        let slot = &mut self.running[c];
+        *slot = core.deque.pop_back();
+        if slot.is_some() {
+            self.queued -= 1;
+            return Ok(true);
+        }
+        *slot = core.latent.pop_front();
+        if slot.is_some() {
+            self.latent -= 1;
+            return Ok(true);
+        }
+        self.go_idle(c, now)?;
+        Ok(false)
+    }
+
+    /// The boundary skip: core `c`'s last run stopped right before a
+    /// boundary, and no promotion can be decided there, so a run would
+    /// execute nothing — the action executes the boundary at once.
+    fn boundary_skip(&mut self, c: usize) -> bool {
+        let core = &mut self.cores[c];
+        let (task, _) = self.running[c].as_ref().expect("task present");
+        std::mem::take(&mut core.at_boundary)
+            && (!self.cfg.promotion.watch(&core.promote)
+                || task.at_promotion_point(self.program).is_none())
+    }
+
+    /// Runs core `c`'s task from `now` until a scheduling boundary, the
+    /// batch horizon or the step limit, and charges what it ran. First
+    /// the promotion rule decides what a promotion-ready point does with
+    /// a delivered beat (rollforward semantics — promotion happens only
+    /// at promotion-ready program points).
+    fn run_stretch(&mut self, c: usize, now: u64) -> Result<(u64, RunPause), MachineError> {
+        let promo = self.cfg.promotion;
+        let core = &mut self.cores[c];
+        let (task, id) = self.running[c].as_mut().expect("task present");
+        let id = *id;
+        let mut step_past = false;
+        if promo.watch(&core.promote) {
+            if let Some(handler) = task.at_promotion_point(self.program) {
+                match promo.decide(&mut core.promote) {
+                    PromoteStep::Divert => {
+                        task.divert_to_handler(handler);
+                        self.stats.promotions += 1;
+                        self.tracer.record(c, now, 0, EventKind::HeartbeatServiced);
+                        self.tracer
+                            .record(c, now, 0, EventKind::TaskPromote { task: id });
+                    }
+                    PromoteStep::StepPast => step_past = true,
+                    PromoteStep::Run => {}
+                }
             }
         }
 
+        // Batch horizon: this core cannot be re-flagged before the
+        // next timer wave (PerCoreTimer — the armed deadline is exact)
+        // or the signaller's next delivery to *anyone* (PingThread —
+        // conservative, since the chain's future targets depend on
+        // jitter draws that must stay in delivery order). Interrupts
+        // at the horizon sort before the follow-up action, so the
+        // flag is seen then.
+        let horizon = match self.cfg.interrupt {
+            InterruptModel::PerCoreTimer { .. } => self.next_beat.max(now + 1),
+            InterruptModel::PingThread { .. } => self.ping.next_time.max(now + 1),
+            InterruptModel::Disabled => u64::MAX,
+        };
+        let allowed = self
+            .cfg
+            .step_limit
+            .saturating_add(1)
+            .saturating_sub(self.stats.instructions);
+        // A declined point must execute exactly one instruction
+        // unwatched (or the watch would pause at it again, forever).
+        let max_steps = if step_past {
+            1.min(allowed)
+        } else {
+            (horizon - now).min(allowed)
+        };
+        let watch = !step_past && promo.watch(&core.promote);
+        #[cfg(test)]
+        {
+            self.counts.run_untils += 1;
+        }
+        let (steps, pause) =
+            self.backend
+                .run_until(self.program, task, self.stores, max_steps, watch)?;
+        if steps > 0 {
+            self.stats.instructions += steps;
+            self.stats.work_cycles += steps;
+            self.tracer
+                .record(c, now, steps, EventKind::Work { task: id });
+            if self.stats.instructions > self.cfg.step_limit {
+                return Err(MachineError::StepLimitExceeded {
+                    limit: self.cfg.step_limit,
+                });
+            }
+        }
+        Ok((steps, pause))
+    }
+
+    /// Executes the boundary instruction core `c`'s task stands at, this
+    /// cycle `now`, and applies its outcome. Every outcome but a
+    /// channel block executed the instruction; the core acts again after
+    /// the instruction's cycle plus whatever overhead its outcome
+    /// charges, or goes idle if its task left and nothing is queued or
+    /// latent on it.
+    fn apply_boundary(&mut self, c: usize, now: u64) -> Result<Acted, MachineError> {
+        // This action as the event that idle chains settle against.
+        let ev = Event::from_key(action_key(c, now));
+        let (task, id) = self.running[c].as_mut().expect("task present");
+        let id = *id;
+        let outcome = step_task(self.program, task, self.stores)?;
+        if !matches!(outcome, StepOutcome::ChanBlocked { .. }) {
+            self.stats.instructions += 1;
+            self.stats.work_cycles += 1;
+            self.tracer.record(c, now, 1, EventKind::Work { task: id });
+        }
+        let detach = matches!(outcome, StepOutcome::Detached { .. });
+        let mut busy_until = now + 1;
+        match outcome {
+            StepOutcome::Ran => {} // jralloc / snew / halloc.
+            StepOutcome::Halted if task.detached => {
+                // A detached task retires through its own halt; the run
+                // ends at the root's.
+                self.tracer
+                    .record(c, now, 0, EventKind::TaskEnd { task: id });
+                self.running[c] = None;
+                self.live_tasks -= 1;
+            }
+            StepOutcome::Halted => {
+                // The counters become the outcome: settle every idle
+                // core's retries up to the halt (earlier cores' attempts
+                // this very cycle included, as in the reference's
+                // in-order scan).
+                self.settle_idle(ev);
+                self.tracer
+                    .record(c, now, 0, EventKind::TaskEnd { task: id });
+                return Ok(Acted::Halted);
+            }
+            StepOutcome::Forked { child } | StepOutcome::Detached { child } => {
+                // `detach` has a fork's cost shape — it allocates and
+                // enqueues a task — minus the join record.
+                let child_id = self.next_task_id;
+                self.next_task_id += 1;
+                let kind = if detach {
+                    self.stats.detaches += 1;
+                    EventKind::TaskDetach {
+                        parent: id,
+                        child: child_id,
+                    }
+                } else {
+                    self.stats.forks += 1;
+                    EventKind::TaskSpawn {
+                        parent: id,
+                        child: child_id,
+                    }
+                };
+                self.tracer.record(c, now, 0, kind);
+                self.charge(c, now, self.cfg.fork_cost, OverheadKind::Fork);
+                // The diversion produced a task: re-arm the eager rule's
+                // bounce guard.
+                self.cores[c].promote.on_fork();
+                self.enqueue(c, *child, child_id, ev);
+                busy_until += self.cfg.fork_cost;
+                self.live_tasks += 1;
+                self.stats.max_live_tasks = self.stats.max_live_tasks.max(self.live_tasks);
+            }
+            StepOutcome::Joined { jr } => {
+                self.charge(c, now, self.cfg.join_cost, OverheadKind::Join);
+                self.stats.joins += 1;
+                busy_until += self.cfg.join_cost;
+                let (task, _) = self.running[c].take().expect("task present");
+                // The fork-tree node this task sits on, read before
+                // resolution consumes the task (`Root` means a completing
+                // join).
+                let node = match task.assoc(jr) {
+                    Some(Assoc::Node { node, .. }) => node.index() as u32,
+                    _ => 0,
+                };
+                match resolve_join(self.program, task, jr, self.stores, 0)? {
+                    JoinResolution::TaskDied => {
+                        self.live_tasks -= 1;
+                        let kind = EventKind::JoinStash { task: id, node };
+                        self.tracer.record(c, now, 0, kind);
+                    }
+                    JoinResolution::Merged(t) => {
+                        self.stats.merges += 1;
+                        let merged = self.next_task_id;
+                        self.next_task_id += 1;
+                        self.running[c] = Some((*t, merged));
+                        let kind = EventKind::JoinMerge {
+                            task: id,
+                            node,
+                            merged,
+                        };
+                        self.tracer.record(c, now, 0, kind);
+                    }
+                    JoinResolution::Completed(t) => {
+                        let resumed = self.next_task_id;
+                        self.next_task_id += 1;
+                        self.running[c] = Some((*t, resumed));
+                        let kind = EventKind::JoinContinue { task: id, resumed };
+                        self.tracer.record(c, now, 0, kind);
+                    }
+                }
+            }
+            StepOutcome::ChanPushed { ch } => {
+                self.stats.chan_pushes += 1;
+                let kind = EventKind::ChanPush {
+                    ch: ch as u32,
+                    task: id,
+                };
+                self.tracer.record(c, now, 0, kind);
+                self.wake_one(ch, false, c, ev);
+            }
+            StepOutcome::ChanPopped { ch } => {
+                self.stats.chan_pops += 1;
+                let kind = EventKind::ChanPop {
+                    ch: ch as u32,
+                    task: id,
+                };
+                self.tracer.record(c, now, 0, kind);
+                self.wake_one(ch, true, c, ev);
+            }
+            StepOutcome::ChanClosed { ch } => {
+                let kind = EventKind::ChanClose {
+                    ch: ch as u32,
+                    task: id,
+                };
+                self.tracer.record(c, now, 0, kind);
+                // Close wakes every waiter: poppers first (they drain the
+                // buffer or fault), then pushers (they fault), each cohort
+                // in park order.
+                while self.wake_one(ch, false, c, ev) {}
+                while self.wake_one(ch, true, c, ev) {}
+            }
+            StepOutcome::ChanBlocked { ch, push } => {
+                // The instruction did not execute (the machine un-counted
+                // it); the core spent the cycle discovering the block and
+                // parks the task — its running slot is left empty, so the
+                // core seeks new work next.
+                self.stats.chan_blocks += 1;
+                self.stats.idle_cycles += 1;
+                self.tracer
+                    .record(c, now, 1, EventKind::Idle { retries: 0 });
+                let kind = EventKind::ChanBlock {
+                    ch: ch as u32,
+                    task: id,
+                    push,
+                };
+                self.tracer.record(c, now, 0, kind);
+                let (task, _) = self.running[c].take().expect("task present");
+                if push {
+                    self.parked_push.push_back((ch, task, id));
+                } else {
+                    self.parked_pop.push_back((ch, task, id));
+                }
+            }
+        }
+        if self.stats.instructions > self.cfg.step_limit {
+            return Err(MachineError::StepLimitExceeded {
+                limit: self.cfg.step_limit,
+            });
+        }
+        if self.running[c].is_none()
+            && self.cores[c].deque.is_empty()
+            && self.cores[c].latent.is_empty()
+        {
+            // The task left and nothing is queued or latent here: the
+            // core goes idle without an action that would find no work.
+            // (With work in its own deque or latent it stays an action:
+            // an own pop is free.)
+            self.go_idle(c, busy_until)?;
+            return Ok(Acted::Idle);
+        }
+        self.cores[c].busy_until = busy_until;
+        Ok(Acted::Again)
+    }
+
+    /// The lone runner: no other core is in the calendar, no idle core
+    /// can race this one for queued work, and the core's next action
+    /// `key` comes before the interrupt source's next delivery — so it is
+    /// the event the calendar would pop next, and the loop handles it at
+    /// once without arming the core's slot.
+    #[inline]
+    fn lone_runner(&self, key: Key) -> bool {
+        self.calendar.armed_cores == 1
+            && (self.queued == 0 || self.retries.is_empty())
+            && key < self.calendar.key(self.cfg.cores)
+    }
+
+    /// The run's outcome once the root task halted on core `c` at
+    /// `end_time`.
+    fn finish(mut self, c: usize, end_time: u64) -> SimOutcome {
+        let (halted, _) = self.running[c].take().expect("task present");
         let final_regs = (0..self.program.reg_count())
             .map(|i| {
                 let r = Reg::from_index(i);
                 (self.program.reg_name(r).to_owned(), halted.regs.read_raw(r))
             })
             .collect();
-
-        Ok(SimOutcome {
+        SimOutcome {
             time: end_time,
-            stats,
-            cores: cfg.cores,
-            heartbeat: cfg.heartbeat,
-            trace: tracer.map(TraceBuilder::finish),
+            stats: self.stats,
+            cores: self.cfg.cores,
+            heartbeat: self.cfg.heartbeat,
+            trace: self.tracer.0.map(TraceBuilder::finish),
             // The halting task's fork/join-threaded counters are the
             // whole computation's totals (τ = 0 in this engine).
             work: halted.rel_work,
             span: halted.rel_span,
             final_regs,
-        })
+        }
     }
 }
 
@@ -1382,6 +1369,17 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+
+    /// What a run's fast paths did, counted in test builds only.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub(super) struct Counts {
+        /// Events taken from the calendar.
+        pub(super) pops: u64,
+        /// Core actions handled, lone-runner continuations included.
+        pub(super) actions: u64,
+        /// [`ExecBackend::run_until`] calls.
+        pub(super) run_untils: u64,
+    }
 
     /// A slot's key, laid out as in the engine: the last of `slots` is
     /// the interrupt source's (the timer wave's key), every other slot
@@ -1467,6 +1465,62 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Runs workload `name`'s Quick input, lowered for heartbeat
+    /// scheduling, on the default tier at seed 1 on 15 cores with per-core
+    /// timers at ♥ = 3000, and returns what the fast paths did.
+    fn fast_path_counts(name: &str) -> Counts {
+        let spec = tpal_workloads::workload(name)
+            .expect("known workload")
+            .sim_spec(tpal_workloads::Scale::Quick);
+        let lowered = tpal_ir::lower::lower(&spec.ir, tpal_ir::lower::Mode::Heartbeat)
+            .expect("the workload lowers");
+        let config = SimConfig {
+            seed: 1,
+            ..SimConfig::nautilus(15, 3_000)
+        };
+        let mut sim = Sim::new(&lowered.program, config);
+        for (param, data) in &spec.input.arrays {
+            let base = sim.alloc_array(data);
+            sim.set_reg(&lowered.param_reg(param), base).unwrap();
+        }
+        for (param, v) in &spec.input.ints {
+            sim.set_reg(&lowered.param_reg(param), *v).unwrap();
+        }
+        sim.run().expect("the workload runs");
+        sim.counts
+    }
+
+    /// The fast paths fire, not just the outcomes match: each bound
+    /// fails if one fast path stops. Without the lone runner
+    /// `pipeline-tokens` pops about 10 100 events, not 474; without the
+    /// boundary skip it calls `run_until` about 10 100 times, not 5 267;
+    /// and with idle cores as calendar actions instead of retry chains
+    /// it pops 19 737 events and `floyd-warshall-small` 57 539, not 2 257.
+    #[test]
+    fn fast_paths_fire() {
+        let pipeline = fast_path_counts("pipeline-tokens");
+        assert!(pipeline.pops <= 600, "pipeline-tokens: {pipeline:?}");
+        assert!(
+            pipeline.run_untils <= 5_500,
+            "pipeline-tokens: {pipeline:?}"
+        );
+        let floyd = fast_path_counts("floyd-warshall-small");
+        assert!(floyd.pops <= 3_000, "floyd-warshall-small: {floyd:?}");
+    }
+
+    /// A free failed steal would make an idle core act on every cycle;
+    /// idle cores are retry chains instead, so a multicore refuses it.
+    #[test]
+    #[should_panic(expected = "a failed steal must cost at least one cycle")]
+    fn a_free_retry_is_refused_on_a_multicore() {
+        let program = tpal_core::programs::prod();
+        let config = SimConfig {
+            steal_retry_cost: 0,
+            ..SimConfig::nautilus(2, 3_000)
+        };
+        Sim::new(&program, config);
     }
 
     #[test]
