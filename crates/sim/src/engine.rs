@@ -22,13 +22,14 @@
 //! An idle core — no task, an empty deque — leaves the calendar and
 //! becomes a chain of steal retries, settled in place: in O(1) while
 //! nothing is queued, retry by retry in `(time, core)` order while tasks
-//! are. Running tasks stay in place beside the cores and leave only when
-//! they leave the core (halt, a stashing join, a channel park). A core
-//! alone in the calendar — every other core idle, no idle core able to
-//! race it for queued work — whose next action comes before the interrupt
-//! source's next delivery handles that action at once without arming its
-//! slot, since it is the event the calendar would pop next (the *lone
-//! runner*; the calendar counts its armed core slots for this test).
+//! are. A running task is run in place, in its core's task slot, and
+//! leaves it only when it leaves the core (halt, a stashing join, a
+//! channel park). A core alone in the calendar — every other core idle,
+//! no idle core able to race it for queued work — whose next action
+//! comes before the interrupt source's next delivery handles that action
+//! at once without arming its slot, since it is the event the calendar
+//! would pop next (the *lone runner*; the calendar counts its armed core
+//! slots for this test).
 //! Simulated time jumps from event to event, so the cost of a run is
 //! O(instructions + events·log cores) rather than
 //! O(makespan × cores).
@@ -42,7 +43,7 @@ use std::collections::VecDeque;
 
 use tpal_core::isa::Reg;
 use tpal_core::machine::{
-    resolve_join, step_task, Assoc, JoinResolution, MachineError, PromotionOrder, RunPause,
+    resolve_join, step_task, Assoc, JoinId, JoinResolution, MachineError, PromotionOrder, RunPause,
     StepOutcome, Stores, TaskState, Value,
 };
 use tpal_core::program::Program;
@@ -271,6 +272,10 @@ impl SimOutcome {
 
 #[derive(Default)]
 struct Core {
+    /// The running task with its trace id, run in place. It leaves the
+    /// slot only when it leaves the core: halt, a join that stashes it,
+    /// or a channel park.
+    task: Option<(TaskState, u64)>,
     /// Queued tasks, each with its trace id.
     deque: VecDeque<(TaskState, u64)>,
     /// Channel wakes not yet made real, in wake order, each with its
@@ -594,7 +599,7 @@ enum Acted {
     /// The core went idle: a retry chain, out of the calendar.
     Idle,
     /// The root task halted, and with it the run; it is still in its
-    /// core's running slot.
+    /// core's task slot.
     Halted,
 }
 
@@ -620,11 +625,6 @@ struct Run<'a> {
     backend: &'a ExecBackend,
     stores: &'a mut Stores,
     cores: Vec<Core>,
-    /// Each core's running task with its trace id, kept beside `cores`
-    /// so an action can run it in place while it mutates other cores. A
-    /// task leaves its slot only when it leaves the core: halt, a join
-    /// that stashes it, or a channel park.
-    running: Vec<Option<(TaskState, u64)>>,
     rng: SplitMix64,
     stats: SimStats,
     /// Core `c`'s next action is slot `c`, and slot `cores` is the
@@ -680,8 +680,8 @@ impl<'a> Run<'a> {
     /// tick), and the interrupt source's first delivery.
     fn new(sim: &'a mut Sim<'_>) -> Run<'a> {
         let cfg = sim.config;
-        let mut running: Vec<Option<(TaskState, u64)>> = (0..cfg.cores).map(|_| None).collect();
-        running[0] = Some((sim.initial.take().expect("simulation already run"), 0));
+        let mut cores: Vec<Core> = (0..cfg.cores).map(|_| Core::default()).collect();
+        cores[0].task = Some((sim.initial.take().expect("simulation already run"), 0));
         let ping = PingChain::new(cfg.heartbeat.max(1), cfg.heartbeat);
         let next_beat = cfg.heartbeat;
         let mut calendar = Calendar::new(cfg.cores + 1);
@@ -707,8 +707,7 @@ impl<'a> Run<'a> {
             program: sim.program,
             backend: &sim.backend,
             stores: &mut sim.stores,
-            cores: (0..cfg.cores).map(|_| Core::default()).collect(),
-            running,
+            cores,
             rng: SplitMix64::new(cfg.seed),
             stats: SimStats::default(),
             calendar,
@@ -808,7 +807,7 @@ impl<'a> Run<'a> {
         let chan_deadlock = !(self.parked_push.is_empty() && self.parked_pop.is_empty())
             && self.queued == 0
             && self.latent == 0
-            && self.running.iter().all(Option::is_none);
+            && self.cores.iter().all(|core| core.task.is_none());
         if self.cfg.cores == 1 || chan_deadlock {
             return Err(MachineError::Deadlock);
         }
@@ -891,7 +890,7 @@ impl<'a> Run<'a> {
             return false;
         };
         self.queued -= 1;
-        self.running[c] = Some(stolen);
+        self.cores[c].task = Some(stolen);
         self.cores[c].busy_until = t + self.cfg.steal_cost;
         self.stats.steals += 1;
         let victim = victim as u32;
@@ -1005,7 +1004,7 @@ impl<'a> Run<'a> {
         if self.cores[c].busy_until > now {
             return Ok(Acted::Again);
         }
-        if self.running[c].is_none() && !self.acquire(c, now)? {
+        if self.cores[c].task.is_none() && !self.acquire(c, now)? {
             return Ok(Acted::Idle);
         }
         if self.boundary_skip(c) {
@@ -1042,19 +1041,18 @@ impl<'a> Run<'a> {
     /// calendar event — thieves emptied the deque it would have popped —
     /// and this is `false`.
     ///
-    /// The popped entry moves into the slot as the `Option` it came in:
-    /// unwrapping it and wrapping it again copies it twice more, through
-    /// stores that the final copy cannot forward from.
+    /// The popped entry moves into the task slot as the `Option` it came
+    /// in: unwrapping it and wrapping it again copies it twice more,
+    /// through stores that the final copy cannot forward from.
     fn acquire(&mut self, c: usize, now: u64) -> Result<bool, MachineError> {
         let core = &mut self.cores[c];
-        let slot = &mut self.running[c];
-        *slot = core.deque.pop_back();
-        if slot.is_some() {
+        core.task = core.deque.pop_back();
+        if core.task.is_some() {
             self.queued -= 1;
             return Ok(true);
         }
-        *slot = core.latent.pop_front();
-        if slot.is_some() {
+        core.task = core.latent.pop_front();
+        if core.task.is_some() {
             self.latent -= 1;
             return Ok(true);
         }
@@ -1067,7 +1065,7 @@ impl<'a> Run<'a> {
     /// execute nothing — the action executes the boundary at once.
     fn boundary_skip(&mut self, c: usize) -> bool {
         let core = &mut self.cores[c];
-        let (task, _) = self.running[c].as_ref().expect("task present");
+        let (task, _) = core.task.as_ref().expect("task present");
         std::mem::take(&mut core.at_boundary)
             && (!self.cfg.promotion.watch(&core.promote)
                 || task.at_promotion_point(self.program).is_none())
@@ -1081,7 +1079,7 @@ impl<'a> Run<'a> {
     fn run_stretch(&mut self, c: usize, now: u64) -> Result<(u64, RunPause), MachineError> {
         let promo = self.cfg.promotion;
         let core = &mut self.cores[c];
-        let (task, id) = self.running[c].as_mut().expect("task present");
+        let (task, id) = core.task.as_mut().expect("task present");
         let id = *id;
         let mut step_past = false;
         if promo.watch(&core.promote) {
@@ -1155,7 +1153,7 @@ impl<'a> Run<'a> {
     fn apply_boundary(&mut self, c: usize, now: u64) -> Result<Acted, MachineError> {
         // This action as the event that idle chains settle against.
         let ev = Event::from_key(action_key(c, now));
-        let (task, id) = self.running[c].as_mut().expect("task present");
+        let (task, id) = self.cores[c].task.as_mut().expect("task present");
         let id = *id;
         let outcome = step_task(self.program, task, self.stores)?;
         if !matches!(outcome, StepOutcome::ChanBlocked { .. }) {
@@ -1172,7 +1170,7 @@ impl<'a> Run<'a> {
                 // ends at the root's.
                 self.tracer
                     .record(c, now, 0, EventKind::TaskEnd { task: id });
-                self.running[c] = None;
+                self.cores[c].task = None;
                 self.live_tasks -= 1;
             }
             StepOutcome::Halted => {
@@ -1186,71 +1184,12 @@ impl<'a> Run<'a> {
                 return Ok(Acted::Halted);
             }
             StepOutcome::Forked { child } | StepOutcome::Detached { child } => {
-                // `detach` has a fork's cost shape — it allocates and
-                // enqueues a task — minus the join record.
-                let child_id = self.next_task_id;
-                self.next_task_id += 1;
-                let kind = if detach {
-                    self.stats.detaches += 1;
-                    EventKind::TaskDetach {
-                        parent: id,
-                        child: child_id,
-                    }
-                } else {
-                    self.stats.forks += 1;
-                    EventKind::TaskSpawn {
-                        parent: id,
-                        child: child_id,
-                    }
-                };
-                self.tracer.record(c, now, 0, kind);
-                self.charge(c, now, self.cfg.fork_cost, OverheadKind::Fork);
-                // The diversion produced a task: re-arm the eager rule's
-                // bounce guard.
-                self.cores[c].promote.on_fork();
-                self.enqueue(c, *child, child_id, ev);
+                self.spawn(c, *child, id, detach, ev);
                 busy_until += self.cfg.fork_cost;
-                self.live_tasks += 1;
-                self.stats.max_live_tasks = self.stats.max_live_tasks.max(self.live_tasks);
             }
             StepOutcome::Joined { jr } => {
-                self.charge(c, now, self.cfg.join_cost, OverheadKind::Join);
-                self.stats.joins += 1;
+                self.join(c, now, id, jr)?;
                 busy_until += self.cfg.join_cost;
-                let (task, _) = self.running[c].take().expect("task present");
-                // The fork-tree node this task sits on, read before
-                // resolution consumes the task (`Root` means a completing
-                // join).
-                let node = match task.assoc(jr) {
-                    Some(Assoc::Node { node, .. }) => node.index() as u32,
-                    _ => 0,
-                };
-                match resolve_join(self.program, task, jr, self.stores, 0)? {
-                    JoinResolution::TaskDied => {
-                        self.live_tasks -= 1;
-                        let kind = EventKind::JoinStash { task: id, node };
-                        self.tracer.record(c, now, 0, kind);
-                    }
-                    JoinResolution::Merged(t) => {
-                        self.stats.merges += 1;
-                        let merged = self.next_task_id;
-                        self.next_task_id += 1;
-                        self.running[c] = Some((*t, merged));
-                        let kind = EventKind::JoinMerge {
-                            task: id,
-                            node,
-                            merged,
-                        };
-                        self.tracer.record(c, now, 0, kind);
-                    }
-                    JoinResolution::Completed(t) => {
-                        let resumed = self.next_task_id;
-                        self.next_task_id += 1;
-                        self.running[c] = Some((*t, resumed));
-                        let kind = EventKind::JoinContinue { task: id, resumed };
-                        self.tracer.record(c, now, 0, kind);
-                    }
-                }
             }
             StepOutcome::ChanPushed { ch } => {
                 self.stats.chan_pushes += 1;
@@ -1285,7 +1224,7 @@ impl<'a> Run<'a> {
             StepOutcome::ChanBlocked { ch, push } => {
                 // The instruction did not execute (the machine un-counted
                 // it); the core spent the cycle discovering the block and
-                // parks the task — its running slot is left empty, so the
+                // parks the task — its task slot is left empty, so the
                 // core seeks new work next.
                 self.stats.chan_blocks += 1;
                 self.stats.idle_cycles += 1;
@@ -1297,7 +1236,7 @@ impl<'a> Run<'a> {
                     push,
                 };
                 self.tracer.record(c, now, 0, kind);
-                let (task, _) = self.running[c].take().expect("task present");
+                let (task, _) = self.cores[c].task.take().expect("task present");
                 if push {
                     self.parked_push.push_back((ch, task, id));
                 } else {
@@ -1310,7 +1249,7 @@ impl<'a> Run<'a> {
                 limit: self.cfg.step_limit,
             });
         }
-        if self.running[c].is_none()
+        if self.cores[c].task.is_none()
             && self.cores[c].deque.is_empty()
             && self.cores[c].latent.is_empty()
         {
@@ -1323,6 +1262,76 @@ impl<'a> Run<'a> {
         }
         self.cores[c].busy_until = busy_until;
         Ok(Acted::Again)
+    }
+
+    /// Core `c`'s task `id` forked or detached `child` during event `ev`:
+    /// the child gets the next trace id and is queued on the core's deque.
+    /// `detach` has a fork's cost shape — it allocates and enqueues a task
+    /// — minus the join record.
+    fn spawn(&mut self, c: usize, child: TaskState, id: u64, detach: bool, ev: Event) {
+        let child_id = self.next_task_id;
+        self.next_task_id += 1;
+        let kind = if detach {
+            self.stats.detaches += 1;
+            EventKind::TaskDetach {
+                parent: id,
+                child: child_id,
+            }
+        } else {
+            self.stats.forks += 1;
+            EventKind::TaskSpawn {
+                parent: id,
+                child: child_id,
+            }
+        };
+        self.tracer.record(c, ev.time, 0, kind);
+        self.charge(c, ev.time, self.cfg.fork_cost, OverheadKind::Fork);
+        // The diversion produced a task: re-arm the eager rule's bounce
+        // guard.
+        self.cores[c].promote.on_fork();
+        self.enqueue(c, child, child_id, ev);
+        self.live_tasks += 1;
+        self.stats.max_live_tasks = self.stats.max_live_tasks.max(self.live_tasks);
+    }
+
+    /// Core `c`'s task `id` executed `join` on record `jr` at `now`: it
+    /// leaves the core, and resolution either stashes it or hands the
+    /// core the merged or continuing task under a new trace id.
+    fn join(&mut self, c: usize, now: u64, id: u64, jr: JoinId) -> Result<(), MachineError> {
+        self.charge(c, now, self.cfg.join_cost, OverheadKind::Join);
+        self.stats.joins += 1;
+        let (task, _) = self.cores[c].task.take().expect("task present");
+        // The fork-tree node this task sits on, read before resolution
+        // consumes the task (`Root` means a completing join).
+        let node = match task.assoc(jr) {
+            Some(Assoc::Node { node, .. }) => node.index() as u32,
+            _ => 0,
+        };
+        let kind = match resolve_join(self.program, task, jr, self.stores, 0)? {
+            JoinResolution::TaskDied => {
+                self.live_tasks -= 1;
+                EventKind::JoinStash { task: id, node }
+            }
+            JoinResolution::Merged(t) => {
+                self.stats.merges += 1;
+                let merged = self.next_task_id;
+                self.next_task_id += 1;
+                self.cores[c].task = Some((*t, merged));
+                EventKind::JoinMerge {
+                    task: id,
+                    node,
+                    merged,
+                }
+            }
+            JoinResolution::Completed(t) => {
+                let resumed = self.next_task_id;
+                self.next_task_id += 1;
+                self.cores[c].task = Some((*t, resumed));
+                EventKind::JoinContinue { task: id, resumed }
+            }
+        };
+        self.tracer.record(c, now, 0, kind);
+        Ok(())
     }
 
     /// The lone runner: no other core is in the calendar, no idle core
@@ -1340,7 +1349,7 @@ impl<'a> Run<'a> {
     /// The run's outcome once the root task halted on core `c` at
     /// `end_time`.
     fn finish(mut self, c: usize, end_time: u64) -> SimOutcome {
-        let (halted, _) = self.running[c].take().expect("task present");
+        let (halted, _) = self.cores[c].task.take().expect("task present");
         let final_regs = (0..self.program.reg_count())
             .map(|i| {
                 let r = Reg::from_index(i);

@@ -411,9 +411,9 @@ fn wide_machines_engines_agree() {
 /// The steal costs the idle cores' retry chains branch on, at their
 /// edges: one-cycle retries and steals (a thief acts the cycle after it
 /// steals), the defaults, and a retry dearer than a steal. A free retry
-/// is refused on a multicore (`Sim::with_backend` panics). Small ♥ stays out: under
-/// per-core timers a beat always due livelocks the promotion handler
-/// (see [`heartbeat_edges_engines_agree`]).
+/// is refused on a multicore (`Sim::with_backend` panics). Small ♥
+/// stays out: under per-core timers a beat always due livelocks the
+/// promotion handler (see [`heartbeat_edges_engines_agree`]).
 #[test]
 fn steal_cost_edges_engines_agree() {
     for name in ["knapsack", "pipeline-tokens", "spmv-stream"] {
